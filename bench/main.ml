@@ -452,8 +452,9 @@ let output_file = ref "BENCH_PR10.json"
 (* ------------------------------------------------------------------ *)
 (* Parallel runner: fans independent bench rows across domains ([-j N],
    default [Domain.recommended_domain_count ()]).  Each row is a
-   complete, deterministic simulation whose mutable state is per-run or
-   domain-local (engine binding, profiler accumulators, twin pools), so
+   complete, deterministic simulation whose mutable state is per-run
+   (twin pool included) or domain-local (engine binding, profiler
+   accumulators), so
    rows may execute in any order on any domain; results are indexed by
    submission order and merged deterministically, making the snapshot
    byte-identical for every [-j]. *)

@@ -461,9 +461,12 @@ let create ?(audit = false) (cfg : config) =
       ()
   in
   let noncoherent = Bytes.make cfg.noncoherent_bytes '\000' in
+  let twin_pool = Page.create_twin_pool () in
   let nodes =
     Array.init cfg.nodes (fun id ->
-        let shm = Shm.create ~obs ~node:id ~region ~noncoherent () in
+        let shm =
+          Shm.create ~obs ~node:id ~twin_pool ~region ~noncoherent ()
+        in
         Node.make ~obs ~id ~nodes:cfg.nodes ~engine ~shm ~costs:cfg.costs
           ~backend:cfg.backend ~strategy:cfg.strategy
           ~batch_fetch:cfg.batch_fetch ~diff_cache:cfg.diff_cache ())

@@ -113,17 +113,3 @@ let pop h =
     Array.unsafe_set h.values !i value
   end;
   v0
-
-(* Compat layer: the option/tuple forms the engine used before the flat
-   layout.  Kept for tests and any cold caller; the engine's hot loop uses
-   [min_time]/[pop] directly. *)
-
-let min_key h = if h.len = 0 then None else Some (h.times.(0), h.seqs.(0))
-
-let pop_min h =
-  if h.len = 0 then None
-  else begin
-    let time = h.times.(0) and seq = h.seqs.(0) in
-    let v = pop h in
-    Some (time, seq, v)
-  end

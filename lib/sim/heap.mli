@@ -32,11 +32,3 @@ val min_time : 'a t -> float
 (** Remove and return the payload with the smallest key.
     @raise Invalid_argument when the heap is empty. *)
 val pop : 'a t -> 'a
-
-(** {1 Boxed compatibility API} *)
-
-(** Smallest key currently in the heap, if any. *)
-val min_key : 'a t -> (float * int) option
-
-(** Remove and return the entry with the smallest key. *)
-val pop_min : 'a t -> (float * int * 'a) option

@@ -1,53 +1,42 @@
 type state = Invalid | Read_only | Read_write
 
-type t = {
-  data : Bytes.t;
-  mutable state : state;
-  mutable twin : Bytes.t option;
-}
-
-let create ~size =
-  if size <= 0 then invalid_arg "Page.create: size";
-  { data = Bytes.make size '\000'; state = Read_only; twin = None }
-
 (* Twin buffers are page-sized, i.e. larger than the 256-word
-   young-allocation limit, so every [Bytes.copy] went straight to the
-   major heap; with thousands of twins per run the allocation and
-   marking cost showed up at the top of host-time profiles.  Dropped
-   twins are recycled through a domain-local free list instead.  A twin
-   never escapes this module ([Diff.create] copies runs out of it), so
-   reuse is safe.  The list is capped so a pathological page-size mix
-   cannot pin unbounded memory. *)
+   young-allocation limit, so each fresh twin goes straight to the major
+   heap.  Dropped twins are recycled through a free list that the pages
+   of one simulation share, so a run's allocation depends on that run
+   alone.  A twin never escapes this module ([Diff.create] copies runs
+   out of it), so reuse is safe.  The list is capped so a burst of
+   releases cannot pin unbounded memory. *)
 type twin_pool = { mutable free : Bytes.t list; mutable n : int }
 
 let max_pooled_twins = 128
 
-let twin_pools : (int, twin_pool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+let create_twin_pool () = { free = []; n = 0 }
 
-let twin_alloc size =
-  match Hashtbl.find_opt (Domain.DLS.get twin_pools) size with
-  | Some ({ free = b :: rest; _ } as p) ->
-    p.free <- rest;
-    p.n <- p.n - 1;
+let twin_alloc pool size =
+  match pool.free with
+  | b :: rest when Bytes.length b = size ->
+    pool.free <- rest;
+    pool.n <- pool.n - 1;
     b
-  | Some { free = []; _ } | None -> Bytes.create size
+  | _ -> Bytes.create size
 
-let twin_release b =
-  let pools = Domain.DLS.get twin_pools in
-  let size = Bytes.length b in
-  let p =
-    match Hashtbl.find_opt pools size with
-    | Some p -> p
-    | None ->
-      let p = { free = []; n = 0 } in
-      Hashtbl.add pools size p;
-      p
-  in
-  if p.n < max_pooled_twins then begin
-    p.free <- b :: p.free;
-    p.n <- p.n + 1
+let twin_release pool b =
+  if pool.n < max_pooled_twins then begin
+    pool.free <- b :: pool.free;
+    pool.n <- pool.n + 1
   end
+
+type t = {
+  data : Bytes.t;
+  mutable state : state;
+  mutable twin : Bytes.t option;
+  twin_pool : twin_pool;
+}
+
+let create ~twin_pool ~size =
+  if size <= 0 then invalid_arg "Page.create: size";
+  { data = Bytes.make size '\000'; state = Read_only; twin = None; twin_pool }
 
 let state t = t.state
 
@@ -63,7 +52,7 @@ let make_twin t =
   match t.state with
   | Read_only ->
     let len = Bytes.length t.data in
-    let twin = twin_alloc len in
+    let twin = twin_alloc t.twin_pool len in
     Bytes.blit t.data 0 twin 0 len;
     t.twin <- Some twin;
     t.state <- Read_write
@@ -76,7 +65,7 @@ let encode_diff t ~page_index =
     let diff = Diff.create ~page:page_index ~twin ~current:t.data in
     t.twin <- None;
     t.state <- Read_only;
-    twin_release twin;
+    twin_release t.twin_pool twin;
     diff
   | Read_write, None -> assert false
   | (Invalid | Read_only), _ ->
@@ -111,7 +100,7 @@ let install t bytes =
   (match t.twin with
   | Some twin ->
     t.twin <- None;
-    twin_release twin
+    twin_release t.twin_pool twin
   | None -> ());
   t.state <- Read_only
 

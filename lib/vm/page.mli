@@ -13,8 +13,16 @@ type state = Invalid | Read_only | Read_write
 
 type t
 
-(** Fresh zero-filled page in [Read_only] state. *)
-val create : size:int -> t
+(** A capped free list of twin buffers.  One simulation shares one pool
+    among all its pages (every node's page table), so dropped twins are
+    recycled within the run and never carry over into another. *)
+type twin_pool
+
+val create_twin_pool : unit -> twin_pool
+
+(** Fresh zero-filled page in [Read_only] state whose twins come from and
+    return to [twin_pool]. *)
+val create : twin_pool:twin_pool -> size:int -> t
 
 val state : t -> state
 

@@ -12,12 +12,13 @@ type t = {
 
 let no_handler _ = invalid_arg "Page_table: no fault handler installed"
 
-let create ?obs ?node ~pages ~page_size () =
+let create ?obs ?node ?(twin_pool = Page.create_twin_pool ()) ~pages
+    ~page_size () =
   if pages < 0 then invalid_arg "Page_table.create: pages";
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let node = match node with Some n -> n | None -> Obs.global_node in
   {
-    table = Array.init pages (fun _ -> Page.create ~size:page_size);
+    table = Array.init pages (fun _ -> Page.create ~twin_pool ~size:page_size);
     page_size;
     on_read_fault = no_handler;
     on_write_fault = no_handler;

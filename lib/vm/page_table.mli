@@ -8,11 +8,19 @@
 
 type t
 
-(** [create ?obs ?node ~pages ~page_size ()] — fault counters register in
-    [obs] (a fresh private registry by default) under the [Vm] layer for
-    [node] (default {!Carlos_obs.Obs.global_node}). *)
+(** [create ?obs ?node ?twin_pool ~pages ~page_size ()] — fault counters
+    register in [obs] (a fresh private registry by default) under the
+    [Vm] layer for [node] (default {!Carlos_obs.Obs.global_node}).  The
+    pages draw twins from [twin_pool] (a fresh private pool by
+    default). *)
 val create :
-  ?obs:Carlos_obs.Obs.t -> ?node:int -> pages:int -> page_size:int -> unit -> t
+  ?obs:Carlos_obs.Obs.t ->
+  ?node:int ->
+  ?twin_pool:Page.twin_pool ->
+  pages:int ->
+  page_size:int ->
+  unit ->
+  t
 
 val pages : t -> int
 

@@ -18,7 +18,7 @@ type t = {
   page_mask : int;
 }
 
-let create ?obs ?node ~region ~noncoherent () =
+let create ?obs ?node ?twin_pool ~region ~noncoherent () =
   if Bytes.length noncoherent <> Region.noncoherent_bytes region then
     invalid_arg "Shm.create: noncoherent backing store has the wrong size";
   let page_size = Region.page_size region in
@@ -27,7 +27,7 @@ let create ?obs ?node ~region ~noncoherent () =
   {
     region;
     page_table =
-      Page_table.create ?obs ?node
+      Page_table.create ?obs ?node ?twin_pool
         ~pages:(Region.coherent_pages region)
         ~page_size ();
     private_mem = Bytes.make (Region.private_bytes region) '\000';

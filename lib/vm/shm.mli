@@ -11,13 +11,15 @@
 
 type t
 
-(** [create ?obs ?node ~region ~noncoherent ()] builds a node view.
-    [noncoherent] is the backing store shared between all views of one
-    cluster; [obs]/[node] locate the page table's fault counters in the
+(** [create ?obs ?node ?twin_pool ~region ~noncoherent ()] builds a node
+    view.  [noncoherent] is the backing store shared between all views of
+    one cluster, and so is [twin_pool] (a fresh private pool by default);
+    [obs]/[node] locate the page table's fault counters in the
     observability registry. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   ?node:int ->
+  ?twin_pool:Page.twin_pool ->
   region:Region.t ->
   noncoherent:Bytes.t ->
   unit ->

@@ -17,14 +17,9 @@ let test_heap_order () =
   Heap.add h ~time:1.0 ~seq:1 "a";
   Heap.add h ~time:2.0 ~seq:2 "b";
   let popped = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | None -> ()
-    | Some (_, _, v) ->
-      popped := v :: !popped;
-      drain ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    popped := Heap.pop h :: !popped
+  done;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ]
     (List.rev !popped)
 
@@ -32,11 +27,8 @@ let test_heap_tie_break () =
   let h = Heap.create ~dummy:"" () in
   Heap.add h ~time:1.0 ~seq:5 "later";
   Heap.add h ~time:1.0 ~seq:2 "earlier";
-  (match Heap.pop_min h with
-  | Some (_, seq, v) ->
-    Alcotest.(check int) "lower seq first" 2 seq;
-    Alcotest.(check string) "value" "earlier" v
-  | None -> Alcotest.fail "heap empty");
+  check_float "min time" 1.0 (Heap.min_time h);
+  Alcotest.(check string) "lower seq first" "earlier" (Heap.pop h);
   Alcotest.(check int) "one left" 1 (Heap.size h)
 
 let prop_heap_sorted =
@@ -46,9 +38,12 @@ let prop_heap_sorted =
       let h = Heap.create ~dummy:(-1) () in
       List.iteri (fun i (time, _) -> Heap.add h ~time ~seq:i i) pairs;
       let rec drain last =
-        match Heap.pop_min h with
-        | None -> true
-        | Some (time, _, _) -> time >= last && drain time
+        if Heap.is_empty h then true
+        else begin
+          let time = Heap.min_time h in
+          ignore (Heap.pop h);
+          time >= last && drain time
+        end
       in
       drain neg_infinity)
 
@@ -87,7 +82,7 @@ let test_heap_releases_popped_values () =
     Heap.add h ~time:(float_of_int i) ~seq:i v
   done;
   for _ = 1 to n do
-    ignore (Heap.pop_min h)
+    ignore (Heap.pop h)
   done;
   Gc.full_major ();
   Gc.full_major ();
