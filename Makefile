@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check audit bench-smoke bench-retransmit bench-diff bench-parallel clean
+.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-retransmit bench-diff bench-parallel clean
 
 all: build
 
@@ -14,6 +14,18 @@ fmt:
 	dune build @fmt
 
 check: build fmt test
+
+# Soak the qcheck properties: tier-1 runs each on one pinned seed; this
+# runs them once per seed in SEEDS (QCHECK_SEED) and prints every failing
+# seed with its counterexample.  soak-check fails unless the failing seeds
+# over 1..40 are exactly those listed in test/soak_expected.txt.
+SEEDS ?= 1..40
+
+soak: build
+	@test/soak.sh $(SEEDS)
+
+soak-check: build
+	@test/soak.sh 1..40 test/soak_expected.txt
 
 # Run every app under the online consistency auditor on every backend;
 # fails on any violation (same matrix as the CI consistency-audit job).

@@ -9,9 +9,10 @@
     interval (the creator's vector-clock component at creation). *)
 type id = { creator : int; index : int }
 
-type t = {
+type t = private {
   id : id;
   vc : Vc.t; (* creator's vector timestamp at creation *)
+  rank : int; (* [Vc.sum vc], the interval's causal rank *)
   write_notices : int list; (* pages modified during the interval *)
 }
 
@@ -21,10 +22,44 @@ val make : creator:int -> index:int -> vc:Vc.t -> write_notices:int list -> t
     id and 4 bytes per write notice. *)
 val size_bytes : t -> int
 
-(** Sort interval records into a linear extension of causal order
-    (ascending vector-clock sum, ties broken by creator then index). *)
+(** [mem_id id ids] iff some element of [ids] has the same creator and
+    index as [id] (int equality, no structural compare). *)
+val mem_id : id -> id list -> bool
+
+(** Sort interval records into a linear extension of causal order:
+    ascending [rank], ties broken by creator then index.  Stable. *)
 val causal_sort : t list -> t list
 
 val pp_id : Format.formatter -> id -> unit
 
 val pp : Format.formatter -> t -> unit
+
+(** Interval descriptions known to one node, indexed by id.  Interval
+    indices are contiguous per creator, so each creator keeps a dense
+    array indexed by interval index: lookups are two array reads and
+    allocate nothing. *)
+module Log : sig
+  type interval := t
+
+  type t
+
+  (** An empty log for creators [0 .. nodes - 1]. *)
+  val create : nodes:int -> t
+
+  (** @raise Not_found if the interval is not in the log. *)
+  val find : t -> creator:int -> index:int -> interval
+
+  val mem : t -> creator:int -> index:int -> bool
+
+  (** Add an interval under its id, replacing any interval with that id. *)
+  val add : t -> interval -> unit
+
+  (** Remove the interval with that id, if present. *)
+  val remove : t -> creator:int -> index:int -> unit
+
+  (** Number of intervals in the log. *)
+  val length : t -> int
+
+  (** Fold over the log by ascending creator, then ascending index. *)
+  val fold : (interval -> 'a -> 'a) -> t -> 'a -> 'a
+end

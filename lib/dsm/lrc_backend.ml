@@ -50,6 +50,11 @@ type transport = {
 
 module Obs = Carlos_obs.Obs
 
+(* Tables keyed by one int.  The diff store and the fault path's
+   per-fetch tables pack (page, creator, index) into a single key (see
+   [diff_key]), so they hash and compare ints, not tuples. *)
+module Itbl = Hashtbl.Make (Int)
+
 type stats = {
   intervals_created : int;
   write_notices_sent : int;
@@ -108,19 +113,21 @@ type t = {
   nodes : int;
   me : int;
   page_table : Page_table.t;
+  pages : int;
   costs : Cost.t;
   strategy : strategy;
   charge : float -> unit;
   vc : Vc.t;
   (* Every interval description this node knows about; invariant: for every
      node [c], contains (c, i) for all 1 <= i <= vc.(c). *)
-  log : (int * int, Interval.t) Hashtbl.t;
+  log : Interval.Log.t;
   (* Diffs held locally (own creations and fetched copies), keyed by
-     (page, creator, index).  One flush can cover several closed intervals,
-     in which case the same diff is stored (aliased) under each of their
-     ids; a key maps to a list because a page can be flushed repeatedly
-     within one id's window, and the pieces apply in list order. *)
-  diffs : (int * int * int, Diff.t list) Hashtbl.t;
+     [diff_key] of (page, creator, index).  One flush can cover several
+     closed intervals, in which case the same diff is stored (aliased)
+     under each of their ids; a key maps to a list because a page can be
+     flushed repeatedly within one id's window, and the pieces apply in
+     list order. *)
+  diffs : Diff.t list Itbl.t;
   (* NOTE: with eager encoding at interval close, every write notice ever
      published has its diff in [diffs] at the creator. *)
   (* Pages written in the current (open) interval. *)
@@ -137,6 +144,9 @@ type t = {
      whole-page installs).  A whole-page install is only sound when the
      server's copy covers at least this much. *)
   page_vc : (int, Vc.t) Hashtbl.t;
+  (* The coverage of a page with no [page_vc] entry; shared, never
+     mutated. *)
+  zero_vc : Vc.t;
   (* Guards against concurrent fetches of the same page by several
      fibers. *)
   inflight : (int, unit Ivar.t) Hashtbl.t;
@@ -178,10 +188,17 @@ let transport t =
   | Some tr -> tr
   | None -> raise (Protocol_violation "Lrc: transport not installed")
 
-let find_interval t id =
-  match Hashtbl.find_opt t.log (id.Interval.creator, id.Interval.index) with
-  | Some i -> i
-  | None ->
+(* (page, creator, index) as one int.  The index is unbounded, so it
+   takes the high digits: the key stays below 2^62 for any index a run
+   can reach. *)
+let diff_key t ~page (id : Interval.id) =
+  (((id.Interval.index * t.nodes) + id.Interval.creator) * t.pages) + page
+
+let find_interval t (id : Interval.id) =
+  try
+    Interval.Log.find t.log ~creator:id.Interval.creator
+      ~index:id.Interval.index
+  with Not_found ->
     raise
       (Protocol_violation
          (Printf.sprintf "interval %d.%d not in log" id.Interval.creator
@@ -197,10 +214,10 @@ let find_interval t id =
    order-insensitive readers (size sums, discards) use the raw list. *)
 let in_order ds = List.rev ds
 
-let store_diff t ~page ~(id : Interval.id) diff =
-  let key = (page, id.Interval.creator, id.Interval.index) in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.diffs key) in
-  Hashtbl.replace t.diffs key (diff :: existing);
+let store_diff t ~page ~id diff =
+  let key = diff_key t ~page id in
+  let existing = Option.value ~default:[] (Itbl.find_opt t.diffs key) in
+  Itbl.replace t.diffs key (diff :: existing);
   t.diff_bytes_stored <- t.diff_bytes_stored + Diff.size_bytes diff
 
 (* Encode the modifications of a write-enabled page.  The twin always
@@ -275,10 +292,10 @@ let note_page_content t page vc =
   | None -> Hashtbl.replace t.page_vc page (Vc.copy vc)
   | Some cur -> Vc.join_in_place cur vc
 
-let page_content_vc t page ~nodes =
+let page_content_vc t page =
   match Hashtbl.find_opt t.page_vc page with
   | Some vc -> vc
-  | None -> Vc.zero ~nodes
+  | None -> t.zero_vc
 
 (* Try a whole-page fetch from the creator of the causally latest missing
    interval; returns the ids still missing afterwards. *)
@@ -290,7 +307,7 @@ let fetch_whole_page t page ids =
         match acc with
         | None -> Some i
         | Some best ->
-          if Vc.sum i.Interval.vc > Vc.sum best.Interval.vc then Some i
+          if i.Interval.rank > best.Interval.rank then Some i
           else acc)
       None ids
   in
@@ -305,7 +322,7 @@ let fetch_whole_page t page ids =
       | Some { data; covers } ->
         if
           not
-            (Vc.dominates covers (page_content_vc t page ~nodes:t.nodes)
+            (Vc.dominates covers (page_content_vc t page)
             && Vc.dominates covers t.vc)
         then
           (* Installing could lose content this node's copy (or its
@@ -340,16 +357,16 @@ let fetch_whole_page t page ids =
         end)
 
 (* The total order in which a page's diffs are applied: causal (sum of
-   vector-clock components), ties broken deterministically. *)
+   vector-clock components), ties broken deterministically.  Each id is
+   resolved once; a list too short to compare is returned without any
+   lookup. *)
 let causal_order t ids =
-  List.sort
-    (fun (a : Interval.id) (b : Interval.id) ->
-      let va = (find_interval t a).Interval.vc
-      and vb = (find_interval t b).Interval.vc in
-      compare
-        (Vc.sum va, a.Interval.creator, a.Interval.index)
-        (Vc.sum vb, b.Interval.creator, b.Interval.index))
-    ids
+  match ids with
+  | [] | [ _ ] -> ids
+  | _ ->
+    List.map
+      (fun (i : Interval.t) -> i.Interval.id)
+      (Interval.causal_sort (List.map (find_interval t) ids))
 
 (* Group a page's causally ordered ids into maximal same-creator runs.
    The ids of one run are adjacent in the apply order — no other interval's
@@ -395,14 +412,14 @@ let fetch_missing t ~into:have targets =
               Hashtbl.replace requests creator ((page, run) :: cur)))
         (adjacency_runs ordered))
     targets;
-  let asked = Hashtbl.create 16 in
+  let asked = Itbl.create 16 in
   Hashtbl.iter
     (fun creator entries ->
       List.iter
         (fun (page, run) ->
           List.iter
             (fun (id : Interval.id) ->
-              Hashtbl.replace asked (page, id) creator)
+              Itbl.replace asked (diff_key t ~page id) creator)
             run)
         entries)
     requests;
@@ -415,7 +432,7 @@ let fetch_missing t ~into:have targets =
     let billed = ref [] in
     List.iter
       (fun (page, (id : Interval.id), ds) ->
-        if Hashtbl.find_opt asked (page, id) <> Some creator then
+        if Itbl.find_opt asked (diff_key t ~page id) <> Some creator then
           raise (Protocol_violation "diff reply for an unrequested id");
         List.iter
           (fun d ->
@@ -425,7 +442,7 @@ let fetch_missing t ~into:have targets =
             end;
             store_diff t ~page ~id d)
           ds;
-        Hashtbl.replace have (page, id.Interval.creator, id.Interval.index) ds)
+        Itbl.replace have (diff_key t ~page id) ds)
       reply
   in
   match List.rev !creators with
@@ -456,17 +473,17 @@ let fetch_missing t ~into:have targets =
 (* Gather diffs for each page of [targets]: serve from the local store
    where possible, fetch the rest from their creators (blocking). *)
 let collect_diffs t targets =
-  let have = Hashtbl.create 16 in
+  let have = Itbl.create 16 in
   let remote =
     List.filter_map
       (fun (page, ids) ->
         let miss =
           List.filter
             (fun (id : Interval.id) ->
-              let key = (page, id.Interval.creator, id.Interval.index) in
-              match Hashtbl.find_opt t.diffs key with
+              let key = diff_key t ~page id in
+              match Itbl.find_opt t.diffs key with
               | Some ds ->
-                Hashtbl.replace have key (in_order ds);
+                Itbl.replace have key (in_order ds);
                 false
               | None ->
                 if id.Interval.creator = t.me then
@@ -488,9 +505,7 @@ let apply_diffs t page ids have =
   let applied = ref [] in
   List.iter
     (fun (id : Interval.id) ->
-      match
-        Hashtbl.find_opt have (page, id.Interval.creator, id.Interval.index)
-      with
+      match Itbl.find_opt have (diff_key t ~page id) with
       | None -> raise (Protocol_violation "no diff collected for missing id")
       | Some ds ->
         List.iter
@@ -508,13 +523,28 @@ let apply_diffs t page ids have =
           ~index:id.Interval.index)
     ordered
 
+(* The ids of [ids] not in [handled].  Write notices that arrive during a
+   fetch are consed onto the missing list the fetch started from, and never
+   repeat an id already in it, so [handled] is normally a physical suffix
+   of [ids] and the answer is the prefix before it: linear, where
+   filtering is quadratic in the list length. *)
+let unhandled ids ~handled =
+  let rec prefix acc = function
+    | rest when rest == handled -> Some (List.rev acc)
+    | [] -> None
+    | id :: rest -> prefix (id :: acc) rest
+  in
+  match prefix [] ids with
+  | Some fresh -> fresh
+  | None -> List.filter (fun id -> not (Interval.mem_id id handled)) ids
+
 (* Remove exactly [handled] from the page's missing set; validate the page
    only if nothing new arrived while we were blocked. *)
 let finish_page t page ~handled =
   let remaining =
     match Hashtbl.find_opt t.missing page with
     | None -> []
-    | Some ids -> List.filter (fun id -> not (List.mem id handled)) ids
+    | Some ids -> unhandled ids ~handled
   in
   if remaining = [] then begin
     Hashtbl.remove t.missing page;
@@ -535,7 +565,7 @@ let fetch_and_apply t targets =
            must not be re-fetched: their old diffs would clobber newer
            bytes. *)
         let needed =
-          let content = page_content_vc t page ~nodes:t.nodes in
+          let content = page_content_vc t page in
           List.filter
             (fun (id : Interval.id) ->
               id.Interval.index > Vc.get content id.Interval.creator)
@@ -613,7 +643,7 @@ let rec validate_page t page =
               then (other, other_ids) :: acc
               else acc)
             t.missing []
-          |> List.sort compare
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       fetch_batch t ((page, ids) :: extra);
       validate_page_if_needed t page)
@@ -638,17 +668,19 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
       nodes;
       me;
       page_table;
+      pages = Page_table.pages page_table;
       costs;
       strategy;
       charge;
       vc = Vc.zero ~nodes;
-      log = Hashtbl.create 256;
-      diffs = Hashtbl.create 256;
+      log = Interval.Log.create ~nodes;
+      diffs = Itbl.create 256;
       dirty = [];
       dirty_set = Hashtbl.create 64;
       orphans = Hashtbl.create 16;
       missing = Hashtbl.create 64;
       page_vc = Hashtbl.create 64;
+      zero_vc = Vc.zero ~nodes;
       inflight = Hashtbl.create 8;
       batch_fetch;
       accessed = Hashtbl.create 64;
@@ -746,7 +778,7 @@ let close_interval t =
       Interval.make ~creator:t.me ~index ~vc:(Vc.copy t.vc)
         ~write_notices:pages
     in
-    Hashtbl.replace t.log (t.me, index) interval;
+    Interval.Log.add t.log interval;
     t.hooks.on_interval_closed ~creator:t.me ~index ~vc:interval.Interval.vc
       ~pages;
     Obs.inc t.ins.intervals_created_c;
@@ -778,9 +810,9 @@ let intervals_after t ~have ~own_only =
       let rec loop idx acc =
         if idx > upto then acc
         else
-          match Hashtbl.find_opt t.log (creator, idx) with
-          | Some i -> loop (idx + 1) (i :: acc)
-          | None ->
+          match Interval.Log.find t.log ~creator ~index:idx with
+          | i -> loop (idx + 1) (i :: acc)
+          | exception Not_found ->
             raise
               (Protocol_violation
                  (Printf.sprintf "interval log gap at (%d,%d)" creator idx))
@@ -835,10 +867,7 @@ let attachments_for t ~receiver intervals =
             let attached =
               List.filter_map
                 (fun page ->
-                  match
-                    Hashtbl.find_opt t.diffs
-                      (page, id.Interval.creator, id.Interval.index)
-                  with
+                  match Itbl.find_opt t.diffs (diff_key t ~page id) with
                   | Some ds ->
                     List.iter
                       (fun d -> budget := !budget - Diff.size_bytes d)
@@ -996,10 +1025,12 @@ let apply_interval t ~attached interval =
            already reflects must not re-invalidate the page (fetching its
            old diff would clobber newer bytes). *)
         (if
-          index > Vc.get (page_content_vc t page ~nodes:t.nodes) creator
+          index > Vc.get (page_content_vc t page) creator
         then begin
           let p = Page_table.page t.page_table page in
-          let eager = Hashtbl.find_opt attached (page, creator, index) in
+          let eager =
+            Itbl.find_opt attached (diff_key t ~page interval.Interval.id)
+          in
           match (eager, Page.state p) with
           | Some ds, (Page.Read_only | Page.Read_write) ->
             (* Update path: the data came with the message and the local
@@ -1049,7 +1080,7 @@ let apply_interval t ~attached interval =
             let cur =
               Option.value ~default:[] (Hashtbl.find_opt t.missing page)
             in
-            if not (List.mem interval.Interval.id cur) then
+            if not (Interval.mem_id interval.Interval.id cur) then
               Hashtbl.replace t.missing page (interval.Interval.id :: cur)
         end);
         t.hooks.on_write_notice ~node:t.me ~page ~creator ~index
@@ -1059,8 +1090,12 @@ let apply_interval t ~attached interval =
   end
 
 let log_interval t (i : Interval.t) =
-  let key = (i.Interval.id.Interval.creator, i.Interval.id.Interval.index) in
-  if not (Hashtbl.mem t.log key) then Hashtbl.replace t.log key i
+  let id = i.Interval.id in
+  if
+    not
+      (Interval.Log.mem t.log ~creator:id.Interval.creator
+         ~index:id.Interval.index)
+  then Interval.Log.add t.log i
 
 (* Find one interval gap between [t.vc] and [target] that the piggybacks
    did not carry, and the origin to ask for it. *)
@@ -1069,7 +1104,7 @@ let find_gap t ~target piggybacks =
   (try
      for c = 0 to t.nodes - 1 do
        for idx = Vc.get t.vc c + 1 to Vc.get target c do
-         if not (Hashtbl.mem t.log (c, idx)) then begin
+         if not (Interval.Log.mem t.log ~creator:c ~index:idx) then begin
            let origin =
              List.find_map
                (fun pb ->
@@ -1094,14 +1129,11 @@ let accept t piggybacks =
    ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
  @@ fun () ->
   (* 0. Index any eagerly shipped diffs (update/hybrid strategies). *)
-  let attached = Hashtbl.create 16 in
+  let attached = Itbl.create 16 in
   List.iter
     (fun pb ->
       List.iter
-        (fun (page, (id : Interval.id), ds) ->
-          Hashtbl.replace attached
-            (page, id.Interval.creator, id.Interval.index)
-            ds)
+        (fun (page, id, ds) -> Itbl.replace attached (diff_key t ~page id) ds)
         pb.attached_diffs)
     piggybacks;
   (* 1. Log every interval description carried by the messages. *)
@@ -1126,9 +1158,10 @@ let accept t piggybacks =
   for c = 0 to t.nodes - 1 do
     if c <> t.me then
       for idx = Vc.get t.vc c + 1 to Vc.get target c do
-        match Hashtbl.find_opt t.log (c, idx) with
-        | Some i -> to_apply := i :: !to_apply
-        | None -> raise (Protocol_violation "gap survived ensure_logged")
+        match Interval.Log.find t.log ~creator:c ~index:idx with
+        | i -> to_apply := i :: !to_apply
+        | exception Not_found ->
+          raise (Protocol_violation "gap survived ensure_logged")
       done
   done;
   List.iter (apply_interval t ~attached) (Interval.causal_sort !to_apply);
@@ -1162,9 +1195,7 @@ let serve_cache_cap = 512
 let serve_diffs t request =
   t.charge t.costs.Cost.diff_request_fixed;
   let lookup page (id : Interval.id) =
-    match
-      Hashtbl.find_opt t.diffs (page, id.Interval.creator, id.Interval.index)
-    with
+    match Itbl.find_opt t.diffs (diff_key t ~page id) with
     | Some ds -> in_order ds
     | None ->
       raise
@@ -1244,18 +1275,19 @@ let serve_page t ~page =
     Some
       {
         data = Page.clean_snapshot p;
-        covers = Vc.join t.vc (page_content_vc t page ~nodes:t.nodes);
+        covers = Vc.join t.vc (page_content_vc t page);
       }
 
 (* ------------------------------------------------------------------ *)
 (* Garbage collection support *)
 
-let metadata_pressure t = t.diff_bytes_stored + (32 * Hashtbl.length t.log)
+let metadata_pressure t =
+  t.diff_bytes_stored + (32 * Interval.Log.length t.log)
 
 let validate_all t =
   let rec loop () =
     let pending = Hashtbl.fold (fun page _ acc -> page :: acc) t.missing [] in
-    match List.sort compare pending with
+    match List.sort Int.compare pending with
     | [] -> ()
     | pages ->
       (* One batched round over every missing page (GC forces them all, so
@@ -1287,23 +1319,27 @@ let discard_before t snapshot =
   let keep_interval (i : Interval.t) =
     not (Vc.dominates snapshot i.Interval.vc)
   in
-  let discarded_keys =
-    Hashtbl.fold
-      (fun key i acc -> if keep_interval i then acc else key :: acc)
+  let discarded =
+    Interval.Log.fold
+      (fun i acc -> if keep_interval i then acc else i.Interval.id :: acc)
       t.log []
   in
-  List.iter (Hashtbl.remove t.log) discarded_keys;
+  List.iter
+    (fun (id : Interval.id) ->
+      Interval.Log.remove t.log ~creator:id.Interval.creator
+        ~index:id.Interval.index)
+    discarded;
   let diff_keys =
-    Hashtbl.fold
-      (fun (page, creator, index) ds acc ->
-        if index <= Vc.get snapshot creator then
-          ((page, creator, index), ds) :: acc
-        else acc)
+    Itbl.fold
+      (fun key ds acc ->
+        let creator = key / t.pages mod t.nodes
+        and index = key / (t.pages * t.nodes) in
+        if index <= Vc.get snapshot creator then (key, ds) :: acc else acc)
       t.diffs []
   in
   List.iter
     (fun (key, ds) ->
-      Hashtbl.remove t.diffs key;
+      Itbl.remove t.diffs key;
       List.iter
         (fun d ->
           t.diff_bytes_stored <- t.diff_bytes_stored - Diff.size_bytes d)

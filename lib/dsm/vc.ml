@@ -22,17 +22,23 @@ let join a b =
 
 let join_in_place a b =
   if Array.length a <> Array.length b then invalid_arg "Vc.join_in_place: size";
-  Array.iteri (fun i v -> if v > a.(i) then a.(i) <- v) b
+  for i = 0 to Array.length a - 1 do
+    if b.(i) > a.(i) then a.(i) <- b.(i)
+  done
+
+let rec dominates_from a b i =
+  i >= Array.length a || (a.(i) >= b.(i) && dominates_from a b (i + 1))
 
 let dominates a b =
   if Array.length a <> Array.length b then invalid_arg "Vc.dominates: size";
-  let ok = ref true in
-  Array.iteri (fun i v -> if a.(i) < v then ok := false) b;
-  !ok
+  dominates_from a b 0
 
 let equal a b = a = b
 
-let sum t = Array.fold_left ( + ) 0 t
+let rec sum_from t i acc =
+  if i >= Array.length t then acc else sum_from t (i + 1) (acc + t.(i))
+
+let sum t = sum_from t 0 0
 
 let entry_bytes = 4
 

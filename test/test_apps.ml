@@ -262,7 +262,7 @@ let test_threads_yield () =
 let quick name f = Alcotest.test_case name `Quick f
 
 let () =
-  Alcotest.run "apps"
+  Props.run "apps"
     [
       ( "tsp",
         [

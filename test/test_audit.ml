@@ -265,7 +265,7 @@ let test_catches_manager_accept () =
     Alcotest.(check int) "detected at the manager" 0 v.Audit.node
 
 let () =
-  Alcotest.run "audit"
+  Props.run "audit"
     [
       ( "clean",
         [

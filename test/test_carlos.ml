@@ -515,8 +515,12 @@ let prop_work_queue_random_pipelines =
       int_range 0 2 >>= fun mode ->
       return (nodes, items_per_producer, mode))
   in
+  let print (nodes, items_per_producer, mode) =
+    Printf.sprintf "nodes=%d items_per_producer=%d mode=%d" nodes
+      items_per_producer mode
+  in
   QCheck.Test.make ~name:"work queue: random pipelines conserve items"
-    ~count:25 (QCheck.make gen)
+    ~count:25 (QCheck.make ~print gen)
     (fun (nodes, items_per_producer, mode) ->
       let sys = make ~nodes () in
       let mode =
@@ -706,6 +710,24 @@ let random_program_gen =
   int_range 0 2 >>= fun rp_costs ->
   return { rp_nodes; rp_vars; rp_rounds; rp_plan; rp_strategy; rp_lossy; rp_costs }
 
+let print_random_program rp =
+  let plan =
+    Array.to_list rp.rp_plan
+    |> List.mapi (fun node rounds ->
+           Printf.sprintf "n%d:%s" node
+             (String.concat "|"
+                (Array.to_list
+                   (Array.map
+                      (fun vars ->
+                        String.concat ","
+                          (Array.to_list (Array.map string_of_int vars)))
+                      rounds))))
+  in
+  Printf.sprintf
+    "nodes=%d vars=%d rounds=%d strategy=%d lossy=%b costs=%d plan=[%s]"
+    rp.rp_nodes rp.rp_vars rp.rp_rounds rp.rp_strategy rp.rp_lossy rp.rp_costs
+    (String.concat " " plan)
+
 let run_random_program rp =
   let strategy =
     match rp.rp_strategy with
@@ -768,7 +790,7 @@ let run_random_program rp =
 let prop_random_programs =
   QCheck.Test.make ~name:"random lock/barrier programs are coherent"
     ~count:40
-    (QCheck.make random_program_gen)
+    (QCheck.make ~print:print_random_program random_program_gen)
     (fun rp ->
       let expected, finals = run_random_program rp in
       if expected <> finals then
@@ -809,7 +831,7 @@ let test_report_consistency () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Alcotest.run "carlos"
+  Props.run "carlos"
     [
       ( "messaging",
         [
@@ -862,7 +884,7 @@ let () =
             test_work_queue_blocking_dequeue;
           Alcotest.test_case "manager self-service" `Quick
             test_work_queue_manager_dequeues_locally;
-          QCheck_alcotest.to_alcotest prop_work_queue_random_pipelines;
+          Props.to_alcotest prop_work_queue_random_pipelines;
         ] );
       ( "system",
         [
@@ -876,5 +898,5 @@ let () =
             test_report_consistency;
           Alcotest.test_case "tracing" `Quick test_tracing;
         ]
-        @ [ QCheck_alcotest.to_alcotest prop_random_programs ] );
+        @ [ Props.to_alcotest prop_random_programs ] );
     ]

@@ -170,13 +170,12 @@ let prop_conservation_under_loss =
       true)
 
 let () =
-  let qcheck = List.map QCheck_alcotest.to_alcotest in
-  Alcotest.run "cost"
+  Props.run "cost"
     [
       ( "conservation",
         Alcotest.test_case "backend x app matrix (audited)" `Quick
           test_conservation_matrix
-        :: qcheck [ prop_conservation_under_loss ] );
+        :: Props.qcheck [ prop_conservation_under_loss ] );
       ( "attribution",
         [ Alcotest.test_case "component classes" `Quick
             test_attribution_classes ] );

@@ -732,10 +732,193 @@ let test_seq_cas_at_sequencer () =
     (fun shm -> Alcotest.(check int) "pushed to replica" 42 (Shm.read_i64 shm addr))
     c.sshms
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
+(* ------------------------------------------------------------------ *)
+(* LRC metadata: the causal sort and the interval log *)
+
+let interval ~nodes ~creator ~index =
+  let vc = Vc.zero ~nodes in
+  Vc.set vc creator index;
+  Interval.make ~creator ~index ~vc ~write_notices:[]
+
+(* An interval whose other components lie in 0..2, so that many
+   intervals share a rank; the random write notices tell apart intervals
+   with equal ids. *)
+let gen_interval ~nodes =
+  QCheck.Gen.(
+    int_range 0 (nodes - 1) >>= fun creator ->
+    int_range 1 3 >>= fun index ->
+    array_size (return nodes) (int_range 0 2) >>= fun others ->
+    small_list (int_range 0 7) >|= fun write_notices ->
+    let vc = Vc.zero ~nodes in
+    Array.iteri
+      (fun c v -> Vc.set vc c (if c = creator then index else v))
+      others;
+    Interval.make ~creator ~index ~vc ~write_notices)
+
+(* The causal sort as it was before intervals cached their rank: a tuple
+   key under polymorphic compare. *)
+let oracle_causal_sort intervals =
+  let key (i : Interval.t) =
+    ( Vc.sum i.Interval.vc,
+      i.Interval.id.Interval.creator,
+      i.Interval.id.Interval.index )
+  in
+  List.sort (fun a b -> compare (key a) (key b)) intervals
+
+let prop_causal_sort_matches_oracle =
+  let print is =
+    String.concat " " (List.map (Format.asprintf "%a" Interval.pp) is)
+  in
+  QCheck.Test.make ~name:"interval: causal_sort matches the tuple-key sort"
+    ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(
+         int_range 1 4 >>= fun nodes ->
+         list_size (int_range 0 40) (gen_interval ~nodes)))
+    (fun intervals ->
+      List.for_all
+        (fun (i : Interval.t) -> i.Interval.rank = Vc.sum i.Interval.vc)
+        intervals
+      && List.for_all2 ( == ) (Interval.causal_sort intervals)
+           (oracle_causal_sort intervals))
+
+type log_op =
+  | Add of int * int
+  | Remove of int * int
+  | Remove_upto of int * int (* indices 1..k in ascending order, as the GC *)
+
+let pp_log_op = function
+  | Add (c, k) -> Printf.sprintf "add %d.%d" c k
+  | Remove (c, k) -> Printf.sprintf "remove %d.%d" c k
+  | Remove_upto (c, k) -> Printf.sprintf "remove %d.1-%d" c k
+
+let prop_log_matches_model =
+  let nodes = 3 and max_index = 40 in
+  let gen_op =
+    QCheck.Gen.(
+      int_range 0 (nodes - 1) >>= fun c ->
+      int_range 1 max_index >>= fun k ->
+      frequency
+        [
+          (5, return (Add (c, k)));
+          (2, return (Remove (c, k)));
+          (1, return (Remove_upto (c, k)));
+        ])
+  in
+  QCheck.Test.make ~name:"interval log matches a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_log_op ops))
+       QCheck.Gen.(list_size (int_range 0 150) gen_op))
+    (fun ops ->
+      let log = Interval.Log.create ~nodes in
+      let model = Hashtbl.create 64 in
+      let remove c k =
+        Interval.Log.remove log ~creator:c ~index:k;
+        Hashtbl.remove model (c, k)
+      in
+      let agree () =
+        Interval.Log.length log = Hashtbl.length model
+        && (let ok = ref true in
+            for c = 0 to nodes - 1 do
+              for k = 0 to max_index + 1 do
+                let found =
+                  match Interval.Log.find log ~creator:c ~index:k with
+                  | i -> Some i
+                  | exception Not_found -> None
+                in
+                let expected = Hashtbl.find_opt model (c, k) in
+                if
+                  Interval.Log.mem log ~creator:c ~index:k
+                  <> Option.is_some expected
+                  ||
+                  match (found, expected) with
+                  | Some a, Some b -> a != b
+                  | None, None -> false
+                  | _ -> true
+                then ok := false
+              done
+            done;
+            !ok)
+        &&
+        let folded = List.rev (Interval.Log.fold List.cons log []) in
+        let sorted =
+          Hashtbl.fold (fun key i acc -> (key, i) :: acc) model []
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map snd
+        in
+        List.length folded = List.length sorted
+        && List.for_all2 ( == ) folded sorted
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (c, k) ->
+            let i = interval ~nodes ~creator:c ~index:k in
+            Interval.Log.add log i;
+            Hashtbl.replace model (c, k) i
+          | Remove (c, k) -> remove c k
+          | Remove_upto (c, k) ->
+            for j = 1 to k do
+              remove c j
+            done);
+          agree ())
+        ops)
+
+(* Minor words allocated per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_metadata_allocation () =
+  let nodes = 32 in
+  let log = Interval.Log.create ~nodes in
+  for c = 0 to nodes - 1 do
+    for k = 1 to 20 do
+      Interval.Log.add log (interval ~nodes ~creator:c ~index:k)
+    done
+  done;
+  let a = Vc.zero ~nodes and b = Vc.zero ~nodes in
+  for c = 0 to nodes - 1 do
+    Vc.set a c (c + 1);
+    Vc.set b c c
+  done;
+  let zero name f =
+    let w = words_per_call 10_000 f in
+    if w > 0.01 then Alcotest.failf "%s allocates %.2f words per call" name w
+  in
+  zero "Log.find" (fun () ->
+      ignore
+        (Sys.opaque_identity (Interval.Log.find log ~creator:7 ~index:13)));
+  zero "Log.mem (miss)" (fun () ->
+      ignore (Sys.opaque_identity (Interval.Log.mem log ~creator:7 ~index:99)));
+  zero "Vc.dominates" (fun () ->
+      ignore (Sys.opaque_identity (Vc.dominates a b)));
+  zero "Vc.sum" (fun () -> ignore (Sys.opaque_identity (Vc.sum a)));
+  (* Sorting allocates only the merge sort's own list cells: the same
+     words as sorting on a comparator that allocates nothing. *)
+  let intervals =
+    Interval.Log.fold List.cons log [] |> List.filteri (fun i _ -> i mod 3 = 0)
+  in
+  let sort_words sort =
+    words_per_call 100 (fun () -> ignore (Sys.opaque_identity (sort intervals)))
+  in
+  let bare =
+    sort_words
+      (List.sort (fun (x : Interval.t) (y : Interval.t) ->
+           Int.compare x.Interval.rank y.Interval.rank))
+  in
+  let causal = sort_words Interval.causal_sort in
+  if causal > bare then
+    Alcotest.failf "causal_sort allocates %.1f words, List.sort alone %.1f"
+      causal bare
+
+let qcheck = Props.qcheck
 
 let () =
-  Alcotest.run "dsm"
+  Props.run "dsm"
     [
       ( "lrc-basic",
         [
@@ -824,4 +1007,8 @@ let () =
         ] );
       ( "lrc-properties",
         qcheck [ prop_lock_chain_counter; prop_false_sharing_slots ] );
+      ( "lrc-metadata",
+        Alcotest.test_case "lookups and sorts allocate nothing extra" `Quick
+          test_metadata_allocation
+        :: qcheck [ prop_causal_sort_matches_oracle; prop_log_matches_model ] );
     ]

@@ -519,10 +519,10 @@ let test_sw_rtt_estimator_converges () =
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
+let qcheck = Props.qcheck
 
 let () =
-  Alcotest.run "net"
+  Props.run "net"
     [
       ( "medium",
         [

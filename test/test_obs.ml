@@ -419,10 +419,10 @@ let test_metrics_jsonl_shape () =
         && l.[String.length l - 1] = '}'))
     lines
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
+let qcheck = Props.qcheck
 
 let () =
-  Alcotest.run "obs"
+  Props.run "obs"
     [
       ( "registry",
         [

@@ -407,10 +407,10 @@ let test_profile_enabled_records_run () =
     (count Profile.Fiber_resume > 0);
   Profile.reset ()
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
+let qcheck = Props.qcheck
 
 let () =
-  Alcotest.run "sim"
+  Props.run "sim"
     [
       ( "heap",
         [

@@ -544,17 +544,10 @@ let prop_alloc_no_overlap =
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
-
-(* The diff-codec oracle properties run a pinned seed. *)
-let qcheck_pinned tests =
-  List.map
-    (fun t ->
-      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |]) t)
-    tests
+let qcheck = Props.qcheck
 
 let () =
-  Alcotest.run "vm"
+  Props.run "vm"
     [
       ( "region",
         [
@@ -576,8 +569,13 @@ let () =
           Alcotest.test_case "create allocates per diff, not per run" `Quick
             test_diff_create_allocation;
         ]
-        @ qcheck [ prop_diff_roundtrip; prop_diff_disjoint_writers_commute ]
-        @ qcheck_pinned [ prop_diff_matches_reference; prop_diff_merge ] );
+        @ qcheck
+            [
+              prop_diff_roundtrip;
+              prop_diff_disjoint_writers_commute;
+              prop_diff_matches_reference;
+              prop_diff_merge;
+            ] );
       ( "page",
         [
           Alcotest.test_case "twin and diff" `Quick test_page_twin_and_diff;
