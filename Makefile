@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-retransmit bench-diff bench-parallel clean
+.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel clean
 
 all: build
 
@@ -62,28 +62,25 @@ bench-parallel: build
 	cmp /tmp/bench_j1.stripped /tmp/bench_j2.stripped
 	@echo "bench-parallel: -j 2 snapshot identical to -j 1"
 
-# Retransmit gate alone (no snapshot written): on every 4-node LRC
-# gate row, batched wire bytes must not exceed legacy wire bytes and
-# batched retransmit bytes must stay under 1% of the row's wire bytes.
-bench-retransmit: build
-	dune exec bench/main.exe -- retransmit
-
 # Standing perf gate (CI's bench-diff job runs this target): fresh gate
 # rows plus a 16-node scaling smoke, compared against the committed
 # BENCH_PR10.json at zero tolerance on the simulated numbers, for every
-# gate row of all three backends, one config arm at a time.  bench_diff
-# fails only on increases, so each arm is also compared with the two
-# files swapped: a simulated number that moves in either direction
-# fails.  Exits non-zero on a moved number or a lost row.
+# gate row of all three backends and for the 16-node scaling rows.  The
+# gate rows are selected by config=batched: BENCH_PR10.json also holds
+# the rows of the removed "legacy" arm, which --only filters out instead
+# of reporting them missing.  bench_diff fails only on increases, so
+# each comparison is also run with the two files swapped: a simulated
+# number that moves in either direction fails.  Exits non-zero on a
+# moved number or a lost row.
 SIM_FIELDS = wall_s,messages,wire_bytes,components.diff_payload,components.vc_entries,components.write_notices,components.retransmit
 
 bench-diff: build
 	dune exec bench/main.exe -- json scaling -n 16 -o BENCH_GATE.json
-	@for arm in batched legacy; do \
+	@for sel in "config=batched" "config=scaling --only nodes=16"; do \
 	  for pair in "BENCH_PR10.json BENCH_GATE.json" \
 	              "BENCH_GATE.json BENCH_PR10.json"; do \
-	    echo "=== bench_diff $$pair --only config=$$arm ==="; \
-	    dune exec bin/bench_diff.exe -- $$pair --only config=$$arm \
+	    echo "=== bench_diff $$pair --only $$sel ==="; \
+	    dune exec bin/bench_diff.exe -- $$pair --only $$sel \
 	      --fields $(SIM_FIELDS) --tolerance 0 || exit 1; \
 	  done; \
 	done

@@ -428,17 +428,12 @@ let micro () =
    wire-byte breakdown ({!Carlos_obs.Cost}) for the 4-node
    backend x app x variant matrix ([json]), plus a node-count sweep at
    reduced application scale with fitted per-component growth exponents
-   ([scaling]).  The LRC backend additionally runs the gate matrix in
-   both protocol configs — "legacy" (per-frame acks, serial unbatched
-   fetching, fixed-rto retransmission) and "batched" — to stay
-   comparable with BENCH_PR3.json; the other backends have no unbatched
-   arm.  Every measured run is checked for wire-byte conservation
-   (components must sum exactly to medium.bytes +
-   datagram.dropped_bytes), and the LRC gate matrix additionally against
-   the retransmit gate: on every (app, variant) row, batched wire bytes
-   must not exceed legacy wire bytes and batched retransmit bytes must
-   stay under 1% of the row's wire bytes (the [retransmit] bench runs
-   just this check, without writing a snapshot).  Both snapshot benches
+   ([scaling]).  Gate rows carry "config": "batched", the label earlier
+   snapshots gave the (now only) protocol, so they still key-match them.
+   Every measured run is checked for wire-byte conservation (components
+   must sum exactly to medium.bytes + datagram.dropped_bytes), and every
+   LRC gate row additionally against the retransmit gate: a loss-free
+   run retransmits zero bytes.  Both snapshot benches
    accumulate into the same file, written once after all requested
    benches ran.  Format documented in EXPERIMENTS.md; compare snapshots
    with bin/bench_diff.exe. *)
@@ -617,36 +612,27 @@ let gate_apps () =
     };
   ]
 
-(* The LRC gate matrix is run both with and without batching so the two
-   arms can be diffed; the other backends have no unbatched arm. *)
-let lrc_modes = [ ("legacy", System.legacy_config); ("batched", Fun.id) ]
-
-(* Run the 4-node gate matrix for [backend] in every mode, fanning the
-   rows across domains, then appending them to [dest] in submission
-   order; returns [((app, variant, mode), metrics)] per row. *)
-let run_gate_matrix ~dest ~backend ~modes apps =
+(* Run the 4-node gate matrix for [backend], fanning the rows across
+   domains, then appending them to [dest] in submission order; returns
+   [((app, variant), metrics)] per row. *)
+let run_gate_matrix ~dest ~backend apps =
   let nodes = 4 in
   let jobs =
     List.concat_map
-      (fun (mode, tweak) ->
-        List.concat_map
-          (fun ja ->
-            List.map
-              (fun (vname, run) ->
-                ( (ja.ja_name, vname, mode),
-                  fun () ->
-                    measure ~nodes ~app:ja.ja_name ~variant:vname
-                      ~backend:(Backend.kind_to_string backend) ~mode
-                      (fun () ->
-                        let cfg =
-                          { (tweak (ja.ja_config nodes)) with System.backend }
-                        in
-                        let sys = System.create cfg in
-                        let report, ok = run sys in
-                        (sys, report, ok)) ))
-              ja.ja_variants)
-          apps)
-      modes
+      (fun ja ->
+        List.map
+          (fun (vname, run) ->
+            ( (ja.ja_name, vname),
+              fun () ->
+                measure ~nodes ~app:ja.ja_name ~variant:vname
+                  ~backend:(Backend.kind_to_string backend) ~mode:"batched"
+                  (fun () ->
+                    let cfg = { (ja.ja_config nodes) with System.backend } in
+                    let sys = System.create cfg in
+                    let report, ok = run sys in
+                    (sys, report, ok)) ))
+          ja.ja_variants)
+      apps
   in
   let results = Parallel_runner.run (Array.of_list (List.map snd jobs)) in
   List.mapi
@@ -656,79 +642,34 @@ let run_gate_matrix ~dest ~backend ~modes apps =
       (key, rr.rr_metrics))
     jobs
 
-(* The retransmit gate: on every 4-node LRC (app, variant) row, batched
-   must spend no more wire bytes than legacy, and batched retransmit
-   bytes must stay below 1% of the row's wire bytes.  A violation is a
+(* The retransmit gate: no 4-node LRC gate row may retransmit a byte.
+   The gate matrix runs on a loss-free wire, so any retransmission is a
+   timer that fired before its ack could arrive.  A violation is a
    snapshot failure (exit 1), same as a cost-conservation break. *)
 let check_retransmit_gate rows =
-  let metric name ms =
-    Option.value ~default:0.0 (List.assoc_opt name ms)
-  in
-  let keys =
-    List.sort_uniq Stdlib.compare
-      (List.map (fun ((app, v, _), _) -> (app, v)) rows)
-  in
-  section "Retransmit gate: batched vs legacy wire bytes (4-node LRC)";
-  Format.fprintf ppf "  %-14s %13s %13s %12s %8s@." "app/variant"
-    "legacy wire" "batched wire" "retransmit" "pct";
+  section "Retransmit gate: retransmitted bytes (4-node LRC, must be 0)";
   List.iter
-    (fun (app, v) ->
-      match
-        ( List.assoc_opt (app, v, "legacy") rows,
-          List.assoc_opt (app, v, "batched") rows )
-      with
-      | Some lm, Some bm ->
-        let lw = metric "wire_bytes" lm in
-        let bw = metric "wire_bytes" bm in
-        let br = metric "components.retransmit" bm in
-        let pct = if bw > 0.0 then 100.0 *. br /. bw else 0.0 in
-        let ok = bw <= lw && pct < 1.0 in
-        Format.fprintf ppf "  %-14s %13.0f %13.0f %12.0f %7.3f%%%s@."
-          (app ^ "/" ^ v) lw bw br pct
-          (if ok then "" else "  GATE FAIL");
-        if bw > lw then
-          snapshot_failed :=
-            Printf.sprintf
-              "%s/%s: batched wire bytes %.0f > legacy %.0f" app v bw lw
-            :: !snapshot_failed;
-        if pct >= 1.0 then
-          snapshot_failed :=
-            Printf.sprintf
-              "%s/%s: retransmit bytes %.0f are %.2f%% of wire bytes \
-               (gate: < 1%%)"
-              app v br pct
-            :: !snapshot_failed
-      | _ ->
+    (fun ((app, v), metrics) ->
+      let br =
+        Option.value ~default:0.0
+          (List.assoc_opt "components.retransmit" metrics)
+      in
+      Format.fprintf ppf "  %-14s %12.0f%s@." (app ^ "/" ^ v) br
+        (if br = 0.0 then "" else "  GATE FAIL");
+      if br <> 0.0 then
         snapshot_failed :=
-          Printf.sprintf "%s/%s: retransmit gate row missing an arm" app v
+          Printf.sprintf "%s/%s: %.0f retransmitted bytes (gate: 0)" app v br
           :: !snapshot_failed)
-    keys
+    rows
 
 let bench_json () =
   let apps = gate_apps () in
-  let lrc_rows = ref [] in
   List.iter
     (fun backend ->
-      let modes =
-        match backend with
-        | Backend.Lrc -> lrc_modes
-        | Backend.Central | Backend.Seq -> [ ("batched", Fun.id) ]
-      in
-      let rows = run_gate_matrix ~dest:json_runs ~backend ~modes apps in
-      if backend = Backend.Lrc then lrc_rows := rows)
+      let rows = run_gate_matrix ~dest:json_runs ~backend apps in
+      if backend = Backend.Lrc then check_retransmit_gate rows)
     Backend.all_kinds;
-  Format.fprintf ppf "json: %d gate rows measured@." (List.length !json_runs);
-  check_retransmit_gate !lrc_rows
-
-(* Standalone smoke target ([make bench-retransmit]): run just the LRC
-   gate matrix and apply the retransmit gate, without writing rows into
-   the snapshot file. *)
-let bench_retransmit () =
-  let dest = ref [] in
-  let rows =
-    run_gate_matrix ~dest ~backend:Backend.Lrc ~modes:lrc_modes (gate_apps ())
-  in
-  check_retransmit_gate rows
+  Format.fprintf ppf "json: %d gate rows measured@." (List.length !json_runs)
 
 (* ------------------------------------------------------------------ *)
 (* Scaling sweep: grid and tsp at reduced scale on every backend across
@@ -874,7 +815,6 @@ let () =
       ("micro", micro);
       ("json", bench_json);
       ("scaling", bench_scaling);
-      ("retransmit", bench_retransmit);
     ]
   in
   (* Pull "-o FILE" (snapshot destination) and "-n LIST" (scaling node

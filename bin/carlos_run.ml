@@ -34,8 +34,6 @@ type opts = {
   metrics_json : string option;
   audit : bool;
   causal : bool;
-  no_batch : bool;
-  legacy_rto : bool;
   profile : bool;
 }
 
@@ -121,53 +119,22 @@ let profile_arg =
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
-let no_batch_arg =
-  let doc =
-    "Run the legacy unbatched protocol: one diff request per missing \
-     interval, no creator-side diff cache, one ack per frame.  Useful for \
-     before/after comparisons against the batched fetch path."
-  in
-  Arg.(value & flag & info [ "no-batch" ] ~doc)
-
-let legacy_rto_arg =
-  let doc =
-    "Use the pre-ARQ fixed retransmission timeout (no RTT estimation, no \
-     payload-aware floor, backoff reset on every ack, no fast retransmit). \
-     Orthogonal to --no-batch (which implies it); useful for A/B rows \
-     isolating the adaptive ARQ's effect."
-  in
-  Arg.(value & flag & info [ "legacy-rto" ] ~doc)
-
 let opts_term =
   let mk nodes variant backend costs seed breakdown trace_file metrics
-      metrics_json audit causal no_batch legacy_rto profile =
+      metrics_json audit causal profile =
     { nodes; variant; backend; costs; seed; breakdown; trace_file; metrics;
-      metrics_json; audit; causal; no_batch; legacy_rto; profile }
+      metrics_json; audit; causal; profile }
   in
   Term.(
     const mk $ nodes_arg $ variant_arg $ backend_arg $ costs_arg $ seed_arg
     $ breakdown_arg $ trace_arg $ metrics_arg $ metrics_json_arg $ audit_arg
-    $ causal_arg $ no_batch_arg $ legacy_rto_arg $ profile_arg)
+    $ causal_arg $ profile_arg)
 
 let costs_of_string = function
   | "default" -> Ok Cost.default
   | "treadmarks" -> Ok Cost.treadmarks
   | "fast-network" -> Ok Cost.fast_network
   | s -> Error (Printf.sprintf "unknown cost table %S" s)
-
-(* Resolve --backend and reject flag combinations that only make sense
-   for the LRC protocol. *)
-let backend_of_opts opts =
-  match Backend.kind_of_string opts.backend with
-  | Error _ as e -> e
-  | Ok k ->
-    if opts.no_batch && k <> Backend.Lrc then
-      Error
-        (Printf.sprintf
-           "--no-batch toggles the LRC fetch path and cannot be combined \
-            with --backend %s (only --backend lrc)"
-           (Backend.kind_to_string k))
-    else Ok k
 
 let with_file file f =
   let oc = open_out file in
@@ -226,8 +193,6 @@ let finish ~opts ~sys ~label ~ok report =
 
 let make_system ~opts ~backend cfg =
   let cfg = { cfg with System.backend } in
-  let cfg = if opts.no_batch then System.legacy_config cfg else cfg in
-  let cfg = if opts.legacy_rto then { cfg with System.legacy_rto = true } else cfg in
   let sys = System.create ~audit:opts.audit cfg in
   if opts.trace_file <> None || opts.causal then System.set_tracing sys true;
   if opts.profile then begin
@@ -239,7 +204,7 @@ let make_system ~opts ~backend cfg =
 let run_tsp opts =
   match
     ( costs_of_string opts.costs,
-      backend_of_opts opts,
+      Backend.kind_of_string opts.backend,
       match opts.variant with
       | "lock" -> Ok Tsp.Lock
       | "hybrid" | "hybrid-1" -> Ok Tsp.Hybrid
@@ -268,7 +233,7 @@ let run_tsp opts =
 let run_qsort opts =
   match
     ( costs_of_string opts.costs,
-      backend_of_opts opts,
+      Backend.kind_of_string opts.backend,
       match opts.variant with
       | "lock" -> Ok Qsort.Lock
       | "hybrid" | "hybrid-1" -> Ok Qsort.Hybrid1
@@ -294,7 +259,7 @@ let run_qsort opts =
 let run_water opts =
   match
     ( costs_of_string opts.costs,
-      backend_of_opts opts,
+      Backend.kind_of_string opts.backend,
       match opts.variant with
       | "lock" -> Ok Water.Lock
       | "hybrid" -> Ok Water.Hybrid
@@ -324,7 +289,7 @@ let run_water opts =
 let run_grid opts =
   match
     ( costs_of_string opts.costs,
-      backend_of_opts opts,
+      Backend.kind_of_string opts.backend,
       match opts.variant with
       (* "lock" accepted as an alias so the same variant matrix works for
          every app; Grid's conservative mode is the plain barrier. *)

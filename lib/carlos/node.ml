@@ -10,7 +10,6 @@ module Interval = Carlos_dsm.Interval
 module Diff = Carlos_vm.Diff
 module Cost = Carlos_dsm.Cost
 module Wire_cost = Carlos_obs.Cost
-module Trace = Carlos_sim.Trace
 module Obs = Carlos_obs.Obs
 module Audit = Carlos_audit.Audit
 
@@ -525,7 +524,7 @@ let rpc ?cost ?reply_cost t ~dst ~request_bytes ~service ~reply_bytes =
 (* Construction *)
 
 let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
-    ?strategy ?batch_fetch ?diff_cache () =
+    ?strategy () =
   let obs =
     match obs with
     | Some o -> o
@@ -544,7 +543,7 @@ let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
     | Backend.Lrc ->
       Backend.Lrc_b
         (Lrc.create ~obs ~nodes ~me:id ~page_table:(Shm.page_table shm)
-           ~costs ~charge:charge_dsm ?strategy ?batch_fetch ?diff_cache ())
+           ~costs ~charge:charge_dsm ?strategy ())
     | Backend.Central ->
       Backend.Central_b
         (Carlos_dsm.Central_backend.create ~obs ~nodes ~me:id ~home:0

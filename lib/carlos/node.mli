@@ -185,8 +185,6 @@ val make :
   costs:Carlos_dsm.Cost.t ->
   ?backend:Carlos_dsm.Backend.kind ->
   ?strategy:Carlos_dsm.Lrc_backend.strategy ->
-  ?batch_fetch:bool ->
-  ?diff_cache:bool ->
   unit ->
   t
 

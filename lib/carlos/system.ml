@@ -32,17 +32,11 @@ type config = {
   window : int;
   rto : float;
   loss : float;
-  ack_every : int;
-  ack_delay : float;
-  legacy_rto : bool;
-  rto_margin : float;
   costs : Cost.t;
   backend : Backend.kind;
   strategy : Lrc.strategy;
   seed : int;
   gc_threshold : int option;
-  batch_fetch : bool;
-  diff_cache : bool;
 }
 
 let default_config ~nodes =
@@ -57,30 +51,11 @@ let default_config ~nodes =
     window = 8;
     rto = 0.1;
     loss = 0.0;
-    ack_every = 4;
-    ack_delay = 0.005;
-    legacy_rto = false;
-    rto_margin = 2.0;
     costs = Cost.default;
     backend = Backend.Lrc;
     strategy = Lrc.Invalidate;
     seed = 42;
     gc_threshold = Some (512 * 1024);
-    batch_fetch = true;
-    diff_cache = true;
-  }
-
-(* The seed protocol's behaviour: ack-per-frame, fixed-RTO retransmission,
-   serial per-(page, creator) demand fetching, no merged-diff cache.  Used
-   as the "before" arm of benchmark comparisons and by [--no-batch]. *)
-let legacy_config cfg =
-  {
-    cfg with
-    ack_every = 1;
-    ack_delay = 0.0;
-    legacy_rto = true;
-    batch_fetch = false;
-    diff_cache = false;
   }
 
 type node_report = {
@@ -152,9 +127,6 @@ let gc_runs t = Obs.value t.gc.runs_c
 let obs t = t.obs
 
 let auditor t = t.audit
-
-(* The legacy trace view is the registry itself ([Trace.t = Obs.t]). *)
-let trace t = t.obs
 
 let set_tracing t enabled = Obs.set_tracing t.obs enabled
 
@@ -450,10 +422,12 @@ let create ?(audit = false) (cfg : config) =
       Datagram.create medium ~loss:cfg.loss ~rng:(Rng.split rng) ()
     else Datagram.create medium ()
   in
+  (* Delayed cumulative acks (one per 4 in-order frames or 5 ms, whichever
+     comes first) and the default safety factor on the adaptive RTO's
+     serialization floor. *)
   let sw =
-    Sliding_window.create ~ack_every:cfg.ack_every ~ack_delay:cfg.ack_delay
-      ~legacy_rto:cfg.legacy_rto ~rto_margin:cfg.rto_margin engine datagram
-      ~window:cfg.window ~rto:cfg.rto
+    Sliding_window.create ~ack_every:4 ~ack_delay:0.005 ~rto_margin:2.0 engine
+      datagram ~window:cfg.window ~rto:cfg.rto
   in
   let region =
     Region.create ~page_size:cfg.page_size ~private_bytes:cfg.private_bytes
@@ -468,8 +442,7 @@ let create ?(audit = false) (cfg : config) =
           Shm.create ~obs ~node:id ~twin_pool ~region ~noncoherent ()
         in
         Node.make ~obs ~id ~nodes:cfg.nodes ~engine ~shm ~costs:cfg.costs
-          ~backend:cfg.backend ~strategy:cfg.strategy
-          ~batch_fetch:cfg.batch_fetch ~diff_cache:cfg.diff_cache ())
+          ~backend:cfg.backend ~strategy:cfg.strategy ())
   in
   let auditor =
     if audit then Some (Audit.create ~obs ~nodes:cfg.nodes ()) else None

@@ -26,17 +26,6 @@ type config = {
   window : int; (* sliding-window size *)
   rto : float; (* retransmission timeout, seconds *)
   loss : float; (* datagram loss probability *)
-  ack_every : int;
-      (* cumulative ack after this many in-order frames (1 = ack each) *)
-  ack_delay : float;
-      (* ...or after this many seconds, whichever comes first; must stay
-         below [rto] when [ack_every > 1] *)
-  legacy_rto : bool;
-      (* true restores the pre-ARQ fixed-RTO, reset-on-ack retransmission
-         scheme (see {!Carlos_net.Sliding_window}) for A/B runs *)
-  rto_margin : float;
-      (* safety factor on the adaptive RTO's in-flight serialization
-         floor; ignored under [legacy_rto] *)
   costs : Carlos_dsm.Cost.t;
   backend : Carlos_dsm.Backend.kind;
       (* consistency model: Lrc (the paper's protocol), Central
@@ -49,26 +38,14 @@ type config = {
   gc_threshold : int option;
       (* consistency-metadata bytes per node that trigger a global GC;
          None disables GC *)
-  batch_fetch : bool;
-      (* coalesce a fault's fetches into one diff request per creator,
-         issued in parallel, with other missing previously-accessed pages
-         riding along *)
-  diff_cache : bool;
-      (* creator-side merged-diff cache for multi-interval requests *)
 }
 
 (** Paper-like defaults: 4 KB pages, 10 Mbit/s shared Ethernet, 100 us
-    latency, no loss, default cost table, GC at 512 KB of metadata;
-    batched fetching, merged-diff cache and delayed acks (4 frames /
-    5 ms) on. *)
+    latency, no loss, default cost table, GC at 512 KB of metadata.  The
+    transport always delays acks (4 frames / 5 ms) and adapts its
+    retransmission timeout; the LRC backend always batches fetches and
+    caches merged diffs. *)
 val default_config : nodes:int -> config
-
-(** [legacy_config cfg] turns off everything batched: ack-per-frame,
-    fixed-RTO retransmission ([legacy_rto = true]), serial
-    per-(page, creator) demand fetching, no merged-diff cache — the seed
-    protocol's behaviour, kept as the baseline arm for benchmark
-    comparisons. *)
-val legacy_config : config -> config
 
 type node_report = {
   node : int;
@@ -123,11 +100,7 @@ val obs : t -> Carlos_obs.Obs.t
     [~audit:true]. *)
 val auditor : t -> Carlos_audit.Audit.t option
 
-(** Legacy flat view of the same registry ([Trace.t = Obs.t]): sends and
-    handler dispatches as tagged events, off by default; enable with
-    {!set_tracing}. *)
-val trace : t -> Carlos_sim.Trace.t
-
+(** Record typed events into {!obs} (off by default). *)
 val set_tracing : t -> bool -> unit
 
 (** {1 Shared-memory setup} *)

@@ -150,9 +150,6 @@ type t = {
   (* Guards against concurrent fetches of the same page by several
      fibers. *)
   inflight : (int, unit Ivar.t) Hashtbl.t;
-  (* Batched fetching: coalesce a fault's round-trips into one diff
-     request per creator (spanning pages) issued in parallel fibers. *)
-  batch_fetch : bool;
   (* Pages with a live local demand — the history that picks which other
      missing pages may ride along in a fault's batch.  Membership decays:
      a write-notice invalidation removes the page, and only a fresh fault
@@ -166,7 +163,6 @@ type t = {
      fetcher's needed set per creator is upward-closed), so equal keys
      always denote the same merge. *)
   serve_cache : (int * int * int * int, Diff.t) Hashtbl.t;
-  serve_cache_enabled : bool;
   (* Conservative knowledge of each peer's vector timestamp, for tailoring
      RELEASE piggybacks (a REQUEST piggybacks its sender's vc). *)
   peer_vc : Vc.t array;
@@ -448,7 +444,7 @@ let fetch_missing t ~into:have targets =
   match List.rev !creators with
   | [] -> ()
   | [ creator ] -> do_fetch creator
-  | many when t.batch_fetch && Engine.in_fiber () ->
+  | many when Engine.in_fiber () ->
     let slots =
       List.map
         (fun creator ->
@@ -466,8 +462,8 @@ let fetch_missing t ~into:have targets =
         match Ivar.read slot with Ok () -> () | Error e -> raise e)
       slots
   | many ->
-    (* Serial fallback: batching disabled, or the protocol is being driven
-       directly from a unit test outside any engine fiber. *)
+    (* Serial fallback: the protocol is being driven directly from a unit
+       test outside any engine fiber, where there is nothing to fork. *)
     List.iter do_fetch many
 
 (* Gather diffs for each page of [targets]: serve from the local store
@@ -615,10 +611,10 @@ let fetch_batch t targets =
   finish ()
 
 (* Bring one invalid page up to date.  Loops because new write notices can
-   arrive while we block on the network.  With batched fetching, the other
-   missing pages this node has faulted on before ride along in the same
-   round: their diffs come back in the same per-creator requests, sparing
-   each page its own later round trips. *)
+   arrive while we block on the network.  The other missing pages this
+   node has faulted on before ride along in the same round: their diffs
+   come back in the same per-creator requests, sparing each page its own
+   later round trips. *)
 let rec validate_page t page =
   match Hashtbl.find_opt t.inflight page with
   | Some gate ->
@@ -632,18 +628,16 @@ let rec validate_page t page =
       if Page.state p = Page.Invalid then Page.validate p
     | Some ids ->
       let extra =
-        if not t.batch_fetch then []
-        else
-          Hashtbl.fold
-            (fun other other_ids acc ->
-              if
-                other <> page && other_ids <> []
-                && Hashtbl.mem t.accessed other
-                && not (Hashtbl.mem t.inflight other)
-              then (other, other_ids) :: acc
-              else acc)
-            t.missing []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        Hashtbl.fold
+          (fun other other_ids acc ->
+            if
+              other <> page && other_ids <> []
+              && Hashtbl.mem t.accessed other
+              && not (Hashtbl.mem t.inflight other)
+            then (other, other_ids) :: acc
+            else acc)
+          t.missing []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       fetch_batch t ((page, ids) :: extra);
       validate_page_if_needed t page)
@@ -660,7 +654,7 @@ let read_fault t page =
 (* ------------------------------------------------------------------ *)
 
 let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
-    ?(batch_fetch = true) ?(diff_cache = true) () =
+    () =
   if me < 0 || me >= nodes then invalid_arg "Lrc.create: bad node id";
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let t =
@@ -682,10 +676,8 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
       page_vc = Hashtbl.create 64;
       zero_vc = Vc.zero ~nodes;
       inflight = Hashtbl.create 8;
-      batch_fetch;
       accessed = Hashtbl.create 64;
       serve_cache = Hashtbl.create 64;
-      serve_cache_enabled = diff_cache;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
       attach_floor = Array.init nodes (fun _ -> Vc.zero ~nodes);
       transport = None;
@@ -1214,7 +1206,7 @@ let serve_diffs t request =
               id.Interval.creator = first.Interval.creator)
             rest
       in
-      if not (t.serve_cache_enabled && same_creator) then
+      if not same_creator then
         List.map (fun (id : Interval.id) -> (page, id, lookup page id)) ids
       else begin
         (* One request entry is one mergeable run: the fetcher only groups
@@ -1303,7 +1295,7 @@ let validate_all t =
               | Some ids -> Some (page, ids))
           pages
       in
-      if t.batch_fetch && fresh <> [] then fetch_batch t fresh;
+      if fresh <> [] then fetch_batch t fresh;
       List.iter (fun page -> validate_page_if_needed t page) pages;
       loop ()
   in

@@ -88,16 +88,11 @@ type transport = {
     node [me]; [accept] and [make_piggyback] additionally record
     [lrc.accept]/[lrc.release] spans when tracing is enabled.
 
-    [batch_fetch] (default true) coalesces a fault's round trips: all
-    missing intervals — of the faulting page and of any other missing page
-    this node has faulted on before — are gathered with one diff request
-    per creator, and requests to distinct creators are issued from
-    parallel fibers.  When false, each page fetches serially on demand
-    with one request per (page, creator), as the seed protocol did.
-
-    [diff_cache] (default true) enables the creator-side merged-diff
-    cache: a multi-id request entry is answered with one merged diff,
-    memoized by (page, creator, lo, hi) for repeat fetchers. *)
+    A fault's round trips are coalesced: all missing intervals — of the
+    faulting page and of any other missing page this node has faulted on
+    before — are gathered with one diff request per creator, and requests
+    to distinct creators are issued from parallel fibers (serially when
+    the protocol is driven outside any engine fiber). *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
@@ -106,8 +101,6 @@ val create :
   costs:Cost.t ->
   charge:(float -> unit) ->
   ?strategy:strategy ->
-  ?batch_fetch:bool ->
-  ?diff_cache:bool ->
   unit ->
   t
 
@@ -193,8 +186,8 @@ val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 
 (** {1 Serving remote requests (non-blocking, interrupt level)} *)
 
-(** Answer a diff request from the local store.  When the merged-diff
-    cache is enabled, a request entry naming several ids of one creator
+(** Answer a diff request from the local store.  A request entry naming
+    several ids of one creator
     (a mergeable run, see {!diff_request}) is answered with a single
     merged diff under the run's lowest id and empty lists for the rest;
     merged encodings are memoized so repeat fetchers of the same range are

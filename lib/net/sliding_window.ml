@@ -58,7 +58,6 @@ type 'a t = {
   datagram : 'a frame Datagram.t;
   window : int;
   rto : float; (* base (minimum) retransmission timeout *)
-  legacy_rto : bool; (* fixed-RTO, reset-on-ack pre-PR8 behaviour *)
   margin : float; (* serialization-floor safety factor (rto_margin) *)
   bandwidth : float; (* cached from the medium, bytes per second *)
   latency : float; (* cached from the medium, seconds *)
@@ -140,12 +139,9 @@ let note_delivered t c ~node ~src ~frames =
         if c.ack_epoch = epoch && c.ack_owed > 0 then flush_ack t c ~node ~src)
   end
 
-(* The retransmission timeout for one arming of the timer, before backoff.
-
-   Legacy mode: the pre-PR8 fixed [rto], regardless of RTT or frame size.
-
-   Adaptive mode: Jacobson/Karels [srtt + 4 * rttvar] (clamped between the
-   configured [rto], acting as a floor, and [64 * rto]), further floored by
+(* The retransmission timeout for one arming of the timer, before backoff:
+   Jacobson/Karels [srtt + 4 * rttvar] (clamped between the configured
+   [rto], acting as a floor, and [64 * rto]), further floored by
    the physics of the shared wire — everything in flight on this connection
    must serialize at [bandwidth] before the ack for the oldest frame can
    even be generated, the ack then crosses the wire too, propagation is
@@ -155,21 +151,16 @@ let note_delivered t c ~node ~src ~frames =
    10 Mbit/s (1.6 s on the wire) times out over a dozen times under the
    default 0.1 s rto before its ack can possibly arrive. *)
 let effective_rto t c =
-  if t.legacy_rto then t.rto
-  else begin
-    let adaptive =
-      if c.srtt < 0.0 then t.rto
-      else
-        Float.min
-          (Float.max (c.srtt +. (4.0 *. c.rttvar)) t.rto)
-          (64.0 *. t.rto)
-    in
-    let wire_floor =
-      (t.margin *. float_of_int c.inflight_bytes /. t.bandwidth)
-      +. (2.0 *. t.latency) +. t.ack_delay
-    in
-    Float.max adaptive wire_floor
-  end
+  let adaptive =
+    if c.srtt < 0.0 then t.rto
+    else
+      Float.min (Float.max (c.srtt +. (4.0 *. c.rttvar)) t.rto) (64.0 *. t.rto)
+  in
+  let wire_floor =
+    (t.margin *. float_of_int c.inflight_bytes /. t.bandwidth)
+    +. (2.0 *. t.latency) +. t.ack_delay
+  in
+  Float.max adaptive wire_floor
 
 (* Jacobson/Karels estimator update from one (never-retransmitted, per
    Karn's rule) RTT sample. *)
@@ -214,7 +205,7 @@ let rec watch t c ~src ~dst ~epoch =
         if c.deadline -. now > 1e-9 then
           (* Deadline was pushed out since this event was scheduled. *)
           watch t c ~src ~dst ~epoch
-        else if (not t.legacy_rto) && Datagram.backlog t.datagram > 0 then begin
+        else if Datagram.backlog t.datagram > 0 then begin
           (* Carrier sense: the wire is still draining a backlog the ack
              may be stuck behind.  Defer past its drain time (plus the
              ack's own serialization and round-trip propagation) instead
@@ -259,13 +250,11 @@ let arm_timer t c ~src ~dst =
 
 (* Launching into an already-armed window grows the in-flight payload and
    with it the serialization floor; push the deadline out to match (the
-   scheduled watcher re-schedules itself).  Legacy mode armed once per
-   window and never adjusted — preserved for A/B. *)
+   scheduled watcher re-schedules itself). *)
 let extend_timer t c =
-  if not t.legacy_rto then
-    c.deadline <-
-      Float.max c.deadline
-        (Engine.now t.engine +. (effective_rto t c *. c.backoff))
+  c.deadline <-
+    Float.max c.deadline
+      (Engine.now t.engine +. (effective_rto t c *. c.backoff))
 
 let disarm_timer c = c.timer_epoch <- c.timer_epoch + 1
 
@@ -292,14 +281,10 @@ let send t ~src ~dst ~payload_bytes payload =
   if Queue.length c.unacked < t.window && Queue.is_empty c.pending then begin
     let was_idle = Queue.is_empty c.unacked in
     launch t ~src ~dst ~payload_bytes payload;
-    if was_idle then begin
-      (* Legacy reset backoff on every fresh arming; adaptive lets it
-         persist until a never-retransmitted frame is acked, so a congested
-         wire is not re-probed at full rate the moment it goes idle. *)
-      if t.legacy_rto then c.backoff <- 1.0;
-      arm_timer t c ~src ~dst
-    end
-    else extend_timer t c
+    (* Backoff persists across a fresh arming until a never-retransmitted
+       frame is acked, so a congested wire is not re-probed at full rate
+       the moment it goes idle. *)
+    if was_idle then arm_timer t c ~src ~dst else extend_timer t c
   end
   else Queue.add (payload_bytes, payload) c.pending
 
@@ -349,8 +334,8 @@ let handle_ack t ~src ~dst ~cumulative =
        retransmissions: the ack tells us a resent copy got through, not
        that the congestion that forced the resend has cleared.  Only an
        acked frame that was never retransmitted is evidence the wire is
-       keeping up.  (Legacy reset unconditionally — the PR8 storm bug.) *)
-    if t.legacy_rto || !fresh_acked then c.backoff <- 1.0;
+       keeping up. *)
+    if !fresh_acked then c.backoff <- 1.0;
     (* Window opened: promote pending messages in FIFO order. *)
     while
       (not (Queue.is_empty c.pending)) && Queue.length c.unacked < t.window
@@ -361,7 +346,7 @@ let handle_ack t ~src ~dst ~cumulative =
     if Queue.is_empty c.unacked then disarm_timer c
     else arm_timer t c ~src ~dst
   end
-  else if (not t.legacy_rto) && not (Queue.is_empty c.unacked) then begin
+  else if not (Queue.is_empty c.unacked) then begin
     c.dup_acks <- c.dup_acks + 1;
     fast_retransmit t c ~src ~dst
   end
@@ -437,8 +422,8 @@ let on_datagram t node ~src ~size:_ frame =
     (* We (node) are the sender of the node->src connection. *)
     handle_ack t ~src:node ~dst:src ~cumulative
 
-let create ?(ack_every = 1) ?(ack_delay = 0.0) ?(legacy_rto = false)
-    ?(rto_margin = 2.0) engine datagram ~window ~rto =
+let create ?(ack_every = 1) ?(ack_delay = 0.0) ?(rto_margin = 2.0) engine
+    datagram ~window ~rto =
   if window <= 0 then invalid_arg "Sliding_window.create: window";
   if rto <= 0.0 then invalid_arg "Sliding_window.create: rto";
   if ack_every <= 0 then invalid_arg "Sliding_window.create: ack_every";
@@ -456,7 +441,6 @@ let create ?(ack_every = 1) ?(ack_delay = 0.0) ?(legacy_rto = false)
       datagram;
       window;
       rto;
-      legacy_rto;
       margin = rto_margin;
       bandwidth = Datagram.bandwidth datagram;
       latency = Datagram.latency datagram;

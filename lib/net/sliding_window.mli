@@ -11,7 +11,7 @@
 
     {2 Adaptive retransmission (ARQ)}
 
-    By default the retransmission timeout adapts per connection:
+    The retransmission timeout adapts per connection:
 
     - {b RTT estimation} — Jacobson/Karels smoothed RTT and variance
       ([srtt + 4 * rttvar]), sampled only from frames that were never
@@ -32,10 +32,7 @@
       retransmitted copy proves delivery, not that congestion cleared.
     - {b Fast retransmit} — three consecutive non-advancing acks resend
       the oldest unacked frame immediately, so genuine single-frame loss
-      recovers in about one RTT rather than one RTO.
-
-    [legacy_rto = true] restores the pre-ARQ behaviour exactly (fixed
-    [rto], backoff reset on every ack, no fast retransmit) for A/B runs. *)
+      recovers in about one RTT rather than one RTO. *)
 
 (** Wire frames exchanged by the protocol.  Exposed so callers can
     instantiate the underlying medium/datagram layers at this type. *)
@@ -43,11 +40,10 @@ type 'a frame
 
 type 'a t
 
-(** [create ?ack_every ?ack_delay ?legacy_rto ?rto_margin engine datagram
-    ~window ~rto] — [window] is the maximum number of unacknowledged
-    messages per connection; [rto] the base retransmission timeout in
-    seconds (the fixed timeout under [legacy_rto], the adaptive floor
-    otherwise).
+(** [create ?ack_every ?ack_delay ?rto_margin engine datagram ~window ~rto]
+    — [window] is the maximum number of unacknowledged messages per
+    connection; [rto] the base retransmission timeout in seconds (the floor
+    of the adaptive timeout).
 
     [rto_margin] (default 2.0, must be non-negative) scales the in-flight
     serialization term of the adaptive timeout floor; larger values absorb
@@ -58,13 +54,12 @@ type 'a t
     fewer are owed — whichever comes first — instead of one ack frame per
     data frame.  Duplicates and out-of-order arrivals are always acked
     immediately (that ack is what stops a retransmission storm).  The
-    defaults ([ack_every = 1]) keep the legacy ack-per-frame behaviour;
+    default [ack_every = 1] acks every frame;
     [ack_every > 1] requires [0 < ack_delay < rto] so a delayed ack can
     never be mistaken for loss. *)
 val create :
   ?ack_every:int ->
   ?ack_delay:float ->
-  ?legacy_rto:bool ->
   ?rto_margin:float ->
   Carlos_sim.Engine.t ->
   'a frame Datagram.t ->

@@ -808,11 +808,11 @@ let test_tracing () =
           Node.send node ~dst:1 ~annotation:Annotation.Release ~payload_bytes:8
             ~handler:(fun _ d -> Node.accept d))
   in
-  let events = Carlos_sim.Trace.events (System.trace sys) in
+  let events = Obs.events (System.obs sys) in
   Alcotest.(check bool) "a send was traced" true
-    (List.exists (fun e -> e.Carlos_sim.Trace.tag = "send") events);
+    (List.exists (fun (e : Obs.event) -> e.name = "send") events);
   Alcotest.(check bool) "a delivery was traced" true
-    (List.exists (fun e -> e.Carlos_sim.Trace.tag = "deliver") events)
+    (List.exists (fun (e : Obs.event) -> e.name = "deliver") events)
 
 let test_report_consistency () =
   let r = run_report () in

@@ -21,7 +21,7 @@ type cluster = {
   charged : float ref;
 }
 
-let make_cluster ?strategy ?batch_fetch ?diff_cache n =
+let make_cluster ?strategy n =
   let region =
     Region.create ~page_size:256 ~private_bytes:256 ~noncoherent_bytes:256
       ~coherent_pages:8 ()
@@ -34,7 +34,7 @@ let make_cluster ?strategy ?batch_fetch ?diff_cache n =
     Array.init n (fun me ->
         Lrc.create ~nodes:n ~me
           ~page_table:(Shm.page_table shms.(me))
-          ~costs:Cost.default ~charge ?strategy ?batch_fetch ?diff_cache ())
+          ~costs:Cost.default ~charge ?strategy ())
   in
   let transport =
     {
@@ -530,8 +530,8 @@ let test_vc_wire_size () =
 
 (* Two released intervals of one creator touching the same page: the
    fault must fetch both in a single coalesced diff request. *)
-let coalescing_scenario ?batch_fetch ?diff_cache () =
-  let c = make_cluster ?batch_fetch ?diff_cache 3 in
+let coalescing_scenario () =
+  let c = make_cluster 3 in
   let a = slot c ~page:0 0 and b = slot c ~page:0 1 in
   Shm.write_i64 c.shms.(0) a 1;
   let _ = release c ~src:0 ~dst:1 in
@@ -565,23 +565,6 @@ let test_diff_cache_hit_on_repeat_fetch () =
     (s0'.Lrc.diff_cache_hits > 0);
   Alcotest.(check int) "no extra merge" s0.Lrc.diff_cache_misses
     s0'.Lrc.diff_cache_misses
-
-let test_diff_cache_disabled () =
-  let c, a, b = coalescing_scenario ~diff_cache:false () in
-  Alcotest.(check int) "node 1 reads a" 1 (Shm.read_i64 c.shms.(1) a);
-  Alcotest.(check int) "node 1 reads b" 2 (Shm.read_i64 c.shms.(1) b);
-  Alcotest.(check int) "node 2 reads a" 1 (Shm.read_i64 c.shms.(2) a);
-  Alcotest.(check int) "node 2 reads b" 2 (Shm.read_i64 c.shms.(2) b);
-  let s0 = Lrc.stats c.lrcs.(0) in
-  Alcotest.(check int) "no hits" 0 s0.Lrc.diff_cache_hits;
-  Alcotest.(check int) "no misses" 0 s0.Lrc.diff_cache_misses
-
-let test_batch_fetch_disabled_still_correct () =
-  let c, a, b = coalescing_scenario ~batch_fetch:false ~diff_cache:false () in
-  Alcotest.(check int) "node 1 reads a" 1 (Shm.read_i64 c.shms.(1) a);
-  Alcotest.(check int) "node 1 reads b" 2 (Shm.read_i64 c.shms.(1) b);
-  Alcotest.(check bool) "requests were issued" true
-    ((Lrc.stats c.lrcs.(1)).Lrc.diff_requests > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend conformance: the same application, same seed, at 4
@@ -987,10 +970,6 @@ let () =
             test_per_creator_coalescing;
           Alcotest.test_case "diff cache hit on repeat fetch" `Quick
             test_diff_cache_hit_on_repeat_fetch;
-          Alcotest.test_case "diff cache disabled" `Quick
-            test_diff_cache_disabled;
-          Alcotest.test_case "batch fetch disabled still correct" `Quick
-            test_batch_fetch_disabled_still_correct;
         ] );
       ( "conformance",
         [

@@ -142,7 +142,7 @@ let test_datagram_loss_requires_rng () =
 (* Sliding window *)
 
 let make_sw_dg ?(loss = 0.0) ?(seed = 1) ?(window = 8) ?(rto = 0.05)
-    ?(ack_every = 1) ?(ack_delay = 0.0) ?(legacy_rto = false) ?rto_margin eng =
+    ?(ack_every = 1) ?(ack_delay = 0.0) ?rto_margin eng =
   let medium = make_medium eng in
   let rng = Rng.create ~seed in
   let dg =
@@ -150,16 +150,14 @@ let make_sw_dg ?(loss = 0.0) ?(seed = 1) ?(window = 8) ?(rto = 0.05)
     else Datagram.create medium ()
   in
   let sw =
-    Sliding_window.create ~ack_every ~ack_delay ~legacy_rto ?rto_margin eng dg
-      ~window ~rto
+    Sliding_window.create ~ack_every ~ack_delay ?rto_margin eng dg ~window
+      ~rto
   in
   (sw, dg)
 
-let make_sw ?loss ?seed ?window ?rto ?ack_every ?ack_delay ?legacy_rto
-    ?rto_margin eng =
+let make_sw ?loss ?seed ?window ?rto ?ack_every ?ack_delay ?rto_margin eng =
   fst
-    (make_sw_dg ?loss ?seed ?window ?rto ?ack_every ?ack_delay ?legacy_rto
-       ?rto_margin eng)
+    (make_sw_dg ?loss ?seed ?window ?rto ?ack_every ?ack_delay ?rto_margin eng)
 
 let test_sw_basic_delivery () =
   let eng = Engine.create () in
@@ -194,9 +192,9 @@ let test_sw_window_limits_inflight () =
     (List.init 10 (fun i -> i + 1))
     (List.rev !got)
 
-let run_loss_scenario ?(legacy_rto = false) ~loss ~seed ~count () =
+let run_loss_scenario ~loss ~seed ~count () =
   let eng = Engine.create () in
-  let sw = make_sw ~loss ~seed ~window:4 ~rto:0.02 ~legacy_rto eng in
+  let sw = make_sw ~loss ~seed ~window:4 ~rto:0.02 eng in
   let got = ref [] in
   Sliding_window.set_handler sw ~node:2 (fun ~src:_ ~size:_ v ->
       got := v :: !got);
@@ -220,17 +218,6 @@ let prop_sw_exactly_once_in_order =
     QCheck.(pair (int_range 1 1000) (int_range 1 60))
     (fun (seed, count) ->
       let delivered = run_loss_scenario ~loss:0.3 ~seed ~count () in
-      delivered = List.init count (fun i -> i + 1))
-
-let prop_sw_legacy_exactly_once_in_order =
-  QCheck.Test.make
-    ~name:"sliding window: exactly-once in-order under loss (legacy rto)"
-    ~count:30
-    QCheck.(pair (int_range 1 1000) (int_range 1 60))
-    (fun (seed, count) ->
-      let delivered =
-        run_loss_scenario ~legacy_rto:true ~loss:0.3 ~seed ~count ()
-      in
       delivered = List.init count (fun i -> i + 1))
 
 let test_sw_bidirectional () =
@@ -375,59 +362,39 @@ let prop_sw_delayed_acks_exactly_once_in_order =
 
 let test_sw_big_frame_not_retransmitted () =
   (* A 500 KB frame needs 0.4 s of wire time at 1.25 MB/s — far beyond
-     the 0.05 s base rto.  The adaptive serialization floor must wait for
-     it; the legacy fixed timeout spuriously retransmits the whole frame
-     several times (and each wasted copy further delays the ack). *)
-  let run ~legacy_rto =
-    let eng = Engine.create () in
-    let sw = make_sw ~rto:0.05 ~legacy_rto eng in
-    Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
-    Engine.spawn eng (fun () ->
-        Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:500_000 ());
-    Engine.run eng;
-    sw
-  in
-  let adaptive = run ~legacy_rto:false in
-  Alcotest.(check int) "delivered" 1
-    (Sliding_window.messages_delivered adaptive);
-  Alcotest.(check int) "adaptive: serialization time is not a timeout" 0
-    (Sliding_window.retransmissions adaptive);
-  let legacy = run ~legacy_rto:true in
-  Alcotest.(check bool) "legacy: fixed rto fires spuriously" true
-    (Sliding_window.retransmissions legacy > 0);
-  Alcotest.(check bool) "legacy: receiver saw wasted duplicate copies" true
-    (Sliding_window.spurious_retransmits legacy > 0);
-  Alcotest.(check int) "adaptive: no duplicates reached the receiver" 0
-    (Sliding_window.spurious_retransmits adaptive)
+     the 0.05 s base rto, which a fixed timeout would fire at several
+     times over.  The serialization floor must wait for it. *)
+  let eng = Engine.create () in
+  let sw = make_sw ~rto:0.05 eng in
+  Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
+  Engine.spawn eng (fun () ->
+      Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:500_000 ());
+  Engine.run eng;
+  Alcotest.(check int) "delivered" 1 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "serialization time is not a timeout" 0
+    (Sliding_window.retransmissions sw);
+  Alcotest.(check int) "no duplicates reached the receiver" 0
+    (Sliding_window.spurious_retransmits sw)
 
 let test_sw_carrier_sense_defers_for_cross_traffic () =
   (* The serialization floor only covers this connection's own in-flight
      bytes; a 250 KB burst from another node pair holds the shared wire
      for 0.2 s, far beyond the 5 ms rto of the small 0->1 frame queued
      behind it.  Carrier sense must defer the expired timer past the
-     backlog instead of retransmitting into the queue; the legacy sender
-     re-sends blindly into it. *)
-  let run ~legacy_rto =
-    let eng = Engine.create () in
-    let sw = make_sw ~rto:0.005 ~legacy_rto eng in
-    Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
-    Sliding_window.set_handler sw ~node:3 (fun ~src:_ ~size:_ () -> ());
-    Engine.spawn eng (fun () ->
-        Sliding_window.send sw ~src:2 ~dst:3 ~payload_bytes:250_000 ();
-        Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
-    Engine.run eng;
-    sw
-  in
-  let adaptive = run ~legacy_rto:false in
-  Alcotest.(check int) "both delivered" 2
-    (Sliding_window.messages_delivered adaptive);
-  Alcotest.(check int) "adaptive: no retransmission into the backlog" 0
-    (Sliding_window.retransmissions adaptive);
-  Alcotest.(check bool) "adaptive: the expired timer was deferred" true
-    (Sliding_window.rto_deferrals adaptive > 0);
-  let legacy = run ~legacy_rto:true in
-  Alcotest.(check bool) "legacy: retransmits into the busy wire" true
-    (Sliding_window.retransmissions legacy > 0)
+     backlog instead of retransmitting into the queue. *)
+  let eng = Engine.create () in
+  let sw = make_sw ~rto:0.005 eng in
+  Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
+  Sliding_window.set_handler sw ~node:3 (fun ~src:_ ~size:_ () -> ());
+  Engine.spawn eng (fun () ->
+      Sliding_window.send sw ~src:2 ~dst:3 ~payload_bytes:250_000 ();
+      Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
+  Engine.run eng;
+  Alcotest.(check int) "both delivered" 2 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "no retransmission into the backlog" 0
+    (Sliding_window.retransmissions sw);
+  Alcotest.(check bool) "the expired timer was deferred" true
+    (Sliding_window.rto_deferrals sw > 0)
 
 let test_sw_fast_retransmit () =
   (* Drop exactly the second data frame; the four frames behind it each
@@ -457,45 +424,33 @@ let test_sw_fast_retransmit () =
     (Sliding_window.retransmissions sw)
 
 let test_sw_backoff_persists_across_retransmitted_acks () =
-  (* Reproduces the pre-PR8 reset bug.  Phase 1 loses the ack of frame 1
-     twice, so the only ack that ever arrives acknowledges a frame that
-     was retransmitted — under Karn's rule that says nothing about the
-     wire having recovered, and backoff must survive it (it reached 4x).
-     Phase 2 then sends a 25 KB frame whose ack legitimately takes
-     ~0.02 s, above the 0.01 s base rto but below the persisted 0.04 s.
-     The adaptive sender waits and retransmits nothing; the legacy
-     sender — backoff reset to 1x by the phase-1 ack — times out
-     spuriously (twice: the wasted copy delays the real ack past the
-     next backed-off timeout too).  [rto_margin = 0] disables the
-     serialization floor so only backoff persistence is under test. *)
-  let run ~legacy_rto =
-    let eng = Engine.create () in
-    let sw, dg = make_sw_dg ~rto:0.01 ~rto_margin:0.0 ~legacy_rto eng in
-    Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
-    Engine.spawn eng (fun () ->
-        (* Relative datagram indices: 0 = frame 1, 1 = its ack (drop),
-           2 = first retransmitted copy, 3 = its re-ack (drop),
-           4 = second copy, 5 = its re-ack (delivered). *)
-        Datagram.inject_drops dg [ 1; 3 ];
-        Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
-    Engine.at eng ~time:1.0 (fun () ->
-        Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:25_000 ());
-    Engine.run eng;
-    sw
-  in
-  let adaptive = run ~legacy_rto:false in
-  let legacy = run ~legacy_rto:true in
-  Alcotest.(check int) "both delivered (adaptive)" 2
-    (Sliding_window.messages_delivered adaptive);
-  Alcotest.(check int) "both delivered (legacy)" 2
-    (Sliding_window.messages_delivered legacy);
-  Alcotest.(check int) "adaptive: phase-1 recovery only" 2
-    (Sliding_window.retransmissions adaptive);
-  Alcotest.(check bool) "legacy: reset backoff re-probes too early" true
-    (Sliding_window.retransmissions legacy > 2);
+  (* Phase 1 loses the ack of frame 1 twice, so the only ack that ever
+     arrives acknowledges a frame that was retransmitted — under Karn's
+     rule that says nothing about the wire having recovered, and backoff
+     must survive it (it reached 4x).  Phase 2 then sends a 25 KB frame
+     whose ack legitimately takes ~0.02 s, above the 0.01 s base rto but
+     below the persisted 0.04 s, so the sender must wait and retransmit
+     nothing.  A sender that reset backoff on that ack would time out
+     spuriously.  [rto_margin = 0] disables the serialization floor so
+     only backoff persistence is under test. *)
+  let eng = Engine.create () in
+  let sw, dg = make_sw_dg ~rto:0.01 ~rto_margin:0.0 eng in
+  Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ () -> ());
+  Engine.spawn eng (fun () ->
+      (* Relative datagram indices: 0 = frame 1, 1 = its ack (drop),
+         2 = first retransmitted copy, 3 = its re-ack (drop),
+         4 = second copy, 5 = its re-ack (delivered). *)
+      Datagram.inject_drops dg [ 1; 3 ];
+      Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
+  Engine.at eng ~time:1.0 (fun () ->
+      Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:25_000 ());
+  Engine.run eng;
+  Alcotest.(check int) "both delivered" 2 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "phase-1 recovery only" 2
+    (Sliding_window.retransmissions sw);
   Alcotest.(check int)
     "karn: no rtt sample was ever taken from a retransmitted frame" 1
-    (Sliding_window.rtt_samples adaptive)
+    (Sliding_window.rtt_samples sw)
 
 let test_sw_rtt_estimator_converges () =
   (* A steady request stream on a quiet wire: the estimator must collect
@@ -562,7 +517,6 @@ let () =
         @ qcheck
             [
               prop_sw_exactly_once_in_order;
-              prop_sw_legacy_exactly_once_in_order;
               prop_sw_delayed_acks_exactly_once_in_order;
             ] );
       ( "adaptive-arq",
