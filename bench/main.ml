@@ -20,6 +20,8 @@ module Qsort = Carlos_apps.Qsort
 module Water = Carlos_apps.Water
 module Grid = Carlos_apps.Grid
 module Harness = Carlos_apps.Harness
+module Engine = Carlos_sim.Engine
+module Medium = Carlos_net.Medium
 
 let ppf = Format.std_formatter
 
@@ -391,8 +393,33 @@ let micro () =
     Profile.set_enabled false;
     Profile.reset ()
   in
+  (* The engine's two cheap paths: a fiber's delay that runs inline
+     because nothing else is queued, and frames that queue for the wire
+     and run as a callback chain. *)
+  let inline_delays () =
+    let eng = Engine.create () in
+    Engine.spawn eng (fun () ->
+        for _ = 1 to 10_000 do
+          Engine.delay 1e-6
+        done);
+    Engine.run eng
+  in
+  let queued_frames () =
+    let eng = Engine.create () in
+    let medium =
+      Medium.create eng ~nodes:2 ~latency:1e-4 ~bandwidth:1_250_000.0
+    in
+    Medium.set_handler medium ~node:1 (fun ~src:_ ~size:_ () -> ());
+    Engine.spawn eng (fun () ->
+        for _ = 1 to 1000 do
+          Medium.send medium ~src:0 ~dst:1 ~size:100 ()
+        done);
+    Engine.run eng
+  in
   let tests =
     [
+      Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
+      Test.make ~name:"medium-x1k-frames-queued" (Staged.stage queued_frames);
       Test.make ~name:"profile-span-x1000-disabled"
         (Staged.stage (profile_spans false));
       Test.make ~name:"profile-span-x1000-enabled"

@@ -1,11 +1,25 @@
 (** Shared broadcast medium modelling the paper's isolated 10 Mbit/s
     Ethernet segment.
 
-    All frames from all nodes serialize through one FIFO transmission
-    resource (CSMA contention is approximated by FIFO queueing, which is
-    accurate for a lightly-to-moderately loaded segment and deterministic).
-    A frame occupies the wire for [size / bandwidth] seconds and is then
+    All frames from all nodes serialize through one FIFO wire (CSMA
+    contention is approximated by FIFO queueing, which is accurate for a
+    lightly-to-moderately loaded segment and deterministic).  A frame
+    occupies the wire for [size / bandwidth] seconds and is then
     delivered after a fixed propagation-plus-interrupt [latency].
+
+    A frame is a chain of {!Carlos_sim.Engine.at} callbacks, not a fiber:
+    - {e start}, scheduled by {!send} at the current time, takes the wire
+      if it is idle and otherwise queues the frame;
+    - {e finish}, [size / bandwidth] after the frame took the wire,
+      accounts the busy time, hands the wire to the next queued frame
+      (which takes it in an event of its own at the same instant),
+      releases the frame's backlog bytes, records its queueing delay and
+      trace slice, and schedules
+    - {e delivery}, [latency] later, which runs the destination's
+      handler.
+    Each step is one event, scheduled at the moment the fiber-per-frame
+    medium this replaced scheduled its own, so every event keeps its
+    time and tie-break order.
 
     The medium is polymorphic in the payload it carries; upper layers
     (datagram service, sliding-window protocol) choose their own frame
@@ -48,15 +62,16 @@ val latency : 'a t -> float
 val bandwidth : 'a t -> float
 
 (** Bytes accepted by {!send} whose serialization onto the wire has not
-    completed yet (queued behind the FIFO or mid-transmission).  This is
+    completed yet (queued for the wire or mid-transmission).  This is
     the carrier-sense signal: while non-zero, an expected ack may simply
     be queued behind the backlog, so retransmission timers should defer
     rather than fire.  [backlog t /. bandwidth t] bounds the remaining
     drain time. *)
 val backlog : 'a t -> int
 
-(** Install the receive upcall for a station.  The upcall runs in a fresh
-    fiber at delivery time and may block. *)
+(** Install the receive upcall for a station.  The upcall runs as an
+    engine callback at delivery time, so it must not block: hand the
+    frame to a fiber (a mailbox, an ivar) for anything that waits. *)
 val set_handler : 'a t -> node:int -> (src:int -> size:int -> 'a -> unit) -> unit
 
 (** [send t ~src ~dst ~size payload] queues a frame for transmission.

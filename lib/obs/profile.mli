@@ -6,7 +6,8 @@
     (ROADMAP item 2) its baseline.
 
     The profile is domain-local mutable state, disabled by default (one
-    domain-local read and one branch per probe when off), so concurrent
+    branch per engine probe, one domain-local read and one branch per
+    other probe when off), so concurrent
     simulations in separate domains never race on the accumulators.
     Because wall-clock numbers are nondeterministic
     they are never written into the {!Obs} metrics registry; drivers
@@ -37,6 +38,9 @@ val name : category -> string
     (currently [Vm_fault]); their seconds must not be summed. *)
 val inclusive : category -> bool
 
+(** The engine reads the flag once per [Engine.run], so a toggle takes
+    effect at the next [Engine.run]; the resource and vm probes read it on
+    every call. *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool

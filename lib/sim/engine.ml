@@ -20,6 +20,12 @@ type t = {
   (* Failures of fibers that died after [failure] was already recorded
      (newest first).  Surfaced by [run] as [Multiple_failures]. *)
   mutable secondary : exn list;
+  (* Whether the event being executed is a fiber slice ([Ev_fiber] or
+     [Ev_resume]) rather than an [Ev_thunk] callback. *)
+  mutable in_fiber : bool;
+  (* [Profile.enabled ()] as read when [run] started: the engine's probes
+     test this field instead of reading the domain-local profiler flag. *)
+  mutable profiling : bool;
 }
 
 exception Multiple_failures of exn list
@@ -38,7 +44,8 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let create () =
   { clock = 0.0; queue = Heap.create ~dummy:Ev_none (); next_seq = 0;
-    executed = 0; failure = None; secondary = [] }
+    executed = 0; failure = None; secondary = []; in_fiber = false;
+    profiling = false }
 
 let failures t =
   match t.failure with
@@ -55,7 +62,7 @@ let schedule_ev t ~time ev =
       (Printf.sprintf "Engine.schedule: time %g is before now %g" time t.clock);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if Profile.enabled () then begin
+  if t.profiling then begin
     let p0 = Profile.start () in
     Heap.add t.queue ~time ~seq ev;
     Profile.stop Profile.Heap_push p0
@@ -71,7 +78,7 @@ let at t ~time f = schedule t ~time f
    queue so that fibers only ever run from the engine loop. *)
 let rec start_fiber eng f =
   let open Effect.Deep in
-  Profile.tick Profile.Fiber_spawn;
+  if eng.profiling then Profile.tick Profile.Fiber_spawn;
   match_with f ()
     {
       retc = (fun () -> ());
@@ -111,10 +118,15 @@ let rec start_fiber eng f =
 
 and exec eng = function
   | Ev_none -> ()
-  | Ev_thunk f -> f ()
-  | Ev_fiber f -> start_fiber eng f
+  | Ev_thunk f ->
+    eng.in_fiber <- false;
+    f ()
+  | Ev_fiber f ->
+    eng.in_fiber <- true;
+    start_fiber eng f
   | Ev_resume k ->
-    if Profile.enabled () then begin
+    eng.in_fiber <- true;
+    if eng.profiling then begin
       let p0 = Profile.start () in
       Effect.Deep.continue k ();
       Profile.stop Profile.Fiber_resume p0
@@ -126,9 +138,10 @@ let spawn t f = schedule_ev t ~time:t.clock (Ev_fiber f)
 let run t =
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some t);
+  t.profiling <- Profile.enabled ();
   let run0 = Profile.start () in
   let finish () =
-    Profile.stop Profile.Run run0;
+    if t.profiling then Profile.stop Profile.Run run0;
     Domain.DLS.set current_key saved
   in
   (* After a failure, keep draining events already due at the current
@@ -140,17 +153,15 @@ let run t =
   let overdue () = Heap.min_time t.queue <= t.clock in
   let rec loop () =
     match t.failure with
-    | Some e when not (overdue ()) ->
-      finish ();
-      (match t.secondary with
+    | Some e when not (overdue ()) -> (
+      match t.secondary with
       | [] -> raise e
       | rest -> raise (Multiple_failures (e :: List.rev rest)))
     | _ ->
-      if Heap.is_empty t.queue then finish ()
-      else begin
+      if not (Heap.is_empty t.queue) then begin
         let time = Heap.min_time t.queue in
         let ev =
-          if Profile.enabled () then begin
+          if t.profiling then begin
             let p0 = Profile.start () in
             let ev = Heap.pop t.queue in
             Profile.stop Profile.Heap_pop p0;
@@ -163,7 +174,7 @@ let run t =
         (* An event returns when its fiber suspends (the effect handler
            captures the continuation), so this span is the exact host
            time of one event — no virtual-time inclusion. *)
-        if Profile.enabled () then begin
+        if t.profiling then begin
           let e0 = Profile.start () in
           exec t ev;
           Profile.stop Profile.Event e0
@@ -172,20 +183,46 @@ let run t =
         loop ()
       end
   in
-  loop ()
+  (* A raising callback escapes the loop directly (fiber failures are
+     recorded instead); either way the engine binding is restored. *)
+  match loop () with
+  | () -> finish ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    finish ();
+    Printexc.raise_with_backtrace e bt
 
+(* A fiber whose wake-up would be the next event anyway runs on without
+   a round trip through the heap: the clock advances, the event counts as
+   executed, and the sequence number the resume would have taken is still
+   drawn, so every later event keeps its (time, seq) key.  Strictly
+   before [Heap.min_time]: an event already queued at the wake time has
+   a lower sequence number and runs first.  After a recorded failure the
+   loop stops at the next later instant instead of resuming the fiber, so
+   that case, callbacks and negative [dt] take the effect path. *)
 let delay dt =
   match Domain.DLS.get current_key with
   | None -> invalid_arg "Engine.delay: not inside a running engine"
-  | Some eng -> Effect.perform (Delay (eng, dt))
+  | Some eng ->
+    let wake = eng.clock +. dt in
+    let inline =
+      eng.in_fiber && dt >= 0.0 && wake < Heap.min_time eng.queue
+      && match eng.failure with None -> true | Some _ -> false
+    in
+    if inline then begin
+      eng.next_seq <- eng.next_seq + 1;
+      eng.clock <- wake;
+      eng.executed <- eng.executed + 1
+    end
+    else Effect.perform (Delay (eng, dt))
 
 let time () = Effect.perform Time
 
 let fork f = Effect.perform (Fork f)
 
 let in_fiber () =
-  match Effect.perform Time with
-  | (_ : float) -> true
-  | exception Effect.Unhandled _ -> false
+  match Domain.DLS.get current_key with
+  | None -> false
+  | Some eng -> eng.in_fiber
 
 let suspend register = Effect.perform (Suspend register)

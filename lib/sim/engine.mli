@@ -28,13 +28,15 @@ val events_executed : t -> int
 val spawn : t -> (unit -> unit) -> unit
 
 (** [at t ~time f] runs callback [f] (not a fiber; it must not block) at
-    virtual time [time].  [time] must not be in the past. *)
+    virtual time [time].  [time] must not be in the past.  A callback that
+    raises stops {!run} at once with that exception. *)
 val at : t -> time:float -> (unit -> unit) -> unit
 
 (** Run until the event queue drains.  If exactly one fiber raised, that
     exception is re-raised here after the queue stops; if several fibers
     raised, {!Multiple_failures} carries all of them (primary first) so no
-    failure is silently dropped. *)
+    failure is silently dropped.  Reads {!Carlos_obs.Profile.enabled} once,
+    at the start. *)
 val run : t -> unit
 
 (** Every fiber failure recorded so far, primary first ([[]] if none).
@@ -43,7 +45,13 @@ val failures : t -> exn list
 
 (** {1 Operations available inside a fiber} *)
 
-(** Advance this fiber's virtual time by [dt] seconds (dt >= 0). *)
+(** Advance this fiber's virtual time by [dt] seconds (dt >= 0).
+
+    When the wake-up time lies strictly before every queued event, the
+    resume would be the next event, so the fiber carries on at once: the
+    clock advances and the event counts in {!events_executed}, with no
+    fiber switch.  The schedule is the same either way.  Raises when
+    called from an {!at} callback. *)
 val delay : float -> unit
 
 (** Virtual time as seen from inside a fiber. *)
@@ -53,9 +61,10 @@ val time : unit -> float
 val fork : (unit -> unit) -> unit
 
 (** Whether the caller is running inside an engine fiber (so {!fork},
-    {!delay} and blocking reads are available).  Protocol code uses this to
-    fall back to serial execution when driven directly from a unit test
-    outside any engine. *)
+    {!delay} and blocking reads are available): false in an {!at} callback
+    and outside any running engine.  Protocol code uses this to fall back
+    to serial execution when driven directly from a unit test outside any
+    engine. *)
 val in_fiber : unit -> bool
 
 (** [suspend register] parks the calling fiber.  [register] receives a

@@ -53,46 +53,6 @@ module Mailbox = struct
   let length t = Queue.length t.messages
 end
 
-module Fifo = struct
-  type t = {
-    mutable held : bool;
-    waiters : (unit -> unit) Queue.t;
-    mutable busy : float;
-    mutable acquired_at : float;
-  }
-
-  let create () =
-    { held = false; waiters = Queue.create (); busy = 0.0; acquired_at = 0.0 }
-
-  let acquire t =
-    if not t.held then begin
-      t.held <- true;
-      t.acquired_at <- Engine.time ()
-    end
-    else begin
-      Engine.suspend (fun resume -> Queue.add resume t.waiters);
-      (* Ownership was handed to us by [release]. *)
-      t.acquired_at <- Engine.time ()
-    end
-
-  let release t =
-    if not t.held then invalid_arg "Fifo.release: not held";
-    t.busy <- t.busy +. (Engine.time () -. t.acquired_at);
-    t.acquired_at <- Engine.time ();
-    if Queue.is_empty t.waiters then t.held <- false
-    else (Queue.pop t.waiters) ()
-
-  let use t dt =
-    let requested = Engine.time () in
-    acquire t;
-    let waited = Engine.time () -. requested in
-    Engine.delay dt;
-    release t;
-    waited
-
-  let busy_time t = t.busy
-end
-
 module Semaphore = struct
   type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
 

@@ -36,25 +36,6 @@ module Mailbox : sig
   val length : 'a t -> int
 end
 
-(** FIFO mutual-exclusion resource: models a serially reusable device such
-    as a node CPU or the shared network medium. *)
-module Fifo : sig
-  type t
-
-  val create : unit -> t
-
-  val acquire : t -> unit
-
-  val release : t -> unit
-
-  (** [use t dt] acquires, holds the resource for [dt] virtual seconds, and
-      releases.  Returns the time spent waiting for the resource. *)
-  val use : t -> float -> float
-
-  (** Cumulative virtual time during which the resource was held. *)
-  val busy_time : t -> float
-end
-
 (** Counting semaphore with FIFO wake order. *)
 module Semaphore : sig
   type t

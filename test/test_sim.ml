@@ -215,6 +215,20 @@ let test_engine_multiple_failures_all_surface () =
   | exception e -> raise e);
   Alcotest.(check int) "failures listed" 2 (List.length (Engine.failures eng))
 
+let test_engine_no_inline_delay_after_failure () =
+  (* Once a fiber has failed, the run stops at the next later instant, so
+     a delay taken after the failure must not run on inline. *)
+  let eng = Engine.create () in
+  let ran_on = ref false in
+  Engine.spawn eng (fun () -> failwith "boom");
+  Engine.spawn eng (fun () ->
+      Engine.delay 1.0;
+      ran_on := true);
+  Alcotest.check_raises "failure surfaces" (Failure "boom") (fun () ->
+      Engine.run eng);
+  Alcotest.(check bool) "delayed fiber never resumed" false !ran_on;
+  check_float "clock stays at the failure" 0.0 (Engine.now eng)
+
 let test_engine_suspend_resume () =
   let eng = Engine.create () in
   let resume_cell = ref None in
@@ -236,6 +250,180 @@ let test_engine_at_callback () =
   Engine.at eng ~time:4.2 (fun () -> fired := Engine.now eng);
   Engine.run eng;
   check_float "callback time" 4.2 !fired
+
+let test_engine_delay_in_callback_raises () =
+  (* A callback is not a fiber: [delay] there must fail as it always did,
+     even with an empty queue, where a fiber's delay would run inline. *)
+  let eng = Engine.create () in
+  let raised = ref false in
+  Engine.at eng ~time:1.0 (fun () ->
+      match Engine.delay 0.5 with
+      | () -> ()
+      | exception Effect.Unhandled _ -> raised := true);
+  Engine.run eng;
+  Alcotest.(check bool) "delay in a callback raises" true !raised;
+  check_float "clock untouched" 1.0 (Engine.now eng)
+
+let test_engine_callback_exception_unbinds () =
+  (* A callback's exception is not recorded like a fiber's: it leaves
+     [run] at once, and the engine is no longer bound afterwards. *)
+  let eng = Engine.create () in
+  Engine.at eng ~time:1.0 (fun () -> failwith "callback");
+  Alcotest.check_raises "propagates" (Failure "callback") (fun () ->
+      Engine.run eng);
+  Alcotest.check_raises "no engine bound after the run"
+    (Invalid_argument "Engine.delay: not inside a running engine") (fun () ->
+      Engine.delay 1.0)
+
+let test_engine_in_fiber () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let note where = seen := (where, Engine.in_fiber ()) :: !seen in
+  Engine.spawn eng (fun () ->
+      note "fiber start";
+      Engine.delay 1.0;
+      note "fiber after inline delay";
+      Engine.at eng ~time:2.0 (fun () -> note "callback");
+      Engine.delay 3.0;
+      note "fiber after resume");
+  note "outside";
+  Engine.run eng;
+  note "after run";
+  Alcotest.(check (list (pair string bool)))
+    "in_fiber"
+    [
+      ("outside", false);
+      ("fiber start", true);
+      ("fiber after inline delay", true);
+      ("callback", false);
+      ("fiber after resume", true);
+      ("after run", false);
+    ]
+    (List.rev !seen)
+
+(* Reference model of the engine's schedule: every delay and every wake-up
+   is an event in a (time, seq)-ordered queue, and a sequence number is
+   drawn whenever an event is scheduled.  A program is one list of
+   operations per fiber; [run_model] returns the log of completed
+   operations (fiber, op index, virtual time) and the number of events. *)
+type op = Sleep of float | Wait of int | Fill of int
+
+let ivars = 3
+
+let run_model program =
+  let queue = ref [] and seq = ref 0 and now = ref 0.0 in
+  let push time ev =
+    queue := ((time, !seq), ev) :: !queue;
+    incr seq
+  in
+  let full = Array.make ivars false and waiters = Array.make ivars [] in
+  let log = ref [] and events = ref 0 in
+  let rec step fiber ops pc =
+    match ops with
+    | [] -> ()
+    | op :: rest -> (
+      let continue () =
+        log := (fiber, pc, !now) :: !log;
+        step fiber rest (pc + 1)
+      in
+      match op with
+      | Sleep dt -> push (!now +. dt) (fiber, rest, pc)
+      | Wait k ->
+        if full.(k) then continue ()
+        else waiters.(k) <- (fiber, rest, pc) :: waiters.(k)
+      | Fill k ->
+        if not full.(k) then begin
+          full.(k) <- true;
+          List.iter (fun w -> push !now w) (List.rev waiters.(k));
+          waiters.(k) <- []
+        end;
+        continue ())
+  in
+  List.iteri (fun fiber ops -> push 0.0 (fiber, ops, -1)) program;
+  let rec loop () =
+    match List.sort (fun (a, _) (b, _) -> compare a b) !queue with
+    | [] -> ()
+    | ((time, _), (fiber, rest, pc)) :: later ->
+      queue := later;
+      now := time;
+      incr events;
+      (* The event completes the operation at [pc] (a sleep or a wait),
+         or starts the fiber when [pc] is -1. *)
+      if pc >= 0 then log := (fiber, pc, !now) :: !log;
+      step fiber rest (pc + 1);
+      loop ()
+  in
+  loop ();
+  (List.rev !log, !events)
+
+let run_engine program =
+  let eng = Engine.create () in
+  let cells = Array.init ivars (fun _ -> Resource.Ivar.create ()) in
+  let log = ref [] in
+  List.iteri
+    (fun fiber ops ->
+      Engine.spawn eng (fun () ->
+          List.iteri
+            (fun pc op ->
+              (match op with
+              | Sleep dt -> Engine.delay dt
+              | Wait k -> Resource.Ivar.read cells.(k)
+              | Fill k ->
+                if not (Resource.Ivar.is_filled cells.(k)) then
+                  Resource.Ivar.fill cells.(k) ());
+              log := (fiber, pc, Engine.time ()) :: !log)
+            ops))
+    program;
+  Engine.run eng;
+  (List.rev !log, Engine.events_executed eng)
+
+let gen_program =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (* Few distinct lengths, so wake-ups tie with each other. *)
+        (5, map (fun i -> Sleep (0.25 *. float_of_int i)) (int_bound 4));
+        (2, map (fun k -> Wait k) (int_bound (ivars - 1)));
+        (2, map (fun k -> Fill k) (int_bound (ivars - 1)));
+      ]
+  in
+  list_size (int_range 1 5) (list_size (int_bound 8) op)
+
+let print_program program =
+  let op = function
+    | Sleep dt -> Printf.sprintf "sleep %g" dt
+    | Wait k -> Printf.sprintf "wait %d" k
+    | Fill k -> Printf.sprintf "fill %d" k
+  in
+  String.concat " | "
+    (List.map (fun ops -> String.concat "; " (List.map op ops)) program)
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine runs programs in (time, seq) model order"
+    ~count:300
+    (QCheck.make ~print:print_program gen_program)
+    (fun program -> run_engine program = run_model program)
+
+(* Minor words allocated per iteration of [f] inside one running fiber. *)
+let fiber_words_per_call n f =
+  let eng = Engine.create () in
+  let words = ref nan in
+  Engine.spawn eng (fun () ->
+      f ();
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        f ()
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  Engine.run eng;
+  !words
+
+let test_engine_inline_delay_allocation () =
+  (* With nothing else queued every delay runs inline: the only
+     allocation is the boxed clock. *)
+  let w = fiber_words_per_call 10_000 (fun () -> Engine.delay 1e-3) in
+  if w > 2.01 then Alcotest.failf "inline delay allocates %.2f words" w
 
 (* ------------------------------------------------------------------ *)
 (* Resources *)
@@ -292,36 +480,6 @@ let test_mailbox_fifo () =
   Engine.run eng;
   Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ]
     (List.rev !got)
-
-let test_fifo_resource_serializes () =
-  let eng = Engine.create () in
-  let fifo = Resource.Fifo.create () in
-  let spans = ref [] in
-  for i = 0 to 2 do
-    Engine.spawn eng (fun () ->
-        let _ = Resource.Fifo.use fifo 1.0 in
-        spans := (i, Engine.time ()) :: !spans)
-  done;
-  Engine.run eng;
-  (* Three users of a 1s resource finish at 1, 2, 3 in spawn order. *)
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "serialized in fifo order"
-    [ (0, 1.0); (1, 2.0); (2, 3.0) ]
-    (List.rev !spans);
-  check_float "busy time" 3.0 (Resource.Fifo.busy_time fifo)
-
-let test_fifo_use_reports_wait () =
-  let eng = Engine.create () in
-  let fifo = Resource.Fifo.create () in
-  let waits = ref [] in
-  for _ = 0 to 2 do
-    Engine.spawn eng (fun () ->
-        let w = Resource.Fifo.use fifo 2.0 in
-        waits := w :: !waits)
-  done;
-  Engine.run eng;
-  Alcotest.(check (list (float 1e-9))) "waits" [ 0.0; 2.0; 4.0 ]
-    (List.sort compare !waits)
 
 let test_semaphore_counting () =
   let eng = Engine.create () in
@@ -390,7 +548,13 @@ let test_profile_enabled_records_run () =
   Profile.reset ();
   Profile.set_enabled true;
   let eng = Engine.create () in
-  Engine.spawn eng (fun () -> Engine.delay 1.0);
+  (* The reader parks on the ivar until the second fiber fills it, so the
+     run has a real resume (a lone delay would run inline). *)
+  let iv = Resource.Ivar.create () in
+  Engine.spawn eng (fun () -> ignore (Resource.Ivar.read iv));
+  Engine.spawn eng (fun () ->
+      Engine.delay 1.0;
+      Resource.Ivar.fill iv ());
   Engine.run eng;
   Profile.set_enabled false;
   let count cat =
@@ -443,10 +607,20 @@ let () =
             test_engine_fiber_exception_propagates;
           Alcotest.test_case "multiple failures all surface" `Quick
             test_engine_multiple_failures_all_surface;
+          Alcotest.test_case "no inline delay after a failure" `Quick
+            test_engine_no_inline_delay_after_failure;
           Alcotest.test_case "suspend/resume" `Quick
             test_engine_suspend_resume;
           Alcotest.test_case "at callback" `Quick test_engine_at_callback;
-        ] );
+          Alcotest.test_case "delay in a callback raises" `Quick
+            test_engine_delay_in_callback_raises;
+          Alcotest.test_case "callback exception unbinds the engine" `Quick
+            test_engine_callback_exception_unbinds;
+          Alcotest.test_case "in_fiber" `Quick test_engine_in_fiber;
+          Alcotest.test_case "inline delay allocation" `Quick
+            test_engine_inline_delay_allocation;
+        ]
+        @ qcheck [ prop_engine_matches_model ] );
       ( "profile",
         [
           Alcotest.test_case "disabled run records zero samples" `Quick
@@ -463,10 +637,6 @@ let () =
           Alcotest.test_case "ivar double fill" `Quick
             test_ivar_double_fill_rejected;
           Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "fifo serializes" `Quick
-            test_fifo_resource_serializes;
-          Alcotest.test_case "fifo reports wait" `Quick
-            test_fifo_use_reports_wait;
           Alcotest.test_case "semaphore counting" `Quick
             test_semaphore_counting;
           Alcotest.test_case "gate broadcast" `Quick test_gate_broadcast;
