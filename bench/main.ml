@@ -1,16 +1,21 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§5), plus the §5.4 annotation-cost study, the
-   TreadMarks-vs-CarlOS comparison, and a Bechamel micro-suite (one
-   Test.make per table) measuring the real cost of each reproduced
+   TreadMarks-vs-CarlOS comparison, the coherence-strategy, ATM and grid
+   ablations, the snapshot benches (gate matrix, scaling sweep) and a
+   Bechamel micro-suite measuring the real cost of each reproduced
    workload on the host.
 
-   Usage:
-     bench/main.exe [-j N] [-o FILE] [-n LIST] [table1] [table2] [table3]
-                    [fig2] [sec54] [tmcmp] [micro] [json] [scaling] ...
-   With no argument, everything except [micro] runs.  [-j N] fans the
-   snapshot benches' rows across N domains (default
+   Usage: bench/main.exe [-j N] [-o FILE] [-n LIST] [BENCH ...]
+   The bench names are listed in [benches] below (an unknown name prints
+   them).  With no BENCH, every paper table and ablation runs.  [-j N]
+   fans the snapshot benches' rows across N domains (default
    [Domain.recommended_domain_count ()]); the output is identical for
-   every N. *)
+   every N.
+
+   Every run goes through the application catalogue
+   ({!Carlos_apps.Harness}): a row names an application, one of its
+   variant names and an adjustment of its configuration, and any failed
+   application check makes the run exit 1. *)
 
 module System = Carlos.System
 module Backend = Carlos_dsm.Backend
@@ -22,6 +27,7 @@ module Grid = Carlos_apps.Grid
 module Harness = Carlos_apps.Harness
 module Engine = Carlos_sim.Engine
 module Medium = Carlos_net.Medium
+module Lrc_backend = Carlos_dsm.Lrc_backend
 
 let ppf = Format.std_formatter
 
@@ -29,95 +35,119 @@ let section title = Format.fprintf ppf "@.=== %s ===@." title
 
 let paper_note rows = Format.fprintf ppf "  paper: %s@." rows
 
+(* Failed checks of every bench, newest first; any entry exits 1. *)
+let failed = ref []
+
+let app name = List.find (fun (a : Harness.app) -> a.name = name) Harness.apps
+
+let tsp = app "tsp"
+
+let qsort = app "qsort"
+
+let water = app "water"
+
+let grid_app = app "grid"
+
+let variant app name =
+  match Harness.find_variant app name with
+  | Ok v -> v
+  | Error e -> invalid_arg e
+
+(* Run variant [name] of [app] on a fresh [nodes]-node system whose
+   configuration is the app's own, adjusted by [override].  Touches no
+   bench state, so snapshot rows may call it on a worker domain. *)
+let exec ~nodes ~override (app : Harness.app) name =
+  let sys = System.create (override (app.config ~nodes)) in
+  (sys, (variant app name).run sys)
+
+(* A table or ablation row: (label, app, variant name, config override). *)
+let run ?(nodes = 4) (label, app, name, override) =
+  let _, o = exec ~nodes ~override app name in
+  if not o.Harness.ok then
+    failed := Printf.sprintf "%s/n%d" label nodes :: !failed;
+  o
+
+let print_row ?(nodes = 4) ~base label (o : Harness.outcome) =
+  Harness.pp_row ppf (Harness.row ~label ~nodes ~base ~ok:o.ok o.report)
+
+let wall (o : Harness.outcome) = o.report.System.wall
+
+(* Rows printed with their own wall time as the speedup base. *)
+let run_rows rows =
+  List.map
+    (fun ((label, _, _, _) as r) ->
+      let o = run r in
+      print_row ~base:(wall o) label o;
+      o)
+    rows
+
+let pct a b = 100.0 *. (b -. a) /. a
+
+let with_costs costs c = { c with System.costs }
+
 (* ------------------------------------------------------------------ *)
-(* Table 1: TSP *)
+(* Tables 1-3: one series of node counts per variant.  A row's speedup
+   base is the wall time of the table's most recent one-node row: each
+   variant's own in Tables 1 and 3, lock@1 for every Table 2 row. *)
 
-let run_tsp ?(costs = Cost.default) variant nodes =
-  let cfg = { (System.default_config ~nodes) with System.costs = costs } in
-  let sys = System.create cfg in
-  Tsp.run sys variant Tsp.default_params
+type table = {
+  title : string;
+  app : Harness.app;
+  series : (string * int list) list; (* variant name, node counts *)
+  note : string;
+}
 
-let table1 () =
-  section "Table 1: TSP on CarlOS (lock vs message-passing work queue)";
-  let reference = Tsp.solve_reference Tsp.default_params in
-  Harness.pp_header ppf ();
-  List.iter
-    (fun variant ->
-      let base = ref 1.0 in
-      List.iter
-        (fun nodes ->
-          let r = run_tsp variant nodes in
-          if nodes = 1 then base := r.Tsp.report.System.wall;
-          Harness.pp_row ppf
-            (Harness.row
-               ~label:("TSP/" ^ Tsp.variant_name variant)
-               ~nodes ~base:!base ~ok:(r.Tsp.best = reference) r.Tsp.report))
-        [ 1; 2; 3; 4 ])
-    [ Tsp.Lock; Tsp.Hybrid ];
-  paper_note
-    "lock  52.3/39.7/31.8s (1.64/2.16/2.69), 5838/8626/10403 msgs; hybrid \
-     44.9/31.0/22.0s (1.91/2.76/3.89), 1204/1916/2198 msgs"
+let table1 =
+  {
+    title = "Table 1: TSP on CarlOS (lock vs message-passing work queue)";
+    app = tsp;
+    series = [ ("lock", [ 1; 2; 3; 4 ]); ("hybrid", [ 1; 2; 3; 4 ]) ];
+    note =
+      "lock  52.3/39.7/31.8s (1.64/2.16/2.69), 5838/8626/10403 msgs; hybrid \
+       44.9/31.0/22.0s (1.91/2.76/3.89), 1204/1916/2198 msgs";
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Table 2: Quicksort *)
+let table2 =
+  {
+    title = "Table 2: Quicksort on CarlOS (lock vs message queue variants)";
+    app = qsort;
+    series =
+      [
+        ("lock", [ 1; 2; 3; 4 ]);
+        ("hybrid-1", [ 2; 3; 4 ]);
+        ("hybrid-2", [ 4 ]);
+        ("hybrid-noforward", [ 4 ]);
+      ];
+    note =
+      "lock 19.6/18.6/17.3s (1.36/1.44/1.54); hybrid-1 17.5/13.9/11.8s \
+       (1.53/1.93/2.27); hybrid-2@4 14.2s (1.89); no-forwarding ~ hybrid-2";
+  }
 
-let run_qsort variant nodes =
-  let sys = System.create (Qsort.config ~nodes Qsort.default_params) in
-  Qsort.run sys variant Qsort.default_params
+let table3 =
+  {
+    title = "Table 3: Water on CarlOS (molecule locks vs shipped updates)";
+    app = water;
+    series = [ ("lock", [ 1; 2; 3; 4 ]); ("hybrid", [ 1; 2; 3; 4 ]) ];
+    note =
+      "lock 23.3/19.4/17.3s (1.34/1.61/1.81), 6920/11348/15423 msgs; hybrid \
+       18.4/14.4/12.1s (1.70/2.20/2.58), 2546/4155/5634 msgs";
+  }
 
-let table2 () =
-  section "Table 2: Quicksort on CarlOS (lock vs message queue variants)";
+let table t () =
+  section t.title;
   Harness.pp_header ppf ();
   let base = ref 1.0 in
   List.iter
-    (fun (variant, node_counts) ->
+    (fun (name, node_counts) ->
+      let label = Harness.label t.app (variant t.app name) in
       List.iter
         (fun nodes ->
-          let r = run_qsort variant nodes in
-          if variant = Qsort.Lock && nodes = 1 then
-            base := r.Qsort.report.System.wall;
-          Harness.pp_row ppf
-            (Harness.row
-               ~label:("QS/" ^ Qsort.variant_name variant)
-               ~nodes ~base:!base ~ok:r.Qsort.sorted r.Qsort.report))
+          let o = run ~nodes (label, t.app, name, Fun.id) in
+          if nodes = 1 then base := wall o;
+          print_row ~nodes ~base:!base label o)
         node_counts)
-    [
-      (Qsort.Lock, [ 1; 2; 3; 4 ]);
-      (Qsort.Hybrid1, [ 2; 3; 4 ]);
-      (Qsort.Hybrid2, [ 4 ]);
-      (Qsort.Hybrid_nf, [ 4 ]);
-    ];
-  paper_note
-    "lock 19.6/18.6/17.3s (1.36/1.44/1.54); hybrid-1 17.5/13.9/11.8s \
-     (1.53/1.93/2.27); hybrid-2@4 14.2s (1.89); no-forwarding ~ hybrid-2"
-
-(* ------------------------------------------------------------------ *)
-(* Table 3: Water *)
-
-let run_water ?(costs = Cost.default) variant nodes =
-  let cfg = { (System.default_config ~nodes) with System.costs = costs } in
-  let sys = System.create cfg in
-  Water.run sys variant Water.default_params
-
-let table3 () =
-  section "Table 3: Water on CarlOS (molecule locks vs shipped updates)";
-  Harness.pp_header ppf ();
-  List.iter
-    (fun variant ->
-      let base = ref 1.0 in
-      List.iter
-        (fun nodes ->
-          let r = run_water variant nodes in
-          if nodes = 1 then base := r.Water.report.System.wall;
-          Harness.pp_row ppf
-            (Harness.row
-               ~label:("Water/" ^ Water.variant_name variant)
-               ~nodes ~base:!base ~ok:r.Water.energy_ok r.Water.report))
-        [ 1; 2; 3; 4 ])
-    [ Water.Lock; Water.Hybrid ];
-  paper_note
-    "lock 23.3/19.4/17.3s (1.34/1.61/1.81), 6920/11348/15423 msgs; hybrid \
-     18.4/14.4/12.1s (1.70/2.20/2.58), 2546/4155/5634 msgs"
+    t.series;
+  paper_note t.note
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: execution breakdown on four nodes *)
@@ -125,23 +155,29 @@ let table3 () =
 let fig2 () =
   section
     "Figure 2: execution breakdown on 4 nodes (per-node averages, seconds)";
-  let runs =
-    [
-      ("TSP/lock", (run_tsp Tsp.Lock 4).Tsp.report);
-      ("TSP/hybrid", (run_tsp Tsp.Hybrid 4).Tsp.report);
-      ("QS/lock", (run_qsort Qsort.Lock 4).Qsort.report);
-      ("QS/hybrid", (run_qsort Qsort.Hybrid1 4).Qsort.report);
-      ("Water/lock", (run_water Water.Lock 4).Water.report);
-      ("Water/hybrid", (run_water Water.Hybrid 4).Water.report);
-    ]
-  in
-  Harness.pp_breakdown ppf runs;
+  Harness.pp_breakdown ppf
+    (List.concat_map
+       (fun (app : Harness.app) ->
+         List.map
+           (fun name ->
+             let label = app.prefix ^ "/" ^ name in
+             (label, (run (label, app, name, Fun.id)).report))
+           [ "lock"; "hybrid" ])
+       [ tsp; qsort; water ]);
   paper_note
     "totals 31.8/22.0, 17.3/11.8, 17.3/12.1 s; idle dominates the \
      overheads, all three overhead components shrink in the hybrids"
 
 (* ------------------------------------------------------------------ *)
-(* Section 5.4: the choice of annotations *)
+(* Section 5.4: the choice of annotations.  Each application's hybrid,
+   then the same program with every message marked RELEASE. *)
+
+let all_release =
+  [
+    (tsp, "hybrid", "hybrid-all-release", "all-RELEASE");
+    (qsort, "hybrid-1", "hybrid-2", "all-RELEASE(H2)");
+    (water, "hybrid", "hybrid-all-release", "all-RELEASE");
+  ]
 
 let sec54 () =
   section "Section 5.4: annotation-cost study";
@@ -155,86 +191,56 @@ let sec54 () =
   paper_note
     "REQUEST vs NONE 5-15 us; RELEASE ~30 us + write notices at 42-141 us";
   Harness.pp_header ppf ();
-  let tsp_h = run_tsp Tsp.Hybrid 4 in
-  let tsp_r = run_tsp Tsp.Hybrid_all_release 4 in
-  let qs_h = run_qsort Qsort.Hybrid1 4 in
-  let qs_r = run_qsort Qsort.Hybrid2 4 in
-  let w_h = run_water Water.Hybrid 4 in
-  let w_r = run_water Water.Hybrid_all_release 4 in
-  let reference = Tsp.solve_reference Tsp.default_params in
-  let pct a b = 100.0 *. (b -. a) /. a in
-  Harness.pp_row ppf
-    (Harness.row ~label:"TSP/hybrid" ~nodes:4
-       ~base:tsp_h.Tsp.report.System.wall
-       ~ok:(tsp_h.Tsp.best = reference) tsp_h.Tsp.report);
-  Harness.pp_row ppf
-    (Harness.row ~label:"TSP/all-RELEASE" ~nodes:4
-       ~base:tsp_h.Tsp.report.System.wall
-       ~ok:(tsp_r.Tsp.best = reference) tsp_r.Tsp.report);
-  Harness.pp_row ppf
-    (Harness.row ~label:"QS/hybrid-1" ~nodes:4
-       ~base:qs_h.Qsort.report.System.wall ~ok:qs_h.Qsort.sorted
-       qs_h.Qsort.report);
-  Harness.pp_row ppf
-    (Harness.row ~label:"QS/all-RELEASE(H2)" ~nodes:4
-       ~base:qs_h.Qsort.report.System.wall ~ok:qs_r.Qsort.sorted
-       qs_r.Qsort.report);
-  Harness.pp_row ppf
-    (Harness.row ~label:"Water/hybrid" ~nodes:4
-       ~base:w_h.Water.report.System.wall ~ok:w_h.Water.energy_ok
-       w_h.Water.report);
-  Harness.pp_row ppf
-    (Harness.row ~label:"Water/all-RELEASE" ~nodes:4
-       ~base:w_h.Water.report.System.wall ~ok:w_r.Water.energy_ok
-       w_r.Water.report);
-  Format.fprintf ppf
-    "  all-RELEASE penalty: TSP %+.1f%%, QS %+.1f%%, Water %+.1f%%@."
-    (pct tsp_h.Tsp.report.System.wall tsp_r.Tsp.report.System.wall)
-    (pct qs_h.Qsort.report.System.wall qs_r.Qsort.report.System.wall)
-    (pct w_h.Water.report.System.wall w_r.Water.report.System.wall);
+  (* The all-RELEASE program's slowdown over the hybrid, per app. *)
+  let penalty ?(print = false) override
+      ((app : Harness.app), hybrid, ablated, ablated_label) =
+    let label = app.prefix ^ "/" ^ hybrid in
+    let h = run (label, app, hybrid, override) in
+    let label_a = app.prefix ^ "/" ^ ablated_label in
+    let a = run (label_a, app, ablated, override) in
+    if print then begin
+      print_row ~base:(wall h) label h;
+      print_row ~base:(wall h) label_a a
+    end;
+    (app.prefix, pct (wall h) (wall a))
+  in
+  let show ps =
+    String.concat ", "
+      (List.map (fun (prefix, p) -> Printf.sprintf "%s %+.1f%%" prefix p) ps)
+  in
+  let ethernet = List.map (penalty ~print:true Fun.id) all_release in
+  Format.fprintf ppf "  all-RELEASE penalty: %s@." (show ethernet);
   paper_note "penalties: TSP +2.4%, Water +1.4%, QS significant";
   (* The same ablation on a modern low-latency interconnect (paper §6:
      "in other contexts, such as more modern networks ... the choice of
      annotations will become more important"). *)
-  let tsp_h' = run_tsp ~costs:Cost.fast_network Tsp.Hybrid 4 in
-  let tsp_r' = run_tsp ~costs:Cost.fast_network Tsp.Hybrid_all_release 4 in
-  let w_h' = run_water ~costs:Cost.fast_network Water.Hybrid 4 in
-  let w_r' = run_water ~costs:Cost.fast_network Water.Hybrid_all_release 4 in
+  let fast =
+    List.map
+      (penalty (with_costs Cost.fast_network))
+      (List.filter (fun (app, _, _, _) -> app != qsort) all_release)
+  in
   Format.fprintf ppf
-    "  fast-network all-RELEASE penalty: TSP %+.1f%%, Water %+.1f%% (vs \
-     %+.1f%%, %+.1f%% on Ethernet)@."
-    (pct tsp_h'.Tsp.report.System.wall tsp_r'.Tsp.report.System.wall)
-    (pct w_h'.Water.report.System.wall w_r'.Water.report.System.wall)
-    (pct tsp_h.Tsp.report.System.wall tsp_r.Tsp.report.System.wall)
-    (pct w_h.Water.report.System.wall w_r.Water.report.System.wall)
+    "  fast-network all-RELEASE penalty: %s (vs %s on Ethernet)@." (show fast)
+    (String.concat ", "
+       (List.map
+          (fun (prefix, _) ->
+            Printf.sprintf "%+.1f%%" (List.assoc prefix ethernet))
+          fast))
 
 (* ------------------------------------------------------------------ *)
 (* TreadMarks vs CarlOS (paper §5: 5-6% for TSP and QS, none for Water) *)
 
 let tmcmp () =
   section "TreadMarks vs CarlOS (lock versions, 4 nodes)";
-  let pct a b = 100.0 *. (b -. a) /. a in
-  let tsp_tm = run_tsp ~costs:Cost.treadmarks Tsp.Lock 4 in
-  let tsp_c = run_tsp Tsp.Lock 4 in
-  let qs_tm =
-    let p = Qsort.default_params in
-    let cfg =
-      { (Qsort.config ~nodes:4 p) with System.costs = Cost.treadmarks }
-    in
-    Qsort.run (System.create cfg) Qsort.Lock p
-  in
-  let qs_c = run_qsort Qsort.Lock 4 in
-  let w_tm = run_water ~costs:Cost.treadmarks Water.Lock 4 in
-  let w_c = run_water Water.Lock 4 in
-  Format.fprintf ppf "  TSP   : TreadMarks %.1fs, CarlOS %.1fs (%+.1f%%)@."
-    tsp_tm.Tsp.report.System.wall tsp_c.Tsp.report.System.wall
-    (pct tsp_tm.Tsp.report.System.wall tsp_c.Tsp.report.System.wall);
-  Format.fprintf ppf "  QS    : TreadMarks %.1fs, CarlOS %.1fs (%+.1f%%)@."
-    qs_tm.Qsort.report.System.wall qs_c.Qsort.report.System.wall
-    (pct qs_tm.Qsort.report.System.wall qs_c.Qsort.report.System.wall);
-  Format.fprintf ppf "  Water : TreadMarks %.1fs, CarlOS %.1fs (%+.1f%%)@."
-    w_tm.Water.report.System.wall w_c.Water.report.System.wall
-    (pct w_tm.Water.report.System.wall w_c.Water.report.System.wall);
+  List.iter
+    (fun (app : Harness.app) ->
+      let label = app.prefix ^ "/lock" in
+      let tm = run (label ^ "@treadmarks", app, "lock", with_costs Cost.treadmarks) in
+      let c = run (label, app, "lock", Fun.id) in
+      Format.fprintf ppf "  %-6s: TreadMarks %.1fs, CarlOS %.1fs (%+.1f%%)@."
+        app.prefix (wall tm) (wall c)
+        (pct (wall tm) (wall c)))
+    [ tsp; qsort; water ];
   paper_note "TSP and Quicksort ~5-6% slower on CarlOS; Water equal"
 
 (* ------------------------------------------------------------------ *)
@@ -245,33 +251,33 @@ let tmcmp () =
    notify-with-RELEASE pattern eager.  This ablation measures all three
    on Water, where position pages are re-read by every node each step. *)
 
+(* One row per strategy x variant, labelled "App/variant/strategy". *)
+let strategy_rows (app : Harness.app) variants strategies =
+  List.concat_map
+    (fun (sname, strategy) ->
+      List.map
+        (fun v ->
+          ( Printf.sprintf "%s/%s/%s" app.prefix v sname,
+            app,
+            v,
+            fun c -> { c with System.strategy } ))
+        variants)
+    strategies
+
 let strategies () =
   section "Ablation: coherence strategy (Water, 4 nodes)";
   Harness.pp_header ppf ();
-  List.iter
-    (fun (name, strategy) ->
-      List.iter
-        (fun (vname, variant) ->
-          let cfg =
-            { (System.default_config ~nodes:4) with
-              System.strategy
-            }
-          in
-          let sys = System.create cfg in
-          let r = Water.run sys variant Water.default_params in
-          Harness.pp_row ppf
-            (Harness.row
-               ~label:(Printf.sprintf "Water/%s/%s" vname name)
-               ~nodes:4 ~base:r.Water.report.System.wall
-               ~ok:r.Water.energy_ok r.Water.report))
-        [ ("lock", Water.Lock); ("hybrid", Water.Hybrid) ])
-    [
-      ("invalidate", Carlos_dsm.Lrc_backend.Invalidate);
-      ("update", Carlos_dsm.Lrc_backend.Update);
-      ("hybrid-upd", Carlos_dsm.Lrc_backend.Hybrid_update);
-    ];
+  ignore
+    (run_rows
+       (strategy_rows water [ "lock"; "hybrid" ]
+          [
+            ("invalidate", Lrc_backend.Invalidate);
+            ("update", Lrc_backend.Update);
+            ("hybrid-upd", Lrc_backend.Hybrid_update);
+          ]));
   Format.fprintf ppf
-    "  expectation: update ships data eagerly with each RELEASE — fewer      faults and diff requests, larger messages (paper §3, §4.3)@."
+    "  expectation: update ships data eagerly with each RELEASE — fewer \
+     faults and diff requests, larger messages (paper §3, §4.3)@."
 
 (* ------------------------------------------------------------------ *)
 (* Network ablation: §4 plans a high-performance ATM upgrade and §5.4
@@ -282,44 +288,33 @@ let strategies () =
 
 let atm () =
   section "Ablation: ATM-class network (155 Mbit/s, 10 us, 4 nodes)";
-  let atm_cfg ~nodes =
+  let atm c =
     {
-      (System.default_config ~nodes) with
+      c with
       System.bandwidth = 19.4e6;
       latency = 10e-6;
       costs = Cost.fast_network;
     }
   in
   Harness.pp_header ppf ();
-  let tsp v =
-    let r = Tsp.run (System.create (atm_cfg ~nodes:4)) v Tsp.default_params in
-    Harness.pp_row ppf
-      (Harness.row
-         ~label:("TSP/" ^ Tsp.variant_name v)
-         ~nodes:4 ~base:r.Tsp.report.System.wall
-         ~ok:(r.Tsp.best = Tsp.solve_reference Tsp.default_params)
-         r.Tsp.report);
-    r.Tsp.report.System.wall
+  (* The hybrid's gain over the lock version, in percent of the lock's. *)
+  let gap (app : Harness.app) =
+    match
+      run_rows
+        (List.map
+           (fun v -> (app.prefix ^ "/" ^ v, app, v, atm))
+           [ "lock"; "hybrid" ])
+    with
+    | [ l; h ] -> 100.0 *. (wall l -. wall h) /. wall l
+    | _ -> assert false
   in
-  let water v =
-    let r =
-      Water.run (System.create (atm_cfg ~nodes:4)) v Water.default_params
-    in
-    Harness.pp_row ppf
-      (Harness.row
-         ~label:("Water/" ^ Water.variant_name v)
-         ~nodes:4 ~base:r.Water.report.System.wall ~ok:r.Water.energy_ok
-         r.Water.report);
-    r.Water.report.System.wall
-  in
-  let tl = tsp Tsp.Lock and th = tsp Tsp.Hybrid in
-  let wl = water Water.Lock and wh = water Water.Hybrid in
+  let t = gap tsp in
+  let w = gap water in
   Format.fprintf ppf
     "  lock-vs-hybrid gap on ATM: TSP %.1f%%, Water %.1f%% -- on a fast \
      fabric the hybrid's advantage nearly vanishes: its benefit came from \
      avoiding expensive messaging (the paper's par.6 Amdahl's-law point)@."
-    (100.0 *. (tl -. th) /. tl)
-    (100.0 *. (wl -. wh) /. wl)
+    t w
 
 (* ------------------------------------------------------------------ *)
 (* The §3 motif: an iterative finite-difference solver where "it is
@@ -330,26 +325,16 @@ let atm () =
 let grid () =
   section "Paper §3 motif: grid relaxation (96x96 Jacobi, 4 nodes)";
   Harness.pp_header ppf ();
-  List.iter
-    (fun (sname, strategy) ->
-      List.iter
-        (fun variant ->
-          let sys = System.create (Grid.config ~nodes:4 ~strategy Grid.default_params) in
-          let r = Grid.run sys variant Grid.default_params in
-          Harness.pp_row ppf
-            (Harness.row
-               ~label:
-                 (Printf.sprintf "Grid/%s/%s" (Grid.variant_name variant)
-                    sname)
-               ~nodes:4 ~base:r.Grid.report.System.wall ~ok:r.Grid.exact
-               r.Grid.report))
-        [ Grid.Barrier; Grid.Hybrid ])
-    [
-      ("invalidate", Carlos_dsm.Lrc_backend.Invalidate);
-      ("update", Carlos_dsm.Lrc_backend.Update);
-    ];
+  ignore
+    (run_rows
+       (strategy_rows grid_app [ "barrier"; "hybrid" ]
+          [
+            ("invalidate", Lrc_backend.Invalidate);
+            ("update", Lrc_backend.Update);
+          ]));
   Format.fprintf ppf
-    "  neighbour notifications replace global barriers; under the update      strategy the boundary rows travel with the RELEASE (par.3)@."
+    "  neighbour notifications replace global barriers; under the update \
+     strategy the boundary rows travel with the RELEASE (par.3)@."
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-suite: host cost of regenerating each table at reduced
@@ -358,28 +343,6 @@ let grid () =
 let micro () =
   section "Bechamel micro-suite (host time per reduced-scale experiment)";
   let open Bechamel in
-  let tiny_tsp () =
-    let p = { Tsp.default_params with Tsp.cities = 10; prefix_depth = 2 } in
-    ignore
-      (Tsp.run (System.create (System.default_config ~nodes:2)) Tsp.Hybrid p)
-  in
-  let tiny_qsort () =
-    let p = { Qsort.default_params with Qsort.elements = 16 * 1024 } in
-    ignore
-      (Qsort.run (System.create (Qsort.config ~nodes:2 p)) Qsort.Hybrid1 p)
-  in
-  let tiny_water () =
-    let p = { Water.default_params with Water.molecules = 64; steps = 1 } in
-    ignore
-      (Water.run
-         (System.create (System.default_config ~nodes:2))
-         Water.Hybrid p)
-  in
-  let tiny_fig2 () =
-    let p = { Water.default_params with Water.molecules = 48; steps = 1 } in
-    ignore
-      (Water.run (System.create (System.default_config ~nodes:4)) Water.Lock p)
-  in
   (* Hot-path probe cost: a disabled-profiler span must cost a branch,
      not a syscall or an allocation — this pair of rows is the
      regression micro-bench for the zero-cost-when-off guarantee. *)
@@ -416,6 +379,12 @@ let micro () =
         done);
     Engine.run eng
   in
+  (* The entry is built once: TSP's reference search runs in the first
+     sample only. *)
+  let tiny name ~nodes app variant =
+    Test.make ~name
+      (Staged.stage (fun () -> ignore (exec ~nodes ~override:Fun.id app variant)))
+  in
   let tests =
     [
       Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
@@ -424,10 +393,26 @@ let micro () =
         (Staged.stage (profile_spans false));
       Test.make ~name:"profile-span-x1000-enabled"
         (Staged.stage (profile_spans true));
-      Test.make ~name:"table1-tsp" (Staged.stage tiny_tsp);
-      Test.make ~name:"table2-qsort" (Staged.stage tiny_qsort);
-      Test.make ~name:"table3-water" (Staged.stage tiny_water);
-      Test.make ~name:"fig2-breakdown" (Staged.stage tiny_fig2);
+      tiny "table1-tsp" ~nodes:2
+        (Harness.tsp
+           ~params:{ Tsp.default_params with Tsp.cities = 10; prefix_depth = 2 }
+           ())
+        "hybrid";
+      tiny "table2-qsort" ~nodes:2
+        (Harness.qsort
+           ~params:{ Qsort.default_params with Qsort.elements = 16 * 1024 }
+           ())
+        "hybrid";
+      tiny "table3-water" ~nodes:2
+        (Harness.water
+           ~params:{ Water.default_params with Water.molecules = 64; steps = 1 }
+           ())
+        "hybrid";
+      tiny "fig2-breakdown" ~nodes:4
+        (Harness.water
+           ~params:{ Water.default_params with Water.molecules = 48; steps = 1 }
+           ())
+        "lock";
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -517,8 +502,6 @@ let scaling_rows = ref []
    growth-exponent fits. *)
 let scaling_samples = ref []
 
-let snapshot_failed = ref []
-
 (* One measured row, produced (possibly on a worker domain) without
    touching shared state; committed into the snapshot accumulators
    serially, in submission order, by {!commit_row}. *)
@@ -534,7 +517,8 @@ type row_result = {
 let measure ~nodes ~app ~variant ~backend ~mode f =
   let cpu0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
-  let sys, report, ok = f () in
+  let sys, (o : Harness.outcome) = f () in
+  let report = o.report and ok = o.ok in
   let host_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
   let host = Sys.time () -. cpu0 in
   let name = Printf.sprintf "%s/%s/%s/%s/n%d" app variant backend mode nodes in
@@ -578,95 +562,28 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
 
 let commit_row dest rr =
   dest := rr.rr_row :: !dest;
-  List.iter (fun f -> snapshot_failed := f :: !snapshot_failed) rr.rr_failures
+  List.iter (fun f -> failed := f :: !failed) rr.rr_failures
 
-type json_app = {
-  ja_name : string;
-  ja_config : int -> System.config; (* nodes *)
-  ja_variants : (string * (System.t -> System.report * bool)) list;
-}
-
-let gate_apps () =
-  let reference = Tsp.solve_reference Tsp.default_params in
-  [
-    {
-      ja_name = "tsp";
-      ja_config = (fun nodes -> System.default_config ~nodes);
-      ja_variants =
-        List.map
-          (fun (name, variant) ->
-            ( name,
-              fun sys ->
-                let r = Tsp.run sys variant Tsp.default_params in
-                (r.Tsp.report, r.Tsp.best = reference) ))
-          [ ("lock", Tsp.Lock); ("hybrid", Tsp.Hybrid) ];
-    };
-    {
-      ja_name = "qsort";
-      ja_config = (fun nodes -> Qsort.config ~nodes Qsort.default_params);
-      ja_variants =
-        List.map
-          (fun (name, variant) ->
-            ( name,
-              fun sys ->
-                let r = Qsort.run sys variant Qsort.default_params in
-                (r.Qsort.report, r.Qsort.sorted) ))
-          [ ("lock", Qsort.Lock); ("hybrid", Qsort.Hybrid1) ];
-    };
-    {
-      ja_name = "water";
-      ja_config = (fun nodes -> System.default_config ~nodes);
-      ja_variants =
-        List.map
-          (fun (name, variant) ->
-            ( name,
-              fun sys ->
-                let r = Water.run sys variant Water.default_params in
-                (r.Water.report, r.Water.energy_ok) ))
-          [ ("lock", Water.Lock); ("hybrid", Water.Hybrid) ];
-    };
-    {
-      ja_name = "grid";
-      ja_config = (fun nodes -> Grid.config ~nodes Grid.default_params);
-      ja_variants =
-        List.map
-          (fun (name, variant) ->
-            ( name,
-              fun sys ->
-                let r = Grid.run sys variant Grid.default_params in
-                (r.Grid.report, r.Grid.exact) ))
-          [ ("lock", Grid.Barrier); ("hybrid", Grid.Hybrid) ];
-    };
-  ]
-
-(* Run the 4-node gate matrix for [backend], fanning the rows across
-   domains, then appending them to [dest] in submission order; returns
-   [((app, variant), metrics)] per row. *)
-let run_gate_matrix ~dest ~backend apps =
-  let nodes = 4 in
-  let jobs =
-    List.concat_map
-      (fun ja ->
-        List.map
-          (fun (vname, run) ->
-            ( (ja.ja_name, vname),
-              fun () ->
-                measure ~nodes ~app:ja.ja_name ~variant:vname
-                  ~backend:(Backend.kind_to_string backend) ~mode:"batched"
-                  (fun () ->
-                    let cfg = { (ja.ja_config nodes) with System.backend } in
-                    let sys = System.create cfg in
-                    let report, ok = run sys in
-                    (sys, report, ok)) ))
-          ja.ja_variants)
-      apps
+(* Measure one snapshot row per job (app, variant name, backend, nodes),
+   fanned across domains, then append the rows to [dest] in submission
+   order; returns each job with its row's metrics. *)
+let run_jobs ~dest ~mode jobs =
+  let results =
+    Parallel_runner.run
+      (Array.of_list
+         (List.map
+            (fun ((app : Harness.app), variant, backend, nodes) () ->
+              measure ~nodes ~app:app.name ~variant
+                ~backend:(Backend.kind_to_string backend) ~mode (fun () ->
+                  exec ~nodes
+                    ~override:(fun c -> { c with System.backend })
+                    app variant))
+            jobs))
   in
-  let results = Parallel_runner.run (Array.of_list (List.map snd jobs)) in
   List.mapi
-    (fun i (key, _) ->
-      let rr = results.(i) in
-      commit_row dest rr;
-      (key, rr.rr_metrics))
+    (fun i job ->
+      commit_row dest results.(i);
+      (job, results.(i).rr_metrics))
     jobs
 
 (* The retransmit gate: no 4-node LRC gate row may retransmit a byte.
@@ -676,26 +593,33 @@ let run_gate_matrix ~dest ~backend apps =
 let check_retransmit_gate rows =
   section "Retransmit gate: retransmitted bytes (4-node LRC, must be 0)";
   List.iter
-    (fun ((app, v), metrics) ->
+    (fun (((app : Harness.app), v, _, _), metrics) ->
       let br =
         Option.value ~default:0.0
           (List.assoc_opt "components.retransmit" metrics)
       in
-      Format.fprintf ppf "  %-14s %12.0f%s@." (app ^ "/" ^ v) br
+      Format.fprintf ppf "  %-14s %12.0f%s@." (app.name ^ "/" ^ v) br
         (if br = 0.0 then "" else "  GATE FAIL");
       if br <> 0.0 then
-        snapshot_failed :=
-          Printf.sprintf "%s/%s: %.0f retransmitted bytes (gate: 0)" app v br
-          :: !snapshot_failed)
+        failed :=
+          Printf.sprintf "%s/%s: %.0f retransmitted bytes (gate: 0)" app.name
+            v br
+          :: !failed)
     rows
 
 let bench_json () =
-  let apps = gate_apps () in
-  List.iter
-    (fun backend ->
-      let rows = run_gate_matrix ~dest:json_runs ~backend apps in
-      if backend = Backend.Lrc then check_retransmit_gate rows)
-    Backend.all_kinds;
+  let rows =
+    run_jobs ~dest:json_runs ~mode:"batched"
+      (List.concat_map
+         (fun backend ->
+           List.concat_map
+             (fun app ->
+               List.map (fun v -> (app, v, backend, 4)) [ "lock"; "hybrid" ])
+             Harness.apps)
+         Backend.all_kinds)
+  in
+  check_retransmit_gate
+    (List.filter (fun ((_, _, backend, _), _) -> backend = Backend.Lrc) rows);
   Format.fprintf ppf "json: %d gate rows measured@." (List.length !json_runs)
 
 (* ------------------------------------------------------------------ *)
@@ -707,57 +631,35 @@ let bench_json () =
 
 let bench_scaling () =
   section "Scaling sweep: per-component wire bytes vs node count";
-  let grid_p = { Grid.default_params with Grid.size = 48; iterations = 8 } in
-  let tsp_p = { Tsp.default_params with Tsp.cities = 12; prefix_depth = 3 } in
-  let tsp_ref = Tsp.solve_reference tsp_p in
   let apps =
     [
-      ( "grid",
-        "lock",
-        (fun nodes -> Grid.config ~nodes grid_p),
-        fun sys ->
-          let r = Grid.run sys Grid.Barrier grid_p in
-          (r.Grid.report, r.Grid.exact) );
-      ( "tsp",
-        "lock",
-        (fun nodes -> System.default_config ~nodes),
-        fun sys ->
-          let r = Tsp.run sys Tsp.Lock tsp_p in
-          (r.Tsp.report, r.Tsp.best = tsp_ref) );
+      Harness.grid
+        ~params:{ Grid.default_params with Grid.size = 48; iterations = 8 }
+        ();
+      Harness.tsp
+        ~params:{ Tsp.default_params with Tsp.cities = 12; prefix_depth = 3 }
+        ();
     ]
   in
-  let jobs =
-    List.concat_map
-      (fun (app, vname, config, run) ->
-        List.concat_map
-          (fun backend ->
-            let bname = Backend.kind_to_string backend in
-            List.map
-              (fun nodes ->
-                ( (app, bname, nodes),
-                  fun () ->
-                    measure ~nodes ~app ~variant:vname ~backend:bname
-                      ~mode:"scaling" (fun () ->
-                        let cfg = { (config nodes) with System.backend } in
-                        let sys = System.create cfg in
-                        let report, ok = run sys in
-                        (sys, report, ok)) ))
-              !scaling_nodes)
-          Backend.all_kinds)
-      apps
+  let rows =
+    run_jobs ~dest:scaling_rows ~mode:"scaling"
+      (List.concat_map
+         (fun app ->
+           List.concat_map
+             (fun backend ->
+               List.map (fun nodes -> (app, "lock", backend, nodes))
+                 !scaling_nodes)
+             Backend.all_kinds)
+         apps)
   in
-  let results = Parallel_runner.run (Array.of_list (List.map snd jobs)) in
-  List.iteri
-    (fun i ((app, bname, nodes), _) ->
-      let rr = results.(i) in
-      commit_row scaling_rows rr;
-      scaling_samples :=
-        (app, bname, nodes, rr.rr_metrics) :: !scaling_samples;
-      Format.fprintf ppf "  %-5s@%-8s n=%-3d %10.0f wire bytes@." app bname
-        nodes
-        (Option.value ~default:0.0
-           (List.assoc_opt "wire_bytes" rr.rr_metrics)))
-    jobs
+  List.iter
+    (fun (((app : Harness.app), _, backend, nodes), metrics) ->
+      let bname = Backend.kind_to_string backend in
+      scaling_samples := (app.name, bname, nodes, metrics) :: !scaling_samples;
+      Format.fprintf ppf "  %-5s@%-8s n=%-3d %10.0f wire bytes@." app.name
+        bname nodes
+        (Option.value ~default:0.0 (List.assoc_opt "wire_bytes" metrics)))
+    rows
 
 (* Fit y = a * n^b per (app, backend, metric) over the sweep; rendered
    into the snapshot's "fits" array. *)
@@ -815,38 +717,48 @@ let write_snapshot () =
       !output_file (List.length !json_runs)
       (List.length !scaling_rows)
   end;
-  if !snapshot_failed <> [] then begin
+  if !failed <> [] then begin
     Format.fprintf ppf "FAILED checks: %s@."
-      (String.concat ", " (List.rev !snapshot_failed));
+      (String.concat ", " (List.rev !failed));
     Format.pp_print_flush ppf ();
     exit 1
   end
 
 (* ------------------------------------------------------------------ *)
 
+(* Every bench, by name; with no argument, those marked [true] run. *)
+let benches =
+  [
+    ("table1", table table1, true);
+    ("table2", table table2, true);
+    ("table3", table table3, true);
+    ("fig2", fig2, true);
+    ("sec54", sec54, true);
+    ("tmcmp", tmcmp, true);
+    ("strategies", strategies, true);
+    ("atm", atm, true);
+    ("grid", grid, true);
+    ("micro", micro, false);
+    ("json", bench_json, false);
+    ("scaling", bench_scaling, false);
+  ]
+
+let usage_error msg =
+  Format.fprintf ppf "%s@.usage: bench/main.exe [-j N] [-o FILE] [-n LIST] \
+                      [BENCH ...]@.  BENCH: %s@.  default: %s@."
+    msg
+    (String.concat " " (List.map (fun (name, _, _) -> name) benches))
+    (String.concat " "
+       (List.filter_map
+          (fun (name, _, default) -> if default then Some name else None)
+          benches));
+  Format.pp_print_flush ppf ();
+  exit 2
+
 let () =
-  let all =
-    [ table1; table2; table3; fig2; sec54; tmcmp; strategies; atm; grid ]
-  in
-  let named =
-    [
-      ("table1", table1);
-      ("table2", table2);
-      ("table3", table3);
-      ("fig2", fig2);
-      ("sec54", sec54);
-      ("tmcmp", tmcmp);
-      ("strategies", strategies);
-      ("atm", atm);
-      ("grid", grid);
-      ("micro", micro);
-      ("json", bench_json);
-      ("scaling", bench_scaling);
-    ]
-  in
-  (* Pull "-o FILE" (snapshot destination) and "-n LIST" (scaling node
-     counts, e.g. "-n 4,8,16,32") out of the argument list before
-     dispatching bench names. *)
+  (* Pull "-o FILE" (snapshot destination), "-j N" (worker domains) and
+     "-n LIST" (scaling node counts, e.g. "-n 4,8,16,32") out of the
+     argument list before dispatching bench names. *)
   let rec strip_flags = function
     | "-o" :: file :: rest ->
       output_file := file;
@@ -854,10 +766,7 @@ let () =
     | "-j" :: n :: rest ->
       (match int_of_string_opt n with
       | Some k when k >= 1 -> Parallel_runner.jobs := k
-      | _ ->
-        Format.fprintf ppf "-j requires a positive worker count@.";
-        Format.pp_print_flush ppf ();
-        exit 2);
+      | _ -> usage_error "-j requires a positive worker count");
       strip_flags rest
     | "-n" :: list :: rest ->
       (match
@@ -865,29 +774,24 @@ let () =
        with
       | counts when List.for_all Option.is_some counts && counts <> [] ->
         scaling_nodes := List.map Option.get counts
-      | _ ->
-        Format.fprintf ppf "-n requires a comma-separated node-count list@.";
-        Format.pp_print_flush ppf ();
-        exit 2);
+      | _ -> usage_error "-n requires a comma-separated node-count list");
       strip_flags rest
     | [ ("-o" | "-n" | "-j") ] ->
-      Format.fprintf ppf "-o, -n and -j require an argument@.";
-      Format.pp_print_flush ppf ();
-      exit 2
+      usage_error "-o, -n and -j require an argument"
     | arg :: rest -> arg :: strip_flags rest
     | [] -> []
   in
-  let args = strip_flags (List.tl (Array.to_list Sys.argv)) in
-  (match args with
-  | [] -> List.iter (fun f -> f ()) all
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name named with
-        | Some f -> f ()
-        | None ->
-          Format.fprintf ppf "unknown bench %s (have: %s)@." name
-            (String.concat ", " (List.map fst named)))
-      names);
+  let selected =
+    match strip_flags (List.tl (Array.to_list Sys.argv)) with
+    | [] -> List.filter (fun (_, _, default) -> default) benches
+    | names ->
+      List.map
+        (fun name ->
+          match List.find_opt (fun (n, _, _) -> n = name) benches with
+          | Some b -> b
+          | None -> usage_error ("unknown bench " ^ name))
+        names
+  in
+  List.iter (fun (_, f, _) -> f ()) selected;
   write_snapshot ();
   Format.pp_print_flush ppf ()

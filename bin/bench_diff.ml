@@ -14,7 +14,7 @@ module Report = Carlos_report.Bench_report
 open Cmdliner
 
 let old_arg =
-  let doc = "Baseline snapshot (e.g. the committed BENCH_PR6.json)." in
+  let doc = "Baseline snapshot (e.g. the committed BENCH_PR10.json)." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD" ~doc)
 
 let new_arg =

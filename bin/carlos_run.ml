@@ -13,10 +13,6 @@ module Cost = Carlos_dsm.Cost
 module Obs = Carlos_obs.Obs
 module Audit = Carlos_audit.Audit
 module Causal = Carlos_audit.Causal
-module Tsp = Carlos_apps.Tsp
-module Qsort = Carlos_apps.Qsort
-module Water = Carlos_apps.Water
-module Grid = Carlos_apps.Grid
 module Harness = Carlos_apps.Harness
 module Profile = Carlos_obs.Profile
 
@@ -43,8 +39,17 @@ let nodes_arg =
 
 let variant_arg =
   let doc =
-    "Application variant: lock, hybrid, hybrid-1, hybrid-2, \
-     hybrid-noforward, hybrid-all-release."
+    "Application variant, per application (aliases joined by |): "
+    ^ String.concat "; "
+        (List.map
+           (fun (app : Harness.app) ->
+             app.name ^ ": "
+             ^ String.concat ", "
+                 (List.map
+                    (fun (v : Harness.variant) -> String.concat "|" v.names)
+                    app.variants))
+           Harness.apps)
+    ^ "."
   in
   Arg.(value & opt string "hybrid" & info [ "variant" ] ~docv:"VARIANT" ~doc)
 
@@ -201,124 +206,23 @@ let make_system ~opts ~backend cfg =
   end;
   sys
 
-let run_tsp opts =
+let run_app (app : Harness.app) opts =
   match
     ( costs_of_string opts.costs,
       Backend.kind_of_string opts.backend,
-      match opts.variant with
-      | "lock" -> Ok Tsp.Lock
-      | "hybrid" | "hybrid-1" -> Ok Tsp.Hybrid
-      | "hybrid-all-release" -> Ok Tsp.Hybrid_all_release
-      | v -> Error (Printf.sprintf "TSP has no variant %S" v) )
+      Harness.find_variant app opts.variant )
   with
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
   | Ok costs, Ok backend, Ok variant ->
     let cfg =
-      { (System.default_config ~nodes:opts.nodes) with
-        System.costs;
-        seed = opts.seed
-      }
+      { (app.config ~nodes:opts.nodes) with System.costs; seed = opts.seed }
     in
     let sys = make_system ~opts ~backend cfg in
-    let p = Tsp.default_params in
-    let r = Tsp.run sys variant p in
-    Format.printf "TSP: best tour %d (reference %d), %d nodes visited@."
-      r.Tsp.best (Tsp.solve_reference p) r.Tsp.visited;
+    let o = variant.run sys in
+    Format.printf "%s@." o.summary;
     finish ~opts ~sys
-      ~label:
-        (Harness.backend_label ("TSP/" ^ Tsp.variant_name variant) backend)
-      ~ok:(r.Tsp.best = Tsp.solve_reference p)
-      r.Tsp.report
-
-let run_qsort opts =
-  match
-    ( costs_of_string opts.costs,
-      Backend.kind_of_string opts.backend,
-      match opts.variant with
-      | "lock" -> Ok Qsort.Lock
-      | "hybrid" | "hybrid-1" -> Ok Qsort.Hybrid1
-      | "hybrid-2" -> Ok Qsort.Hybrid2
-      | "hybrid-noforward" -> Ok Qsort.Hybrid_nf
-      | v -> Error (Printf.sprintf "Quicksort has no variant %S" v) )
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
-  | Ok costs, Ok backend, Ok variant ->
-    let p = Qsort.default_params in
-    let cfg =
-      { (Qsort.config ~nodes:opts.nodes p) with System.costs; seed = opts.seed }
-    in
-    let sys = make_system ~opts ~backend cfg in
-    let r = Qsort.run sys variant p in
-    Format.printf "Quicksort: %d elements, %d leaves, sorted=%b@."
-      p.Qsort.elements r.Qsort.leaves r.Qsort.sorted;
-    finish ~opts ~sys
-      ~label:
-        (Harness.backend_label ("QS/" ^ Qsort.variant_name variant) backend)
-      ~ok:r.Qsort.sorted r.Qsort.report
-
-let run_water opts =
-  match
-    ( costs_of_string opts.costs,
-      Backend.kind_of_string opts.backend,
-      match opts.variant with
-      | "lock" -> Ok Water.Lock
-      | "hybrid" -> Ok Water.Hybrid
-      | "hybrid-all-release" -> Ok Water.Hybrid_all_release
-      | v -> Error (Printf.sprintf "Water has no variant %S" v) )
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
-  | Ok costs, Ok backend, Ok variant ->
-    let cfg =
-      { (System.default_config ~nodes:opts.nodes) with
-        System.costs;
-        seed = opts.seed
-      }
-    in
-    let sys = make_system ~opts ~backend cfg in
-    let p = Water.default_params in
-    let r = Water.run sys variant p in
-    Format.printf "Water: %d molecules, %d steps, energy %.6f (ok=%b)@."
-      p.Water.molecules p.Water.steps r.Water.energy r.Water.energy_ok;
-    finish ~opts ~sys
-      ~label:
-        (Harness.backend_label
-           ("Water/" ^ Water.variant_name variant)
-           backend)
-      ~ok:r.Water.energy_ok r.Water.report
-
-let run_grid opts =
-  match
-    ( costs_of_string opts.costs,
-      Backend.kind_of_string opts.backend,
-      match opts.variant with
-      (* "lock" accepted as an alias so the same variant matrix works for
-         every app; Grid's conservative mode is the plain barrier. *)
-      | "barrier" | "lock" -> Ok Grid.Barrier
-      | "hybrid" | "hybrid-1" -> Ok Grid.Hybrid
-      | v -> Error (Printf.sprintf "Grid has no variant %S" v) )
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
-  | Ok costs, Ok backend, Ok variant ->
-    let p = Grid.default_params in
-    let cfg =
-      { (Grid.config ~nodes:opts.nodes p) with System.costs; seed = opts.seed }
-    in
-    let sys = make_system ~opts ~backend cfg in
-    let r = Grid.run sys variant p in
-    Format.printf "Grid: %dx%d, %d iterations, checksum %.6f (exact=%b)@."
-      p.Grid.size p.Grid.size p.Grid.iterations r.Grid.checksum r.Grid.exact;
-    finish ~opts ~sys
-      ~label:
-        (Harness.backend_label ("Grid/" ^ Grid.variant_name variant) backend)
-      ~ok:r.Grid.exact r.Grid.report
-
-let run_app name opts =
-  match name with
-  | "tsp" -> run_tsp opts
-  | "qsort" -> run_qsort opts
-  | "water" -> run_water opts
-  | "grid" -> run_grid opts
-  | a -> `Error (false, Printf.sprintf "unknown application %S" a)
+      ~label:(Harness.backend_label (Harness.label app variant) backend)
+      ~ok:o.ok o.report
 
 let costs_cmd =
   let run () =
@@ -334,7 +238,9 @@ let costs_cmd =
     (Cmd.info "costs" ~doc:"Print the available virtual-time cost tables.")
     Term.(ret (const run $ const ()))
 
-let app_cmd name doc run = Cmd.v (Cmd.info name ~doc) Term.(ret (const run $ opts_term))
+let app_cmd (app : Harness.app) =
+  let run = run_app app in
+  Cmd.v (Cmd.info app.name ~doc:app.doc) Term.(ret (const run $ opts_term))
 
 let () =
   let doc =
@@ -345,7 +251,11 @@ let () =
      [carlos_run --app tsp --variant hybrid --nodes 4 --trace t.json] works
      without a subcommand. *)
   let app_arg =
-    let doc = "Application to run: tsp, qsort, water, grid." in
+    let doc =
+      "Application to run: "
+      ^ String.concat ", " (List.map (fun (a : Harness.app) -> a.name) Harness.apps)
+      ^ "."
+    in
     Arg.(value & opt (some string) None & info [ "app" ] ~docv:"APP" ~doc)
   in
   let default =
@@ -353,20 +263,17 @@ let () =
       ret
         (const (fun app opts ->
              match app with
-             | Some name -> run_app name opts
-             | None -> `Help (`Pager, None))
+             | None -> `Help (`Pager, None)
+             | Some name -> (
+               match
+                 List.find_opt (fun (a : Harness.app) -> a.name = name)
+                   Harness.apps
+               with
+               | Some app -> run_app app opts
+               | None ->
+                 `Error (false, Printf.sprintf "unknown application %S" name)))
         $ app_arg $ opts_term))
   in
   exit
     (Cmd.eval
-       (Cmd.group ~default info
-          [
-            app_cmd "tsp" "Run the TSP application (paper §5.1)." run_tsp;
-            app_cmd "qsort" "Run the Quicksort application (paper §5.2)."
-              run_qsort;
-            app_cmd "water" "Run the Water application (paper §5.3)."
-              run_water;
-            app_cmd "grid" "Run the Jacobi grid application (barrier apps)."
-              run_grid;
-            costs_cmd;
-          ]))
+       (Cmd.group ~default info (List.map app_cmd Harness.apps @ [ costs_cmd ])))

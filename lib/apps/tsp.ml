@@ -260,10 +260,6 @@ let solve_reference p =
   List.iter (fun prefix -> solve_prefix ctx prefix) (generate_prefixes p inst);
   !best
 
-let task_count p =
-  let inst = make_instance p in
-  List.length (generate_prefixes p inst)
-
 (* ------------------------------------------------------------------ *)
 (* Shared-memory layout *)
 

@@ -46,9 +46,6 @@ type result = {
 (** Sequential reference solution (no simulator), for verification. *)
 val solve_reference : params -> int
 
-(** Number of work-pool tasks the parameters produce. *)
-val task_count : params -> int
-
 (** Run on a fresh system.  The result's [best] must equal
     [solve_reference params]. *)
 val run : Carlos.System.t -> variant -> params -> result

@@ -45,8 +45,6 @@ module Vc = Carlos_dsm.Vc
     below lib/carlos in the dependency order. *)
 type annotation = Release | Release_nt | Request | None_
 
-val annotation_name : annotation -> string
-
 type violation = {
   check : string;  (** short invariant name, e.g. ["vc-monotonic"] *)
   node : int;  (** node the violation was detected on *)
@@ -65,8 +63,6 @@ val violations : t -> violation list
 (** Oldest first. *)
 
 val violation_count : t -> int
-
-val pp_violation : Format.formatter -> violation -> unit
 
 (** Multi-line report: a summary line, then one line per violation.
     Prints ["audit: ok (0 violations)"] when clean. *)

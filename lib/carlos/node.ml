@@ -329,15 +329,7 @@ let post ?cost t ~dst ~payload_bytes ~handler =
 
 let delivery_src d = d.src
 
-let delivery_annotation d = d.message.annotation
-
 let delivery_trace_id d = d.message.trace_id
-
-let delivery_sender_vc d =
-  match d.message.sender_vc with
-  | Some vc -> vc
-  | None ->
-    raise (Handler_error "delivery_sender_vc: not a REQUEST message")
 
 let check_disposable d op =
   match d.disposition with

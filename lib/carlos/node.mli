@@ -102,16 +102,10 @@ val store : delivery -> unit
 
 val delivery_src : delivery -> int
 
-val delivery_annotation : delivery -> Annotation.t
-
 (** Stable causal trace id of the message (allocated at send, preserved
     across forwarding hops; the id used for Perfetto flow arrows and
     auditor reports). *)
 val delivery_trace_id : delivery -> int
-
-(** The sender's vector timestamp piggybacked on a REQUEST message.
-    Raises [Handler_error] for other annotations. *)
-val delivery_sender_vc : delivery -> Carlos_dsm.Vc.t
 
 (** {1 Application CPU} *)
 

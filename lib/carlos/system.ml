@@ -100,7 +100,6 @@ type t = {
   region : Region.t;
   nodes : Node.t array;
   coherent_alloc : Alloc.t;
-  noncoherent_alloc : Alloc.t;
   rng : Rng.t;
   gc : gc_state;
   pressure : pressure_sampler array;
@@ -135,8 +134,6 @@ let set_tracing t enabled = Obs.set_tracing t.obs enabled
 
 let alloc t ?align n = Alloc.alloc t.coherent_alloc ?align n
 
-let alloc_noncoherent t ?align n = Alloc.alloc t.noncoherent_alloc ?align n
-
 (* Write directly into every node's page frame, bypassing fault handling:
    models identical input data loaded locally on every node. *)
 let preload_bytes t addr src =
@@ -154,11 +151,6 @@ let preload_bytes t addr src =
 let preload_i64 t addr v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);
-  preload_bytes t addr b
-
-let preload_f64 t addr v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.bits_of_float v);
   preload_bytes t addr b
 
 (* ------------------------------------------------------------------ *)
@@ -458,10 +450,6 @@ let create ?(audit = false) (cfg : config) =
       coherent_alloc =
         Alloc.create ~base:(Region.coherent_base region)
           ~size:(cfg.coherent_pages * cfg.page_size);
-      noncoherent_alloc =
-        Alloc.create
-          ~base:(Region.noncoherent_base region)
-          ~size:cfg.noncoherent_bytes;
       rng;
       gc =
         {

@@ -108,14 +108,9 @@ val set_tracing : t -> bool -> unit
 (** Allocate in the coherent shared region (setup-time, deterministic). *)
 val alloc : t -> ?align:int -> int -> int
 
-(** Allocate in the non-coherent shared region. *)
-val alloc_noncoherent : t -> ?align:int -> int -> int
-
 (** Write the same value into every node's copy of coherent memory without
     taking faults — for input data every node would load from disk. *)
 val preload_i64 : t -> int -> int -> unit
-
-val preload_f64 : t -> int -> float -> unit
 
 (** {1 Running} *)
 
@@ -128,6 +123,3 @@ val run : t -> (Node.t -> unit) -> report
 
 (** Number of global metadata GCs so far. *)
 val gc_runs : t -> int
-
-(** Ask for a GC at the next opportunity (for tests). *)
-val request_gc : t -> unit

@@ -4,11 +4,10 @@ module Ivar = Carlos_sim.Resource.Ivar
 type t = {
   node : Node.t;
   mutable live : int;
-  mutable spawned : int;
   mutable joiners : unit Ivar.t list;
 }
 
-let create node = { node; live = 0; spawned = 0; joiners = [] }
+let create node = { node; live = 0; joiners = [] }
 
 let node t = t.node
 
@@ -22,7 +21,6 @@ let finish t =
 
 let spawn t f =
   t.live <- t.live + 1;
-  t.spawned <- t.spawned + 1;
   Engine.spawn (Node.engine t.node) (fun () ->
       match f () with
       | () -> finish t
@@ -44,5 +42,3 @@ let join_all t =
   end
 
 let live t = t.live
-
-let spawned t = t.spawned

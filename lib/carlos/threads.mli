@@ -33,6 +33,3 @@ val join_all : t -> unit
 
 (** Threads currently running or runnable. *)
 val live : t -> int
-
-(** Cumulative threads spawned (diagnostic). *)
-val spawned : t -> int

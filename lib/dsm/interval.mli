@@ -30,8 +30,6 @@ val mem_id : id -> id list -> bool
     ascending [rank], ties broken by creator then index.  Stable. *)
 val causal_sort : t list -> t list
 
-val pp_id : Format.formatter -> id -> unit
-
 val pp : Format.formatter -> t -> unit
 
 (** Interval descriptions known to one node, indexed by id.  Interval

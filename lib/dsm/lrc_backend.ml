@@ -724,8 +724,6 @@ let note_peer_vc t ~peer vc =
   t.hooks.on_peer_note ~node:t.me ~peer ~vc;
   Vc.join_in_place t.peer_vc.(peer) vc
 
-let known_peer_vc t ~peer = t.peer_vc.(peer)
-
 (* Close the open interval, if it wrote anything: assign the next index,
    log the interval with one write notice per dirty page, and encode every
    dirty page's diff eagerly so the page can be re-protected.  Eager

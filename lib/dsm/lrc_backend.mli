@@ -159,8 +159,6 @@ val vc : t -> Vc.t
     precisely tailored. *)
 val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
-val known_peer_vc : t -> peer:int -> Vc.t
-
 (** {1 Release / acquire} *)
 
 (** Build the consistency information for a RELEASE ([nontransitive:false])

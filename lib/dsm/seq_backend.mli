@@ -165,6 +165,4 @@ val apply_push : t -> entry list -> unit
 
 (** {1 Wire sizing} *)
 
-val entry_size_bytes : entry -> int
-
 val push_size_bytes : entry list -> int

@@ -95,5 +95,3 @@ let datagrams_sent t = Obs.value t.sent_c
 let datagrams_dropped t = Obs.value t.dropped_c
 
 let dropped_bytes t = Obs.value t.dropped_bytes_c
-
-let payload_bytes_sent t = Obs.value t.payload_c

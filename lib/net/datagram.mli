@@ -66,5 +66,3 @@ val datagrams_dropped : 'a t -> int
     correction term of the cost-conservation equation (see
     {!Carlos_obs.Cost}). *)
 val dropped_bytes : 'a t -> int
-
-val payload_bytes_sent : 'a t -> int

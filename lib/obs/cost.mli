@@ -34,8 +34,6 @@ val index : component -> int
     the JSON key in bench reports. *)
 val name : component -> string
 
-val counter_name : component -> string
-
 (** A handle over the shared per-registry component counters (registered
     idempotently at [Obs.global_node], layer [Net]). *)
 type t

@@ -195,7 +195,7 @@ type event = {
 
 type t = {
   tbl : (key, instrument) Hashtbl.t;
-  mutable clock : unit -> float;
+  clock : unit -> float;
   mutable on : bool;
   mutable events_rev : event list;
   mutable flow_ids : int;
@@ -203,8 +203,6 @@ type t = {
 
 let create ?(clock = fun () -> 0.0) () =
   { tbl = Hashtbl.create 64; clock; on = false; events_rev = []; flow_ids = 0 }
-
-let set_clock t clock = t.clock <- clock
 
 let now t = t.clock ()
 
@@ -456,10 +454,6 @@ let event ?(args = []) t ~node ~layer name =
       { ts = t.clock (); node; layer; name; phase = Instant; args }
       :: t.events_rev
 
-let event_at ?(args = []) t ~ts ~node ~layer name =
-  if t.on then
-    t.events_rev <- { ts; node; layer; name; phase = Instant; args } :: t.events_rev
-
 let complete_at ?(args = []) t ~ts ~duration ~node ~layer name =
   if t.on then
     t.events_rev <-
@@ -495,8 +489,6 @@ let span ?(args = []) t ~node ~layer name f =
   end
 
 let events t = List.rev t.events_rev
-
-let clear_events t = t.events_rev <- []
 
 (* ------------------------------------------------------------------ *)
 (* Exporters *)

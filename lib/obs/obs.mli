@@ -29,8 +29,6 @@
 
 type layer = Sim | Net | Vm | Dsm | Carlos | App
 
-val layer_name : layer -> string
-
 (** Pseudo-node for cluster-wide instruments (the shared wire, the
     datagram service): no single node owns them. *)
 val global_node : int
@@ -40,9 +38,6 @@ val global_node : int
 val profile_node : int
 
 type key = { node : int; layer : layer; name : string }
-
-(** Total order used by every exporter and snapshot. *)
-val compare_key : key -> key -> int
 
 (** {1 Histograms} *)
 
@@ -99,11 +94,9 @@ end
 type t
 
 (** [create ()] builds an empty registry.  The clock (used to timestamp
-    span/trace events) defaults to a constant [0.0]; wire it to the
-    simulation engine with {!set_clock}. *)
+    span/trace events) defaults to a constant [0.0]; pass the simulation
+    engine's clock as [clock]. *)
 val create : ?clock:(unit -> float) -> unit -> t
-
-val set_clock : t -> (unit -> float) -> unit
 
 val now : t -> float
 
@@ -238,11 +231,6 @@ val next_flow_id : t -> int
     tracing is disabled. *)
 val event : ?args:(string * arg) list -> t -> node:int -> layer:layer -> string -> unit
 
-(** Record an instant event at an explicit virtual time. *)
-val event_at :
-  ?args:(string * arg) list ->
-  t -> ts:float -> node:int -> layer:layer -> string -> unit
-
 (** Record a complete (begin/end) event spanning [duration] starting at
     [ts]. *)
 val complete_at :
@@ -278,12 +266,10 @@ val span :
     its end time). *)
 val events : t -> event list
 
-val clear_events : t -> unit
-
 (** {1 Exporters}
 
     All exporters print in a deterministic order (events in insertion
-    order, metrics in {!compare_key} order) with fixed float formatting,
+    order, metrics in (node, layer, name) order) with fixed float formatting,
     so identical runs produce byte-identical output. *)
 
 (** Chrome [trace_event] JSON (the "JSON Object Format"): open the file in

@@ -34,10 +34,6 @@ val all : category list
 
 val name : category -> string
 
-(** True for categories whose spans overlap other fibers' execution
-    (currently [Vm_fault]); their seconds must not be summed. *)
-val inclusive : category -> bool
-
 (** The engine reads the flag once per [Engine.run], so a toggle takes
     effect at the next [Engine.run]; the resource and vm probes read it on
     every call. *)

@@ -24,11 +24,8 @@ type row = {
 
 val pp_key : Format.formatter -> key -> unit
 
-val rows_of_json : Json.t -> row list
-(** All rows of the snapshot: ["runs"] then ["scaling"]. *)
-
 val load : string -> row list
-(** [rows_of_json] of [Json.parse_file]. *)
+(** All rows of the snapshot file: ["runs"] then ["scaling"]. *)
 
 val metric : row -> string -> float option
 

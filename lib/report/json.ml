@@ -189,8 +189,6 @@ let member key = function
 
 let to_list = function Arr l -> l | _ -> []
 
-let to_float_opt = function Num f -> Some f | _ -> None
-
 let to_int_opt = function Num f -> Some (int_of_float f) | _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None

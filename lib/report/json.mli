@@ -31,8 +31,6 @@ val member : string -> t -> t
 val to_list : t -> t list
 (** Elements of an array; [[]] for anything else. *)
 
-val to_float_opt : t -> float option
-
 val to_int_opt : t -> int option
 
 val to_string_opt : t -> string option

@@ -86,6 +86,4 @@ module Gate = struct
       Queue.iter (fun resume -> resume ()) t.waiters;
       Queue.clear t.waiters
     end
-
-  let is_open t = t.opened
 end

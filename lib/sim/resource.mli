@@ -59,6 +59,4 @@ module Gate : sig
   val await : t -> unit
 
   val open_gate : t -> unit
-
-  val is_open : t -> bool
 end

@@ -59,5 +59,3 @@ let free t ~addr ~size =
   t.live <- t.live - size
 
 let live_bytes t = t.live
-
-let capacity t = t.size

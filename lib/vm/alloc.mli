@@ -22,6 +22,3 @@ val free : t -> addr:int -> size:int -> unit
 
 (** Bytes currently allocated. *)
 val live_bytes : t -> int
-
-(** Total capacity. *)
-val capacity : t -> int

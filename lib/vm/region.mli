@@ -19,8 +19,6 @@ type location =
   | Noncoherent of int (* offset within the non-coherent shared region *)
   | Coherent of { page : int; offset : int }
 
-val default_page_size : int
-
 (** [create ~page_size ~private_bytes ~noncoherent_bytes ~coherent_pages] *)
 val create :
   ?page_size:int ->

@@ -54,18 +54,10 @@ let[@inline never] segv addr =
 let[@inline never] unaligned addr width =
   invalid_arg (Printf.sprintf "Shm: unaligned %d-byte access at 0x%x" width addr)
 
-(* Resolve an access: returns the backing bytes and offset, taking
+(* Resolve a write: returns the backing bytes and offset, taking
    coherent-region faults as needed.  Allocates a tuple — used by the
-   bulk accessors only; the typed accessors below inline the segment
-   walk instead. *)
-let resolve_read t addr =
-  match Region.locate t.region addr with
-  | Region.Private off -> (t.private_mem, off)
-  | Region.Noncoherent off -> (t.noncoherent, off)
-  | Region.Coherent { page; offset } ->
-    Page_table.ensure_readable t.page_table page;
-    (Page.data (Page_table.page t.page_table page), offset)
-
+   bulk writer only; the typed accessors below inline the segment walk
+   instead. *)
 let resolve_write t addr =
   match Region.locate t.region addr with
   | Region.Private off -> (t.private_mem, off)
@@ -204,12 +196,6 @@ let check_span t addr len =
     if offset + len > Region.page_size t.region then
       invalid_arg "Shm: bulk access crosses a page boundary"
   | Region.Private _ | Region.Noncoherent _ -> ()
-
-let read_bytes t addr ~len =
-  if len < 0 then invalid_arg "Shm.read_bytes: negative length";
-  check_span t addr len;
-  let bytes, off = resolve_read t addr in
-  Bytes.sub bytes off len
 
 let write_bytes t addr src =
   check_span t addr (Bytes.length src);

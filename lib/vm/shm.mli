@@ -56,6 +56,4 @@ val write_f64 : t -> int -> float -> unit
 (** {1 Bulk access} (must not cross a page boundary in the coherent
     region) *)
 
-val read_bytes : t -> int -> len:int -> Bytes.t
-
 val write_bytes : t -> int -> Bytes.t -> unit

@@ -11,6 +11,7 @@ module Tsp = Carlos_apps.Tsp
 module Qsort = Carlos_apps.Qsort
 module Water = Carlos_apps.Water
 module Grid = Carlos_apps.Grid
+module Harness = Carlos_apps.Harness
 
 let tsp_params =
   { Tsp.default_params with Tsp.cities = 11; prefix_depth = 2; expand_frac = 0.3 }
@@ -184,6 +185,108 @@ let test_grid_neighbour_sync_beats_barrier () =
     (h.Grid.report.System.wall <= b.Grid.report.System.wall *. 1.05)
 
 (* ------------------------------------------------------------------ *)
+(* The application catalogue *)
+
+(* Every accepted name per app, canonical names first, with the label it
+   resolves to. *)
+let catalogue_names =
+  [
+    ( "tsp",
+      [
+        ("lock", "TSP/lock");
+        ("hybrid", "TSP/hybrid");
+        ("hybrid-1", "TSP/hybrid");
+        ("hybrid-all-release", "TSP/hybrid-all-release");
+      ] );
+    ( "qsort",
+      [
+        ("lock", "QS/lock");
+        ("hybrid", "QS/hybrid-1");
+        ("hybrid-1", "QS/hybrid-1");
+        ("hybrid-2", "QS/hybrid-2");
+        ("hybrid-noforward", "QS/hybrid-noforward");
+      ] );
+    ( "water",
+      [
+        ("lock", "Water/lock");
+        ("hybrid", "Water/hybrid");
+        ("hybrid-all-release", "Water/hybrid-all-release");
+      ] );
+    ( "grid",
+      [
+        ("barrier", "Grid/barrier");
+        ("lock", "Grid/barrier");
+        ("hybrid", "Grid/hybrid");
+        ("hybrid-1", "Grid/hybrid");
+      ] );
+  ]
+
+let find app name =
+  match Harness.find_variant app name with
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
+let test_catalogue_names () =
+  Alcotest.(check (list string))
+    "apps" (List.map fst catalogue_names)
+    (List.map (fun (a : Harness.app) -> a.name) Harness.apps);
+  List.iter2
+    (fun (app : Harness.app) (_, expected) ->
+      let accepted =
+        List.concat_map
+          (fun (v : Harness.variant) ->
+            List.map (fun name -> (name, Harness.label app v)) v.names)
+          app.variants
+      in
+      Alcotest.(check (list (pair string string))) app.name expected accepted;
+      List.iter
+        (fun (name, label) ->
+          Alcotest.(check string)
+            (app.name ^ " " ^ name)
+            label
+            (Harness.label app (find app name)))
+        expected;
+      List.iter
+        (fun name ->
+          match Harness.find_variant app name with
+          | Ok _ -> Alcotest.failf "%s accepts %S" app.name name
+          | Error _ -> ())
+        [ "nope"; ""; "Lock"; "hybrid-3" ])
+    Harness.apps catalogue_names
+
+(* A catalogue run equals the direct run on the configuration each app
+   needs (Qsort.config's GC threshold, Grid.config's coherent pages). *)
+let test_catalogue_matches_direct () =
+  let nodes = 3 in
+  let check (app : Harness.app) name cfg direct =
+    Alcotest.(check bool) (app.name ^ " config") true (app.config ~nodes = cfg);
+    let o = (find app name).run (System.create (app.config ~nodes)) in
+    let report, ok = direct (System.create cfg) in
+    Alcotest.(check (float 0.0))
+      (app.name ^ " wall") report.System.wall o.report.System.wall;
+    Alcotest.(check int)
+      (app.name ^ " messages") report.System.messages
+      o.report.System.messages;
+    Alcotest.(check bool) (app.name ^ " ok") ok o.ok
+  in
+  check (Harness.tsp ~params:tsp_params ()) "hybrid-1"
+    (System.default_config ~nodes) (fun sys ->
+      let r = Tsp.run sys Tsp.Hybrid tsp_params in
+      (r.Tsp.report, r.Tsp.best = Tsp.solve_reference tsp_params));
+  check (Harness.qsort ~params:qs_params ()) "hybrid"
+    (Qsort.config ~nodes qs_params) (fun sys ->
+      let r = Qsort.run sys Qsort.Hybrid1 qs_params in
+      (r.Qsort.report, r.Qsort.sorted));
+  check (Harness.water ~params:water_params ()) "lock"
+    (System.default_config ~nodes) (fun sys ->
+      let r = Water.run sys Water.Lock water_params in
+      (r.Water.report, r.Water.energy_ok));
+  check (Harness.grid ~params:grid_params ()) "lock"
+    (Grid.config ~nodes grid_params) (fun sys ->
+      let r = Grid.run sys Grid.Barrier grid_params in
+      (r.Grid.report, r.Grid.exact))
+
+(* ------------------------------------------------------------------ *)
 (* Threads *)
 
 let test_threads_join () =
@@ -320,6 +423,11 @@ let () =
           quick "qsort under loss" test_qsort_under_datagram_loss;
           quick "tsp update strategies" test_tsp_update_strategy;
           quick "qsort update strategies" test_qsort_update_strategy;
+        ] );
+      ( "catalogue",
+        [
+          quick "accepted names and labels" test_catalogue_names;
+          quick "runs match direct runs" test_catalogue_matches_direct;
         ] );
       ( "threads",
         [
