@@ -19,7 +19,7 @@
 
 module System = Carlos.System
 module Backend = Carlos_dsm.Backend
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Tsp = Carlos_apps.Tsp
 module Qsort = Carlos_apps.Qsort
 module Water = Carlos_apps.Water
@@ -181,13 +181,13 @@ let all_release =
 
 let sec54 () =
   section "Section 5.4: annotation-cost study";
-  let c = Cost.default in
+  let c = Cpu_cost.default in
   Format.fprintf ppf
     "  model costs: REQUEST over NONE = %.0f us/end; RELEASE fixed extra = \
      %.0f us; write-notice apply = %.0f us@."
-    (c.Cost.vc_piggyback *. 1e6)
-    (c.Cost.release_fixed *. 1e6)
-    (c.Cost.write_notice_apply *. 1e6);
+    (c.Cpu_cost.vc_piggyback *. 1e6)
+    (c.Cpu_cost.release_fixed *. 1e6)
+    (c.Cpu_cost.write_notice_apply *. 1e6);
   paper_note
     "REQUEST vs NONE 5-15 us; RELEASE ~30 us + write notices at 42-141 us";
   Harness.pp_header ppf ();
@@ -216,7 +216,7 @@ let sec54 () =
      annotations will become more important"). *)
   let fast =
     List.map
-      (penalty (with_costs Cost.fast_network))
+      (penalty (with_costs Cpu_cost.fast_network))
       (List.filter (fun (app, _, _, _) -> app != qsort) all_release)
   in
   Format.fprintf ppf
@@ -235,7 +235,9 @@ let tmcmp () =
   List.iter
     (fun (app : Harness.app) ->
       let label = app.prefix ^ "/lock" in
-      let tm = run (label ^ "@treadmarks", app, "lock", with_costs Cost.treadmarks) in
+      let tm =
+        run (label ^ "@treadmarks", app, "lock", with_costs Cpu_cost.treadmarks)
+      in
       let c = run (label, app, "lock", Fun.id) in
       Format.fprintf ppf "  %-6s: TreadMarks %.1fs, CarlOS %.1fs (%+.1f%%)@."
         app.prefix (wall tm) (wall c)
@@ -293,7 +295,7 @@ let atm () =
       c with
       System.bandwidth = 19.4e6;
       latency = 10e-6;
-      costs = Cost.fast_network;
+      costs = Cpu_cost.fast_network;
     }
   in
   Harness.pp_header ppf ();

@@ -9,7 +9,7 @@
 
 module System = Carlos.System
 module Backend = Carlos_dsm.Backend
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Obs = Carlos_obs.Obs
 module Audit = Carlos_audit.Audit
 module Causal = Carlos_audit.Causal
@@ -136,9 +136,9 @@ let opts_term =
     $ causal_arg $ profile_arg)
 
 let costs_of_string = function
-  | "default" -> Ok Cost.default
-  | "treadmarks" -> Ok Cost.treadmarks
-  | "fast-network" -> Ok Cost.fast_network
+  | "default" -> Ok Cpu_cost.default
+  | "treadmarks" -> Ok Cpu_cost.treadmarks
+  | "fast-network" -> Ok Cpu_cost.fast_network
   | s -> Error (Printf.sprintf "unknown cost table %S" s)
 
 let with_file file f =
@@ -227,11 +227,11 @@ let run_app (app : Harness.app) opts =
 let costs_cmd =
   let run () =
     Format.printf "default (DEC 3000/300 + OSF/1 + 10 Mbit/s Ethernet):@.%a@.@."
-      Cost.pp Cost.default;
-    Format.printf "treadmarks (leaner built-in sync path):@.%a@.@." Cost.pp
-      Cost.treadmarks;
+      Cpu_cost.pp Cpu_cost.default;
+    Format.printf "treadmarks (leaner built-in sync path):@.%a@.@." Cpu_cost.pp
+      Cpu_cost.treadmarks;
     Format.printf "fast-network (modern low-latency interconnect):@.%a@."
-      Cost.pp Cost.fast_network;
+      Cpu_cost.pp Cpu_cost.fast_network;
     `Ok ()
   in
   Cmd.v

@@ -8,7 +8,7 @@ module Backend = Carlos_dsm.Backend
 module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
 module Diff = Carlos_vm.Diff
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Wire_cost = Carlos_obs.Cost
 module Obs = Carlos_obs.Obs
 module Audit = Carlos_audit.Audit
@@ -53,7 +53,7 @@ type t = {
      interrupt level (SIGIO/SIGSEGV in the real system), preempting the
      application by pushing its completion time back. *)
   mutable cpu_busy_until : float;
-  costs : Cost.t;
+  costs : Cpu_cost.t;
   breakdown : Breakdown.t;
   (* Arrival order from the reliable transport; drained by the interrupt
      fiber, which must never block on anything but the CPU. *)
@@ -181,30 +181,32 @@ let flush_compute t =
 (* ------------------------------------------------------------------ *)
 (* Sending *)
 
-let wire_size message =
-  am_header_bytes + message.payload_bytes
-  + (match message.piggyback with
-    | Some pb -> Backend.piggyback_size_bytes pb
-    | None -> 0)
-  + match message.sender_vc with Some vc -> Vc.size_bytes vc | None -> 0
-
-(* Split one transmission's wire size into taxonomy components (per hop:
-   a forwarded message's bytes cross the wire again).  Together with the
+(* Bill each part of one transmission to its taxonomy component (per hop:
+   a forwarded message's bytes cross the wire again) and return the
+   message's wire size, the sum of the parts.  Together with the
    sliding-window (acks, retransmits) and datagram (frame headers, drops)
    attributions this accounts for every wire byte — see Carlos_obs.Cost. *)
+let rec bill_parts wire_cost acc = function
+  | [] -> acc
+  | (c, n) :: rest ->
+    Wire_cost.add wire_cost c n;
+    bill_parts wire_cost (acc + n) rest
+
 let attribute_wire t message =
   Wire_cost.add t.wire_cost message.cost message.payload_bytes;
   Wire_cost.add t.wire_cost Wire_cost.Am_header am_header_bytes;
-  (match message.sender_vc with
-  | Some vc ->
-    Wire_cost.add t.wire_cost Wire_cost.Vc_entries (Vc.size_bytes vc)
-  | None -> ());
+  let vc_bytes =
+    match message.sender_vc with
+    | Some vc ->
+      let n = Vc.size_bytes vc in
+      Wire_cost.add t.wire_cost Wire_cost.Vc_entries n;
+      n
+    | None -> 0
+  in
+  let size = am_header_bytes + message.payload_bytes + vc_bytes in
   match message.piggyback with
-  | Some pb ->
-    List.iter
-      (fun (c, n) -> Wire_cost.add t.wire_cost c n)
-      (Backend.piggyback_cost pb)
-  | None -> ()
+  | Some pb -> bill_parts t.wire_cost size (Backend.piggyback_cost pb)
+  | None -> size
 
 let count_send t message size =
   Obs.inc t.ins.sent_c;
@@ -269,18 +271,17 @@ let transmit t ~dst message =
        manager forwarding to itself, a manager dequeuing from its own
        queue) never touch the wire; they cost one dispatch and are not
        counted as network messages. *)
-    trace_send t ~dst message ~duration:t.costs.Cost.handler_dispatch;
+    trace_send t ~dst message ~duration:t.costs.Cpu_cost.handler_dispatch;
     message.hops <- message.hops + 1;
-    charge t Breakdown.Carlos t.costs.Cost.handler_dispatch;
+    charge t Breakdown.Carlos t.costs.Cpu_cost.handler_dispatch;
     Mailbox.send t.rx { message; src = t.id; target = t; disposition = Undecided }
   end
   else begin
-    let size = wire_size message in
+    let size = attribute_wire t message in
     count_send t message size;
-    attribute_wire t message;
-    trace_send t ~dst message ~duration:t.costs.Cost.send_syscall;
+    trace_send t ~dst message ~duration:t.costs.Cpu_cost.send_syscall;
     message.hops <- message.hops + 1;
-    charge t Breakdown.Unix t.costs.Cost.send_syscall;
+    charge t Breakdown.Unix t.costs.Cpu_cost.send_syscall;
     t.transport_send ~dst ~wire_bytes:size message
   end
 
@@ -302,7 +303,7 @@ let send_internal ?(cost = Wire_cost.App_payload) t ~dst ~lane ~annotation
          on the wire and no piggyback charge on either side. *)
       match Backend.request_vc t.backend with
       | Some vc ->
-        charge t Breakdown.Carlos t.costs.Cost.vc_piggyback;
+        charge t Breakdown.Carlos t.costs.Cpu_cost.vc_piggyback;
         (None, Some vc)
       | None -> (None, None))
     | Annotation.None_ -> (None, None)
@@ -360,7 +361,7 @@ let accept_batch t deliveries =
         d.disposition <- Accepted;
         match d.message.annotation with
         | Annotation.Release | Annotation.Release_nt ->
-          charge t Breakdown.Carlos t.costs.Cost.release_fixed;
+          charge t Breakdown.Carlos t.costs.Cpu_cost.release_fixed;
           d.message.piggyback
         | Annotation.Request | Annotation.None_ -> None)
       deliveries
@@ -437,12 +438,12 @@ let run_handler t d =
        slice.  The arrow terminates at the accept (flow_finish). *)
     Obs.flow_step t.obs ~id:d.message.trace_id ~node:t.id ~layer:Obs.Carlos
       annot;
-  charge t Breakdown.Carlos t.costs.Cost.handler_dispatch;
+  charge t Breakdown.Carlos t.costs.Cpu_cost.handler_dispatch;
   (match d.message.annotation with
   | Annotation.Request -> (
     match d.message.sender_vc with
     | Some vc ->
-      charge t Breakdown.Carlos t.costs.Cost.vc_piggyback;
+      charge t Breakdown.Carlos t.costs.Cpu_cost.vc_piggyback;
       Backend.note_peer_vc t.backend ~peer:d.message.origin vc
     | None -> ())
   | Annotation.Release | Annotation.Release_nt | Annotation.None_ -> ());
@@ -469,7 +470,7 @@ let start_dispatcher t =
         (* Locally delivered messages (src = self) never crossed the wire
            and pay no receive syscall. *)
         if d.src <> t.id then
-          charge t Breakdown.Unix t.costs.Cost.recv_syscall;
+          charge t Breakdown.Unix t.costs.Cpu_cost.recv_syscall;
         (match d.message.lane with
         | System_lane -> run_handler t d
         | User_lane -> Mailbox.send t.user_lane d);

@@ -54,7 +54,7 @@ val breakdown : t -> Breakdown.t
 (** The observability registry this node reports into. *)
 val obs : t -> Carlos_obs.Obs.t
 
-val costs : t -> Carlos_dsm.Cost.t
+val costs : t -> Carlos_dsm.Cpu_cost.t
 
 (** {1 Sending} *)
 
@@ -176,7 +176,7 @@ val make :
   nodes:int ->
   engine:Carlos_sim.Engine.t ->
   shm:Carlos_vm.Shm.t ->
-  costs:Carlos_dsm.Cost.t ->
+  costs:Carlos_dsm.Cpu_cost.t ->
   ?backend:Carlos_dsm.Backend.kind ->
   ?strategy:Carlos_dsm.Lrc_backend.strategy ->
   unit ->

@@ -12,7 +12,7 @@ module Alloc = Carlos_vm.Alloc
 module Diff = Carlos_vm.Diff
 module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
 module Backend = Carlos_dsm.Backend
 module Central = Carlos_dsm.Central_backend
@@ -32,7 +32,7 @@ type config = {
   window : int;
   rto : float;
   loss : float;
-  costs : Cost.t;
+  costs : Cpu_cost.t;
   backend : Backend.kind;
   strategy : Lrc.strategy;
   seed : int;
@@ -51,7 +51,7 @@ let default_config ~nodes =
     window = 8;
     rto = 0.1;
     loss = 0.0;
-    costs = Cost.default;
+    costs = Cpu_cost.default;
     backend = Backend.Lrc;
     strategy = Lrc.Invalidate;
     seed = 42;
@@ -162,22 +162,7 @@ let diff_request_bytes req =
       (fun acc (_, ids) -> acc + 4 + (8 * List.length ids))
       0 req
 
-let diff_reply_bytes reply =
-  (* A physical diff aliased under several reply entries crosses the wire
-     once; each later entry carries only a small back-reference. *)
-  let billed = ref [] in
-  let diff_bytes d =
-    if List.memq d !billed then 4
-    else begin
-      billed := d :: !billed;
-      Diff.size_bytes d
-    end
-  in
-  8
-  + List.fold_left
-      (fun acc (_, _, ds) ->
-        acc + 8 + List.fold_left (fun a d -> a + diff_bytes d) 0 ds)
-      0 reply
+let diff_reply_bytes reply = 8 + Lrc.diff_entries_bytes reply
 
 let interval_reply_bytes intervals =
   8 + List.fold_left (fun acc i -> acc + Interval.size_bytes i) 0 intervals
@@ -304,7 +289,7 @@ let seq_push sequencer_node ~dst entries =
 let run_gc t =
  Obs.span t.obs ~node:0 ~layer:Obs.Carlos "gc.rendezvous" @@ fun () ->
   let coord = t.nodes.(0) in
-  let n = t.cfg.nodes in
+  let peers = List.init (t.cfg.nodes - 1) (fun i -> i + 1) in
   (* 1. Collect contributions. *)
   let arrivals =
     List.map
@@ -313,51 +298,41 @@ let run_gc t =
           ~service:(fun remote ->
             Lrc.make_piggyback (Node.lrc remote) ~receiver:0
               ~nontransitive:true)
-          ~reply_bytes:Lrc.piggyback_size_bytes)
-      (List.init (n - 1) (fun i -> i + 1))
+          ~reply_bytes:(fun pb ->
+            List.fold_left (fun acc (_, n) -> acc + n) 0
+              (Lrc.piggyback_cost pb)))
+      peers
   in
   Lrc.accept (Node.lrc coord) arrivals;
   let snapshot = Vc.copy (Lrc.vc (Node.lrc coord)) in
+  (* One rendezvous step: every peer runs [action] when it accepts the
+     coordinator's [annotation] message and acks; the coordinator runs it
+     locally, then awaits every ack. *)
+  let step annotation action =
+    let acked =
+      List.map
+        (fun i ->
+          let done_ = Ivar.create () in
+          Node.send coord ~dst:i ~cost:Wire_cost.Gc_proto ~annotation
+            ~payload_bytes:16
+            ~handler:(fun remote d ->
+              Node.accept d;
+              action (Node.lrc remote);
+              Node.send remote ~dst:0 ~cost:Wire_cost.Gc_proto
+                ~annotation:Annotation.None_ ~payload_bytes:8
+                ~handler:(fun _ d2 ->
+                  Node.accept d2;
+                  Ivar.fill done_ ()));
+          done_)
+        peers
+    in
+    action (Node.lrc coord);
+    List.iter (fun iv -> Node.await coord iv) acked
+  in
   (* 2. Departures: tailored RELEASE; each node validates everything. *)
-  let validated =
-    List.map
-      (fun i ->
-        let done_ = Ivar.create () in
-        Node.send coord ~dst:i ~cost:Wire_cost.Gc_proto
-          ~annotation:Annotation.Release ~payload_bytes:16
-          ~handler:(fun remote d ->
-            Node.accept d;
-            Lrc.validate_all (Node.lrc remote);
-            Node.send remote ~dst:0 ~cost:Wire_cost.Gc_proto
-              ~annotation:Annotation.None_ ~payload_bytes:8
-              ~handler:(fun _ d2 ->
-                Node.accept d2;
-                Ivar.fill done_ ()));
-        done_)
-      (List.init (n - 1) (fun i -> i + 1))
-  in
-  Lrc.validate_all (Node.lrc coord);
-  List.iter (fun iv -> Node.await coord iv) validated;
+  step Annotation.Release Lrc.validate_all;
   (* 3. Discard everywhere. *)
-  let discarded =
-    List.map
-      (fun i ->
-        let done_ = Ivar.create () in
-        Node.send coord ~dst:i ~cost:Wire_cost.Gc_proto
-          ~annotation:Annotation.None_ ~payload_bytes:16
-          ~handler:(fun remote d ->
-            Node.accept d;
-            Lrc.discard_before (Node.lrc remote) snapshot;
-            Node.send remote ~dst:0 ~cost:Wire_cost.Gc_proto
-              ~annotation:Annotation.None_ ~payload_bytes:8
-              ~handler:(fun _ d2 ->
-                Node.accept d2;
-                Ivar.fill done_ ()));
-        done_)
-      (List.init (n - 1) (fun i -> i + 1))
-  in
-  Lrc.discard_before (Node.lrc coord) snapshot;
-  List.iter (fun iv -> Node.await coord iv) discarded;
+  step Annotation.None_ (fun lrc -> Lrc.discard_before lrc snapshot);
   Obs.inc t.gc.runs_c;
   t.gc.in_progress <- false;
   t.gc.requested <- false

@@ -26,7 +26,7 @@ type config = {
   window : int; (* sliding-window size *)
   rto : float; (* retransmission timeout, seconds *)
   loss : float; (* datagram loss probability *)
-  costs : Carlos_dsm.Cost.t;
+  costs : Carlos_dsm.Cpu_cost.t;
   backend : Carlos_dsm.Backend.kind;
       (* consistency model: Lrc (the paper's protocol), Central
          (one-home-node sequential consistency) or Seq (sequencer-stamped

@@ -21,10 +21,7 @@ let lrc_backend_stats b =
   let s = Lrc_backend.stats b in
   {
     Backend_intf.diffs_created = s.diffs_created;
-    diffs_applied = s.diffs_applied;
     data_fetches = s.diff_requests + s.interval_fetches + s.page_fetches;
-    page_fetches = s.page_fetches;
-    bytes_fetched = s.diff_bytes_fetched;
   }
 
 module _ : Backend_intf.S = struct
@@ -47,13 +44,6 @@ type piggyback =
   | Lrc_pb of Lrc_backend.piggyback
   | Central_pb of Central_backend.piggyback
   | Seq_pb of Seq_backend.piggyback
-
-let kind = function Lrc_b _ -> Lrc | Central_b _ -> Central | Seq_b _ -> Seq
-
-let me = function
-  | Lrc_b b -> Lrc_backend.me b
-  | Central_b b -> Central_backend.me b
-  | Seq_b b -> Seq_backend.me b
 
 let vc = function
   | Lrc_b b -> Lrc_backend.vc b
@@ -82,11 +72,6 @@ let accept t pbs =
     Seq_backend.accept b
       (List.map (function Seq_pb pb -> pb | _ -> wrong_model ()) pbs)
 
-let piggyback_size_bytes = function
-  | Lrc_pb pb -> Lrc_backend.piggyback_size_bytes pb
-  | Central_pb pb -> Central_backend.piggyback_size_bytes pb
-  | Seq_pb pb -> Seq_backend.piggyback_size_bytes pb
-
 let piggyback_cost = function
   | Lrc_pb pb -> Lrc_backend.piggyback_cost pb
   | Central_pb pb -> Central_backend.piggyback_cost pb
@@ -107,17 +92,6 @@ let metadata_pressure = function
   | Lrc_b b -> Lrc_backend.metadata_pressure b
   | Central_b b -> Central_backend.metadata_pressure b
   | Seq_b b -> Seq_backend.metadata_pressure b
-
-let validate_all = function
-  | Lrc_b b -> Lrc_backend.validate_all b
-  | Central_b b -> Central_backend.validate_all b
-  | Seq_b b -> Seq_backend.validate_all b
-
-let discard_before t snapshot =
-  match t with
-  | Lrc_b b -> Lrc_backend.discard_before b snapshot
-  | Central_b b -> Central_backend.discard_before b snapshot
-  | Seq_b b -> Seq_backend.discard_before b snapshot
 
 let backend_stats = function
   | Lrc_b b -> lrc_backend_stats b

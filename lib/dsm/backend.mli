@@ -29,10 +29,6 @@ type piggyback =
   | Central_pb of Central_backend.piggyback
   | Seq_pb of Seq_backend.piggyback
 
-val kind : t -> kind
-
-val me : t -> int
-
 val vc : t -> Vc.t
 
 val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
@@ -41,8 +37,6 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
     the backend. *)
 val accept : t -> piggyback list -> unit
 
-val piggyback_size_bytes : piggyback -> int
-
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 
 val request_vc : t -> Vc.t option
@@ -50,9 +44,5 @@ val request_vc : t -> Vc.t option
 val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
 val metadata_pressure : t -> int
-
-val validate_all : t -> unit
-
-val discard_before : t -> Vc.t -> unit
 
 val backend_stats : t -> Backend_intf.stats

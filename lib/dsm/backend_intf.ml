@@ -4,22 +4,22 @@
     One backend instance runs per node.  A backend owns the node's
     consistency metadata and installs itself as the fault handler of the
     node's page table at creation time (fault handling); the message layer
-    drives it at synchronization points:
+    drives it only through the annotation hooks:
 
     - {b release}: {!S.make_piggyback} builds the consistency information
       appended to an outgoing RELEASE / RELEASE_NT message (for LRC the
       closed interval descriptions; for the centralized store a flush
-      marker; for the sequencer store a global-order horizon);
+      marker; for the sequencer store a global-order horizon), and
+      {!S.piggyback_cost} bills its wire bytes;
     - {b acquire / barrier participation}: {!S.accept} performs the
       consistency actions of one or more accepted messages at once — the
       batch form is how a barrier manager accepts the union of stored
       arrivals;
-    - {b GC hook}: {!S.metadata_pressure} / {!S.validate_all} /
-      {!S.discard_before} let the global metadata collector size, force
-      and prune a backend's history (models with no lazy metadata report
-      zero pressure and treat the rest as no-ops);
-    - {b stats}: {!S.backend_stats} is the model-independent counter
-      aggregate the run report is built from.
+    - {b request}: {!S.request_vc} is the clock piggybacked on a REQUEST
+      and {!S.note_peer_vc} records it at the receiver;
+    - {b report}: {!S.metadata_pressure} is sampled at safe points (and
+      triggers the LRC-only metadata GC, which calls {!Lrc_backend}
+      directly) and {!S.backend_stats} feeds the run report.
 
     The three implementations are {!Lrc_backend} (lazy release
     consistency, the paper's protocol), {!Central_backend} (one home node
@@ -28,26 +28,14 @@
     and replicas apply pushes in stamp order).  {!Backend} packs them
     behind one dispatch type. *)
 
-(** Model-independent protocol counters (each model also keeps richer
-    private counters in the observability registry). *)
+(** The model-independent counters the run report reads (each model
+    keeps richer private counters in the observability registry). *)
 type stats = {
   diffs_created : int;  (** diffs encoded locally (twin comparisons) *)
-  diffs_applied : int;  (** foreign diffs applied to local frames *)
   data_fetches : int;
       (** blocking data round trips: LRC diff requests, central flush /
           page RPCs, sequencer write RPCs *)
-  page_fetches : int;  (** whole-page transfers *)
-  bytes_fetched : int;  (** payload bytes moved by those fetches *)
 }
-
-let zero_stats =
-  {
-    diffs_created = 0;
-    diffs_applied = 0;
-    data_fetches = 0;
-    page_fetches = 0;
-    bytes_fetched = 0;
-  }
 
 module type S = sig
   type t
@@ -55,8 +43,6 @@ module type S = sig
   (** Model-specific consistency information carried by a RELEASE or
       RELEASE_NT message. *)
   type piggyback
-
-  val me : t -> int
 
   (** The node's vector timestamp.  Models that do not use vector time
       return a constant zero clock (the auditor's clock invariants then
@@ -76,12 +62,9 @@ module type S = sig
       consistent with every sender as the model defines it.  May block. *)
   val accept : t -> piggyback list -> unit
 
-  (** Wire size of the consistency information. *)
-  val piggyback_size_bytes : piggyback -> int
-
-  (** Decomposition of {!piggyback_size_bytes} into cost-taxonomy
-      components.  Must sum exactly to the wire size — the conservation
-      invariant (see {!Carlos_obs.Cost}) is checked against it. *)
+  (** Wire bytes of the consistency information, split by cost-taxonomy
+      component (see {!Carlos_obs.Cost}); the wire size is the sum of the
+      parts. *)
   val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 
   (** The clock to piggyback on an outgoing REQUEST message, or [None]
@@ -93,20 +76,11 @@ module type S = sig
       piggybacks, served fetches).  No-op for models without tailoring. *)
   val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
-  (** {1 GC hook} *)
+  (** {1 Report} *)
 
   (** Rough bytes of consistency metadata held.  Models with no lazy
       metadata return 0 and are never collected. *)
   val metadata_pressure : t -> int
-
-  (** Bring every stale local page up to date (blocking). *)
-  val validate_all : t -> unit
-
-  (** Discard metadata dominated by [snapshot] after a global
-      rendezvous. *)
-  val discard_before : t -> Vc.t -> unit
-
-  (** {1 Stats} *)
 
   val backend_stats : t -> stats
 end

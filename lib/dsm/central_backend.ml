@@ -44,7 +44,7 @@ type t = {
   me : int;
   home : int;
   page_table : Page_table.t;
-  costs : Cost.t;
+  costs : Cpu_cost.t;
   charge : float -> unit;
   (* All nodes share one zero clock: this model has no vector time. *)
   zero_vc : Vc.t;
@@ -116,9 +116,9 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge () =
            Page.install p data;
            t.hooks.on_page_fetched ~node:t.me ~page ~version;
            t.charge
-             ((t.costs.Cost.twin_per_byte
+             ((t.costs.Cpu_cost.twin_per_byte
               *. float_of_int (Bytes.length data))
-             +. t.costs.Cost.page_protect)
+             +. t.costs.Cpu_cost.page_protect)
          with e ->
            finish ();
            raise e);
@@ -129,7 +129,7 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge () =
         raise
           (Protocol_violation
              (Printf.sprintf "home node took a read fault on page %d" page));
-      t.charge t.costs.Cost.fault_trap;
+      t.charge t.costs.Cpu_cost.fault_trap;
       fetch_if_invalid page);
   Page_table.set_write_fault page_table (fun page ->
       let p = Page_table.page t.page_table page in
@@ -139,17 +139,15 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge () =
       Page.make_twin p;
       t.dirty.(page) <- true;
       t.charge
-        (t.costs.Cost.fault_trap
-        +. (t.costs.Cost.twin_per_byte
+        (t.costs.Cpu_cost.fault_trap
+        +. (t.costs.Cpu_cost.twin_per_byte
            *. float_of_int (Bytes.length (Page.data p)))
-        +. t.costs.Cost.page_protect));
+        +. t.costs.Cpu_cost.page_protect));
   t
 
 let set_transport t tr = t.transport <- Some tr
 
 let set_hooks t hooks = t.hooks <- hooks
-
-let me t = t.me
 
 let home t = t.home
 
@@ -160,10 +158,6 @@ let request_vc _ = None
 let note_peer_vc _ ~peer:_ _ = ()
 
 let metadata_pressure _ = 0
-
-let discard_before _ _ = ()
-
-let piggyback_size_bytes (_ : piggyback) = 4
 
 (* The origin id is ordering metadata: bill it as vc_entries so the
    cross-model comparison has the centralized model's "logical clock"
@@ -202,8 +196,8 @@ let serve_flush t ~origin diffs =
       bump_version t ~origin page)
     diffs;
   t.charge
-    ((t.costs.Cost.diff_data_per_byte *. float_of_int !changed)
-    +. t.costs.Cost.diff_request_fixed)
+    ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !changed)
+    +. t.costs.Cpu_cost.diff_request_fixed)
 
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
@@ -232,11 +226,11 @@ let flush_dirty t =
           let diff = Page.encode_diff p ~page_index:page in
           Obs.inc t.ins.diffs_created_c;
           t.charge
-            ((t.costs.Cost.diff_scan_per_byte
+            ((t.costs.Cpu_cost.diff_scan_per_byte
              *. float_of_int (Bytes.length (Page.data p)))
-            +. (t.costs.Cost.diff_data_per_byte
+            +. (t.costs.Cpu_cost.diff_data_per_byte
                *. float_of_int (Diff.changed_bytes diff))
-            +. t.costs.Cost.page_protect);
+            +. t.costs.Cpu_cost.page_protect);
           if not (Diff.is_empty diff) then encoded := diff :: !encoded
         done;
         match List.rev !encoded with
@@ -298,24 +292,12 @@ let accept t pbs =
     Obs.add t.ins.invalidations_c invalidated;
     t.hooks.on_sync ~node:t.me ~invalidated;
     if invalidated > 0 then
-      t.charge (t.costs.Cost.page_protect *. float_of_int invalidated)
+      t.charge (t.costs.Cpu_cost.page_protect *. float_of_int invalidated)
   end
-
-let validate_all t =
-  (* Bring every invalid page current (GC rendezvous support; the
-     metadata GC never triggers for this model, but the operation is
-     still meaningful). *)
-  if t.me <> t.home then
-    for page = 0 to Page_table.pages t.page_table - 1 do
-      Page_table.ensure_readable t.page_table page
-    done
 
 let backend_stats t =
   {
     Backend_intf.diffs_created = Obs.value t.ins.diffs_created_c;
-    diffs_applied = Obs.value t.ins.diffs_applied_c;
     data_fetches =
       Obs.value t.ins.flush_rpcs_c + Obs.value t.ins.page_fetches_c;
-    page_fetches = Obs.value t.ins.page_fetches_c;
-    bytes_fetched = Obs.value t.ins.bytes_fetched_c;
   }

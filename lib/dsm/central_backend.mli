@@ -53,14 +53,12 @@ val create :
   me:int ->
   home:int ->
   page_table:Carlos_vm.Page_table.t ->
-  costs:Cost.t ->
+  costs:Cpu_cost.t ->
   charge:(float -> unit) ->
   unit ->
   t
 
 val set_transport : t -> transport -> unit
-
-val me : t -> int
 
 val home : t -> int
 
@@ -89,8 +87,6 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
 
 val accept : t -> piggyback list -> unit
 
-val piggyback_size_bytes : piggyback -> int
-
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 
 val request_vc : t -> Vc.t option
@@ -98,10 +94,6 @@ val request_vc : t -> Vc.t option
 val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
 val metadata_pressure : t -> int
-
-val validate_all : t -> unit
-
-val discard_before : t -> Vc.t -> unit
 
 val backend_stats : t -> Backend_intf.stats
 

@@ -114,7 +114,7 @@ type t = {
   me : int;
   page_table : Page_table.t;
   pages : int;
-  costs : Cost.t;
+  costs : Cpu_cost.t;
   strategy : strategy;
   charge : float -> unit;
   vc : Vc.t;
@@ -228,10 +228,10 @@ let encode_now t page =
   Obs.inc t.ins.diffs_created_c;
   Obs.Hist.observe t.ins.diff_size_h (float_of_int (Diff.size_bytes diff));
   t.charge
-    ((t.costs.Cost.diff_scan_per_byte *. float_of_int page_size)
-    +. (t.costs.Cost.diff_data_per_byte
+    ((t.costs.Cpu_cost.diff_scan_per_byte *. float_of_int page_size)
+    +. (t.costs.Cpu_cost.diff_data_per_byte
        *. float_of_int (Diff.changed_bytes diff))
-    +. t.costs.Cost.page_protect);
+    +. t.costs.Cpu_cost.page_protect);
   diff
 
 (* A write notice arrived for a page the open interval is writing: encode
@@ -263,10 +263,10 @@ let write_fault t page =
     t.dirty <- page :: t.dirty
   end;
   t.charge
-    (t.costs.Cost.fault_trap
-    +. (t.costs.Cost.twin_per_byte
+    (t.costs.Cpu_cost.fault_trap
+    +. (t.costs.Cpu_cost.twin_per_byte
        *. float_of_int (Page_table.page_size t.page_table))
-    +. t.costs.Cost.page_protect)
+    +. t.costs.Cpu_cost.page_protect)
 
 (* Record that the local copy of [page] now reflects the writes of
    interval (creator, index).  Only the creator's component may be bumped:
@@ -334,7 +334,8 @@ let fetch_whole_page t page ids =
           Page.invalidate p;
           note_page_content t page covers;
           t.charge
-            (t.costs.Cost.twin_per_byte *. float_of_int (Bytes.length data));
+            (t.costs.Cpu_cost.twin_per_byte
+            *. float_of_int (Bytes.length data));
           (* Still-unpublished local writes (orphans of the open interval)
              are newer than anything the server can have; restore them. *)
           (match Hashtbl.find_opt t.orphans page with
@@ -511,7 +512,7 @@ let apply_diffs t page ids have =
               Page.apply_diff p d;
               Obs.inc t.ins.diffs_applied_c;
               t.charge
-                (t.costs.Cost.diff_data_per_byte
+                (t.costs.Cpu_cost.diff_data_per_byte
                  *. float_of_int (Diff.changed_bytes d))
             end)
           ds;
@@ -547,7 +548,7 @@ let finish_page t page ~handled =
     let p = Page_table.page t.page_table page in
     if Page.state p = Page.Invalid then begin
       Page.validate p;
-      t.charge t.costs.Cost.page_protect
+      t.charge t.costs.Cpu_cost.page_protect
     end
   end
   else Hashtbl.replace t.missing page remaining
@@ -648,7 +649,7 @@ and validate_page_if_needed t page =
 
 let read_fault t page =
   Hashtbl.replace t.accessed page ();
-  t.charge t.costs.Cost.fault_trap;
+  t.charge t.costs.Cpu_cost.fault_trap;
   validate_page t page
 
 (* ------------------------------------------------------------------ *)
@@ -699,8 +700,6 @@ let set_hooks t hooks = t.hooks <- hooks
 let inject_fault t fault = t.fault <- fault
 
 let strategy t = t.strategy
-
-let me t = t.me
 
 let vc t = t.vc
 
@@ -788,7 +787,7 @@ let close_interval t =
         | None -> ());
         note_page_interval t page ~creator:t.me ~index)
       pages;
-    t.charge t.costs.Cost.interval_create
+    t.charge t.costs.Cpu_cost.interval_create
 
 (* Intervals the receiver (whose vc we conservatively know as [have]) is
    missing, optionally restricted to locally created ones. *)
@@ -932,39 +931,27 @@ let make_piggyback t ~receiver ~nontransitive =
     attached_diffs = attachments_for t ~receiver intervals;
   }
 
-let piggyback_size_bytes pb =
-  (* A physical diff aliased under several attachment entries crosses the
-     wire once; each later entry carries only a small back-reference. *)
-  let billed = ref [] in
-  let diff_bytes d =
-    if List.memq d !billed then 4
-    else begin
-      billed := d :: !billed;
-      Diff.size_bytes d
-    end
-  in
-  Vc.size_bytes pb.required_vc + 1
-  + List.fold_left (fun acc i -> acc + Interval.size_bytes i) 0 pb.intervals
-  + List.fold_left
-      (fun acc (_, _, ds) ->
-        acc + 8 + List.fold_left (fun a d -> a + diff_bytes d) 0 ds)
-      0 pb.attached_diffs
+(* Wire bytes of diff entries (an attachment list or a diff reply): 8
+   per entry plus its diffs, where a physical diff aliased under several
+   entries crosses the wire once and each later reference carries only a
+   4-byte back-reference.  Top-level recursion: no closure per message. *)
+let rec entries_bytes billed acc = function
+  | [] -> acc
+  | (_, _, ds) :: rest -> entry_diffs_bytes billed (acc + 8) rest ds
 
-(* Same decomposition, split by taxonomy component (must stay in lockstep
-   with [piggyback_size_bytes]; the conservation invariant enforces it):
-   vector clocks (the required VC and each interval's VC) are vc_entries,
-   interval ids + write-notice lists + the nontransitive flag are
-   write_notices, attached diffs (with the same aliasing rule) are
-   diff_payload. *)
+and entry_diffs_bytes billed acc rest = function
+  | [] -> entries_bytes billed acc rest
+  | d :: ds ->
+    if List.memq d billed then entry_diffs_bytes billed (acc + 4) rest ds
+    else entry_diffs_bytes (d :: billed) (acc + Diff.size_bytes d) rest ds
+
+let diff_entries_bytes (entries : diff_reply) = entries_bytes [] 0 entries
+
+(* The piggyback's wire bytes by taxonomy component: vector clocks (the
+   required VC and each interval's VC) are vc_entries, interval ids +
+   write-notice lists + the nontransitive flag are write_notices,
+   attached diffs are diff_payload. *)
 let piggyback_cost pb =
-  let billed = ref [] in
-  let diff_bytes d =
-    if List.memq d !billed then 4
-    else begin
-      billed := d :: !billed;
-      Diff.size_bytes d
-    end
-  in
   let vc_bytes =
     Vc.size_bytes pb.required_vc
     + List.fold_left
@@ -978,16 +965,10 @@ let piggyback_cost pb =
           acc + 4 + (4 * List.length i.Interval.write_notices))
         0 pb.intervals
   in
-  let diff_payload =
-    List.fold_left
-      (fun acc (_, _, ds) ->
-        acc + 8 + List.fold_left (fun a d -> a + diff_bytes d) 0 ds)
-      0 pb.attached_diffs
-  in
   [
     (Carlos_obs.Cost.Vc_entries, vc_bytes);
     (Carlos_obs.Cost.Write_notices, wn_bytes);
-    (Carlos_obs.Cost.Diff_payload, diff_payload);
+    (Carlos_obs.Cost.Diff_payload, diff_entries_bytes pb.attached_diffs);
   ]
 
 (* Apply one interval's write notices, preserving local modifications by
@@ -1009,7 +990,7 @@ let apply_interval t ~attached interval =
           t.fault <- None
         else begin
         Obs.inc t.ins.write_notices_applied_c;
-        t.charge t.costs.Cost.write_notice_apply;
+        t.charge t.costs.Cpu_cost.write_notice_apply;
         (* A whole-page install can leave the local copy ahead of the
            vector clock; a write notice for an interval the content
            already reflects must not re-invalidate the page (fetching its
@@ -1038,7 +1019,7 @@ let apply_interval t ~attached interval =
                 Page.apply_diff p d;
                 Obs.inc t.ins.diffs_applied_c;
                 t.charge
-                  (t.costs.Cost.diff_data_per_byte
+                  (t.costs.Cpu_cost.diff_data_per_byte
                   *. float_of_int (Diff.changed_bytes d));
                 (* Cache the diff: this node can now serve it too. *)
                 store_diff t ~page ~id:interval.Interval.id d)
@@ -1059,7 +1040,7 @@ let apply_interval t ~attached interval =
               (* Decay the prefetch history: the page must fault again to
                  prove it is still wanted before riding along in batches. *)
               Hashtbl.remove t.accessed page;
-              t.charge t.costs.Cost.page_protect
+              t.charge t.costs.Cpu_cost.page_protect
             end;
             (match eager with
             | Some ds ->
@@ -1183,7 +1164,7 @@ let accept t piggybacks =
 let serve_cache_cap = 512
 
 let serve_diffs t request =
-  t.charge t.costs.Cost.diff_request_fixed;
+  t.charge t.costs.Cpu_cost.diff_request_fixed;
   let lookup page (id : Interval.id) =
     match Itbl.find_opt t.diffs (diff_key t ~page id) with
     | Some ds -> in_order ds
@@ -1235,7 +1216,7 @@ let serve_diffs t request =
             let d = Diff.merge pieces in
             Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
             t.charge
-              (t.costs.Cost.diff_data_per_byte
+              (t.costs.Cpu_cost.diff_data_per_byte
               *. float_of_int (Diff.changed_bytes d));
             if Hashtbl.length t.serve_cache >= serve_cache_cap then
               Hashtbl.reset t.serve_cache;

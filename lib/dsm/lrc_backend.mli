@@ -98,7 +98,7 @@ val create :
   nodes:int ->
   me:int ->
   page_table:Carlos_vm.Page_table.t ->
-  costs:Cost.t ->
+  costs:Cpu_cost.t ->
   charge:(float -> unit) ->
   ?strategy:strategy ->
   unit ->
@@ -147,8 +147,6 @@ type fault = Skip_write_notice | Corrupt_vc_merge
 
 val inject_fault : t -> fault option -> unit
 
-val me : t -> int
-
 (** The node's current vector timestamp (live value; do not mutate). *)
 val vc : t -> Vc.t
 
@@ -175,12 +173,16 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
     [required_vc].  May block. *)
 val accept : t -> piggyback list -> unit
 
-(** Wire size of the consistency information. *)
-val piggyback_size_bytes : piggyback -> int
-
-(** Component decomposition of {!piggyback_size_bytes} (vector clocks /
-    write notices / attached diffs); sums exactly to the wire size. *)
+(** Wire bytes of the consistency information by component (vector
+    clocks / write notices / attached diffs); the wire size is their
+    sum. *)
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
+
+(** Wire bytes of diff entries, as attached to a piggyback or carried by
+    a {!diff_reply}: 8 per entry plus each physical diff once, each later
+    reference to an already-billed diff costing a 4-byte
+    back-reference. *)
+val diff_entries_bytes : diff_reply -> int
 
 (** {1 Serving remote requests (non-blocking, interrupt level)} *)
 

@@ -52,7 +52,7 @@ type t = {
   me : int;
   sequencer : int;
   page_table : Page_table.t;
-  costs : Cost.t;
+  costs : Cpu_cost.t;
   charge : float -> unit;
   (* All nodes share one zero clock: this model has no vector time. *)
   zero_vc : Vc.t;
@@ -124,10 +124,10 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge () =
       Page.make_twin p;
       t.dirty.(page) <- true;
       t.charge
-        (t.costs.Cost.fault_trap
-        +. (t.costs.Cost.twin_per_byte
+        (t.costs.Cpu_cost.fault_trap
+        +. (t.costs.Cpu_cost.twin_per_byte
            *. float_of_int (Bytes.length (Page.data p)))
-        +. t.costs.Cost.page_protect));
+        +. t.costs.Cpu_cost.page_protect));
   t
 
 let set_transport t tr = t.transport <- Some tr
@@ -135,8 +135,6 @@ let set_transport t tr = t.transport <- Some tr
 let set_push t push = t.push <- Some push
 
 let set_hooks t hooks = t.hooks <- hooks
-
-let me t = t.me
 
 let sequencer t = t.sequencer
 
@@ -149,12 +147,6 @@ let request_vc _ = None
 let note_peer_vc _ ~peer:_ _ = ()
 
 let metadata_pressure _ = 0
-
-let validate_all _ = ()
-
-let discard_before _ _ = ()
-
-let piggyback_size_bytes (_ : piggyback) = 12
 
 (* origin + upto horizon: the sequencer's ordering metadata, on the same
    vc_entries axis as LRC's vector clocks. *)
@@ -249,8 +241,8 @@ let serve_sequence t ~origin diffs =
     broadcast t entries;
     wake_waiters t;
     t.charge
-      ((t.costs.Cost.diff_data_per_byte *. float_of_int !changed)
-      +. t.costs.Cost.diff_request_fixed);
+      ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !changed)
+      +. t.costs.Cpu_cost.diff_request_fixed);
     unlock_sequencer t;
     !last
   end
@@ -280,7 +272,7 @@ let serve_cas t ~origin ~page ~offset ~expected ~desired =
       (true, expected)
     end
   in
-  t.charge t.costs.Cost.diff_request_fixed;
+  t.charge t.costs.Cpu_cost.diff_request_fixed;
   unlock_sequencer t;
   result
 
@@ -321,8 +313,8 @@ let apply_push t entries =
     entries;
   wake_waiters t;
   t.charge
-    ((t.costs.Cost.diff_data_per_byte *. float_of_int !bytes)
-    +. (t.costs.Cost.write_notice_apply
+    ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !bytes)
+    +. (t.costs.Cpu_cost.write_notice_apply
        *. float_of_int (List.length entries)))
 
 (* ------------------------------------------------------------------ *)
@@ -352,11 +344,11 @@ let flush_dirty t =
           let diff = Page.encode_diff p ~page_index:page in
           Obs.inc t.ins.diffs_created_c;
           t.charge
-            ((t.costs.Cost.diff_scan_per_byte
+            ((t.costs.Cpu_cost.diff_scan_per_byte
              *. float_of_int (Bytes.length (Page.data p)))
-            +. (t.costs.Cost.diff_data_per_byte
+            +. (t.costs.Cpu_cost.diff_data_per_byte
                *. float_of_int (Diff.changed_bytes diff))
-            +. t.costs.Cost.page_protect);
+            +. t.costs.Cpu_cost.page_protect);
           if not (Diff.is_empty diff) then encoded := diff :: !encoded
         done;
         match List.rev !encoded with
@@ -423,11 +415,8 @@ let accept t pbs =
 let backend_stats t =
   {
     Backend_intf.diffs_created = Obs.value t.ins.diffs_created_c;
-    diffs_applied = Obs.value t.ins.diffs_applied_c;
     data_fetches =
       Obs.value t.ins.sequence_rpcs_c + Obs.value t.ins.cas_rpcs_c;
-    page_fetches = 0;
-    bytes_fetched = Obs.value t.ins.update_bytes_c;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -73,7 +73,7 @@ val create :
   me:int ->
   sequencer:int ->
   page_table:Carlos_vm.Page_table.t ->
-  costs:Cost.t ->
+  costs:Cpu_cost.t ->
   charge:(float -> unit) ->
   unit ->
   t
@@ -85,8 +85,6 @@ val set_transport : t -> transport -> unit
     call in unit tests).  Entries are in stamp order and must be
     delivered to {!apply_push} in that order. *)
 val set_push : t -> (dst:int -> entry list -> unit) -> unit
-
-val me : t -> int
 
 val sequencer : t -> int
 
@@ -126,8 +124,6 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
 
 val accept : t -> piggyback list -> unit
 
-val piggyback_size_bytes : piggyback -> int
-
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 
 val request_vc : t -> Vc.t option
@@ -135,10 +131,6 @@ val request_vc : t -> Vc.t option
 val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
 val metadata_pressure : t -> int
-
-val validate_all : t -> unit
-
-val discard_before : t -> Vc.t -> unit
 
 val backend_stats : t -> Backend_intf.stats
 

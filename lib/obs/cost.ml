@@ -7,10 +7,11 @@
      sum over components = medium.bytes + datagram.dropped_bytes
 
    Attribution happens at three layers:
-   - lib/carlos/node.ml splits each message's wire size into the active
+   - lib/carlos/node.ml bills each message part by part — the active
      message header ([Am_header]), the sender VC ([Vc_entries]), the
      piggyback (split by [Backend_intf.S.piggyback_cost]) and the payload
-     (the sender's declared [component], [App_payload] by default);
+     (the sender's declared [component], [App_payload] by default) — and
+     the message's wire size is the sum of those parts;
    - lib/net/sliding_window.ml bills ack frames to [Ack] and head-of-line
      retransmissions to [Retransmit];
    - lib/net/datagram.ml bills the per-frame Eth+IP+UDP header (42 bytes,

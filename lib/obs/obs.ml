@@ -162,8 +162,6 @@ type counter = { mutable c_v : int }
 
 type gauge = { mutable g_v : float }
 
-type byte_acc = { mutable b_count : int; mutable b_bytes : int }
-
 (* Time series: explicit (virtual-time, value) samples kept in insertion
    order (newest first internally). *)
 type series = { mutable s_rev : (float * float) list; mutable s_len : int }
@@ -171,7 +169,6 @@ type series = { mutable s_rev : (float * float) list; mutable s_len : int }
 type instrument =
   | I_counter of counter
   | I_gauge of gauge
-  | I_bytes of byte_acc
   | I_hist of Hist.t
   | I_series of series
 
@@ -231,16 +228,6 @@ let gauge t ~node ~layer name =
     Hashtbl.replace t.tbl key (I_gauge g);
     g
 
-let byte_acc t ~node ~layer name =
-  let key = { node; layer; name } in
-  match Hashtbl.find_opt t.tbl key with
-  | Some (I_bytes a) -> a
-  | Some _ -> kind_error key
-  | None ->
-    let a = { b_count = 0; b_bytes = 0 } in
-    Hashtbl.replace t.tbl key (I_bytes a);
-    a
-
 let histogram t ~node ~layer name =
   let key = { node; layer; name } in
   match Hashtbl.find_opt t.tbl key with
@@ -278,14 +265,6 @@ let set_gauge g v = g.g_v <- v
 let add_gauge g v = g.g_v <- g.g_v +. v
 
 let gauge_value g = g.g_v
-
-let acc_bytes a n =
-  a.b_count <- a.b_count + 1;
-  a.b_bytes <- a.b_bytes + n
-
-let acc_count a = a.b_count
-
-let acc_total a = a.b_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Queries *)
@@ -326,7 +305,6 @@ let sum_gauges t ~layer name =
 type value_v =
   | Counter_v of int
   | Gauge_v of float
-  | Bytes_v of { count : int; bytes : int }
   | Hist_v of Hist.snap
   | Series_v of (float * float) array
 
@@ -341,7 +319,6 @@ let snapshot t =
         match inst with
         | I_counter c -> Counter_v c.c_v
         | I_gauge g -> Gauge_v g.g_v
-        | I_bytes a -> Bytes_v { count = a.b_count; bytes = a.b_bytes }
         | I_hist h -> Hist_v (Hist.snap h)
         | I_series s -> Series_v (series_samples s)
       in
@@ -353,8 +330,6 @@ let sub_value later earlier =
   match (later, earlier) with
   | Counter_v a, Counter_v b -> Counter_v (a - b)
   | Gauge_v a, Gauge_v b -> Gauge_v (a -. b)
-  | Bytes_v a, Bytes_v b ->
-    Bytes_v { count = a.count - b.count; bytes = a.bytes - b.bytes }
   | Hist_v a, Hist_v b ->
     Hist_v
       {
@@ -377,8 +352,6 @@ let add_value a b =
   match (a, b) with
   | Counter_v x, Counter_v y -> Counter_v (x + y)
   | Gauge_v x, Gauge_v y -> Gauge_v (x +. y)
-  | Bytes_v x, Bytes_v y ->
-    Bytes_v { count = x.count + y.count; bytes = x.bytes + y.bytes }
   | Hist_v x, Hist_v y -> Hist_v (Hist.merge x y)
   | Series_v x, Series_v y ->
     let m = Array.append x y in
@@ -426,9 +399,6 @@ let reset t =
       match inst with
       | I_counter c -> c.c_v <- 0
       | I_gauge g -> g.g_v <- 0.0
-      | I_bytes a ->
-        a.b_count <- 0;
-        a.b_bytes <- 0
       | I_hist h -> Hist.reset h
       | I_series s ->
         s.s_rev <- [];
@@ -618,10 +588,6 @@ let pp_metrics_jsonl ppf (snap : snapshot) =
       | Gauge_v g ->
         Buffer.add_string b ",\"type\":\"gauge\",\"value\":";
         json_float b g
-      | Bytes_v { count; bytes } ->
-        Buffer.add_string b
-          (Printf.sprintf ",\"type\":\"bytes\",\"count\":%d,\"bytes\":%d" count
-             bytes)
       | Hist_v h ->
         Buffer.add_string b
           (Printf.sprintf ",\"type\":\"histogram\",\"count\":%d,\"sum\":"
@@ -662,8 +628,6 @@ let pp_metrics ppf (snap : snapshot) =
       (match v with
       | Counter_v n -> Format.fprintf ppf "%d" n
       | Gauge_v g -> Format.fprintf ppf "%.6f" g
-      | Bytes_v { count; bytes } ->
-        Format.fprintf ppf "%d msgs, %d bytes" count bytes
       | Hist_v h ->
         Format.fprintf ppf "n=%d mean=%.6f p50=%.6f p95=%.6f" h.Hist.count
           (Hist.mean h)

@@ -12,9 +12,9 @@
 
     - {e counters}: monotone integer event counts;
     - {e gauges}: float accumulators (virtual-time totals, stored bytes);
-    - {e byte accumulators}: a count plus a byte total (messages + volume);
     - {e histograms}: virtual-time / size distributions with power-of-two
-      buckets.
+      buckets;
+    - {e series}: (virtual-time, value) samples of one quantity.
 
     Reading is explicit: benchmarks take {!snapshot}s and {!diff} them
     across phases rather than resetting hidden global state, so phases can
@@ -110,8 +110,6 @@ type counter
 
 type gauge
 
-type byte_acc
-
 (** Explicit (virtual-time, value) sample list, append-only.  Used for
     quantities whose trajectory over virtual time matters (e.g. backend
     metadata pressure), not just their final value. *)
@@ -120,8 +118,6 @@ type series
 val counter : t -> node:int -> layer:layer -> string -> counter
 
 val gauge : t -> node:int -> layer:layer -> string -> gauge
-
-val byte_acc : t -> node:int -> layer:layer -> string -> byte_acc
 
 val histogram : t -> node:int -> layer:layer -> string -> Hist.t
 
@@ -138,13 +134,6 @@ val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 
 val gauge_value : gauge -> float
-
-(** [acc_bytes a n] records one event of [n] bytes. *)
-val acc_bytes : byte_acc -> int -> unit
-
-val acc_count : byte_acc -> int
-
-val acc_total : byte_acc -> int
 
 (** [series_observe s ~ts v] appends one sample.  Timestamps are expected
     (but not required) to be monotone; {!diff} relies only on
@@ -169,7 +158,6 @@ val sum_gauges : t -> layer:layer -> string -> float
 type value_v =
   | Counter_v of int
   | Gauge_v of float
-  | Bytes_v of { count : int; bytes : int }
   | Hist_v of Hist.snap
   | Series_v of (float * float) array
       (** (virtual-time, value) samples in insertion order *)

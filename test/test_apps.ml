@@ -6,7 +6,7 @@
 module System = Carlos.System
 module Node = Carlos.Node
 module Threads = Carlos.Threads
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Tsp = Carlos_apps.Tsp
 module Qsort = Carlos_apps.Qsort
 module Water = Carlos_apps.Water
@@ -30,7 +30,7 @@ let test_tsp variant nodes () =
   let r = Tsp.run sys variant tsp_params in
   Alcotest.(check int) "optimal tour" (Tsp.solve_reference tsp_params) r.Tsp.best
 
-let test_qsort ?(costs = Cost.default) variant nodes () =
+let test_qsort ?(costs = Cpu_cost.default) variant nodes () =
   let cfg = { (Qsort.config ~nodes qs_params) with System.costs } in
   let sys = System.create cfg in
   let r = Qsort.run sys variant qs_params in
@@ -52,7 +52,7 @@ let test_qsort_full_scale_all_costs () =
       let cfg = { (Qsort.config ~nodes:4 p) with System.costs } in
       let r = Qsort.run (System.create cfg) Qsort.Lock p in
       Alcotest.(check bool) "sorted" true r.Qsort.sorted)
-    [ Cost.default; Cost.treadmarks; Cost.fast_network ]
+    [ Cpu_cost.default; Cpu_cost.treadmarks; Cpu_cost.fast_network ]
 
 let test_tsp_determinism () =
   let run () =
@@ -388,9 +388,9 @@ let () =
           quick "hybrid-2 N=4" (test_qsort Qsort.Hybrid2 4);
           quick "no-forwarding N=4" (test_qsort Qsort.Hybrid_nf 4);
           quick "lock N=4 treadmarks costs"
-            (test_qsort ~costs:Cost.treadmarks Qsort.Lock 4);
+            (test_qsort ~costs:Cpu_cost.treadmarks Qsort.Lock 4);
           quick "hybrid N=4 fast network"
-            (test_qsort ~costs:Cost.fast_network Qsort.Hybrid1 4);
+            (test_qsort ~costs:Cpu_cost.fast_network Qsort.Hybrid1 4);
           Alcotest.test_case "full scale, all cost tables" `Slow
             test_qsort_full_scale_all_costs;
         ] );

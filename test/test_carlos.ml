@@ -737,9 +737,9 @@ let run_random_program rp =
   in
   let costs =
     match rp.rp_costs with
-    | 0 -> Carlos_dsm.Cost.default
-    | 1 -> Carlos_dsm.Cost.treadmarks
-    | _ -> Carlos_dsm.Cost.fast_network
+    | 0 -> Carlos_dsm.Cpu_cost.default
+    | 1 -> Carlos_dsm.Cpu_cost.treadmarks
+    | _ -> Carlos_dsm.Cpu_cost.fast_network
   in
   let cfg =
     {

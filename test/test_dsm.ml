@@ -11,7 +11,7 @@ module Page_table = Carlos_vm.Page_table
 module Shm = Carlos_vm.Shm
 module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
-module Cost = Carlos_dsm.Cost
+module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
 
 type cluster = {
@@ -34,7 +34,7 @@ let make_cluster ?strategy n =
     Array.init n (fun me ->
         Lrc.create ~nodes:n ~me
           ~page_table:(Shm.page_table shms.(me))
-          ~costs:Cost.default ~charge ?strategy ())
+          ~costs:Cpu_cost.default ~charge ?strategy ())
   in
   let transport =
     {
@@ -517,6 +517,27 @@ let test_update_strategy_lock_chain () =
   let _ = release c ~src:3 ~dst:0 in
   Alcotest.(check int) "counter" 4 (Shm.read_i64 c.shms.(0) a)
 
+let test_aliased_diff_billed_once () =
+  (* A physical diff listed under two ids crosses the wire once; the
+     second entry costs its 8-byte header plus a 4-byte back-reference.
+     Piggyback attachments and diff replies bill through the same rule. *)
+  let c = make_cluster ~strategy:Lrc.Update 2 in
+  Shm.write_i64 c.shms.(0) (slot c ~page:0 0) 7;
+  let pb = Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false in
+  let page, id, d =
+    match pb.Lrc.attached_diffs with
+    | [ (page, id, [ d ]) ] -> (page, id, d)
+    | _ -> Alcotest.fail "expected one attached diff"
+  in
+  let alias = { id with Interval.index = id.Interval.index + 1 } in
+  let entries = [ (page, id, [ d ]); (page, alias, [ d ]) ] in
+  let expected = 8 + Carlos_vm.Diff.size_bytes d + 8 + 4 in
+  Alcotest.(check int) "piggyback diff_payload" expected
+    (List.assoc Carlos_obs.Cost.Diff_payload
+       (Lrc.piggyback_cost { pb with Lrc.attached_diffs = entries }));
+  Alcotest.(check int) "diff reply bytes" expected
+    (Lrc.diff_entries_bytes entries)
+
 (* ------------------------------------------------------------------ *)
 (* Batched fetching and the creator-side merged-diff cache *)
 
@@ -648,7 +669,7 @@ let make_seq_cluster n =
     Array.init n (fun me ->
         Seq.create ~nodes:n ~me ~sequencer:0
           ~page_table:(Shm.page_table sshms.(me))
-          ~costs:Cost.default ~charge ())
+          ~costs:Cpu_cost.default ~charge ())
   in
   (* Direct-call wiring: the sequencer's pushes apply synchronously at
      each replica before the RPC "reply" returns, which models the
@@ -962,6 +983,8 @@ let () =
             test_update_onto_stale_base_caches;
           Alcotest.test_case "lock chain under update" `Quick
             test_update_strategy_lock_chain;
+          Alcotest.test_case "aliased diff billed once" `Quick
+            test_aliased_diff_billed_once;
         ] );
       ( "batching",
         [

@@ -27,12 +27,7 @@ let test_instruments () =
   Obs.add_gauge g 0.25;
   Alcotest.(check (float 1e-12)) "gauge" 1.75 (Obs.gauge_value g);
   Obs.set_gauge g 3.0;
-  Alcotest.(check (float 1e-12)) "gauge set" 3.0 (Obs.gauge_value g);
-  let a = Obs.byte_acc t ~node:1 ~layer:Obs.Carlos "msgs" in
-  Obs.acc_bytes a 100;
-  Obs.acc_bytes a 50;
-  Alcotest.(check int) "acc count" 2 (Obs.acc_count a);
-  Alcotest.(check int) "acc total" 150 (Obs.acc_total a)
+  Alcotest.(check (float 1e-12)) "gauge set" 3.0 (Obs.gauge_value g)
 
 let test_registration_idempotent () =
   let t = Obs.create () in
@@ -357,7 +352,6 @@ let populated () =
   Obs.add (Obs.counter t ~node:1 ~layer:Obs.Net "frames") 3;
   Obs.add_gauge (Obs.gauge t ~node:0 ~layer:Obs.Carlos "time.user") 0.5;
   Obs.Hist.observe (Obs.histogram t ~node:0 ~layer:Obs.Vm "diff.bytes") 64.0;
-  Obs.acc_bytes (Obs.byte_acc t ~node:Obs.global_node ~layer:Obs.Net "d") 9;
   Obs.event t ~node:1 ~layer:Obs.Carlos "send" ~args:[ ("x", Obs.Str "\"q\"") ];
   let id = Obs.next_flow_id t in
   Obs.complete_at t ~ts:0.125 ~duration:0.001 ~node:1 ~layer:Obs.Carlos "send";
