@@ -18,14 +18,14 @@ check: build fmt test
 # Soak the qcheck properties: tier-1 runs each on one pinned seed; this
 # runs them once per seed in SEEDS (QCHECK_SEED) and prints every failing
 # seed with its counterexample.  soak-check fails unless the failing seeds
-# over 1..40 are exactly those listed in test/soak_expected.txt.
+# over 1..200 are exactly those listed in test/soak_expected.txt.
 SEEDS ?= 1..40
 
 soak: build
 	@test/soak.sh $(SEEDS)
 
 soak-check: build
-	@test/soak.sh 1..40 test/soak_expected.txt
+	@test/soak.sh 1..200 test/soak_expected.txt
 
 # Run every app under the online consistency auditor on every backend;
 # fails on any violation (same matrix as the CI consistency-audit job).

@@ -199,6 +199,11 @@ let wire_transport t node =
         Node.rpc node ~dst ~cost:Wire_cost.Diff_payload ~request_bytes:12
           ~service:(fun remote -> Lrc.serve_page (Node.lrc remote) ~page)
           ~reply_bytes:(page_reply_bytes t.cfg));
+    fetch_base =
+      (fun ~dst ~page ->
+        Node.rpc node ~dst ~cost:Wire_cost.Diff_payload ~request_bytes:12
+          ~service:(fun remote -> Lrc.serve_base (Node.lrc remote) ~page)
+          ~reply_bytes:(fun base -> page_reply_bytes t.cfg (Some base)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -276,12 +281,16 @@ let seq_push sequencer_node ~dst entries =
 
    1. the coordinator (node 0) collects a RELEASE_NT-style contribution
       from every node (each node's own intervals) and accepts their union;
+      its clock is then the snapshot;
    2. it sends every node a tailored RELEASE departure; on acceptance each
-      node validates all of its invalid pages (forcing every outstanding
-      diff to be encoded and transferred — "thereby forcing more messages
-      to be sent");
-   3. when all nodes have validated, everyone discards interval records
-      and diffs covered by the snapshot.
+      node elects one keeper per page written in this epoch (the same
+      table everywhere), and each keeper validates its pages and keeps a
+      base copy of each;
+   3. every node drops each copy that still misses history at or below
+      the snapshot; a later fault on it refetches the keeper's base and
+      applies the intervals above it;
+   4. everyone discards interval records and diffs covered by the
+      snapshot.
 
    Applications keep running throughout; anything they write during the
    rendezvous belongs to open or post-snapshot intervals, which survive. *)
@@ -329,9 +338,11 @@ let run_gc t =
     action (Node.lrc coord);
     List.iter (fun iv -> Node.await coord iv) acked
   in
-  (* 2. Departures: tailored RELEASE; each node validates everything. *)
-  step Annotation.Release Lrc.validate_all;
-  (* 3. Discard everywhere. *)
+  (* 2. Departures: tailored RELEASE; keepers store their bases. *)
+  step Annotation.Release (fun lrc -> Lrc.gc_keep lrc snapshot);
+  (* 3. Drop stale copies everywhere. *)
+  step Annotation.None_ (fun lrc -> Lrc.gc_drop lrc snapshot);
+  (* 4. Discard everywhere. *)
   step Annotation.None_ (fun lrc -> Lrc.discard_before lrc snapshot);
   Obs.inc t.gc.runs_c;
   t.gc.in_progress <- false;

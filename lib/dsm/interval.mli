@@ -26,8 +26,12 @@ val size_bytes : t -> int
     index as [id] (int equality, no structural compare). *)
 val mem_id : id -> id list -> bool
 
-(** Sort interval records into a linear extension of causal order:
-    ascending [rank], ties broken by creator then index.  Stable. *)
+(** The total order {!causal_sort} sorts by: a linear extension of causal
+    order, ascending [rank], ties broken by creator then index. *)
+val causal_compare : t -> t -> int
+
+(** Sort interval records into a linear extension of causal order
+    ({!causal_compare}).  Stable. *)
 val causal_sort : t list -> t list
 
 val pp : Format.formatter -> t -> unit

@@ -46,6 +46,7 @@ type transport = {
   fetch_diffs : dst:int -> diff_request -> diff_reply;
   fetch_intervals : dst:int -> have:Vc.t -> Interval.t list;
   fetch_page : dst:int -> page:int -> page_reply option;
+  fetch_base : dst:int -> page:int -> page_reply;
 }
 
 module Obs = Carlos_obs.Obs
@@ -170,6 +171,20 @@ type t = {
      already been shipped eagerly.  Each diff goes to each peer at most
      once; anything else is recovered by demand fetching. *)
   attach_floor : Vc.t array;
+  (* Set while an interval close is encoding, and filled once it has
+     published; see [close_interval]. *)
+  mutable closing : bool;
+  mutable close_done : unit Ivar.t option;
+  (* Metadata GC: per page, the node that keeps the page's base copy
+     (-1 before any GC elected one); the same table on every node. *)
+  keeper : int array;
+  (* The base copies this node keeps, immutable once stored. *)
+  bases : (int, page_reply) Hashtbl.t;
+  (* Pages whose stale copy a GC dropped, each with the keeper to refetch
+     a base from. *)
+  dropped : (int, int) Hashtbl.t;
+  (* The snapshot of the last GC: history at or below it is discarded. *)
+  gc_floor : Vc.t;
   mutable transport : transport option;
   mutable diff_bytes_stored : int;
   obs : Obs.t;
@@ -218,35 +233,41 @@ let store_diff t ~page ~id diff =
 
 (* Encode the modifications of a write-enabled page.  The twin always
    snapshots the page as of the last interval close, so the diff contains
-   exactly the writes of the open interval. *)
-let encode_now t page =
+   exactly the writes of the open interval.  Encoding re-protects the page
+   and does not yield; the caller records the diff where a concurrent
+   fiber can find it before it charges for the encode with
+   [charge_encode], which yields. *)
+let encode t page =
   let p = Page_table.page t.page_table page in
-  let page_size = Page_table.page_size t.page_table in
-  (* Encode before charging: charging yields the fiber, and a concurrent
-     write-notice arrival could flush (re-protect) the page under us. *)
   let diff = Page.encode_diff p ~page_index:page in
   Obs.inc t.ins.diffs_created_c;
   Obs.Hist.observe t.ins.diff_size_h (float_of_int (Diff.size_bytes diff));
+  diff
+
+let charge_encode t diff =
   t.charge
-    ((t.costs.Cpu_cost.diff_scan_per_byte *. float_of_int page_size)
+    ((t.costs.Cpu_cost.diff_scan_per_byte
+     *. float_of_int (Page_table.page_size t.page_table))
     +. (t.costs.Cpu_cost.diff_data_per_byte
        *. float_of_int (Diff.changed_bytes diff))
-    +. t.costs.Cpu_cost.page_protect);
-  diff
+    +. t.costs.Cpu_cost.page_protect)
 
 (* A write notice arrived for a page the open interval is writing: encode
    the modifications so they survive invalidation, and park the diff until
-   the open interval closes and gives it an id. *)
+   the open interval closes and gives it an id.  The diff is parked before
+   the encode charge yields: a close in that window publishes the page's
+   write notice, and must publish this diff with it. *)
 let flush_page t page =
   let p = Page_table.page t.page_table page in
   match Page.state p with
   | Page.Read_only | Page.Invalid -> ()
   | Page.Read_write ->
-    let diff = encode_now t page in
+    let diff = encode t page in
     let existing =
       Option.value ~default:[] (Hashtbl.find_opt t.orphans page)
     in
-    Hashtbl.replace t.orphans page (diff :: existing)
+    Hashtbl.replace t.orphans page (diff :: existing);
+    charge_encode t diff
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling *)
@@ -365,36 +386,17 @@ let causal_order t ids =
       (fun (i : Interval.t) -> i.Interval.id)
       (Interval.causal_sort (List.map (find_interval t) ids))
 
-(* Group a page's causally ordered ids into maximal same-creator runs.
-   The ids of one run are adjacent in the apply order — no other interval's
-   diff applies between them — so the creator may collapse the run's diffs
-   into one merged diff: applied at the run's position it is byte-for-byte
-   equivalent to applying them one by one.  (Anything causally between two
-   ids of the page's missing set is itself in the missing set: write
-   notices travel with complete piggybacks, so the accept that revealed the
-   later id also revealed everything before it.) *)
-let adjacency_runs ordered =
-  let rec group acc = function
-    | [] -> List.rev_map List.rev acc
-    | (id : Interval.id) :: rest -> (
-      match acc with
-      | ((last : Interval.id) :: _ as run) :: others
-        when last.Interval.creator = id.Interval.creator ->
-        group ((id :: run) :: others) rest
-      | _ -> group ([ id ] :: acc) rest)
-  in
-  group [] ordered
-
-(* Fetch the diffs for [targets] (per page, the causally ordered ids whose
-   diffs are not held locally) into [have]: one diff request per creator,
-   spanning pages, with one request entry per mergeable run.  Distinct
-   creators answer independently, so their round trips are overlapped by
-   issuing each request from its own forked fiber and joining on ivars. *)
+(* Fetch the diffs for [targets] (per page, its mergeable runs: same-
+   creator ids whose diffs are not held locally, in causal order) into
+   [have]: one diff request per creator, spanning pages, with one request
+   entry per run.  Distinct creators answer independently, so their round
+   trips are overlapped by issuing each request from its own forked fiber
+   and joining on ivars. *)
 let fetch_missing t ~into:have targets =
   let requests = Hashtbl.create 4 in
   let creators = ref [] in
   List.iter
-    (fun (page, ordered) ->
+    (fun (page, runs) ->
       List.iter
         (fun run ->
           match run with
@@ -407,7 +409,7 @@ let fetch_missing t ~into:have targets =
               creators := creator :: !creators
             | Some cur ->
               Hashtbl.replace requests creator ((page, run) :: cur)))
-        (adjacency_runs ordered))
+        runs)
     targets;
   let asked = Itbl.create 16 in
   Hashtbl.iter
@@ -467,6 +469,29 @@ let fetch_missing t ~into:have targets =
        test outside any engine fiber, where there is nothing to fork. *)
     List.iter do_fetch many
 
+(* Split a page's causally ordered ids into mergeable runs: maximal
+   stretches of one creator's ids whose diffs are not held here.  The ids
+   of a run are adjacent in the apply order — no other interval's diff
+   applies between them — so the creator may collapse the run's diffs
+   into one merged diff: applied at the run's position it is byte-for-byte
+   equivalent to applying them one by one.  A held id ends the run, since
+   its diff applies between the ids around it; [held] tells them apart. *)
+let mergeable_runs ordered ~held =
+  let rec group runs run = function
+    | [] -> List.rev (if run = [] then runs else List.rev run :: runs)
+    | (id : Interval.id) :: rest ->
+      if held id then
+        group (if run = [] then runs else List.rev run :: runs) [] rest
+      else begin
+        match run with
+        | (last : Interval.id) :: _
+          when last.Interval.creator <> id.Interval.creator ->
+          group (List.rev run :: runs) [ id ] rest
+        | _ -> group runs (id :: run) rest
+      end
+  in
+  group [] [] ordered
+
 (* Gather diffs for each page of [targets]: serve from the local store
    where possible, fetch the rest from their creators (blocking). *)
 let collect_diffs t targets =
@@ -474,21 +499,23 @@ let collect_diffs t targets =
   let remote =
     List.filter_map
       (fun (page, ids) ->
-        let miss =
-          List.filter
-            (fun (id : Interval.id) ->
-              let key = diff_key t ~page id in
-              match Itbl.find_opt t.diffs key with
-              | Some ds ->
-                Itbl.replace have key (in_order ds);
-                false
-              | None ->
-                if id.Interval.creator = t.me then
-                  raise (Protocol_violation "own diff missing from store");
-                true)
-            ids
-        in
-        if miss = [] then None else Some (page, causal_order t miss))
+        let missed = ref 0 in
+        List.iter
+          (fun (id : Interval.id) ->
+            let key = diff_key t ~page id in
+            match Itbl.find_opt t.diffs key with
+            | Some ds -> Itbl.replace have key (in_order ds)
+            | None ->
+              if id.Interval.creator = t.me then
+                raise (Protocol_violation "own diff missing from store");
+              incr missed)
+          ids;
+        if !missed = 0 then None
+        else
+          Some
+            ( page,
+              mergeable_runs (causal_order t ids) ~held:(fun id ->
+                  Itbl.mem have (diff_key t ~page id)) ))
       targets
   in
   fetch_missing t ~into:have remote;
@@ -586,17 +613,17 @@ let fetch_and_apply t targets =
     List.iter (fun (page, ids) -> apply_diffs t page ids have) work);
   List.iter (fun (page, ids) -> finish_page t page ~handled:ids) targets
 
-(* Fetch-and-apply [targets] under per-page inflight gates, so concurrent
-   fibers faulting on the same page block on the ivar instead of issuing a
-   duplicate fetch. *)
-let fetch_batch t targets =
+(* Run [f] under inflight gates on [pages], so concurrent fibers faulting
+   on the same pages block on the ivars instead of issuing a duplicate
+   fetch. *)
+let under_gates t pages f =
   let gates =
     List.map
-      (fun (page, _) ->
+      (fun page ->
         let gate = Ivar.create () in
         Hashtbl.replace t.inflight page gate;
         (page, gate))
-      targets
+      pages
   in
   let finish () =
     List.iter
@@ -605,11 +632,73 @@ let fetch_batch t targets =
         Ivar.fill gate ())
       gates
   in
-  (try fetch_and_apply t targets
+  (try f ()
    with e ->
      finish ();
      raise e);
   finish ()
+
+let fetch_batch t targets =
+  under_gates t (List.map fst targets) (fun () -> fetch_and_apply t targets)
+
+(* The logged intervals that wrote [page] and that the page's content may
+   lack: above [covers], at most the vector clock (an id above it belongs
+   to an accept still in progress, whose write notice then leaves it
+   missing), and not in [applied].  Nothing at or below the last GC's
+   snapshot is needed, and it is discarded: had it written the page, that
+   GC would have re-elected the keeper, whose base covers it. *)
+let writes_above t page ~covers ~applied =
+  let ids = ref [] in
+  for creator = 0 to t.nodes - 1 do
+    let floor = max (Vc.get covers creator) (Vc.get t.gc_floor creator) in
+    for index = floor + 1 to Vc.get t.vc creator do
+      let id = { Interval.creator; index } in
+      if
+        (not (Itbl.mem applied (diff_key t ~page id)))
+        && List.mem page (find_interval t id).Interval.write_notices
+      then ids := id :: !ids
+    done
+  done;
+  !ids
+
+(* Rebuild a page whose stale copy a GC dropped: install the keeper's
+   base, apply every logged interval above the base that wrote the page
+   (this node's own included), then re-apply the open interval's orphans.
+   The catch-up loops because fetching yields: new write notices can
+   arrive, and a close can publish the orphans as an own interval.  It
+   tracks the ids it applied rather than the page's coverage, which that
+   close bumps before its diff is applied here. *)
+let refetch_dropped t page ~keeper =
+  let { data; covers } = (transport t).fetch_base ~dst:keeper ~page in
+  Obs.inc t.ins.page_fetches_c;
+  let p = Page_table.page t.page_table page in
+  Page.install p data;
+  Page.invalidate p;
+  Hashtbl.remove t.dropped page;
+  Hashtbl.remove t.page_vc page;
+  note_page_content t page covers;
+  t.charge (t.costs.Cpu_cost.twin_per_byte *. float_of_int (Bytes.length data));
+  let applied = Itbl.create 8 in
+  let rec catch_up () =
+    match writes_above t page ~covers ~applied with
+    | [] -> ()
+    | ids ->
+      List.iter (fun id -> Itbl.replace applied (diff_key t ~page id) ()) ids;
+      apply_diffs t page ids (collect_diffs t [ (page, ids) ]);
+      catch_up ()
+  in
+  catch_up ();
+  (match Hashtbl.find_opt t.orphans page with
+  | Some ds -> List.iter (fun d -> Page.apply_diff p d) (in_order ds)
+  | None -> ());
+  let handled =
+    List.filter
+      (fun (id : Interval.id) ->
+        id.Interval.index <= Vc.get covers id.Interval.creator
+        || Itbl.mem applied (diff_key t ~page id))
+      (Option.value ~default:[] (Hashtbl.find_opt t.missing page))
+  in
+  finish_page t page ~handled
 
 (* Bring one invalid page up to date.  Loops because new write notices can
    arrive while we block on the network.  The other missing pages this
@@ -622,26 +711,32 @@ let rec validate_page t page =
     Ivar.read gate;
     validate_page_if_needed t page
   | None -> (
-    match Hashtbl.find_opt t.missing page with
-    | None | Some [] ->
-      Hashtbl.remove t.missing page;
-      let p = Page_table.page t.page_table page in
-      if Page.state p = Page.Invalid then Page.validate p
-    | Some ids ->
-      let extra =
-        Hashtbl.fold
-          (fun other other_ids acc ->
-            if
-              other <> page && other_ids <> []
-              && Hashtbl.mem t.accessed other
-              && not (Hashtbl.mem t.inflight other)
-            then (other, other_ids) :: acc
-            else acc)
-          t.missing []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
-      fetch_batch t ((page, ids) :: extra);
-      validate_page_if_needed t page)
+    match Hashtbl.find_opt t.dropped page with
+    | Some keeper ->
+      under_gates t [ page ] (fun () -> refetch_dropped t page ~keeper);
+      validate_page_if_needed t page
+    | None -> (
+      match Hashtbl.find_opt t.missing page with
+      | None | Some [] ->
+        Hashtbl.remove t.missing page;
+        let p = Page_table.page t.page_table page in
+        if Page.state p = Page.Invalid then Page.validate p
+      | Some ids ->
+        let extra =
+          Hashtbl.fold
+            (fun other other_ids acc ->
+              if
+                other <> page && other_ids <> []
+                && Hashtbl.mem t.accessed other
+                && (not (Hashtbl.mem t.inflight other))
+                && not (Hashtbl.mem t.dropped other)
+              then (other, other_ids) :: acc
+              else acc)
+            t.missing []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        in
+        fetch_batch t ((page, ids) :: extra);
+        validate_page_if_needed t page))
 
 and validate_page_if_needed t page =
   let p = Page_table.page t.page_table page in
@@ -681,6 +776,12 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
       serve_cache = Hashtbl.create 64;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
       attach_floor = Array.init nodes (fun _ -> Vc.zero ~nodes);
+      closing = false;
+      close_done = None;
+      keeper = Array.make (Page_table.pages page_table) (-1);
+      bases = Hashtbl.create 16;
+      dropped = Hashtbl.create 16;
+      gc_floor = Vc.zero ~nodes;
       transport = None;
       diff_bytes_stored = 0;
       obs;
@@ -723,71 +824,106 @@ let note_peer_vc t ~peer vc =
   t.hooks.on_peer_note ~node:t.me ~peer ~vc;
   Vc.join_in_place t.peer_vc.(peer) vc
 
+(* The body of [close_interval]: take the dirty pages, encode them and
+   publish the new interval. *)
+let publish_interval t pages =
+  (* Take the dirty list before anything that can yield: writes made
+     while this close encodes belong to the next interval. *)
+  t.dirty <- [];
+  List.iter (fun page -> Hashtbl.remove t.dirty_set page) pages;
+  (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
+     clock.  Encoding charges CPU and yields the fiber, and a fetch_page
+     request serviced at interrupt level during such a yield uses t.vc to
+     claim what the served snapshot covers.  Ticking first would let it
+     claim the closing interval while the twin still excludes its writes
+     — the receiver would then skip this interval's write notice and keep
+     stale bytes forever.  With the un-ticked clock the claim is exact
+     for still-writable pages (the twin is served) and merely
+     conservative for just-encoded ones (re-applying the diff over its
+     own bytes is idempotent). *)
+  let encoded =
+    List.filter_map
+      (fun page ->
+        let p = Page_table.page t.page_table page in
+        if Page.state p = Page.Read_write then begin
+          let diff = encode t page in
+          charge_encode t diff;
+          Some (page, diff)
+        end
+        else None)
+      pages
+  in
+  (* Phase 2 — publish atomically: no charges (hence no yields) between
+     the tick and the page-coverage notes, so no observer can see the new
+     index without the frames and diff store reflecting it. *)
+  let index = Vc.tick t.vc ~me:t.me in
+  let interval =
+    Interval.make ~creator:t.me ~index ~vc:(Vc.copy t.vc)
+      ~write_notices:pages
+  in
+  Interval.Log.add t.log interval;
+  t.hooks.on_interval_closed ~creator:t.me ~index ~vc:interval.Interval.vc
+    ~pages;
+  Obs.inc t.ins.intervals_created_c;
+  Obs.add t.ins.write_notices_sent_c (List.length pages);
+  let id = { Interval.creator = t.me; index } in
+  List.iter
+    (fun page ->
+      (* Diffs encoded mid-interval by write-notice arrivals... *)
+      (match Hashtbl.find_opt t.orphans page with
+      | Some ds ->
+        List.iter (fun d -> store_diff t ~page ~id d) (in_order ds);
+        Hashtbl.remove t.orphans page
+      | None -> ());
+      (* ...and the final state of the page if it was still writable. *)
+      (match List.assoc_opt page encoded with
+      | Some d -> store_diff t ~page ~id d
+      | None -> ());
+      note_page_interval t page ~creator:t.me ~index)
+    pages
+
 (* Close the open interval, if it wrote anything: assign the next index,
    log the interval with one write notice per dirty page, and encode every
    dirty page's diff eagerly so the page can be re-protected.  Eager
    encoding keeps write notices precise — a page is advertised in exactly
    the intervals that really wrote it, and a diff published under an
    interval id contains exactly that interval's modifications, which the
-   causal apply order relies on. *)
-let close_interval t =
-  match t.dirty with
-  | [] -> ()
-  | pages ->
-    (* Snapshot and clear the dirty list before anything that can yield
-       the fiber (CPU charges block): a concurrent release from another
-       fiber of this node (e.g. the dispatcher granting a lock) must see
-       an empty open interval, not re-publish the same pages. *)
-    t.dirty <- [];
-    List.iter (fun page -> Hashtbl.remove t.dirty_set page) pages;
-    (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
-       clock.  Encoding charges CPU and yields the fiber, and a fetch_page
-       request serviced at interrupt level during such a yield uses t.vc to
-       claim what the served snapshot covers.  Ticking first would let it
-       claim the closing interval while the twin still excludes its writes
-       — the receiver would then skip this interval's write notice and keep
-       stale bytes forever.  With the un-ticked clock the claim is exact
-       for still-writable pages (the twin is served) and merely
-       conservative for just-encoded ones (re-applying the diff over its
-       own bytes is idempotent). *)
-    let encoded =
-      List.filter_map
-        (fun page ->
-          let p = Page_table.page t.page_table page in
-          if Page.state p = Page.Read_write then
-            Some (page, encode_now t page)
-          else None)
-        pages
+   causal apply order relies on.
+
+   A close yields while it charges for the encodes, and another fiber of
+   this node can release in that window (the dispatcher granting a lock
+   whose token rests here).  That release must carry the interval being
+   closed, so it waits until the interval is published ([closing] is
+   set meanwhile; the first waiter creates the [close_done] gate) and
+   then re-checks. *)
+let rec close_interval t =
+  if t.closing then begin
+    let gate =
+      match t.close_done with
+      | Some gate -> gate
+      | None ->
+        let gate = Ivar.create () in
+        t.close_done <- Some gate;
+        gate
     in
-    (* Phase 2 — publish atomically: no charges (hence no yields) between
-       the tick and the page-coverage notes, so no observer can see the new
-       index without the frames and diff store reflecting it. *)
-    let index = Vc.tick t.vc ~me:t.me in
-    let interval =
-      Interval.make ~creator:t.me ~index ~vc:(Vc.copy t.vc)
-        ~write_notices:pages
-    in
-    Interval.Log.add t.log interval;
-    t.hooks.on_interval_closed ~creator:t.me ~index ~vc:interval.Interval.vc
-      ~pages;
-    Obs.inc t.ins.intervals_created_c;
-    Obs.add t.ins.write_notices_sent_c (List.length pages);
-    let id = { Interval.creator = t.me; index } in
-    List.iter
-      (fun page ->
-        (* Diffs encoded mid-interval by write-notice arrivals... *)
-        (match Hashtbl.find_opt t.orphans page with
-        | Some ds ->
-          List.iter (fun d -> store_diff t ~page ~id d) (in_order ds);
-          Hashtbl.remove t.orphans page
-        | None -> ());
-        (* ...and the final state of the page if it was still writable. *)
-        (match List.assoc_opt page encoded with
-        | Some d -> store_diff t ~page ~id d
-        | None -> ());
-        note_page_interval t page ~creator:t.me ~index)
-      pages;
-    t.charge t.costs.Cpu_cost.interval_create
+    Ivar.read gate;
+    close_interval t
+  end
+  else
+    match t.dirty with
+    | [] -> ()
+    | pages ->
+      t.closing <- true;
+      Fun.protect
+        ~finally:(fun () ->
+          t.closing <- false;
+          match t.close_done with
+          | Some gate ->
+            t.close_done <- None;
+            Ivar.fill gate ()
+          | None -> ())
+        (fun () -> publish_interval t pages);
+      t.charge t.costs.Cpu_cost.interval_create
 
 (* Intervals the receiver (whose vc we conservatively know as [have]) is
    missing, optionally restricted to locally created ones. *)
@@ -1035,24 +1171,27 @@ let apply_interval t ~attached interval =
             while Page.state p = Page.Read_write do
               flush_page t page
             done;
-            if Page.state p <> Page.Invalid then begin
-              Page.invalidate p;
-              (* Decay the prefetch history: the page must fault again to
-                 prove it is still wanted before riding along in batches. *)
-              Hashtbl.remove t.accessed page;
-              t.charge t.costs.Cpu_cost.page_protect
-            end;
             (match eager with
             | Some ds ->
               List.iter
                 (fun d -> store_diff t ~page ~id:interval.Interval.id d)
                 ds
             | None -> ());
+            (* Record the missing id before the invalidation charge
+               yields: a fault in that window must find it, or it would
+               validate the page with nothing to fetch. *)
             let cur =
               Option.value ~default:[] (Hashtbl.find_opt t.missing page)
             in
             if not (Interval.mem_id interval.Interval.id cur) then
-              Hashtbl.replace t.missing page (interval.Interval.id :: cur)
+              Hashtbl.replace t.missing page (interval.Interval.id :: cur);
+            if Page.state p <> Page.Invalid then begin
+              Page.invalidate p;
+              (* Decay the prefetch history: the page must fault again to
+                 prove it is still wanted before riding along in batches. *)
+              Hashtbl.remove t.accessed page;
+              t.charge t.costs.Cpu_cost.page_protect
+            end
         end);
         t.hooks.on_write_notice ~node:t.me ~page ~creator ~index
         end)
@@ -1255,30 +1394,112 @@ let serve_page t ~page =
 let metadata_pressure t =
   t.diff_bytes_stored + (32 * Interval.Log.length t.log)
 
-let validate_all t =
-  let rec loop () =
-    let pending = Hashtbl.fold (fun page _ acc -> page :: acc) t.missing [] in
-    match List.sort Int.compare pending with
-    | [] -> ()
-    | pages ->
-      (* One batched round over every missing page (GC forces them all, so
-         the demand-history gate does not apply), then re-check: new write
-         notices may have arrived while we were blocked. *)
-      let fresh =
-        List.filter_map
+(* The keeper election of the GC with snapshot [snapshot]: a page written
+   by an interval of this epoch (at or below the snapshot and above the
+   last one) goes to the creator of the causally latest such interval.
+   Every node has logged exactly these intervals, so every node computes
+   the same table; a page nobody wrote keeps its keeper.  The floor test
+   matters: a stale piggyback can re-log an interval an earlier GC
+   discarded.  Returns the pages this node now keeps, ascending. *)
+let elect_keepers t snapshot =
+  let latest = Hashtbl.create 64 in
+  Interval.Log.fold
+    (fun (i : Interval.t) () ->
+      let id = i.Interval.id in
+      if
+        id.Interval.index > Vc.get t.gc_floor id.Interval.creator
+        && Vc.dominates snapshot i.Interval.vc
+      then
+        List.iter
           (fun page ->
-            if Hashtbl.mem t.inflight page then None
-            else
-              match Hashtbl.find_opt t.missing page with
-              | None | Some [] -> None
-              | Some ids -> Some (page, ids))
-          pages
-      in
-      if fresh <> [] then fetch_batch t fresh;
-      List.iter (fun page -> validate_page_if_needed t page) pages;
-      loop ()
+            match Hashtbl.find_opt latest page with
+            | Some (best : Interval.t) when Interval.causal_compare best i > 0
+              ->
+              ()
+            | _ -> Hashtbl.replace latest page i)
+          i.Interval.write_notices)
+    t.log ();
+  Hashtbl.fold
+    (fun page (i : Interval.t) mine ->
+      let keeper = i.Interval.id.Interval.creator in
+      t.keeper.(page) <- keeper;
+      if keeper = t.me then page :: mine else mine)
+    latest []
+  |> List.sort Int.compare
+
+(* The GC's keep step, once this node has reached [snapshot]: elect the
+   keepers, then validate each page this node keeps and store its clean
+   content as the page's base, with the coverage [serve_page] would
+   claim.  Checking validity and storing do not yield, so the base is a
+   consistent copy. *)
+let gc_keep t snapshot =
+  let kept = elect_keepers t snapshot in
+  let stale =
+    List.filter_map
+      (fun page ->
+        if Hashtbl.mem t.inflight page || Hashtbl.mem t.dropped page then None
+        else
+          match Hashtbl.find_opt t.missing page with
+          | None | Some [] -> None
+          | Some ids -> Some (page, ids))
+      kept
   in
-  loop ()
+  if stale <> [] then fetch_batch t stale;
+  List.iter
+    (fun page ->
+      validate_page_if_needed t page;
+      Hashtbl.replace t.bases page
+        {
+          data = Page.clean_snapshot (Page_table.page t.page_table page);
+          covers = Vc.join t.vc (page_content_vc t page);
+        })
+    kept
+
+(* The GC's drop step, once every keeper holds its bases: drop every
+   copy that still misses history at or below [snapshot] (that history
+   is about to be discarded), remembering the keeper to refetch a base
+   from, and point earlier drops at the current keepers.  A fetch in
+   flight may still need that history, so wait for every one to finish
+   first; the drop itself does not yield. *)
+let rec gc_drop t snapshot =
+  match Hashtbl.fold (fun _ gate _ -> Some gate) t.inflight None with
+  | Some gate ->
+    Ivar.read gate;
+    gc_drop t snapshot
+  | None ->
+    let stale =
+      Hashtbl.fold
+        (fun page ids acc ->
+          if
+            List.exists
+              (fun (id : Interval.id) ->
+                id.Interval.index <= Vc.get snapshot id.Interval.creator)
+              ids
+          then page :: acc
+          else acc)
+        t.missing []
+    in
+    List.iter
+      (fun page ->
+        Hashtbl.remove t.missing page;
+        Hashtbl.remove t.page_vc page;
+        Hashtbl.replace t.dropped page t.keeper.(page))
+      stale;
+    Hashtbl.filter_map_inplace
+      (fun page _ ->
+        let keeper = t.keeper.(page) in
+        if keeper < 0 || keeper = t.me then
+          raise
+            (Protocol_violation
+               (Printf.sprintf "dropped page %d has no other keeper" page));
+        Some keeper)
+      t.dropped
+
+let serve_base t ~page =
+  match Hashtbl.find_opt t.bases page with
+  | Some base -> base
+  | None ->
+    raise (Protocol_violation (Printf.sprintf "no base copy of page %d" page))
 
 let discard_before t snapshot =
   (* Discarding is only legal after a global rendezvous in which every node
@@ -1318,4 +1539,11 @@ let discard_before t snapshot =
     diff_keys;
   (* Merged encodings may cover just-discarded history; drop them all
      rather than tracking which ranges survive. *)
-  Hashtbl.reset t.serve_cache
+  Hashtbl.reset t.serve_cache;
+  (* A base stays until another node keeps its page. *)
+  Hashtbl.filter_map_inplace
+    (fun page base -> if t.keeper.(page) = t.me then Some base else None)
+    t.bases;
+  for c = 0 to t.nodes - 1 do
+    Vc.set t.gc_floor c (Vc.get snapshot c)
+  done

@@ -59,8 +59,9 @@ type piggyback = {
     needed.  Requests are addressed to the interval creator.  A fetcher may
     list the same page in several entries; the ids of one entry must be
     adjacent in the fetcher's causal apply order for that page (no other
-    missing interval of the page sorts between them), which licenses the
-    server to merge their diffs — see {!serve_diffs}. *)
+    interval it applies to the page, fetched or held locally, sorts
+    between them), which licenses the server to merge their diffs — see
+    {!serve_diffs}. *)
 type diff_request = (int * Interval.id list) list
 
 (** Per requested id, the diff pieces to apply in list order.  One physical
@@ -79,6 +80,9 @@ type transport = {
       (** blocking RPC; the remote side answers with {!serve_intervals} *)
   fetch_page : dst:int -> page:int -> page_reply option;
       (** blocking RPC; the remote side answers with {!serve_page} *)
+  fetch_base : dst:int -> page:int -> page_reply;
+      (** blocking RPC to a page's keeper; the remote side answers with
+          {!serve_base} *)
 }
 
 (** [create ?obs ~nodes ~me ~page_table ~costs ~charge] — [charge dt] must
@@ -202,19 +206,37 @@ val serve_intervals : t -> have:Vc.t -> Interval.t list
     itself stale. *)
 val serve_page : t -> page:int -> page_reply option
 
+(** [serve_base] answers with the base copy of [page] this node keeps
+    (see {!gc_keep}).  Raises [Protocol_violation] if it keeps none. *)
+val serve_base : t -> page:int -> page_reply
+
 (** {1 Garbage collection support (paper §5.2 footnote)} *)
 
 (** Rough bytes of consistency metadata held (stored diffs + interval
     log). *)
 val metadata_pressure : t -> int
 
-(** Bring every invalid page up to date (blocking; used by the global GC
-    rendezvous). *)
-val validate_all : t -> unit
+(** The global GC's rendezvous runs these steps on every node, in order,
+    each step finishing on all nodes before the next starts.  [snapshot]
+    is the coordinator's clock once it has accepted every node's
+    contribution; each node has reached it before {!gc_keep}.
 
-(** Discard interval records and diffs dominated by [snapshot].  Only safe
-    after a global rendezvous has made every node consistent with
-    [snapshot]. *)
+    [gc_keep t snapshot] elects, for each page written by an interval of
+    this epoch (at or below [snapshot], above the last snapshot), a keeper:
+    the creator of the causally latest such interval.  Every node computes
+    the same table.  The keeper validates the page and keeps its content
+    as the page's immutable base copy.  Blocking. *)
+val gc_keep : t -> Vc.t -> unit
+
+(** [gc_drop t snapshot] drops every copy that still misses history at or
+    below [snapshot], after waiting for the fetches in flight here.  A
+    later fault on a dropped page installs the keeper's base (through
+    [fetch_base]) and applies the logged intervals above it.  Blocking. *)
+val gc_drop : t -> Vc.t -> unit
+
+(** Discard interval records and diffs dominated by [snapshot], and the
+    base copies of pages another node now keeps.  Only safe after
+    {!gc_drop} has run on every node. *)
 val discard_before : t -> Vc.t -> unit
 
 (** {1 Statistics} *)

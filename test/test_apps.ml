@@ -54,6 +54,23 @@ let test_qsort_full_scale_all_costs () =
       Alcotest.(check bool) "sorted" true r.Qsort.sorted)
     [ Cpu_cost.default; Cpu_cost.treadmarks; Cpu_cost.fast_network ]
 
+let test_qsort_input_748_with_gc () =
+  (* The full instance at input offset 748 (application and system seeds
+     both shifted by 748) with the metadata GC on: a write-notice flush
+     whose diff was parked only after its encode charge let a concurrent
+     close publish the page's write notice without a diff, and a later
+     fetch of it failed. *)
+  let offset = 748 in
+  let p =
+    { Qsort.default_params with
+      Qsort.seed = Qsort.default_params.Qsort.seed + offset }
+  in
+  let cfg = Qsort.config ~nodes:4 p in
+  let cfg = { cfg with System.seed = cfg.System.seed + offset } in
+  let r = Qsort.run (System.create cfg) Qsort.Hybrid1 p in
+  Alcotest.(check bool) "a GC ran" true (r.Qsort.report.System.gc_runs > 0);
+  Alcotest.(check bool) "sorted" true r.Qsort.sorted
+
 let test_tsp_determinism () =
   let run () =
     let sys = System.create (System.default_config ~nodes:3) in
@@ -393,6 +410,7 @@ let () =
             (test_qsort ~costs:Cpu_cost.fast_network Qsort.Hybrid1 4);
           Alcotest.test_case "full scale, all cost tables" `Slow
             test_qsort_full_scale_all_costs;
+          quick "hybrid-1 N=4 input 748 with gc" test_qsort_input_748_with_gc;
         ] );
       ( "water",
         [

@@ -728,7 +728,9 @@ let print_random_program rp =
     rp.rp_nodes rp.rp_vars rp.rp_rounds rp.rp_strategy rp.rp_lossy rp.rp_costs
     (String.concat " " plan)
 
-let run_random_program rp =
+(* [spread] gives each counter a page of its own; by default they all
+   share one. *)
+let run_random_program ?gc_threshold ?(spread = false) rp =
   let strategy =
     match rp.rp_strategy with
     | 0 -> Carlos_dsm.Lrc_backend.Invalidate
@@ -750,9 +752,14 @@ let run_random_program rp =
       rto = 0.02;
     }
   in
+  let cfg =
+    if gc_threshold = None then cfg else { cfg with System.gc_threshold }
+  in
   let sys = System.create cfg in
-  (* All counters deliberately share one page: worst-case false sharing. *)
-  let base = System.alloc sys (8 * rp.rp_vars) in
+  (* Sharing one page is the worst case for false sharing; one page per
+     counter lets each page keep its own GC history. *)
+  let stride = if spread then cfg.System.page_size else 8 in
+  let base = System.alloc sys ~align:stride (stride * rp.rp_vars) in
   let locks =
     Array.init rp.rp_vars (fun v ->
         Msg_lock.create sys
@@ -769,7 +776,7 @@ let run_random_program rp =
           Array.iter
             (fun v ->
               Msg_lock.with_lock locks.(v) node (fun () ->
-                  let a = base + (8 * v) in
+                  let a = base + (stride * v) in
                   let x = Shm.read_i64 shm a in
                   Node.compute node 1e-4;
                   Shm.write_i64 shm a (x + 1)))
@@ -778,7 +785,7 @@ let run_random_program rp =
         done;
         if me = 0 then
           for v = 0 to rp.rp_vars - 1 do
-            finals.(v) <- Shm.read_i64 shm (base + (8 * v))
+            finals.(v) <- Shm.read_i64 shm (base + (stride * v))
           done)
   in
   let expected = Array.make rp.rp_vars 0 in
@@ -787,17 +794,32 @@ let run_random_program rp =
     rp.rp_plan;
   (expected, finals)
 
+let check_random_program ?gc_threshold ?spread rp =
+  let expected, finals = run_random_program ?gc_threshold ?spread rp in
+  if expected <> finals then
+    QCheck.Test.fail_reportf "expected %s, got %s"
+      (String.concat "," (Array.to_list (Array.map string_of_int expected)))
+      (String.concat "," (Array.to_list (Array.map string_of_int finals)))
+  else true
+
 let prop_random_programs =
   QCheck.Test.make ~name:"random lock/barrier programs are coherent"
     ~count:40
     (QCheck.make ~print:print_random_program random_program_gen)
-    (fun rp ->
-      let expected, finals = run_random_program rp in
-      if expected <> finals then
-        QCheck.Test.fail_reportf "expected %s, got %s"
-          (String.concat "," (Array.to_list (Array.map string_of_int expected)))
-          (String.concat "," (Array.to_list (Array.map string_of_int finals)))
-      else true)
+    check_random_program
+
+(* The same programs with a metadata GC every few hundred bytes of
+   consistency metadata: many rendezvous run while the program does, so
+   pages are dropped and refetched from their keepers mid-run.  Half the
+   programs give each counter its own page, so a page can sit out an
+   epoch while the GC discards other pages' history. *)
+let prop_random_programs_gc_stress =
+  QCheck.Test.make
+    ~name:"random lock/barrier programs are coherent under GC stress"
+    ~count:40
+    QCheck.(
+      pair (make ~print:print_random_program random_program_gen) bool)
+    (fun (rp, spread) -> check_random_program ~gc_threshold:300 ~spread rp)
 
 let test_tracing () =
   let sys = make ~nodes:2 () in
@@ -898,5 +920,8 @@ let () =
             test_report_consistency;
           Alcotest.test_case "tracing" `Quick test_tracing;
         ]
-        @ [ Props.to_alcotest prop_random_programs ] );
+        @ [
+            Props.to_alcotest prop_random_programs;
+            Props.to_alcotest prop_random_programs_gc_stress;
+          ] );
     ]

@@ -13,6 +13,7 @@ module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
+module Engine = Carlos_sim.Engine
 
 type cluster = {
   region : Region.t;
@@ -21,7 +22,9 @@ type cluster = {
   charged : float ref;
 }
 
-let make_cluster ?strategy n =
+(* [charge] runs after the [charged] tally; by default it does nothing,
+   so protocol work takes no time and never yields. *)
+let make_cluster ?strategy ?(charge = ignore) n =
   let region =
     Region.create ~page_size:256 ~private_bytes:256 ~noncoherent_bytes:256
       ~coherent_pages:8 ()
@@ -29,7 +32,10 @@ let make_cluster ?strategy n =
   let noncoherent = Bytes.make 256 '\000' in
   let shms = Array.init n (fun _ -> Shm.create ~region ~noncoherent ()) in
   let charged = ref 0.0 in
-  let charge dt = charged := !charged +. dt in
+  let charge dt =
+    charged := !charged +. dt;
+    charge dt
+  in
   let lrcs =
     Array.init n (fun me ->
         Lrc.create ~nodes:n ~me
@@ -42,6 +48,7 @@ let make_cluster ?strategy n =
       fetch_intervals =
         (fun ~dst ~have -> Lrc.serve_intervals lrcs.(dst) ~have);
       fetch_page = (fun ~dst ~page -> Lrc.serve_page lrcs.(dst) ~page);
+      fetch_base = (fun ~dst ~page -> Lrc.serve_base lrcs.(dst) ~page);
     }
   in
   Array.iter (fun l -> Lrc.set_transport l transport) lrcs;
@@ -264,28 +271,101 @@ let test_whole_page_fetch_for_long_histories () =
   Alcotest.(check int) "whole-page fetch used" 1
     (Lrc.stats c.lrcs.(1)).Lrc.page_fetches
 
+(* The GC rendezvous by hand, on two nodes: node 0 keeps page 0, node 1
+   drops its stale copy and rebuilds it on the next fault from node 0's
+   base plus the post-snapshot history — a diff of node 0, an own
+   interval and an open-interval orphan. *)
 let test_metadata_gc () =
   let c = make_cluster 2 in
-  let a = slot c ~page:0 0 in
+  let at i = slot c ~page:0 i in
+  (* Five closed intervals of node 0 that node 1 has not heard of. *)
   for i = 1 to 5 do
-    Shm.write_i64 c.shms.(0) a i;
-    let _ = release c ~src:0 ~dst:1 in
-    ignore (Shm.read_i64 c.shms.(1) a)
+    Shm.write_i64 c.shms.(0) (at 0) i;
+    ignore (Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false)
   done;
   let before = Lrc.metadata_pressure c.lrcs.(0) in
   Alcotest.(check bool) "pressure accumulated" true (before > 0);
-  (* Both nodes are now mutually consistent; discard history. *)
-  Lrc.validate_all c.lrcs.(0);
-  Lrc.validate_all c.lrcs.(1);
-  let snapshot = Vc.join (Lrc.vc c.lrcs.(0)) (Lrc.vc c.lrcs.(1)) in
-  Lrc.discard_before c.lrcs.(0) snapshot;
-  Lrc.discard_before c.lrcs.(1) snapshot;
+  (* Collect: the coordinator's clock after the arrivals is the snapshot. *)
+  let arrival =
+    Lrc.make_piggyback c.lrcs.(1) ~receiver:0 ~nontransitive:true
+  in
+  Lrc.accept c.lrcs.(0) [ arrival ];
+  let snapshot = Vc.copy (Lrc.vc c.lrcs.(0)) in
+  (* Node 1 writes after the snapshot: one closed interval, then an open
+     one that the departure's write notices flush into an orphan. *)
+  Shm.write_i64 c.shms.(1) (at 1) 5;
+  ignore (Lrc.make_piggyback c.lrcs.(1) ~receiver:0 ~nontransitive:false);
+  Shm.write_i64 c.shms.(1) (at 2) 6;
+  let _ = release c ~src:0 ~dst:1 in
+  List.iter (fun l -> Lrc.gc_keep l snapshot) (Array.to_list c.lrcs);
+  List.iter (fun l -> Lrc.gc_drop l snapshot) (Array.to_list c.lrcs);
+  List.iter (fun l -> Lrc.discard_before l snapshot) (Array.to_list c.lrcs);
   Alcotest.(check bool) "pressure dropped" true
     (Lrc.metadata_pressure c.lrcs.(0) < before);
-  (* The system keeps working after the GC. *)
-  Shm.write_i64 c.shms.(0) a 99;
+  Alcotest.(check bool) "the keeper serves a base" true
+    (Bytes.get_int64_le (Lrc.serve_base c.lrcs.(0) ~page:0).Lrc.data 0 = 5L);
+  (* A diff of node 0 after the snapshot. *)
+  Shm.write_i64 c.shms.(0) (at 3) 7;
   let _ = release c ~src:0 ~dst:1 in
-  Alcotest.(check int) "post-gc value" 99 (Shm.read_i64 c.shms.(1) a)
+  Alcotest.(check int) "no page fetched before the fault" 0
+    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches;
+  Alcotest.(check int) "base content" 5 (Shm.read_i64 c.shms.(1) (at 0));
+  Alcotest.(check int) "one base fetched" 1
+    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches;
+  Alcotest.(check int) "own interval re-applied" 5
+    (Shm.read_i64 c.shms.(1) (at 1));
+  Alcotest.(check int) "orphan re-applied" 6 (Shm.read_i64 c.shms.(1) (at 2));
+  Alcotest.(check int) "post-snapshot diff applied" 7
+    (Shm.read_i64 c.shms.(1) (at 3));
+  (* Node 1's open interval closes with the orphan; node 0 sees it all. *)
+  let _ = release c ~src:1 ~dst:0 in
+  Alcotest.(check int) "node 0 sees the own interval" 5
+    (Shm.read_i64 c.shms.(0) (at 1));
+  Alcotest.(check int) "node 0 sees the orphan" 6
+    (Shm.read_i64 c.shms.(0) (at 2));
+  (* The system keeps working after the GC. *)
+  Shm.write_i64 c.shms.(0) (at 0) 99;
+  let _ = release c ~src:0 ~dst:1 in
+  Alcotest.(check int) "post-gc value" 99 (Shm.read_i64 c.shms.(1) (at 0))
+
+(* One whole GC rendezvous on a loopback cluster, node 0 coordinating. *)
+let run_gc c =
+  let n = Array.length c.lrcs in
+  let arrivals =
+    List.init (n - 1) (fun i ->
+        Lrc.make_piggyback c.lrcs.(i + 1) ~receiver:0 ~nontransitive:true)
+  in
+  Lrc.accept c.lrcs.(0) arrivals;
+  let snapshot = Vc.copy (Lrc.vc c.lrcs.(0)) in
+  for i = 1 to n - 1 do
+    ignore (release c ~src:0 ~dst:i)
+  done;
+  Array.iter (fun l -> Lrc.gc_keep l snapshot) c.lrcs;
+  Array.iter (fun l -> Lrc.gc_drop l snapshot) c.lrcs;
+  Array.iter (fun l -> Lrc.discard_before l snapshot) c.lrcs
+
+let test_dropped_page_survives_later_gc () =
+  (* Node 1 drops page 1 at the first GC.  Nobody writes page 1 in the
+     next epoch, so it keeps its keeper and base, while the second GC
+     discards the history in between (node 0's writes to page 0).  The
+     refetch must not ask for that discarded history. *)
+  let c = make_cluster 2 in
+  let p0 = slot c ~page:0 0 and p1 = slot c ~page:1 0 in
+  Shm.write_i64 c.shms.(0) p1 11;
+  ignore (release c ~src:0 ~dst:1);
+  run_gc c;
+  for i = 1 to 3 do
+    Shm.write_i64 c.shms.(0) p0 i;
+    ignore (release c ~src:0 ~dst:1)
+  done;
+  run_gc c;
+  Shm.write_i64 c.shms.(0) p0 4;
+  ignore (release c ~src:0 ~dst:1);
+  Alcotest.(check int) "dropped page from its old base" 11
+    (Shm.read_i64 c.shms.(1) p1);
+  Alcotest.(check int) "page 0 current" 4 (Shm.read_i64 c.shms.(1) p0);
+  Alcotest.(check int) "both pages refetched from a base" 2
+    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches
 
 let test_lock_handoff_chain () =
   let c = make_cluster 4 in
@@ -407,6 +487,36 @@ let test_concurrent_release_during_cpu_yield () =
   Alcotest.(check int) "only one interval was created" 1
     (Lrc.stats c.lrcs.(0)).Lrc.intervals_created
 
+let test_release_waits_for_close () =
+  (* Two fibers of node 0 release at the same time, the second while the
+     first's close yields to charge for its encode: the second RELEASE
+     must still carry the interval the first one closed. *)
+  let c =
+    make_cluster
+      ~charge:(fun dt -> if Engine.in_fiber () then Engine.delay dt)
+      2
+  in
+  let engine = Engine.create () in
+  let first = ref None and second = ref None in
+  let release_to_1 result () =
+    result :=
+      Some (Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false)
+  in
+  Engine.spawn engine (fun () ->
+      Shm.write_i64 c.shms.(0) (slot c ~page:0 0) 5;
+      Engine.fork (release_to_1 second);
+      release_to_1 first ());
+  Engine.run engine;
+  let required pb =
+    match !pb with
+    | Some pb -> Vc.get pb.Lrc.required_vc 0
+    | None -> Alcotest.fail "release did not finish"
+  in
+  Alcotest.(check int) "first release covers the interval" 1 (required first);
+  Alcotest.(check int) "second release covers it too" 1 (required second);
+  Alcotest.(check int) "one interval created" 1
+    (Lrc.stats c.lrcs.(0)).Lrc.intervals_created
+
 let test_many_interval_page_history_correct () =
   (* Long per-page histories exercise the whole-page fetch path; the final
      value must always win regardless of transfer mechanism. *)
@@ -516,6 +626,30 @@ let test_update_strategy_lock_chain () =
   done;
   let _ = release c ~src:3 ~dst:0 in
   Alcotest.(check int) "counter" 4 (Shm.read_i64 c.shms.(0) a)
+
+let test_held_diff_splits_merge_run () =
+  (* Node 2 misses 0.1, 1.1 and 0.2 of one page, in that causal order,
+     and holds only 1.1's diff (shipped eagerly).  0.1 and 0.2 are of one
+     creator but not adjacent in the apply order, so they must not be
+     fetched as one merged run: the merge would apply 0.2's write before
+     1.1's and let 1.1 overwrite it. *)
+  let c = make_cluster ~strategy:Lrc.Hybrid_update 3 in
+  let x = slot c ~page:0 0 in
+  Shm.write_i64 c.shms.(0) x 1;
+  let _ = release c ~src:0 ~dst:1 in
+  Shm.write_i64 c.shms.(1) x (Shm.read_i64 c.shms.(1) x + 1);
+  let _ = release c ~src:1 ~dst:0 in
+  (* Node 1 tells node 2 about 0.1 (no data) and its own 1.1 (eager). *)
+  let _ = release c ~src:1 ~dst:2 in
+  Shm.write_i64 c.shms.(0) x 3;
+  (* A locally addressed release closes 0.2 and counts both of node 0's
+     diffs as shipped to every peer, so the next release to node 2
+     carries no data. *)
+  ignore (Lrc.make_piggyback c.lrcs.(0) ~receiver:0 ~nontransitive:false);
+  let pb = release c ~src:0 ~dst:2 in
+  Alcotest.(check int) "no eager data for node 0's intervals" 0
+    (List.length pb.Lrc.attached_diffs);
+  Alcotest.(check int) "latest write wins" 3 (Shm.read_i64 c.shms.(2) x)
 
 let test_aliased_diff_billed_once () =
   (* A physical diff listed under two ids crosses the wire once; the
@@ -963,9 +1097,13 @@ let () =
           Alcotest.test_case "whole-page fetch" `Quick
             test_whole_page_fetch_for_long_histories;
           Alcotest.test_case "metadata gc" `Quick test_metadata_gc;
+          Alcotest.test_case "dropped page survives a later gc" `Quick
+            test_dropped_page_survives_later_gc;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "serve excludes open writes" `Quick
             test_serve_page_excludes_open_writes;
+          Alcotest.test_case "release waits for a concurrent close" `Quick
+            test_release_waits_for_close;
           Alcotest.test_case "double close publishes once" `Quick
             test_concurrent_release_during_cpu_yield;
           Alcotest.test_case "long page history" `Quick
@@ -983,6 +1121,8 @@ let () =
             test_update_onto_stale_base_caches;
           Alcotest.test_case "lock chain under update" `Quick
             test_update_strategy_lock_chain;
+          Alcotest.test_case "held diff splits a merge run" `Quick
+            test_held_diff_splits_merge_run;
           Alcotest.test_case "aliased diff billed once" `Quick
             test_aliased_diff_billed_once;
         ] );
