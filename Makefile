@@ -72,7 +72,7 @@ bench-parallel: build
 # bench_diff fails only on increases, so each comparison is also run
 # with the two files swapped: a simulated number that moves in either
 # direction fails.  Exits non-zero on a moved number or a lost row.
-SIM_FIELDS = wall_s,messages,wire_bytes,components.diff_payload,components.vc_entries,components.write_notices,components.retransmit
+SIM_FIELDS = wall_s,messages,wire_bytes,components.diff_payload,components.vc_entries,components.write_notices,components.retransmit,bytes,frames,acks,acks_coalesced,diff_requests
 
 bench-diff: build
 	dune exec bench/main.exe -- json scaling -n 16 -o BENCH_GATE.json

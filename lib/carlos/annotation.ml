@@ -1,15 +1,9 @@
 type t = Release | Release_nt | Request | None_
 
-let synchronizing = function
-  | Release | Release_nt -> true
-  | Request | None_ -> false
-
 let to_string = function
   | Release -> "RELEASE"
   | Release_nt -> "RELEASE_NT"
   | Request -> "REQUEST"
   | None_ -> "NONE"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let all = [ Release; Release_nt; Request; None_ ]

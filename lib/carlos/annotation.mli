@@ -16,12 +16,7 @@
 
 type t = Release | Release_nt | Request | None_
 
-(** [synchronizing t] is true for [Release] and [Release_nt]. *)
-val synchronizing : t -> bool
-
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 (** All four annotations, for exhaustive sweeps in tests and benches. *)
 val all : t list

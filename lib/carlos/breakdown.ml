@@ -29,7 +29,3 @@ let carlos t = Obs.gauge_value t.carlos_g
 let busy t = user t +. unix t +. carlos t
 
 let idle t ~wall = Float.max 0.0 (wall -. busy t)
-
-let pp ppf t =
-  Format.fprintf ppf "user=%.3fs unix=%.3fs carlos=%.3fs" (user t) (unix t)
-    (carlos t)

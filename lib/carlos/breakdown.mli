@@ -33,9 +33,5 @@ val unix : t -> float
 
 val carlos : t -> float
 
-val busy : t -> float
-
-(** [idle t ~wall] = [wall - busy t] (never negative). *)
+(** [idle t ~wall] is [wall] minus the three buckets (never negative). *)
 val idle : t -> wall:float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -19,18 +19,8 @@ let am_header_bytes = 16
 
 type lane = User_lane | System_lane
 
-type msg_stats = {
-  sent : int;
-  bytes : int;
-  sent_release : int;
-  sent_release_nt : int;
-  sent_request : int;
-  sent_none : int;
-  stored : int;
-  forwarded : int;
-}
-
-(* Registry handles behind {!msg_stats}. *)
+(* Registry handles for the [msgs.*] counters ([Carlos] layer); readers
+   look them up in the registry by key. *)
 type instruments = {
   sent_c : Obs.counter;
   bytes_c : Obs.counter;
@@ -109,22 +99,6 @@ let lrc t =
     raise (Handler_error "Node.lrc: node does not run the LRC backend")
 
 let breakdown t = t.breakdown
-
-let costs t = t.costs
-
-let msg_stats t =
-  {
-    sent = Obs.value t.ins.sent_c;
-    bytes = Obs.value t.ins.bytes_c;
-    sent_release = Obs.value t.ins.release_c;
-    sent_release_nt = Obs.value t.ins.release_nt_c;
-    sent_request = Obs.value t.ins.request_c;
-    sent_none = Obs.value t.ins.none_c;
-    stored = Obs.value t.ins.stored_c;
-    forwarded = Obs.value t.ins.forwarded_c;
-  }
-
-let obs t = t.obs
 
 let set_audit t a = t.audit <- a
 

@@ -51,11 +51,6 @@ val lrc : t -> Carlos_dsm.Lrc_backend.t
 
 val breakdown : t -> Breakdown.t
 
-(** The observability registry this node reports into. *)
-val obs : t -> Carlos_obs.Obs.t
-
-val costs : t -> Carlos_dsm.Cpu_cost.t
-
 (** {1 Sending} *)
 
 (** [send t ~dst ~annotation ~payload_bytes ~handler] transmits a user
@@ -146,30 +141,14 @@ val rpc :
 (** Wait on an ivar (flushes pending computation first). *)
 val await : t -> 'a Carlos_sim.Resource.Ivar.t -> 'a
 
-(** {1 Statistics} *)
-
-(** Immutable read-back of this node's message counters.  The live values
-    are the [msgs.*] counters in the observability registry ([Carlos]
-    layer); this is a convenience aggregate. *)
-type msg_stats = {
-  sent : int; (* user + system messages, including forwards *)
-  bytes : int; (* wire payload bytes of those messages *)
-  sent_release : int;
-  sent_release_nt : int;
-  sent_request : int;
-  sent_none : int;
-  stored : int;
-  forwarded : int;
-}
-
-val msg_stats : t -> msg_stats
-
 (** {1 Construction and wiring (used by System)} *)
 
 (** [make ?obs ~id ...] — all accounting (message counters, Figure 2 time
     gauges, LRC protocol counters, page-fault counters are registered by
     the respective owners) lands in [obs]; a fresh private registry
-    clocked by [engine] is created when omitted. *)
+    clocked by [engine] is created when omitted.  The message counters
+    are the [Carlos]-layer [msgs.*] counters of node [id]
+    ([msgs.sent], [msgs.bytes], [msgs.release], ...); read them by key. *)
 val make :
   ?obs:Carlos_obs.Obs.t ->
   id:int ->

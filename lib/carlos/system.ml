@@ -76,14 +76,12 @@ type report = {
   avg_message_bytes : float;
   net_utilization : float;
   gc_runs : int;
-  diffs_created : int;
   diff_requests : int;
 }
 
 type gc_state = {
   mutable in_progress : bool;
   runs_c : Obs.counter;
-  mutable requested : bool;
 }
 
 (* Per-node sampler for Backend.metadata_pressure: a (virtual-time, bytes)
@@ -100,7 +98,6 @@ type t = {
   region : Region.t;
   nodes : Node.t array;
   coherent_alloc : Alloc.t;
-  rng : Rng.t;
   gc : gc_state;
   pressure : pressure_sampler array;
   obs : Obs.t;
@@ -116,12 +113,6 @@ let engine t = t.engine
 let node t i = t.nodes.(i)
 
 let node_count t = t.cfg.nodes
-
-let region t = t.region
-
-let rng t = t.rng
-
-let gc_runs t = Obs.value t.gc.runs_c
 
 let obs t = t.obs
 
@@ -345,8 +336,7 @@ let run_gc t =
   (* 4. Discard everywhere. *)
   step Annotation.None_ (fun lrc -> Lrc.discard_before lrc snapshot);
   Obs.inc t.gc.runs_c;
-  t.gc.in_progress <- false;
-  t.gc.requested <- false
+  t.gc.in_progress <- false
 
 let request_gc t =
   if not t.gc.in_progress then begin
@@ -436,13 +426,11 @@ let create ?(audit = false) (cfg : config) =
       coherent_alloc =
         Alloc.create ~base:(Region.coherent_base region)
           ~size:(cfg.coherent_pages * cfg.page_size);
-      rng;
       gc =
         {
           in_progress = false;
           runs_c =
             Obs.counter obs ~node:Obs.global_node ~layer:Obs.Carlos "gc.runs";
-          requested = false;
         };
       pressure =
         Array.init cfg.nodes (fun id ->
@@ -513,15 +501,17 @@ let run t app =
     Array.map
       (fun node ->
         let b = Node.breakdown node in
-        let s = Node.msg_stats node in
+        let msgs name =
+          Obs.counter_value t.obs ~node:(Node.id node) ~layer:Obs.Carlos name
+        in
         {
           node = Node.id node;
           user = Breakdown.user b;
           unix = Breakdown.unix b;
           carlos = Breakdown.carlos b;
           idle = Breakdown.idle b ~wall;
-          msgs_sent = s.Node.sent;
-          bytes_sent = s.Node.bytes;
+          msgs_sent = msgs "msgs.sent";
+          bytes_sent = msgs "msgs.bytes";
         })
       t.nodes
   in
@@ -529,20 +519,9 @@ let run t app =
   let message_bytes =
     Array.fold_left (fun a r -> a + r.bytes_sent) 0 per_node
   in
-  let diffs_created =
-    Array.fold_left
-      (fun a node ->
-        a
-        + (Backend.backend_stats (Node.backend node))
-            .Carlos_dsm.Backend_intf.diffs_created)
-      0 t.nodes
-  in
   let diff_requests =
     Array.fold_left
-      (fun a node ->
-        a
-        + (Backend.backend_stats (Node.backend node))
-            .Carlos_dsm.Backend_intf.data_fetches)
+      (fun a node -> a + Backend.data_fetches (Node.backend node))
       0 t.nodes
   in
   {
@@ -556,7 +535,6 @@ let run t app =
     net_utilization =
       (if wall <= 0.0 then 0.0
        else float_of_int message_bytes *. 8.0 /. (1.0e7 *. wall));
-    gc_runs = gc_runs t;
-    diffs_created;
+    gc_runs = Obs.value t.gc.runs_c;
     diff_requests;
   }

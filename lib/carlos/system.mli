@@ -64,9 +64,8 @@ type report = {
   message_bytes : int; (* their wire bytes (headers + piggybacks) *)
   avg_message_bytes : float;
   net_utilization : float; (* fraction of the raw 10 Mbit/s, as in Tables 1-3 *)
-  gc_runs : int;
-  diffs_created : int;
-  diff_requests : int;
+  gc_runs : int; (* global metadata GCs *)
+  diff_requests : int; (* blocking data round trips, see Backend.data_fetches *)
 }
 
 type t
@@ -84,11 +83,6 @@ val engine : t -> Carlos_sim.Engine.t
 val node : t -> int -> Node.t
 
 val node_count : t -> int
-
-val region : t -> Carlos_vm.Region.t
-
-(** Deterministic per-system random stream (seeded from [config.seed]). *)
-val rng : t -> Carlos_sim.Rng.t
 
 (** The cluster-wide observability registry: every instrument of every
     layer (network, VM, consistency protocol, message layer) and the typed
@@ -120,6 +114,3 @@ exception Stalled of string
     quiescence and reports.  Raises {!Stalled} if some application fiber
     never finished (protocol deadlock). *)
 val run : t -> (Node.t -> unit) -> report
-
-(** Number of global metadata GCs so far. *)
-val gc_runs : t -> int

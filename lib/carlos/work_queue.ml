@@ -149,5 +149,3 @@ let close t node =
       while not (Queue.is_empty t.waiters) do
         answer_closed t manager_node ~dst:(Queue.pop t.waiters)
       done)
-
-let length t = Queue.length t.items

@@ -34,9 +34,6 @@ val dequeue : 'a t -> Node.t -> 'a option
     items return [None]. *)
 val close : 'a t -> Node.t -> unit
 
-(** Items currently stored at the manager (diagnostic). *)
-val length : 'a t -> int
-
 (** Test-only corruption: arm a one-shot fault that makes the manager
     {e accept} the next enqueue message instead of relaying it (it then
     re-publishes the item itself, as in [No_forwarding] mode).  Violates

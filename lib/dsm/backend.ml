@@ -11,25 +11,16 @@ let kind_to_string = function Lrc -> "lrc" | Central -> "central" | Seq -> "seq"
 let all_kinds = [ Lrc; Central; Seq ]
 
 (* Conformance checks: each model must satisfy the backend signature.
-   LRC predates it and keeps its historical surface (richer stats record,
-   always-piggybacked request clock), so it gets a thin adapter; the two
-   new models implement the signature natively. *)
+   LRC predates it and always piggybacks its clock on a REQUEST, so it
+   gets a one-function adapter; the two other models implement the
+   signature natively. *)
 
 let lrc_request_vc b = Some (Vc.copy (Lrc_backend.vc b))
-
-let lrc_backend_stats b =
-  let s = Lrc_backend.stats b in
-  {
-    Backend_intf.diffs_created = s.diffs_created;
-    data_fetches = s.diff_requests + s.interval_fetches + s.page_fetches;
-  }
 
 module _ : Backend_intf.S = struct
   include Lrc_backend
 
   let request_vc = lrc_request_vc
-
-  let backend_stats = lrc_backend_stats
 end
 
 module _ : Backend_intf.S = Central_backend
@@ -93,7 +84,7 @@ let metadata_pressure = function
   | Central_b b -> Central_backend.metadata_pressure b
   | Seq_b b -> Seq_backend.metadata_pressure b
 
-let backend_stats = function
-  | Lrc_b b -> lrc_backend_stats b
-  | Central_b b -> Central_backend.backend_stats b
-  | Seq_b b -> Seq_backend.backend_stats b
+let data_fetches = function
+  | Lrc_b b -> Lrc_backend.data_fetches b
+  | Central_b b -> Central_backend.data_fetches b
+  | Seq_b b -> Seq_backend.data_fetches b

@@ -45,4 +45,4 @@ val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
 val metadata_pressure : t -> int
 
-val backend_stats : t -> Backend_intf.stats
+val data_fetches : t -> int

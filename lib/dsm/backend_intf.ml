@@ -19,7 +19,7 @@
       and {!S.note_peer_vc} records it at the receiver;
     - {b report}: {!S.metadata_pressure} is sampled at safe points (and
       triggers the LRC-only metadata GC, which calls {!Lrc_backend}
-      directly) and {!S.backend_stats} feeds the run report.
+      directly) and {!S.data_fetches} feeds the run report.
 
     The three implementations are {!Lrc_backend} (lazy release
     consistency, the paper's protocol), {!Central_backend} (one home node
@@ -27,15 +27,6 @@
     {!Seq_backend} (a sequencer stamps every write into one total order
     and replicas apply pushes in stamp order).  {!Backend} packs them
     behind one dispatch type. *)
-
-(** The model-independent counters the run report reads (each model
-    keeps richer private counters in the observability registry). *)
-type stats = {
-  diffs_created : int;  (** diffs encoded locally (twin comparisons) *)
-  data_fetches : int;
-      (** blocking data round trips: LRC diff requests, central flush /
-          page RPCs, sequencer write RPCs *)
-}
 
 module type S = sig
   type t
@@ -82,5 +73,10 @@ module type S = sig
       metadata return 0 and are never collected. *)
   val metadata_pressure : t -> int
 
-  val backend_stats : t -> stats
+  (** Blocking data round trips so far, the one model-independent number
+      the run report reads (every other counter is read from the
+      observability registry by key): LRC diff, interval and page
+      requests, central flush and page RPCs, sequencer write and CAS
+      RPCs. *)
+  val data_fetches : t -> int
 end

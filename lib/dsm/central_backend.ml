@@ -295,9 +295,5 @@ let accept t pbs =
       t.charge (t.costs.Cpu_cost.page_protect *. float_of_int invalidated)
   end
 
-let backend_stats t =
-  {
-    Backend_intf.diffs_created = Obs.value t.ins.diffs_created_c;
-    data_fetches =
-      Obs.value t.ins.flush_rpcs_c + Obs.value t.ins.page_fetches_c;
-  }
+let data_fetches t =
+  Obs.value t.ins.flush_rpcs_c + Obs.value t.ins.page_fetches_c

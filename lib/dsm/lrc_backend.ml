@@ -56,23 +56,8 @@ module Obs = Carlos_obs.Obs
    [diff_key]), so they hash and compare ints, not tuples. *)
 module Itbl = Hashtbl.Make (Int)
 
-type stats = {
-  intervals_created : int;
-  write_notices_sent : int;
-  write_notices_applied : int;
-  diffs_created : int;
-  diffs_applied : int;
-  diff_bytes_fetched : int;
-  diff_requests : int;
-  page_fetches : int;
-  interval_fetches : int;
-  twins_created : int;
-  diff_cache_hits : int;
-  diff_cache_misses : int;
-}
-
-(* Registry handles for the protocol's accounting; see {!stats} for the
-   aggregate read-back view. *)
+(* Registry handles for the protocol's accounting; readers look the
+   counters up in the registry by key. *)
 type instruments = {
   intervals_created_c : Obs.counter;
   write_notices_sent_c : Obs.counter;
@@ -804,21 +789,10 @@ let strategy t = t.strategy
 
 let vc t = t.vc
 
-let stats t =
-  {
-    intervals_created = Obs.value t.ins.intervals_created_c;
-    write_notices_sent = Obs.value t.ins.write_notices_sent_c;
-    write_notices_applied = Obs.value t.ins.write_notices_applied_c;
-    diffs_created = Obs.value t.ins.diffs_created_c;
-    diffs_applied = Obs.value t.ins.diffs_applied_c;
-    diff_bytes_fetched = Obs.value t.ins.diff_bytes_fetched_c;
-    diff_requests = Obs.value t.ins.diff_requests_c;
-    page_fetches = Obs.value t.ins.page_fetches_c;
-    interval_fetches = Obs.value t.ins.interval_fetches_c;
-    twins_created = Obs.value t.ins.twins_created_c;
-    diff_cache_hits = Obs.value t.ins.diff_cache_hits_c;
-    diff_cache_misses = Obs.value t.ins.diff_cache_misses_c;
-  }
+let data_fetches t =
+  Obs.value t.ins.diff_requests_c
+  + Obs.value t.ins.interval_fetches_c
+  + Obs.value t.ins.page_fetches_c
 
 let note_peer_vc t ~peer vc =
   t.hooks.on_peer_note ~node:t.me ~peer ~vc;
@@ -950,6 +924,20 @@ let intervals_after t ~have ~own_only =
   in
   Interval.causal_sort (nodes_loop 0 [])
 
+(* Component-wise minimum of the per-peer clocks [clocks] over every node
+   but this one: what the least-informed peer is known to have.  On a
+   one-node cluster it is a copy of this node's own entry. *)
+let min_over_peers t clocks =
+  let floor = Vc.copy clocks.((t.me + 1) mod t.nodes) in
+  for p = 0 to t.nodes - 1 do
+    if p <> t.me then
+      for c = 0 to t.nodes - 1 do
+        if Vc.get clocks.(p) c < Vc.get floor c then
+          Vc.set floor c (Vc.get clocks.(p) c)
+      done
+  done;
+  floor
+
 (* Diffs to ship eagerly with the given interval descriptions (update and
    hybrid strategies, paper §4.3).  Only diffs this node actually holds
    can be attached; missing ones fall back to demand fetching at the
@@ -961,17 +949,7 @@ let attachments_for t ~receiver intervals =
     (* Ship each diff to each peer at most once (for a locally addressed
        message that may be forwarded anywhere, once globally). *)
     let floor =
-      if receiver = t.me then begin
-        let f = Vc.copy t.attach_floor.((t.me + 1) mod t.nodes) in
-        for p = 0 to t.nodes - 1 do
-          if p <> t.me then
-            for c = 0 to t.nodes - 1 do
-              if Vc.get t.attach_floor.(p) c < Vc.get f c then
-                Vc.set f c (Vc.get t.attach_floor.(p) c)
-            done
-        done;
-        f
-      end
+      if receiver = t.me then min_over_peers t t.attach_floor
       else t.attach_floor.(receiver)
     in
     (* Bound the eager data per message; anything over the budget stays
@@ -1044,18 +1022,9 @@ let make_piggyback t ~receiver ~nontransitive =
          peer so the forwarded copy usually carries enough; a true gap is
          still recovered through the fetch-from-origin path (§4.3). *)
       if t.nodes = 1 then []
-      else begin
-        let first_peer = if t.me = 0 then 1 else 0 in
-        let floor = Vc.copy t.peer_vc.(first_peer) in
-        for p = 0 to t.nodes - 1 do
-          if p <> t.me then
-            for c = 0 to t.nodes - 1 do
-              if Vc.get t.peer_vc.(p) c < Vc.get floor c then
-                Vc.set floor c (Vc.get t.peer_vc.(p) c)
-            done
-        done;
-        intervals_after t ~have:floor ~own_only:nontransitive
-      end
+      else
+        intervals_after t ~have:(min_over_peers t t.peer_vc)
+          ~own_only:nontransitive
     end
     else intervals_after t ~have:t.peer_vc.(receiver) ~own_only:nontransitive
   in

@@ -241,21 +241,8 @@ val discard_before : t -> Vc.t -> unit
 
 (** {1 Statistics} *)
 
-(** Immutable read-back of this node's protocol counters (all live in the
-    observability registry; this is a convenience aggregate). *)
-type stats = {
-  intervals_created : int;
-  write_notices_sent : int;
-  write_notices_applied : int;
-  diffs_created : int;
-  diffs_applied : int;
-  diff_bytes_fetched : int;
-  diff_requests : int;
-  page_fetches : int;
-  interval_fetches : int;
-  twins_created : int;
-  diff_cache_hits : int; (* merged-diff cache: ranges served memoized *)
-  diff_cache_misses : int; (* ...and ranges merged afresh *)
-}
-
-val stats : t -> stats
+(** Blocking data round trips so far: diff, interval and page requests.
+    Every other protocol counter is read from the observability registry
+    by key (layer [Dsm], or [Vm] for [twins], [diffs_created] and
+    [diff.bytes]). *)
+val data_fetches : t -> int

@@ -412,12 +412,8 @@ let accept t pbs =
     t.hooks.on_acquire ~node:t.me ~upto ~applied:t.applied_seq
   end
 
-let backend_stats t =
-  {
-    Backend_intf.diffs_created = Obs.value t.ins.diffs_created_c;
-    data_fetches =
-      Obs.value t.ins.sequence_rpcs_c + Obs.value t.ins.cas_rpcs_c;
-  }
+let data_fetches t =
+  Obs.value t.ins.sequence_rpcs_c + Obs.value t.ins.cas_rpcs_c
 
 (* ------------------------------------------------------------------ *)
 (* Wire sizing *)

@@ -132,7 +132,7 @@ val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
 val metadata_pressure : t -> int
 
-val backend_stats : t -> Backend_intf.stats
+val data_fetches : t -> int
 
 (** {1 Serving remote requests (sequencer node, interrupt level)} *)
 

@@ -6,8 +6,6 @@ let zero ~nodes =
 
 let copy = Array.copy
 
-let nodes = Array.length
-
 let get t i = t.(i)
 
 let set t i v = t.(i) <- v

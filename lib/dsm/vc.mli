@@ -10,8 +10,6 @@ val zero : nodes:int -> t
 
 val copy : t -> t
 
-val nodes : t -> int
-
 val get : t -> int -> int
 
 val set : t -> int -> int -> unit

@@ -89,9 +89,3 @@ let send t ~src ~dst ~payload_bytes v =
     Obs.add t.dropped_bytes_c (payload_bytes + header_bytes)
   end
   else Medium.send t.medium ~src ~dst ~size:(payload_bytes + header_bytes) v
-
-let datagrams_sent t = Obs.value t.sent_c
-
-let datagrams_dropped t = Obs.value t.dropped_c
-
-let dropped_bytes t = Obs.value t.dropped_bytes_c

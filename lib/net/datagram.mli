@@ -55,14 +55,10 @@ val send : 'a t -> src:int -> dst:int -> payload_bytes:int -> 'a -> unit
 
 (** {1 Statistics}
 
-    Cumulative since creation — snapshot/diff the registry to measure a
+    Counters [datagram.sent], [datagram.dropped], [datagram.dropped_bytes]
+    (the full size, payload plus header, of frames lost to simulated
+    loss: the correction term of the cost-conservation equation, see
+    {!Carlos_obs.Cost}) and [datagram.payload_bytes] live in the registry
+    under {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative since
+    creation.  Read them by key; snapshot/diff the registry to measure a
     phase. *)
-
-val datagrams_sent : 'a t -> int
-
-val datagrams_dropped : 'a t -> int
-
-(** Total size (payload + header) of frames lost to simulated loss; the
-    correction term of the cost-conservation equation (see
-    {!Carlos_obs.Cost}). *)
-val dropped_bytes : 'a t -> int

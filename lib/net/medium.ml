@@ -23,8 +23,6 @@ type 'a t = {
      event, and ownership passes straight to the next queued frame. *)
   mutable held : bool;
   waiting : 'a frame Queue.t;
-  (* Cumulative virtual time the wire was owned by a frame. *)
-  mutable busy : float;
   mutable acquired_at : float;
   (* Bytes accepted by [send] whose serialization onto the wire has not
      finished yet (queued for the wire or mid-transmission).  This is
@@ -34,7 +32,7 @@ type 'a t = {
   handlers : 'a handler option array;
   frames_c : Obs.counter;
   bytes_c : Obs.counter;
-  busy_g : Obs.gauge;
+  busy_g : Obs.gauge; (* cumulative virtual time the wire was owned *)
   queue_delay : Obs.Hist.t;
 }
 
@@ -51,7 +49,6 @@ let create ?obs engine ~nodes ~latency ~bandwidth =
     bandwidth;
     held = false;
     waiting = Queue.create ();
-    busy = 0.0;
     acquired_at = 0.0;
     backlog_bytes = 0;
     handlers = Array.make nodes None;
@@ -102,7 +99,7 @@ and finish t f =
   (* [acquired_at] is still this frame's: the next frame takes the wire
      in an event of its own. *)
   let waited = t.acquired_at -. f.sent_at in
-  t.busy <- t.busy +. (now -. t.acquired_at);
+  Obs.add_gauge t.busy_g (now -. t.acquired_at);
   if Queue.is_empty t.waiting then t.held <- false
   else begin
     let next = Queue.pop t.waiting in
@@ -110,7 +107,6 @@ and finish t f =
   end;
   t.backlog_bytes <- t.backlog_bytes - f.size;
   Obs.Hist.observe t.queue_delay waited;
-  Obs.set_gauge t.busy_g t.busy;
   if Obs.tracing t.obs then begin
     let duration = transmit_time t f in
     Obs.complete_at t.obs ~ts:(now -. duration) ~duration
@@ -137,12 +133,3 @@ let send t ~src ~dst ~size payload =
   let now = Engine.now t.engine in
   let f = { src; dst; size; payload; sent_at = now } in
   Engine.at t.engine ~time:now (fun () -> start t f)
-
-let frames_sent t = Obs.value t.frames_c
-
-let bytes_sent t = Obs.value t.bytes_c
-
-let wire_busy_time t = t.busy
-
-let utilization t ~elapsed =
-  if elapsed <= 0.0 then 0.0 else wire_busy_time t /. elapsed

@@ -82,16 +82,9 @@ val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
 
 (** {1 Statistics}
 
-    Cumulative since creation — take {!Carlos_obs.Obs.snapshot}s and
-    {!Carlos_obs.Obs.diff} them to measure a phase. *)
-
-val frames_sent : 'a t -> int
-
-val bytes_sent : 'a t -> int
-
-(** Cumulative virtual time the wire was busy transmitting. *)
-val wire_busy_time : 'a t -> float
-
-(** [utilization t ~elapsed] is the fraction of [elapsed] during which the
-    wire was transmitting. *)
-val utilization : 'a t -> elapsed:float -> float
+    Counters [medium.frames] and [medium.bytes], the gauge
+    [medium.wire_busy] (cumulative virtual time the wire spent
+    transmitting) and the histogram [medium.queue_delay] live in the
+    registry under {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative
+    since creation.  Read them by key; take {!Carlos_obs.Obs.snapshot}s
+    and {!Carlos_obs.Obs.diff} them to measure a phase. *)

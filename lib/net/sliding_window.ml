@@ -99,8 +99,6 @@ let make_connection () =
     ack_armed = false;
   }
 
-let nodes t = Datagram.nodes t.datagram
-
 let conn t ~src ~dst = t.connections.(src).(dst)
 
 let transmit t ~src ~dst ~seq ~payload_bytes payload =
@@ -350,26 +348,6 @@ let handle_ack t ~src ~dst ~cumulative =
     c.dup_acks <- c.dup_acks + 1;
     fast_retransmit t c ~src ~dst
   end
-
-let messages_sent t = Obs.value t.sent_c
-
-let messages_delivered t = Obs.value t.delivered_c
-
-let retransmissions t = Obs.value t.retransmitted_c
-
-let rto_timeouts t = Obs.value t.rto_timeouts_c
-
-let rto_deferrals t = Obs.value t.rto_deferrals_c
-
-let rtt_samples t = Obs.value t.rto_samples_c
-
-let fast_retransmits t = Obs.value t.fast_retransmits_c
-
-let spurious_retransmits t = Obs.value t.spurious_c
-
-let acks_sent t = Obs.value t.acks_c
-
-let acks_coalesced t = Obs.value t.acks_coalesced_c
 
 let deliver t ~node ~src ~payload_bytes payload =
   Obs.inc t.delivered_c;

@@ -70,8 +70,6 @@ val create :
 (** The registry this protocol reports into (the datagram service's). *)
 val obs : 'a t -> Carlos_obs.Obs.t
 
-val nodes : 'a t -> int
-
 (** Reliable asynchronous send.  Returns immediately; delivery happens at
     some later virtual time. *)
 val send : 'a t -> src:int -> dst:int -> payload_bytes:int -> 'a -> unit
@@ -84,38 +82,15 @@ val set_handler :
 
 (** {1 Statistics}
 
-    Counters [sw.sent], [sw.delivered], [sw.retransmits], [sw.acks],
-    [sw.rto_timeouts], [sw.rto_deferrals], [sw.rto_samples],
-    [sw.fast_retransmits] and [sw.spurious_retransmits] in the registry, [Net] layer, cumulative
-    since creation — snapshot/diff the registry to measure a phase.  Each
-    arming of the retransmit timer also records the effective timeout in
-    the [sw.rto_armed] histogram. *)
-
-val messages_sent : 'a t -> int
-
-val messages_delivered : 'a t -> int
-
-(** All retransmissions (timeout-driven plus fast retransmits). *)
-val retransmissions : 'a t -> int
-
-(** Retransmissions triggered by the timer expiring. *)
-val rto_timeouts : 'a t -> int
-
-(** Timer expiries that were deferred by carrier sense (the shared wire
-    still had a backlog) instead of retransmitting. *)
-val rto_deferrals : 'a t -> int
-
-(** RTT samples fed to the estimator (never from retransmitted frames). *)
-val rtt_samples : 'a t -> int
-
-(** Retransmissions triggered by duplicate acks, ahead of the timer. *)
-val fast_retransmits : 'a t -> int
-
-(** Data frames the receiver already had (wasted retransmitted copies). *)
-val spurious_retransmits : 'a t -> int
-
-val acks_sent : 'a t -> int
-
-(** Data frames whose acknowledgement rode a later cumulative ack instead
-    of getting their own frame (counter [sw.acks_coalesced]). *)
-val acks_coalesced : 'a t -> int
+    Counters [sw.sent], [sw.delivered], [sw.retransmits] (timeout-driven
+    plus fast retransmits), [sw.rto_timeouts], [sw.rto_deferrals] (timer
+    expiries deferred by carrier sense), [sw.rto_samples] (RTT samples,
+    never from retransmitted frames), [sw.fast_retransmits],
+    [sw.spurious_retransmits] (data frames the receiver already had),
+    [sw.acks] and [sw.acks_coalesced] (data frames whose acknowledgement
+    rode a later cumulative ack) live in the registry under
+    {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative since
+    creation.  Read them by key ({!Carlos_obs.Obs.counter_value}, or
+    {!Carlos_obs.Obs.find} on a snapshot); snapshot/diff the registry to
+    measure a phase.  Each arming of the retransmit timer also records
+    the effective timeout in the [sw.rto_armed] histogram. *)

@@ -99,11 +99,3 @@ let wire_total obs =
       "datagram.dropped_bytes"
 
 let conserved obs = total obs = wire_total obs
-
-let pp ppf obs =
-  List.iter
-    (fun (c, n) ->
-      if n > 0 then Format.fprintf ppf "  %-14s %10d@." (name c) n)
-    (breakdown obs);
-  Format.fprintf ppf "  %-14s %10d (wire %d)@." "total" (total obs)
-    (wire_total obs)

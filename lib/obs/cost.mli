@@ -23,12 +23,10 @@ type component =
   | Frame_header  (** Eth+IP+UDP header, 42 bytes per frame *)
   | Retransmit  (** sliding-window head-of-line retransmissions *)
 
-(** All components, in {!index} order. *)
+(** All components, in declaration order. *)
 val all : component list
 
 val count : int
-
-val index : component -> int
 
 (** Stable short name, used as the [cost.<name>] counter suffix and as
     the JSON key in bench reports. *)
@@ -58,5 +56,3 @@ val wire_total : Obs.t -> int
 
 (** [conserved obs] is [total obs = wire_total obs]. *)
 val conserved : Obs.t -> bool
-
-val pp : Format.formatter -> Obs.t -> unit

@@ -18,7 +18,10 @@
 
     Reading is explicit: benchmarks take {!snapshot}s and {!diff} them
     across phases rather than resetting hidden global state, so phases can
-    never double-count.
+    never double-count.  The registry is the only way to read a counter:
+    no layer exports a typed copy of its instruments.  Read one by key,
+    with {!counter_value} (0 for a key nobody registered) or {!find} on a
+    snapshot (which tells an unregistered key apart).
 
     The registry also owns the typed event/span trace (off by default, one
     branch per event when disabled) with Chrome [trace_event] JSON and

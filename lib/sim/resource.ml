@@ -49,8 +49,6 @@ module Mailbox = struct
       recv t
     end
     else Queue.pop t.messages
-
-  let length t = Queue.length t.messages
 end
 
 module Semaphore = struct

@@ -32,8 +32,6 @@ module Mailbox : sig
   (** Block until a message is available; messages are delivered in FIFO
       order, one per blocked receiver, in the order receivers arrived. *)
   val recv : 'a t -> 'a
-
-  val length : 'a t -> int
 end
 
 (** Counting semaphore with FIFO wake order. *)

@@ -107,7 +107,3 @@ let[@inline] write_data t i =
   match Page.state p with
   | Page.Read_write -> Page.data p
   | Page.Invalid | Page.Read_only -> write_data_slow t i
-
-let read_faults t = Obs.value t.read_faults_c
-
-let write_faults t = Obs.value t.write_faults_c

@@ -56,9 +56,6 @@ val write_data : t -> int -> Bytes.t
 
 (** {1 Statistics}
 
-    Counters [read_faults]/[write_faults] in the registry, cumulative
-    since creation — snapshot/diff the registry to measure a phase. *)
-
-val read_faults : t -> int
-
-val write_faults : t -> int
+    Counters [read_faults] and [write_faults] live in the registry under
+    the table's node, [Vm] layer, cumulative since creation.  Read them by
+    key; snapshot/diff the registry to measure a phase. *)

@@ -43,8 +43,6 @@ let create ?obs ?node ?twin_pool ~region ~noncoherent () =
     page_mask = page_size - 1;
   }
 
-let region t = t.region
-
 let page_table t = t.page_table
 
 (* Cold paths, kept out of line so the accessors stay small. *)

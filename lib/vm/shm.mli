@@ -25,8 +25,6 @@ val create :
   unit ->
   t
 
-val region : t -> Region.t
-
 val page_table : t -> Page_table.t
 
 (** {1 Byte accessors} *)

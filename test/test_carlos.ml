@@ -587,7 +587,8 @@ let test_global_gc_under_load () =
           final := Shm.read_i64 (Node.shm node) counter)
   in
   Alcotest.(check int) "correct despite GC" (3 * iterations) !final;
-  Alcotest.(check bool) "at least one GC ran" true (System.gc_runs sys >= 1)
+  Alcotest.(check bool) "at least one GC ran" true
+    (Counters.counter (System.obs sys) ~layer:Obs.Carlos "gc.runs" >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism and reporting *)

@@ -14,9 +14,11 @@ module Interval = Carlos_dsm.Interval
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
 module Engine = Carlos_sim.Engine
+module Obs = Carlos_obs.Obs
 
 type cluster = {
   region : Region.t;
+  obs : Obs.t; (* one registry, instruments keyed by node *)
   shms : Shm.t array;
   lrcs : Lrc.t array;
   charged : float ref;
@@ -30,7 +32,10 @@ let make_cluster ?strategy ?(charge = ignore) n =
       ~coherent_pages:8 ()
   in
   let noncoherent = Bytes.make 256 '\000' in
-  let shms = Array.init n (fun _ -> Shm.create ~region ~noncoherent ()) in
+  let obs = Obs.create () in
+  let shms =
+    Array.init n (fun node -> Shm.create ~obs ~node ~region ~noncoherent ())
+  in
   let charged = ref 0.0 in
   let charge dt =
     charged := !charged +. dt;
@@ -38,7 +43,7 @@ let make_cluster ?strategy ?(charge = ignore) n =
   in
   let lrcs =
     Array.init n (fun me ->
-        Lrc.create ~nodes:n ~me
+        Lrc.create ~obs ~nodes:n ~me
           ~page_table:(Shm.page_table shms.(me))
           ~costs:Cpu_cost.default ~charge ?strategy ())
   in
@@ -52,7 +57,7 @@ let make_cluster ?strategy ?(charge = ignore) n =
     }
   in
   Array.iter (fun l -> Lrc.set_transport l transport) lrcs;
-  { region; shms; lrcs; charged }
+  { region; obs; shms; lrcs; charged }
 
 (* Address of slot [i] (8 bytes each) on coherent page [page]. *)
 let slot c ~page i = Region.coherent_addr c.region ~page ~offset:(8 * i)
@@ -67,6 +72,11 @@ let _release_nt c ~src ~dst =
   let pb = Lrc.make_piggyback c.lrcs.(src) ~receiver:dst ~nontransitive:true in
   Lrc.accept c.lrcs.(dst) [ pb ];
   pb
+
+(* Node [node]'s protocol ([Dsm]) and page-fault ([Vm]) counters. *)
+let dsm_counter c ~node name = Counters.counter c.obs ~node ~layer:Obs.Dsm name
+
+let vm_counter c ~node name = Counters.counter c.obs ~node ~layer:Obs.Vm name
 
 let page_state c ~node ~page =
   Page.state (Page_table.page (Shm.page_table c.shms.(node)) page)
@@ -107,9 +117,9 @@ let test_no_fault_for_own_data () =
   let a = slot c ~page:1 0 in
   Shm.write_i64 c.shms.(0) a 5;
   Alcotest.(check int) "own read" 5 (Shm.read_i64 c.shms.(0) a);
-  let pt = Shm.page_table c.shms.(0) in
-  Alcotest.(check int) "no read faults" 0 (Page_table.read_faults pt);
-  Alcotest.(check int) "one write fault" 1 (Page_table.write_faults pt)
+  Alcotest.(check int) "no read faults" 0 (vm_counter c ~node:0 "read_faults");
+  Alcotest.(check int) "one write fault" 1
+    (vm_counter c ~node:0 "write_faults")
 
 let test_transitivity () =
   let c = make_cluster 3 in
@@ -190,7 +200,7 @@ let test_nontransitive_triggers_interval_fetch () =
        pb.Lrc.intervals);
   Lrc.accept c.lrcs.(2) [ pb ];
   Alcotest.(check int) "interval fetch happened" 1
-    (Lrc.stats c.lrcs.(2)).Lrc.interval_fetches;
+    (dsm_counter c ~node:2 "interval_fetches");
   Alcotest.(check int) "transitive value still correct" 10
     (Shm.read_i64 c.shms.(2) a);
   Alcotest.(check int) "direct value" 20 (Shm.read_i64 c.shms.(2) b)
@@ -213,7 +223,7 @@ let test_barrier_union_has_no_gaps () =
   in
   Lrc.accept c.lrcs.(0) arrivals;
   Alcotest.(check int) "no interval fetches at manager" 0
-    (Lrc.stats c.lrcs.(0)).Lrc.interval_fetches;
+    (dsm_counter c ~node:0 "interval_fetches");
   for node = 1 to 3 do
     Alcotest.(check int)
       (Printf.sprintf "manager sees node %d write" node)
@@ -269,7 +279,7 @@ let test_whole_page_fetch_for_long_histories () =
   done;
   Alcotest.(check int) "value" 10 (Shm.read_i64 c.shms.(1) a);
   Alcotest.(check int) "whole-page fetch used" 1
-    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches
+    (dsm_counter c ~node:1 "page_fetches")
 
 (* The GC rendezvous by hand, on two nodes: node 0 keeps page 0, node 1
    drops its stale copy and rebuilds it on the next fault from node 0's
@@ -308,10 +318,10 @@ let test_metadata_gc () =
   Shm.write_i64 c.shms.(0) (at 3) 7;
   let _ = release c ~src:0 ~dst:1 in
   Alcotest.(check int) "no page fetched before the fault" 0
-    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches;
+    (dsm_counter c ~node:1 "page_fetches");
   Alcotest.(check int) "base content" 5 (Shm.read_i64 c.shms.(1) (at 0));
   Alcotest.(check int) "one base fetched" 1
-    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches;
+    (dsm_counter c ~node:1 "page_fetches");
   Alcotest.(check int) "own interval re-applied" 5
     (Shm.read_i64 c.shms.(1) (at 1));
   Alcotest.(check int) "orphan re-applied" 6 (Shm.read_i64 c.shms.(1) (at 2));
@@ -365,7 +375,7 @@ let test_dropped_page_survives_later_gc () =
     (Shm.read_i64 c.shms.(1) p1);
   Alcotest.(check int) "page 0 current" 4 (Shm.read_i64 c.shms.(1) p0);
   Alcotest.(check int) "both pages refetched from a base" 2
-    (Lrc.stats c.lrcs.(1)).Lrc.page_fetches
+    (dsm_counter c ~node:1 "page_fetches")
 
 let test_lock_handoff_chain () =
   let c = make_cluster 4 in
@@ -393,8 +403,9 @@ let test_determinism () =
     let _ = release c ~src:1 ~dst:2 in
     ignore (Shm.read_i64 c.shms.(2) a);
     ignore (Shm.read_i64 c.shms.(2) b);
-    let s = Lrc.stats c.lrcs.(2) in
-    (s.Lrc.diffs_applied, s.Lrc.write_notices_applied, !(c.charged))
+    ( dsm_counter c ~node:2 "diffs_applied",
+      dsm_counter c ~node:2 "write_notices_applied",
+      !(c.charged) )
   in
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "identical stats across runs" true (r1 = r2)
@@ -485,7 +496,7 @@ let test_concurrent_release_during_cpu_yield () =
   (* pb2 still carries the interval description because node 1's knowledge
      was not updated; but no *new* interval may exist. *)
   Alcotest.(check int) "only one interval was created" 1
-    (Lrc.stats c.lrcs.(0)).Lrc.intervals_created
+    (dsm_counter c ~node:0 "intervals_created")
 
 let test_release_waits_for_close () =
   (* Two fibers of node 0 release at the same time, the second while the
@@ -515,7 +526,7 @@ let test_release_waits_for_close () =
   Alcotest.(check int) "first release covers the interval" 1 (required first);
   Alcotest.(check int) "second release covers it too" 1 (required second);
   Alcotest.(check int) "one interval created" 1
-    (Lrc.stats c.lrcs.(0)).Lrc.intervals_created
+    (dsm_counter c ~node:0 "intervals_created")
 
 let test_many_interval_page_history_correct () =
   (* Long per-page histories exercise the whole-page fetch path; the final
@@ -556,9 +567,9 @@ let test_update_strategy_keeps_pages_valid () =
     (page_state c ~node:1 ~page:0 <> Page.Invalid);
   Alcotest.(check int) "value" 42 (Shm.read_i64 c.shms.(1) a);
   Alcotest.(check int) "no read fault" 0
-    (Page_table.read_faults (Shm.page_table c.shms.(1)));
+    (vm_counter c ~node:1 "read_faults");
   Alcotest.(check int) "no diff request" 0
-    (Lrc.stats c.lrcs.(1)).Lrc.diff_requests
+    (dsm_counter c ~node:1 "diff_requests")
 
 let test_invalidate_strategy_attaches_nothing () =
   let c = make_cluster 2 in
@@ -611,7 +622,7 @@ let test_update_onto_stale_base_caches () =
   (* Only node 0's diff needed a remote fetch; node 1's came with the
      message. *)
   Alcotest.(check int) "one remote diff request" 1
-    (Lrc.stats c.lrcs.(2)).Lrc.diff_requests
+    (dsm_counter c ~node:2 "diff_requests")
 
 let test_update_strategy_lock_chain () =
   (* The counter chain from the invalidation tests must hold verbatim
@@ -698,28 +709,27 @@ let coalescing_scenario () =
 let test_per_creator_coalescing () =
   let c, a, b = coalescing_scenario () in
   Alcotest.(check int) "no requests before the fault" 0
-    (Lrc.stats c.lrcs.(1)).Lrc.diff_requests;
+    (dsm_counter c ~node:1 "diff_requests");
   Alcotest.(check int) "first interval's write" 1 (Shm.read_i64 c.shms.(1) a);
   Alcotest.(check int) "second interval's write" 2 (Shm.read_i64 c.shms.(1) b);
   Alcotest.(check int) "both intervals in one request" 1
-    (Lrc.stats c.lrcs.(1)).Lrc.diff_requests
+    (dsm_counter c ~node:1 "diff_requests")
 
 let test_diff_cache_hit_on_repeat_fetch () =
   let c, a, b = coalescing_scenario () in
   ignore (Shm.read_i64 c.shms.(1) a);
-  let s0 = Lrc.stats c.lrcs.(0) in
-  Alcotest.(check bool) "first fetch merges afresh" true
-    (s0.Lrc.diff_cache_misses > 0);
-  Alcotest.(check int) "nothing cached yet" 0 s0.Lrc.diff_cache_hits;
+  let misses = dsm_counter c ~node:0 "diff_cache_misses" in
+  Alcotest.(check bool) "first fetch merges afresh" true (misses > 0);
+  Alcotest.(check int) "nothing cached yet" 0
+    (dsm_counter c ~node:0 "diff_cache_hits");
   (* Node 2 missing the same (page, creator, range) must be served from
      the memoized merge. *)
   Alcotest.(check int) "repeat fetcher reads a" 1 (Shm.read_i64 c.shms.(2) a);
   Alcotest.(check int) "repeat fetcher reads b" 2 (Shm.read_i64 c.shms.(2) b);
-  let s0' = Lrc.stats c.lrcs.(0) in
   Alcotest.(check bool) "repeat fetch hits the cache" true
-    (s0'.Lrc.diff_cache_hits > 0);
-  Alcotest.(check int) "no extra merge" s0.Lrc.diff_cache_misses
-    s0'.Lrc.diff_cache_misses
+    (dsm_counter c ~node:0 "diff_cache_hits" > 0);
+  Alcotest.(check int) "no extra merge" misses
+    (dsm_counter c ~node:0 "diff_cache_misses")
 
 (* ------------------------------------------------------------------ *)
 (* Cross-backend conformance: the same application, same seed, at 4

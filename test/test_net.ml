@@ -16,6 +16,19 @@ let ethernet_bw = 1_250_000.0
 let make_medium ?(nodes = 4) ?(latency = 1e-4) ?(bandwidth = ethernet_bw) eng =
   Medium.create eng ~nodes ~latency ~bandwidth
 
+(* The network's counters and the wire-busy gauge live in the registry,
+   under the global node; read them by key. *)
+let medium_counter medium name =
+  Counters.counter (Medium.obs medium) ~layer:Obs.Net name
+
+let dg_counter dg name = Counters.counter (Datagram.obs dg) ~layer:Obs.Net name
+
+let sw_counter sw name =
+  Counters.counter (Sliding_window.obs sw) ~layer:Obs.Net name
+
+let wire_busy medium =
+  Counters.gauge (Medium.obs medium) ~layer:Obs.Net "medium.wire_busy"
+
 (* ------------------------------------------------------------------ *)
 (* Medium *)
 
@@ -48,7 +61,7 @@ let test_medium_contention_serializes () =
     (* Second frame waits for the wire: 2 ms transmission + latency. *)
     check_float "second frame" 0.0021 t1
   | _ -> Alcotest.fail "expected two arrivals");
-  check_float "wire busy" 0.002 (Medium.wire_busy_time medium)
+  check_float "wire busy" 0.002 (wire_busy medium)
 
 let test_medium_stats () =
   let eng = Engine.create () in
@@ -58,10 +71,11 @@ let test_medium_stats () =
       Medium.send medium ~src:0 ~dst:1 ~size:100 ();
       Medium.send medium ~src:0 ~dst:1 ~size:200 ());
   Engine.run eng;
-  Alcotest.(check int) "frames" 2 (Medium.frames_sent medium);
-  Alcotest.(check int) "bytes" 300 (Medium.bytes_sent medium);
-  let util = Medium.utilization medium ~elapsed:1.0 in
-  check_float "utilization" (300.0 /. ethernet_bw) util;
+  Alcotest.(check int) "frames" 2 (medium_counter medium "medium.frames");
+  Alcotest.(check int) "bytes" 300 (medium_counter medium "medium.bytes");
+  let elapsed = 1.0 in
+  check_float "utilization" (300.0 /. ethernet_bw)
+    (wire_busy medium /. elapsed);
   (* Phase measurement is snapshot/diff of the registry, not a hidden
      reset: the cumulative counters are untouched. *)
   let before = Obs.snapshot (Medium.obs medium) in
@@ -78,7 +92,8 @@ let test_medium_stats () =
    with
   | Some (Obs.Counter_v n) -> Alcotest.(check int) "phase bytes" 50 n
   | _ -> Alcotest.fail "medium.bytes missing from diff");
-  Alcotest.(check int) "cumulative frames" 3 (Medium.frames_sent medium)
+  Alcotest.(check int) "cumulative frames" 3
+    (medium_counter medium "medium.frames")
 
 let test_medium_pair_fifo () =
   (* Frames between one (src, dst) pair never reorder. *)
@@ -111,7 +126,7 @@ let test_medium_fifo_serializes () =
     "serialized in fifo order"
     [ (0, 1.0); (1, 2.0); (2, 3.0) ]
     (List.rev !arrivals);
-  check_float "busy time" 3.0 (Medium.wire_busy_time medium)
+  check_float "busy time" 3.0 (wire_busy medium)
 
 let queue_delay medium =
   match
@@ -233,7 +248,7 @@ let run_wire_program ~reference (program : wire_program) =
       ( Medium.send m,
         Medium.set_handler m,
         (fun () -> Medium.backlog m),
-        fun () -> (queue_delay m, Medium.wire_busy_time m) )
+        fun () -> (queue_delay m, wire_busy m) )
     end
   in
   let log = ref [] in
@@ -315,7 +330,7 @@ let test_datagram_adds_headers () =
   Alcotest.(check int) "handler sees payload size" 100 !seen_size;
   Alcotest.(check int) "wire sees headers"
     (100 + Datagram.header_bytes)
-    (Medium.bytes_sent medium)
+    (medium_counter medium "medium.bytes")
 
 let test_datagram_loss () =
   let eng = Engine.create () in
@@ -330,11 +345,11 @@ let test_datagram_loss () =
         Datagram.send dg ~src:0 ~dst:1 ~payload_bytes:10 ()
       done);
   Engine.run eng;
-  Alcotest.(check int) "sent counted" total (Datagram.datagrams_sent dg);
+  Alcotest.(check int) "sent counted" total (dg_counter dg "datagram.sent");
   Alcotest.(check int) "received + dropped = sent" total
-    (!received + Datagram.datagrams_dropped dg);
-  if Datagram.datagrams_dropped dg < 300 || Datagram.datagrams_dropped dg > 700
-  then Alcotest.fail "loss far from 50%"
+    (!received + dg_counter dg "datagram.dropped");
+  let dropped = dg_counter dg "datagram.dropped" in
+  if dropped < 300 || dropped > 700 then Alcotest.fail "loss far from 50%"
 
 let test_datagram_loss_requires_rng () =
   let eng = Engine.create () in
@@ -379,7 +394,7 @@ let test_sw_basic_delivery () =
     [ (0, 64, "a"); (0, 128, "b") ]
     (List.rev !got);
   Alcotest.(check int) "no retransmissions" 0
-    (Sliding_window.retransmissions sw)
+    (sw_counter sw "sw.retransmits")
 
 let test_sw_window_limits_inflight () =
   let eng = Engine.create () in
@@ -472,9 +487,9 @@ let test_sw_stats () =
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:10 ();
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:10 ());
   Engine.run eng;
-  Alcotest.(check int) "sent" 2 (Sliding_window.messages_sent sw);
-  Alcotest.(check int) "delivered" 2 (Sliding_window.messages_delivered sw);
-  Alcotest.(check bool) "acks flowed" true (Sliding_window.acks_sent sw > 0);
+  Alcotest.(check int) "sent" 2 (sw_counter sw "sw.sent");
+  Alcotest.(check int) "delivered" 2 (sw_counter sw "sw.delivered");
+  Alcotest.(check bool) "acks flowed" true (sw_counter sw "sw.acks" > 0);
   let before = Obs.snapshot (Sliding_window.obs sw) in
   Engine.spawn eng (fun () ->
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:10 ());
@@ -485,7 +500,7 @@ let test_sw_stats () =
   (match Obs.find phase ~node:Obs.global_node ~layer:Obs.Net "sw.sent" with
   | Some (Obs.Counter_v n) -> Alcotest.(check int) "phase sent" 1 n
   | _ -> Alcotest.fail "sw.sent missing from diff");
-  Alcotest.(check int) "cumulative sent" 3 (Sliding_window.messages_sent sw)
+  Alcotest.(check int) "cumulative sent" 3 (sw_counter sw "sw.sent")
 
 (* ------------------------------------------------------------------ *)
 (* Delayed cumulative acks *)
@@ -505,11 +520,11 @@ let test_sw_delayed_acks_coalesce () =
     (List.init 12 (fun i -> i + 1))
     (List.rev !got);
   Alcotest.(check bool) "fewer acks than frames" true
-    (Sliding_window.acks_sent sw < 12);
+    (sw_counter sw "sw.acks" < 12);
   Alcotest.(check int) "every skipped ack is counted as coalesced" 12
-    (Sliding_window.acks_sent sw + Sliding_window.acks_coalesced sw);
+    (sw_counter sw "sw.acks" + sw_counter sw "sw.acks_coalesced");
   Alcotest.(check int) "no retransmissions" 0
-    (Sliding_window.retransmissions sw)
+    (sw_counter sw "sw.retransmits")
 
 let test_sw_ack_delay_flushes_partial_batch () =
   (* A lone frame never reaches the ack_every threshold; the ack-delay
@@ -522,9 +537,9 @@ let test_sw_ack_delay_flushes_partial_batch () =
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:32 ());
   Engine.run eng;
   Alcotest.(check int) "delivered" 1 !got;
-  Alcotest.(check int) "exactly one ack" 1 (Sliding_window.acks_sent sw);
+  Alcotest.(check int) "exactly one ack" 1 (sw_counter sw "sw.acks");
   Alcotest.(check int) "timer never fired a retransmission" 0
-    (Sliding_window.retransmissions sw)
+    (sw_counter sw "sw.retransmits")
 
 let test_sw_ack_delay_validation () =
   let eng = Engine.create () in
@@ -575,11 +590,11 @@ let test_sw_big_frame_not_retransmitted () =
   Engine.spawn eng (fun () ->
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:500_000 ());
   Engine.run eng;
-  Alcotest.(check int) "delivered" 1 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "delivered" 1 (sw_counter sw "sw.delivered");
   Alcotest.(check int) "serialization time is not a timeout" 0
-    (Sliding_window.retransmissions sw);
+    (sw_counter sw "sw.retransmits");
   Alcotest.(check int) "no duplicates reached the receiver" 0
-    (Sliding_window.spurious_retransmits sw)
+    (sw_counter sw "sw.spurious_retransmits")
 
 let test_sw_carrier_sense_defers_for_cross_traffic () =
   (* The serialization floor only covers this connection's own in-flight
@@ -595,11 +610,11 @@ let test_sw_carrier_sense_defers_for_cross_traffic () =
       Sliding_window.send sw ~src:2 ~dst:3 ~payload_bytes:250_000 ();
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
   Engine.run eng;
-  Alcotest.(check int) "both delivered" 2 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "both delivered" 2 (sw_counter sw "sw.delivered");
   Alcotest.(check int) "no retransmission into the backlog" 0
-    (Sliding_window.retransmissions sw);
+    (sw_counter sw "sw.retransmits");
   Alcotest.(check bool) "the expired timer was deferred" true
-    (Sliding_window.rto_deferrals sw > 0)
+    (sw_counter sw "sw.rto_deferrals" > 0)
 
 let test_sw_fast_retransmit () =
   (* Drop exactly the second data frame; the four frames behind it each
@@ -622,11 +637,11 @@ let test_sw_fast_retransmit () =
     (List.init 6 (fun i -> i + 1))
     (List.rev !got);
   Alcotest.(check int) "one fast retransmit" 1
-    (Sliding_window.fast_retransmits sw);
+    (sw_counter sw "sw.fast_retransmits");
   Alcotest.(check int) "the rto timer never fired" 0
-    (Sliding_window.rto_timeouts sw);
+    (sw_counter sw "sw.rto_timeouts");
   Alcotest.(check int) "no other retransmissions" 1
-    (Sliding_window.retransmissions sw)
+    (sw_counter sw "sw.retransmits")
 
 let test_sw_backoff_persists_across_retransmitted_acks () =
   (* Phase 1 loses the ack of frame 1 twice, so the only ack that ever
@@ -650,12 +665,12 @@ let test_sw_backoff_persists_across_retransmitted_acks () =
   Engine.at eng ~time:1.0 (fun () ->
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:25_000 ());
   Engine.run eng;
-  Alcotest.(check int) "both delivered" 2 (Sliding_window.messages_delivered sw);
+  Alcotest.(check int) "both delivered" 2 (sw_counter sw "sw.delivered");
   Alcotest.(check int) "phase-1 recovery only" 2
-    (Sliding_window.retransmissions sw);
+    (sw_counter sw "sw.retransmits");
   Alcotest.(check int)
     "karn: no rtt sample was ever taken from a retransmitted frame" 1
-    (Sliding_window.rtt_samples sw)
+    (sw_counter sw "sw.rto_samples")
 
 let test_sw_rtt_estimator_converges () =
   (* A steady request stream on a quiet wire: the estimator must collect
@@ -671,11 +686,11 @@ let test_sw_rtt_estimator_converges () =
   done;
   Engine.run eng;
   Alcotest.(check int) "all delivered" 20
-    (Sliding_window.messages_delivered sw);
+    (sw_counter sw "sw.delivered");
   Alcotest.(check int) "a sample per fresh ack" 20
-    (Sliding_window.rtt_samples sw);
+    (sw_counter sw "sw.rto_samples");
   Alcotest.(check int) "no retransmissions" 0
-    (Sliding_window.retransmissions sw)
+    (sw_counter sw "sw.retransmits")
 
 (* ------------------------------------------------------------------ *)
 

@@ -388,7 +388,8 @@ let test_page_install_and_validate () =
 (* Page table *)
 
 let test_page_table_fault_dispatch () =
-  let pt = Page_table.create ~pages:4 ~page_size:64 () in
+  let obs = Carlos_obs.Obs.create () in
+  let pt = Page_table.create ~obs ~pages:4 ~page_size:64 () in
   let read_faults = ref [] and write_faults = ref [] in
   Page_table.set_read_fault pt (fun i ->
       read_faults := i :: !read_faults;
@@ -407,8 +408,9 @@ let test_page_table_fault_dispatch () =
   Page.invalidate (Page_table.page pt 1);
   Page_table.ensure_readable pt 1;
   Alcotest.(check (list int)) "one read fault" [ 1 ] !read_faults;
-  Alcotest.(check int) "stats reads" 1 (Page_table.read_faults pt);
-  Alcotest.(check int) "stats writes" 1 (Page_table.write_faults pt)
+  let vm_counter name = Counters.counter obs ~layer:Carlos_obs.Obs.Vm name in
+  Alcotest.(check int) "stats reads" 1 (vm_counter "read_faults");
+  Alcotest.(check int) "stats writes" 1 (vm_counter "write_faults")
 
 let test_page_table_write_to_invalid_takes_both_faults () =
   let pt = Page_table.create ~pages:1 ~page_size:64 () in
