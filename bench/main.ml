@@ -358,15 +358,27 @@ let micro () =
     Profile.set_enabled false;
     Profile.reset ()
   in
-  (* The engine's two cheap paths: a fiber's delay that runs inline
-     because nothing else is queued, and frames that queue for the wire
-     and run as a callback chain. *)
+  (* The engine's paths: a fiber's delay that runs inline because
+     nothing else is queued, the same delays suspending through the
+     effect handler because a second fiber's wake-up is always queued
+     ahead (two fibers in lockstep, 5,000 delays each), and frames that
+     queue for the wire and run as a callback chain. *)
   let inline_delays () =
     let eng = Engine.create () in
     Engine.spawn eng (fun () ->
         for _ = 1 to 10_000 do
           Engine.delay 1e-6
         done);
+    Engine.run eng
+  in
+  let queued_delays () =
+    let eng = Engine.create () in
+    for _ = 1 to 2 do
+      Engine.spawn eng (fun () ->
+          for _ = 1 to 5_000 do
+            Engine.delay 1e-6
+          done)
+    done;
     Engine.run eng
   in
   let queued_frames () =
@@ -390,6 +402,7 @@ let micro () =
   let tests =
     [
       Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
+      Test.make ~name:"engine-delay-x10k-queued" (Staged.stage queued_delays);
       Test.make ~name:"medium-x1k-frames-queued" (Staged.stage queued_frames);
       Test.make ~name:"profile-span-x1000-disabled"
         (Staged.stage (profile_spans false));

@@ -106,18 +106,20 @@ let run sys variant p =
         (fun p -> p >= 0 && p < nodes && p <> me)
         [ me - 1; me + 1 ]
     in
+    (* The stencil's four neighbours, read unboxed.  The reads go right
+       neighbour, left, below, above: the order in which the simulated
+       program has always issued them. *)
+    let nb = Array.make 4 0.0 in
     for gen = 0 to p.iterations - 1 do
       let src = if gen mod 2 = 0 then base_a else base_b in
       let dst = if gen mod 2 = 0 then base_b else base_a in
       for r = lo to hi do
         for c = 1 to n - 2 do
-          let v =
-            0.25
-            *. (Shm.read_f64 shm (addr src (r - 1) c)
-               +. Shm.read_f64 shm (addr src (r + 1) c)
-               +. Shm.read_f64 shm (addr src (r) (c - 1))
-               +. Shm.read_f64 shm (addr src (r) (c + 1)))
-          in
+          Shm.read_f64_into shm (addr src r (c + 1)) nb 3;
+          Shm.read_f64_into shm (addr src r (c - 1)) nb 2;
+          Shm.read_f64_into shm (addr src (r + 1) c) nb 1;
+          Shm.read_f64_into shm (addr src (r - 1) c) nb 0;
+          let v = 0.25 *. (nb.(0) +. nb.(1) +. nb.(2) +. nb.(3)) in
           Shm.write_f64 shm (addr dst r c) v;
           Node.compute node p.cell_cost
         done
@@ -148,7 +150,8 @@ let run sys variant p =
       let sum = ref 0.0 in
       for r = 0 to n - 1 do
         for c = 0 to n - 1 do
-          sum := !sum +. Shm.read_f64 shm (addr final r c)
+          Shm.read_f64_into shm (addr final r c) nb 0;
+          sum := !sum +. nb.(0)
         done
       done;
       Node.compute node (float_of_int (n * n) *. 0.05e-6);

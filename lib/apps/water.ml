@@ -42,14 +42,18 @@ type result = { energy : float; energy_ok : bool; report : System.report }
    potential, but the same O(N^2/2) cutoff structure, force accumulation
    and integration pattern as the SPLASH code. *)
 
-let box_side p = Float.cbrt (float_of_int p.molecules) *. 1.2
+(* Not inlined: callers keep the one boxed result and pass it on, where
+   an inlined, unboxed [side] would be boxed again at every call it is
+   passed to. *)
+let[@inline never] box_side p = Float.cbrt (float_of_int p.molecules) *. 1.2
 
 let dt = 0.004
 
 let spring = 4.0
 
-(* Minimum-image displacement component. *)
-let wrap side d =
+(* Minimum-image displacement component.  Inlined, so no float crosses
+   a call boxed. *)
+let[@inline] wrap side d =
   if d > side /. 2.0 then d -. side
   else if d < -.(side /. 2.0) then d +. side
   else d
@@ -83,17 +87,35 @@ let init_phys p =
     fz = Array.make n 0.0;
   }
 
-(* Force of molecule j on molecule i, if within the cutoff. *)
-let pair_force p ~side ~xi ~yi ~zi ~xj ~yj ~zj =
-  let dx = wrap side (xi -. xj)
-  and dy = wrap side (yi -. yj)
-  and dz = wrap side (zi -. zj) in
+(* Force of molecule j on molecule i, if within the cutoff: stored in
+   [f.(0..2)], and the result says whether there is one.  The positions
+   of i and j are [pos.(0..2)] and [pos.(3..5)].  Floats pass through
+   float arrays so that the O(N^2) pair loops allocate nothing. *)
+let pair_force p ~side pos f =
+  let dx = wrap side (pos.(0) -. pos.(3))
+  and dy = wrap side (pos.(1) -. pos.(4))
+  and dz = wrap side (pos.(2) -. pos.(5)) in
   let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-  if r2 >= p.cutoff *. p.cutoff || r2 = 0.0 then None
+  if r2 >= p.cutoff *. p.cutoff || r2 = 0.0 then false
   else begin
     let r = sqrt r2 in
     let mag = spring *. (p.cutoff -. r) /. r in
-    Some (mag *. dx, mag *. dy, mag *. dz)
+    f.(0) <- mag *. dx;
+    f.(1) <- mag *. dy;
+    f.(2) <- mag *. dz;
+    true
+  end
+
+(* Pair potential of the molecules at [pos.(0..2)] and [pos.(3..5)],
+   added to [e.(0)] when within the cutoff. *)
+let add_pair_energy p ~side pos e =
+  let dx = wrap side (pos.(0) -. pos.(3))
+  and dy = wrap side (pos.(1) -. pos.(4))
+  and dz = wrap side (pos.(2) -. pos.(5)) in
+  let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+  if r2 < p.cutoff *. p.cutoff && r2 > 0.0 then begin
+    let d = p.cutoff -. sqrt r2 in
+    e.(0) <- e.(0) +. (0.5 *. spring *. d *. d)
   end
 
 let half p = (p.molecules - 1) / 2
@@ -102,6 +124,12 @@ let reference_energy p =
   let n = p.molecules in
   let side = box_side p in
   let ph = init_phys p in
+  let pos = Array.make 6 0.0 and f = Array.make 3 0.0 in
+  let set_pos o m =
+    pos.(o) <- ph.px.(m);
+    pos.(o + 1) <- ph.py.(m);
+    pos.(o + 2) <- ph.pz.(m)
+  in
   for _ = 1 to p.steps do
     for i = 0 to n - 1 do
       ph.px.(i) <- ph.px.(i) +. (ph.vx.(i) *. dt);
@@ -112,20 +140,18 @@ let reference_energy p =
       ph.fz.(i) <- 0.0
     done;
     for i = 0 to n - 1 do
+      set_pos 0 i;
       for k = 1 to half p do
         let j = (i + k) mod n in
-        match
-          pair_force p ~side ~xi:ph.px.(i) ~yi:ph.py.(i) ~zi:ph.pz.(i)
-            ~xj:ph.px.(j) ~yj:ph.py.(j) ~zj:ph.pz.(j)
-        with
-        | None -> ()
-        | Some (fx, fy, fz) ->
-          ph.fx.(i) <- ph.fx.(i) +. fx;
-          ph.fy.(i) <- ph.fy.(i) +. fy;
-          ph.fz.(i) <- ph.fz.(i) +. fz;
-          ph.fx.(j) <- ph.fx.(j) -. fx;
-          ph.fy.(j) <- ph.fy.(j) -. fy;
-          ph.fz.(j) <- ph.fz.(j) -. fz
+        set_pos 3 j;
+        if pair_force p ~side pos f then begin
+          ph.fx.(i) <- ph.fx.(i) +. f.(0);
+          ph.fy.(i) <- ph.fy.(i) +. f.(1);
+          ph.fz.(i) <- ph.fz.(i) +. f.(2);
+          ph.fx.(j) <- ph.fx.(j) -. f.(0);
+          ph.fy.(j) <- ph.fy.(j) -. f.(1);
+          ph.fz.(j) <- ph.fz.(j) -. f.(2)
+        end
       done
     done;
     for i = 0 to n - 1 do
@@ -139,29 +165,23 @@ let reference_energy p =
      identical to this loop nest, and across nodes the energy check uses a
      relative tolerance. *)
   (* Energy: kinetic plus pair potential. *)
-  let e = ref 0.0 in
+  let e = [| 0.0 |] in
   for i = 0 to n - 1 do
-    e :=
-      !e
+    e.(0) <-
+      e.(0)
       +. 0.5
          *. ((ph.vx.(i) *. ph.vx.(i))
             +. (ph.vy.(i) *. ph.vy.(i))
             +. (ph.vz.(i) *. ph.vz.(i)))
   done;
   for i = 0 to n - 1 do
+    set_pos 0 i;
     for k = 1 to half p do
-      let j = (i + k) mod n in
-      let dx = wrap side (ph.px.(i) -. ph.px.(j))
-      and dy = wrap side (ph.py.(i) -. ph.py.(j))
-      and dz = wrap side (ph.pz.(i) -. ph.pz.(j)) in
-      let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-      if r2 < p.cutoff *. p.cutoff && r2 > 0.0 then begin
-        let d = p.cutoff -. sqrt r2 in
-        e := !e +. (0.5 *. spring *. d *. d)
-      end
+      set_pos 3 ((i + k) mod n);
+      add_pair_energy p ~side pos e
     done
   done;
-  !e
+  e.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-memory layout.  A molecule record is 672 bytes, as in the SPLASH
@@ -184,7 +204,12 @@ let force_addr l m = l.base + (m * mol_bytes) + 48
 
 let scratch_addr l m = l.base + (m * mol_bytes) + 72
 
-let read3 shm a = (Shm.read_f64 shm a, Shm.read_f64 shm (a + 8), Shm.read_f64 shm (a + 16))
+(* The three doubles at [a] into [dst.(o..o+2)], highest address first:
+   the order in which the simulated program has always issued them. *)
+let read3_into shm a dst o =
+  Shm.read_f64_into shm (a + 16) dst (o + 2);
+  Shm.read_f64_into shm (a + 8) dst (o + 1);
+  Shm.read_f64_into shm a dst o
 
 let write3 shm a (x, y, z) =
   Shm.write_f64 shm a x;
@@ -238,12 +263,18 @@ let run sys variant p =
     let accx = Array.make n 0.0
     and accy = Array.make n 0.0
     and accz = Array.make n 0.0 in
+    (* Scratch cells of this node's app fiber (handlers use their own):
+       two triples (two molecules' positions, or a velocity and a
+       position or force) and one force. *)
+    let cells = Array.make 6 0.0 and f = Array.make 3 0.0 in
     for _step = 1 to p.steps do
       (* Phase A: integrate positions of own molecules, clear forces. *)
       for m = 0 to n - 1 do
         if mine m then begin
-          let vx, vy, vz = read3 shm (vel_addr layout m) in
-          let x, y, z = read3 shm (pos_addr layout m) in
+          read3_into shm (vel_addr layout m) cells 0;
+          read3_into shm (pos_addr layout m) cells 3;
+          let vx = cells.(0) and vy = cells.(1) and vz = cells.(2) in
+          let x = cells.(3) and y = cells.(4) and z = cells.(5) in
           write3 shm (pos_addr layout m)
             (x +. (vx *. dt), y +. (vy *. dt), z +. (vz *. dt));
           write3 shm (force_addr layout m) (0.0, 0.0, 0.0);
@@ -263,21 +294,20 @@ let run sys variant p =
       Array.fill accz 0 n 0.0;
       for i = 0 to n - 1 do
         if mine i then begin
-          let xi, yi, zi = read3 shm (pos_addr layout i) in
+          read3_into shm (pos_addr layout i) cells 0;
           for k = 1 to half p do
             let j = (i + k) mod n in
-            let xj, yj, zj = read3 shm (pos_addr layout j) in
+            read3_into shm (pos_addr layout j) cells 3;
             Node.compute node p.pair_check_cost;
-            match pair_force p ~side ~xi ~yi ~zi ~xj ~yj ~zj with
-            | None -> ()
-            | Some (fx, fy, fz) ->
+            if pair_force p ~side cells f then begin
               Node.compute node p.pair_force_cost;
-              accx.(i) <- accx.(i) +. fx;
-              accy.(i) <- accy.(i) +. fy;
-              accz.(i) <- accz.(i) +. fz;
-              accx.(j) <- accx.(j) -. fx;
-              accy.(j) <- accy.(j) -. fy;
-              accz.(j) <- accz.(j) -. fz
+              accx.(i) <- accx.(i) +. f.(0);
+              accy.(i) <- accy.(i) +. f.(1);
+              accz.(i) <- accz.(i) +. f.(2);
+              accx.(j) <- accx.(j) -. f.(0);
+              accy.(j) <- accy.(j) -. f.(1);
+              accz.(j) <- accz.(j) -. f.(2)
+            end
           done
         end
       done;
@@ -288,9 +318,9 @@ let run sys variant p =
           match variant with
           | Lock ->
             Msg_lock.with_lock locks.(m) node (fun () ->
-                let fx, fy, fz = read3 shm (force_addr layout m) in
+                read3_into shm (force_addr layout m) f 0;
                 write3 shm (force_addr layout m)
-                  (fx +. ux, fy +. uy, fz +. uz);
+                  (f.(0) +. ux, f.(1) +. uy, f.(2) +. uz);
                 Node.compute node 2e-6)
           | Hybrid | Hybrid_all_release ->
             (* Function shipping: a NONE message invokes the update
@@ -302,9 +332,10 @@ let run sys variant p =
               ~handler:(fun owner_node d ->
                 Node.accept d;
                 let oshm = Node.shm owner_node in
-                let fx, fy, fz = read3 oshm (force_addr layout m) in
+                let cur = Array.make 3 0.0 in
+                read3_into oshm (force_addr layout m) cur 0;
                 write3 oshm (force_addr layout m)
-                  (fx +. ux, fy +. uy, fz +. uz);
+                  (cur.(0) +. ux, cur.(1) +. uy, cur.(2) +. uz);
                 Node.charge owner_node Carlos.Breakdown.User 2e-6)
         end
       done;
@@ -330,8 +361,10 @@ let run sys variant p =
       (* Phase C: integrate velocities of own molecules. *)
       for m = 0 to n - 1 do
         if mine m then begin
-          let fx, fy, fz = read3 shm (force_addr layout m) in
-          let vx, vy, vz = read3 shm (vel_addr layout m) in
+          read3_into shm (force_addr layout m) cells 0;
+          read3_into shm (vel_addr layout m) cells 3;
+          let fx = cells.(0) and fy = cells.(1) and fz = cells.(2) in
+          let vx = cells.(3) and vy = cells.(4) and vz = cells.(5) in
           write3 shm (vel_addr layout m)
             (vx +. (fx *. dt), vy +. (fy *. dt), vz +. (fz *. dt));
           for s = 0 to scratch_doubles - 1 do
@@ -344,28 +377,21 @@ let run sys variant p =
     done;
     (* Node 0 evaluates the end-state energy from shared memory. *)
     if me = 0 then begin
-      let e = ref 0.0 in
+      let e = [| 0.0 |] in
       for i = 0 to n - 1 do
-        let vx, vy, vz = read3 shm (vel_addr layout i) in
-        e := !e +. (0.5 *. ((vx *. vx) +. (vy *. vy) +. (vz *. vz)))
+        read3_into shm (vel_addr layout i) cells 0;
+        let vx = cells.(0) and vy = cells.(1) and vz = cells.(2) in
+        e.(0) <- e.(0) +. (0.5 *. ((vx *. vx) +. (vy *. vy) +. (vz *. vz)))
       done;
       for i = 0 to n - 1 do
-        let xi, yi, zi = read3 shm (pos_addr layout i) in
+        read3_into shm (pos_addr layout i) cells 0;
         for k = 1 to half p do
-          let j = (i + k) mod n in
-          let xj, yj, zj = read3 shm (pos_addr layout j) in
-          let dx = wrap side (xi -. xj)
-          and dy = wrap side (yi -. yj)
-          and dz = wrap side (zi -. zj) in
-          let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-          if r2 < p.cutoff *. p.cutoff && r2 > 0.0 then begin
-            let d = p.cutoff -. sqrt r2 in
-            e := !e +. (0.5 *. spring *. d *. d)
-          end
+          read3_into shm (pos_addr layout ((i + k) mod n)) cells 3;
+          add_pair_energy p ~side cells e
         done
       done;
       Node.compute node 0.05;
-      energy := !e
+      energy := e.(0)
     end
   in
   let report = System.run sys app in

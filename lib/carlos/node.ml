@@ -32,17 +32,25 @@ type instruments = {
   forwarded_c : Obs.counter;
 }
 
+(* An all-float record is stored flat, so updating a field allocates
+   nothing; a mutable float field of [t] would box on every write. *)
+type cpu = {
+  (* Preemptible CPU model: application computation occupies the CPU up
+     to [busy_until]; message-handler and consistency work runs at
+     interrupt level (SIGIO/SIGSEGV in the real system), preempting the
+     application by pushing its completion time back. *)
+  mutable busy_until : float;
+  (* Computation charged by [compute] and not yet flushed to the CPU. *)
+  mutable pending : float;
+}
+
 type t = {
   id : int;
   nodes : int;
   engine : Engine.t;
   shm : Shm.t;
   backend : Backend.t;
-  (* Preemptible CPU model: application computation occupies the CPU up to
-     [cpu_busy_until]; message-handler and consistency work runs at
-     interrupt level (SIGIO/SIGSEGV in the real system), preempting the
-     application by pushing its completion time back. *)
-  mutable cpu_busy_until : float;
+  cpu : cpu;
   costs : Cpu_cost.t;
   breakdown : Breakdown.t;
   (* Arrival order from the reliable transport; drained by the interrupt
@@ -53,7 +61,6 @@ type t = {
   mutable safe_point_hook : t -> unit;
   obs : Obs.t;
   wire_cost : Wire_cost.t;
-  mutable pending_compute : float;
   ins : instruments;
   mutable audit : Audit.t option;
 }
@@ -115,6 +122,15 @@ let time t = Engine.now t.engine
 (* ------------------------------------------------------------------ *)
 (* CPU accounting *)
 
+(* Sleep until the CPU is free; interrupt-level work arriving meanwhile
+   pushes [busy_until] back.  Top level: no closure per charge. *)
+let rec wait_for_cpu t =
+  let now = Engine.now t.engine in
+  if now < t.cpu.busy_until then begin
+    Engine.delay (t.cpu.busy_until -. now);
+    wait_for_cpu t
+  end
+
 let charge t bucket dt =
   if dt > 0.0 then begin
     Breakdown.add t.breakdown bucket dt;
@@ -123,31 +139,24 @@ let charge t bucket dt =
       (* Base-load computation: runs after any earlier reservation and is
          preempted (pushed back) by interrupt-level work that arrives
          while it executes. *)
-      let start = Float.max (Engine.now t.engine) t.cpu_busy_until in
-      t.cpu_busy_until <- start +. dt;
-      let rec wait () =
-        let now = Engine.now t.engine in
-        if now < t.cpu_busy_until then begin
-          Engine.delay (t.cpu_busy_until -. now);
-          wait ()
-        end
-      in
-      wait ()
+      let start = Float.max (Engine.now t.engine) t.cpu.busy_until in
+      t.cpu.busy_until <- start +. dt;
+      wait_for_cpu t
     | Breakdown.Unix | Breakdown.Carlos ->
       (* Interrupt-level work: executes immediately and delays the
          application's pending computation. *)
-      t.cpu_busy_until <- t.cpu_busy_until +. dt;
+      t.cpu.busy_until <- t.cpu.busy_until +. dt;
       Engine.delay dt
   end
 
 let compute t dt =
   if dt < 0.0 then invalid_arg "Node.compute: negative time";
-  t.pending_compute <- t.pending_compute +. dt
+  t.cpu.pending <- t.cpu.pending +. dt
 
 let flush_compute t =
-  if t.pending_compute > 0.0 then begin
-    let dt = t.pending_compute in
-    t.pending_compute <- 0.0;
+  if t.cpu.pending > 0.0 then begin
+    let dt = t.cpu.pending in
+    t.cpu.pending <- 0.0;
     charge t Breakdown.User dt
   end;
   t.safe_point_hook t
@@ -312,22 +321,7 @@ let check_disposable d op =
   | Accepted | Forwarded ->
     raise (Handler_error (op ^ ": message already disposed of"))
 
-let accept_batch t deliveries =
-  let vc_before =
-    match t.audit with
-    | Some _ -> Some (Vc.copy (Backend.vc t.backend))
-    | None -> None
-  in
-  Obs.span t.obs ~node:t.id ~layer:Obs.Carlos "accept" @@ fun () ->
-  if Obs.tracing t.obs then
-    List.iter
-      (fun d ->
-        (* Arrow terminus: binds to this accept slice (or, for an accept
-           called directly from a handler, the enclosing deliver slice). *)
-        Obs.flow_finish t.obs ~id:d.message.trace_id ~node:t.id
-          ~layer:Obs.Carlos
-          (Annotation.to_string d.message.annotation))
-      deliveries;
+let accept_deliveries t deliveries vc_before =
   let piggybacks =
     List.filter_map
       (fun d ->
@@ -359,6 +353,26 @@ let accept_batch t deliveries =
            })
          deliveries)
   | _ -> ()
+
+(* Span closures are built only while tracing: this runs per message. *)
+let accept_batch t deliveries =
+  let vc_before =
+    match t.audit with
+    | Some _ -> Some (Vc.copy (Backend.vc t.backend))
+    | None -> None
+  in
+  if not (Obs.tracing t.obs) then accept_deliveries t deliveries vc_before
+  else
+    Obs.span t.obs ~node:t.id ~layer:Obs.Carlos "accept" @@ fun () ->
+    List.iter
+      (fun d ->
+        (* Arrow terminus: binds to this accept slice (or, for an accept
+           called directly from a handler, the enclosing deliver slice). *)
+        Obs.flow_finish t.obs ~id:d.message.trace_id ~node:t.id
+          ~layer:Obs.Carlos
+          (Annotation.to_string d.message.annotation))
+      deliveries;
+    accept_deliveries t deliveries vc_before
 
 let accept d = accept_batch d.target [ d ]
 
@@ -397,21 +411,7 @@ let store d =
 (* ------------------------------------------------------------------ *)
 (* Receiving *)
 
-let run_handler t d =
-  let annot = Annotation.to_string d.message.annotation in
-  Obs.span t.obs ~node:t.id ~layer:Obs.Carlos "deliver"
-    ~args:
-      [
-        ("id", Obs.Int d.message.trace_id);
-        ("src", Obs.Int d.src);
-        ("annot", Obs.Str annot);
-      ]
-  @@ fun () ->
-  if Obs.tracing t.obs then
-    (* Intermediate hop of the causality arrow: binds to this deliver
-       slice.  The arrow terminates at the accept (flow_finish). *)
-    Obs.flow_step t.obs ~id:d.message.trace_id ~node:t.id ~layer:Obs.Carlos
-      annot;
+let handle t d =
   charge t Breakdown.Carlos t.costs.Cpu_cost.handler_dispatch;
   (match d.message.annotation with
   | Annotation.Request -> (
@@ -428,6 +428,26 @@ let run_handler t d =
       (Handler_error
          "handler returned without accepting, forwarding or storing")
   | Stored | Accepted | Forwarded -> ()
+
+(* The span, its args and its closure are built only while tracing. *)
+let run_handler t d =
+  if not (Obs.tracing t.obs) then handle t d
+  else begin
+    let annot = Annotation.to_string d.message.annotation in
+    Obs.span t.obs ~node:t.id ~layer:Obs.Carlos "deliver"
+      ~args:
+        [
+          ("id", Obs.Int d.message.trace_id);
+          ("src", Obs.Int d.src);
+          ("annot", Obs.Str annot);
+        ]
+    @@ fun () ->
+    (* Intermediate hop of the causality arrow: binds to this deliver
+       slice.  The arrow terminates at the accept (flow_finish). *)
+    Obs.flow_step t.obs ~id:d.message.trace_id ~node:t.id ~layer:Obs.Carlos
+      annot;
+    handle t d
+  end
 
 (* Non-blocking: called directly by the sliding-window layer, which relies
    on its upcall returning promptly to keep per-pair delivery in order. *)
@@ -528,7 +548,7 @@ let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
       engine;
       shm;
       backend;
-      cpu_busy_until = 0.0;
+      cpu = { busy_until = 0.0; pending = 0.0 };
       costs;
       breakdown = Breakdown.create ~obs ~node:id ();
       rx = Mailbox.create ();
@@ -539,7 +559,6 @@ let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
       safe_point_hook = (fun _ -> ());
       obs;
       wire_cost = Wire_cost.create obs;
-      pending_compute = 0.0;
       audit = None;
       ins =
         {

@@ -26,13 +26,14 @@ val size_bytes : t -> int
     index as [id] (int equality, no structural compare). *)
 val mem_id : id -> id list -> bool
 
-(** The total order {!causal_sort} sorts by: a linear extension of causal
-    order, ascending [rank], ties broken by creator then index. *)
+(** The total order every causal ordering uses: a linear extension of
+    causal order, ascending [rank], ties broken by creator then index. *)
 val causal_compare : t -> t -> int
 
-(** Sort interval records into a linear extension of causal order
-    ({!causal_compare}).  Stable. *)
-val causal_sort : t list -> t list
+(** Sort an array into the causal order ({!causal_compare}) in place,
+    allocating nothing.  Not stable: intervals with distinct ids never
+    compare equal. *)
+val sort_in_place : t array -> unit
 
 val pp : Format.formatter -> t -> unit
 
@@ -61,6 +62,16 @@ module Log : sig
 
   (** Number of intervals in the log. *)
   val length : t -> int
+
+  exception Missing of id
+
+  (** [causal_range t ~lo ~hi ~creators] is every interval [(c, k)] with
+      [creators c] and [Vc.get lo c < k <= Vc.get hi c], in the causal
+      order ({!causal_compare}).  It allocates only the result: an array
+      of exactly that many intervals, sorted in place.
+      @raise Missing with the first absent id, by creator then index. *)
+  val causal_range :
+    t -> lo:Vc.t -> hi:Vc.t -> creators:(int -> bool) -> interval array
 
   (** Fold over the log by ascending creator, then ascending index. *)
   val fold : (interval -> 'a -> 'a) -> t -> 'a -> 'a

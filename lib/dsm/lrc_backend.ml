@@ -361,15 +361,16 @@ let fetch_whole_page t page ids =
 
 (* The total order in which a page's diffs are applied: causal (sum of
    vector-clock components), ties broken deterministically.  Each id is
-   resolved once; a list too short to compare is returned without any
-   lookup. *)
+   resolved once, into an array sorted in place; a list too short to
+   compare is returned without any lookup. *)
 let causal_order t ids =
   match ids with
   | [] | [ _ ] -> ids
-  | _ ->
-    List.map
-      (fun (i : Interval.t) -> i.Interval.id)
-      (Interval.causal_sort (List.map (find_interval t) ids))
+  | first :: rest ->
+    let a = Array.make (List.length ids) (find_interval t first) in
+    List.iteri (fun k id -> a.(k + 1) <- find_interval t id) rest;
+    Interval.sort_in_place a;
+    Array.fold_right (fun (i : Interval.t) acc -> i.Interval.id :: acc) a []
 
 (* Fetch the diffs for [targets] (per page, its mergeable runs: same-
    creator ids whose diffs are not held locally, in causal order) into
@@ -902,27 +903,14 @@ let rec close_interval t =
 (* Intervals the receiver (whose vc we conservatively know as [have]) is
    missing, optionally restricted to locally created ones. *)
 let intervals_after t ~have ~own_only =
-  let collect creator acc =
-    if own_only && creator <> t.me then acc
-    else begin
-      let upto = Vc.get t.vc creator in
-      let rec loop idx acc =
-        if idx > upto then acc
-        else
-          match Interval.Log.find t.log ~creator ~index:idx with
-          | i -> loop (idx + 1) (i :: acc)
-          | exception Not_found ->
-            raise
-              (Protocol_violation
-                 (Printf.sprintf "interval log gap at (%d,%d)" creator idx))
-      in
-      loop (Vc.get have creator + 1) acc
-    end
-  in
-  let rec nodes_loop c acc =
-    if c >= t.nodes then acc else nodes_loop (c + 1) (collect c acc)
-  in
-  Interval.causal_sort (nodes_loop 0 [])
+  let creators = if own_only then fun c -> c = t.me else fun _ -> true in
+  match Interval.Log.causal_range t.log ~lo:have ~hi:t.vc ~creators with
+  | a -> Array.to_list a
+  | exception Interval.Log.Missing id ->
+    raise
+      (Protocol_violation
+         (Printf.sprintf "interval log gap at (%d,%d)" id.Interval.creator
+            id.Interval.index))
 
 (* Component-wise minimum of the per-peer clocks [clocks] over every node
    but this one: what the least-informed peer is known to have.  On a
@@ -1009,10 +997,7 @@ let attachments_for t ~receiver intervals =
     else bump receiver;
     out
 
-let make_piggyback t ~receiver ~nontransitive =
- Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.release"
-   ~args:[ ("receiver", Obs.Int receiver) ]
- @@ fun () ->
+let piggyback_for t ~receiver ~nontransitive =
   close_interval t;
   let intervals =
     if receiver = t.me then begin
@@ -1035,6 +1020,15 @@ let make_piggyback t ~receiver ~nontransitive =
     nontransitive;
     attached_diffs = attachments_for t ~receiver intervals;
   }
+
+(* One per RELEASE message: the span's args and closure are built only
+   while tracing. *)
+let make_piggyback t ~receiver ~nontransitive =
+  if not (Obs.tracing t.obs) then piggyback_for t ~receiver ~nontransitive
+  else
+    Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.release"
+      ~args:[ ("receiver", Obs.Int receiver) ]
+    @@ fun () -> piggyback_for t ~receiver ~nontransitive
 
 (* Wire bytes of diff entries (an attachment list or a diff reply): 8
    per entry plus its diffs, where a physical diff aliased under several
@@ -1203,10 +1197,7 @@ let find_gap t ~target piggybacks =
    with Exit -> ());
   !result
 
-let accept t piggybacks =
- Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
-   ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
- @@ fun () ->
+let accept_piggybacks t piggybacks =
   (* 0. Index any eagerly shipped diffs (update/hybrid strategies). *)
   let attached = Itbl.create 16 in
   List.iter
@@ -1233,17 +1224,16 @@ let accept t piggybacks =
   in
   ensure_logged ();
   (* 4. Apply all newly covered intervals in causal order. *)
-  let to_apply = ref [] in
-  for c = 0 to t.nodes - 1 do
-    if c <> t.me then
-      for idx = Vc.get t.vc c + 1 to Vc.get target c do
-        match Interval.Log.find t.log ~creator:c ~index:idx with
-        | i -> to_apply := i :: !to_apply
-        | exception Not_found ->
-          raise (Protocol_violation "gap survived ensure_logged")
-      done
-  done;
-  List.iter (apply_interval t ~attached) (Interval.causal_sort !to_apply);
+  let to_apply =
+    match
+      Interval.Log.causal_range t.log ~lo:t.vc ~hi:target ~creators:(fun c ->
+          c <> t.me)
+    with
+    | a -> a
+    | exception Interval.Log.Missing _ ->
+      raise (Protocol_violation "gap survived ensure_logged")
+  in
+  Array.iter (apply_interval t ~attached) to_apply;
   Vc.join_in_place t.vc target;
   (if t.fault = Some Corrupt_vc_merge then begin
      (* Armed one-shot corruption: lose one non-local component of the
@@ -1265,6 +1255,13 @@ let accept t piggybacks =
     (fun pb ->
       if pb.origin <> t.me then note_peer_vc t ~peer:pb.origin pb.required_vc)
     piggybacks
+
+let accept t piggybacks =
+  if not (Obs.tracing t.obs) then accept_piggybacks t piggybacks
+  else
+    Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
+      ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
+    @@ fun () -> accept_piggybacks t piggybacks
 
 (* ------------------------------------------------------------------ *)
 (* Serving (interrupt level, non-blocking) *)

@@ -454,8 +454,9 @@ let span ?(args = []) t ~node ~layer name f =
       finish ();
       v
     | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
       finish ();
-      raise e
+      Printexc.raise_with_backtrace e bt
   end
 
 let events t = List.rev t.events_rev

@@ -26,12 +26,16 @@ type t = {
   (* [Profile.enabled ()] as read when [run] started: the engine's probes
      test this field instead of reading the domain-local profiler flag. *)
   mutable profiling : bool;
+  (* The [dt] of the [Delay] being performed: [delay] stores it and the
+     fiber's handler reads it at once.  A one-cell float array holds it
+     unboxed, so the effect carries no payload to allocate. *)
+  delay_dt : float array;
 }
 
 exception Multiple_failures of exn list
 
 type _ Effect.t +=
-  | Delay : (t * float) -> unit Effect.t
+  | Delay : unit Effect.t
   | Time : float Effect.t
   | Fork : (unit -> unit) -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
@@ -45,7 +49,7 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let create () =
   { clock = 0.0; queue = Heap.create ~dummy:Ev_none (); next_seq = 0;
     executed = 0; failure = None; secondary = []; in_fiber = false;
-    profiling = false }
+    profiling = false; delay_dt = [| 0.0 |] }
 
 let failures t =
   match t.failure with
@@ -79,6 +83,15 @@ let at t ~time f = schedule t ~time f
 let rec start_fiber eng f =
   let open Effect.Deep in
   if eng.profiling then Profile.tick Profile.Fiber_spawn;
+  (* Built once per fiber, so a suspending [delay] allocates no handler. *)
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let dt = eng.delay_dt.(0) in
+        if dt < 0.0 then
+          discontinue k (Invalid_argument "Engine.delay: negative")
+        else schedule_ev eng ~time:(eng.clock +. dt) (Ev_resume k))
+  in
   match_with f ()
     {
       retc = (fun () -> ());
@@ -88,14 +101,10 @@ let rec start_fiber eng f =
           | None -> eng.failure <- Some e
           | Some _ -> eng.secondary <- e :: eng.secondary);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Delay (t, dt) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                if dt < 0.0 then
-                  discontinue k (Invalid_argument "Engine.delay: negative")
-                else schedule_ev t ~time:(t.clock +. dt) (Ev_resume k))
+          | Delay -> on_delay
           | Time -> Some (fun k -> continue k eng.clock)
           | Fork g ->
             Some
@@ -214,7 +223,10 @@ let delay dt =
       eng.clock <- wake;
       eng.executed <- eng.executed + 1
     end
-    else Effect.perform (Delay (eng, dt))
+    else begin
+      eng.delay_dt.(0) <- dt;
+      Effect.perform Delay
+    end
 
 let time () = Effect.perform Time
 

@@ -146,6 +146,23 @@ let test_grid variant nodes () =
     Alcotest.failf "checksum %.12f vs reference %.12f" r.Grid.checksum
       (Grid.reference grid_params)
 
+(* The rewritten float loops read shared memory through unboxed cells in
+   a fixed order.  These bits, from before the rewrite, pin that order
+   and the grouping of every sum, at the apps' default sizes. *)
+let test_water_energy_bits () =
+  let p = Water.default_params in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  Alcotest.(check string) "reference" "40c2ecde3aa03e4f"
+    (bits (Water.reference_energy p));
+  let r = Water.run (System.create (System.default_config ~nodes:4)) Water.Lock p in
+  Alcotest.(check string) "lock N=4" "40c2ecde3aa03e4f" (bits r.Water.energy)
+
+let test_grid_checksum_bits () =
+  let p = Grid.default_params in
+  let r = Grid.run (System.create (Grid.config ~nodes:4 p)) Grid.Barrier p in
+  Alcotest.(check string) "barrier N=4" "411c57554f2da7ed"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float r.Grid.checksum))
+
 let test_grid_update_strategy () =
   List.iter
     (fun strategy ->
@@ -424,6 +441,7 @@ let () =
           quick "message counts" test_water_message_counts;
           quick "under datagram loss" test_water_under_datagram_loss;
           quick "update strategies" test_water_update_strategy;
+          quick "energy bits at default params" test_water_energy_bits;
         ] );
       ( "grid",
         [
@@ -435,6 +453,7 @@ let () =
           quick "neighbour sync vs barrier" test_grid_neighbour_sync_beats_barrier;
           quick "4 concurrent domains byte-identical"
             test_grid_domain_parallel_identical;
+          quick "checksum bits at 4 nodes" test_grid_checksum_bits;
         ] );
       ( "robustness",
         [

@@ -851,6 +851,26 @@ let test_report_consistency () =
         Alcotest.failf "node %d breakdown exceeds wall" nr.System.node)
     r.System.per_node
 
+(* [compute] runs once per simulated operation in the apps' hot loops;
+   its pending time lives in an unboxed cell, so a call allocates
+   nothing. *)
+let test_compute_allocation () =
+  let sys = make ~nodes:1 () in
+  let words = ref nan in
+  let (_ : System.report) =
+    System.run sys (fun node ->
+        let dt = Sys.opaque_identity 1e-6 in
+        Node.compute node dt;
+        let n = 10_000 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          Node.compute node dt
+        done;
+        words := (Gc.minor_words () -. before) /. float_of_int n)
+  in
+  if !words > 0.0 then
+    Alcotest.failf "Node.compute allocates %.2f words per call" !words
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -867,6 +887,8 @@ let () =
             test_none_does_not_propagate_memory;
           Alcotest.test_case "figure 1 asymmetry" `Quick
             test_figure1_asymmetry;
+          Alcotest.test_case "compute allocation" `Quick
+            test_compute_allocation;
         ] );
       ( "lock",
         [

@@ -881,27 +881,12 @@ let test_seq_cas_at_sequencer () =
     c.sshms
 
 (* ------------------------------------------------------------------ *)
-(* LRC metadata: the causal sort and the interval log *)
+(* LRC metadata: the causal order and the interval log *)
 
 let interval ~nodes ~creator ~index =
   let vc = Vc.zero ~nodes in
   Vc.set vc creator index;
   Interval.make ~creator ~index ~vc ~write_notices:[]
-
-(* An interval whose other components lie in 0..2, so that many
-   intervals share a rank; the random write notices tell apart intervals
-   with equal ids. *)
-let gen_interval ~nodes =
-  QCheck.Gen.(
-    int_range 0 (nodes - 1) >>= fun creator ->
-    int_range 1 3 >>= fun index ->
-    array_size (return nodes) (int_range 0 2) >>= fun others ->
-    small_list (int_range 0 7) >|= fun write_notices ->
-    let vc = Vc.zero ~nodes in
-    Array.iteri
-      (fun c v -> Vc.set vc c (if c = creator then index else v))
-      others;
-    Interval.make ~creator ~index ~vc ~write_notices)
 
 (* The causal sort as it was before intervals cached their rank: a tuple
    key under polymorphic compare. *)
@@ -913,22 +898,104 @@ let oracle_causal_sort intervals =
   in
   List.sort (fun a b -> compare (key a) (key b)) intervals
 
-let prop_causal_sort_matches_oracle =
-  let print is =
-    String.concat " " (List.map (Format.asprintf "%a" Interval.pp) is)
+(* One creator's row of a random log: intervals 1..top, of which the GC
+   removed 1..gc, and the range (lo, hi] asked for, if [included].  Each
+   interval's other clock components lie in 0..2, so that many intervals
+   share a rank. *)
+type range_row = {
+  top : int;
+  gc : int;
+  lo : int;
+  hi : int;
+  included : bool;
+  others : int array list; (* one clock per index 1..top *)
+}
+
+let gen_range_row ~nodes =
+  QCheck.Gen.(
+    int_range 0 12 >>= fun top ->
+    int_range 0 top >>= fun gc ->
+    int_range 0 top >>= fun lo ->
+    int_range 0 top >>= fun hi ->
+    bool >>= fun included ->
+    list_repeat top (array_size (return nodes) (int_range 0 2))
+    >|= fun others -> { top; gc; lo; hi; included; others })
+
+let prop_causal_range_matches_oracle =
+  let print rows =
+    String.concat "; "
+      (Array.to_list
+         (Array.mapi
+            (fun c r ->
+              Printf.sprintf "%d: 1..%d gc %d (%d,%d]%s" c r.top r.gc r.lo r.hi
+                (if r.included then "" else " excluded"))
+            rows))
   in
-  QCheck.Test.make ~name:"interval: causal_sort matches the tuple-key sort"
+  QCheck.Test.make ~name:"interval: causal_range matches the tuple-key sort"
     ~count:300
     (QCheck.make ~print
-       QCheck.Gen.(
-         int_range 1 4 >>= fun nodes ->
-         list_size (int_range 0 40) (gen_interval ~nodes)))
-    (fun intervals ->
-      List.for_all
-        (fun (i : Interval.t) -> i.Interval.rank = Vc.sum i.Interval.vc)
-        intervals
-      && List.for_all2 ( == ) (Interval.causal_sort intervals)
-           (oracle_causal_sort intervals))
+       QCheck.Gen.(int_range 1 4 >>= fun nodes ->
+                   array_repeat nodes (gen_range_row ~nodes)))
+    (fun rows ->
+      let nodes = Array.length rows in
+      let log = Interval.Log.create ~nodes in
+      Array.iteri
+        (fun creator r ->
+          List.iteri
+            (fun k others ->
+              let index = k + 1 in
+              let vc = Vc.zero ~nodes in
+              Array.iteri
+                (fun c v -> Vc.set vc c (if c = creator then index else v))
+                others;
+              Interval.Log.add log
+                (Interval.make ~creator ~index ~vc ~write_notices:[]))
+            r.others;
+          for index = 1 to r.gc do
+            Interval.Log.remove log ~creator ~index
+          done)
+        rows;
+      let lo = Vc.zero ~nodes and hi = Vc.zero ~nodes in
+      Array.iteri
+        (fun c r ->
+          Vc.set lo c r.lo;
+          Vc.set hi c r.hi)
+        rows;
+      let creators c = rows.(c).included in
+      (* The first id the range asks for that the GC removed. *)
+      let gap =
+        List.find_map
+          (fun c ->
+            let r = rows.(c) in
+            if r.included && r.lo < r.gc && r.hi > r.lo then
+              Some (c, r.lo + 1)
+            else None)
+          (List.init nodes Fun.id)
+      in
+      match (Interval.Log.causal_range log ~lo ~hi ~creators, gap) with
+      | got, None ->
+        let expected =
+          Interval.Log.fold
+            (fun (i : Interval.t) acc ->
+              let c = i.Interval.id.Interval.creator
+              and k = i.Interval.id.Interval.index in
+              if creators c && Vc.get lo c < k && k <= Vc.get hi c then
+                i :: acc
+              else acc)
+            log []
+          |> oracle_causal_sort
+        in
+        let got = Array.to_list got in
+        List.for_all
+          (fun (i : Interval.t) -> i.Interval.rank = Vc.sum i.Interval.vc)
+          got
+        && List.length got = List.length expected
+        && List.for_all2 ( == ) got expected
+      | _, Some _ -> false
+      | exception Interval.Log.Missing id -> (
+        match gap with
+        | Some (c, k) -> id.Interval.creator = c && id.Interval.index = k
+        | None -> false))
 
 type log_op =
   | Add of int * int
@@ -1045,23 +1112,30 @@ let test_metadata_allocation () =
   zero "Vc.dominates" (fun () ->
       ignore (Sys.opaque_identity (Vc.dominates a b)));
   zero "Vc.sum" (fun () -> ignore (Sys.opaque_identity (Vc.sum a)));
-  (* Sorting allocates only the merge sort's own list cells: the same
-     words as sorting on a comparator that allocates nothing. *)
-  let intervals =
-    Interval.Log.fold List.cons log [] |> List.filteri (fun i _ -> i mod 3 = 0)
+  (* The causal ordering allocates only its result: an array of exactly
+     the range's intervals (a header word plus one per interval), and in
+     list form three words per interval more, plus [Array.to_list]'s
+     5-word closure.  Sorting in place allocates nothing. *)
+  let lo = Vc.zero ~nodes and hi = Vc.zero ~nodes in
+  for c = 0 to nodes - 1 do
+    Vc.set lo c 13;
+    Vc.set hi c 20
+  done;
+  let n = 7 * nodes in
+  let range () = Interval.Log.causal_range log ~lo ~hi ~creators:(fun _ -> true) in
+  let bound name w words =
+    if w > float_of_int words then
+      Alcotest.failf "%s allocates %.1f words, its result %d" name w words
   in
-  let sort_words sort =
-    words_per_call 100 (fun () -> ignore (Sys.opaque_identity (sort intervals)))
-  in
-  let bare =
-    sort_words
-      (List.sort (fun (x : Interval.t) (y : Interval.t) ->
-           Int.compare x.Interval.rank y.Interval.rank))
-  in
-  let causal = sort_words Interval.causal_sort in
-  if causal > bare then
-    Alcotest.failf "causal_sort allocates %.1f words, List.sort alone %.1f"
-      causal bare
+  bound "Log.causal_range"
+    (words_per_call 100 (fun () -> ignore (Sys.opaque_identity (range ()))))
+    (n + 1);
+  bound "Log.causal_range as a list"
+    (words_per_call 100 (fun () ->
+         ignore (Sys.opaque_identity (Array.to_list (range ())))))
+    (n + 1 + (3 * n) + 5);
+  let sorted = range () in
+  zero "Interval.sort_in_place" (fun () -> Interval.sort_in_place sorted)
 
 let qcheck = Props.qcheck
 
@@ -1162,5 +1236,5 @@ let () =
       ( "lrc-metadata",
         Alcotest.test_case "lookups and sorts allocate nothing extra" `Quick
           test_metadata_allocation
-        :: qcheck [ prop_causal_sort_matches_oracle; prop_log_matches_model ] );
+        :: qcheck [ prop_causal_range_matches_oracle; prop_log_matches_model ] );
     ]

@@ -425,6 +425,32 @@ let test_engine_inline_delay_allocation () =
   let w = fiber_words_per_call 10_000 (fun () -> Engine.delay 1e-3) in
   if w > 2.01 then Alcotest.failf "inline delay allocates %.2f words" w
 
+(* Two fibers delaying in lockstep: each wake-up finds the other fiber's
+   event queued at or before it, so every delay suspends through the
+   effect handler.  Words per delay, over [n] delays of each fiber. *)
+let queued_delay_words n =
+  let eng = Engine.create () in
+  let words = ref nan in
+  Engine.spawn eng (fun () ->
+      for _ = 0 to n do
+        Engine.delay 1e-3
+      done);
+  Engine.spawn eng (fun () ->
+      Engine.delay 1e-3;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Engine.delay 1e-3
+      done;
+      words := (Gc.minor_words () -. before) /. float_of_int (2 * n));
+  Engine.run eng;
+  !words
+
+let test_engine_queued_delay_allocation () =
+  (* Measured at 10 words per suspending delay: the effect carries no
+     payload and each fiber builds its handler once. *)
+  let w = queued_delay_words 10_000 in
+  if w > 10.01 then Alcotest.failf "a suspending delay allocates %.2f words" w
+
 (* ------------------------------------------------------------------ *)
 (* Resources *)
 
@@ -619,6 +645,8 @@ let () =
           Alcotest.test_case "in_fiber" `Quick test_engine_in_fiber;
           Alcotest.test_case "inline delay allocation" `Quick
             test_engine_inline_delay_allocation;
+          Alcotest.test_case "queued delay allocation" `Quick
+            test_engine_queued_delay_allocation;
         ]
         @ qcheck [ prop_engine_matches_model ] );
       ( "profile",
