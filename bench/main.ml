@@ -393,6 +393,10 @@ let micro () =
         done);
     Engine.run eng
   in
+  (* Set-up cost: building grid-32's system (32 nodes, [Grid.config]),
+     whose simulated memory is materialized on first touch. *)
+  let grid32 = Grid.config ~nodes:32 Grid.default_params in
+  let create_grid32 () = ignore (System.create grid32) in
   (* The entry is built once: TSP's reference search runs in the first
      sample only. *)
   let tiny name ~nodes app variant =
@@ -404,6 +408,7 @@ let micro () =
       Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
       Test.make ~name:"engine-delay-x10k-queued" (Staged.stage queued_delays);
       Test.make ~name:"medium-x1k-frames-queued" (Staged.stage queued_frames);
+      Test.make ~name:"system-create-grid32" (Staged.stage create_grid32);
       Test.make ~name:"profile-span-x1000-disabled"
         (Staged.stage (profile_spans false));
       Test.make ~name:"profile-span-x1000-enabled"

@@ -125,16 +125,15 @@ let set_tracing t enabled = Obs.set_tracing t.obs enabled
 
 let alloc t ?align n = Alloc.alloc t.coherent_alloc ?align n
 
-(* Write directly into every node's page frame, bypassing fault handling:
-   models identical input data loaded locally on every node. *)
+(* Write into every node's page frame, bypassing fault handling: models
+   identical input data loaded locally on every node. *)
 let preload_bytes t addr src =
   Array.iter
     (fun node ->
       let shm = Node.shm node in
       match Region.locate t.region addr with
       | Region.Coherent { page; offset } ->
-        let frame = Page.data (Page_table.page (Shm.page_table shm) page) in
-        Bytes.blit src 0 frame offset (Bytes.length src)
+        Page.patch (Page_table.page (Shm.page_table shm) page) ~offset src
       | Region.Private _ | Region.Noncoherent _ ->
         invalid_arg "System.preload: address not in the coherent region")
     t.nodes

@@ -433,7 +433,7 @@ let fetch_missing t ~into:have targets =
   match List.rev !creators with
   | [] -> ()
   | [ creator ] -> do_fetch creator
-  | many when Engine.in_fiber () ->
+  | many ->
     let slots =
       List.map
         (fun creator ->
@@ -450,10 +450,6 @@ let fetch_missing t ~into:have targets =
       (fun slot ->
         match Ivar.read slot with Ok () -> () | Error e -> raise e)
       slots
-  | many ->
-    (* Serial fallback: the protocol is being driven directly from a unit
-       test outside any engine fiber, where there is nothing to fork. *)
-    List.iter do_fetch many
 
 (* Split a page's causally ordered ids into mergeable runs: maximal
    stretches of one creator's ids whose diffs are not held here.  The ids

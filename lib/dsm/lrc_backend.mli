@@ -95,8 +95,8 @@ type transport = {
     A fault's round trips are coalesced: all missing intervals — of the
     faulting page and of any other missing page this node has faulted on
     before — are gathered with one diff request per creator, and requests
-    to distinct creators are issued from parallel fibers (serially when
-    the protocol is driven outside any engine fiber). *)
+    to distinct creators are issued from parallel fibers, so a fault must
+    be taken inside an engine fiber. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->

@@ -232,9 +232,4 @@ let time () = Effect.perform Time
 
 let fork f = Effect.perform (Fork f)
 
-let in_fiber () =
-  match Domain.DLS.get current_key with
-  | None -> false
-  | Some eng -> eng.in_fiber
-
 let suspend register = Effect.perform (Suspend register)

@@ -60,13 +60,6 @@ val time : unit -> float
 (** Start a sibling fiber from inside a fiber. *)
 val fork : (unit -> unit) -> unit
 
-(** Whether the caller is running inside an engine fiber (so {!fork},
-    {!delay} and blocking reads are available): false in an {!at} callback
-    and outside any running engine.  Protocol code uses this to fall back
-    to serial execution when driven directly from a unit test outside any
-    engine. *)
-val in_fiber : unit -> bool
-
 (** [suspend register] parks the calling fiber.  [register] receives a
     [resume] thunk that, when invoked (from any other fiber or callback),
     reschedules the parked fiber at the then-current virtual time.  Invoking

@@ -6,12 +6,33 @@ type state = Invalid | Read_only | Read_write
    of one simulation share, so a run's allocation depends on that run
    alone.  A twin never escapes this module ([Diff.create] copies runs
    out of it), so reuse is safe.  The list is capped so a burst of
-   releases cannot pin unbounded memory. *)
-type twin_pool = { mutable free : Bytes.t list; mutable n : int }
+   releases cannot pin unbounded memory.
+
+   The pool also holds the simulation's zero frames, one per page size.
+   A fresh page reads through its size's zero frame and gets a frame of
+   its own only when a function below is about to write to it, so a page
+   no node touches costs no frame (the OS's zero-fill-on-demand).  A
+   page is unmaterialized exactly when its data is one of these frames
+   ([List.memq]), so a zero frame is never replaced: a page still
+   pointing at a replaced frame would skip materialization and write
+   into memory every fresh page reads. *)
+type twin_pool = {
+  mutable free : Bytes.t list;
+  mutable n : int;
+  mutable zero_frames : Bytes.t list;
+}
 
 let max_pooled_twins = 128
 
-let create_twin_pool () = { free = []; n = 0 }
+let create_twin_pool () = { free = []; n = 0; zero_frames = [] }
+
+let zero_frame pool size =
+  match List.find_opt (fun b -> Bytes.length b = size) pool.zero_frames with
+  | Some b -> b
+  | None ->
+    let b = Bytes.make size '\000' in
+    pool.zero_frames <- b :: pool.zero_frames;
+    b
 
 let twin_alloc pool size =
   match pool.free with
@@ -27,8 +48,11 @@ let twin_release pool b =
     pool.n <- pool.n + 1
   end
 
+(* Invariant: a [Read_write] page owns its data ([make_twin]
+   materializes it), so the writes {!Page_table.write_data} hands out
+   never reach a zero frame. *)
 type t = {
-  data : Bytes.t;
+  mutable data : Bytes.t;
   mutable state : state;
   mutable twin : Bytes.t option;
   twin_pool : twin_pool;
@@ -36,11 +60,23 @@ type t = {
 
 let create ~twin_pool ~size =
   if size <= 0 then invalid_arg "Page.create: size";
-  { data = Bytes.make size '\000'; state = Read_only; twin = None; twin_pool }
+  {
+    data = zero_frame twin_pool size;
+    state = Read_only;
+    twin = None;
+    twin_pool;
+  }
 
 let state t = t.state
 
 let data t = t.data
+
+(* The page's own frame, allocated (zero-filled, like the frame it
+   replaces) the first time a write is about to reach it. *)
+let own t =
+  if List.memq t.data t.twin_pool.zero_frames then
+    t.data <- Bytes.make (Bytes.length t.data) '\000';
+  t.data
 
 let clean_snapshot t =
   match (t.state, t.twin) with
@@ -51,9 +87,10 @@ let clean_snapshot t =
 let make_twin t =
   match t.state with
   | Read_only ->
-    let len = Bytes.length t.data in
+    let data = own t in
+    let len = Bytes.length data in
     let twin = twin_alloc t.twin_pool len in
-    Bytes.blit t.data 0 twin 0 len;
+    Bytes.blit data 0 twin 0 len;
     t.twin <- Some twin;
     t.state <- Read_write
   | Invalid -> invalid_arg "Page.make_twin: page is invalid"
@@ -76,10 +113,10 @@ let invalidate t =
   | Read_write -> invalid_arg "Page.invalidate: encode the diff first"
   | Invalid | Read_only -> t.state <- Invalid
 
-let apply_diff t diff = Diff.apply diff t.data
+let apply_diff t diff = Diff.apply diff (own t)
 
 let apply_diff_to_twin t diff =
-  Diff.apply diff t.data;
+  Diff.apply diff (own t);
   match (t.state, t.twin) with
   | Read_write, Some twin -> Diff.apply diff twin
   | _ -> ()
@@ -88,7 +125,7 @@ let patch t ~offset src =
   let len = Bytes.length src in
   if offset < 0 || offset + len > Bytes.length t.data then
     invalid_arg "Page.patch: out of range";
-  Bytes.blit src 0 t.data offset len;
+  Bytes.blit src 0 (own t) offset len;
   match (t.state, t.twin) with
   | Read_write, Some twin -> Bytes.blit src 0 twin offset len
   | _ -> ()
@@ -96,7 +133,7 @@ let patch t ~offset src =
 let install t bytes =
   if Bytes.length bytes <> Bytes.length t.data then
     invalid_arg "Page.install: size mismatch";
-  Bytes.blit bytes 0 t.data 0 (Bytes.length bytes);
+  Bytes.blit bytes 0 (own t) 0 (Bytes.length bytes);
   (match t.twin with
   | Some twin ->
     t.twin <- None;

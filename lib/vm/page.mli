@@ -13,19 +13,28 @@ type state = Invalid | Read_only | Read_write
 
 type t
 
-(** A capped free list of twin buffers.  One simulation shares one pool
-    among all its pages (every node's page table), so dropped twins are
-    recycled within the run and never carry over into another. *)
+(** A capped free list of twin buffers, plus one shared zero frame per
+    page size.  One simulation shares one pool among all its pages (every
+    node's page table), so dropped twins are recycled within the run and
+    never carry over into another, and no two simulations (e.g. on
+    different domains) share a frame. *)
 type twin_pool
 
 val create_twin_pool : unit -> twin_pool
 
-(** Fresh zero-filled page in [Read_only] state whose twins come from and
-    return to [twin_pool]. *)
+(** Fresh page in [Read_only] state whose content reads as zeros and
+    whose twins come from and return to [twin_pool].  It has no frame of
+    its own: its data is [twin_pool]'s shared zero frame for [size] until
+    {!make_twin}, {!apply_diff}, {!apply_diff_to_twin}, {!patch} or
+    {!install} first writes to it (frames on first touch). *)
 val create : twin_pool:twin_pool -> size:int -> t
 
 val state : t -> state
 
+(** A read-only view of the page content: it may be the shared zero
+    frame, which must never be written.  Write through {!patch} (or the
+    other writers above) instead; the one exception is a [Read_write]
+    page, whose data is its own frame. *)
 val data : t -> Bytes.t
 
 (** The page content as of the last interval boundary: the twin when the

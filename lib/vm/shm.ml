@@ -1,7 +1,7 @@
 type t = {
   region : Region.t;
   page_table : Page_table.t;
-  private_mem : Bytes.t;
+  mutable private_mem : Bytes.t; (* empty until first touched *)
   noncoherent : Bytes.t;
   (* Fast-path segment geometry, mirrored out of [region] so the typed
      accessors resolve an address with integer compares and shifts only.
@@ -30,7 +30,7 @@ let create ?obs ?node ?twin_pool ~region ~noncoherent () =
       Page_table.create ?obs ?node ?twin_pool
         ~pages:(Region.coherent_pages region)
         ~page_size ();
-    private_mem = Bytes.make (Region.private_bytes region) '\000';
+    private_mem = Bytes.empty;
     noncoherent;
     pr_base = Region.private_base region;
     pr_limit = Region.private_base region + Region.private_bytes region;
@@ -52,13 +52,21 @@ let[@inline never] segv addr =
 let[@inline never] unaligned addr width =
   invalid_arg (Printf.sprintf "Shm: unaligned %d-byte access at 0x%x" width addr)
 
+(* The private segment, allocated on its first access: no app reads or
+   writes it, so a node that never touches it costs nothing.  Reached only
+   from the private-range branches, never from the coherent fast path. *)
+let[@inline never] private_mem t =
+  if Bytes.length t.private_mem = 0 then
+    t.private_mem <- Bytes.make (t.pr_limit - t.pr_base) '\000';
+  t.private_mem
+
 (* Resolve a write: returns the backing bytes and offset, taking
    coherent-region faults as needed.  Allocates a tuple — used by the
    bulk writer only; the typed accessors below inline the segment walk
    instead. *)
 let resolve_write t addr =
   match Region.locate t.region addr with
-  | Region.Private off -> (t.private_mem, off)
+  | Region.Private off -> (private_mem t, off)
   | Region.Noncoherent off -> (t.noncoherent, off)
   | Region.Coherent { page; offset } ->
     Page_table.ensure_writable t.page_table page;
@@ -82,7 +90,7 @@ let read_u8 t addr =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Char.code (Bytes.get t.noncoherent (addr - t.nc_base))
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Char.code (Bytes.get t.private_mem (addr - t.pr_base))
+    Char.code (Bytes.get (private_mem t) (addr - t.pr_base))
   else segv addr
 
 let write_u8 t addr v =
@@ -96,7 +104,7 @@ let write_u8 t addr v =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Bytes.set t.noncoherent (addr - t.nc_base) (Char.unsafe_chr v)
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Bytes.set t.private_mem (addr - t.pr_base) (Char.unsafe_chr v)
+    Bytes.set (private_mem t) (addr - t.pr_base) (Char.unsafe_chr v)
   else segv addr
 
 let read_i32 t addr =
@@ -110,7 +118,7 @@ let read_i32 t addr =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Int32.to_int (Bytes.get_int32_le t.noncoherent (addr - t.nc_base))
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Int32.to_int (Bytes.get_int32_le t.private_mem (addr - t.pr_base))
+    Int32.to_int (Bytes.get_int32_le (private_mem t) (addr - t.pr_base))
   else segv addr
 
 let write_i32 t addr v =
@@ -127,7 +135,7 @@ let write_i32 t addr v =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Bytes.set_int32_le t.noncoherent (addr - t.nc_base) v
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Bytes.set_int32_le t.private_mem (addr - t.pr_base) v
+    Bytes.set_int32_le (private_mem t) (addr - t.pr_base) v
   else segv addr
 
 let read_i64 t addr =
@@ -141,7 +149,7 @@ let read_i64 t addr =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Int64.to_int (Bytes.get_int64_le t.noncoherent (addr - t.nc_base))
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Int64.to_int (Bytes.get_int64_le t.private_mem (addr - t.pr_base))
+    Int64.to_int (Bytes.get_int64_le (private_mem t) (addr - t.pr_base))
   else segv addr
 
 let write_i64 t addr v =
@@ -156,7 +164,7 @@ let write_i64 t addr v =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Bytes.set_int64_le t.noncoherent (addr - t.nc_base) v
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Bytes.set_int64_le t.private_mem (addr - t.pr_base) v
+    Bytes.set_int64_le (private_mem t) (addr - t.pr_base) v
   else segv addr
 
 (* The double goes straight into the caller's float array.  A [float]
@@ -175,7 +183,8 @@ let read_f64_into t addr dst i =
       Int64.float_of_bits (Bytes.get_int64_le t.noncoherent (addr - t.nc_base))
   else if addr >= t.pr_base && addr < t.pr_limit then
     dst.(i) <-
-      Int64.float_of_bits (Bytes.get_int64_le t.private_mem (addr - t.pr_base))
+      Int64.float_of_bits
+        (Bytes.get_int64_le (private_mem t) (addr - t.pr_base))
   else segv addr
 
 let write_f64 t addr v =
@@ -190,7 +199,7 @@ let write_f64 t addr v =
   else if addr >= t.nc_base && addr < t.nc_limit then
     Bytes.set_int64_le t.noncoherent (addr - t.nc_base) v
   else if addr >= t.pr_base && addr < t.pr_limit then
-    Bytes.set_int64_le t.private_mem (addr - t.pr_base) v
+    Bytes.set_int64_le (private_mem t) (addr - t.pr_base) v
   else segv addr
 
 let check_span t addr len =

@@ -7,7 +7,10 @@
 
     The non-coherent shared region is backed by a single byte array shared
     by every node view: address mappings are consistent but no coherency is
-    maintained — exactly the paper's §4.1 middle region. *)
+    maintained — exactly the paper's §4.1 middle region.
+
+    The private segment is allocated on its first access; until then a
+    view holds no private memory. *)
 
 type t
 

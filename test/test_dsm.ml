@@ -1,6 +1,8 @@
 (* Tests for the lazy-release-consistency engine, exercised through a
    loopback transport that wires several Lrc instances together with direct
-   function calls (no simulated network, no engine).  This isolates the
+   function calls (no simulated network).  Each test drives the cluster
+   from one engine fiber, where the protocol can fork its parallel
+   per-creator fetches and block on ivars.  This isolates the
    protocol logic: write trapping, interval bookkeeping, piggyback
    construction, acceptance, diff fetching, the multiple-writer protocol,
    the non-transitive path, and metadata garbage collection. *)
@@ -58,6 +60,17 @@ let make_cluster ?strategy ?(charge = ignore) n =
   in
   Array.iter (fun l -> Lrc.set_transport l transport) lrcs;
   { region; obs; shms; lrcs; charged }
+
+(* Run [f] as the only fiber of a fresh engine and return its result. *)
+let in_engine f =
+  let engine = Engine.create () in
+  let result = ref None in
+  Engine.spawn engine (fun () -> result := Some (f ()));
+  Engine.run engine;
+  Option.get !result
+
+(* A test case that drives a loopback cluster from an engine fiber. *)
+let loopback name f = Alcotest.test_case name `Quick (fun () -> in_engine f)
 
 (* Address of slot [i] (8 bytes each) on coherent page [page]. *)
 let slot c ~page i = Region.coherent_addr c.region ~page ~offset:(8 * i)
@@ -417,6 +430,7 @@ let prop_lock_chain_counter =
     ~count:60
     QCheck.(list_of_size Gen.(int_range 1 25) (int_range 0 3))
     (fun hops ->
+      in_engine @@ fun () ->
       let c = make_cluster 4 in
       let a = slot c ~page:0 0 in
       let holder = ref 0 and count = ref 0 in
@@ -442,6 +456,7 @@ let prop_false_sharing_slots =
     ~count:60
     QCheck.(list_of_size Gen.(int_range 1 20) (int_range 1 3))
     (fun writers ->
+      in_engine @@ fun () ->
       let c = make_cluster 4 in
       let counts = Array.make 4 0 in
       List.iter
@@ -482,9 +497,10 @@ let test_serve_page_excludes_open_writes () =
 
 let test_concurrent_release_during_cpu_yield () =
   (* Two same-node fibers releasing interleaved must not double-publish
-     one dirty list (the close_interval snapshot race).  The loopback
-     cluster has no engine, so we emulate by two back-to-back
-     make_piggyback calls: the second must carry no new interval. *)
+     one dirty list (the close_interval snapshot race).  Protocol work
+     takes no time here, so nothing yields; we emulate by two
+     back-to-back make_piggyback calls: the second must carry no new
+     interval. *)
   let c = make_cluster 2 in
   let a = slot c ~page:0 0 in
   Shm.write_i64 c.shms.(0) a 5;
@@ -502,11 +518,7 @@ let test_release_waits_for_close () =
   (* Two fibers of node 0 release at the same time, the second while the
      first's close yields to charge for its encode: the second RELEASE
      must still carry the interval the first one closed. *)
-  let c =
-    make_cluster
-      ~charge:(fun dt -> if Engine.in_fiber () then Engine.delay dt)
-      2
-  in
+  let c = make_cluster ~charge:Engine.delay 2 in
   let engine = Engine.create () in
   let first = ref None and second = ref None in
   let release_to_1 result () =
@@ -837,7 +849,7 @@ let make_seq_cluster n =
 let test_seq_cas () =
   let c = make_seq_cluster 3 in
   let addr = Region.coherent_addr c.sregion ~page:0 ~offset:0 in
-  (* Fresh pages are zero-filled: CAS 0 -> 7 from node 1 succeeds. *)
+  (* Fresh pages read as zeros: CAS 0 -> 7 from node 1 succeeds. *)
   let ok, observed =
     Seq.cas c.seqs.(1) ~page:0 ~offset:0 ~expected:0 ~desired:7
   in
@@ -1144,78 +1156,67 @@ let () =
     [
       ( "lrc-basic",
         [
-          Alcotest.test_case "propagation" `Quick test_basic_propagation;
-          Alcotest.test_case "write notice invalidates" `Quick
-            test_write_notice_invalidates;
-          Alcotest.test_case "vc advances" `Quick test_vc_advances;
-          Alcotest.test_case "no fault for own data" `Quick
-            test_no_fault_for_own_data;
-          Alcotest.test_case "release w/o writes" `Quick
+          loopback "propagation" test_basic_propagation;
+          loopback "write notice invalidates" test_write_notice_invalidates;
+          loopback "vc advances" test_vc_advances;
+          loopback "no fault for own data" test_no_fault_for_own_data;
+          loopback "release w/o writes"
             test_release_without_writes_carries_no_interval;
-          Alcotest.test_case "empty diff" `Quick test_empty_diff_release;
+          loopback "empty diff" test_empty_diff_release;
         ] );
       ( "lrc-causality",
         [
-          Alcotest.test_case "transitivity" `Quick test_transitivity;
-          Alcotest.test_case "tailored piggyback" `Quick
-            test_tailored_piggyback;
-          Alcotest.test_case "full history to new peer" `Quick
+          loopback "transitivity" test_transitivity;
+          loopback "tailored piggyback" test_tailored_piggyback;
+          loopback "full history to new peer"
             test_untold_peer_gets_full_history;
-          Alcotest.test_case "NT triggers interval fetch" `Quick
+          loopback "NT triggers interval fetch"
             test_nontransitive_triggers_interval_fetch;
-          Alcotest.test_case "barrier union has no gaps" `Quick
-            test_barrier_union_has_no_gaps;
-          Alcotest.test_case "lock handoff chain" `Quick
-            test_lock_handoff_chain;
+          loopback "barrier union has no gaps" test_barrier_union_has_no_gaps;
+          loopback "lock handoff chain" test_lock_handoff_chain;
         ] );
       ( "lrc-multiwriter",
         [
-          Alcotest.test_case "false sharing" `Quick
-            test_multiple_writers_false_sharing;
-          Alcotest.test_case "local mods preserved" `Quick
+          loopback "false sharing" test_multiple_writers_false_sharing;
+          loopback "local mods preserved"
             test_concurrent_writer_preserves_local_mods;
-          Alcotest.test_case "orphan diff path" `Quick test_orphan_diff_path;
+          loopback "orphan diff path" test_orphan_diff_path;
         ] );
       ( "lrc-mechanisms",
         [
-          Alcotest.test_case "whole-page fetch" `Quick
-            test_whole_page_fetch_for_long_histories;
-          Alcotest.test_case "metadata gc" `Quick test_metadata_gc;
-          Alcotest.test_case "dropped page survives a later gc" `Quick
+          loopback "whole-page fetch" test_whole_page_fetch_for_long_histories;
+          loopback "metadata gc" test_metadata_gc;
+          loopback "dropped page survives a later gc"
             test_dropped_page_survives_later_gc;
-          Alcotest.test_case "determinism" `Quick test_determinism;
-          Alcotest.test_case "serve excludes open writes" `Quick
+          loopback "determinism" test_determinism;
+          loopback "serve excludes open writes"
             test_serve_page_excludes_open_writes;
           Alcotest.test_case "release waits for a concurrent close" `Quick
             test_release_waits_for_close;
-          Alcotest.test_case "double close publishes once" `Quick
+          loopback "double close publishes once"
             test_concurrent_release_during_cpu_yield;
-          Alcotest.test_case "long page history" `Quick
-            test_many_interval_page_history_correct;
+          loopback "long page history" test_many_interval_page_history_correct;
         ] );
       ( "lrc-strategies",
         [
-          Alcotest.test_case "update keeps pages valid" `Quick
+          loopback "update keeps pages valid"
             test_update_strategy_keeps_pages_valid;
-          Alcotest.test_case "invalidate attaches nothing" `Quick
+          loopback "invalidate attaches nothing"
             test_invalidate_strategy_attaches_nothing;
-          Alcotest.test_case "hybrid attaches own only" `Quick
+          loopback "hybrid attaches own only"
             test_hybrid_update_attaches_own_only;
-          Alcotest.test_case "stale base caches eager diffs" `Quick
+          loopback "stale base caches eager diffs"
             test_update_onto_stale_base_caches;
-          Alcotest.test_case "lock chain under update" `Quick
-            test_update_strategy_lock_chain;
-          Alcotest.test_case "held diff splits a merge run" `Quick
+          loopback "lock chain under update" test_update_strategy_lock_chain;
+          loopback "held diff splits a merge run"
             test_held_diff_splits_merge_run;
-          Alcotest.test_case "aliased diff billed once" `Quick
-            test_aliased_diff_billed_once;
+          loopback "aliased diff billed once" test_aliased_diff_billed_once;
         ] );
       ( "batching",
         [
           Alcotest.test_case "vc wire size" `Quick test_vc_wire_size;
-          Alcotest.test_case "per-creator coalescing" `Quick
-            test_per_creator_coalescing;
-          Alcotest.test_case "diff cache hit on repeat fetch" `Quick
+          loopback "per-creator coalescing" test_per_creator_coalescing;
+          loopback "diff cache hit on repeat fetch"
             test_diff_cache_hit_on_repeat_fetch;
         ] );
       ( "conformance",

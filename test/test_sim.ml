@@ -275,32 +275,6 @@ let test_engine_callback_exception_unbinds () =
     (Invalid_argument "Engine.delay: not inside a running engine") (fun () ->
       Engine.delay 1.0)
 
-let test_engine_in_fiber () =
-  let eng = Engine.create () in
-  let seen = ref [] in
-  let note where = seen := (where, Engine.in_fiber ()) :: !seen in
-  Engine.spawn eng (fun () ->
-      note "fiber start";
-      Engine.delay 1.0;
-      note "fiber after inline delay";
-      Engine.at eng ~time:2.0 (fun () -> note "callback");
-      Engine.delay 3.0;
-      note "fiber after resume");
-  note "outside";
-  Engine.run eng;
-  note "after run";
-  Alcotest.(check (list (pair string bool)))
-    "in_fiber"
-    [
-      ("outside", false);
-      ("fiber start", true);
-      ("fiber after inline delay", true);
-      ("callback", false);
-      ("fiber after resume", true);
-      ("after run", false);
-    ]
-    (List.rev !seen)
-
 (* Reference model of the engine's schedule: every delay and every wake-up
    is an event in a (time, seq)-ordered queue, and a sequence number is
    drawn whenever an event is scheduled.  A program is one list of
@@ -642,7 +616,6 @@ let () =
             test_engine_delay_in_callback_raises;
           Alcotest.test_case "callback exception unbinds the engine" `Quick
             test_engine_callback_exception_unbinds;
-          Alcotest.test_case "in_fiber" `Quick test_engine_in_fiber;
           Alcotest.test_case "inline delay allocation" `Quick
             test_engine_inline_delay_allocation;
           Alcotest.test_case "queued delay allocation" `Quick

@@ -508,6 +508,274 @@ let test_shm_u8 () =
   Alcotest.(check int) "u8" 200 (Shm.read_u8 shm addr)
 
 (* ------------------------------------------------------------------ *)
+(* Frames on first touch *)
+
+(* Operations on the pages of three Shm views that share one pool.  A
+   page is named by its index in [frame_pages]. *)
+type frame_op =
+  | Make_twin of int
+  | Write of int * int * int (* page, offset, byte: through Shm *)
+  | Read of int * int (* page, offset: through Shm *)
+  | Encode of int
+  | Apply of int * int (* page, diff *)
+  | Apply_to_twin of int * int
+  | Patch of int * int * string (* page, offset, bytes *)
+  | Install of int * int (* page, fill seed *)
+  | Invalidate of int
+  | Validate of int
+
+(* Views 0 and 1 have three 64-byte pages each, view 2 two 32-byte pages,
+   so the pool holds two zero frames. *)
+let frame_pages =
+  [| (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2); (2, 0); (2, 1) |]
+
+let show_frame_op = function
+  | Make_twin p -> Printf.sprintf "make_twin %d" p
+  | Write (p, o, v) -> Printf.sprintf "write %d@%d=%d" p o v
+  | Read (p, o) -> Printf.sprintf "read %d@%d" p o
+  | Encode p -> Printf.sprintf "encode %d" p
+  | Apply (p, d) -> Printf.sprintf "apply %d diff %d" p d
+  | Apply_to_twin (p, d) -> Printf.sprintf "apply_to_twin %d diff %d" p d
+  | Patch (p, o, s) -> Printf.sprintf "patch %d@%d %S" p o s
+  | Install (p, s) -> Printf.sprintf "install %d fill %d" p s
+  | Invalidate p -> Printf.sprintf "invalidate %d" p
+  | Validate p -> Printf.sprintf "validate %d" p
+
+let gen_frame_op =
+  let open QCheck.Gen in
+  let page = int_bound (Array.length frame_pages - 1) and off = int_bound 63 in
+  frequency
+    [
+      (2, map (fun p -> Make_twin p) page);
+      (6, map3 (fun p o v -> Write (p, o, v)) page off (int_bound 255));
+      (3, map2 (fun p o -> Read (p, o)) page off);
+      (3, map (fun p -> Encode p) page);
+      (2, map2 (fun p d -> Apply (p, d)) page nat);
+      (2, map2 (fun p d -> Apply_to_twin (p, d)) page nat);
+      ( 2,
+        map3
+          (fun p o s -> Patch (p, o, s))
+          page off
+          (string_size ~gen:printable (int_range 1 8)) );
+      (1, map2 (fun p s -> Install (p, s)) page (int_bound 255));
+      (2, map (fun p -> Invalidate p) page);
+      (2, map (fun p -> Validate p) page);
+    ]
+
+(* The eager model of one page: its own data and twin from the start,
+   and whether some operation has written to the real page yet. *)
+type page_model = {
+  mutable m_state : Page.state;
+  mutable m_data : Bytes.t;
+  mutable m_twin : Bytes.t option;
+  mutable touched : bool;
+}
+
+(* After every step each page matches its model: state, data, clean
+   snapshot, and whether it owns a frame (exactly when written to).  At
+   the end the shared zero frames must still be all zeros. *)
+let prop_frames_on_first_touch =
+  QCheck.Test.make
+    ~name:"page: frames on first touch match an eager model" ~count:200
+    QCheck.(
+      make
+        ~print:(Print.list show_frame_op)
+        Gen.(list_size (int_range 1 60) gen_frame_op))
+    (fun ops ->
+      let twin_pool = Page.create_twin_pool () in
+      let view ~page_size ~pages =
+        let region =
+          Region.create ~page_size ~private_bytes:64 ~noncoherent_bytes:64
+            ~coherent_pages:pages ()
+        in
+        let noncoherent = Bytes.make 64 '\000' in
+        let shm = Shm.create ~twin_pool ~region ~noncoherent () in
+        let pt = Shm.page_table shm in
+        Page_table.set_read_fault pt (fun i ->
+            Page.validate (Page_table.page pt i));
+        Page_table.set_write_fault pt (fun i ->
+            Page.make_twin (Page_table.page pt i));
+        (region, shm)
+      in
+      let views =
+        [|
+          view ~page_size:64 ~pages:3;
+          view ~page_size:64 ~pages:3;
+          view ~page_size:32 ~pages:2;
+        |]
+      in
+      let shm p = snd views.(fst frame_pages.(p)) in
+      let page p =
+        Page_table.page (Shm.page_table (shm p)) (snd frame_pages.(p))
+      in
+      let addr p off =
+        let v, i = frame_pages.(p) in
+        Region.coherent_addr (fst views.(v)) ~page:i ~offset:off
+      in
+      let size p = Region.page_size (fst views.(fst frame_pages.(p))) in
+      let zero_frame size = Page.data (Page.create ~twin_pool ~size) in
+      let model =
+        Array.init (Array.length frame_pages) (fun p ->
+            {
+              m_state = Page.Read_only;
+              m_data = Bytes.make (size p) '\000';
+              m_twin = None;
+              touched = false;
+            })
+      in
+      (* Diffs encoded so far: the page size, the diff and the bytes it
+         changed. *)
+      let diffs = ref [] in
+      let pick_diff p k =
+        match List.filter (fun (s, _, _) -> s = size p) !diffs with
+        | [] -> None
+        | ds -> Some (List.nth ds (k mod List.length ds))
+      in
+      let set_bytes b changes =
+        List.iter (fun (i, c) -> Bytes.set b i c) changes
+      in
+      let patch_model m off s =
+        Bytes.blit_string s 0 m.m_data off (String.length s);
+        Option.iter (fun t -> Bytes.blit_string s 0 t off (String.length s))
+          m.m_twin
+      in
+      let step op =
+        match op with
+        | Make_twin p ->
+          let m = model.(p) in
+          if m.m_state = Page.Read_only then begin
+            Page.make_twin (page p);
+            m.m_twin <- Some (Bytes.copy m.m_data);
+            m.m_state <- Page.Read_write;
+            m.touched <- true
+          end
+        | Write (p, off, v) ->
+          let m = model.(p) and off = off mod size p in
+          Shm.write_u8 (shm p) (addr p off) v;
+          if m.m_state <> Page.Read_write then begin
+            m.m_twin <- Some (Bytes.copy m.m_data);
+            m.m_state <- Page.Read_write
+          end;
+          Bytes.set m.m_data off (Char.chr v);
+          m.touched <- true
+        | Read (p, off) ->
+          let m = model.(p) and off = off mod size p in
+          let got = Shm.read_u8 (shm p) (addr p off) in
+          if m.m_state = Page.Invalid then m.m_state <- Page.Read_only;
+          let want = Char.code (Bytes.get m.m_data off) in
+          if got <> want then
+            QCheck.Test.fail_reportf "page %d byte %d reads %d, model %d" p
+              off got want
+        | Encode p ->
+          let m = model.(p) in
+          if m.m_state = Page.Read_write then begin
+            let twin = Option.get m.m_twin in
+            let changes =
+              List.filter_map
+                (fun i ->
+                  let c = Bytes.get m.m_data i in
+                  if c <> Bytes.get twin i then Some (i, c) else None)
+                (List.init (size p) Fun.id)
+            in
+            let d =
+              Page.encode_diff (page p) ~page_index:(snd frame_pages.(p))
+            in
+            diffs := !diffs @ [ (size p, d, changes) ];
+            m.m_twin <- None;
+            m.m_state <- Page.Read_only
+          end
+        | Apply (p, k) -> (
+          match pick_diff p k with
+          | None -> ()
+          | Some (_, d, changes) ->
+            let m = model.(p) in
+            Page.apply_diff (page p) d;
+            set_bytes m.m_data changes;
+            m.touched <- true)
+        | Apply_to_twin (p, k) -> (
+          match pick_diff p k with
+          | None -> ()
+          | Some (_, d, changes) ->
+            let m = model.(p) in
+            Page.apply_diff_to_twin (page p) d;
+            set_bytes m.m_data changes;
+            Option.iter (fun t -> set_bytes t changes) m.m_twin;
+            m.touched <- true)
+        | Patch (p, off, s) ->
+          let m = model.(p) and off = off mod size p in
+          let s = String.sub s 0 (min (String.length s) (size p - off)) in
+          Page.patch (page p) ~offset:off (Bytes.of_string s);
+          patch_model m off s;
+          m.touched <- true
+        | Install (p, seed) ->
+          let m = model.(p) in
+          let b =
+            Bytes.init (size p) (fun i -> Char.chr ((seed + (7 * i)) land 255))
+          in
+          Page.install (page p) b;
+          m.m_data <- Bytes.copy b;
+          m.m_twin <- None;
+          m.m_state <- Page.Read_only;
+          m.touched <- true
+        | Invalidate p ->
+          let m = model.(p) in
+          if m.m_state <> Page.Read_write then begin
+            Page.invalidate (page p);
+            m.m_state <- Page.Invalid
+          end
+        | Validate p ->
+          let m = model.(p) in
+          if m.m_state = Page.Invalid then begin
+            Page.validate (page p);
+            m.m_state <- Page.Read_only
+          end
+      in
+      let check () =
+        Array.iteri
+          (fun p m ->
+            let pg = page p in
+            let snapshot =
+              match m.m_twin with Some t -> t | None -> m.m_data
+            in
+            if Page.state pg <> m.m_state then
+              QCheck.Test.fail_reportf "page %d: state differs" p;
+            if not (Bytes.equal (Page.data pg) m.m_data) then
+              QCheck.Test.fail_reportf "page %d: data differs" p;
+            if not (Bytes.equal (Page.clean_snapshot pg) snapshot) then
+              QCheck.Test.fail_reportf "page %d: clean snapshot differs" p;
+            if m.touched = (Page.data pg == zero_frame (size p)) then
+              QCheck.Test.fail_reportf "page %d: %s" p
+                (if m.touched then "written but still on the zero frame"
+                 else "owns a frame it never wrote"))
+          model
+      in
+      List.iter
+        (fun op ->
+          step op;
+          check ())
+        ops;
+      List.for_all
+        (fun size -> Bytes.for_all (( = ) '\000') (zero_frame size))
+        [ 32; 64 ])
+
+(* Setting up grid-32 (32 nodes, [Grid.config]) must not allocate every
+   node's address space up front: an eager simulator reaches a private
+   segment and a frame for every coherent page on every node. *)
+let test_system_create_footprint () =
+  let nodes = 32 in
+  let cfg = Carlos_apps.Grid.config ~nodes Carlos_apps.Grid.default_params in
+  let sys = Carlos.System.create cfg in
+  let eager_bytes =
+    let open Carlos.System in
+    nodes * ((cfg.coherent_pages * cfg.page_size) + cfg.private_bytes)
+  in
+  let eager = eager_bytes / (Sys.word_size / 8) in
+  let reached = Obj.reachable_words (Obj.repr sys) in
+  if reached >= eager / 4 then
+    Alcotest.failf "System.create reaches %d words, eager layout %d" reached
+      eager
+
+(* ------------------------------------------------------------------ *)
 (* Alloc *)
 
 let test_alloc_basic () =
@@ -628,6 +896,10 @@ let () =
           Alcotest.test_case "read_f64_into allocation" `Quick
             test_shm_read_f64_into_allocation;
         ] );
+      ( "frames",
+        Alcotest.test_case "system create footprint" `Quick
+          test_system_create_footprint
+        :: qcheck [ prop_frames_on_first_touch ] );
       ( "alloc",
         [
           Alcotest.test_case "basic" `Quick test_alloc_basic;
