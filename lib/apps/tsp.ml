@@ -40,7 +40,6 @@ type result = {
   best : int;
   visited : int;
   report : System.report;
-  lock_stats : (string * int * float * float) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -507,13 +506,4 @@ let run sys variant p =
     if me = 0 then final_best := Shm.read_i64 shm layout.bound_addr
   in
   let report = System.run sys app in
-  let lock_stats =
-    List.map
-      (fun l ->
-        ( "tsp",
-          Msg_lock.acquisitions l,
-          Msg_lock.wait_time l,
-          Msg_lock.held_time l ))
-      [ stack_lock; bound_lock ]
-  in
-  { best = !final_best; visited = !total_visits; report; lock_stats }
+  { best = !final_best; visited = !total_visits; report }

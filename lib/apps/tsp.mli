@@ -39,8 +39,6 @@ type result = {
   best : int; (* tour length found (scaled integer distance) *)
   visited : int; (* search-tree nodes expanded, all nodes *)
   report : Carlos.System.report;
-  lock_stats : (string * int * float * float) list;
-      (* per lock: name, acquisitions, total wait, total held *)
 }
 
 (** Sequential reference solution (no simulator), for verification. *)

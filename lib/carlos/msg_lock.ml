@@ -21,10 +21,6 @@ type t = {
   name : string;
   mutable tail : int; (* last requester, as known at the manager *)
   per_node : per_node array;
-  mutable acquisitions : int;
-  mutable wait_time : float; (* cumulative time spent blocked in acquire *)
-  mutable held_time : float; (* cumulative time the lock was held *)
-  mutable acquired_at : float;
   obs : Obs.t;
   wait_h : Obs.Hist.t; (* per-acquisition wait, [lock.wait:<name>] *)
 }
@@ -40,10 +36,6 @@ let create system ~manager ~name =
     per_node =
       Array.init n (fun i ->
           { status = Released; token = i = manager; next = None; gate = None });
-    acquisitions = 0;
-    wait_time = 0.0;
-    held_time = 0.0;
-    acquired_at = 0.0;
     obs;
     wait_h =
       Obs.histogram obs ~node:Obs.global_node ~layer:Obs.Carlos
@@ -63,7 +55,6 @@ let grant t node ~requester =
     ~payload_bytes:grant_bytes
     ~handler:(fun here d ->
       Node.accept d;
-      t.acquisitions <- t.acquisitions + 1;
       let st = t.per_node.(Node.id here) in
       st.token <- true;
       match st.gate with
@@ -116,11 +107,9 @@ let acquire t node =
         end);
   Node.await node gate;
   let wait = Node.time node -. requested_at in
-  t.wait_time <- t.wait_time +. wait;
   Obs.Hist.observe t.wait_h wait;
   Obs.event t.obs ~node:me ~layer:Obs.Carlos "lock.acquired"
     ~args:[ ("name", Obs.Str t.name); ("wait", Obs.F wait) ];
-  t.acquired_at <- Node.time node;
   st.status <- Holding
 
 let release t node =
@@ -133,7 +122,6 @@ let release t node =
       (Printf.sprintf "Msg_lock.release(%s): node %d does not hold it" t.name
          me));
   Node.flush_compute node;
-  t.held_time <- t.held_time +. (Node.time node -. t.acquired_at);
   st.status <- Released;
   match st.next with
   | None -> () (* the token rests here until a forwarded request claims it *)
@@ -141,14 +129,6 @@ let release t node =
     st.next <- None;
     st.token <- false;
     grant t node ~requester:successor
-
-let held t node = t.per_node.(Node.id node).status = Holding
-
-let wait_time t = t.wait_time
-
-let held_time t = t.held_time
-
-let acquisitions t = t.acquisitions
 
 let with_lock t node f =
   acquire t node;

@@ -24,15 +24,3 @@ val release : t -> Node.t -> unit
 
 (** [with_lock t node f] = acquire; [f ()]; release (also on exception). *)
 val with_lock : t -> Node.t -> (unit -> 'a) -> 'a
-
-(** True while the calling node holds the lock (local knowledge). *)
-val held : t -> Node.t -> bool
-
-(** Total acquisitions granted so far (diagnostic). *)
-val acquisitions : t -> int
-
-(** Cumulative virtual time callers spent blocked in [acquire]. *)
-val wait_time : t -> float
-
-(** Cumulative virtual time the lock was held. *)
-val held_time : t -> float

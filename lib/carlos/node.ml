@@ -4,10 +4,11 @@ module Ivar = Resource.Ivar
 module Mailbox = Resource.Mailbox
 module Shm = Carlos_vm.Shm
 module Lrc = Carlos_dsm.Lrc_backend
+module Central = Carlos_dsm.Central_backend
+module Seq = Carlos_dsm.Seq_backend
 module Backend = Carlos_dsm.Backend
 module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
-module Diff = Carlos_vm.Diff
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Wire_cost = Carlos_obs.Cost
 module Obs = Carlos_obs.Obs
@@ -510,35 +511,53 @@ let rpc ?cost ?reply_cost t ~dst ~request_bytes ~service ~reply_bytes =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
-    ?strategy () =
-  let obs =
-    match obs with
-    | Some o -> o
-    | None ->
-      (* Standalone node (unit tests): private registry, clocked by the
-         engine so spans and events still carry virtual time. *)
-      let o = Obs.create ~clock:(fun () -> Engine.now engine) () in
-      o
+let model_mismatch () =
+  raise (Handler_error "Node: peer runs a different consistency model")
+
+let make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy =
+  (* The backend charges its work to this node's CPU and reaches its
+     peers through this node's messages; tie the knot with a forward
+     reference. *)
+  let self = ref None in
+  let node () = Option.get !self in
+  let charge_dsm dt = charge (node ()) Breakdown.Carlos dt in
+  (* [project] finds the same model's backend on the destination node. *)
+  let peer project =
+    {
+      Carlos_dsm.Backend_intf.rpc =
+        (fun ~dst ~cost ~reply_cost ~request_bytes ~reply_bytes serve ->
+          rpc ~cost ~reply_cost (node ()) ~dst ~request_bytes ~reply_bytes
+            ~service:(fun remote -> serve (project remote.backend)));
+      post =
+        (fun ~dst ~cost ~payload_bytes serve ->
+          post ~cost (node ()) ~dst ~payload_bytes ~handler:(fun remote d ->
+              accept d;
+              serve (project remote.backend)));
+    }
   in
-  (* The consistency backend charges its work to this node's CPU; tie the
-     knot with a forward reference. *)
-  let charge_consistency = ref (fun (_ : float) -> ()) in
-  let charge_dsm dt = !charge_consistency dt in
+  let page_table = Shm.page_table shm in
   let backend =
     match backend with
     | Backend.Lrc ->
       Backend.Lrc_b
-        (Lrc.create ~obs ~nodes ~me:id ~page_table:(Shm.page_table shm)
-           ~costs ~charge:charge_dsm ?strategy ())
+        (Lrc.create ~obs ~nodes ~me:id ~page_table ~costs ~charge:charge_dsm
+           ~peer:(peer (function Backend.Lrc_b b -> b | _ -> model_mismatch ()))
+           ~strategy ())
     | Backend.Central ->
       Backend.Central_b
-        (Carlos_dsm.Central_backend.create ~obs ~nodes ~me:id ~home:0
-           ~page_table:(Shm.page_table shm) ~costs ~charge:charge_dsm ())
+        (Central.create ~obs ~nodes ~me:id ~home:0 ~page_table ~costs
+           ~charge:charge_dsm
+           ~peer:
+             (peer (function
+               | Backend.Central_b b -> b
+               | _ -> model_mismatch ()))
+           ())
     | Backend.Seq ->
       Backend.Seq_b
-        (Carlos_dsm.Seq_backend.create ~obs ~nodes ~me:id ~sequencer:0
-           ~page_table:(Shm.page_table shm) ~costs ~charge:charge_dsm ())
+        (Seq.create ~obs ~nodes ~me:id ~sequencer:0 ~page_table ~costs
+           ~charge:charge_dsm
+           ~peer:(peer (function Backend.Seq_b b -> b | _ -> model_mismatch ()))
+           ())
   in
   let counter name = Obs.counter obs ~node:id ~layer:Obs.Carlos name in
   let t =
@@ -573,7 +592,7 @@ let make ?obs ~id ~nodes ~engine ~shm ~costs ?(backend = Backend.Lrc)
         };
     }
   in
-  charge_consistency := (fun dt -> charge t Breakdown.Carlos dt);
+  self := Some t;
   t
 
 let set_transport_send t f = t.transport_send <- f

@@ -143,22 +143,22 @@ val await : t -> 'a Carlos_sim.Resource.Ivar.t -> 'a
 
 (** {1 Construction and wiring (used by System)} *)
 
-(** [make ?obs ~id ...] — all accounting (message counters, Figure 2 time
-    gauges, LRC protocol counters, page-fault counters are registered by
-    the respective owners) lands in [obs]; a fresh private registry
-    clocked by [engine] is created when omitted.  The message counters
-    are the [Carlos]-layer [msgs.*] counters of node [id]
+(** [make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy] builds
+    node [id] running a [backend] instance ([strategy] applies to LRC),
+    whose peer channel sends through this node's {!rpc} and {!post}.  All
+    accounting (message counters, Figure 2 time gauges, protocol and
+    page-fault counters, registered by their owners) lands in [obs].  The
+    message counters are the [Carlos]-layer [msgs.*] counters of node [id]
     ([msgs.sent], [msgs.bytes], [msgs.release], ...); read them by key. *)
 val make :
-  ?obs:Carlos_obs.Obs.t ->
+  obs:Carlos_obs.Obs.t ->
   id:int ->
   nodes:int ->
   engine:Carlos_sim.Engine.t ->
   shm:Carlos_vm.Shm.t ->
   costs:Carlos_dsm.Cpu_cost.t ->
-  ?backend:Carlos_dsm.Backend.kind ->
-  ?strategy:Carlos_dsm.Lrc_backend.strategy ->
-  unit ->
+  backend:Carlos_dsm.Backend.kind ->
+  strategy:Carlos_dsm.Lrc_backend.strategy ->
   t
 
 (** Install the online consistency auditor.  When set, the node reports

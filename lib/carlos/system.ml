@@ -9,9 +9,7 @@ module Shm = Carlos_vm.Shm
 module Page = Carlos_vm.Page
 module Page_table = Carlos_vm.Page_table
 module Alloc = Carlos_vm.Alloc
-module Diff = Carlos_vm.Diff
 module Vc = Carlos_dsm.Vc
-module Interval = Carlos_dsm.Interval
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
 module Backend = Carlos_dsm.Backend
@@ -142,127 +140,6 @@ let preload_i64 t addr v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);
   preload_bytes t addr b
-
-(* ------------------------------------------------------------------ *)
-(* LRC transport over the message layer *)
-
-let diff_request_bytes req =
-  8
-  + List.fold_left
-      (fun acc (_, ids) -> acc + 4 + (8 * List.length ids))
-      0 req
-
-let diff_reply_bytes reply = 8 + Lrc.diff_entries_bytes reply
-
-let interval_reply_bytes intervals =
-  8 + List.fold_left (fun acc i -> acc + Interval.size_bytes i) 0 intervals
-
-let page_reply_bytes cfg = function
-  | None -> 8
-  | Some (_ : Lrc.page_reply) ->
-    8 + cfg.page_size + (Vc.entry_bytes * cfg.nodes)
-
-let wire_transport t node =
-  let me = Node.id node in
-  {
-    Lrc.fetch_diffs =
-      (fun ~dst req ->
-        Node.rpc node ~dst ~cost:Wire_cost.Diff_payload
-          ~request_bytes:(diff_request_bytes req)
-          ~service:(fun remote -> Lrc.serve_diffs (Node.lrc remote) req)
-          ~reply_bytes:diff_reply_bytes);
-    fetch_intervals =
-      (fun ~dst ~have ->
-        (* The request body is a vector clock; the reply is interval
-           descriptions (ids + VCs + write notices — billed as the
-           write-notice component, its dominant term). *)
-        Node.rpc node ~dst ~cost:Wire_cost.Vc_entries
-          ~reply_cost:Wire_cost.Write_notices
-          ~request_bytes:(8 + (Vc.entry_bytes * t.cfg.nodes))
-          ~service:(fun remote ->
-            let lrc = Node.lrc remote in
-            Lrc.note_peer_vc lrc ~peer:me have;
-            Lrc.serve_intervals lrc ~have)
-          ~reply_bytes:interval_reply_bytes);
-    fetch_page =
-      (fun ~dst ~page ->
-        Node.rpc node ~dst ~cost:Wire_cost.Diff_payload ~request_bytes:12
-          ~service:(fun remote -> Lrc.serve_page (Node.lrc remote) ~page)
-          ~reply_bytes:(page_reply_bytes t.cfg));
-    fetch_base =
-      (fun ~dst ~page ->
-        Node.rpc node ~dst ~cost:Wire_cost.Diff_payload ~request_bytes:12
-          ~service:(fun remote -> Lrc.serve_base (Node.lrc remote) ~page)
-          ~reply_bytes:(fun base -> page_reply_bytes t.cfg (Some base)));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Central- and sequencer-backend transports over the message layer *)
-
-let central_of node =
-  match Node.backend node with
-  | Backend.Central_b b -> b
-  | Backend.Lrc_b _ | Backend.Seq_b _ ->
-    invalid_arg "System: node does not run the central backend"
-
-let seq_of node =
-  match Node.backend node with
-  | Backend.Seq_b b -> b
-  | Backend.Lrc_b _ | Backend.Central_b _ ->
-    invalid_arg "System: node does not run the sequencer backend"
-
-let diff_list_bytes diffs =
-  8 + List.fold_left (fun acc d -> acc + Diff.size_bytes d) 0 diffs
-
-let central_transport cfg node =
-  let me = Node.id node in
-  let home = Central.home (central_of node) in
-  {
-    Central.fetch_page =
-      (fun ~page ->
-        Node.rpc node ~dst:home ~cost:Wire_cost.Diff_payload ~request_bytes:12
-          ~service:(fun remote -> Central.serve_page (central_of remote) ~page)
-          ~reply_bytes:(fun (_, _) -> 12 + cfg.page_size));
-    flush =
-      (fun diffs ->
-        Node.rpc node ~dst:home ~cost:Wire_cost.Diff_payload
-          ~request_bytes:(diff_list_bytes diffs)
-          ~service:(fun remote ->
-            Central.serve_flush (central_of remote) ~origin:me diffs)
-          ~reply_bytes:(fun () -> 8));
-  }
-
-let seq_transport node =
-  let me = Node.id node in
-  let sequencer = Seq.sequencer (seq_of node) in
-  {
-    Seq.sequence =
-      (fun diffs ->
-        Node.rpc node ~dst:sequencer ~cost:Wire_cost.Diff_payload
-          ~request_bytes:(diff_list_bytes diffs)
-          ~service:(fun remote ->
-            Seq.serve_sequence (seq_of remote) ~origin:me diffs)
-          ~reply_bytes:(fun (_ : int) -> 12));
-    cas =
-      (fun ~page ~offset ~expected ~desired ->
-        (* CAS is a synchronization primitive: same axis as locks. *)
-        Node.rpc node ~dst:sequencer ~cost:Wire_cost.Lock_proto
-          ~request_bytes:32
-          ~service:(fun remote ->
-            Seq.serve_cas (seq_of remote) ~origin:me ~page ~offset ~expected
-              ~desired)
-          ~reply_bytes:(fun (_, _) -> 16));
-  }
-
-(* The sequencer's stamped updates ride one-way system-lane posts; the
-   per-pair FIFO of the sliding window turns send order (= stamp order,
-   under the sequencer mutex) into apply order at each replica. *)
-let seq_push sequencer_node ~dst entries =
-  Node.post sequencer_node ~dst ~cost:Wire_cost.Diff_payload
-    ~payload_bytes:(Seq.push_size_bytes entries)
-    ~handler:(fun remote d ->
-      Node.accept d;
-      Seq.apply_push (seq_of remote) entries)
 
 (* ------------------------------------------------------------------ *)
 (* Global garbage collection of consistency metadata.
@@ -409,7 +286,7 @@ let create ?(audit = false) (cfg : config) =
           Shm.create ~obs ~node:id ~twin_pool ~region ~noncoherent ()
         in
         Node.make ~obs ~id ~nodes:cfg.nodes ~engine ~shm ~costs:cfg.costs
-          ~backend:cfg.backend ~strategy:cfg.strategy ())
+          ~backend:cfg.backend ~strategy:cfg.strategy)
   in
   let auditor =
     if audit then Some (Audit.create ~obs ~nodes:cfg.nodes ()) else None
@@ -450,14 +327,6 @@ let create ?(audit = false) (cfg : config) =
           Sliding_window.send sw ~src:id ~dst ~payload_bytes:wire_bytes msg);
       Sliding_window.set_handler sw ~node:id (fun ~src ~size:_ msg ->
           Node.deliver node ~src msg);
-      (match Node.backend node with
-      | Backend.Lrc_b lrc -> Lrc.set_transport lrc (wire_transport t node)
-      | Backend.Central_b cb ->
-        if id <> Central.home cb then
-          Central.set_transport cb (central_transport cfg node)
-      | Backend.Seq_b sb ->
-        if id <> Seq.sequencer sb then Seq.set_transport sb (seq_transport node)
-        else Seq.set_push sb (seq_push node));
       (match auditor with
       | Some a ->
         Node.set_audit node (Some a);

@@ -3,7 +3,8 @@
     A [System.t] is one simulated CarlOS cluster: the virtual-time engine,
     the shared Ethernet segment with the UDP-like datagram service and the
     sliding-window reliable transport, one {!Node.t} per workstation with
-    its LRC engine wired to the transport, a shared-region allocator, and
+    its consistency backend (which sends its own messages through the
+    node), a shared-region allocator, and
     the global garbage collector for consistency metadata (paper §5.2
     footnote 5).
 

@@ -10,19 +10,8 @@ let kind_to_string = function Lrc -> "lrc" | Central -> "central" | Seq -> "seq"
 
 let all_kinds = [ Lrc; Central; Seq ]
 
-(* Conformance checks: each model must satisfy the backend signature.
-   LRC predates it and always piggybacks its clock on a REQUEST, so it
-   gets a one-function adapter; the two other models implement the
-   signature natively. *)
-
-let lrc_request_vc b = Some (Vc.copy (Lrc_backend.vc b))
-
-module _ : Backend_intf.S = struct
-  include Lrc_backend
-
-  let request_vc = lrc_request_vc
-end
-
+(* Conformance checks: each model must satisfy the backend signature. *)
+module _ : Backend_intf.S = Lrc_backend
 module _ : Backend_intf.S = Central_backend
 module _ : Backend_intf.S = Seq_backend
 
@@ -69,7 +58,7 @@ let piggyback_cost = function
   | Seq_pb pb -> Seq_backend.piggyback_cost pb
 
 let request_vc = function
-  | Lrc_b b -> lrc_request_vc b
+  | Lrc_b b -> Lrc_backend.request_vc b
   | Central_b b -> Central_backend.request_vc b
   | Seq_b b -> Seq_backend.request_vc b
 

@@ -26,7 +26,39 @@
     serializes everything — strongly consistent, maximally chatty) and
     {!Seq_backend} (a sequencer stamps every write into one total order
     and replicas apply pushes in stamp order).  {!Backend} packs them
-    behind one dispatch type. *)
+    behind one dispatch type.
+
+    A backend reaches the other nodes' backends only through its {!peer},
+    so each backend defines its own requests — their server function, cost
+    class and wire size — next to the code that serves them. *)
+
+(** A backend's channel to the same backend on the other nodes.  The
+    function passed to either field runs on the destination node's
+    backend, at interrupt level, and must not block.
+
+    - [rpc ~dst ~cost ~reply_cost ~request_bytes ~reply_bytes serve] is a
+      blocking request-reply exchange: a [request_bytes] request billed to
+      [cost], answered by [serve], whose result travels back as a
+      [reply_bytes]-byte reply billed to [reply_cost].
+    - [post ~dst ~cost ~payload_bytes serve] is a one-way message with no
+      reply. *)
+type 'b peer = {
+  rpc :
+    'r.
+    dst:int ->
+    cost:Carlos_obs.Cost.component ->
+    reply_cost:Carlos_obs.Cost.component ->
+    request_bytes:int ->
+    reply_bytes:('r -> int) ->
+    ('b -> 'r) ->
+    'r;
+  post :
+    dst:int ->
+    cost:Carlos_obs.Cost.component ->
+    payload_bytes:int ->
+    ('b -> unit) ->
+    unit;
+}
 
 module type S = sig
   type t

@@ -7,15 +7,11 @@ module Page_table = Carlos_vm.Page_table
 module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
+module Cost = Carlos_obs.Cost
 
 exception Protocol_violation of string
 
 type piggyback = { origin : int }
-
-type transport = {
-  fetch_page : page:int -> Bytes.t * int;
-  flush : Carlos_vm.Diff.t list -> unit;
-}
 
 type hooks = {
   on_flush_applied : home:int -> origin:int -> page:int -> version:int -> unit;
@@ -56,100 +52,12 @@ type t = {
      the first fetch instead of issuing duplicates (whose out-of-order
      installs could clobber a twin made in between). *)
   inflight : (int, unit Ivar.t) Hashtbl.t;
-  mutable transport : transport option;
+  peer : t Backend_intf.peer;
   mutable hooks : hooks;
   ins : ins;
 }
 
-let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge () =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let counter name = Obs.counter obs ~node:me ~layer:Obs.Dsm name in
-  let t =
-    {
-      nodes;
-      me;
-      home;
-      page_table;
-      costs;
-      charge;
-      zero_vc = Vc.zero ~nodes;
-      dirty = Array.make (Page_table.pages page_table) false;
-      versions = Array.make (Page_table.pages page_table) 0;
-      inflight = Hashtbl.create 16;
-      transport = None;
-      hooks = no_hooks;
-      ins =
-        {
-          diffs_created_c = counter "central.diffs_created";
-          diffs_applied_c = counter "central.diffs_applied";
-          flush_rpcs_c = counter "central.flush_rpcs";
-          page_fetches_c = counter "central.page_fetches";
-          bytes_fetched_c = counter "central.bytes_fetched";
-          invalidations_c = counter "central.invalidations";
-        };
-    }
-  in
-  let rec fetch_if_invalid page =
-    let p = Page_table.page t.page_table page in
-    if Page.state p = Page.Invalid then
-      match Hashtbl.find_opt t.inflight page with
-      | Some gate ->
-        Ivar.read gate;
-        fetch_if_invalid page
-      | None ->
-        let transport =
-          match t.transport with
-          | Some tr -> tr
-          | None ->
-            raise (Protocol_violation "central: transport not installed")
-        in
-        let gate = Ivar.create () in
-        Hashtbl.replace t.inflight page gate;
-        let finish () =
-          Hashtbl.remove t.inflight page;
-          Ivar.fill gate ()
-        in
-        (try
-           let data, version = transport.fetch_page ~page in
-           Obs.inc t.ins.page_fetches_c;
-           Obs.add t.ins.bytes_fetched_c (Bytes.length data);
-           Page.install p data;
-           t.hooks.on_page_fetched ~node:t.me ~page ~version;
-           t.charge
-             ((t.costs.Cpu_cost.twin_per_byte
-              *. float_of_int (Bytes.length data))
-             +. t.costs.Cpu_cost.page_protect)
-         with e ->
-           finish ();
-           raise e);
-        finish ()
-  in
-  Page_table.set_read_fault page_table (fun page ->
-      if t.me = t.home then
-        raise
-          (Protocol_violation
-             (Printf.sprintf "home node took a read fault on page %d" page));
-      t.charge t.costs.Cpu_cost.fault_trap;
-      fetch_if_invalid page);
-  Page_table.set_write_fault page_table (fun page ->
-      let p = Page_table.page t.page_table page in
-      (* ensure_writable faults Invalid pages readable first, so the page
-         is Read_only here.  Twin + dirty before charging: charges yield
-         the fiber and a concurrent flush must see a consistent pair. *)
-      Page.make_twin p;
-      t.dirty.(page) <- true;
-      t.charge
-        (t.costs.Cpu_cost.fault_trap
-        +. (t.costs.Cpu_cost.twin_per_byte
-           *. float_of_int (Bytes.length (Page.data p)))
-        +. t.costs.Cpu_cost.page_protect));
-  t
-
-let set_transport t tr = t.transport <- Some tr
-
 let set_hooks t hooks = t.hooks <- hooks
-
-let home t = t.home
 
 let vc t = t.zero_vc
 
@@ -162,7 +70,7 @@ let metadata_pressure _ = 0
 (* The origin id is ordering metadata: bill it as vc_entries so the
    cross-model comparison has the centralized model's "logical clock"
    cost on the same axis as LRC's vector time. *)
-let piggyback_cost (_ : piggyback) = [ (Carlos_obs.Cost.Vc_entries, 4) ]
+let piggyback_cost (_ : piggyback) = [ (Cost.Vc_entries, 4) ]
 
 (* ------------------------------------------------------------------ *)
 (* Home side (interrupt level, non-blocking except CPU charges) *)
@@ -198,6 +106,108 @@ let serve_flush t ~origin diffs =
   t.charge
     ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !changed)
     +. t.costs.Cpu_cost.diff_request_fixed)
+
+(* ------------------------------------------------------------------ *)
+(* Requests: one peer RPC each, to home *)
+
+(* The reply is the page and its version. *)
+let fetch_page t ~page =
+  t.peer.rpc ~dst:t.home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+    ~request_bytes:12
+    ~reply_bytes:(fun _ -> 12 + Page_table.page_size t.page_table)
+    (fun home -> serve_page home ~page)
+
+let flush t diffs =
+  let origin = t.me in
+  t.peer.rpc ~dst:t.home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+    ~request_bytes:
+      (List.fold_left (fun acc d -> acc + Diff.size_bytes d) 8 diffs)
+    ~reply_bytes:(fun () -> 8)
+    (fun home -> serve_flush home ~origin diffs)
+
+(* ------------------------------------------------------------------ *)
+(* Fault handling *)
+
+let rec fetch_if_invalid t page =
+  let p = Page_table.page t.page_table page in
+  if Page.state p = Page.Invalid then
+    match Hashtbl.find_opt t.inflight page with
+    | Some gate ->
+      Ivar.read gate;
+      fetch_if_invalid t page
+    | None ->
+      let gate = Ivar.create () in
+      Hashtbl.replace t.inflight page gate;
+      let finish () =
+        Hashtbl.remove t.inflight page;
+        Ivar.fill gate ()
+      in
+      (try
+         let data, version = fetch_page t ~page in
+         Obs.inc t.ins.page_fetches_c;
+         Obs.add t.ins.bytes_fetched_c (Bytes.length data);
+         Page.install p data;
+         t.hooks.on_page_fetched ~node:t.me ~page ~version;
+         t.charge
+           ((t.costs.Cpu_cost.twin_per_byte *. float_of_int (Bytes.length data))
+           +. t.costs.Cpu_cost.page_protect)
+       with e ->
+         finish ();
+         raise e);
+      finish ()
+
+let read_fault t page =
+  if t.me = t.home then
+    raise
+      (Protocol_violation
+         (Printf.sprintf "home node took a read fault on page %d" page));
+  t.charge t.costs.Cpu_cost.fault_trap;
+  fetch_if_invalid t page
+
+let write_fault t page =
+  let p = Page_table.page t.page_table page in
+  (* ensure_writable faults Invalid pages readable first, so the page is
+     Read_only here.  Twin + dirty before charging: charges yield the
+     fiber and a concurrent flush must see a consistent pair. *)
+  Page.make_twin p;
+  t.dirty.(page) <- true;
+  t.charge
+    (t.costs.Cpu_cost.fault_trap
+    +. (t.costs.Cpu_cost.twin_per_byte
+       *. float_of_int (Bytes.length (Page.data p)))
+    +. t.costs.Cpu_cost.page_protect)
+
+let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
+  let obs = match obs with Some o -> o | None -> Obs.create () in
+  let counter name = Obs.counter obs ~node:me ~layer:Obs.Dsm name in
+  let t =
+    {
+      nodes;
+      me;
+      home;
+      page_table;
+      costs;
+      charge;
+      zero_vc = Vc.zero ~nodes;
+      dirty = Array.make (Page_table.pages page_table) false;
+      versions = Array.make (Page_table.pages page_table) 0;
+      inflight = Hashtbl.create 16;
+      peer;
+      hooks = no_hooks;
+      ins =
+        {
+          diffs_created_c = counter "central.diffs_created";
+          diffs_applied_c = counter "central.diffs_applied";
+          flush_rpcs_c = counter "central.flush_rpcs";
+          page_fetches_c = counter "central.page_fetches";
+          bytes_fetched_c = counter "central.bytes_fetched";
+          invalidations_c = counter "central.invalidations";
+        };
+    }
+  in
+  Page_table.set_read_fault page_table (read_fault t);
+  Page_table.set_write_fault page_table (write_fault t);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
@@ -249,13 +259,8 @@ let flush_dirty t =
           bump_version t ~origin:t.me (Diff.page diff))
         diffs
     else begin
-      let transport =
-        match t.transport with
-        | Some tr -> tr
-        | None -> raise (Protocol_violation "central: transport not installed")
-      in
       Obs.inc t.ins.flush_rpcs_c;
-      transport.flush diffs
+      flush t diffs
     end
 
 (* ------------------------------------------------------------------ *)

@@ -36,17 +36,10 @@ exception Protocol_violation of string
     the data already reached home before the message was sent. *)
 type piggyback = { origin : int }
 
-type transport = {
-  fetch_page : page:int -> Bytes.t * int;
-      (** blocking RPC to home; answered by {!serve_page} *)
-  flush : Carlos_vm.Diff.t list -> unit;
-      (** blocking RPC to home; answered by {!serve_flush} *)
-}
-
-(** [create ~nodes ~me ~home ~page_table ~costs ~charge ()] — [home] is
-    the coordinator node (conventionally 0).  Installs the fault handlers
-    on [page_table].  The home node needs no transport; every other node
-    must get one via {!set_transport}. *)
+(** [create ~nodes ~me ~home ~page_table ~costs ~charge ~peer ()] —
+    [home] is the coordinator node (conventionally 0).  Installs the fault
+    handlers on [page_table].  Every node but home sends its page fetches
+    and flushes to home through [peer]; home never uses it. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
@@ -55,12 +48,9 @@ val create :
   page_table:Carlos_vm.Page_table.t ->
   costs:Cpu_cost.t ->
   charge:(float -> unit) ->
+  peer:t Backend_intf.peer ->
   unit ->
   t
-
-val set_transport : t -> transport -> unit
-
-val home : t -> int
 
 (** {1 Audit hooks} *)
 
@@ -96,13 +86,3 @@ val note_peer_vc : t -> peer:int -> Vc.t -> unit
 val metadata_pressure : t -> int
 
 val data_fetches : t -> int
-
-(** {1 Serving remote requests (home node, interrupt level)} *)
-
-(** Answer a page fetch with the live authoritative copy and its
-    version. *)
-val serve_page : t -> page:int -> Bytes.t * int
-
-(** Apply a batch of flushed diffs from [origin] to the authoritative
-    copies. *)
-val serve_flush : t -> origin:int -> Carlos_vm.Diff.t list -> unit

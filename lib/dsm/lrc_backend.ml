@@ -16,10 +16,18 @@ type piggyback = {
   attached_diffs : (int * Interval.id * Diff.t list) list;
 }
 
+(* A diff request: for each page, the interval ids whose modifications
+   are needed.  Requests are addressed to the interval creator.  A fetcher
+   may list the same page in several entries; the ids of one entry must
+   be adjacent in the fetcher's causal apply order for that page (no
+   other interval it applies to the page, fetched or held locally, sorts
+   between them), which licenses the server to merge their diffs into one
+   diff under the entry's lowest id. *)
 type diff_request = (int * Interval.id list) list
 
 type diff_reply = (int * Interval.id * Diff.t list) list
 
+(* A whole page and the clock its content covers. *)
 type page_reply = { data : Bytes.t; covers : Vc.t }
 
 type hooks = {
@@ -42,14 +50,8 @@ let no_hooks =
 
 type fault = Skip_write_notice | Corrupt_vc_merge
 
-type transport = {
-  fetch_diffs : dst:int -> diff_request -> diff_reply;
-  fetch_intervals : dst:int -> have:Vc.t -> Interval.t list;
-  fetch_page : dst:int -> page:int -> page_reply option;
-  fetch_base : dst:int -> page:int -> page_reply;
-}
-
 module Obs = Carlos_obs.Obs
+module Cost = Carlos_obs.Cost
 
 (* Tables keyed by one int.  The diff store and the fault path's
    per-fetch tables pack (page, creator, index) into a single key (see
@@ -170,7 +172,7 @@ type t = {
   dropped : (int, int) Hashtbl.t;
   (* The snapshot of the last GC: history at or below it is discarded. *)
   gc_floor : Vc.t;
-  mutable transport : transport option;
+  peer : t Backend_intf.peer;
   mutable diff_bytes_stored : int;
   obs : Obs.t;
   ins : instruments;
@@ -178,11 +180,6 @@ type t = {
   (* One-shot armed corruption; see {!inject_fault}. *)
   mutable fault : fault option;
 }
-
-let transport t =
-  match t.transport with
-  | Some tr -> tr
-  | None -> raise (Protocol_violation "Lrc: transport not installed")
 
 (* (page, creator, index) as one int.  The index is unbounded, so it
    takes the high digits: the key stays below 2^62 for any index a run
@@ -299,6 +296,189 @@ let page_content_vc t page =
   | Some vc -> vc
   | None -> t.zero_vc
 
+(* ------------------------------------------------------------------ *)
+(* Serving (interrupt level, non-blocking) *)
+
+let note_peer_vc t ~peer vc =
+  t.hooks.on_peer_note ~node:t.me ~peer ~vc;
+  Vc.join_in_place t.peer_vc.(peer) vc
+
+(* Intervals the receiver (whose vc we conservatively know as [have]) is
+   missing, optionally restricted to locally created ones. *)
+let intervals_after t ~have ~own_only =
+  let creators = if own_only then fun c -> c = t.me else fun _ -> true in
+  match Interval.Log.causal_range t.log ~lo:have ~hi:t.vc ~creators with
+  | a -> Array.to_list a
+  | exception Interval.Log.Missing id ->
+    raise
+      (Protocol_violation
+         (Printf.sprintf "interval log gap at (%d,%d)" id.Interval.creator
+            id.Interval.index))
+
+let serve_cache_cap = 512
+
+(* Answer a diff request from the local store.  A request entry naming
+   several ids of one creator (a mergeable run, see [diff_request]) is
+   answered with a single merged diff under the run's lowest id and empty
+   lists for the rest; merged encodings are memoized in [serve_cache], so
+   repeat fetchers of the same range are served without re-merging. *)
+let serve_diffs t request =
+  t.charge t.costs.Cpu_cost.diff_request_fixed;
+  let lookup page (id : Interval.id) =
+    match Itbl.find_opt t.diffs (diff_key t ~page id) with
+    | Some ds -> in_order ds
+    | None ->
+      raise
+        (Protocol_violation
+           (Printf.sprintf "diff (page %d, %d.%d) not available" page
+              id.Interval.creator id.Interval.index))
+  in
+  List.concat_map
+    (fun (page, ids) ->
+      let same_creator =
+        match ids with
+        | [] | [ _ ] -> false
+        | (first : Interval.id) :: rest ->
+          List.for_all
+            (fun (id : Interval.id) ->
+              id.Interval.creator = first.Interval.creator)
+            rest
+      in
+      if not same_creator then
+        List.map (fun (id : Interval.id) -> (page, id, lookup page id)) ids
+      else begin
+        (* One request entry is one mergeable run: the fetcher only groups
+           ids that are adjacent in its causal apply order, so collapsing
+           their diffs into one merged diff — returned under the run's
+           first id, with the rest answered empty — is equivalent to
+           shipping them separately. *)
+        let sorted =
+          List.sort
+            (fun (a : Interval.id) (b : Interval.id) ->
+              compare a.Interval.index b.Interval.index)
+            ids
+        in
+        let first = List.hd sorted in
+        let last = List.nth sorted (List.length sorted - 1) in
+        let key =
+          (page, first.Interval.creator, first.Interval.index,
+           last.Interval.index)
+        in
+        let merged =
+          match Hashtbl.find_opt t.serve_cache key with
+          | Some d ->
+            Obs.inc t.ins.diff_cache_hits_c;
+            d
+          | None ->
+            Obs.inc t.ins.diff_cache_misses_c;
+            let pieces = List.concat_map (lookup page) sorted in
+            let d = Diff.merge pieces in
+            Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
+            t.charge
+              (t.costs.Cpu_cost.diff_data_per_byte
+              *. float_of_int (Diff.changed_bytes d));
+            if Hashtbl.length t.serve_cache >= serve_cache_cap then
+              Hashtbl.reset t.serve_cache;
+            Hashtbl.replace t.serve_cache key d;
+            d
+        in
+        (page, first, [ merged ])
+        :: List.map (fun id -> (page, id, [])) (List.tl sorted)
+      end)
+    request
+
+let serve_intervals t ~have = intervals_after t ~have ~own_only:false
+
+(* The full page copy if the local copy is valid, with the timestamp it
+   covers; [None] if the local copy is itself stale. *)
+let serve_page t ~page =
+  let p = Page_table.page t.page_table page in
+  match Page.state p with
+  | Page.Invalid -> None
+  | Page.Read_only | Page.Read_write ->
+    (* Serve the content as of the last interval boundary.  A write-enabled
+       page's live data would leak unreleased mid-interval writes into the
+       receiver's base copy, which byte-granular diffs can never correct
+       (a byte that changed and changed back is absent from the final
+       diff).  The covering timestamp must include the page's content
+       timestamp: after a whole-page install the content can run ahead of
+       this node's vector clock, and under-claiming would let the receiver
+       apply older diffs on top of newer bytes. *)
+    Some
+      {
+        data = Page.clean_snapshot p;
+        covers = Vc.join t.vc (page_content_vc t page);
+      }
+
+(* The base copy of [page] this node keeps (see [gc_keep]). *)
+let serve_base t ~page =
+  match Hashtbl.find_opt t.bases page with
+  | Some base -> base
+  | None ->
+    raise (Protocol_violation (Printf.sprintf "no base copy of page %d" page))
+
+(* ------------------------------------------------------------------ *)
+(* Requests: one peer RPC each, to the node that serves it *)
+
+(* Wire bytes of diff entries (an attachment list or a diff reply): 8
+   per entry plus its diffs, where a physical diff aliased under several
+   entries crosses the wire once and each later reference carries only a
+   4-byte back-reference.  Top-level recursion: no closure per message. *)
+let rec entries_bytes billed acc = function
+  | [] -> acc
+  | (_, _, ds) :: rest -> entry_diffs_bytes billed (acc + 8) rest ds
+
+and entry_diffs_bytes billed acc rest = function
+  | [] -> entries_bytes billed acc rest
+  | d :: ds ->
+    if List.memq d billed then entry_diffs_bytes billed (acc + 4) rest ds
+    else entry_diffs_bytes (d :: billed) (acc + Diff.size_bytes d) rest ds
+
+let diff_entries_bytes (entries : diff_reply) = entries_bytes [] 0 entries
+
+(* A diff request names, per entry, a page and its interval ids. *)
+let fetch_diffs t ~dst (request : diff_request) =
+  t.peer.rpc ~dst ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+    ~request_bytes:
+      (List.fold_left
+         (fun acc (_, ids) -> acc + 4 + (8 * List.length ids))
+         8 request)
+    ~reply_bytes:(fun reply -> 8 + diff_entries_bytes reply)
+    (fun server -> serve_diffs server request)
+
+(* The request body is a vector clock; the reply is interval descriptions
+   (ids + VCs + write notices, billed as the write-notice component, its
+   dominant term).  The server learns the requester's clock as it
+   answers. *)
+let fetch_intervals t ~dst ~have =
+  let me = t.me in
+  t.peer.rpc ~dst ~cost:Cost.Vc_entries ~reply_cost:Cost.Write_notices
+    ~request_bytes:(8 + (Vc.entry_bytes * t.nodes))
+    ~reply_bytes:
+      (List.fold_left (fun acc i -> acc + Interval.size_bytes i) 8)
+    (fun server ->
+      note_peer_vc server ~peer:me have;
+      serve_intervals server ~have)
+
+(* A whole page travels with the clock its content covers. *)
+let page_reply_bytes t =
+  8 + Page_table.page_size t.page_table + (Vc.entry_bytes * t.nodes)
+
+let fetch_page t ~dst ~page =
+  t.peer.rpc ~dst ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+    ~request_bytes:12
+    ~reply_bytes:(function None -> 8 | Some _ -> page_reply_bytes t)
+    (fun server -> serve_page server ~page)
+
+let fetch_base t ~dst ~page =
+  t.peer.rpc ~dst ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+    ~request_bytes:12
+    ~reply_bytes:(fun _ -> page_reply_bytes t)
+    (fun server -> serve_base server ~page)
+
+(* ------------------------------------------------------------------ *)
+(* Fetching *)
+
 (* Try a whole-page fetch from the creator of the causally latest missing
    interval; returns the ids still missing afterwards. *)
 let fetch_whole_page t page ids =
@@ -319,7 +499,7 @@ let fetch_whole_page t page ids =
     let dst = target.Interval.id.Interval.creator in
     if dst = t.me then ids
     else
-      match (transport t).fetch_page ~dst ~page with
+      match fetch_page t ~dst ~page with
       | None -> ids
       | Some { data; covers } ->
         if
@@ -411,7 +591,7 @@ let fetch_missing t ~into:have targets =
   let do_fetch creator =
     let request = List.rev (Hashtbl.find requests creator) in
     Obs.inc t.ins.diff_requests_c;
-    let reply = (transport t).fetch_diffs ~dst:creator request in
+    let reply = fetch_diffs t ~dst:creator request in
     (* Bill each physical diff once per reply: a diff aliased under
        several ids crosses the wire once. *)
     let billed = ref [] in
@@ -651,7 +831,7 @@ let writes_above t page ~covers ~applied =
    tracks the ids it applied rather than the page's coverage, which that
    close bumps before its diff is applied here. *)
 let refetch_dropped t page ~keeper =
-  let { data; covers } = (transport t).fetch_base ~dst:keeper ~page in
+  let { data; covers } = fetch_base t ~dst:keeper ~page in
   Obs.inc t.ins.page_fetches_c;
   let p = Page_table.page t.page_table page in
   Page.install p data;
@@ -731,8 +911,8 @@ let read_fault t page =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
-    () =
+let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
+    ?(strategy = Invalidate) () =
   if me < 0 || me >= nodes then invalid_arg "Lrc.create: bad node id";
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let t =
@@ -764,7 +944,7 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
       bases = Hashtbl.create 16;
       dropped = Hashtbl.create 16;
       gc_floor = Vc.zero ~nodes;
-      transport = None;
+      peer;
       diff_bytes_stored = 0;
       obs;
       ins = make_instruments obs ~node:me;
@@ -776,8 +956,6 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ?(strategy = Invalidate)
   Page_table.set_write_fault page_table (write_fault t);
   t
 
-let set_transport t tr = t.transport <- Some tr
-
 let set_hooks t hooks = t.hooks <- hooks
 
 let inject_fault t fault = t.fault <- fault
@@ -786,14 +964,12 @@ let strategy t = t.strategy
 
 let vc t = t.vc
 
+let request_vc t = Some (Vc.copy t.vc)
+
 let data_fetches t =
   Obs.value t.ins.diff_requests_c
   + Obs.value t.ins.interval_fetches_c
   + Obs.value t.ins.page_fetches_c
-
-let note_peer_vc t ~peer vc =
-  t.hooks.on_peer_note ~node:t.me ~peer ~vc;
-  Vc.join_in_place t.peer_vc.(peer) vc
 
 (* The body of [close_interval]: take the dirty pages, encode them and
    publish the new interval. *)
@@ -895,18 +1071,6 @@ let rec close_interval t =
           | None -> ())
         (fun () -> publish_interval t pages);
       t.charge t.costs.Cpu_cost.interval_create
-
-(* Intervals the receiver (whose vc we conservatively know as [have]) is
-   missing, optionally restricted to locally created ones. *)
-let intervals_after t ~have ~own_only =
-  let creators = if own_only then fun c -> c = t.me else fun _ -> true in
-  match Interval.Log.causal_range t.log ~lo:have ~hi:t.vc ~creators with
-  | a -> Array.to_list a
-  | exception Interval.Log.Missing id ->
-    raise
-      (Protocol_violation
-         (Printf.sprintf "interval log gap at (%d,%d)" id.Interval.creator
-            id.Interval.index))
 
 (* Component-wise minimum of the per-peer clocks [clocks] over every node
    but this one: what the least-informed peer is known to have.  On a
@@ -1026,22 +1190,6 @@ let make_piggyback t ~receiver ~nontransitive =
       ~args:[ ("receiver", Obs.Int receiver) ]
     @@ fun () -> piggyback_for t ~receiver ~nontransitive
 
-(* Wire bytes of diff entries (an attachment list or a diff reply): 8
-   per entry plus its diffs, where a physical diff aliased under several
-   entries crosses the wire once and each later reference carries only a
-   4-byte back-reference.  Top-level recursion: no closure per message. *)
-let rec entries_bytes billed acc = function
-  | [] -> acc
-  | (_, _, ds) :: rest -> entry_diffs_bytes billed (acc + 8) rest ds
-
-and entry_diffs_bytes billed acc rest = function
-  | [] -> entries_bytes billed acc rest
-  | d :: ds ->
-    if List.memq d billed then entry_diffs_bytes billed (acc + 4) rest ds
-    else entry_diffs_bytes (d :: billed) (acc + Diff.size_bytes d) rest ds
-
-let diff_entries_bytes (entries : diff_reply) = entries_bytes [] 0 entries
-
 (* The piggyback's wire bytes by taxonomy component: vector clocks (the
    required VC and each interval's VC) are vc_entries, interval ids +
    write-notice lists + the nontransitive flag are write_notices,
@@ -1061,9 +1209,9 @@ let piggyback_cost pb =
         0 pb.intervals
   in
   [
-    (Carlos_obs.Cost.Vc_entries, vc_bytes);
-    (Carlos_obs.Cost.Write_notices, wn_bytes);
-    (Carlos_obs.Cost.Diff_payload, diff_entries_bytes pb.attached_diffs);
+    (Cost.Vc_entries, vc_bytes);
+    (Cost.Write_notices, wn_bytes);
+    (Cost.Diff_payload, diff_entries_bytes pb.attached_diffs);
   ]
 
 (* Apply one interval's write notices, preserving local modifications by
@@ -1214,7 +1362,7 @@ let accept_piggybacks t piggybacks =
     | None -> ()
     | Some origin ->
       Obs.inc t.ins.interval_fetches_c;
-      let fetched = (transport t).fetch_intervals ~dst:origin ~have:t.vc in
+      let fetched = fetch_intervals t ~dst:origin ~have:t.vc in
       List.iter (log_interval t) fetched;
       ensure_logged ()
   in
@@ -1258,97 +1406,6 @@ let accept t piggybacks =
     Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
       ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
     @@ fun () -> accept_piggybacks t piggybacks
-
-(* ------------------------------------------------------------------ *)
-(* Serving (interrupt level, non-blocking) *)
-
-let serve_cache_cap = 512
-
-let serve_diffs t request =
-  t.charge t.costs.Cpu_cost.diff_request_fixed;
-  let lookup page (id : Interval.id) =
-    match Itbl.find_opt t.diffs (diff_key t ~page id) with
-    | Some ds -> in_order ds
-    | None ->
-      raise
-        (Protocol_violation
-           (Printf.sprintf "diff (page %d, %d.%d) not available" page
-              id.Interval.creator id.Interval.index))
-  in
-  List.concat_map
-    (fun (page, ids) ->
-      let same_creator =
-        match ids with
-        | [] | [ _ ] -> false
-        | (first : Interval.id) :: rest ->
-          List.for_all
-            (fun (id : Interval.id) ->
-              id.Interval.creator = first.Interval.creator)
-            rest
-      in
-      if not same_creator then
-        List.map (fun (id : Interval.id) -> (page, id, lookup page id)) ids
-      else begin
-        (* One request entry is one mergeable run: the fetcher only groups
-           ids that are adjacent in its causal apply order, so collapsing
-           their diffs into one merged diff — returned under the run's
-           first id, with the rest answered empty — is equivalent to
-           shipping them separately. *)
-        let sorted =
-          List.sort
-            (fun (a : Interval.id) (b : Interval.id) ->
-              compare a.Interval.index b.Interval.index)
-            ids
-        in
-        let first = List.hd sorted in
-        let last = List.nth sorted (List.length sorted - 1) in
-        let key =
-          (page, first.Interval.creator, first.Interval.index,
-           last.Interval.index)
-        in
-        let merged =
-          match Hashtbl.find_opt t.serve_cache key with
-          | Some d ->
-            Obs.inc t.ins.diff_cache_hits_c;
-            d
-          | None ->
-            Obs.inc t.ins.diff_cache_misses_c;
-            let pieces = List.concat_map (lookup page) sorted in
-            let d = Diff.merge pieces in
-            Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
-            t.charge
-              (t.costs.Cpu_cost.diff_data_per_byte
-              *. float_of_int (Diff.changed_bytes d));
-            if Hashtbl.length t.serve_cache >= serve_cache_cap then
-              Hashtbl.reset t.serve_cache;
-            Hashtbl.replace t.serve_cache key d;
-            d
-        in
-        (page, first, [ merged ])
-        :: List.map (fun id -> (page, id, [])) (List.tl sorted)
-      end)
-    request
-
-let serve_intervals t ~have = intervals_after t ~have ~own_only:false
-
-let serve_page t ~page =
-  let p = Page_table.page t.page_table page in
-  match Page.state p with
-  | Page.Invalid -> None
-  | Page.Read_only | Page.Read_write ->
-    (* Serve the content as of the last interval boundary.  A write-enabled
-       page's live data would leak unreleased mid-interval writes into the
-       receiver's base copy, which byte-granular diffs can never correct
-       (a byte that changed and changed back is absent from the final
-       diff).  The covering timestamp must include the page's content
-       timestamp: after a whole-page install the content can run ahead of
-       this node's vector clock, and under-claiming would let the receiver
-       apply older diffs on top of newer bytes. *)
-    Some
-      {
-        data = Page.clean_snapshot p;
-        covers = Vc.join t.vc (page_content_vc t page);
-      }
 
 (* ------------------------------------------------------------------ *)
 (* Garbage collection support *)
@@ -1456,12 +1513,6 @@ let rec gc_drop t snapshot =
                (Printf.sprintf "dropped page %d has no other keeper" page));
         Some keeper)
       t.dropped
-
-let serve_base t ~page =
-  match Hashtbl.find_opt t.bases page with
-  | Some base -> base
-  | None ->
-    raise (Protocol_violation (Printf.sprintf "no base copy of page %d" page))
 
 let discard_before t snapshot =
   (* Discarding is only legal after a global rendezvous in which every node

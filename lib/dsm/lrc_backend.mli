@@ -3,10 +3,11 @@
     One [Lrc.t] runs on each node.  It owns the node's vector timestamp,
     interval log, write-notice bookkeeping and diff store, and it installs
     itself as the fault handler of the node's page table.  It is a pure
-    protocol state machine: all communication goes through the {!transport}
-    callbacks installed by the messaging layer, and all processing time is
-    charged through the [charge] callback, so the engine itself is easy to
-    test in isolation.
+    protocol state machine: all communication goes through the peer
+    channel given at creation, and all processing time is charged through
+    the [charge] callback, so the engine itself is easy to test in
+    isolation.  The engine defines its own requests (diff, interval, page
+    and base fetches) and their wire sizes.
 
     Key protocol choices, matching the paper:
     - multiple-writer protocol with twins and run-length-encoded diffs;
@@ -55,15 +56,6 @@ type piggyback = {
          reply *)
 }
 
-(** A diff request: for each page, the interval ids whose modifications are
-    needed.  Requests are addressed to the interval creator.  A fetcher may
-    list the same page in several entries; the ids of one entry must be
-    adjacent in the fetcher's causal apply order for that page (no other
-    interval it applies to the page, fetched or held locally, sorts
-    between them), which licenses the server to merge their diffs — see
-    {!serve_diffs}. *)
-type diff_request = (int * Interval.id list) list
-
 (** Per requested id, the diff pieces to apply in list order.  One physical
     diff may be aliased under several ids when a single flush covered
     several intervals, and a server may answer a multi-id request entry
@@ -71,23 +63,10 @@ type diff_request = (int * Interval.id list) list
     the rest. *)
 type diff_reply = (int * Interval.id * Carlos_vm.Diff.t list) list
 
-type page_reply = { data : Bytes.t; covers : Vc.t }
-
-type transport = {
-  fetch_diffs : dst:int -> diff_request -> diff_reply;
-      (** blocking RPC; the remote side answers with {!serve_diffs} *)
-  fetch_intervals : dst:int -> have:Vc.t -> Interval.t list;
-      (** blocking RPC; the remote side answers with {!serve_intervals} *)
-  fetch_page : dst:int -> page:int -> page_reply option;
-      (** blocking RPC; the remote side answers with {!serve_page} *)
-  fetch_base : dst:int -> page:int -> page_reply;
-      (** blocking RPC to a page's keeper; the remote side answers with
-          {!serve_base} *)
-}
-
 (** [create ?obs ~nodes ~me ~page_table ~costs ~charge] — [charge dt] must
     consume [dt] seconds of this node's CPU and account it to the
-    consistency-overhead bucket.  Protocol accounting registers in [obs]
+    consistency-overhead bucket; [peer] reaches the other nodes' engines.
+    Protocol accounting registers in [obs]
     (a fresh private registry by default) under the [Dsm]/[Vm] layers for
     node [me]; [accept] and [make_piggyback] additionally record
     [lrc.accept]/[lrc.release] spans when tracing is enabled.
@@ -104,13 +83,12 @@ val create :
   page_table:Carlos_vm.Page_table.t ->
   costs:Cpu_cost.t ->
   charge:(float -> unit) ->
+  peer:t Backend_intf.peer ->
   ?strategy:strategy ->
   unit ->
   t
 
 val strategy : t -> strategy
-
-val set_transport : t -> transport -> unit
 
 (** {1 Audit hooks}
 
@@ -154,6 +132,9 @@ val inject_fault : t -> fault option -> unit
 (** The node's current vector timestamp (live value; do not mutate). *)
 val vc : t -> Vc.t
 
+(** A copy of the clock, piggybacked on every outgoing REQUEST. *)
+val request_vc : t -> Vc.t option
+
 (** {1 Peer knowledge} *)
 
 (** Record that [peer] is known to have reached at least [vc] (from a
@@ -187,28 +168,6 @@ val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
     reference to an already-billed diff costing a 4-byte
     back-reference. *)
 val diff_entries_bytes : diff_reply -> int
-
-(** {1 Serving remote requests (non-blocking, interrupt level)} *)
-
-(** Answer a diff request from the local store.  A request entry naming
-    several ids of one creator
-    (a mergeable run, see {!diff_request}) is answered with a single
-    merged diff under the run's lowest id and empty lists for the rest;
-    merged encodings are memoized so repeat fetchers of the same range are
-    served without re-merging (counters [diff_cache_hits] /
-    [diff_cache_misses]). *)
-val serve_diffs : t -> diff_request -> diff_reply
-
-val serve_intervals : t -> have:Vc.t -> Interval.t list
-
-(** [serve_page] answers with the full page copy if the local copy is
-    valid, along with the timestamp it covers; [None] if the local copy is
-    itself stale. *)
-val serve_page : t -> page:int -> page_reply option
-
-(** [serve_base] answers with the base copy of [page] this node keeps
-    (see {!gc_keep}).  Raises [Protocol_violation] if it keeps none. *)
-val serve_base : t -> page:int -> page_reply
 
 (** {1 Garbage collection support (paper §5.2 footnote)} *)
 

@@ -8,6 +8,7 @@ module Page_table = Carlos_vm.Page_table
 module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
+module Cost = Carlos_obs.Cost
 
 exception Protocol_violation of string
 
@@ -18,11 +19,6 @@ type update =
 type entry = { seq : int; origin : int; update : update }
 
 type piggyback = { origin : int; upto : int }
-
-type transport = {
-  sequence : Carlos_vm.Diff.t list -> int;
-  cas : page:int -> offset:int -> expected:int -> desired:int -> bool * int;
-}
 
 type hooks = {
   on_stamped : seq:int -> origin:int -> unit;
@@ -70,13 +66,12 @@ type t = {
   mutable applied_seq : int;
   mutable horizon : int;
   mutable acq_waiters : (int * unit Ivar.t) list;
-  mutable transport : transport option;
-  mutable push : (dst:int -> entry list -> unit) option;
+  peer : t Backend_intf.peer;
   mutable hooks : hooks;
   ins : ins;
 }
 
-let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge () =
+let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let counter name = Obs.counter obs ~node:me ~layer:Obs.Dsm name in
   let t =
@@ -95,8 +90,7 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge () =
       applied_seq = 0;
       horizon = 0;
       acq_waiters = [];
-      transport = None;
-      push = None;
+      peer;
       hooks = no_hooks;
       ins =
         {
@@ -130,13 +124,7 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge () =
         +. t.costs.Cpu_cost.page_protect));
   t
 
-let set_transport t tr = t.transport <- Some tr
-
-let set_push t push = t.push <- Some push
-
 let set_hooks t hooks = t.hooks <- hooks
-
-let sequencer t = t.sequencer
 
 let applied_seq t = t.applied_seq
 
@@ -150,17 +138,7 @@ let metadata_pressure _ = 0
 
 (* origin + upto horizon: the sequencer's ordering metadata, on the same
    vc_entries axis as LRC's vector clocks. *)
-let piggyback_cost (_ : piggyback) = [ (Carlos_obs.Cost.Vc_entries, 12) ]
-
-let get_transport t =
-  match t.transport with
-  | Some tr -> tr
-  | None -> raise (Protocol_violation "seq: transport not installed")
-
-let get_push t =
-  match t.push with
-  | Some p -> p
-  | None -> raise (Protocol_violation "seq: push function not installed")
+let piggyback_cost (_ : piggyback) = [ (Cost.Vc_entries, 12) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sequencer mutex *)
@@ -191,18 +169,74 @@ let wake_waiters t =
   List.iter (fun (_, gate) -> Ivar.fill gate ()) ready
 
 (* ------------------------------------------------------------------ *)
-(* Sequencer side (interrupt level or local application fiber) *)
+(* Replica side (interrupt level) *)
 
+let apply_push t entries =
+  if t.me = t.sequencer then
+    raise (Protocol_violation "seq: push delivered to the sequencer");
+  let bytes = ref 0 in
+  List.iter
+    (fun { seq; origin; update } ->
+      if seq <> t.applied_seq + 1 then
+        raise
+          (Protocol_violation
+             (Printf.sprintf "seq: out-of-order push %d (applied %d)" seq
+                t.applied_seq));
+      (match update with
+      | Diff_u diff ->
+        (* Skip the payload of our own diffs: the frames already hold
+           those values, and newer unreleased local writes must not be
+           reverted to them. *)
+        if origin <> t.me then begin
+          let p = Page_table.page t.page_table (Diff.page diff) in
+          Page.apply_diff_to_twin p diff;
+          Obs.inc t.ins.diffs_applied_c;
+          Obs.add t.ins.update_bytes_c (Diff.changed_bytes diff);
+          bytes := !bytes + Diff.changed_bytes diff
+        end
+      | Patch_u { page; offset; data } ->
+        let p = Page_table.page t.page_table page in
+        Page.patch p ~offset data;
+        Obs.inc t.ins.diffs_applied_c;
+        Obs.add t.ins.update_bytes_c (Bytes.length data);
+        bytes := !bytes + Bytes.length data);
+      t.applied_seq <- seq;
+      t.hooks.on_applied ~node:t.me ~seq ~origin)
+    entries;
+  wake_waiters t;
+  t.charge
+    ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !bytes)
+    +. (t.costs.Cpu_cost.write_notice_apply
+       *. float_of_int (List.length entries)))
+
+(* ------------------------------------------------------------------ *)
+(* Pushes *)
+
+let entry_size_bytes { update; _ } =
+  16
+  +
+  match update with
+  | Diff_u d -> Diff.size_bytes d
+  | Patch_u { data; _ } -> 8 + Bytes.length data
+
+let push_size_bytes entries =
+  List.fold_left (fun acc e -> acc + entry_size_bytes e) 8 entries
+
+(* The sequencer's stamped updates ride one-way posts; the per-pair FIFO
+   of the message layer turns send order (= stamp order, under the
+   sequencer mutex) into apply order at each replica. *)
 let broadcast t entries =
-  if t.nodes > 1 then begin
-    let push = get_push t in
-    for dst = 0 to t.nodes - 1 do
-      if dst <> t.me then begin
-        push ~dst entries;
-        Obs.add t.ins.pushed_entries_c (List.length entries)
-      end
-    done
-  end
+  for dst = 0 to t.nodes - 1 do
+    if dst <> t.me then begin
+      t.peer.post ~dst ~cost:Cost.Diff_payload
+        ~payload_bytes:(push_size_bytes entries)
+        (fun replica -> apply_push replica entries);
+      Obs.add t.ins.pushed_entries_c (List.length entries)
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Sequencer side (interrupt level or local application fiber) *)
 
 let serve_sequence t ~origin diffs =
   if t.me <> t.sequencer then
@@ -277,45 +311,27 @@ let serve_cas t ~origin ~page ~offset ~expected ~desired =
   result
 
 (* ------------------------------------------------------------------ *)
-(* Replica side (interrupt level) *)
+(* Requests: one peer RPC each, to the sequencer *)
 
-let apply_push t entries =
-  if t.me = t.sequencer then
-    raise (Protocol_violation "seq: push delivered to the sequencer");
-  let bytes = ref 0 in
-  List.iter
-    (fun { seq; origin; update } ->
-      if seq <> t.applied_seq + 1 then
-        raise
-          (Protocol_violation
-             (Printf.sprintf "seq: out-of-order push %d (applied %d)" seq
-                t.applied_seq));
-      (match update with
-      | Diff_u diff ->
-        (* Skip the payload of our own diffs: the frames already hold
-           those values, and newer unreleased local writes must not be
-           reverted to them. *)
-        if origin <> t.me then begin
-          let p = Page_table.page t.page_table (Diff.page diff) in
-          Page.apply_diff_to_twin p diff;
-          Obs.inc t.ins.diffs_applied_c;
-          Obs.add t.ins.update_bytes_c (Diff.changed_bytes diff);
-          bytes := !bytes + Diff.changed_bytes diff
-        end
-      | Patch_u { page; offset; data } ->
-        let p = Page_table.page t.page_table page in
-        Page.patch p ~offset data;
-        Obs.inc t.ins.diffs_applied_c;
-        Obs.add t.ins.update_bytes_c (Bytes.length data);
-        bytes := !bytes + Bytes.length data);
-      t.applied_seq <- seq;
-      t.hooks.on_applied ~node:t.me ~seq ~origin)
-    entries;
-  wake_waiters t;
-  t.charge
-    ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !bytes)
-    +. (t.costs.Cpu_cost.write_notice_apply
-       *. float_of_int (List.length entries)))
+(* The reply is the last stamp assigned. *)
+let sequence t diffs =
+  let origin = t.me in
+  t.peer.rpc ~dst:t.sequencer ~cost:Cost.Diff_payload
+    ~reply_cost:Cost.Diff_payload
+    ~request_bytes:
+      (List.fold_left (fun acc d -> acc + Diff.size_bytes d) 8 diffs)
+    ~reply_bytes:(fun _ -> 12)
+    (fun sequencer -> serve_sequence sequencer ~origin diffs)
+
+(* CAS is a synchronization primitive: billed on the same axis as
+   locks. *)
+let remote_cas t ~page ~offset ~expected ~desired =
+  let origin = t.me in
+  t.peer.rpc ~dst:t.sequencer ~cost:Cost.Lock_proto ~reply_cost:Cost.Lock_proto
+    ~request_bytes:32
+    ~reply_bytes:(fun _ -> 16)
+    (fun sequencer ->
+      serve_cas sequencer ~origin ~page ~offset ~expected ~desired)
 
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
@@ -362,7 +378,7 @@ let flush_dirty t =
       if t.me = t.sequencer then serve_sequence t ~origin:t.me diffs
       else begin
         Obs.inc t.ins.sequence_rpcs_c;
-        (get_transport t).sequence diffs
+        sequence t diffs
       end
     in
     (* The sequencer's reply shares a FIFO channel with its pushes to us,
@@ -382,7 +398,7 @@ let cas t ~page ~offset ~expected ~desired =
       serve_cas t ~origin:t.me ~page ~offset ~expected ~desired
     else begin
       Obs.inc t.ins.cas_rpcs_c;
-      (get_transport t).cas ~page ~offset ~expected ~desired
+      remote_cas t ~page ~offset ~expected ~desired
     end
   in
   (* On success our Patch_u arrived before the RPC reply (FIFO), so the
@@ -414,16 +430,3 @@ let accept t pbs =
 
 let data_fetches t =
   Obs.value t.ins.sequence_rpcs_c + Obs.value t.ins.cas_rpcs_c
-
-(* ------------------------------------------------------------------ *)
-(* Wire sizing *)
-
-let entry_size_bytes { update; _ } =
-  16
-  +
-  match update with
-  | Diff_u d -> Diff.size_bytes d
-  | Patch_u { data; _ } -> 8 + Bytes.length data
-
-let push_size_bytes entries =
-  List.fold_left (fun acc e -> acc + entry_size_bytes e) 8 entries

@@ -22,7 +22,7 @@
       reaches its fall without sending a release), then block until the
       local applied stamp reaches the maximum [upto] of the accepted
       piggybacks;
-    - {b push} ({!apply_push}): applied at interrupt level in arrival
+    - {b push}: applied at interrupt level in arrival
       order.  Per-pair FIFO delivery from the single sequencer source
       makes arrival order equal stamp order, which the replica enforces
       (stamps must be contiguous).  A replica skips the payload of its
@@ -43,30 +43,16 @@ type t
 
 exception Protocol_violation of string
 
-type update =
-  | Diff_u of Carlos_vm.Diff.t
-  | Patch_u of { page : int; offset : int; data : Bytes.t }
-
-(** One stamped update in the global order. *)
-type entry = { seq : int; origin : int; update : update }
-
 (** Consistency information on a RELEASE/RELEASE_NT: the sender's causal
     horizon in the global order. *)
 type piggyback = { origin : int; upto : int }
 
-type transport = {
-  sequence : Carlos_vm.Diff.t list -> int;
-      (** blocking RPC to the sequencer; answered by {!serve_sequence};
-          returns the last stamp assigned *)
-  cas : page:int -> offset:int -> expected:int -> desired:int -> bool * int;
-      (** blocking RPC to the sequencer; answered by {!serve_cas};
-          returns (success, observed value) *)
-}
-
-(** [create ~nodes ~me ~sequencer ~page_table ~costs ~charge ()] installs
-    the fault handlers on [page_table].  The sequencer node needs no
-    transport; every other node must get one via {!set_transport}.  The
-    sequencer must additionally get a push function via {!set_push}. *)
+(** [create ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer ()]
+    installs the fault handlers on [page_table].  Every other node sends
+    its write batches and CASes to the sequencer through [peer]; the
+    sequencer pushes stamped updates to every replica through its own
+    [peer], one post per replica, which the replica must receive in send
+    order. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
@@ -75,18 +61,9 @@ val create :
   page_table:Carlos_vm.Page_table.t ->
   costs:Cpu_cost.t ->
   charge:(float -> unit) ->
+  peer:t Backend_intf.peer ->
   unit ->
   t
-
-val set_transport : t -> transport -> unit
-
-(** Sequencer only: how to deliver a batch of stamped entries to one
-    replica (a one-way system-lane message in the full system; a direct
-    call in unit tests).  Entries are in stamp order and must be
-    delivered to {!apply_push} in that order. *)
-val set_push : t -> (dst:int -> entry list -> unit) -> unit
-
-val sequencer : t -> int
 
 (** Highest stamp applied locally. *)
 val applied_seq : t -> int
@@ -133,28 +110,3 @@ val note_peer_vc : t -> peer:int -> Vc.t -> unit
 val metadata_pressure : t -> int
 
 val data_fetches : t -> int
-
-(** {1 Serving remote requests (sequencer node, interrupt level)} *)
-
-(** Stamp and broadcast a batch of diffs from [origin]; returns the last
-    stamp assigned (0 when [diffs] is empty and no stamp was taken). *)
-val serve_sequence : t -> origin:int -> Carlos_vm.Diff.t list -> int
-
-(** Execute a CAS from [origin] against the authoritative frame. *)
-val serve_cas :
-  t ->
-  origin:int ->
-  page:int ->
-  offset:int ->
-  expected:int ->
-  desired:int ->
-  bool * int
-
-(** {1 Replica side (interrupt level)} *)
-
-(** Apply a batch of pushed entries in stamp order. *)
-val apply_push : t -> entry list -> unit
-
-(** {1 Wire sizing} *)
-
-val push_size_bytes : entry list -> int

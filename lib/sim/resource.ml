@@ -68,20 +68,3 @@ module Semaphore = struct
 
   let value t = t.count
 end
-
-module Gate = struct
-  type t = { mutable opened : bool; waiters : (unit -> unit) Queue.t }
-
-  let create () = { opened = false; waiters = Queue.create () }
-
-  let await t =
-    if not t.opened then
-      Engine.suspend (fun resume -> Queue.add resume t.waiters)
-
-  let open_gate t =
-    if not t.opened then begin
-      t.opened <- true;
-      Queue.iter (fun resume -> resume ()) t.waiters;
-      Queue.clear t.waiters
-    end
-end

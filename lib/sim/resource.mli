@@ -46,15 +46,3 @@ module Semaphore : sig
 
   val value : t -> int
 end
-
-(** Broadcast gate: fibers block on [await] until [open_gate] is called;
-    afterwards [await] never blocks. *)
-module Gate : sig
-  type t
-
-  val create : unit -> t
-
-  val await : t -> unit
-
-  val open_gate : t -> unit
-end

@@ -24,3 +24,8 @@ let gauge ?(node = Obs.global_node) obs ~layer name =
   match find obs ~node ~layer name with
   | Obs.Gauge_v x -> x
   | _ -> Alcotest.failf "instrument %S of node %d is not a gauge" name node
+
+let histogram ?(node = Obs.global_node) obs ~layer name =
+  match find obs ~node ~layer name with
+  | Obs.Hist_v h -> h
+  | _ -> Alcotest.failf "instrument %S of node %d is not a histogram" name node

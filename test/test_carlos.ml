@@ -162,9 +162,11 @@ let test_lock_mutual_exclusion () =
   Alcotest.(check int) "never two holders" 1 !max_in_cs;
   (* Verify the final count through a fresh system-free read: use node 0's
      view after everything quiesced (it may be stale; acquire once more
-     through a new run is overkill — check acquisition count instead). *)
+     through a new run is overkill — count the acquisitions in the lock's
+     wait histogram instead, one observation per grant). *)
   Alcotest.(check int) "all acquisitions granted" (4 * iterations)
-    (Msg_lock.acquisitions lock)
+    (Counters.histogram (System.obs sys) ~layer:Obs.Carlos "lock.wait:mutex")
+      .Obs.Hist.count
 
 let test_lock_counter_value () =
   let sys = make () in

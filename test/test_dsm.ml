@@ -1,5 +1,5 @@
 (* Tests for the lazy-release-consistency engine, exercised through a
-   loopback transport that wires several Lrc instances together with direct
+   loopback peer that wires several Lrc instances together with direct
    function calls (no simulated network).  Each test drives the cluster
    from one engine fiber, where the protocol can fork its parallel
    per-creator fetches and block on ivars.  This isolates the
@@ -15,8 +15,45 @@ module Vc = Carlos_dsm.Vc
 module Interval = Carlos_dsm.Interval
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Lrc = Carlos_dsm.Lrc_backend
+module Backend_intf = Carlos_dsm.Backend_intf
+module Diff = Carlos_vm.Diff
+module Cost = Carlos_obs.Cost
 module Engine = Carlos_sim.Engine
 module Obs = Carlos_obs.Obs
+
+(* One message a loopback peer carried: destination, cost class and
+   size, and for an RPC the reply's cost class and size. *)
+type sent = {
+  dst : int;
+  cost : Cost.component;
+  bytes : int;
+  reply : (Cost.component * int) option; (* [None] for a post *)
+}
+
+(* A peer shared by every node of a cluster: it runs each request directly
+   on the destination's backend in [servers] (filled in once every backend
+   exists) and records what it carried in [log], newest first. *)
+let loopback_peer servers log =
+  {
+    Backend_intf.rpc =
+      (fun ~dst ~cost ~reply_cost ~request_bytes ~reply_bytes serve ->
+        let reply = serve !servers.(dst) in
+        log :=
+          { dst; cost; bytes = request_bytes;
+            reply = Some (reply_cost, reply_bytes reply) }
+          :: !log;
+        reply);
+    post =
+      (fun ~dst ~cost ~payload_bytes serve ->
+        log := { dst; cost; bytes = payload_bytes; reply = None } :: !log;
+        serve !servers.(dst));
+  }
+
+(* The messages carried since the last call, oldest first. *)
+let take_sent log =
+  let sent = List.rev !log in
+  log := [];
+  sent
 
 type cluster = {
   region : Region.t;
@@ -24,6 +61,7 @@ type cluster = {
   shms : Shm.t array;
   lrcs : Lrc.t array;
   charged : float ref;
+  log : sent list ref;
 }
 
 (* [charge] runs after the [charged] tally; by default it does nothing,
@@ -43,23 +81,16 @@ let make_cluster ?strategy ?(charge = ignore) n =
     charged := !charged +. dt;
     charge dt
   in
+  let servers = ref [||] and log = ref [] in
+  let peer = loopback_peer servers log in
   let lrcs =
     Array.init n (fun me ->
         Lrc.create ~obs ~nodes:n ~me
           ~page_table:(Shm.page_table shms.(me))
-          ~costs:Cpu_cost.default ~charge ?strategy ())
+          ~costs:Cpu_cost.default ~charge ~peer ?strategy ())
   in
-  let transport =
-    {
-      Lrc.fetch_diffs = (fun ~dst req -> Lrc.serve_diffs lrcs.(dst) req);
-      fetch_intervals =
-        (fun ~dst ~have -> Lrc.serve_intervals lrcs.(dst) ~have);
-      fetch_page = (fun ~dst ~page -> Lrc.serve_page lrcs.(dst) ~page);
-      fetch_base = (fun ~dst ~page -> Lrc.serve_base lrcs.(dst) ~page);
-    }
-  in
-  Array.iter (fun l -> Lrc.set_transport l transport) lrcs;
-  { region; obs; shms; lrcs; charged }
+  servers := lrcs;
+  { region; obs; shms; lrcs; charged; log }
 
 (* Run [f] as the only fiber of a fresh engine and return its result. *)
 let in_engine f =
@@ -325,8 +356,6 @@ let test_metadata_gc () =
   List.iter (fun l -> Lrc.discard_before l snapshot) (Array.to_list c.lrcs);
   Alcotest.(check bool) "pressure dropped" true
     (Lrc.metadata_pressure c.lrcs.(0) < before);
-  Alcotest.(check bool) "the keeper serves a base" true
-    (Bytes.get_int64_le (Lrc.serve_base c.lrcs.(0) ~page:0).Lrc.data 0 = 5L);
   (* A diff of node 0 after the snapshot. *)
   Shm.write_i64 c.shms.(0) (at 3) 7;
   let _ = release c ~src:0 ~dst:1 in
@@ -478,21 +507,23 @@ let prop_false_sharing_slots =
 let test_serve_page_excludes_open_writes () =
   let c = make_cluster 2 in
   let a = slot c ~page:0 0 in
-  (* Released value 1; unreleased open-interval value 2. *)
-  Shm.write_i64 c.shms.(0) a 1;
-  let _ = release c ~src:0 ~dst:1 in
-  Shm.write_i64 c.shms.(0) a 2;
-  (match Lrc.serve_page c.lrcs.(0) ~page:0 with
-  | None -> Alcotest.fail "page should be servable"
-  | Some reply ->
-    (* The served copy is the clean snapshot: byte-granular diffs assume
-       the receiver's base matches the writer's twin, so unreleased
-       mid-interval writes must not leak. *)
-    Alcotest.(check int) "served copy excludes the unreleased write" 1
-      (Int64.to_int (Bytes.get_int64_le reply.Lrc.data 0)));
+  (* Four released values, enough missing intervals for node 1 to fetch
+     the whole page; then an unreleased open-interval value 9. *)
+  for i = 1 to 4 do
+    Shm.write_i64 c.shms.(0) a i;
+    ignore (release c ~src:0 ~dst:1)
+  done;
+  Shm.write_i64 c.shms.(0) a 9;
+  (* The served copy is the clean snapshot: byte-granular diffs assume
+     the receiver's base matches the writer's twin, so unreleased
+     mid-interval writes must not leak. *)
+  Alcotest.(check int) "served copy excludes the unreleased write" 4
+    (Shm.read_i64 c.shms.(1) a);
+  Alcotest.(check int) "served as a whole page" 1
+    (dsm_counter c ~node:1 "page_fetches");
   (* The open write is still published correctly at the next release. *)
   let _ = release c ~src:0 ~dst:1 in
-  Alcotest.(check int) "next release publishes it" 2
+  Alcotest.(check int) "next release publishes it" 9
     (Shm.read_i64 c.shms.(1) a)
 
 let test_concurrent_release_during_cpu_yield () =
@@ -809,7 +840,12 @@ let test_conformance_tsp () =
    network): success and failure paths, total-order stamping, replica
    convergence including the origin. *)
 
-type seq_cluster = { sregion : Region.t; sshms : Shm.t array; seqs : Seq.t array }
+type seq_cluster = {
+  sregion : Region.t;
+  sshms : Shm.t array;
+  seqs : Seq.t array;
+  slog : sent list ref;
+}
 
 let make_seq_cluster n =
   let sregion =
@@ -821,30 +857,19 @@ let make_seq_cluster n =
     Array.init n (fun _ -> Shm.create ~region:sregion ~noncoherent ())
   in
   let charge _ = () in
+  (* Direct-call wiring: the sequencer's pushes apply synchronously at
+     each replica before the RPC "reply" returns, which models the
+     shared-FIFO-channel guarantee of the full system. *)
+  let servers = ref [||] and slog = ref [] in
+  let peer = loopback_peer servers slog in
   let seqs =
     Array.init n (fun me ->
         Seq.create ~nodes:n ~me ~sequencer:0
           ~page_table:(Shm.page_table sshms.(me))
-          ~costs:Cpu_cost.default ~charge ())
+          ~costs:Cpu_cost.default ~charge ~peer ())
   in
-  (* Direct-call wiring: the sequencer's pushes apply synchronously at
-     each replica before the RPC "reply" returns, which models the
-     shared-FIFO-channel guarantee of the full system. *)
-  Seq.set_push seqs.(0) (fun ~dst entries -> Seq.apply_push seqs.(dst) entries);
-  Array.iteri
-    (fun me s ->
-      if me <> 0 then
-        Seq.set_transport s
-          {
-            Seq.sequence =
-              (fun diffs -> Seq.serve_sequence seqs.(0) ~origin:me diffs);
-            cas =
-              (fun ~page ~offset ~expected ~desired ->
-                Seq.serve_cas seqs.(0) ~origin:me ~page ~offset ~expected
-                  ~desired);
-          })
-    seqs;
-  { sregion; sshms; seqs }
+  servers := seqs;
+  { sregion; sshms; seqs; slog }
 
 let test_seq_cas () =
   let c = make_seq_cluster 3 in
@@ -891,6 +916,164 @@ let test_seq_cas_at_sequencer () =
   Array.iter
     (fun shm -> Alcotest.(check int) "pushed to replica" 42 (Shm.read_i64 shm addr))
     c.sshms
+
+(* ------------------------------------------------------------------ *)
+(* Wire sizes: one message of every kind each backend sends, through the
+   recording loopback peer.  Each expectation is the message's size
+   formula; a change to any of them fails here. *)
+
+module Central = Carlos_dsm.Central_backend
+
+let sent_t =
+  let pp ppf m =
+    Format.fprintf ppf "{dst %d; %s %d B; reply %s}" m.dst (Cost.name m.cost)
+      m.bytes
+      (match m.reply with
+      | None -> "none"
+      | Some (c, n) -> Printf.sprintf "%s %d B" (Cost.name c) n)
+  in
+  Alcotest.testable pp ( = )
+
+let rpc_sent ~dst cost bytes reply_cost reply_bytes =
+  { dst; cost; bytes; reply = Some (reply_cost, reply_bytes) }
+
+let post_sent ~dst cost bytes = { dst; cost; bytes; reply = None }
+
+let check_sent what log expected =
+  Alcotest.(check (list sent_t)) what expected (take_sent log)
+
+(* The page size of every test cluster. *)
+let page_size = 256
+
+(* The diff of one 8-byte write of [v] at [offset] onto a zero page. *)
+let write_diff ~offset v =
+  let twin = Bytes.make page_size '\000' in
+  let current = Bytes.copy twin in
+  Bytes.set_int64_le current offset (Int64.of_int v);
+  Diff.create ~page:0 ~twin ~current
+
+let test_lrc_wire_sizes () =
+  let c = make_cluster 2 in
+  (* A page reply is 8 + the page + the clock it covers. *)
+  let page_reply = 8 + page_size + (Vc.entry_bytes * 2) in
+  (* Diff fetch: 8 + per entry (4 + 8 per id); the reply is 8 + per entry
+     (8 + its diffs). *)
+  let a = slot c ~page:0 0 in
+  Shm.write_i64 c.shms.(0) a 42;
+  ignore (release c ~src:0 ~dst:1);
+  ignore (Shm.read_i64 c.shms.(1) a);
+  check_sent "diff fetch" c.log
+    [
+      rpc_sent ~dst:0 Cost.Diff_payload (8 + 4 + 8) Cost.Diff_payload
+        (8 + 8 + Diff.size_bytes (write_diff ~offset:0 42));
+    ];
+  (* Whole-page fetch: four missing intervals make node 1 ask for the
+     page. *)
+  let b = slot c ~page:1 0 in
+  for i = 1 to 4 do
+    Shm.write_i64 c.shms.(0) b i;
+    ignore (release c ~src:0 ~dst:1)
+  done;
+  ignore (Shm.read_i64 c.shms.(1) b);
+  check_sent "whole-page fetch" c.log
+    [ rpc_sent ~dst:0 Cost.Diff_payload 12 Cost.Diff_payload page_reply ];
+  (* Base refetch: after a GC node 1 rebuilds its dropped copy of page 2
+     from the keeper's base. *)
+  let d = slot c ~page:2 0 in
+  Shm.write_i64 c.shms.(0) d 11;
+  ignore (release c ~src:0 ~dst:1);
+  run_gc c;
+  ignore (take_sent c.log);
+  Alcotest.(check int) "base content" 11 (Shm.read_i64 c.shms.(1) d);
+  check_sent "base refetch" c.log
+    [ rpc_sent ~dst:0 Cost.Diff_payload 12 Cost.Diff_payload page_reply ]
+
+let test_lrc_interval_fetch_size () =
+  let c = make_cluster 3 in
+  Shm.write_i64 c.shms.(0) (slot c ~page:0 0) 10;
+  ignore (release c ~src:0 ~dst:1);
+  Shm.write_i64 c.shms.(1) (slot c ~page:1 0) 20;
+  let noted = ref [] in
+  Lrc.set_hooks c.lrcs.(1)
+    {
+      Lrc.no_hooks with
+      on_peer_note = (fun ~node:_ ~peer ~vc:_ -> noted := peer :: !noted);
+    };
+  (* Node 2 accepts a non-transitive release of node 1 naming node 0's
+     interval, whose description it fetches from node 1. *)
+  let pb = Lrc.make_piggyback c.lrcs.(1) ~receiver:2 ~nontransitive:true in
+  ignore (take_sent c.log);
+  Lrc.accept c.lrcs.(2) [ pb ];
+  (* Request: 8 + a clock.  Reply: 8 + per interval (a clock + 4 + 4 per
+     write notice); node 2 lacks both intervals, one write notice each. *)
+  let interval = (Vc.entry_bytes * 3) + 4 + 4 in
+  check_sent "interval fetch" c.log
+    [
+      rpc_sent ~dst:1 Cost.Vc_entries
+        (8 + (Vc.entry_bytes * 3))
+        Cost.Write_notices
+        (8 + (2 * interval));
+    ];
+  Alcotest.(check (list int)) "the server learned the requester's clock"
+    [ 2 ] !noted
+
+let test_central_wire_sizes () =
+  let region =
+    Region.create ~page_size ~private_bytes:256 ~noncoherent_bytes:256
+      ~coherent_pages:8 ()
+  in
+  let noncoherent = Bytes.make 256 '\000' in
+  let shms = Array.init 2 (fun _ -> Shm.create ~region ~noncoherent ()) in
+  let servers = ref [||] and log = ref [] in
+  let peer = loopback_peer servers log in
+  let cs =
+    Array.init 2 (fun me ->
+        Central.create ~nodes:2 ~me ~home:0
+          ~page_table:(Shm.page_table shms.(me))
+          ~costs:Cpu_cost.default ~charge:ignore ~peer ())
+  in
+  servers := cs;
+  let a = Region.coherent_addr region ~page:0 ~offset:0 in
+  (* Read fault: an acquire drops node 1's cached copies, so the read
+     fetches the page and its version from home. *)
+  Central.accept cs.(1)
+    [ Central.make_piggyback cs.(0) ~receiver:1 ~nontransitive:false ];
+  ignore (Shm.read_i64 shms.(1) a);
+  check_sent "read fault" log
+    [ rpc_sent ~dst:0 Cost.Diff_payload 12 Cost.Diff_payload (12 + page_size) ];
+  (* Flush: 8 + the diffs, answered with 8 bytes. *)
+  Shm.write_i64 shms.(1) a 42;
+  ignore (Central.make_piggyback cs.(1) ~receiver:0 ~nontransitive:false);
+  check_sent "flush" log
+    [
+      rpc_sent ~dst:0 Cost.Diff_payload
+        (8 + Diff.size_bytes (write_diff ~offset:0 42))
+        Cost.Diff_payload 8;
+    ]
+
+let test_seq_wire_sizes () =
+  let c = make_seq_cluster 3 in
+  (* A flush: 8 + the diffs, answered with the last stamp (12 bytes).
+     The sequencer pushes the stamped diff to both replicas before it
+     replies: 8 + per entry (16 + the diff). *)
+  let diff = Diff.size_bytes (write_diff ~offset:0 42) in
+  Shm.write_i64 c.sshms.(1) (Region.coherent_addr c.sregion ~page:0 ~offset:0) 42;
+  ignore (Seq.make_piggyback c.seqs.(1) ~receiver:0 ~nontransitive:false);
+  check_sent "flush and its pushes" c.slog
+    [
+      post_sent ~dst:1 Cost.Diff_payload (8 + 16 + diff);
+      post_sent ~dst:2 Cost.Diff_payload (8 + 16 + diff);
+      rpc_sent ~dst:0 Cost.Diff_payload (8 + diff) Cost.Diff_payload 12;
+    ];
+  (* A CAS: 32 bytes, answered with 16, billed as lock protocol; its
+     patch is pushed to both replicas: 8 + 16 + 8 + the 8-byte value. *)
+  ignore (Seq.cas c.seqs.(2) ~page:0 ~offset:8 ~expected:0 ~desired:7);
+  check_sent "cas and its pushes" c.slog
+    [
+      post_sent ~dst:1 Cost.Diff_payload (8 + 16 + 8 + 8);
+      post_sent ~dst:2 Cost.Diff_payload (8 + 16 + 8 + 8);
+      rpc_sent ~dst:0 Cost.Lock_proto 32 Cost.Lock_proto 16;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* LRC metadata: the causal order and the interval log *)
@@ -1231,6 +1414,13 @@ let () =
           Alcotest.test_case "total order + convergence" `Quick test_seq_cas;
           Alcotest.test_case "sequencer-local cas" `Quick
             test_seq_cas_at_sequencer;
+        ] );
+      ( "wire-sizes",
+        [
+          loopback "lrc diff, page and base fetches" test_lrc_wire_sizes;
+          loopback "lrc interval fetch" test_lrc_interval_fetch_size;
+          loopback "central read fault and flush" test_central_wire_sizes;
+          loopback "seq flush, cas and pushes" test_seq_wire_sizes;
         ] );
       ( "lrc-properties",
         qcheck [ prop_lock_chain_counter; prop_false_sharing_slots ] );

@@ -496,27 +496,6 @@ let test_semaphore_counting () =
   Alcotest.(check (list (float 1e-9))) "two at a time" [ 1.0; 1.0; 2.0; 2.0 ]
     (List.sort compare !finish_times)
 
-let test_gate_broadcast () =
-  let eng = Engine.create () in
-  let gate = Resource.Gate.create () in
-  let woken = ref 0 in
-  for _ = 1 to 5 do
-    Engine.spawn eng (fun () ->
-        Resource.Gate.await gate;
-        incr woken)
-  done;
-  Engine.spawn eng (fun () ->
-      Engine.delay 1.0;
-      Resource.Gate.open_gate gate);
-  Engine.run eng;
-  Alcotest.(check int) "all woken" 5 !woken;
-  (* Await after open does not block. *)
-  let eng2 = Engine.create () in
-  Engine.spawn eng2 (fun () -> Resource.Gate.await gate);
-  Engine.run eng2
-
-(* ------------------------------------------------------------------ *)
-
 (* ------------------------------------------------------------------ *)
 (* Profiler *)
 
@@ -640,6 +619,5 @@ let () =
           Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "semaphore counting" `Quick
             test_semaphore_counting;
-          Alcotest.test_case "gate broadcast" `Quick test_gate_broadcast;
         ] );
     ]
