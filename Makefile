@@ -28,7 +28,7 @@ soak-check: build
 	@test/soak.sh 1..200 test/soak_expected.txt
 
 # Run every app under the online consistency auditor on every backend;
-# fails on any violation (same matrix as the CI consistency-audit job).
+# fails on any violation (the CI consistency-audit job runs this target).
 # Each backend enables its own invariant set in the auditor.
 audit: build
 	@for backend in lrc central seq; do \

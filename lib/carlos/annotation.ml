@@ -5,5 +5,3 @@ let to_string = function
   | Release_nt -> "RELEASE_NT"
   | Request -> "REQUEST"
   | None_ -> "NONE"
-
-let all = [ Release; Release_nt; Request; None_ ]

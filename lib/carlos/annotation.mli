@@ -17,6 +17,3 @@
 type t = Release | Release_nt | Request | None_
 
 val to_string : t -> string
-
-(** All four annotations, for exhaustive sweeps in tests and benches. *)
-val all : t list

@@ -47,7 +47,6 @@ type cpu = {
 
 type t = {
   id : int;
-  nodes : int;
   engine : Engine.t;
   shm : Shm.t;
   backend : Backend.t;
@@ -91,8 +90,6 @@ and disposition = Undecided | Stored | Accepted | Forwarded
 and handler = t -> delivery -> unit
 
 let id t = t.id
-
-let node_count t = t.nodes
 
 let engine t = t.engine
 
@@ -303,8 +300,8 @@ let send ?cost t ~dst ~annotation ~payload_bytes ~handler =
     ~handler
 
 (* One-way system-lane control message: runs at the destination's
-   interrupt level with no reply (the sequencer backend's update pushes
-   use this). *)
+   interrupt level with no reply (the peer channel's [post], which the
+   sequencer backend's update pushes use). *)
 let post ?cost t ~dst ~payload_bytes ~handler =
   send_internal ?cost t ~dst ~lane:System_lane ~annotation:Annotation.None_
     ~payload_bytes ~handler
@@ -563,7 +560,6 @@ let make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy =
   let t =
     {
       id;
-      nodes;
       engine;
       shm;
       backend;

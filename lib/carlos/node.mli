@@ -36,8 +36,6 @@ exception Handler_error of string
 
 val id : t -> int
 
-val node_count : t -> int
-
 val engine : t -> Carlos_sim.Engine.t
 
 val shm : t -> Carlos_vm.Shm.t
@@ -66,17 +64,6 @@ val send :
   t ->
   dst:int ->
   annotation:Annotation.t ->
-  payload_bytes:int ->
-  handler:handler ->
-  unit
-
-(** One-way system-lane control message with no consistency annotation:
-    the handler runs at the destination's interrupt level and must not
-    block (the sequencer backend's update pushes use this). *)
-val post :
-  ?cost:Carlos_obs.Cost.component ->
-  t ->
-  dst:int ->
   payload_bytes:int ->
   handler:handler ->
   unit
@@ -145,11 +132,12 @@ val await : t -> 'a Carlos_sim.Resource.Ivar.t -> 'a
 
 (** [make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy] builds
     node [id] running a [backend] instance ([strategy] applies to LRC),
-    whose peer channel sends through this node's {!rpc} and {!post}.  All
-    accounting (message counters, Figure 2 time gauges, protocol and
-    page-fault counters, registered by their owners) lands in [obs].  The
-    message counters are the [Carlos]-layer [msgs.*] counters of node [id]
-    ([msgs.sent], [msgs.bytes], [msgs.release], ...); read them by key. *)
+    whose peer channel sends through this node's {!rpc} and its one-way
+    system-lane messages.  All accounting (message counters, Figure 2 time
+    gauges, protocol and page-fault counters, registered by their owners)
+    lands in [obs].  The message counters are the [Carlos]-layer [msgs.*]
+    counters of node [id] ([msgs.sent], [msgs.bytes], [msgs.release],
+    ...); read them by key. *)
 val make :
   obs:Carlos_obs.Obs.t ->
   id:int ->

@@ -4,10 +4,8 @@ module Ivar = Carlos_sim.Resource.Ivar
 module Medium = Carlos_net.Medium
 module Datagram = Carlos_net.Datagram
 module Sliding_window = Carlos_net.Sliding_window
-module Region = Carlos_vm.Region
 module Shm = Carlos_vm.Shm
 module Page = Carlos_vm.Page
-module Page_table = Carlos_vm.Page_table
 module Alloc = Carlos_vm.Alloc
 module Vc = Carlos_dsm.Vc
 module Cpu_cost = Carlos_dsm.Cpu_cost
@@ -23,8 +21,6 @@ type config = {
   nodes : int;
   page_size : int;
   coherent_pages : int;
-  private_bytes : int;
-  noncoherent_bytes : int;
   latency : float;
   bandwidth : float;
   window : int;
@@ -42,8 +38,6 @@ let default_config ~nodes =
     nodes;
     page_size = 4096;
     coherent_pages = 512;
-    private_bytes = 1 lsl 20;
-    noncoherent_bytes = 1 lsl 20;
     latency = 1e-4;
     bandwidth = 1.25e6;
     window = 8;
@@ -93,7 +87,6 @@ type t = {
   engine : Engine.t;
   medium : Node.wire Sliding_window.frame Medium.t;
   sw : Node.wire Sliding_window.t;
-  region : Region.t;
   nodes : Node.t array;
   coherent_alloc : Alloc.t;
   gc : gc_state;
@@ -126,15 +119,7 @@ let alloc t ?align n = Alloc.alloc t.coherent_alloc ?align n
 (* Write into every node's page frame, bypassing fault handling: models
    identical input data loaded locally on every node. *)
 let preload_bytes t addr src =
-  Array.iter
-    (fun node ->
-      let shm = Node.shm node in
-      match Region.locate t.region addr with
-      | Region.Coherent { page; offset } ->
-        Page.patch (Page_table.page (Shm.page_table shm) page) ~offset src
-      | Region.Private _ | Region.Noncoherent _ ->
-        invalid_arg "System.preload: address not in the coherent region")
-    t.nodes
+  Array.iter (fun node -> Shm.patch_bytes (Node.shm node) addr src) t.nodes
 
 let preload_i64 t addr v =
   let b = Bytes.create 8 in
@@ -273,17 +258,12 @@ let create ?(audit = false) (cfg : config) =
     Sliding_window.create ~ack_every:4 ~ack_delay:0.005 ~rto_margin:2.0 engine
       datagram ~window:cfg.window ~rto:cfg.rto
   in
-  let region =
-    Region.create ~page_size:cfg.page_size ~private_bytes:cfg.private_bytes
-      ~noncoherent_bytes:cfg.noncoherent_bytes ~coherent_pages:cfg.coherent_pages
-      ()
-  in
-  let noncoherent = Bytes.make cfg.noncoherent_bytes '\000' in
   let twin_pool = Page.create_twin_pool () in
   let nodes =
     Array.init cfg.nodes (fun id ->
         let shm =
-          Shm.create ~obs ~node:id ~twin_pool ~region ~noncoherent ()
+          Shm.create ~obs ~node:id ~twin_pool ~page_size:cfg.page_size
+            ~pages:cfg.coherent_pages ()
         in
         Node.make ~obs ~id ~nodes:cfg.nodes ~engine ~shm ~costs:cfg.costs
           ~backend:cfg.backend ~strategy:cfg.strategy)
@@ -297,11 +277,9 @@ let create ?(audit = false) (cfg : config) =
       engine;
       medium;
       sw;
-      region;
       nodes;
       coherent_alloc =
-        Alloc.create ~base:(Region.coherent_base region)
-          ~size:(cfg.coherent_pages * cfg.page_size);
+        Alloc.create ~base:Shm.base ~size:(cfg.coherent_pages * cfg.page_size);
       gc =
         {
           in_progress = false;

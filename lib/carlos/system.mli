@@ -3,8 +3,9 @@
     A [System.t] is one simulated CarlOS cluster: the virtual-time engine,
     the shared Ethernet segment with the UDP-like datagram service and the
     sliding-window reliable transport, one {!Node.t} per workstation with
-    its consistency backend (which sends its own messages through the
-    node), a shared-region allocator, and
+    its view of the coherent region ({!Carlos_vm.Shm}, the only simulated
+    address space) and its consistency backend (which sends its own
+    messages through the node), an allocator for the coherent region, and
     the global garbage collector for consistency metadata (paper §5.2
     footnote 5).
 
@@ -20,8 +21,6 @@ type config = {
   nodes : int;
   page_size : int;
   coherent_pages : int;
-  private_bytes : int;
-  noncoherent_bytes : int;
   latency : float; (* seconds, wire propagation + interrupt *)
   bandwidth : float; (* bytes per second (10 Mbit/s Ethernet = 1.25e6) *)
   window : int; (* sliding-window size *)

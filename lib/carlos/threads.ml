@@ -9,8 +9,6 @@ type t = {
 
 let create node = { node; live = 0; joiners = [] }
 
-let node t = t.node
-
 let finish t =
   t.live <- t.live - 1;
   if t.live = 0 then begin

@@ -18,8 +18,6 @@ type t
 (** A thread pool bound to one node. *)
 val create : Node.t -> t
 
-val node : t -> Node.t
-
 (** Start a thread.  Threads run cooperatively; they interleave at
     blocking points (faults, message waits, [yield]). *)
 val spawn : t -> (unit -> unit) -> unit

@@ -1,34 +1,39 @@
-(** One node's view of the CarlOS address space, with typed accessors.
+(** The coherent shared region (paper §4.1) as one node sees it, with
+    typed accessors.  It is the whole address space: node-local data,
+    threads and rendezvous state are OCaml values, not simulated memory.
 
-    Every access to the coherent region consults the node's page table and
+    The region starts at the fixed address {!base} so that a pointer
+    stored in shared memory means the same thing on every node, and is
+    divided into pages.  Every access consults the node's page table and
     takes simulated protection faults, which is where the consistency
-    protocol hooks in.  Multi-byte accessors require natural alignment so
-    that no access straddles a page boundary.
-
-    The non-coherent shared region is backed by a single byte array shared
-    by every node view: address mappings are consistent but no coherency is
-    maintained — exactly the paper's §4.1 middle region.
-
-    The private segment is allocated on its first access; until then a
-    view holds no private memory. *)
+    protocol hooks in.  An address outside the region raises
+    [Invalid_argument] (a segmentation violation).  Multi-byte accessors
+    require natural alignment so that no access straddles a page
+    boundary. *)
 
 type t
 
-(** [create ?obs ?node ?twin_pool ~region ~noncoherent ()] builds a node
-    view.  [noncoherent] is the backing store shared between all views of
-    one cluster, and so is [twin_pool] (a fresh private pool by default);
-    [obs]/[node] locate the page table's fault counters in the
-    observability registry. *)
+(** Address of the region's first byte. *)
+val base : int
+
+(** [create ?obs ?node ?twin_pool ~page_size ~pages ()] builds a node
+    view of a [pages]-page region.  [page_size] must be a positive power
+    of two.  [twin_pool] is shared between all views of one cluster (a
+    fresh private pool by default); [obs]/[node] locate the page table's
+    fault counters in the observability registry. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   ?node:int ->
   ?twin_pool:Page.twin_pool ->
-  region:Region.t ->
-  noncoherent:Bytes.t ->
+  page_size:int ->
+  pages:int ->
   unit ->
   t
 
 val page_table : t -> Page_table.t
+
+(** Address of byte [offset] of page [page]. *)
+val addr : t -> page:int -> offset:int -> int
 
 (** {1 Byte accessors} *)
 
@@ -57,7 +62,11 @@ val read_f64_into : t -> int -> float array -> int -> unit
 
 val write_f64 : t -> int -> float -> unit
 
-(** {1 Bulk access} (must not cross a page boundary in the coherent
-    region) *)
+(** {1 Bulk access} (a span must not cross a page boundary) *)
 
 val write_bytes : t -> int -> Bytes.t -> unit
+
+(** Write [src] at an address without taking faults, into the live data
+    and, when the page is write-enabled, its twin (see {!Page.patch}):
+    input data every node would load from disk. *)
+val patch_bytes : t -> int -> Bytes.t -> unit

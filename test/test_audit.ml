@@ -21,8 +21,6 @@ let test_config ?(nodes = 4) () =
     (System.default_config ~nodes) with
     System.page_size = 512;
     coherent_pages = 32;
-    private_bytes = 4096;
-    noncoherent_bytes = 4096;
   }
 
 let make ?nodes () = System.create ~audit:true (test_config ?nodes ())

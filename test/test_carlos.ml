@@ -6,7 +6,6 @@
 module Engine = Carlos_sim.Engine
 module Vc = Carlos_dsm.Vc
 module Lrc = Carlos_dsm.Lrc_backend
-module Region = Carlos_vm.Region
 module Shm = Carlos_vm.Shm
 module Annotation = Carlos.Annotation
 module Node = Carlos.Node
@@ -22,8 +21,6 @@ let test_config ?(nodes = 4) () =
     (System.default_config ~nodes) with
     System.page_size = 512;
     coherent_pages = 32;
-    private_bytes = 4096;
-    noncoherent_bytes = 4096;
   }
 
 let make ?nodes () = System.create (test_config ?nodes ())

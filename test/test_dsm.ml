@@ -7,7 +7,6 @@
    construction, acceptance, diff fetching, the multiple-writer protocol,
    the non-transitive path, and metadata garbage collection. *)
 
-module Region = Carlos_vm.Region
 module Page = Carlos_vm.Page
 module Page_table = Carlos_vm.Page_table
 module Shm = Carlos_vm.Shm
@@ -56,7 +55,6 @@ let take_sent log =
   sent
 
 type cluster = {
-  region : Region.t;
   obs : Obs.t; (* one registry, instruments keyed by node *)
   shms : Shm.t array;
   lrcs : Lrc.t array;
@@ -67,14 +65,9 @@ type cluster = {
 (* [charge] runs after the [charged] tally; by default it does nothing,
    so protocol work takes no time and never yields. *)
 let make_cluster ?strategy ?(charge = ignore) n =
-  let region =
-    Region.create ~page_size:256 ~private_bytes:256 ~noncoherent_bytes:256
-      ~coherent_pages:8 ()
-  in
-  let noncoherent = Bytes.make 256 '\000' in
   let obs = Obs.create () in
   let shms =
-    Array.init n (fun node -> Shm.create ~obs ~node ~region ~noncoherent ())
+    Array.init n (fun node -> Shm.create ~obs ~node ~page_size:256 ~pages:8 ())
   in
   let charged = ref 0.0 in
   let charge dt =
@@ -90,7 +83,7 @@ let make_cluster ?strategy ?(charge = ignore) n =
           ~costs:Cpu_cost.default ~charge ~peer ?strategy ())
   in
   servers := lrcs;
-  { region; obs; shms; lrcs; charged; log }
+  { obs; shms; lrcs; charged; log }
 
 (* Run [f] as the only fiber of a fresh engine and return its result. *)
 let in_engine f =
@@ -104,7 +97,7 @@ let in_engine f =
 let loopback name f = Alcotest.test_case name `Quick (fun () -> in_engine f)
 
 (* Address of slot [i] (8 bytes each) on coherent page [page]. *)
-let slot c ~page i = Region.coherent_addr c.region ~page ~offset:(8 * i)
+let slot c ~page i = Shm.addr c.shms.(0) ~page ~offset:(8 * i)
 
 (* Model a synchronizing message from [src] to [dst]. *)
 let release c ~src ~dst =
@@ -841,21 +834,13 @@ let test_conformance_tsp () =
    convergence including the origin. *)
 
 type seq_cluster = {
-  sregion : Region.t;
   sshms : Shm.t array;
   seqs : Seq.t array;
   slog : sent list ref;
 }
 
 let make_seq_cluster n =
-  let sregion =
-    Region.create ~page_size:256 ~private_bytes:256 ~noncoherent_bytes:256
-      ~coherent_pages:8 ()
-  in
-  let noncoherent = Bytes.make 256 '\000' in
-  let sshms =
-    Array.init n (fun _ -> Shm.create ~region:sregion ~noncoherent ())
-  in
+  let sshms = Array.init n (fun _ -> Shm.create ~page_size:256 ~pages:8 ()) in
   let charge _ = () in
   (* Direct-call wiring: the sequencer's pushes apply synchronously at
      each replica before the RPC "reply" returns, which models the
@@ -869,11 +854,11 @@ let make_seq_cluster n =
           ~costs:Cpu_cost.default ~charge ~peer ())
   in
   servers := seqs;
-  { sregion; sshms; seqs; slog }
+  { sshms; seqs; slog }
 
 let test_seq_cas () =
   let c = make_seq_cluster 3 in
-  let addr = Region.coherent_addr c.sregion ~page:0 ~offset:0 in
+  let addr = Shm.addr c.sshms.(0) ~page:0 ~offset:0 in
   (* Fresh pages read as zeros: CAS 0 -> 7 from node 1 succeeds. *)
   let ok, observed =
     Seq.cas c.seqs.(1) ~page:0 ~offset:0 ~expected:0 ~desired:7
@@ -910,7 +895,7 @@ let test_seq_cas () =
 
 let test_seq_cas_at_sequencer () =
   let c = make_seq_cluster 2 in
-  let addr = Region.coherent_addr c.sregion ~page:0 ~offset:8 in
+  let addr = Shm.addr c.sshms.(0) ~page:0 ~offset:8 in
   let ok, _ = Seq.cas c.seqs.(0) ~page:0 ~offset:8 ~expected:0 ~desired:42 in
   Alcotest.(check bool) "sequencer-local cas succeeds" true ok;
   Array.iter
@@ -1018,12 +1003,7 @@ let test_lrc_interval_fetch_size () =
     [ 2 ] !noted
 
 let test_central_wire_sizes () =
-  let region =
-    Region.create ~page_size ~private_bytes:256 ~noncoherent_bytes:256
-      ~coherent_pages:8 ()
-  in
-  let noncoherent = Bytes.make 256 '\000' in
-  let shms = Array.init 2 (fun _ -> Shm.create ~region ~noncoherent ()) in
+  let shms = Array.init 2 (fun _ -> Shm.create ~page_size ~pages:8 ()) in
   let servers = ref [||] and log = ref [] in
   let peer = loopback_peer servers log in
   let cs =
@@ -1033,7 +1013,7 @@ let test_central_wire_sizes () =
           ~costs:Cpu_cost.default ~charge:ignore ~peer ())
   in
   servers := cs;
-  let a = Region.coherent_addr region ~page:0 ~offset:0 in
+  let a = Shm.addr shms.(0) ~page:0 ~offset:0 in
   (* Read fault: an acquire drops node 1's cached copies, so the read
      fetches the page and its version from home. *)
   Central.accept cs.(1)
@@ -1057,7 +1037,7 @@ let test_seq_wire_sizes () =
      The sequencer pushes the stamped diff to both replicas before it
      replies: 8 + per entry (16 + the diff). *)
   let diff = Diff.size_bytes (write_diff ~offset:0 42) in
-  Shm.write_i64 c.sshms.(1) (Region.coherent_addr c.sregion ~page:0 ~offset:0) 42;
+  Shm.write_i64 c.sshms.(1) (Shm.addr c.sshms.(1) ~page:0 ~offset:0) 42;
   ignore (Seq.make_piggyback c.seqs.(1) ~receiver:0 ~nontransitive:false);
   check_sent "flush and its pushes" c.slog
     [

@@ -1,55 +1,59 @@
-(* Tests for the simulated paged memory: regions, pages/twins, diffs, page
-   tables, typed shared-memory access, allocator. *)
+(* Tests for the simulated paged memory: the region layout, pages/twins,
+   diffs, page tables, typed shared-memory access, allocator. *)
 
-module Region = Carlos_vm.Region
 module Page = Carlos_vm.Page
 module Diff = Carlos_vm.Diff
 module Page_table = Carlos_vm.Page_table
 module Shm = Carlos_vm.Shm
 module Alloc = Carlos_vm.Alloc
 
-let small_region () =
-  Region.create ~page_size:256 ~private_bytes:1024 ~noncoherent_bytes:1024
-    ~coherent_pages:8 ()
+(* A view of eight 256-byte pages, with identity fault handlers good
+   enough for access tests. *)
+let make_shm () =
+  let shm = Shm.create ~page_size:256 ~pages:8 () in
+  let pt = Shm.page_table shm in
+  Page_table.set_read_fault pt (fun i -> Page.validate (Page_table.page pt i));
+  Page_table.set_write_fault pt (fun i -> Page.make_twin (Page_table.page pt i));
+  shm
+
+(* Byte [offset] of page [page], read from the page itself. *)
+let page_byte shm ~page ~offset =
+  let pt = Shm.page_table shm in
+  Char.code (Bytes.get (Page.data (Page_table.page pt page)) offset)
 
 (* ------------------------------------------------------------------ *)
 (* Region *)
 
 let test_region_locate () =
-  let r = small_region () in
-  (match Region.locate r (Region.private_base r + 5) with
-  | Region.Private 5 -> ()
-  | _ -> Alcotest.fail "private");
-  (match Region.locate r (Region.noncoherent_base r + 100) with
-  | Region.Noncoherent 100 -> ()
-  | _ -> Alcotest.fail "noncoherent");
-  match Region.locate r (Region.coherent_base r + 300) with
-  | Region.Coherent { page = 1; offset = 44 } -> ()
-  | _ -> Alcotest.fail "coherent"
+  let shm = make_shm () in
+  Shm.write_u8 shm (Shm.base + 300) 7;
+  Alcotest.(check int) "page 1, offset 44" 7 (page_byte shm ~page:1 ~offset:44)
 
 let test_region_segv () =
-  let r = small_region () in
+  let shm = make_shm () in
   let expect_segv addr =
-    match Region.locate r addr with
+    (match Shm.read_u8 shm addr with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected segmentation violation"
+    | _ -> Alcotest.fail "read: expected segmentation violation");
+    match Shm.write_u8 shm addr 1 with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.fail "write: expected segmentation violation"
   in
   expect_segv 0;
-  expect_segv (Region.private_base r + 1024);
-  expect_segv (Region.coherent_base r + (8 * 256))
+  expect_segv (Shm.base - 1);
+  expect_segv (Shm.base + (8 * 256))
 
 let test_region_coherent_addr () =
-  let r = small_region () in
-  let addr = Region.coherent_addr r ~page:2 ~offset:10 in
-  match Region.locate r addr with
-  | Region.Coherent { page = 2; offset = 10 } -> ()
-  | _ -> Alcotest.fail "roundtrip"
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:2 ~offset:10 in
+  Shm.write_u8 shm addr 9;
+  Alcotest.(check int) "page 2, offset 10" 9 (page_byte shm ~page:2 ~offset:10);
+  match Shm.addr shm ~page:8 ~offset:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "page past the region accepted"
 
 let test_region_bad_page_size () =
-  match
-    Region.create ~page_size:100 ~private_bytes:0 ~noncoherent_bytes:0
-      ~coherent_pages:1 ()
-  with
+  match Shm.create ~page_size:100 ~pages:1 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non power of two accepted"
 
@@ -437,25 +441,9 @@ let test_page_table_broken_handler_detected () =
 (* ------------------------------------------------------------------ *)
 (* Shm *)
 
-let make_shm () =
-  let region = small_region () in
-  let noncoherent = Bytes.make (Region.noncoherent_bytes region) '\000' in
-  let shm = Shm.create ~region ~noncoherent () in
-  (* Identity fault handlers good enough for access tests. *)
-  let pt = Shm.page_table shm in
-  Page_table.set_read_fault pt (fun i -> Page.validate (Page_table.page pt i));
-  Page_table.set_write_fault pt (fun i -> Page.make_twin (Page_table.page pt i));
-  (region, shm)
-
-let test_shm_private_rw () =
-  let region, shm = make_shm () in
-  let addr = Region.private_base region + 16 in
-  Shm.write_i64 shm addr 12345;
-  Alcotest.(check int) "i64 roundtrip" 12345 (Shm.read_i64 shm addr)
-
 let test_shm_coherent_rw () =
-  let region, shm = make_shm () in
-  let addr = Region.coherent_addr region ~page:3 ~offset:8 in
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:3 ~offset:8 in
   Shm.write_f64 shm addr 3.25;
   let dst = Array.make 1 0.0 in
   Shm.read_f64_into shm addr dst 0;
@@ -464,8 +452,8 @@ let test_shm_coherent_rw () =
 (* [read_f64_into] on a valid page stores the double unboxed: no words
    allocated per read. *)
 let test_shm_read_f64_into_allocation () =
-  let region, shm = make_shm () in
-  let addr = Region.coherent_addr region ~page:3 ~offset:8 in
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:3 ~offset:8 in
   Shm.write_f64 shm addr 3.25;
   let dst = Array.make 2 0.0 in
   Shm.read_f64_into shm addr dst 1;
@@ -478,32 +466,41 @@ let test_shm_read_f64_into_allocation () =
   let w = (Gc.minor_words () -. before) /. float_of_int n in
   if w > 0.0 then Alcotest.failf "read_f64_into allocates %.2f words" w
 
-let test_shm_noncoherent_shared_between_views () =
-  let region = small_region () in
-  let noncoherent = Bytes.make (Region.noncoherent_bytes region) '\000' in
-  let a = Shm.create ~region ~noncoherent () in
-  let b = Shm.create ~region ~noncoherent () in
-  let addr = Region.noncoherent_base region + 8 in
-  Shm.write_i64 a addr 77;
-  Alcotest.(check int) "visible in the other view" 77 (Shm.read_i64 b addr)
-
 let test_shm_unaligned_rejected () =
-  let region, shm = make_shm () in
-  let addr = Region.private_base region + 3 in
-  match Shm.read_i64 shm addr with
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:0 ~offset:4 in
+  (match Shm.read_i64 shm addr with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unaligned accepted"
+  | _ -> Alcotest.fail "unaligned read accepted");
+  match Shm.write_i32 shm (addr + 2) 1 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "unaligned write accepted"
+
+let test_shm_out_of_range_rejected () =
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:1 ~offset:8 in
+  let expect_reject name write =
+    match write () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted" name
+  in
+  expect_reject "u8 256" (fun () -> Shm.write_u8 shm addr 256);
+  expect_reject "u8 -1" (fun () -> Shm.write_u8 shm addr (-1));
+  expect_reject "i32 2^31" (fun () -> Shm.write_i32 shm addr (1 lsl 31))
 
 let test_shm_bulk_cross_page_rejected () =
-  let region, shm = make_shm () in
-  let addr = Region.coherent_addr region ~page:0 ~offset:250 in
-  match Shm.write_bytes shm addr (Bytes.make 16 'x') with
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:0 ~offset:250 in
+  (match Shm.write_bytes shm addr (Bytes.make 16 'x') with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "cross-page bulk write accepted"
+  | () -> Alcotest.fail "cross-page bulk write accepted");
+  match Shm.patch_bytes shm addr (Bytes.make 16 'x') with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "cross-page patch accepted"
 
 let test_shm_u8 () =
-  let region, shm = make_shm () in
-  let addr = Region.coherent_addr region ~page:1 ~offset:13 in
+  let shm = make_shm () in
+  let addr = Shm.addr shm ~page:1 ~offset:13 in
   Shm.write_u8 shm addr 200;
   Alcotest.(check int) "u8" 200 (Shm.read_u8 shm addr)
 
@@ -584,18 +581,13 @@ let prop_frames_on_first_touch =
     (fun ops ->
       let twin_pool = Page.create_twin_pool () in
       let view ~page_size ~pages =
-        let region =
-          Region.create ~page_size ~private_bytes:64 ~noncoherent_bytes:64
-            ~coherent_pages:pages ()
-        in
-        let noncoherent = Bytes.make 64 '\000' in
-        let shm = Shm.create ~twin_pool ~region ~noncoherent () in
+        let shm = Shm.create ~twin_pool ~page_size ~pages () in
         let pt = Shm.page_table shm in
         Page_table.set_read_fault pt (fun i ->
             Page.validate (Page_table.page pt i));
         Page_table.set_write_fault pt (fun i ->
             Page.make_twin (Page_table.page pt i));
-        (region, shm)
+        shm
       in
       let views =
         [|
@@ -604,15 +596,15 @@ let prop_frames_on_first_touch =
           view ~page_size:32 ~pages:2;
         |]
       in
-      let shm p = snd views.(fst frame_pages.(p)) in
+      let shm p = views.(fst frame_pages.(p)) in
       let page p =
         Page_table.page (Shm.page_table (shm p)) (snd frame_pages.(p))
       in
       let addr p off =
         let v, i = frame_pages.(p) in
-        Region.coherent_addr (fst views.(v)) ~page:i ~offset:off
+        Shm.addr views.(v) ~page:i ~offset:off
       in
-      let size p = Region.page_size (fst views.(fst frame_pages.(p))) in
+      let size p = Page_table.page_size (Shm.page_table (shm p)) in
       let zero_frame size = Page.data (Page.create ~twin_pool ~size) in
       let model =
         Array.init (Array.length frame_pages) (fun p ->
@@ -759,17 +751,15 @@ let prop_frames_on_first_touch =
         [ 32; 64 ])
 
 (* Setting up grid-32 (32 nodes, [Grid.config]) must not allocate every
-   node's address space up front: an eager simulator reaches a private
-   segment and a frame for every coherent page on every node. *)
+   node's address space up front: an eager simulator reaches a frame for
+   every coherent page on every node. *)
 let test_system_create_footprint () =
   let nodes = 32 in
   let cfg = Carlos_apps.Grid.config ~nodes Carlos_apps.Grid.default_params in
   let sys = Carlos.System.create cfg in
-  let eager_bytes =
-    let open Carlos.System in
-    nodes * ((cfg.coherent_pages * cfg.page_size) + cfg.private_bytes)
+  let eager =
+    nodes * cfg.coherent_pages * cfg.page_size / (Sys.word_size / 8)
   in
-  let eager = eager_bytes / (Sys.word_size / 8) in
   let reached = Obj.reachable_words (Obj.repr sys) in
   if reached >= eager / 4 then
     Alcotest.failf "System.create reaches %d words, eager layout %d" reached
@@ -884,12 +874,11 @@ let () =
         ] );
       ( "shm",
         [
-          Alcotest.test_case "private rw" `Quick test_shm_private_rw;
           Alcotest.test_case "coherent rw" `Quick test_shm_coherent_rw;
-          Alcotest.test_case "noncoherent shared" `Quick
-            test_shm_noncoherent_shared_between_views;
           Alcotest.test_case "unaligned rejected" `Quick
             test_shm_unaligned_rejected;
+          Alcotest.test_case "out-of-range values rejected" `Quick
+            test_shm_out_of_range_rejected;
           Alcotest.test_case "bulk cross-page rejected" `Quick
             test_shm_bulk_cross_page_rejected;
           Alcotest.test_case "u8" `Quick test_shm_u8;
