@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel clean
+.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel perfbench-smoke clean
 
 all: build
 
@@ -83,6 +83,25 @@ bench-diff: build
 	    dune exec bin/bench_diff.exe -- $$pair --only $$sel \
 	      --fields $(SIM_FIELDS) --tolerance 0 || exit 1; \
 	  done; \
+	done
+
+# perfbench's own correctness check (CI's perfbench-smoke job runs this
+# target): each workload runs its 32 seed-0 inputs once, and the run's
+# last line must report "correct": true and "failed": 0.  Seed 0 of
+# water-locks also checks its pinned BENCH_PR10.json row.  Host metrics
+# are printed, never gated.
+PERFBENCH_WORKLOADS = qsort-bulk water-locks grid-32
+
+perfbench-smoke: build
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  echo "=== perfbench $$w --seed 0 --seconds 0 ==="; \
+	  python3 perfbench/run.py --workload $$w --seed 0 --seconds 0 \
+	    --trace 0 | tail -n 1 | python3 -c \
+	    'import json, sys; r = json.loads(sys.stdin.read()); \
+	     ok = r["correct"] is True and r["failed"] == 0; \
+	     print("correct=%s attempted=%s failed=%s" \
+	           % (r["correct"], r["attempted"], r["failed"])); \
+	     sys.exit(0 if ok else 1)' || exit 1; \
 	done
 
 clean:

@@ -28,6 +28,7 @@ module Harness = Carlos_apps.Harness
 module Engine = Carlos_sim.Engine
 module Medium = Carlos_net.Medium
 module Lrc_backend = Carlos_dsm.Lrc_backend
+module Diff = Carlos_vm.Diff
 
 let ppf = Format.std_formatter
 
@@ -393,6 +394,20 @@ let micro () =
         done);
     Engine.run eng
   in
+  (* The diff kernel on quicksort's worst page: a 4 KB page where every
+     fourth byte is unchanged (the high byte of small int32 values), so
+     [Diff.create] finds 1,024 three-byte runs and [Diff.apply] writes
+     them back. *)
+  let qsort_twin = Bytes.make 4096 '\000' in
+  let qsort_page = Bytes.copy qsort_twin in
+  for r = 0 to 1023 do
+    Bytes.fill qsort_page (4 * r) 3 'x'
+  done;
+  let qsort_target = Bytes.copy qsort_twin in
+  let diff_create_apply () =
+    Diff.apply (Diff.create ~page:0 ~twin:qsort_twin ~current:qsort_page)
+      qsort_target
+  in
   (* Set-up cost: building grid-32's system (32 nodes, [Grid.config]),
      whose simulated memory is materialized on first touch. *)
   let grid32 = Grid.config ~nodes:32 Grid.default_params in
@@ -408,6 +423,8 @@ let micro () =
       Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
       Test.make ~name:"engine-delay-x10k-queued" (Staged.stage queued_delays);
       Test.make ~name:"medium-x1k-frames-queued" (Staged.stage queued_frames);
+      Test.make ~name:"diff-create-apply-qsort-page"
+        (Staged.stage diff_create_apply);
       Test.make ~name:"system-create-grid32" (Staged.stage create_grid32);
       Test.make ~name:"profile-span-x1000-disabled"
         (Staged.stage (profile_spans false));

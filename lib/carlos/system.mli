@@ -20,6 +20,8 @@
 type config = {
   nodes : int;
   page_size : int;
+      (* bytes; a power of two of at most 65,536, the reach of a diff's
+         two-byte run descriptors *)
   coherent_pages : int;
   latency : float; (* seconds, wire propagation + interrupt *)
   bandwidth : float; (* bytes per second (10 Mbit/s Ethernet = 1.25e6) *)

@@ -1,21 +1,39 @@
-(* Flat encoding: one [spans] word per run, packing the run's page offset
-   (high bits) and length (low bits), and the run bytes back to back in
-   [data], in offset order.  A diff is three heap blocks however many
-   runs it holds: [create] counts the runs, then fills exactly-sized
-   arrays.  Runs are maximal, non-empty and disjoint. *)
-type t = { page : int; spans : int array; data : Bytes.t }
+(* Wire encoding: [buf] holds, for each run in offset order, a
+   little-endian u16 page offset, a u16 [length - 1] and the run bytes.
+   A diff is two heap blocks however many runs it holds, and its run
+   descriptors sit in a byte buffer the GC does not scan: [create] counts
+   the runs, then fills an exactly-sized buffer.  Runs are maximal,
+   non-empty and disjoint. *)
+type t = { page : int; runs : int; buf : Bytes.t }
 
 let header_bytes = 8
 
 let run_descriptor_bytes = 4
 
-let len_bits = 31
+(* A u16 holds any offset into the page and, stored as [length - 1], any
+   run length up to a whole page. *)
+let max_page_size = 0x1_0000
 
-let len_mask = (1 lsl len_bits) - 1
+(* Descriptors are read and written without bounds checks: [create]
+   sizes [buf] exactly and the type is abstract, so every descriptor
+   position is in bounds by construction.  The checked stdlib accessors
+   cost about a tenth of [create]-then-[apply] on a 1,024-run page. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 
-let[@inline] span_offset s = s lsr len_bits
+external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
-let[@inline] span_len s = s land len_mask
+external swap16 : int -> int = "%bswap16"
+
+let[@inline] get_u16_le buf pos =
+  if Sys.big_endian then swap16 (unsafe_get16 buf pos)
+  else unsafe_get16 buf pos
+
+let[@inline] set_u16_le buf pos v =
+  unsafe_set16 buf pos (if Sys.big_endian then swap16 v else v)
+
+let[@inline] run_offset buf pos = get_u16_le buf pos
+
+let[@inline] run_length buf pos = get_u16_le buf (pos + 2) + 1
 
 external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
@@ -52,7 +70,7 @@ let create ~page ~twin ~current =
   let len = Bytes.length twin in
   if Bytes.length current <> len then
     invalid_arg "Diff.create: twin and current differ in length";
-  if len > len_mask then invalid_arg "Diff.create: page too large";
+  if len > max_page_size then invalid_arg "Diff.create: page too large";
   let runs = ref 0 and changed = ref 0 in
   let i = ref (next_change twin current len 0) in
   while !i < len do
@@ -61,47 +79,53 @@ let create ~page ~twin ~current =
     changed := !changed + (stop - !i);
     i := next_change twin current len stop
   done;
-  if !runs = 0 then { page; spans = [||]; data = Bytes.empty }
+  if !runs = 0 then { page; runs = 0; buf = Bytes.empty }
   else begin
-    let spans = Array.make !runs 0 and data = Bytes.create !changed in
-    let k = ref 0 and pos = ref 0 in
+    let buf = Bytes.create ((run_descriptor_bytes * !runs) + !changed) in
+    let pos = ref 0 in
     let i = ref (next_change twin current len 0) in
     while !i < len do
       let stop = run_end twin current len !i in
       let n = stop - !i in
-      Array.unsafe_set spans !k ((!i lsl len_bits) lor n);
-      Bytes.unsafe_blit current !i data !pos n;
-      incr k;
-      pos := !pos + n;
+      set_u16_le buf !pos !i;
+      set_u16_le buf (!pos + 2) (n - 1);
+      Bytes.unsafe_blit current !i buf (!pos + run_descriptor_bytes) n;
+      pos := !pos + run_descriptor_bytes + n;
       i := next_change twin current len stop
     done;
-    { page; spans; data }
+    { page; runs = !runs; buf }
   end
 
 let page t = t.page
 
-let run_count t = Array.length t.spans
+let run_count t = t.runs
 
-let is_empty t = Array.length t.spans = 0
+let is_empty t = t.runs = 0
 
 let apply t target =
-  let len = Bytes.length target in
+  let len = Bytes.length target and buf = t.buf in
   let pos = ref 0 in
-  for k = 0 to Array.length t.spans - 1 do
-    let s = Array.unsafe_get t.spans k in
-    let offset = span_offset s and n = span_len s in
+  for _ = 1 to t.runs do
+    let offset = run_offset buf !pos and n = run_length buf !pos in
     if offset + n > len then invalid_arg "Diff.apply: run out of bounds";
-    Bytes.unsafe_blit t.data !pos target offset n;
-    pos := !pos + n
+    Bytes.unsafe_blit buf (!pos + run_descriptor_bytes) target offset n;
+    pos := !pos + run_descriptor_bytes + n
+  done
+
+(* [f offset length] on each run, in offset order. *)
+let iter_runs f t =
+  let pos = ref 0 in
+  for _ = 1 to t.runs do
+    let n = run_length t.buf !pos in
+    f (run_offset t.buf !pos) n;
+    pos := !pos + run_descriptor_bytes + n
   done
 
 (* One past the last byte the diff touches. *)
 let extent t =
-  match Array.length t.spans with
-  | 0 -> 0
-  | n ->
-    let s = Array.unsafe_get t.spans (n - 1) in
-    span_offset s + span_len s
+  let last = ref 0 in
+  iter_runs (fun offset n -> last := offset + n) t;
+  !last
 
 let merge = function
   | [] -> invalid_arg "Diff.merge: empty"
@@ -122,30 +146,22 @@ let merge = function
     let twin = Bytes.make extent '\000' in
     List.iter (fun d -> apply d current) ds;
     List.iter
-      (fun d ->
-        Array.iter
-          (fun s ->
-            for i = span_offset s to span_offset s + span_len s - 1 do
-              Bytes.unsafe_set twin i
-                (Char.unsafe_chr
-                   (Char.code (Bytes.unsafe_get current i) lxor 0xff))
-            done)
-          d.spans)
+      (iter_runs (fun offset n ->
+           for i = offset to offset + n - 1 do
+             Bytes.unsafe_set twin i
+               (Char.unsafe_chr
+                  (Char.code (Bytes.unsafe_get current i) lxor 0xff))
+           done))
       ds;
     create ~page:first.page ~twin ~current
 
-let changed_bytes t = Bytes.length t.data
+let changed_bytes t = Bytes.length t.buf - (run_descriptor_bytes * t.runs)
 
-let size_bytes t =
-  header_bytes
-  + (run_descriptor_bytes * Array.length t.spans)
-  + Bytes.length t.data
+let size_bytes t = header_bytes + Bytes.length t.buf
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>diff(page %d:" t.page;
-  Array.iter
-    (fun s ->
-      Format.fprintf ppf " [%d..%d)" (span_offset s)
-        (span_offset s + span_len s))
-    t.spans;
+  iter_runs
+    (fun offset n -> Format.fprintf ppf " [%d..%d)" offset (offset + n))
+    t;
   Format.fprintf ppf ")@]"

@@ -1,17 +1,25 @@
 (** Run-length encoded page diffs (paper §4.2).
 
     A diff records the maximal runs of bytes of a page that changed
-    relative to its twin.  It is stored flat — one packed offset/length
-    word per run and the run bytes back to back in one buffer — so a diff
-    is three heap blocks however many runs it has.  Applying a diff
-    overwrites exactly those ranges, so applying the same diff twice is
-    idempotent and diffs from concurrent writers to disjoint ranges
-    commute — the property the multiple-writer protocol relies on. *)
+    relative to its twin.  It is stored in its wire layout: one buffer
+    holding, for each run in offset order, a little-endian u16 page
+    offset, a u16 [length - 1] and the run bytes.  A diff is two heap
+    blocks however many runs it has, and its wire size is the buffer's
+    length plus a header.  Two-byte descriptors limit a page to
+    {!max_page_size} (64 KiB) bytes.  Applying a diff overwrites exactly
+    those ranges, so applying the same diff twice is idempotent and diffs
+    from concurrent writers to disjoint ranges commute — the property the
+    multiple-writer protocol relies on. *)
 
 type t
 
+(** Largest page a diff can describe: 65,536 bytes, the reach of a
+    two-byte run descriptor. *)
+val max_page_size : int
+
 (** [create ~page ~twin ~current] encodes the differences of [current]
-    relative to [twin].  Both must have equal length. *)
+    relative to [twin].  Both must have equal length, at most
+    {!max_page_size}. *)
 val create : page:int -> twin:Bytes.t -> current:Bytes.t -> t
 
 (** Which coherent page this diff describes. *)

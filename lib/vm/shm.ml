@@ -16,6 +16,10 @@ let base = 0x4000_0000
 let create ?obs ?node ?twin_pool ~page_size ~pages () =
   if page_size <= 0 || page_size land (page_size - 1) <> 0 then
     invalid_arg "Shm.create: page_size must be a positive power of two";
+  if page_size > Diff.max_page_size then
+    invalid_arg
+      (Printf.sprintf "Shm.create: page_size exceeds %d bytes"
+         Diff.max_page_size);
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   {
     page_table = Page_table.create ?obs ?node ?twin_pool ~pages ~page_size ();

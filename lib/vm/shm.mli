@@ -18,9 +18,11 @@ val base : int
 
 (** [create ?obs ?node ?twin_pool ~page_size ~pages ()] builds a node
     view of a [pages]-page region.  [page_size] must be a positive power
-    of two.  [twin_pool] is shared between all views of one cluster (a
-    fresh private pool by default); [obs]/[node] locate the page table's
-    fault counters in the observability registry. *)
+    of two of at most 65,536 bytes ({!Diff.max_page_size}): a diff
+    describes each run with two-byte descriptors.  [twin_pool] is shared
+    between all views of one cluster (a fresh private pool by default);
+    [obs]/[node] locate the page table's fault counters in the
+    observability registry. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   ?node:int ->

@@ -53,9 +53,15 @@ let test_region_coherent_addr () =
   | _ -> Alcotest.fail "page past the region accepted"
 
 let test_region_bad_page_size () =
-  match Shm.create ~page_size:100 ~pages:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non power of two accepted"
+  let rejected page_size =
+    match Shm.create ~page_size ~pages:1 () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  if not (rejected 100) then Alcotest.fail "non power of two accepted";
+  (* A diff's two-byte run descriptors reach 64 KiB pages, no further. *)
+  if not (rejected 131_072) then Alcotest.fail "131,072-byte page accepted";
+  if rejected 65_536 then Alcotest.fail "65,536-byte page rejected"
 
 (* ------------------------------------------------------------------ *)
 (* Diff *)
@@ -128,7 +134,7 @@ module Ref_diff = struct
             runs))
 end
 
-(* The flat diff [d] has exactly the reference runs [r]: the same
+(* The diff [d] has exactly the reference runs [r]: the same
    boundaries, count and sizes. *)
 let matches_reference ~page d r =
   Format.asprintf "%a" Diff.pp d = Ref_diff.to_string ~page r
@@ -220,26 +226,68 @@ let test_diff_merge_rejects () =
     (Invalid_argument "Diff.merge: pages differ") (fun () ->
       ignore (Diff.merge [ on 0; on 1 ]))
 
-let test_diff_create_allocation () =
-  (* 1,024 three-byte runs on a 4 KB page.  A flat diff allocates a
-     record, one span word per run and the run bytes; a heap block per
-     run would cost several more words per run. *)
-  let page = 4096 in
-  let runs = page / 4 in
-  let twin = Bytes.make page '\000' in
+(* Quicksort's worst page: 4 KB where every fourth byte is unchanged, so
+   the diff has 1,024 three-byte runs. *)
+let every_fourth_equal_page () =
+  let twin = Bytes.make 4096 '\000' in
   let current = Bytes.copy twin in
-  for r = 0 to runs - 1 do
+  for r = 0 to 1023 do
     Bytes.fill current (4 * r) 3 'x'
   done;
+  (twin, current)
+
+let test_diff_create_allocation () =
+  (* A diff allocates a record and one buffer of run descriptors and
+     bytes; a heap block per run would cost several more words per
+     run. *)
+  let twin, current = every_fourth_equal_page () in
   let before = Gc.allocated_bytes () in
   let d = Diff.create ~page:0 ~twin ~current in
   let words =
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
-  Alcotest.(check int) "runs" runs (Diff.run_count d);
-  let bound = 2 * (runs + (page / 8)) in
+  Alcotest.(check int) "runs" 1024 (Diff.run_count d);
+  let bound = 2 * (1024 + (4096 / 8)) in
   if words >= float_of_int bound then
     Alcotest.failf "Diff.create allocated %.0f words (bound %d)" words bound
+
+let test_diff_retained_words () =
+  (* A diff retains its wire encoding plus a few words of headers: no
+     descriptor word per run. *)
+  let twin, current = every_fourth_equal_page () in
+  let d = Diff.create ~page:0 ~twin ~current in
+  let words = Obj.reachable_words (Obj.repr d) in
+  let bound = ((Diff.size_bytes d - 8) / 8) + 8 in
+  if words > bound then
+    Alcotest.failf "diff retains %d words (bound %d)" words bound
+
+let test_diff_whole_page_runs () =
+  (* The descriptor edges on the largest page: a run of all 65,536
+     bytes (its length - 1 is the largest u16) and a run at the last
+     offset. *)
+  let len = 65_536 in
+  let twin = Bytes.make len 'a' in
+  let all = Bytes.make len 'b' in
+  let last = Bytes.copy twin in
+  Bytes.set last (len - 1) 'c';
+  let check name d r expect =
+    if not (matches_reference ~page:1 d r) then
+      Alcotest.failf "%s: runs differ from the list codec" name;
+    let target = Bytes.copy twin in
+    Diff.apply d target;
+    Alcotest.(check bool) (name ^ ": apply round trip") true
+      (Bytes.equal target expect)
+  in
+  let d_all = Diff.create ~page:1 ~twin ~current:all in
+  let r_all = Ref_diff.create ~twin ~current:all in
+  check "every byte" d_all r_all all;
+  let d_last = Diff.create ~page:1 ~twin ~current:last in
+  let r_last = Ref_diff.create ~twin ~current:last in
+  check "last byte" d_last r_last last;
+  let merged = Bytes.copy all in
+  Bytes.set merged (len - 1) 'c';
+  check "merge" (Diff.merge [ d_all; d_last ]) (Ref_diff.merge [ r_all; r_last ])
+    merged
 
 (* Which bytes of a page a writer changes: most of them, a few, or all
    but every fourth byte (the high byte of small int32 values, as in the
@@ -847,6 +895,10 @@ let () =
             test_diff_merge_rejects;
           Alcotest.test_case "create allocates per diff, not per run" `Quick
             test_diff_create_allocation;
+          Alcotest.test_case "retains its wire encoding" `Quick
+            test_diff_retained_words;
+          Alcotest.test_case "64 KiB page descriptor edges" `Quick
+            test_diff_whole_page_runs;
         ]
         @ qcheck
             [
