@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel perfbench-smoke clean
+.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel rebaseline perfbench-smoke clean
 
 all: build
 
@@ -84,6 +84,22 @@ bench-diff: build
 	      --fields $(SIM_FIELDS) --tolerance 0 || exit 1; \
 	  done; \
 	done
+
+# Re-pin the committed baseline after a change that moves simulated
+# numbers: regenerate every gate and scaling row into a temporary file,
+# print bench_diff in both directions at zero tolerance, so every moved
+# field shows in one table, then replace BENCH_PR10.json with it.  The
+# table is for review; it never stops the replacement.
+rebaseline: build
+	@tmp=$$(mktemp) && \
+	dune exec bench/main.exe -- json scaling -o $$tmp && \
+	for pair in "BENCH_PR10.json $$tmp" "$$tmp BENCH_PR10.json"; do \
+	  echo "=== bench_diff $$pair ==="; \
+	  dune exec bin/bench_diff.exe -- $$pair \
+	    --fields $(SIM_FIELDS) --tolerance 0 || true; \
+	done && \
+	cp $$tmp BENCH_PR10.json && rm -f $$tmp && \
+	echo "rebaseline: BENCH_PR10.json replaced"
 
 # perfbench's own correctness check (CI's perfbench-smoke job runs this
 # target): each workload runs its 32 seed-0 inputs once, and the run's

@@ -108,7 +108,6 @@ module type S = sig
   (** Blocking data round trips so far, the one model-independent number
       the run report reads (every other counter is read from the
       observability registry by key): LRC diff, interval and page
-      requests, central flush and page RPCs, sequencer write and CAS
-      RPCs. *)
+      requests, central flush and page RPCs, sequencer write RPCs. *)
   val data_fetches : t -> int
 end

@@ -44,14 +44,15 @@ type t = {
   charge : float -> unit;
   (* All nodes share one zero clock: this model has no vector time. *)
   zero_vc : Vc.t;
-  dirty : bool array;
   (* Home only: authoritative per-page version, bumped once per applied
      flush diff (and per own-write flush). *)
   versions : int array;
-  (* Per-page fetch gates: concurrent fibers faulting on one page wait on
-     the first fetch instead of issuing duplicates (whose out-of-order
-     installs could clobber a twin made in between). *)
-  inflight : (int, unit Ivar.t) Hashtbl.t;
+  (* Write faults, the flush and its gate, and the per-page fetch gates:
+     concurrent fibers faulting on one page wait on the first fetch
+     instead of issuing duplicates (whose out-of-order installs could
+     clobber a twin made in between).  A page holds unflushed writes
+     exactly while it is [Read_write]. *)
+  wb : Writeback.t;
   peer : t Backend_intf.peer;
   mutable hooks : hooks;
   ins : ins;
@@ -131,30 +132,21 @@ let flush t diffs =
 let rec fetch_if_invalid t page =
   let p = Page_table.page t.page_table page in
   if Page.state p = Page.Invalid then
-    match Hashtbl.find_opt t.inflight page with
+    match Writeback.fetch_gate t.wb page with
     | Some gate ->
       Ivar.read gate;
       fetch_if_invalid t page
     | None ->
-      let gate = Ivar.create () in
-      Hashtbl.replace t.inflight page gate;
-      let finish () =
-        Hashtbl.remove t.inflight page;
-        Ivar.fill gate ()
-      in
-      (try
-         let data, version = fetch_page t ~page in
-         Obs.inc t.ins.page_fetches_c;
-         Obs.add t.ins.bytes_fetched_c (Bytes.length data);
-         Page.install p data;
-         t.hooks.on_page_fetched ~node:t.me ~page ~version;
-         t.charge
-           ((t.costs.Cpu_cost.twin_per_byte *. float_of_int (Bytes.length data))
-           +. t.costs.Cpu_cost.page_protect)
-       with e ->
-         finish ();
-         raise e);
-      finish ()
+      Writeback.under_gates t.wb [ page ] (fun () ->
+          let data, version = fetch_page t ~page in
+          Obs.inc t.ins.page_fetches_c;
+          Obs.add t.ins.bytes_fetched_c (Bytes.length data);
+          Page.install p data;
+          t.hooks.on_page_fetched ~node:t.me ~page ~version;
+          t.charge
+            ((t.costs.Cpu_cost.twin_per_byte
+             *. float_of_int (Bytes.length data))
+            +. t.costs.Cpu_cost.page_protect))
 
 let read_fault t page =
   if t.me = t.home then
@@ -163,19 +155,6 @@ let read_fault t page =
          (Printf.sprintf "home node took a read fault on page %d" page));
   t.charge t.costs.Cpu_cost.fault_trap;
   fetch_if_invalid t page
-
-let write_fault t page =
-  let p = Page_table.page t.page_table page in
-  (* ensure_writable faults Invalid pages readable first, so the page is
-     Read_only here.  Twin + dirty before charging: charges yield the
-     fiber and a concurrent flush must see a consistent pair. *)
-  Page.make_twin p;
-  t.dirty.(page) <- true;
-  t.charge
-    (t.costs.Cpu_cost.fault_trap
-    +. (t.costs.Cpu_cost.twin_per_byte
-       *. float_of_int (Bytes.length (Page.data p)))
-    +. t.costs.Cpu_cost.page_protect)
 
 let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
@@ -189,9 +168,8 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
       costs;
       charge;
       zero_vc = Vc.zero ~nodes;
-      dirty = Array.make (Page_table.pages page_table) false;
       versions = Array.make (Page_table.pages page_table) 0;
-      inflight = Hashtbl.create 16;
+      wb = Writeback.create ~page_table ~costs ~charge;
       peer;
       hooks = no_hooks;
       ins =
@@ -206,62 +184,32 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
     }
   in
   Page_table.set_read_fault page_table (read_fault t);
-  Page_table.set_write_fault page_table (write_fault t);
+  Page_table.set_write_fault page_table (Writeback.write_fault t.wb);
   t
 
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
 
-(* Encode every dirty page's modifications and hand them to home.  The
-   dirty set is snapshotted and cleared before any charge: charges yield
-   the fiber, and a concurrent writer re-dirtying a page must keep its
-   flag for the next flush rather than be lost. *)
-let flush_dirty t =
-  let pages = ref [] in
-  Array.iteri
-    (fun page d ->
-      if d then begin
-        t.dirty.(page) <- false;
-        pages := page :: !pages
-      end)
-    t.dirty;
-  let diffs =
-    List.filter_map
-      (fun page ->
-        let p = Page_table.page t.page_table page in
-        let encoded = ref [] in
-        (* A charge below may yield to a fiber that re-twins the page;
-           loop until it is clean at this instant. *)
-        while Page.state p = Page.Read_write do
-          let diff = Page.encode_diff p ~page_index:page in
-          Obs.inc t.ins.diffs_created_c;
-          t.charge
-            ((t.costs.Cpu_cost.diff_scan_per_byte
-             *. float_of_int (Bytes.length (Page.data p)))
-            +. (t.costs.Cpu_cost.diff_data_per_byte
-               *. float_of_int (Diff.changed_bytes diff))
-            +. t.costs.Cpu_cost.page_protect);
-          if not (Diff.is_empty diff) then encoded := diff :: !encoded
-        done;
-        match List.rev !encoded with
-        | [] -> None
-        | [ d ] -> Some d
-        | ds -> Some (Diff.merge ds))
-      (List.rev !pages)
-  in
-  if diffs <> [] then
-    if t.me = t.home then
-      (* The home node's writes are already in the authoritative frames;
-         flushing just retires the twins and advances the versions. *)
-      List.iter
-        (fun diff ->
-          Obs.inc t.ins.diffs_applied_c;
-          bump_version t ~origin:t.me (Diff.page diff))
-        diffs
-    else begin
-      Obs.inc t.ins.flush_rpcs_c;
-      flush t diffs
-    end
+(* Encode every written page's modifications and hand them to home, as
+   the node's one flush in progress: a release that finds nothing left to
+   encode has waited for any flush another fiber of this node was still
+   sending, so home has applied every write made before it. *)
+let publish t =
+  match Writeback.encode_written t.wb ~created:t.ins.diffs_created_c with
+  | [] -> ()
+  | diffs when t.me = t.home ->
+    (* The home node's writes are already in the authoritative frames;
+       flushing just retires the twins and advances the versions. *)
+    List.iter
+      (fun diff ->
+        Obs.inc t.ins.diffs_applied_c;
+        bump_version t ~origin:t.me (Diff.page diff))
+      diffs
+  | diffs ->
+    Obs.inc t.ins.flush_rpcs_c;
+    flush t diffs
+
+let flush_dirty t = Writeback.exclusively t.wb publish t
 
 (* ------------------------------------------------------------------ *)
 (* Release / acquire *)

@@ -10,12 +10,15 @@
 
     Protocol, per node:
 
-    - {b write fault}: twin the page and mark it dirty (the only local
-      state a node accumulates);
-    - {b release} ({!make_piggyback}): flush every dirty page's diff to
-      the home node; the piggyback itself is just an origin marker — all
-      ordering lives at home;
-    - {b acquire} ({!accept}): flush own dirty pages (a barrier manager
+    - {b write fault}: twin the page ({!Writeback.write_fault}); the
+      written ([Read_write]) pages are the only local state a node
+      accumulates;
+    - {b release} ({!make_piggyback}): flush every written page's diff
+      to the home node; the piggyback itself is just an origin marker —
+      all ordering lives at home.  Flushes run one at a time per node
+      ({!Writeback.exclusively}), so a release waits until home has
+      applied a flush another fiber of this node still has in flight;
+    - {b acquire} ({!accept}): flush own written pages (a barrier manager
       reaches this point without ever sending a release), then invalidate
       {e every} locally cached page, so every post-acquire read refetches
       the home node's current copy;

@@ -135,9 +135,8 @@ type t = {
   (* The coverage of a page with no [page_vc] entry; shared, never
      mutated. *)
   zero_vc : Vc.t;
-  (* Guards against concurrent fetches of the same page by several
-     fibers. *)
-  inflight : (int, unit Ivar.t) Hashtbl.t;
+  (* Write faults, encode charges, fetch gates and the close gate. *)
+  wb : Writeback.t;
   (* Pages with a live local demand — the history that picks which other
      missing pages may ride along in a fault's batch.  Membership decays:
      a write-notice invalidation removes the page, and only a fresh fault
@@ -158,10 +157,6 @@ type t = {
      already been shipped eagerly.  Each diff goes to each peer at most
      once; anything else is recovered by demand fetching. *)
   attach_floor : Vc.t array;
-  (* Set while an interval close is encoding, and filled once it has
-     published; see [close_interval]. *)
-  mutable closing : bool;
-  mutable close_done : unit Ivar.t option;
   (* Metadata GC: per page, the node that keeps the page's base copy
      (-1 before any GC elected one); the same table on every node. *)
   keeper : int array;
@@ -218,21 +213,13 @@ let store_diff t ~page ~id diff =
    exactly the writes of the open interval.  Encoding re-protects the page
    and does not yield; the caller records the diff where a concurrent
    fiber can find it before it charges for the encode with
-   [charge_encode], which yields. *)
+   [Writeback.charge_encode], which yields. *)
 let encode t page =
   let p = Page_table.page t.page_table page in
   let diff = Page.encode_diff p ~page_index:page in
   Obs.inc t.ins.diffs_created_c;
   Obs.Hist.observe t.ins.diff_size_h (float_of_int (Diff.size_bytes diff));
   diff
-
-let charge_encode t diff =
-  t.charge
-    ((t.costs.Cpu_cost.diff_scan_per_byte
-     *. float_of_int (Page_table.page_size t.page_table))
-    +. (t.costs.Cpu_cost.diff_data_per_byte
-       *. float_of_int (Diff.changed_bytes diff))
-    +. t.costs.Cpu_cost.page_protect)
 
 (* A write notice arrived for a page the open interval is writing: encode
    the modifications so they survive invalidation, and park the diff until
@@ -249,27 +236,21 @@ let flush_page t page =
       Option.value ~default:[] (Hashtbl.find_opt t.orphans page)
     in
     Hashtbl.replace t.orphans page (diff :: existing);
-    charge_encode t diff
+    Writeback.charge_encode t.wb diff
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling *)
 
+(* Mutate before charging: charging yields the fiber, and a concurrent
+   write-notice arrival could invalidate the page mid-fault. *)
 let write_fault t page =
   Hashtbl.replace t.accessed page ();
-  let p = Page_table.page t.page_table page in
-  (* Mutate before charging: charging yields the fiber, and a concurrent
-     write-notice arrival could invalidate the page mid-fault. *)
-  Page.make_twin p;
   Obs.inc t.ins.twins_created_c;
   if not (Hashtbl.mem t.dirty_set page) then begin
     Hashtbl.replace t.dirty_set page ();
     t.dirty <- page :: t.dirty
   end;
-  t.charge
-    (t.costs.Cpu_cost.fault_trap
-    +. (t.costs.Cpu_cost.twin_per_byte
-       *. float_of_int (Page_table.page_size t.page_table))
-    +. t.costs.Cpu_cost.page_protect)
+  Writeback.write_fault t.wb page
 
 (* Record that the local copy of [page] now reflects the writes of
    interval (creator, index).  Only the creator's component may be bumped:
@@ -775,33 +756,9 @@ let fetch_and_apply t targets =
     List.iter (fun (page, ids) -> apply_diffs t page ids have) work);
   List.iter (fun (page, ids) -> finish_page t page ~handled:ids) targets
 
-(* Run [f] under inflight gates on [pages], so concurrent fibers faulting
-   on the same pages block on the ivars instead of issuing a duplicate
-   fetch. *)
-let under_gates t pages f =
-  let gates =
-    List.map
-      (fun page ->
-        let gate = Ivar.create () in
-        Hashtbl.replace t.inflight page gate;
-        (page, gate))
-      pages
-  in
-  let finish () =
-    List.iter
-      (fun (page, gate) ->
-        Hashtbl.remove t.inflight page;
-        Ivar.fill gate ())
-      gates
-  in
-  (try f ()
-   with e ->
-     finish ();
-     raise e);
-  finish ()
-
 let fetch_batch t targets =
-  under_gates t (List.map fst targets) (fun () -> fetch_and_apply t targets)
+  Writeback.under_gates t.wb (List.map fst targets) (fun () ->
+      fetch_and_apply t targets)
 
 (* The logged intervals that wrote [page] and that the page's content may
    lack: above [covers], at most the vector clock (an id above it belongs
@@ -868,14 +825,15 @@ let refetch_dropped t page ~keeper =
    come back in the same per-creator requests, sparing each page its own
    later round trips. *)
 let rec validate_page t page =
-  match Hashtbl.find_opt t.inflight page with
+  match Writeback.fetch_gate t.wb page with
   | Some gate ->
     Ivar.read gate;
     validate_page_if_needed t page
   | None -> (
     match Hashtbl.find_opt t.dropped page with
     | Some keeper ->
-      under_gates t [ page ] (fun () -> refetch_dropped t page ~keeper);
+      Writeback.under_gates t.wb [ page ] (fun () ->
+          refetch_dropped t page ~keeper);
       validate_page_if_needed t page
     | None -> (
       match Hashtbl.find_opt t.missing page with
@@ -890,7 +848,7 @@ let rec validate_page t page =
               if
                 other <> page && other_ids <> []
                 && Hashtbl.mem t.accessed other
-                && (not (Hashtbl.mem t.inflight other))
+                && (not (Writeback.fetching t.wb other))
                 && not (Hashtbl.mem t.dropped other)
               then (other, other_ids) :: acc
               else acc)
@@ -933,13 +891,11 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
       missing = Hashtbl.create 64;
       page_vc = Hashtbl.create 64;
       zero_vc = Vc.zero ~nodes;
-      inflight = Hashtbl.create 8;
+      wb = Writeback.create ~page_table ~costs ~charge;
       accessed = Hashtbl.create 64;
       serve_cache = Hashtbl.create 64;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
       attach_floor = Array.init nodes (fun _ -> Vc.zero ~nodes);
-      closing = false;
-      close_done = None;
       keeper = Array.make (Page_table.pages page_table) (-1);
       bases = Hashtbl.create 16;
       dropped = Hashtbl.create 16;
@@ -972,62 +928,67 @@ let data_fetches t =
   + Obs.value t.ins.page_fetches_c
 
 (* The body of [close_interval]: take the dirty pages, encode them and
-   publish the new interval. *)
-let publish_interval t pages =
-  (* Take the dirty list before anything that can yield: writes made
-     while this close encodes belong to the next interval. *)
-  t.dirty <- [];
-  List.iter (fun page -> Hashtbl.remove t.dirty_set page) pages;
-  (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
-     clock.  Encoding charges CPU and yields the fiber, and a fetch_page
-     request serviced at interrupt level during such a yield uses t.vc to
-     claim what the served snapshot covers.  Ticking first would let it
-     claim the closing interval while the twin still excludes its writes
-     — the receiver would then skip this interval's write notice and keep
-     stale bytes forever.  With the un-ticked clock the claim is exact
-     for still-writable pages (the twin is served) and merely
-     conservative for just-encoded ones (re-applying the diff over its
-     own bytes is idempotent). *)
-  let encoded =
-    List.filter_map
+   publish the new interval.  False when the open interval wrote
+   nothing. *)
+let publish_interval t =
+  match t.dirty with
+  | [] -> false
+  | pages ->
+    (* Take the dirty list before anything that can yield: writes made
+       while this close encodes belong to the next interval. *)
+    t.dirty <- [];
+    List.iter (fun page -> Hashtbl.remove t.dirty_set page) pages;
+    (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
+       clock.  Encoding charges CPU and yields the fiber, and a fetch_page
+       request serviced at interrupt level during such a yield uses t.vc to
+       claim what the served snapshot covers.  Ticking first would let it
+       claim the closing interval while the twin still excludes its writes
+       — the receiver would then skip this interval's write notice and keep
+       stale bytes forever.  With the un-ticked clock the claim is exact
+       for still-writable pages (the twin is served) and merely
+       conservative for just-encoded ones (re-applying the diff over its
+       own bytes is idempotent). *)
+    let encoded =
+      List.filter_map
+        (fun page ->
+          let p = Page_table.page t.page_table page in
+          if Page.state p = Page.Read_write then begin
+            let diff = encode t page in
+            Writeback.charge_encode t.wb diff;
+            Some (page, diff)
+          end
+          else None)
+        pages
+    in
+    (* Phase 2 — publish atomically: no charges (hence no yields) between
+       the tick and the page-coverage notes, so no observer can see the new
+       index without the frames and diff store reflecting it. *)
+    let index = Vc.tick t.vc ~me:t.me in
+    let interval =
+      Interval.make ~creator:t.me ~index ~vc:(Vc.copy t.vc)
+        ~write_notices:pages
+    in
+    Interval.Log.add t.log interval;
+    t.hooks.on_interval_closed ~creator:t.me ~index ~vc:interval.Interval.vc
+      ~pages;
+    Obs.inc t.ins.intervals_created_c;
+    Obs.add t.ins.write_notices_sent_c (List.length pages);
+    let id = { Interval.creator = t.me; index } in
+    List.iter
       (fun page ->
-        let p = Page_table.page t.page_table page in
-        if Page.state p = Page.Read_write then begin
-          let diff = encode t page in
-          charge_encode t diff;
-          Some (page, diff)
-        end
-        else None)
-      pages
-  in
-  (* Phase 2 — publish atomically: no charges (hence no yields) between
-     the tick and the page-coverage notes, so no observer can see the new
-     index without the frames and diff store reflecting it. *)
-  let index = Vc.tick t.vc ~me:t.me in
-  let interval =
-    Interval.make ~creator:t.me ~index ~vc:(Vc.copy t.vc)
-      ~write_notices:pages
-  in
-  Interval.Log.add t.log interval;
-  t.hooks.on_interval_closed ~creator:t.me ~index ~vc:interval.Interval.vc
-    ~pages;
-  Obs.inc t.ins.intervals_created_c;
-  Obs.add t.ins.write_notices_sent_c (List.length pages);
-  let id = { Interval.creator = t.me; index } in
-  List.iter
-    (fun page ->
-      (* Diffs encoded mid-interval by write-notice arrivals... *)
-      (match Hashtbl.find_opt t.orphans page with
-      | Some ds ->
-        List.iter (fun d -> store_diff t ~page ~id d) (in_order ds);
-        Hashtbl.remove t.orphans page
-      | None -> ());
-      (* ...and the final state of the page if it was still writable. *)
-      (match List.assoc_opt page encoded with
-      | Some d -> store_diff t ~page ~id d
-      | None -> ());
-      note_page_interval t page ~creator:t.me ~index)
-    pages
+        (* Diffs encoded mid-interval by write-notice arrivals... *)
+        (match Hashtbl.find_opt t.orphans page with
+        | Some ds ->
+          List.iter (fun d -> store_diff t ~page ~id d) (in_order ds);
+          Hashtbl.remove t.orphans page
+        | None -> ());
+        (* ...and the final state of the page if it was still writable. *)
+        (match List.assoc_opt page encoded with
+        | Some d -> store_diff t ~page ~id d
+        | None -> ());
+        note_page_interval t page ~creator:t.me ~index)
+      pages;
+    true
 
 (* Close the open interval, if it wrote anything: assign the next index,
    log the interval with one write notice per dirty page, and encode every
@@ -1040,37 +1001,12 @@ let publish_interval t pages =
    A close yields while it charges for the encodes, and another fiber of
    this node can release in that window (the dispatcher granting a lock
    whose token rests here).  That release must carry the interval being
-   closed, so it waits until the interval is published ([closing] is
-   set meanwhile; the first waiter creates the [close_done] gate) and
-   then re-checks. *)
-let rec close_interval t =
-  if t.closing then begin
-    let gate =
-      match t.close_done with
-      | Some gate -> gate
-      | None ->
-        let gate = Ivar.create () in
-        t.close_done <- Some gate;
-        gate
-    in
-    Ivar.read gate;
-    close_interval t
-  end
-  else
-    match t.dirty with
-    | [] -> ()
-    | pages ->
-      t.closing <- true;
-      Fun.protect
-        ~finally:(fun () ->
-          t.closing <- false;
-          match t.close_done with
-          | Some gate ->
-            t.close_done <- None;
-            Ivar.fill gate ()
-          | None -> ())
-        (fun () -> publish_interval t pages);
-      t.charge t.costs.Cpu_cost.interval_create
+   closed, so closes run one at a time under the node's flush gate
+   ({!Writeback.exclusively}): the second waits until the first has
+   published, then re-checks. *)
+let close_interval t =
+  if Writeback.exclusively t.wb publish_interval t then
+    t.charge t.costs.Cpu_cost.interval_create
 
 (* Component-wise minimum of the per-peer clocks [clocks] over every node
    but this one: what the least-informed peer is known to have.  On a
@@ -1456,7 +1392,7 @@ let gc_keep t snapshot =
   let stale =
     List.filter_map
       (fun page ->
-        if Hashtbl.mem t.inflight page || Hashtbl.mem t.dropped page then None
+        if Writeback.fetching t.wb page || Hashtbl.mem t.dropped page then None
         else
           match Hashtbl.find_opt t.missing page with
           | None | Some [] -> None
@@ -1481,7 +1417,7 @@ let gc_keep t snapshot =
    flight may still need that history, so wait for every one to finish
    first; the drop itself does not yield. *)
 let rec gc_drop t snapshot =
-  match Hashtbl.fold (fun _ gate _ -> Some gate) t.inflight None with
+  match Writeback.any_fetch_gate t.wb with
   | Some gate ->
     Ivar.read gate;
     gc_drop t snapshot

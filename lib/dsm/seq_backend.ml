@@ -1,6 +1,6 @@
 (* Sequencer-based totally-ordered store: node [sequencer] stamps every
-   write batch and CAS into one global order and pushes the stamped
-   updates to every replica, which applies them in stamp order.  See
+   write batch into one global order and pushes the stamped diffs to
+   every replica, which applies them in stamp order.  See
    seq_backend.mli. *)
 
 module Page = Carlos_vm.Page
@@ -12,11 +12,7 @@ module Cost = Carlos_obs.Cost
 
 exception Protocol_violation of string
 
-type update =
-  | Diff_u of Carlos_vm.Diff.t
-  | Patch_u of { page : int; offset : int; data : Bytes.t }
-
-type entry = { seq : int; origin : int; update : update }
+type entry = { seq : int; origin : int; diff : Diff.t }
 
 type piggyback = { origin : int; upto : int }
 
@@ -37,7 +33,6 @@ type ins = {
   diffs_created_c : Obs.counter;
   diffs_applied_c : Obs.counter;
   sequence_rpcs_c : Obs.counter;
-  cas_rpcs_c : Obs.counter;
   stamps_c : Obs.counter;
   pushed_entries_c : Obs.counter;
   update_bytes_c : Obs.counter;
@@ -52,7 +47,9 @@ type t = {
   charge : float -> unit;
   (* All nodes share one zero clock: this model has no vector time. *)
   zero_vc : Vc.t;
-  dirty : bool array;
+  (* Write faults, the flush and its gate.  A page holds unsequenced
+     writes exactly while it is [Read_write]. *)
+  wb : Writeback.t;
   (* Sequencer only: last stamp assigned, plus a cooperative mutex so
      stamp order equals per-destination push order even when the
      dispatcher fiber and local application fibers interleave at charge
@@ -83,7 +80,7 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer () =
       costs;
       charge;
       zero_vc = Vc.zero ~nodes;
-      dirty = Array.make (Page_table.pages page_table) false;
+      wb = Writeback.create ~page_table ~costs ~charge;
       next_seq = 0;
       seq_busy = false;
       seq_queue = Queue.create ();
@@ -97,7 +94,6 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer () =
           diffs_created_c = counter "seq.diffs_created";
           diffs_applied_c = counter "seq.diffs_applied";
           sequence_rpcs_c = counter "seq.sequence_rpcs";
-          cas_rpcs_c = counter "seq.cas_rpcs";
           stamps_c = counter "seq.stamps";
           pushed_entries_c = counter "seq.pushed_entries";
           update_bytes_c = counter "seq.update_bytes";
@@ -111,17 +107,7 @@ let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer () =
         (Protocol_violation
            (Printf.sprintf "seq: read fault on page %d (never invalidated)"
               page)));
-  Page_table.set_write_fault page_table (fun page ->
-      let p = Page_table.page t.page_table page in
-      (* Twin + dirty before charging: charges yield the fiber and a
-         concurrent flush must see a consistent pair. *)
-      Page.make_twin p;
-      t.dirty.(page) <- true;
-      t.charge
-        (t.costs.Cpu_cost.fault_trap
-        +. (t.costs.Cpu_cost.twin_per_byte
-           *. float_of_int (Bytes.length (Page.data p)))
-        +. t.costs.Cpu_cost.page_protect));
+  Page_table.set_write_fault page_table (Writeback.write_fault t.wb);
   t
 
 let set_hooks t hooks = t.hooks <- hooks
@@ -176,30 +162,22 @@ let apply_push t entries =
     raise (Protocol_violation "seq: push delivered to the sequencer");
   let bytes = ref 0 in
   List.iter
-    (fun { seq; origin; update } ->
+    (fun { seq; origin; diff } ->
       if seq <> t.applied_seq + 1 then
         raise
           (Protocol_violation
              (Printf.sprintf "seq: out-of-order push %d (applied %d)" seq
                 t.applied_seq));
-      (match update with
-      | Diff_u diff ->
-        (* Skip the payload of our own diffs: the frames already hold
-           those values, and newer unreleased local writes must not be
-           reverted to them. *)
-        if origin <> t.me then begin
-          let p = Page_table.page t.page_table (Diff.page diff) in
-          Page.apply_diff_to_twin p diff;
-          Obs.inc t.ins.diffs_applied_c;
-          Obs.add t.ins.update_bytes_c (Diff.changed_bytes diff);
-          bytes := !bytes + Diff.changed_bytes diff
-        end
-      | Patch_u { page; offset; data } ->
-        let p = Page_table.page t.page_table page in
-        Page.patch p ~offset data;
+      (* Skip the payload of our own diffs: the frames already hold those
+         values, and newer unreleased local writes must not be reverted to
+         them. *)
+      if origin <> t.me then begin
+        let p = Page_table.page t.page_table (Diff.page diff) in
+        Page.apply_diff_to_twin p diff;
         Obs.inc t.ins.diffs_applied_c;
-        Obs.add t.ins.update_bytes_c (Bytes.length data);
-        bytes := !bytes + Bytes.length data);
+        Obs.add t.ins.update_bytes_c (Diff.changed_bytes diff);
+        bytes := !bytes + Diff.changed_bytes diff
+      end;
       t.applied_seq <- seq;
       t.hooks.on_applied ~node:t.me ~seq ~origin)
     entries;
@@ -212,15 +190,8 @@ let apply_push t entries =
 (* ------------------------------------------------------------------ *)
 (* Pushes *)
 
-let entry_size_bytes { update; _ } =
-  16
-  +
-  match update with
-  | Diff_u d -> Diff.size_bytes d
-  | Patch_u { data; _ } -> 8 + Bytes.length data
-
 let push_size_bytes entries =
-  List.fold_left (fun acc e -> acc + entry_size_bytes e) 8 entries
+  List.fold_left (fun acc e -> acc + 16 + Diff.size_bytes e.diff) 8 entries
 
 (* The sequencer's stamped updates ride one-way posts; the per-pair FIFO
    of the message layer turns send order (= stamp order, under the
@@ -267,7 +238,7 @@ let serve_sequence t ~origin diffs =
           end;
           t.applied_seq <- seq;
           t.hooks.on_applied ~node:t.me ~seq ~origin;
-          { seq; origin; update = Diff_u diff })
+          { seq; origin; diff })
         diffs
     in
     (* Pushes stay inside the mutex: per-destination send order must
@@ -280,35 +251,6 @@ let serve_sequence t ~origin diffs =
     unlock_sequencer t;
     !last
   end
-
-let serve_cas t ~origin ~page ~offset ~expected ~desired =
-  if t.me <> t.sequencer then
-    raise (Protocol_violation "seq: serve_cas on a non-sequencer node");
-  lock_sequencer t;
-  let p = Page_table.page t.page_table page in
-  let observed = Int64.to_int (Bytes.get_int64_le (Page.data p) offset) in
-  let result =
-    if observed <> expected then (false, observed)
-    else begin
-      let data = Bytes.create 8 in
-      Bytes.set_int64_le data 0 (Int64.of_int desired);
-      Page.patch p ~offset data;
-      t.next_seq <- t.next_seq + 1;
-      let seq = t.next_seq in
-      Obs.inc t.ins.stamps_c;
-      t.hooks.on_stamped ~seq ~origin;
-      t.applied_seq <- seq;
-      t.hooks.on_applied ~node:t.me ~seq ~origin;
-      (* Unlike a diff, the patched value was computed here, so the
-         origin's replica needs the push too. *)
-      broadcast t [ { seq; origin; update = Patch_u { page; offset; data } } ];
-      wake_waiters t;
-      (true, expected)
-    end
-  in
-  t.charge t.costs.Cpu_cost.diff_request_fixed;
-  unlock_sequencer t;
-  result
 
 (* ------------------------------------------------------------------ *)
 (* Requests: one peer RPC each, to the sequencer *)
@@ -323,57 +265,18 @@ let sequence t diffs =
     ~reply_bytes:(fun _ -> 12)
     (fun sequencer -> serve_sequence sequencer ~origin diffs)
 
-(* CAS is a synchronization primitive: billed on the same axis as
-   locks. *)
-let remote_cas t ~page ~offset ~expected ~desired =
-  let origin = t.me in
-  t.peer.rpc ~dst:t.sequencer ~cost:Cost.Lock_proto ~reply_cost:Cost.Lock_proto
-    ~request_bytes:32
-    ~reply_bytes:(fun _ -> 16)
-    (fun sequencer ->
-      serve_cas sequencer ~origin ~page ~offset ~expected ~desired)
-
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
 
-(* Encode every dirty page's modifications and route them through the
-   sequencer.  Dirty flags are snapshotted and cleared before any charge
-   (mutate-before-charge: a concurrent writer re-dirtying a page keeps
-   its flag for the next flush). *)
-let flush_dirty t =
-  let pages = ref [] in
-  Array.iteri
-    (fun page d ->
-      if d then begin
-        t.dirty.(page) <- false;
-        pages := page :: !pages
-      end)
-    t.dirty;
-  let diffs =
-    List.filter_map
-      (fun page ->
-        let p = Page_table.page t.page_table page in
-        let encoded = ref [] in
-        (* A charge below may yield to a fiber that re-twins the page;
-           loop until it is clean at this instant. *)
-        while Page.state p = Page.Read_write do
-          let diff = Page.encode_diff p ~page_index:page in
-          Obs.inc t.ins.diffs_created_c;
-          t.charge
-            ((t.costs.Cpu_cost.diff_scan_per_byte
-             *. float_of_int (Bytes.length (Page.data p)))
-            +. (t.costs.Cpu_cost.diff_data_per_byte
-               *. float_of_int (Diff.changed_bytes diff))
-            +. t.costs.Cpu_cost.page_protect);
-          if not (Diff.is_empty diff) then encoded := diff :: !encoded
-        done;
-        match List.rev !encoded with
-        | [] -> None
-        | [ d ] -> Some d
-        | ds -> Some (Diff.merge ds))
-      (List.rev !pages)
-  in
-  if diffs <> [] then begin
+(* Encode every written page's modifications and route them through the
+   sequencer, as the node's one flush in progress: a release that finds
+   nothing left to encode has waited for any flush another fiber of this
+   node was still sending, so its horizon covers every stamp its writes
+   received. *)
+let publish t =
+  match Writeback.encode_written t.wb ~created:t.ins.diffs_created_c with
+  | [] -> ()
+  | diffs ->
     let last =
       if t.me = t.sequencer then serve_sequence t ~origin:t.me diffs
       else begin
@@ -384,27 +287,8 @@ let flush_dirty t =
     (* The sequencer's reply shares a FIFO channel with its pushes to us,
        so every stamp up to [last] is already applied locally here. *)
     if last > t.horizon then t.horizon <- last
-  end
 
-(* ------------------------------------------------------------------ *)
-(* CAS *)
-
-let cas t ~page ~offset ~expected ~desired =
-  (* Flush first so the sequencer judges the CAS against a frame that
-     includes our earlier writes. *)
-  flush_dirty t;
-  let result =
-    if t.me = t.sequencer then
-      serve_cas t ~origin:t.me ~page ~offset ~expected ~desired
-    else begin
-      Obs.inc t.ins.cas_rpcs_c;
-      remote_cas t ~page ~offset ~expected ~desired
-    end
-  in
-  (* On success our Patch_u arrived before the RPC reply (FIFO), so the
-     local applied stamp covers it. *)
-  if t.applied_seq > t.horizon then t.horizon <- t.applied_seq;
-  result
+let flush_dirty t = Writeback.exclusively t.wb publish t
 
 (* ------------------------------------------------------------------ *)
 (* Release / acquire *)
@@ -428,5 +312,4 @@ let accept t pbs =
     t.hooks.on_acquire ~node:t.me ~upto ~applied:t.applied_seq
   end
 
-let data_fetches t =
-  Obs.value t.ins.sequence_rpcs_c + Obs.value t.ins.cas_rpcs_c
+let data_fetches t = Obs.value t.ins.sequence_rpcs_c

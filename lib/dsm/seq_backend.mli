@@ -1,24 +1,27 @@
 (** Sequencer-based totally-ordered store.
 
     The middle point of the consistency spectrum: one {e sequencer} node
-    (conventionally 0) stamps every write batch — and every CAS — with a
-    global sequence number and pushes the resulting updates to every
-    replica, which applies them strictly in stamp order (the
-    sequencer/total-order designs of SNIPPETS.md Snippets 2–3).  Every
-    node holds a full, never-invalidated copy of the coherent region;
-    there are no page fetches at all.
+    (conventionally 0) stamps every write batch with a global sequence
+    number and pushes the stamped diffs to every replica, which applies
+    them strictly in stamp order (the sequencer/total-order designs of
+    SNIPPETS.md Snippets 2–3).  Every node holds a full, never-invalidated
+    copy of the coherent region; there are no page fetches at all.
 
     Protocol, per node:
 
-    - {b write fault}: twin the page and mark it dirty, exactly as in
-      {!Central_backend};
-    - {b release} ({!make_piggyback}): encode dirty pages' diffs and send
-      them to the sequencer over one blocking RPC; the sequencer stamps
-      each diff, applies it to its own frames, and {e pushes} the stamped
-      update to every other node.  The piggyback carries the origin and an
-      [upto] horizon — the highest stamp this node's causal past depends
-      on;
-    - {b acquire} ({!accept}): flush own dirty pages (a barrier manager
+    - {b write fault}: twin the page ({!Writeback.write_fault}), exactly
+      as in {!Central_backend}; the written ([Read_write]) pages are the
+      node's dirty set;
+    - {b release} ({!make_piggyback}): encode the written pages' diffs
+      and send them to the sequencer over one blocking RPC; the sequencer
+      stamps each diff, applies it to its own frames, and {e pushes} the
+      stamped diff to every other node.  The piggyback carries the origin
+      and an [upto] horizon — the highest stamp this node's causal past
+      depends on.  Flushes run one at a time per node
+      ({!Writeback.exclusively}), so a release waits for a flush another
+      fiber of this node still has in flight, and its horizon covers the
+      stamps that flush receives;
+    - {b acquire} ({!accept}): flush own written pages (a barrier manager
       reaches its fall without sending a release), then block until the
       local applied stamp reaches the maximum [upto] of the accepted
       piggybacks;
@@ -29,11 +32,6 @@
       own diffs — its frames already hold those values, and newer
       unreleased local writes must not be reverted — but still advances
       its applied stamp.
-
-    CAS executes {e at} the sequencer against its authoritative frame and
-    is pushed as a single-run patch, which every node including the
-    origin applies: read-modify-write gets a total order without any
-    lock.
 
     Because the sequencer's RPC reply and its pushes to the origin share
     one FIFO channel, a node returning from a flush has already applied
@@ -49,10 +47,9 @@ type piggyback = { origin : int; upto : int }
 
 (** [create ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer ()]
     installs the fault handlers on [page_table].  Every other node sends
-    its write batches and CASes to the sequencer through [peer]; the
-    sequencer pushes stamped updates to every replica through its own
-    [peer], one post per replica, which the replica must receive in send
-    order. *)
+    its write batches to the sequencer through [peer]; the sequencer
+    pushes stamped diffs to every replica through its own [peer], one
+    post per replica, which the replica must receive in send order. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
@@ -68,20 +65,11 @@ val create :
 (** Highest stamp applied locally. *)
 val applied_seq : t -> int
 
-(** {1 Compare-and-swap}
-
-    Atomically replace the 8-byte little-endian integer at
-    [page]/[offset] with [desired] iff it currently reads [expected] at
-    the sequencer.  Returns (success, observed value).  On return the
-    local frame reflects the outcome. *)
-val cas :
-  t -> page:int -> offset:int -> expected:int -> desired:int -> bool * int
-
 (** {1 Audit hooks} *)
 
 type hooks = {
   on_stamped : seq:int -> origin:int -> unit;
-      (** the sequencer assigned stamp [seq] to an update of [origin] *)
+      (** the sequencer assigned stamp [seq] to a diff of [origin] *)
   on_applied : node:int -> seq:int -> origin:int -> unit;
       (** [node] applied (or skipped, for its own diffs) stamp [seq] *)
   on_acquire : node:int -> upto:int -> applied:int -> unit;

@@ -70,7 +70,8 @@ val apply_diff_to_twin : t -> Diff.t -> unit
 
 (** Overwrite [offset..offset+len-1] with [src] in the live data and,
     when the page is [Read_write], in the twin — a single-run in-place
-    update (the totally-ordered store's CAS push uses this). *)
+    update.  Its one user is preloading ({!Shm.patch_bytes}, which
+    [System.preload_bytes] calls). *)
 val patch : t -> offset:int -> Bytes.t -> unit
 
 (** Overwrite the whole page (a full-page fetch) and mark [Read_only]. *)

@@ -6,6 +6,7 @@
 module Engine = Carlos_sim.Engine
 module Vc = Carlos_dsm.Vc
 module Lrc = Carlos_dsm.Lrc_backend
+module Backend = Carlos_dsm.Backend
 module Shm = Carlos_vm.Shm
 module Annotation = Carlos.Annotation
 module Node = Carlos.Node
@@ -684,7 +685,8 @@ let test_report_matches_registry () =
 (* Randomized whole-stack property: arbitrary lock/barrier programs over
    shared counters, under random strategies, cost tables and datagram
    loss, must be sequentially consistent (every counter ends at exactly
-   its increment count, and no increment is ever lost). *)
+   its increment count, and no increment is ever lost) on every
+   backend. *)
 
 type random_program = {
   rp_nodes : int;
@@ -730,7 +732,7 @@ let print_random_program rp =
 
 (* [spread] gives each counter a page of its own; by default they all
    share one. *)
-let run_random_program ?gc_threshold ?(spread = false) rp =
+let run_random_program ?gc_threshold ?(spread = false) ~backend rp =
   let strategy =
     match rp.rp_strategy with
     | 0 -> Carlos_dsm.Lrc_backend.Invalidate
@@ -746,7 +748,8 @@ let run_random_program ?gc_threshold ?(spread = false) rp =
   let cfg =
     {
       (test_config ~nodes:rp.rp_nodes ()) with
-      System.strategy;
+      System.backend;
+      strategy;
       costs;
       loss = (if rp.rp_lossy then 0.02 else 0.0);
       rto = 0.02;
@@ -794,19 +797,42 @@ let run_random_program ?gc_threshold ?(spread = false) rp =
     rp.rp_plan;
   (expected, finals)
 
-let check_random_program ?gc_threshold ?spread rp =
-  let expected, finals = run_random_program ?gc_threshold ?spread rp in
+let check_random_program ?gc_threshold ?spread ~backend rp =
+  let expected, finals = run_random_program ?gc_threshold ?spread ~backend rp in
   if expected <> finals then
     QCheck.Test.fail_reportf "expected %s, got %s"
       (String.concat "," (Array.to_list (Array.map string_of_int expected)))
       (String.concat "," (Array.to_list (Array.map string_of_int finals)))
   else true
 
-let prop_random_programs =
-  QCheck.Test.make ~name:"random lock/barrier programs are coherent"
+let prop_random_programs backend =
+  let name = "random lock/barrier programs are coherent" in
+  QCheck.Test.make
+    ~name:
+      (if backend = Backend.Lrc then name
+       else name ^ " on " ^ Backend.kind_to_string backend)
     ~count:40
     (QCheck.make ~print:print_random_program random_program_gen)
-    check_random_program
+    (check_random_program ~backend)
+
+(* The smallest program that lost an update on the sequencer backend:
+   one fiber of node 1 was still waiting for the stamp of its increment
+   when another fiber of node 1 released, found nothing left to flush,
+   and sent a horizon without that stamp.  Counter 0 ended at 3. *)
+let test_flush_race backend () =
+  let rp =
+    {
+      rp_nodes = 3;
+      rp_vars = 3;
+      rp_rounds = 1;
+      rp_plan = [| [| [| 0; 0; 1 |] |]; [| [| 0 |] |]; [| [| 0; 2 |] |] |];
+      rp_strategy = 0;
+      rp_lossy = false;
+      rp_costs = 0;
+    }
+  in
+  let expected, finals = run_random_program ~backend rp in
+  Alcotest.(check (array int)) "every increment survives" expected finals
 
 (* The same programs with a metadata GC every few hundred bytes of
    consistency metadata: many rendezvous run while the program does, so
@@ -819,7 +845,8 @@ let prop_random_programs_gc_stress =
     ~count:40
     QCheck.(
       pair (make ~print:print_random_program random_program_gen) bool)
-    (fun (rp, spread) -> check_random_program ~gc_threshold:300 ~spread rp)
+    (fun (rp, spread) ->
+      check_random_program ~gc_threshold:300 ~spread ~backend:Backend.Lrc rp)
 
 let test_tracing () =
   let sys = make ~nodes:2 () in
@@ -942,8 +969,14 @@ let () =
             test_report_consistency;
           Alcotest.test_case "tracing" `Quick test_tracing;
         ]
-        @ [
-            Props.to_alcotest prop_random_programs;
-            Props.to_alcotest prop_random_programs_gc_stress;
-          ] );
+        @ List.map
+            (fun backend ->
+              Alcotest.test_case
+                ("flush race on " ^ Backend.kind_to_string backend)
+                `Quick (test_flush_race backend))
+            Backend.all_kinds
+        @ List.map
+            (fun backend -> Props.to_alcotest (prop_random_programs backend))
+            Backend.all_kinds
+        @ [ Props.to_alcotest prop_random_programs_gc_stress ] );
     ]

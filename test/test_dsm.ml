@@ -829,9 +829,9 @@ let test_conformance_tsp () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Sequencer CAS, exercised through a direct-call cluster (no simulated
-   network): success and failure paths, total-order stamping, replica
-   convergence including the origin. *)
+(* The sequencer, exercised through a direct-call cluster (no simulated
+   network): total-order stamping and replica convergence, the origin and
+   the sequencer included. *)
 
 type seq_cluster = {
   sshms : Shm.t array;
@@ -856,50 +856,49 @@ let make_seq_cluster n =
   servers := seqs;
   { sshms; seqs; slog }
 
-let test_seq_cas () =
+let test_seq_flush_order () =
   let c = make_seq_cluster 3 in
-  let addr = Shm.addr c.sshms.(0) ~page:0 ~offset:0 in
-  (* Fresh pages read as zeros: CAS 0 -> 7 from node 1 succeeds. *)
-  let ok, observed =
-    Seq.cas c.seqs.(1) ~page:0 ~offset:0 ~expected:0 ~desired:7
+  let stamped = ref [] in
+  Seq.set_hooks c.seqs.(0)
+    {
+      Seq.no_hooks with
+      on_stamped = (fun ~seq ~origin -> stamped := (seq, origin) :: !stamped);
+    };
+  let write node ~page ~offset v =
+    Shm.write_i64 c.sshms.(node) (Shm.addr c.sshms.(node) ~page ~offset) v
   in
-  Alcotest.(check bool) "first cas succeeds" true ok;
-  Alcotest.(check int) "observed initial value" 0 observed;
-  (* A stale-expectation CAS from node 2 fails and reports the winner. *)
-  let ok, observed =
-    Seq.cas c.seqs.(2) ~page:0 ~offset:0 ~expected:0 ~desired:9
+  let flush node =
+    (Seq.make_piggyback c.seqs.(node) ~receiver:0 ~nontransitive:false)
+      .Seq.upto
   in
-  Alcotest.(check bool) "stale cas fails" false ok;
-  Alcotest.(check int) "failure observes winner" 7 observed;
-  (* Every replica — sequencer, origin, and bystander — converged. *)
+  (* Node 1 flushes one page; node 2 two, which take stamps in page order;
+     the sequencer's own flush is stamped locally.  Nodes 1 and 2 share
+     page 0 at different offsets. *)
+  write 1 ~page:0 ~offset:0 7;
+  Alcotest.(check int) "node 1's horizon" 1 (flush 1);
+  write 2 ~page:1 ~offset:0 3;
+  write 2 ~page:0 ~offset:8 9;
+  Alcotest.(check int) "node 2's horizon" 3 (flush 2);
+  write 0 ~page:2 ~offset:16 5;
+  Alcotest.(check int) "the sequencer's horizon" 4 (flush 0);
+  Alcotest.(check (list (pair int int)))
+    "one stamp per diff, in flush order"
+    [ (1, 1); (2, 2); (3, 2); (4, 0) ]
+    (List.rev !stamped);
   Array.iteri
     (fun node shm ->
-      Alcotest.(check int)
-        (Printf.sprintf "node %d sees winner" node)
-        7 (Shm.read_i64 shm addr))
-    c.sshms;
-  (* Retry with the observed value succeeds; all replicas follow. *)
-  let ok, observed =
-    Seq.cas c.seqs.(2) ~page:0 ~offset:0 ~expected:7 ~desired:9
-  in
-  Alcotest.(check bool) "retry succeeds" true ok;
-  Alcotest.(check int) "retry observes prior" 7 observed;
-  Array.iter
-    (fun shm -> Alcotest.(check int) "converged" 9 (Shm.read_i64 shm addr))
-    c.sshms;
-  (* Stamps were issued in one contiguous total order everywhere; the
-     failed CAS took no stamp. *)
-  Array.iter
-    (fun s -> Alcotest.(check int) "applied_seq" 2 (Seq.applied_seq s))
-    c.seqs
-
-let test_seq_cas_at_sequencer () =
-  let c = make_seq_cluster 2 in
-  let addr = Shm.addr c.sshms.(0) ~page:0 ~offset:8 in
-  let ok, _ = Seq.cas c.seqs.(0) ~page:0 ~offset:8 ~expected:0 ~desired:42 in
-  Alcotest.(check bool) "sequencer-local cas succeeds" true ok;
-  Array.iter
-    (fun shm -> Alcotest.(check int) "pushed to replica" 42 (Shm.read_i64 shm addr))
+      let read ~page ~offset = Shm.read_i64 shm (Shm.addr shm ~page ~offset) in
+      let name what = Printf.sprintf "node %d %s" node what in
+      Alcotest.(check int) (name "applied every stamp") 4
+        (Seq.applied_seq c.seqs.(node));
+      Alcotest.(check (list int)) (name "converged")
+        [ 7; 9; 3; 5 ]
+        [
+          read ~page:0 ~offset:0;
+          read ~page:0 ~offset:8;
+          read ~page:1 ~offset:0;
+          read ~page:2 ~offset:16;
+        ])
     c.sshms
 
 (* ------------------------------------------------------------------ *)
@@ -1044,15 +1043,6 @@ let test_seq_wire_sizes () =
       post_sent ~dst:1 Cost.Diff_payload (8 + 16 + diff);
       post_sent ~dst:2 Cost.Diff_payload (8 + 16 + diff);
       rpc_sent ~dst:0 Cost.Diff_payload (8 + diff) Cost.Diff_payload 12;
-    ];
-  (* A CAS: 32 bytes, answered with 16, billed as lock protocol; its
-     patch is pushed to both replicas: 8 + 16 + 8 + the 8-byte value. *)
-  ignore (Seq.cas c.seqs.(2) ~page:0 ~offset:8 ~expected:0 ~desired:7);
-  check_sent "cas and its pushes" c.slog
-    [
-      post_sent ~dst:1 Cost.Diff_payload (8 + 16 + 8 + 8);
-      post_sent ~dst:2 Cost.Diff_payload (8 + 16 + 8 + 8);
-      rpc_sent ~dst:0 Cost.Lock_proto 32 Cost.Lock_proto 16;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1389,18 +1379,17 @@ let () =
           Alcotest.test_case "tsp identical across backends" `Quick
             test_conformance_tsp;
         ] );
-      ( "seq-cas",
+      ( "seq-order",
         [
-          Alcotest.test_case "total order + convergence" `Quick test_seq_cas;
-          Alcotest.test_case "sequencer-local cas" `Quick
-            test_seq_cas_at_sequencer;
+          Alcotest.test_case "stamp order and convergence" `Quick
+            test_seq_flush_order;
         ] );
       ( "wire-sizes",
         [
           loopback "lrc diff, page and base fetches" test_lrc_wire_sizes;
           loopback "lrc interval fetch" test_lrc_interval_fetch_size;
           loopback "central read fault and flush" test_central_wire_sizes;
-          loopback "seq flush, cas and pushes" test_seq_wire_sizes;
+          loopback "seq flush and pushes" test_seq_wire_sizes;
         ] );
       ( "lrc-properties",
         qcheck [ prop_lock_chain_counter; prop_false_sharing_slots ] );
