@@ -23,7 +23,6 @@ type opts = {
   variant : string;
   backend : string;
   costs : string;
-  seed : int;
   breakdown : bool;
   trace_file : string option;
   metrics : bool;
@@ -64,10 +63,6 @@ let backend_arg =
 let costs_arg =
   let doc = "Cost table: default, treadmarks, fast-network." in
   Arg.(value & opt string "default" & info [ "costs" ] ~docv:"COSTS" ~doc)
-
-let seed_arg =
-  let doc = "Deterministic seed for the run." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let breakdown_arg =
   let doc = "Also print the per-node execution breakdown (Figure 2 style)." in
@@ -125,13 +120,13 @@ let profile_arg =
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let opts_term =
-  let mk nodes variant backend costs seed breakdown trace_file metrics
+  let mk nodes variant backend costs breakdown trace_file metrics
       metrics_json audit causal profile =
-    { nodes; variant; backend; costs; seed; breakdown; trace_file; metrics;
+    { nodes; variant; backend; costs; breakdown; trace_file; metrics;
       metrics_json; audit; causal; profile }
   in
   Term.(
-    const mk $ nodes_arg $ variant_arg $ backend_arg $ costs_arg $ seed_arg
+    const mk $ nodes_arg $ variant_arg $ backend_arg $ costs_arg
     $ breakdown_arg $ trace_arg $ metrics_arg $ metrics_json_arg $ audit_arg
     $ causal_arg $ profile_arg)
 
@@ -215,7 +210,7 @@ let run_app (app : Harness.app) opts =
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
   | Ok costs, Ok backend, Ok variant ->
     let cfg =
-      { (app.config ~nodes:opts.nodes) with System.costs; seed = opts.seed }
+      { (app.config ~nodes:opts.nodes) with System.costs }
     in
     let sys = make_system ~opts ~backend cfg in
     let o = variant.run sys in

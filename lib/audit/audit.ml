@@ -262,23 +262,15 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
   done;
   observe_vc t ~node ?trace_id:batch_tid ~at:"accept(after)" vc_after
 
-let check_disposition t ~what ~trace_id ~node ~vc_before ~vc_after =
-  observe_vc t ~node ~trace_id ~at:what vc_before;
-  if not (Vc.equal vc_before vc_after) then
-    violate t ~check:"disposition-vc-changed" ~node ~trace_id
-      (Printf.sprintf "%s changed the clock from %s to %s" what
-         (vc_str vc_before) (vc_str vc_after))
-
-let on_forward t ~trace_id ~node ~dst:_ ~vc_before ~vc_after =
+let on_forward t ~trace_id ~node ~vc =
   (* Forwarding fulfils a relay obligation: the message moves on without
      this node becoming consistent.  Clearing the expectation also covers
      a manager that forwards an item to itself-as-dequeuer, which then
      legitimately accepts it in that role. *)
   Hashtbl.remove t.relay (trace_id, node);
-  check_disposition t ~what:"forward" ~trace_id ~node ~vc_before ~vc_after
+  observe_vc t ~node ~trace_id ~at:"forward" vc
 
-let on_store t ~trace_id ~node ~vc_before ~vc_after =
-  check_disposition t ~what:"store" ~trace_id ~node ~vc_before ~vc_after
+let on_store t ~trace_id ~node ~vc = observe_vc t ~node ~trace_id ~at:"store" vc
 
 let expect_relay t ~trace_id ~node = Hashtbl.replace t.relay (trace_id, node) ()
 

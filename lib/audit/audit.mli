@@ -30,9 +30,7 @@
       already-applied interval causally follows;
     - {b relay-consistent}: a node declared a pure relay for a message
       (the work-queue manager, §2.2) accepted it — "never becomes
-      consistent" violated;
-    - {b disposition-vc-changed}: a store or forward changed the node's
-      vector clock (they must not touch the consistency machinery).
+      consistent" violated.
 
     Violations are recorded (with the offending message's trace id when
     one exists) and also emitted as [audit.violation] trace events and
@@ -106,17 +104,11 @@ type accepted = {
 val on_accept :
   t -> node:int -> vc_before:Vc.t -> vc_after:Vc.t -> accepted list -> unit
 
-val on_forward :
-  t ->
-  trace_id:int ->
-  node:int ->
-  dst:int ->
-  vc_before:Vc.t ->
-  vc_after:Vc.t ->
-  unit
+(** A store or forward observes the node's clock [vc] (vc-monotonic);
+    a forward also fulfils the node's relay obligation for the message. *)
+val on_forward : t -> trace_id:int -> node:int -> vc:Vc.t -> unit
 
-val on_store :
-  t -> trace_id:int -> node:int -> vc_before:Vc.t -> vc_after:Vc.t -> unit
+val on_store : t -> trace_id:int -> node:int -> vc:Vc.t -> unit
 
 (** Declare that [node] must act as a pure relay for message [trace_id]:
     accepting it there is a violation (the work-queue manager's

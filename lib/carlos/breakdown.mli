@@ -13,8 +13,8 @@
 
     The three totals live in the observability registry as the [Carlos]
     layer gauges [time.user], [time.unix] and [time.carlos]; this module
-    is a typed handle over them.  Measure a phase by snapshot/diff of the
-    registry rather than resetting. *)
+    is a typed handle over them.  Nothing resets them: a phase is the
+    difference of two reads. *)
 
 type bucket = User | Unix | Carlos
 

@@ -377,16 +377,13 @@ let accept d = accept_batch d.target [ d ]
 let forward d ~dst =
   check_disposable d "forward";
   let t = d.target in
+  d.disposition <- Forwarded;
+  Obs.inc t.ins.forwarded_c;
   (match t.audit with
   | Some a ->
-    let vc_before = Vc.copy (Backend.vc t.backend) in
-    d.disposition <- Forwarded;
-    Obs.inc t.ins.forwarded_c;
-    Audit.on_forward a ~trace_id:d.message.trace_id ~node:t.id ~dst
-      ~vc_before ~vc_after:(Backend.vc t.backend)
-  | None ->
-    d.disposition <- Forwarded;
-    Obs.inc t.ins.forwarded_c);
+    Audit.on_forward a ~trace_id:d.message.trace_id ~node:t.id
+      ~vc:(Backend.vc t.backend)
+  | None -> ());
   transmit t ~dst d.message
 
 let store d =
@@ -395,16 +392,13 @@ let store d =
   | Stored | Accepted | Forwarded ->
     raise (Handler_error "store: message already disposed of"));
   let t = d.target in
-  (match t.audit with
+  d.disposition <- Stored;
+  Obs.inc t.ins.stored_c;
+  match t.audit with
   | Some a ->
-    let vc_before = Vc.copy (Backend.vc t.backend) in
-    d.disposition <- Stored;
-    Obs.inc t.ins.stored_c;
-    Audit.on_store a ~trace_id:d.message.trace_id ~node:t.id ~vc_before
-      ~vc_after:(Backend.vc t.backend)
-  | None ->
-    d.disposition <- Stored;
-    Obs.inc t.ins.stored_c)
+    Audit.on_store a ~trace_id:d.message.trace_id ~node:t.id
+      ~vc:(Backend.vc t.backend)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Receiving *)

@@ -37,6 +37,7 @@ type config = {
       (* LRC only — coherence strategy: invalidate (paper's measured
          configuration), update, or hybrid (paper §4.3) *)
   seed : int;
+      (* seeds the datagram-loss rng; no effect when [loss = 0] *)
   gc_threshold : int option;
       (* consistency-metadata bytes per node that trigger a global GC;
          None disables GC *)

@@ -60,5 +60,5 @@ val send : 'a t -> src:int -> dst:int -> payload_bytes:int -> 'a -> unit
     loss: the correction term of the cost-conservation equation, see
     {!Carlos_obs.Cost}) and [datagram.payload_bytes] live in the registry
     under {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative since
-    creation.  Read them by key; snapshot/diff the registry to measure a
-    phase. *)
+    creation.  Read them by key; a phase is the difference of two
+    reads. *)

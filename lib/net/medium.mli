@@ -86,5 +86,5 @@ val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
     [medium.wire_busy] (cumulative virtual time the wire spent
     transmitting) and the histogram [medium.queue_delay] live in the
     registry under {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative
-    since creation.  Read them by key; take {!Carlos_obs.Obs.snapshot}s
-    and {!Carlos_obs.Obs.diff} them to measure a phase. *)
+    since creation.  Read them by key; a phase is the difference of two
+    reads. *)

@@ -91,6 +91,6 @@ val set_handler :
     rode a later cumulative ack) live in the registry under
     {!Carlos_obs.Obs.global_node}, [Net] layer, cumulative since
     creation.  Read them by key ({!Carlos_obs.Obs.counter_value}, or
-    {!Carlos_obs.Obs.find} on a snapshot); snapshot/diff the registry to
-    measure a phase.  Each arming of the retransmit timer also records
+    {!Carlos_obs.Obs.find} on a snapshot); a phase is the difference of
+    two reads.  Each arming of the retransmit timer also records
     the effective timeout in the [sw.rto_armed] histogram. *)

@@ -1,5 +1,5 @@
-(* Typed observability layer: metrics registry + event/span trace with
-   Chrome trace_event and JSONL exporters.  See obs.mli for the model. *)
+(* Typed observability layer: metrics registry + event/span trace with a
+   Chrome trace_event exporter.  See obs.mli for the model. *)
 
 type layer = Sim | Net | Vm | Dsm | Carlos | App
 
@@ -73,13 +73,6 @@ module Hist = struct
     let b = bucket_of v in
     h.buckets.(b) <- h.buckets.(b) + 1
 
-  let reset h =
-    h.count <- 0;
-    h.sum <- 0.0;
-    h.min <- infinity;
-    h.max <- neg_infinity;
-    Array.fill h.buckets 0 bucket_count 0
-
   type snap = {
     count : int;
     sum : float;
@@ -124,8 +117,8 @@ module Hist = struct
 
   let bucket_hi s b = Float.min (Float.ldexp 1.0 (b - 40)) s.max
 
-  (* Degenerate snaps have one defined answer: empty (or diffed-to-empty,
-     count <= 0) histograms return 0.0 for every p; a NaN p propagates. *)
+  (* Degenerate snaps have one defined answer: empty (count <= 0)
+     histograms return 0.0 for every p; a NaN p propagates. *)
   let percentile s p =
     if Float.is_nan p then Float.nan
     else if s.count <= 0 then 0.0
@@ -164,7 +157,7 @@ type gauge = { mutable g_v : float }
 
 (* Time series: explicit (virtual-time, value) samples kept in insertion
    order (newest first internally). *)
-type series = { mutable s_rev : (float * float) list; mutable s_len : int }
+type series = { mutable s_rev : (float * float) list }
 
 type instrument =
   | I_counter of counter
@@ -244,23 +237,17 @@ let series t ~node ~layer name =
   | Some (I_series s) -> s
   | Some _ -> kind_error key
   | None ->
-    let s = { s_rev = []; s_len = 0 } in
+    let s = { s_rev = [] } in
     Hashtbl.replace t.tbl key (I_series s);
     s
 
-let series_observe s ~ts v =
-  s.s_rev <- (ts, v) :: s.s_rev;
-  s.s_len <- s.s_len + 1
-
-let series_length s = s.s_len
+let series_observe s ~ts v = s.s_rev <- (ts, v) :: s.s_rev
 
 let inc c = c.c_v <- c.c_v + 1
 
 let add c n = c.c_v <- c.c_v + n
 
 let value c = c.c_v
-
-let set_gauge g v = g.g_v <- v
 
 let add_gauge g v = g.g_v <- g.g_v +. v
 
@@ -326,63 +313,6 @@ let snapshot t =
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
-let sub_value later earlier =
-  match (later, earlier) with
-  | Counter_v a, Counter_v b -> Counter_v (a - b)
-  | Gauge_v a, Gauge_v b -> Gauge_v (a -. b)
-  | Hist_v a, Hist_v b ->
-    Hist_v
-      {
-        Hist.count = a.Hist.count - b.Hist.count;
-        sum = a.Hist.sum -. b.Hist.sum;
-        min = a.Hist.min;
-        max = a.Hist.max;
-        buckets =
-          Array.init Hist.bucket_count (fun i ->
-              a.Hist.buckets.(i) - b.Hist.buckets.(i));
-      }
-  | Series_v a, Series_v b ->
-    (* Samples are append-only, so "what happened since" is the suffix. *)
-    let nb = Array.length b in
-    let na = Array.length a in
-    Series_v (if na >= nb then Array.sub a nb (na - nb) else [||])
-  | _ -> invalid_arg "Obs.diff: instrument changed kind between snapshots"
-
-let add_value a b =
-  match (a, b) with
-  | Counter_v x, Counter_v y -> Counter_v (x + y)
-  | Gauge_v x, Gauge_v y -> Gauge_v (x +. y)
-  | Hist_v x, Hist_v y -> Hist_v (Hist.merge x y)
-  | Series_v x, Series_v y ->
-    let m = Array.append x y in
-    (* Stable sort by timestamp: interleave two nodes' samples while
-       keeping each node's insertion order within equal timestamps. *)
-    Array.stable_sort (fun (ta, _) (tb, _) -> compare ta tb) m;
-    Series_v m
-  | _ -> invalid_arg "Obs.merge: mismatched instrument kinds"
-
-(* Merge two key-sorted association lists with [combine] on collisions. *)
-let rec merge_sorted combine a b =
-  match (a, b) with
-  | [], rest | rest, [] -> rest
-  | (ka, va) :: ta, (kb, vb) :: tb -> (
-    match compare_key ka kb with
-    | 0 -> (ka, combine va vb) :: merge_sorted combine ta tb
-    | c when c < 0 -> (ka, va) :: merge_sorted combine ta b
-    | _ -> (kb, vb) :: merge_sorted combine a tb)
-
-let diff ~earlier later =
-  let earlier_tbl = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace earlier_tbl k v) earlier;
-  List.map
-    (fun (k, v) ->
-      match Hashtbl.find_opt earlier_tbl k with
-      | None -> (k, v)
-      | Some e -> (k, sub_value v e))
-    later
-
-let merge_snapshots a b = merge_sorted add_value a b
-
 let find (snap : snapshot) ~node ~layer name =
   List.find_map
     (fun ((k : key), v) ->
@@ -392,20 +322,6 @@ let find (snap : snapshot) ~node ~layer name =
     snap
 
 let bindings snap = snap
-
-let reset t =
-  Hashtbl.iter
-    (fun _ inst ->
-      match inst with
-      | I_counter c -> c.c_v <- 0
-      | I_gauge g -> g.g_v <- 0.0
-      | I_hist h -> Hist.reset h
-      | I_series s ->
-        s.s_rev <- [];
-        s.s_len <- 0)
-    t.tbl;
-  t.events_rev <- [];
-  t.flow_ids <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Tracing *)
@@ -562,15 +478,6 @@ let pp_chrome_trace ppf t =
   List.iter (fun e -> emit (fun () -> event_json b e)) evs;
   Buffer.add_string b "\n]}\n";
   Format.pp_print_string ppf (Buffer.contents b)
-
-let pp_trace_jsonl ppf t =
-  List.iter
-    (fun e ->
-      let b = Buffer.create 256 in
-      event_json b e;
-      Format.pp_print_string ppf (Buffer.contents b);
-      Format.pp_print_string ppf "\n")
-    (events t)
 
 let key_json b (k : key) =
   Buffer.add_string b (Printf.sprintf "{\"node\":%d,\"layer\":" k.node);

@@ -16,17 +16,17 @@
       buckets;
     - {e series}: (virtual-time, value) samples of one quantity.
 
-    Reading is explicit: benchmarks take {!snapshot}s and {!diff} them
-    across phases rather than resetting hidden global state, so phases can
-    never double-count.  The registry is the only way to read a counter:
-    no layer exports a typed copy of its instruments.  Read one by key,
-    with {!counter_value} (0 for a key nobody registered) or {!find} on a
-    snapshot (which tells an unregistered key apart).
+    The registry is the only way to read a counter: no layer exports a
+    typed copy of its instruments, and nothing is ever reset.  Read one by
+    key, with {!counter_value} (0 for a key nobody registered) or {!find}
+    on a {!snapshot} (which tells an unregistered key apart); to measure a
+    phase, read the key before and after it.  {!snapshot} and {!bindings}
+    serve the exporters.
 
     The registry also owns the typed event/span trace (off by default, one
-    branch per event when disabled) with Chrome [trace_event] JSON and
-    JSONL exporters.  All exports are deterministically ordered: two
-    identical simulation runs emit byte-identical dumps. *)
+    branch per event when disabled) with a Chrome [trace_event] JSON
+    exporter.  All exports are deterministically ordered: two identical
+    simulation runs emit byte-identical dumps. *)
 
 (** {1 Keys} *)
 
@@ -85,10 +85,9 @@ module Hist : sig
       exactly, [percentile s 0. = s.min] and [percentile s 100. = s.max].
 
       Degenerate snaps have one defined answer: if [count <= 0] (the empty
-      histogram, or a {!Obs.diff} that subtracted everything away) the
-      result is [0.] for {e every} [p] — never the [infinity] /
-      [neg_infinity] sentinels stored as the empty extrema.  A NaN [p]
-      returns NaN. *)
+      histogram) the result is [0.] for {e every} [p] — never the
+      [infinity] / [neg_infinity] sentinels stored as the empty extrema.
+      A NaN [p] returns NaN. *)
   val percentile : snap -> float -> float
 end
 
@@ -132,18 +131,13 @@ val add : counter -> int -> unit
 
 val value : counter -> int
 
-val set_gauge : gauge -> float -> unit
-
 val add_gauge : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
 (** [series_observe s ~ts v] appends one sample.  Timestamps are expected
-    (but not required) to be monotone; {!diff} relies only on
-    append-only-ness. *)
+    (but not required) to be monotone; samples keep insertion order. *)
 val series_observe : series -> ts:float -> float -> unit
-
-val series_length : series -> int
 
 (** {1 Queries} *)
 
@@ -170,24 +164,9 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-(** [diff ~earlier later] subtracts instrument-wise: what happened between
-    the two snapshots.  Keys missing from [earlier] pass through.  A
-    histogram diff subtracts counts, sums and buckets but keeps the later
-    [min]/[max] (extrema are not invertible).  A series diff keeps the
-    samples appended after [earlier]; a merge interleaves samples by
-    timestamp (stable). *)
-val diff : earlier:snapshot -> snapshot -> snapshot
-
-(** Instrument-wise sum of two snapshots (cluster-level aggregation). *)
-val merge_snapshots : snapshot -> snapshot -> snapshot
-
 val find : snapshot -> node:int -> layer:layer -> string -> value_v option
 
 val bindings : snapshot -> (key * value_v) list
-
-(** Zero every instrument and drop all trace events.  For test isolation
-    only — production code must use {!snapshot}/{!diff} instead. *)
-val reset : t -> unit
 
 (** {1 Tracing} *)
 
@@ -268,9 +247,6 @@ val events : t -> event list
     processes, layers become threads; timestamps are microseconds of
     virtual time. *)
 val pp_chrome_trace : Format.formatter -> t -> unit
-
-(** One Chrome-style event object per line. *)
-val pp_trace_jsonl : Format.formatter -> t -> unit
 
 (** One JSON object per instrument per line. *)
 val pp_metrics_jsonl : Format.formatter -> snapshot -> unit

@@ -2,8 +2,9 @@
 
     Measures real seconds with [Unix.gettimeofday] around the simulator's
     hottest operations — event execution, heap ops, fiber spawn/resume,
-    ivar wakeups, vm fault handling — to give the engine-overhaul work
-    (ROADMAP item 2) its baseline.
+    ivar wakeups, vm fault handling — the baseline the engine overhaul
+    (the flat event heap and callback-chained frames) was measured
+    against.
 
     The profile is domain-local mutable state, disabled by default (one
     branch per engine probe, one domain-local read and one branch per

@@ -28,11 +28,3 @@ let float t =
   float_of_int mantissa *. (1.0 /. 9007199254740992.0)
 
 let flip t ~p = float t < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -22,6 +22,3 @@ val float : t -> float
 
 (** Bernoulli draw with probability [p]. *)
 val flip : t -> p:float -> bool
-
-(** Fisher-Yates shuffle in place. *)
-val shuffle : t -> 'a array -> unit

@@ -3,7 +3,9 @@
     Shared data structures are allocated during application setup, with the
     same allocator state visible to every node (allocation is a
     coordinated, deterministic operation, as with a DSM malloc serviced by
-    a manager node).  Addresses are absolute. *)
+    a manager node).  Addresses are absolute.  Nothing frees shared memory;
+    first fit still matters, because a small block fills the padding an
+    earlier aligned block left before itself. *)
 
 type t
 
@@ -14,11 +16,3 @@ val create : base:int -> size:int -> t
     aligned to [align] (default 8).  Raises [Out_of_memory] if no block
     fits. *)
 val alloc : t -> ?align:int -> int -> int
-
-(** Return a block to the allocator.  [addr] and [size] must describe a
-    block previously returned by [alloc] (coalescing is performed with
-    adjacent free blocks). *)
-val free : t -> addr:int -> size:int -> unit
-
-(** Bytes currently allocated. *)
-val live_bytes : t -> int

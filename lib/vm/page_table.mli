@@ -58,4 +58,4 @@ val write_data : t -> int -> Bytes.t
 
     Counters [read_faults] and [write_faults] live in the registry under
     the table's node, [Vm] layer, cumulative since creation.  Read them by
-    key; snapshot/diff the registry to measure a phase. *)
+    key; a phase is the difference of two reads. *)

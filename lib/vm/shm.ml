@@ -115,11 +115,6 @@ let span t addr len =
     invalid_arg "Shm: bulk access crosses a page boundary";
   off
 
-let write_bytes t addr src =
-  let off = span t addr (Bytes.length src) in
-  let data = Page_table.write_data t.page_table (off lsr t.page_shift) in
-  Bytes.blit src 0 data (off land t.page_mask) (Bytes.length src)
-
 let patch_bytes t addr src =
   let off = span t addr (Bytes.length src) in
   Page.patch

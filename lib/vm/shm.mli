@@ -66,9 +66,8 @@ val write_f64 : t -> int -> float -> unit
 
 (** {1 Bulk access} (a span must not cross a page boundary) *)
 
-val write_bytes : t -> int -> Bytes.t -> unit
-
 (** Write [src] at an address without taking faults, into the live data
     and, when the page is write-enabled, its twin (see {!Page.patch}):
-    input data every node would load from disk. *)
+    input data every node would load from disk.  Raises
+    [Invalid_argument] if the span crosses a page boundary. *)
 val patch_bytes : t -> int -> Bytes.t -> unit

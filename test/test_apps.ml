@@ -187,7 +187,7 @@ let test_grid_domain_parallel_identical () =
       Format.asprintf "%a" Carlos_obs.Obs.pp_metrics
         (Carlos_obs.Obs.snapshot obs)
     in
-    let trace = Format.asprintf "%a" Carlos_obs.Obs.pp_trace_jsonl obs in
+    let trace = Format.asprintf "%a" Carlos_obs.Obs.pp_chrome_trace obs in
     (r.Grid.checksum, metrics, trace)
   in
   let reference = run () in

@@ -76,22 +76,16 @@ let test_medium_stats () =
   let elapsed = 1.0 in
   check_float "utilization" (300.0 /. ethernet_bw)
     (wire_busy medium /. elapsed);
-  (* Phase measurement is snapshot/diff of the registry, not a hidden
-     reset: the cumulative counters are untouched. *)
-  let before = Obs.snapshot (Medium.obs medium) in
+  (* A phase is measured by reading the keys before and after it; nothing
+     resets the cumulative counters. *)
+  let frames0 = medium_counter medium "medium.frames"
+  and bytes0 = medium_counter medium "medium.bytes" in
   Engine.spawn eng (fun () -> Medium.send medium ~src:0 ~dst:1 ~size:50 ());
   Engine.run eng;
-  let phase = Obs.diff ~earlier:before (Obs.snapshot (Medium.obs medium)) in
-  (match
-     Obs.find phase ~node:Obs.global_node ~layer:Obs.Net "medium.frames"
-   with
-  | Some (Obs.Counter_v n) -> Alcotest.(check int) "phase frames" 1 n
-  | _ -> Alcotest.fail "medium.frames missing from diff");
-  (match
-     Obs.find phase ~node:Obs.global_node ~layer:Obs.Net "medium.bytes"
-   with
-  | Some (Obs.Counter_v n) -> Alcotest.(check int) "phase bytes" 50 n
-  | _ -> Alcotest.fail "medium.bytes missing from diff");
+  Alcotest.(check int) "phase frames" 1
+    (medium_counter medium "medium.frames" - frames0);
+  Alcotest.(check int) "phase bytes" 50
+    (medium_counter medium "medium.bytes" - bytes0);
   Alcotest.(check int) "cumulative frames" 3
     (medium_counter medium "medium.frames")
 
@@ -490,16 +484,11 @@ let test_sw_stats () =
   Alcotest.(check int) "sent" 2 (sw_counter sw "sw.sent");
   Alcotest.(check int) "delivered" 2 (sw_counter sw "sw.delivered");
   Alcotest.(check bool) "acks flowed" true (sw_counter sw "sw.acks" > 0);
-  let before = Obs.snapshot (Sliding_window.obs sw) in
+  let sent0 = sw_counter sw "sw.sent" in
   Engine.spawn eng (fun () ->
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:10 ());
   Engine.run eng;
-  let phase =
-    Obs.diff ~earlier:before (Obs.snapshot (Sliding_window.obs sw))
-  in
-  (match Obs.find phase ~node:Obs.global_node ~layer:Obs.Net "sw.sent" with
-  | Some (Obs.Counter_v n) -> Alcotest.(check int) "phase sent" 1 n
-  | _ -> Alcotest.fail "sw.sent missing from diff");
+  Alcotest.(check int) "phase sent" 1 (sw_counter sw "sw.sent" - sent0);
   Alcotest.(check int) "cumulative sent" 3 (sw_counter sw "sw.sent")
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (* Unit tests for the typed observability layer: registry semantics
-   (idempotent registration, snapshot/diff/merge, reset), histogram merge
-   algebra, tracing, and exporter determinism. *)
+   (idempotent registration, reads by key), histogram merge algebra,
+   series, tracing, and exporter determinism. *)
 
 module Obs = Carlos_obs.Obs
 
@@ -8,10 +8,6 @@ let snap_value snap ~node ~layer name =
   match Obs.find snap ~node ~layer name with
   | Some v -> v
   | None -> Alcotest.failf "instrument %s missing from snapshot" name
-
-let counter_of = function
-  | Obs.Counter_v n -> n
-  | _ -> Alcotest.fail "expected a counter"
 
 (* ------------------------------------------------------------------ *)
 (* Registry basics *)
@@ -25,9 +21,7 @@ let test_instruments () =
   let g = Obs.gauge t ~node:0 ~layer:Obs.Carlos "time.user" in
   Obs.add_gauge g 1.5;
   Obs.add_gauge g 0.25;
-  Alcotest.(check (float 1e-12)) "gauge" 1.75 (Obs.gauge_value g);
-  Obs.set_gauge g 3.0;
-  Alcotest.(check (float 1e-12)) "gauge set" 3.0 (Obs.gauge_value g)
+  Alcotest.(check (float 1e-12)) "gauge" 1.75 (Obs.gauge_value g)
 
 let test_registration_idempotent () =
   let t = Obs.create () in
@@ -60,53 +54,6 @@ let test_queries () =
     (Obs.counter_value t ~node:2 ~layer:Obs.Carlos "msgs.sent");
   Alcotest.(check int) "absent is zero" 0
     (Obs.counter_value t ~node:9 ~layer:Obs.Carlos "msgs.sent")
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots *)
-
-let test_snapshot_diff () =
-  let t = Obs.create () in
-  let c = Obs.counter t ~node:0 ~layer:Obs.Net "frames" in
-  let g = Obs.gauge t ~node:0 ~layer:Obs.Carlos "time.user" in
-  Obs.add c 10;
-  Obs.add_gauge g 2.0;
-  let before = Obs.snapshot t in
-  Obs.add c 7;
-  Obs.add_gauge g 0.5;
-  (* A phase measured by diff sees only what happened in between... *)
-  let phase = Obs.diff ~earlier:before (Obs.snapshot t) in
-  Alcotest.(check int) "phase counter" 7
-    (counter_of (snap_value phase ~node:0 ~layer:Obs.Net "frames"));
-  (match snap_value phase ~node:0 ~layer:Obs.Carlos "time.user" with
-  | Obs.Gauge_v v -> Alcotest.(check (float 1e-12)) "phase gauge" 0.5 v
-  | _ -> Alcotest.fail "expected gauge");
-  (* ...while cumulative state is untouched (no hidden reset). *)
-  Alcotest.(check int) "cumulative" 17 (Obs.value c)
-
-let test_snapshot_merge () =
-  let a = Obs.create () and b = Obs.create () in
-  Obs.add (Obs.counter a ~node:0 ~layer:Obs.Vm "faults") 3;
-  Obs.add (Obs.counter b ~node:0 ~layer:Obs.Vm "faults") 4;
-  Obs.add (Obs.counter b ~node:1 ~layer:Obs.Vm "faults") 5;
-  let merged = Obs.merge_snapshots (Obs.snapshot a) (Obs.snapshot b) in
-  Alcotest.(check int) "summed" 7
-    (counter_of (snap_value merged ~node:0 ~layer:Obs.Vm "faults"));
-  Alcotest.(check int) "passthrough" 5
-    (counter_of (snap_value merged ~node:1 ~layer:Obs.Vm "faults"));
-  Alcotest.(check int) "key count" 2 (List.length (Obs.bindings merged))
-
-let test_reset () =
-  let t = Obs.create () in
-  let c = Obs.counter t ~node:0 ~layer:Obs.Sim "n" in
-  let h = Obs.histogram t ~node:0 ~layer:Obs.Sim "h" in
-  Obs.add c 5;
-  Obs.Hist.observe h 1.0;
-  Obs.set_tracing t true;
-  Obs.event t ~node:0 ~layer:Obs.Sim "e";
-  Obs.reset t;
-  Alcotest.(check int) "counter zeroed" 0 (Obs.value c);
-  Alcotest.(check int) "histogram zeroed" 0 (Obs.Hist.snap h).Obs.Hist.count;
-  Alcotest.(check int) "events dropped" 0 (List.length (Obs.events t))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram algebra *)
@@ -149,9 +96,9 @@ let test_hist_percentile () =
   Alcotest.(check (float 0.0)) "empty" 0.0
     (Obs.Hist.percentile Obs.Hist.empty 50.0)
 
-(* Degenerate snaps have defined answers: an empty (or negative-count
-   diff) snap is 0 at every percentile, and a NaN percentile propagates
-   — never an infinity sentinel leaking out of the bucket walk. *)
+(* Degenerate snaps have defined answers: an empty snap is 0 at every
+   percentile, and a NaN percentile propagates — never an infinity
+   sentinel leaking out of the bucket walk. *)
 let test_hist_percentile_degenerate () =
   List.iter
     (fun p ->
@@ -166,7 +113,7 @@ let test_hist_percentile_degenerate () =
     (Float.is_nan (Obs.Hist.percentile (Obs.Hist.snap h) Float.nan))
 
 (* ------------------------------------------------------------------ *)
-(* Series: append-only samples, suffix diff, timestamp-sorted merge *)
+(* Series: append-only samples *)
 
 let series_samples snap ~node name =
   match snap_value snap ~node ~layer:Obs.Dsm name with
@@ -176,31 +123,14 @@ let series_samples snap ~node name =
 let test_series () =
   let t = Obs.create () in
   let s = Obs.series t ~node:1 ~layer:Obs.Dsm "metadata_pressure" in
-  Alcotest.(check int) "empty" 0 (Obs.series_length s);
-  Obs.series_observe s ~ts:0.0 1.0;
+  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "empty" []
+    (series_samples (Obs.snapshot t) ~node:1 "metadata_pressure");
   Obs.series_observe s ~ts:0.5 3.0;
-  let early = Obs.snapshot t in
+  Obs.series_observe s ~ts:0.0 1.0;
   Obs.series_observe s ~ts:1.0 2.0;
-  Alcotest.(check int) "length" 3 (Obs.series_length s);
-  let later = Obs.snapshot t in
-  let check_samples msg exp got =
-    Alcotest.(check (list (pair (float 0.0) (float 0.0)))) msg exp got
-  in
-  check_samples "insertion order"
-    [ (0.0, 1.0); (0.5, 3.0); (1.0, 2.0) ]
-    (series_samples later ~node:1 "metadata_pressure");
-  check_samples "diff keeps the suffix"
-    [ (1.0, 2.0) ]
-    (series_samples (Obs.diff ~earlier:early later) ~node:1
-       "metadata_pressure");
-  let t2 = Obs.create () in
-  let s2 = Obs.series t2 ~node:1 ~layer:Obs.Dsm "metadata_pressure" in
-  Obs.series_observe s2 ~ts:0.25 9.0;
-  check_samples "merge interleaves by timestamp"
-    [ (0.0, 1.0); (0.25, 9.0); (0.5, 3.0); (1.0, 2.0) ]
-    (series_samples
-       (Obs.merge_snapshots later (Obs.snapshot t2))
-       ~node:1 "metadata_pressure")
+  Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "insertion order"
+    [ (0.5, 3.0); (0.0, 1.0); (1.0, 2.0) ]
+    (series_samples (Obs.snapshot t) ~node:1 "metadata_pressure")
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -413,14 +343,11 @@ let test_chrome_trace_shape () =
 
 let test_export_determinism () =
   (* Two identically-driven registries (flow events included) must dump
-     byte-identical Chrome, JSONL and metrics exports. *)
+     byte-identical Chrome and metrics exports. *)
   let a = populated () and b = populated () in
   Alcotest.(check string) "chrome trace deterministic"
     (render Obs.pp_chrome_trace a)
     (render Obs.pp_chrome_trace b);
-  Alcotest.(check string) "trace jsonl deterministic"
-    (render Obs.pp_trace_jsonl a)
-    (render Obs.pp_trace_jsonl b);
   Alcotest.(check string) "metrics deterministic"
     (render Obs.pp_metrics (Obs.snapshot a))
     (render Obs.pp_metrics (Obs.snapshot b))
@@ -457,12 +384,6 @@ let () =
             test_kind_mismatch;
           Alcotest.test_case "queries" `Quick test_queries;
         ] );
-      ( "snapshots",
-        [
-          Alcotest.test_case "snapshot/diff" `Quick test_snapshot_diff;
-          Alcotest.test_case "merge" `Quick test_snapshot_merge;
-          Alcotest.test_case "reset" `Quick test_reset;
-        ] );
       ( "histograms",
         Alcotest.test_case "basics" `Quick test_hist_basics
         :: Alcotest.test_case "percentile" `Quick test_hist_percentile
@@ -477,7 +398,8 @@ let () =
              ] );
       ( "series",
         [
-          Alcotest.test_case "observe/diff/merge" `Quick test_series;
+          Alcotest.test_case "observe keeps insertion order" `Quick
+            test_series;
           Alcotest.test_case "jsonl shape" `Quick test_series_jsonl;
         ] );
       ( "tracing",

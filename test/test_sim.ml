@@ -118,14 +118,6 @@ let test_rng_float_bounds () =
     if v < 0.0 || v >= 1.0 then Alcotest.fail "out of bounds"
   done
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.create ~seed:3 in
-  let a = Array.init 50 (fun i -> i) in
-  Rng.shuffle r a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
-
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -570,8 +562,6 @@ let () =
             test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
-          Alcotest.test_case "shuffle permutes" `Quick
-            test_rng_shuffle_permutation;
         ] );
       ( "engine",
         [
