@@ -564,6 +564,57 @@ let test_release_waits_for_close () =
   Alcotest.(check int) "one interval created" 1
     (dsm_counter c ~node:0 "intervals_created")
 
+(* Poll every microsecond of virtual time until [ready] holds. *)
+let rec wait_until ready =
+  if not (ready ()) then begin
+    Engine.delay 1e-6;
+    wait_until ready
+  end
+
+let test_close_during_flush_publishes_orphan () =
+  (* A write notice for a page node 0 is writing makes its accept flush
+     the page to an orphan diff and yield to charge for the encode.  A
+     second fiber of node 0 releases in that window: the interval it
+     closes names the page, and must publish the orphan with it. *)
+  let c = make_cluster ~charge:Engine.delay 2 in
+  let engine = Engine.create () in
+  let seen = ref (-1) in
+  Engine.spawn engine (fun () ->
+      Shm.write_i64 c.shms.(1) (slot c ~page:0 0) 1;
+      let from_1 =
+        Lrc.make_piggyback c.lrcs.(1) ~receiver:0 ~nontransitive:false
+      in
+      Shm.write_i64 c.shms.(0) (slot c ~page:0 1) 2;
+      Engine.fork (fun () ->
+          wait_until (fun () -> page_state c ~node:0 ~page:0 = Page.Read_only);
+          ignore (release c ~src:0 ~dst:1);
+          seen := Shm.read_i64 c.shms.(1) (slot c ~page:0 1));
+      Lrc.accept c.lrcs.(0) [ from_1 ]);
+  Engine.run engine;
+  Alcotest.(check int) "the released orphan reaches node 1" 2 !seen
+
+let test_fault_during_invalidation_sees_missing () =
+  (* Node 1's accept invalidates its valid copy of page 0, then yields
+     to charge for the protection change.  The fault trap is free here,
+     so a read in that window validates at once: it must find the
+     missing interval and fetch it rather than validate the stale copy. *)
+  let trap = Cpu_cost.default.Cpu_cost.fault_trap in
+  let c =
+    make_cluster ~charge:(fun dt -> if dt <> trap then Engine.delay dt) 2
+  in
+  let a = slot c ~page:0 0 in
+  let engine = Engine.create () in
+  let seen = ref (-1) in
+  Engine.spawn engine (fun () ->
+      Shm.write_i64 c.shms.(0) a 7;
+      let pb = Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false in
+      Engine.fork (fun () ->
+          wait_until (fun () -> page_state c ~node:1 ~page:0 = Page.Invalid);
+          seen := Shm.read_i64 c.shms.(1) a);
+      Lrc.accept c.lrcs.(1) [ pb ]);
+  Engine.run engine;
+  Alcotest.(check int) "the read in the window sees the write" 7 !seen
+
 let test_many_interval_page_history_correct () =
   (* Long per-page histories exercise the whole-page fetch path; the final
      value must always win regardless of transfer mechanism. *)
@@ -1348,6 +1399,10 @@ let () =
             test_release_waits_for_close;
           loopback "double close publishes once"
             test_concurrent_release_during_cpu_yield;
+          Alcotest.test_case "close during a flush publishes the orphan"
+            `Quick test_close_during_flush_publishes_orphan;
+          Alcotest.test_case "fault during an invalidation sees it missing"
+            `Quick test_fault_during_invalidation_sees_missing;
           loopback "long page history" test_many_interval_page_history_correct;
         ] );
       ( "lrc-strategies",
