@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit bench-smoke bench-diff bench-parallel rebaseline perfbench-smoke clean
+.PHONY: all build test fmt check soak soak-check audit bench-diff bench-parallel rebaseline perfbench-smoke clean
 
 all: build
 
@@ -41,15 +41,6 @@ audit: build
 	    done; \
 	  done; \
 	done
-
-# Regenerate BENCH_PR10.json (backend x app x variant gate rows with
-# per-component wire bytes, plus the node-count scaling sweep and
-# fitted growth exponents) and run the audited matrix.  Fails on any
-# app-level check, conservation miss, retransmit-gate violation or
-# audit violation.
-bench-smoke: build
-	dune exec bench/main.exe -- json scaling
-	$(MAKE) audit
 
 # Parallel-determinism gate: the gate matrix fanned across 2 domains
 # must produce a snapshot byte-identical (host-time fields aside, which

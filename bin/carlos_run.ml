@@ -242,33 +242,6 @@ let () =
     "CarlOS: message-driven relaxed consistency in a simulated software DSM"
   in
   let info = Cmd.info "carlos_run" ~version:"1.0.0" ~doc in
-  (* Top level also accepts [--app APP] directly, so the common invocation
-     [carlos_run --app tsp --variant hybrid --nodes 4 --trace t.json] works
-     without a subcommand. *)
-  let app_arg =
-    let doc =
-      "Application to run: "
-      ^ String.concat ", " (List.map (fun (a : Harness.app) -> a.name) Harness.apps)
-      ^ "."
-    in
-    Arg.(value & opt (some string) None & info [ "app" ] ~docv:"APP" ~doc)
-  in
-  let default =
-    Term.(
-      ret
-        (const (fun app opts ->
-             match app with
-             | None -> `Help (`Pager, None)
-             | Some name -> (
-               match
-                 List.find_opt (fun (a : Harness.app) -> a.name = name)
-                   Harness.apps
-               with
-               | Some app -> run_app app opts
-               | None ->
-                 `Error (false, Printf.sprintf "unknown application %S" name)))
-        $ app_arg $ opts_term))
-  in
   exit
     (Cmd.eval
-       (Cmd.group ~default info (List.map app_cmd Harness.apps @ [ costs_cmd ])))
+       (Cmd.group info (List.map app_cmd Harness.apps @ [ costs_cmd ])))

@@ -61,9 +61,14 @@ type t = {
   central_version : (int, int) Hashtbl.t; (* page -> home version *)
   central_fetched : (int * int, int) Hashtbl.t; (* (node, page) *)
   (* Seq backend: last stamp issued by the sequencer (must be contiguous)
-     and the highest stamp applied per node (must advance by one). *)
+     and the highest stamp applied per node (must advance by one); per
+     origin, the diffs it handed to the sequencer, the stamps they got,
+     and the highest of those stamps. *)
   mutable seq_last_stamp : int;
   seq_applied : (int, int) Hashtbl.t; (* node -> applied stamp *)
+  seq_handed : int array;
+  seq_stamped : int array;
+  seq_own_last : int array;
 }
 
 let create ?obs ~nodes () =
@@ -87,6 +92,9 @@ let create ?obs ~nodes () =
     central_fetched = Hashtbl.create 128;
     seq_last_stamp = 0;
     seq_applied = Hashtbl.create 16;
+    seq_handed = Array.make nodes 0;
+    seq_stamped = Array.make nodes 0;
+    seq_own_last = Array.make nodes 0;
   }
 
 let violations t = List.rev t.violations_rev
@@ -372,7 +380,6 @@ let central_hooks t =
                version prev)
         | _ -> ());
         Hashtbl.replace t.central_fetched (node, page) version);
-    on_sync = (fun ~node:_ ~invalidated:_ -> ());
   }
 
 (* ------------------------------------------------------------------ *)
@@ -386,7 +393,9 @@ let seq_hooks t =
           violate t ~check:"seq-stamp-contiguous" ~node:origin
             (Printf.sprintf "stamp %d issued after %d (from n%d)" seq
                t.seq_last_stamp origin);
-        t.seq_last_stamp <- max seq t.seq_last_stamp);
+        t.seq_last_stamp <- max seq t.seq_last_stamp;
+        t.seq_stamped.(origin) <- t.seq_stamped.(origin) + 1;
+        t.seq_own_last.(origin) <- max seq t.seq_own_last.(origin));
     on_applied =
       (fun ~node ~seq ~origin ->
         if seq > t.seq_last_stamp then
@@ -407,4 +416,17 @@ let seq_hooks t =
             (Printf.sprintf
                "acquire completed needing stamp %d with only %d applied" upto
                applied));
+    on_handed =
+      (fun ~node ~diffs -> t.seq_handed.(node) <- t.seq_handed.(node) + diffs);
+    on_release =
+      (fun ~node ~upto ->
+        if t.seq_stamped.(node) < t.seq_handed.(node) then
+          violate t ~check:"seq-release-horizon" ~node
+            (Printf.sprintf "release with %d of its %d handed diffs unstamped"
+               (t.seq_handed.(node) - t.seq_stamped.(node))
+               t.seq_handed.(node))
+        else if upto < t.seq_own_last.(node) then
+          violate t ~check:"seq-release-horizon" ~node
+            (Printf.sprintf "release horizon %d misses its own stamp %d" upto
+               t.seq_own_last.(node)));
   }

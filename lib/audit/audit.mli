@@ -142,5 +142,8 @@ val central_hooks : t -> Carlos_dsm.Central_backend.hooks
     - {b seq-apply-order}: every node applies stamps in exactly that
       order, and never a stamp the sequencer did not issue;
     - {b seq-acquire-coverage}: an acquire only completes once the local
-      applied stamp covers the accepted horizon. *)
+      applied stamp covers the accepted horizon;
+    - {b seq-release-horizon}: a node builds a RELEASE only once every
+      diff it handed to the sequencer has been stamped, and its horizon
+      covers those stamps. *)
 val seq_hooks : t -> Carlos_dsm.Seq_backend.hooks

@@ -16,14 +16,12 @@ type piggyback = { origin : int }
 type hooks = {
   on_flush_applied : home:int -> origin:int -> page:int -> version:int -> unit;
   on_page_fetched : node:int -> page:int -> version:int -> unit;
-  on_sync : node:int -> invalidated:int -> unit;
 }
 
 let no_hooks =
   {
     on_flush_applied = (fun ~home:_ ~origin:_ ~page:_ ~version:_ -> ());
     on_page_fetched = (fun ~node:_ ~page:_ ~version:_ -> ());
-    on_sync = (fun ~node:_ ~invalidated:_ -> ());
   }
 
 type ins = {
@@ -243,7 +241,6 @@ let accept t pbs =
     flush_dirty t;
     let invalidated = invalidate_cached t in
     Obs.add t.ins.invalidations_c invalidated;
-    t.hooks.on_sync ~node:t.me ~invalidated;
     if invalidated > 0 then
       t.charge (t.costs.Cpu_cost.page_protect *. float_of_int invalidated)
   end

@@ -63,9 +63,6 @@ type hooks = {
           raising it to [version] *)
   on_page_fetched : node:int -> page:int -> version:int -> unit;
       (** [node] installed home's copy of [page] at [version] *)
-  on_sync : node:int -> invalidated:int -> unit;
-      (** [node] completed an acquire, invalidating [invalidated] cached
-          pages *)
 }
 
 val no_hooks : hooks

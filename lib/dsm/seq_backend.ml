@@ -20,6 +20,8 @@ type hooks = {
   on_stamped : seq:int -> origin:int -> unit;
   on_applied : node:int -> seq:int -> origin:int -> unit;
   on_acquire : node:int -> upto:int -> applied:int -> unit;
+  on_handed : node:int -> diffs:int -> unit;
+  on_release : node:int -> upto:int -> unit;
 }
 
 let no_hooks =
@@ -27,6 +29,8 @@ let no_hooks =
     on_stamped = (fun ~seq:_ ~origin:_ -> ());
     on_applied = (fun ~node:_ ~seq:_ ~origin:_ -> ());
     on_acquire = (fun ~node:_ ~upto:_ ~applied:_ -> ());
+    on_handed = (fun ~node:_ ~diffs:_ -> ());
+    on_release = (fun ~node:_ ~upto:_ -> ());
   }
 
 type ins = {
@@ -277,6 +281,7 @@ let publish t =
   match Writeback.encode_written t.wb ~created:t.ins.diffs_created_c with
   | [] -> ()
   | diffs ->
+    t.hooks.on_handed ~node:t.me ~diffs:(List.length diffs);
     let last =
       if t.me = t.sequencer then serve_sequence t ~origin:t.me diffs
       else begin
@@ -295,6 +300,7 @@ let flush_dirty t = Writeback.exclusively t.wb publish t
 
 let make_piggyback t ~receiver:_ ~nontransitive:_ =
   flush_dirty t;
+  t.hooks.on_release ~node:t.me ~upto:t.horizon;
   { origin = t.me; upto = t.horizon }
 
 let accept t pbs =

@@ -75,6 +75,11 @@ type hooks = {
   on_acquire : node:int -> upto:int -> applied:int -> unit;
       (** [node] completed an acquire needing [upto] with [applied]
           stamps already applied locally *)
+  on_handed : node:int -> diffs:int -> unit;
+      (** [node] handed [diffs] diffs to the sequencer, which stamps
+          each once *)
+  on_release : node:int -> upto:int -> unit;
+      (** [node] built a RELEASE carrying horizon [upto] *)
 }
 
 val no_hooks : hooks

@@ -5,6 +5,7 @@
 
 module Vc = Carlos_dsm.Vc
 module Lrc = Carlos_dsm.Lrc_backend
+module Seq = Carlos_dsm.Seq_backend
 module Shm = Carlos_vm.Shm
 module Annotation = Carlos.Annotation
 module Node = Carlos.Node
@@ -262,6 +263,23 @@ let test_catches_manager_accept () =
       (v.Audit.trace_id <> None);
     Alcotest.(check int) "detected at the manager" 0 v.Audit.node
 
+(* The sequencer backend's release rule, driven through its hooks: node
+   1 releases while its handed diff is unstamped, then once it is stamped
+   but with a horizon below that stamp, and finally with a horizon that
+   covers it.  Only the last release is clean. *)
+let test_catches_early_seq_release () =
+  let a = Audit.create ~nodes:2 () in
+  let h = Audit.seq_hooks a in
+  h.Seq.on_handed ~node:1 ~diffs:1;
+  h.Seq.on_release ~node:1 ~upto:0;
+  h.Seq.on_stamped ~seq:1 ~origin:1;
+  h.Seq.on_release ~node:1 ~upto:0;
+  h.Seq.on_release ~node:1 ~upto:1;
+  Alcotest.(check (list string))
+    "both early releases reported"
+    [ "seq-release-horizon"; "seq-release-horizon" ]
+    (List.map (fun v -> v.Audit.check) (Audit.violations a))
+
 let () =
   Props.run "audit"
     [
@@ -283,5 +301,7 @@ let () =
             test_catches_corrupt_vc_merge;
           Alcotest.test_case "manager becomes consistent" `Quick
             test_catches_manager_accept;
+          Alcotest.test_case "seq release before its stamp" `Quick
+            test_catches_early_seq_release;
         ] );
     ]
