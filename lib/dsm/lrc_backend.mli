@@ -7,7 +7,8 @@
     channel given at creation, and all processing time is charged through
     the [charge] callback, so the engine itself is easy to test in
     isolation.  The engine defines its own requests (diff, interval, page
-    and base fetches) and their wire sizes.
+    and base fetches) and their wire sizes.  Its parts, each owning its
+    own state, are {!Lrc_serve}, {!Lrc_fetch}, {!Lrc_close} and {!Lrc_gc}.
 
     Key protocol choices, matching the paper:
     - multiple-writer protocol with twins and run-length-encoded diffs;
@@ -87,8 +88,6 @@ val create :
   ?strategy:strategy ->
   unit ->
   t
-
-val strategy : t -> strategy
 
 (** {1 Audit hooks}
 
