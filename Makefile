@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit bench-diff bench-parallel rebaseline perfbench-smoke clean
+.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline perfbench-smoke clean
 
 all: build
 
@@ -28,7 +28,7 @@ soak-check: build
 	@test/soak.sh 1..200 test/soak_expected.txt
 
 # Run every app under the online consistency auditor on every backend;
-# fails on any violation (the CI consistency-audit job runs this target).
+# fails on any violation (CI runs this target).
 # Each backend enables its own invariant set in the auditor.
 audit: build
 	@for backend in lrc central seq; do \
@@ -42,18 +42,25 @@ audit: build
 	  done; \
 	done
 
+# The paper's Tables 1-3, Figure 2 and the ablations; exits non-zero when
+# any row's application-level check prints FAIL.
+paper-tables: build
+	dune exec bench/main.exe
+
 # Parallel-determinism gate: the gate matrix fanned across 2 domains
 # must produce a snapshot byte-identical (host-time fields aside, which
 # are wall-clock and therefore nondeterministic) to a sequential run.
 bench-parallel: build
-	dune exec bench/main.exe -- json -j 1 -o /tmp/bench_j1.json
-	dune exec bench/main.exe -- json -j 2 -o /tmp/bench_j2.json
-	sed -E 's/, "host_s": [0-9.]+, "host_ms": [0-9.]+//' /tmp/bench_j1.json > /tmp/bench_j1.stripped
-	sed -E 's/, "host_s": [0-9.]+, "host_ms": [0-9.]+//' /tmp/bench_j2.json > /tmp/bench_j2.stripped
-	cmp /tmp/bench_j1.stripped /tmp/bench_j2.stripped
+	@j1=$$(mktemp) && j2=$$(mktemp) && s1=$$(mktemp) && s2=$$(mktemp) && \
+	trap 'rm -f "$$j1" "$$j2" "$$s1" "$$s2"' EXIT && \
+	dune exec bench/main.exe -- json -j 1 -o $$j1 && \
+	dune exec bench/main.exe -- json -j 2 -o $$j2 && \
+	sed -E 's/, "host_ms": [0-9.]+//' $$j1 > $$s1 && \
+	sed -E 's/, "host_ms": [0-9.]+//' $$j2 > $$s2 && \
+	cmp $$s1 $$s2
 	@echo "bench-parallel: -j 2 snapshot identical to -j 1"
 
-# Standing perf gate (CI's bench-diff job runs this target): fresh gate
+# Standing perf gate (CI runs this target): fresh gate
 # rows plus a 16-node scaling smoke, compared against the committed
 # BENCH_PR10.json at zero tolerance on the simulated numbers, for every
 # gate row of all three backends and for the 16-node scaling rows.  The
@@ -92,11 +99,10 @@ rebaseline: build
 	cp $$tmp BENCH_PR10.json && rm -f $$tmp && \
 	echo "rebaseline: BENCH_PR10.json replaced"
 
-# perfbench's own correctness check (CI's perfbench-smoke job runs this
-# target): each workload runs its 32 seed-0 inputs once, and the run's
-# last line must report "correct": true and "failed": 0.  Seed 0 of
-# water-locks also checks its pinned BENCH_PR10.json row.  Host metrics
-# are printed, never gated.
+# perfbench's own correctness check (CI runs this target): each workload
+# runs its 32 seed-0 inputs once, and the run's last line must report
+# "correct": true and "failed": 0.  Seed 0 of water-locks also checks
+# its pinned BENCH_PR10.json row.  Host metrics are printed, never gated.
 PERFBENCH_WORKLOADS = qsort-bulk water-locks grid-32
 
 perfbench-smoke: build

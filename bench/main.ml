@@ -549,15 +549,13 @@ type row_result = {
 }
 
 (* Run one configuration and format its row.  [host_ms] is wall-clock
-   host time for the row ([host_s] stays CPU time for continuity);
-   both are nondeterministic and must never be gated on. *)
+   host time for the row; it is nondeterministic and must never be gated
+   on. *)
 let measure ~nodes ~app ~variant ~backend ~mode f =
-  let cpu0 = Sys.time () in
   let wall0 = Unix.gettimeofday () in
   let sys, (o : Harness.outcome) = f () in
   let report = o.report and ok = o.ok in
   let host_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
-  let host = Sys.time () -. cpu0 in
   let name = Printf.sprintf "%s/%s/%s/%s/n%d" app variant backend mode nodes in
   let failures = ref [] in
   if not ok then failures := [ name ];
@@ -579,11 +577,11 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
   in
   let row =
     Printf.sprintf
-      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "ok": %b, "host_s": %.3f, "host_ms": %.3f }|}
+      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "ok": %b, "host_ms": %.3f }|}
       app variant backend mode nodes report.System.wall report.System.messages
       report.System.message_bytes (c "medium.frames") (c "medium.bytes")
       (c "sw.acks") (c "sw.acks_coalesced") report.System.diff_requests
-      components_json ok host host_ms
+      components_json ok host_ms
   in
   let metrics =
     ("messages", float_of_int report.System.messages)

@@ -103,9 +103,12 @@ let audit_arg =
 
 let causal_arg =
   let doc =
-    "Print the offline causal analysis after the run: critical path \
-     through the message DAG, per-lock contention and handoff chains, \
-     barrier skew.  Implies event tracing."
+    "Print the critical path through the message DAG after the run: hops \
+     by annotation, per-node compute and wire time.  Implies event \
+     tracing.  Per-primitive waits are the $(b,lock.wait), \
+     $(b,barrier.skew), $(b,wq.wait) and $(b,sem.wait) histograms of \
+     --metrics and --metrics-json; lock hand-offs are the \
+     $(b,lock.handoff) events of --trace."
   in
   Arg.(value & flag & info [ "causal-report" ] ~doc)
 

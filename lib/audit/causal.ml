@@ -18,38 +18,9 @@ type critical_path = {
   cp_annot_hops : (string * int) list;
 }
 
-type lock_report = {
-  lk_name : string;
-  lk_acquisitions : int;
-  lk_wait_total : float;
-  lk_wait_max : float;
-  lk_handoffs : ((int * int) * int) list;
-}
-
-type barrier_report = {
-  br_name : string;
-  br_episodes : int;
-  br_skew_mean : float;
-  br_skew_max : float;
-}
-
-type t = {
-  path : critical_path option;
-  locks : lock_report list;
-  barriers : barrier_report list;
-}
-
 let arg_int e name =
   List.find_map
     (function n, Obs.Int i when n = name -> Some i | _ -> None)
-    e.Obs.args
-
-let arg_float e name =
-  List.find_map
-    (function
-      | n, Obs.F f when n = name -> Some f
-      | n, Obs.Int i when n = name -> Some (float_of_int i)
-      | _ -> None)
     e.Obs.args
 
 let arg_str e name =
@@ -157,122 +128,13 @@ let critical_path events =
           List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) annots []);
       }
 
-(* ------------------------------------------------------------------ *)
-(* Locks *)
-
-let lock_reports events =
-  let acc : (string, (int ref * float ref * float ref) * ((int * int), int) Hashtbl.t) Hashtbl.t
-      =
-    Hashtbl.create 8
-  in
-  let get name =
-    match Hashtbl.find_opt acc name with
-    | Some v -> v
-    | None ->
-      let v = ((ref 0, ref 0., ref 0.), Hashtbl.create 8) in
-      Hashtbl.add acc name v;
-      v
-  in
-  List.iter
-    (fun (e : Obs.event) ->
-      match e.name with
-      | "lock.acquired" -> (
-        match arg_str e "name" with
-        | None -> ()
-        | Some name ->
-          let (n, tot, mx), _ = get name in
-          incr n;
-          let w = Option.value ~default:0. (arg_float e "wait") in
-          tot := !tot +. w;
-          if w > !mx then mx := w)
-      | "lock.handoff" -> (
-        match (arg_str e "name", arg_int e "to") with
-        | Some name, Some dst ->
-          let _, edges = get name in
-          let k = (e.node, dst) in
-          Hashtbl.replace edges k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt edges k))
-        | _ -> ())
-      | _ -> ())
-    events;
-  Hashtbl.fold
-    (fun name ((n, tot, mx), edges) l ->
-      {
-        lk_name = name;
-        lk_acquisitions = !n;
-        lk_wait_total = !tot;
-        lk_wait_max = !mx;
-        lk_handoffs =
-          List.sort
-            (fun (e1, c1) (e2, c2) -> compare (-c1, e1) (-c2, e2))
-            (Hashtbl.fold (fun k v l -> (k, v) :: l) edges []);
-      }
-      :: l)
-    acc []
-  |> List.sort (fun a b -> compare a.lk_name b.lk_name)
-
-(* ------------------------------------------------------------------ *)
-(* Barriers *)
-
-let barrier_reports events =
-  (* (name, episode) -> (min arrive ts, max arrive ts) *)
-  let eps : (string * int, float * float) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (e : Obs.event) ->
-      if e.name = "barrier.arrive" then
-        match (arg_str e "name", arg_int e "episode") with
-        | Some name, Some ep ->
-          let k = (name, ep) in
-          let lo, hi =
-            Option.value ~default:(e.ts, e.ts) (Hashtbl.find_opt eps k)
-          in
-          Hashtbl.replace eps k (Float.min lo e.ts, Float.max hi e.ts)
-        | _ -> ())
-    events;
-  let per_name : (string, int ref * float ref * float ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  Hashtbl.iter
-    (fun (name, _) (lo, hi) ->
-      let n, tot, mx =
-        match Hashtbl.find_opt per_name name with
-        | Some v -> v
-        | None ->
-          let v = (ref 0, ref 0., ref 0.) in
-          Hashtbl.add per_name name v;
-          v
-      in
-      let skew = hi -. lo in
-      incr n;
-      tot := !tot +. skew;
-      if skew > !mx then mx := skew)
-    eps;
-  Hashtbl.fold
-    (fun name (n, tot, mx) l ->
-      {
-        br_name = name;
-        br_episodes = !n;
-        br_skew_mean = (if !n = 0 then 0. else !tot /. float_of_int !n);
-        br_skew_max = !mx;
-      }
-      :: l)
-    per_name []
-  |> List.sort (fun a b -> compare a.br_name b.br_name)
-
-let analyse obs =
-  let events = Obs.events obs in
-  {
-    path = critical_path events;
-    locks = lock_reports events;
-    barriers = barrier_reports events;
-  }
+let analyse obs = critical_path (Obs.events obs)
 
 (* ------------------------------------------------------------------ *)
 
 let pp_ms ppf s = Format.fprintf ppf "%.3f ms" (s *. 1e3)
 
-let pp ppf t =
-  (match t.path with
+let pp ppf = function
   | None -> Format.fprintf ppf "critical path: no deliveries in trace@."
   | Some p ->
     Format.fprintf ppf "critical path: %a end-to-end, %d hops, wire %a@."
@@ -298,23 +160,4 @@ let pp ppf t =
           Format.fprintf ppf "    msg#%-5d %-10s n%d -> n%d at %a@." h.hop_id
             h.hop_annot h.hop_src h.hop_dst pp_ms h.hop_send_ts)
         tail
-    end);
-  List.iter
-    (fun l ->
-      Format.fprintf ppf
-        "lock %-12s %d acquisitions, wait total %a mean %a max %a@."
-        l.lk_name l.lk_acquisitions pp_ms l.lk_wait_total pp_ms
-        (if l.lk_acquisitions = 0 then 0.
-         else l.lk_wait_total /. float_of_int l.lk_acquisitions)
-        pp_ms l.lk_wait_max;
-      List.iter
-        (fun ((src, dst), n) ->
-          Format.fprintf ppf "  handoff n%d -> n%d: %d@." src dst n)
-        l.lk_handoffs)
-    t.locks;
-  List.iter
-    (fun b ->
-      Format.fprintf ppf
-        "barrier %-10s %d episodes, skew mean %a max %a@." b.br_name
-        b.br_episodes pp_ms b.br_skew_mean pp_ms b.br_skew_max)
-    t.barriers
+    end

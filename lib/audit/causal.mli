@@ -1,21 +1,19 @@
-(** Offline analysis of a captured trace.
+(** Offline critical-path analysis of a captured trace.
 
     Consumes the event stream of an {!Carlos_obs.Obs} registry recorded by
     an instrumented run ([Node] emits ["send"]/["deliver"]/["accept"]
-    events carrying the message trace id; the synchronization protocols
-    emit ["lock.handoff"]/["lock.acquired"], ["barrier.arrive"]/
-    ["barrier.fall"] and ["wq.enqueue"]/["wq.dequeue"]) and derives:
+    events carrying the message trace id) and derives the {b critical
+    path}: a backward walk through the causal DAG from the last event of
+    the run — at each step, the latest delivery on the current node is
+    matched to its send (same trace id) and the walk jumps to the sender
+    — splitting the end-to-end span into per-node local compute and wire
+    transit, with hop counts per annotation.
 
-    - the {b critical path}: a backward walk through the causal DAG from
-      the last event of the run — at each step, the latest delivery on
-      the current node is matched to its send (same trace id) and the
-      walk jumps to the sender — splitting the end-to-end span into
-      per-node local compute and wire transit, with hop counts per
-      annotation;
-    - a {b per-lock} breakdown: acquisitions, wait-time statistics and
-      the handoff chain (how often each manager/tail edge granted);
-    - {b barrier skew}: per episode, the spread between the first and
-      last arrival, aggregated per barrier. *)
+    Per-primitive waits are not derived here: the registry records them
+    on every run as the [lock.wait:<name>], [barrier.skew:<name>],
+    [wq.wait:<name>] and [sem.wait:<name>] histograms, exported by
+    [--metrics] and [--metrics-json].  Lock hand-offs stay in the trace
+    as ["lock.handoff"] events with their [to] argument. *)
 
 module Obs = Carlos_obs.Obs
 
@@ -37,28 +35,7 @@ type critical_path = {
   cp_annot_hops : (string * int) list;  (** hop count per annotation *)
 }
 
-type lock_report = {
-  lk_name : string;
-  lk_acquisitions : int;
-  lk_wait_total : float;
-  lk_wait_max : float;
-  lk_handoffs : ((int * int) * int) list;
-      (** ((granter, grantee), count), most frequent first *)
-}
+val analyse : Obs.t -> critical_path option
+(** [None] when the trace has no deliveries. *)
 
-type barrier_report = {
-  br_name : string;
-  br_episodes : int;
-  br_skew_mean : float;
-  br_skew_max : float;  (** spread between first and last arrival *)
-}
-
-type t = {
-  path : critical_path option;  (** [None] when the trace has no deliveries *)
-  locks : lock_report list;  (** sorted by name *)
-  barriers : barrier_report list;  (** sorted by name *)
-}
-
-val analyse : Obs.t -> t
-
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> critical_path option -> unit

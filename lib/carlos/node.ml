@@ -536,7 +536,7 @@ let make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy =
            ~strategy ())
     | Backend.Central ->
       Backend.Central_b
-        (Central.create ~obs ~nodes ~me:id ~home:0 ~page_table ~costs
+        (Central.create ~obs ~nodes ~me:id ~page_table ~costs
            ~charge:charge_dsm
            ~peer:
              (peer (function
@@ -545,7 +545,7 @@ let make ~obs ~id ~nodes ~engine ~shm ~costs ~backend ~strategy =
            ())
     | Backend.Seq ->
       Backend.Seq_b
-        (Seq.create ~obs ~nodes ~me:id ~sequencer:0 ~page_table ~costs
+        (Seq.create ~obs ~nodes ~me:id ~page_table ~costs
            ~charge:charge_dsm
            ~peer:(peer (function Backend.Seq_b b -> b | _ -> model_mismatch ()))
            ())

@@ -9,6 +9,9 @@ module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
 module Cost = Carlos_obs.Cost
 
+(* The coordinator, which holds every page's authoritative copy. *)
+let home = 0
+
 exception Protocol_violation of string
 
 type piggyback = { origin : int }
@@ -36,7 +39,6 @@ type ins = {
 type t = {
   nodes : int;
   me : int;
-  home : int;
   page_table : Page_table.t;
   costs : Cpu_cost.t;
   charge : float -> unit;
@@ -80,7 +82,7 @@ let bump_version t ~origin page =
     ~version:t.versions.(page)
 
 let serve_page t ~page =
-  if t.me <> t.home then
+  if t.me <> home then
     raise (Protocol_violation "central: serve_page on a non-home node");
   (* The live frame is the authoritative copy, whether or not the home
      node itself holds an open twin on it. *)
@@ -88,7 +90,7 @@ let serve_page t ~page =
   (Bytes.copy (Page.data p), t.versions.(page))
 
 let serve_flush t ~origin diffs =
-  if t.me <> t.home then
+  if t.me <> home then
     raise (Protocol_violation "central: serve_flush on a non-home node");
   let changed = ref 0 in
   List.iter
@@ -111,18 +113,18 @@ let serve_flush t ~origin diffs =
 
 (* The reply is the page and its version. *)
 let fetch_page t ~page =
-  t.peer.rpc ~dst:t.home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+  t.peer.rpc ~dst:home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
     ~request_bytes:12
     ~reply_bytes:(fun _ -> 12 + Page_table.page_size t.page_table)
-    (fun home -> serve_page home ~page)
+    (fun server -> serve_page server ~page)
 
 let flush t diffs =
   let origin = t.me in
-  t.peer.rpc ~dst:t.home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
+  t.peer.rpc ~dst:home ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
     ~request_bytes:
       (List.fold_left (fun acc d -> acc + Diff.size_bytes d) 8 diffs)
     ~reply_bytes:(fun () -> 8)
-    (fun home -> serve_flush home ~origin diffs)
+    (fun server -> serve_flush server ~origin diffs)
 
 (* ------------------------------------------------------------------ *)
 (* Fault handling *)
@@ -147,21 +149,20 @@ let rec fetch_if_invalid t page =
             +. t.costs.Cpu_cost.page_protect))
 
 let read_fault t page =
-  if t.me = t.home then
+  if t.me = home then
     raise
       (Protocol_violation
          (Printf.sprintf "home node took a read fault on page %d" page));
   t.charge t.costs.Cpu_cost.fault_trap;
   fetch_if_invalid t page
 
-let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
+let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let counter name = Obs.counter obs ~node:me ~layer:Obs.Dsm name in
   let t =
     {
       nodes;
       me;
-      home;
       page_table;
       costs;
       charge;
@@ -195,7 +196,7 @@ let create ?obs ~nodes ~me ~home ~page_table ~costs ~charge ~peer () =
 let publish t =
   match Writeback.encode_written t.wb ~created:t.ins.diffs_created_c with
   | [] -> ()
-  | diffs when t.me = t.home ->
+  | diffs when t.me = home ->
     (* The home node's writes are already in the authoritative frames;
        flushing just retires the twins and advances the versions. *)
     List.iter
@@ -217,7 +218,7 @@ let make_piggyback t ~receiver:_ ~nontransitive:_ =
   { origin = t.me }
 
 let invalidate_cached t =
-  if t.me = t.home then 0
+  if t.me = home then 0
   else begin
     let n = ref 0 in
     for page = 0 to Page_table.pages t.page_table - 1 do

@@ -39,15 +39,14 @@ exception Protocol_violation of string
     the data already reached home before the message was sent. *)
 type piggyback = { origin : int }
 
-(** [create ~nodes ~me ~home ~page_table ~costs ~charge ~peer ()] —
-    [home] is the coordinator node (conventionally 0).  Installs the fault
-    handlers on [page_table].  Every node but home sends its page fetches
-    and flushes to home through [peer]; home never uses it. *)
+(** [create ~nodes ~me ~page_table ~costs ~charge ~peer ()] — node 0 is
+    the coordinator, the home node.  Installs the fault handlers on
+    [page_table].  Every node but home sends its page fetches and flushes
+    to home through [peer]; home never uses it. *)
 val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
   me:int ->
-  home:int ->
   page_table:Carlos_vm.Page_table.t ->
   costs:Cpu_cost.t ->
   charge:(float -> unit) ->

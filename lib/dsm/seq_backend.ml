@@ -1,6 +1,6 @@
-(* Sequencer-based totally-ordered store: node [sequencer] stamps every
-   write batch into one global order and pushes the stamped diffs to
-   every replica, which applies them in stamp order.  See
+(* Sequencer-based totally-ordered store: node 0, the sequencer, stamps
+   every write batch into one global order and pushes the stamped diffs
+   to every replica, which applies them in stamp order.  See
    seq_backend.mli. *)
 
 module Page = Carlos_vm.Page
@@ -9,6 +9,9 @@ module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
 module Cost = Carlos_obs.Cost
+
+(* The node that stamps every write batch. *)
+let sequencer = 0
 
 exception Protocol_violation of string
 
@@ -45,7 +48,6 @@ type ins = {
 type t = {
   nodes : int;
   me : int;
-  sequencer : int;
   page_table : Page_table.t;
   costs : Cpu_cost.t;
   charge : float -> unit;
@@ -72,14 +74,13 @@ type t = {
   ins : ins;
 }
 
-let create ?obs ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer () =
+let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let counter name = Obs.counter obs ~node:me ~layer:Obs.Dsm name in
   let t =
     {
       nodes;
       me;
-      sequencer;
       page_table;
       costs;
       charge;
@@ -162,7 +163,7 @@ let wake_waiters t =
 (* Replica side (interrupt level) *)
 
 let apply_push t entries =
-  if t.me = t.sequencer then
+  if t.me = sequencer then
     raise (Protocol_violation "seq: push delivered to the sequencer");
   let bytes = ref 0 in
   List.iter
@@ -214,7 +215,7 @@ let broadcast t entries =
 (* Sequencer side (interrupt level or local application fiber) *)
 
 let serve_sequence t ~origin diffs =
-  if t.me <> t.sequencer then
+  if t.me <> sequencer then
     raise (Protocol_violation "seq: serve_sequence on a non-sequencer node");
   if diffs = [] then 0
   else begin
@@ -262,12 +263,12 @@ let serve_sequence t ~origin diffs =
 (* The reply is the last stamp assigned. *)
 let sequence t diffs =
   let origin = t.me in
-  t.peer.rpc ~dst:t.sequencer ~cost:Cost.Diff_payload
+  t.peer.rpc ~dst:sequencer ~cost:Cost.Diff_payload
     ~reply_cost:Cost.Diff_payload
     ~request_bytes:
       (List.fold_left (fun acc d -> acc + Diff.size_bytes d) 8 diffs)
     ~reply_bytes:(fun _ -> 12)
-    (fun sequencer -> serve_sequence sequencer ~origin diffs)
+    (fun server -> serve_sequence server ~origin diffs)
 
 (* ------------------------------------------------------------------ *)
 (* Flushing *)
@@ -283,7 +284,7 @@ let publish t =
   | diffs ->
     t.hooks.on_handed ~node:t.me ~diffs:(List.length diffs);
     let last =
-      if t.me = t.sequencer then serve_sequence t ~origin:t.me diffs
+      if t.me = sequencer then serve_sequence t ~origin:t.me diffs
       else begin
         Obs.inc t.ins.sequence_rpcs_c;
         sequence t diffs

@@ -45,8 +45,8 @@ exception Protocol_violation of string
     horizon in the global order. *)
 type piggyback = { origin : int; upto : int }
 
-(** [create ~nodes ~me ~sequencer ~page_table ~costs ~charge ~peer ()]
-    installs the fault handlers on [page_table].  Every other node sends
+(** [create ~nodes ~me ~page_table ~costs ~charge ~peer ()] installs
+    the fault handlers on [page_table]; node 0 is the sequencer.  Every other node sends
     its write batches to the sequencer through [peer]; the sequencer
     pushes stamped diffs to every replica through its own [peer], one
     post per replica, which the replica must receive in send order. *)
@@ -54,7 +54,6 @@ val create :
   ?obs:Carlos_obs.Obs.t ->
   nodes:int ->
   me:int ->
-  sequencer:int ->
   page_table:Carlos_vm.Page_table.t ->
   costs:Cpu_cost.t ->
   charge:(float -> unit) ->

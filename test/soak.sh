@@ -16,10 +16,14 @@ last=${range##*..}
 root=$(pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+# Run copies: a `dune build` started mid-soak replaces or deletes the
+# binaries under _build.
+mkdir "$work/bin"
+cp "$root"/_build/default/test/test_*.exe "$work/bin/"
 failing=""
 for seed in $(seq "$first" "$last"); do
   bad=0
-  for bin in "$root"/_build/default/test/test_*.exe; do
+  for bin in "$work"/bin/test_*.exe; do
     if ! (cd "$work" && QCHECK_SOAK=1 QCHECK_SEED=$seed "$bin" >log 2>&1); then
       bad=1
       echo "--- seed $seed: $(basename "$bin" .exe)"

@@ -150,27 +150,12 @@ let test_causal_analysis () =
   let sys = make () in
   System.set_tracing sys true;
   let _ = busy_app sys in
-  let c = Causal.analyse (System.obs sys) in
-  (match c.Causal.path with
+  match Causal.analyse (System.obs sys) with
   | None -> Alcotest.fail "no critical path extracted"
   | Some p ->
     Alcotest.(check bool) "critical path has hops" true
       (List.length p.Causal.cp_hops > 0);
-    Alcotest.(check bool) "wire time positive" true (p.Causal.cp_wire > 0.0));
-  (match c.Causal.locks with
-  | [ l ] ->
-    Alcotest.(check string) "lock name" "l" l.Causal.lk_name;
-    Alcotest.(check bool) "acquisitions counted" true
-      (l.Causal.lk_acquisitions >= 12);
-    Alcotest.(check bool) "handoff edges recorded" true
-      (l.Causal.lk_handoffs <> [])
-  | ls -> Alcotest.failf "expected one lock report, got %d" (List.length ls));
-  match c.Causal.barriers with
-  | [ b ] ->
-    Alcotest.(check string) "barrier name" "b" b.Causal.br_name;
-    Alcotest.(check int) "one episode" 1 b.Causal.br_episodes
-  | bs ->
-    Alcotest.failf "expected one barrier report, got %d" (List.length bs)
+    Alcotest.(check bool) "wire time positive" true (p.Causal.cp_wire > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Negative tests: each injected corruption must be caught, with the

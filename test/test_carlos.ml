@@ -283,7 +283,10 @@ let test_barrier_reusable () =
         done)
   in
   Alcotest.(check (list int)) "each step visible" [ 4; 3; 2; 1 ] !reads;
-  Alcotest.(check int) "episodes" 8 (Msg_barrier.episodes barrier)
+  Alcotest.(check int) "episodes" 8 (Msg_barrier.episodes barrier);
+  Alcotest.(check int) "one skew per episode" 8
+    (Counters.histogram (System.obs sys) ~layer:Obs.Carlos "barrier.skew:loop")
+      .Obs.Hist.count
 
 let test_transitive_barrier () =
   let sys = make ~nodes:3 () in
@@ -320,7 +323,10 @@ let test_semaphore_bounds_concurrency () =
         done)
   in
   Alcotest.(check bool) "at most 2 inside" true (!peak <= 2);
-  Alcotest.(check bool) "some concurrency" true (!peak >= 1)
+  Alcotest.(check bool) "some concurrency" true (!peak >= 1);
+  Alcotest.(check int) "one wait per P" 12
+    (Counters.histogram (System.obs sys) ~layer:Obs.Carlos "sem.wait:s")
+      .Obs.Hist.count
 
 let test_semaphore_as_signal () =
   let sys = make ~nodes:2 () in
@@ -394,7 +400,11 @@ let test_work_queue_basic () =
         | _ -> ())
   in
   Alcotest.(check (list int)) "all items in order" [ 1; 2; 3; 4; 5; 6 ]
-    (List.rev !consumed)
+    (List.rev !consumed);
+  (* Six items plus the closing [None]. *)
+  Alcotest.(check int) "one wait per dequeue" 7
+    (Counters.histogram (System.obs sys) ~layer:Obs.Carlos "wq.wait:q")
+      .Obs.Hist.count
 
 let test_work_queue_forwarding_skips_manager () =
   let sys = make ~nodes:3 () in

@@ -900,7 +900,7 @@ let make_seq_cluster n =
   let peer = loopback_peer servers slog in
   let seqs =
     Array.init n (fun me ->
-        Seq.create ~nodes:n ~me ~sequencer:0
+        Seq.create ~nodes:n ~me
           ~page_table:(Shm.page_table sshms.(me))
           ~costs:Cpu_cost.default ~charge ~peer ())
   in
@@ -1058,7 +1058,7 @@ let test_central_wire_sizes () =
   let peer = loopback_peer servers log in
   let cs =
     Array.init 2 (fun me ->
-        Central.create ~nodes:2 ~me ~home:0
+        Central.create ~nodes:2 ~me
           ~page_table:(Shm.page_table shms.(me))
           ~costs:Cpu_cost.default ~charge:ignore ~peer ())
   in
