@@ -47,56 +47,46 @@ audit: build
 paper-tables: build
 	dune exec bench/main.exe
 
-# Parallel-determinism gate: the gate matrix fanned across 2 domains
-# must produce a snapshot byte-identical (host-time fields aside, which
-# are wall-clock and therefore nondeterministic) to a sequential run.
+# The snapshot recipe: every gate and scaling row plus the fits, with the
+# wall-clock host_ms fields stripped, so what remains is deterministic.
+# $(call snapshot,FILE,ARGS) writes it to FILE.  SNAPSHOT_DIFF exits 1
+# when two stripped snapshots differ and prints each moved number inline
+# in its row.  The committed BENCH_PR10.json is such a stripped snapshot.
+STRIP_HOST = sed -E 's/, "host_ms": [0-9.]+//'
+snapshot = raw=$$(mktemp) && \
+	dune exec bench/main.exe -- json scaling $(2) -o $$raw && \
+	$(STRIP_HOST) $$raw > $(1) && rm -f $$raw
+SNAPSHOT_DIFF = git --no-pager diff --no-index --word-diff=plain \
+	--word-diff-regex='[^ ,{}]+'
+
+# Parallel-determinism gate: the snapshot fanned across 2 domains must be
+# byte-identical to a sequential run.
 bench-parallel: build
-	@j1=$$(mktemp) && j2=$$(mktemp) && s1=$$(mktemp) && s2=$$(mktemp) && \
-	trap 'rm -f "$$j1" "$$j2" "$$s1" "$$s2"' EXIT && \
-	dune exec bench/main.exe -- json -j 1 -o $$j1 && \
-	dune exec bench/main.exe -- json -j 2 -o $$j2 && \
-	sed -E 's/, "host_ms": [0-9.]+//' $$j1 > $$s1 && \
-	sed -E 's/, "host_ms": [0-9.]+//' $$j2 > $$s2 && \
-	cmp $$s1 $$s2
+	@j1=$$(mktemp) && j2=$$(mktemp) && trap 'rm -f "$$j1" "$$j2"' EXIT && \
+	$(call snapshot,$$j1,-j 1) && $(call snapshot,$$j2,-j 2) && \
+	$(SNAPSHOT_DIFF) $$j1 $$j2
 	@echo "bench-parallel: -j 2 snapshot identical to -j 1"
 
-# Standing perf gate (CI runs this target): fresh gate
-# rows plus a 16-node scaling smoke, compared against the committed
-# BENCH_PR10.json at zero tolerance on the simulated numbers, for every
-# gate row of all three backends and for the 16-node scaling rows.  The
-# gate rows are selected by config=batched, which sets them apart from
-# the committed 4/8/32-node scaling rows that the fresh 16-node smoke
-# does not rerun (unselected, those would be reported missing).
-# bench_diff fails only on increases, so each comparison is also run
-# with the two files swapped: a simulated number that moves in either
-# direction fails.  Exits non-zero on a moved number or a lost row.
-SIM_FIELDS = wall_s,messages,wire_bytes,components.diff_payload,components.vc_entries,components.write_notices,components.retransmit,bytes,frames,acks,acks_coalesced,diff_requests
-
+# Standing perf gate (CI runs this target): a fresh snapshot must equal
+# the committed BENCH_PR10.json, so every simulated number of every row
+# and fit is gated at zero tolerance in both directions.  Exits non-zero
+# on a moved number, a lost row or a new one.
 bench-diff: build
-	dune exec bench/main.exe -- json scaling -n 16 -o BENCH_GATE.json
-	@for sel in "config=batched" "config=scaling --only nodes=16"; do \
-	  for pair in "BENCH_PR10.json BENCH_GATE.json" \
-	              "BENCH_GATE.json BENCH_PR10.json"; do \
-	    echo "=== bench_diff $$pair --only $$sel ==="; \
-	    dune exec bin/bench_diff.exe -- $$pair --only $$sel \
-	      --fields $(SIM_FIELDS) --tolerance 0 || exit 1; \
-	  done; \
-	done
+	@new=$$(mktemp) && base=$$(mktemp) && \
+	trap 'rm -f "$$new" "$$base"' EXIT && \
+	$(call snapshot,$$new) && $(STRIP_HOST) BENCH_PR10.json > $$base && \
+	$(SNAPSHOT_DIFF) $$base $$new
+	@echo "bench-diff: snapshot identical to BENCH_PR10.json"
 
 # Re-pin the committed baseline after a change that moves simulated
-# numbers: regenerate every gate and scaling row into a temporary file,
-# print bench_diff in both directions at zero tolerance, so every moved
-# field shows in one table, then replace BENCH_PR10.json with it.  The
-# table is for review; it never stops the replacement.
+# numbers: print every moved number, then replace BENCH_PR10.json with
+# the fresh stripped snapshot.  The diff is for review; it never stops
+# the replacement.
 rebaseline: build
-	@tmp=$$(mktemp) && \
-	dune exec bench/main.exe -- json scaling -o $$tmp && \
-	for pair in "BENCH_PR10.json $$tmp" "$$tmp BENCH_PR10.json"; do \
-	  echo "=== bench_diff $$pair ==="; \
-	  dune exec bin/bench_diff.exe -- $$pair \
-	    --fields $(SIM_FIELDS) --tolerance 0 || true; \
-	done && \
-	cp $$tmp BENCH_PR10.json && rm -f $$tmp && \
+	@new=$$(mktemp) && trap 'rm -f "$$new"' EXIT && \
+	$(call snapshot,$$new) && \
+	{ $(SNAPSHOT_DIFF) BENCH_PR10.json $$new || true; } && \
+	cp $$new BENCH_PR10.json && \
 	echo "rebaseline: BENCH_PR10.json replaced"
 
 # perfbench's own correctness check (CI runs this target): each workload

@@ -5,7 +5,7 @@
    Bechamel micro-suite measuring the real cost of each reproduced
    workload on the host.
 
-   Usage: bench/main.exe [-j N] [-o FILE] [-n LIST] [BENCH ...]
+   Usage: bench/main.exe [-j N] [-o FILE] [BENCH ...]
    The bench names are listed in [benches] below (an unknown name prints
    them).  With no BENCH, every paper table and ablation runs.  [-j N]
    fans the snapshot benches' rows across N domains (default
@@ -477,19 +477,19 @@ let micro () =
    wire-byte breakdown ({!Carlos_obs.Cost}) for the 4-node
    backend x app x variant matrix ([json]), plus a node-count sweep at
    reduced application scale with fitted per-component growth exponents
-   ([scaling]).  Gate rows carry "config": "batched", the label earlier
-   snapshots gave the (now only) protocol, so they still key-match them.
-   Every measured run is checked for wire-byte conservation (components
+   ([scaling]).  Gate rows carry "config": "batched", the label of the
+   (now only) protocol, and scaling rows "config": "scaling".  Every
+   measured run is checked for wire-byte conservation (components
    must sum exactly to medium.bytes + datagram.dropped_bytes), and every
    LRC gate row additionally against the retransmit gate: a loss-free
    run retransmits zero bytes.  Both snapshot benches
    accumulate into the same file, written once after all requested
-   benches ran.  Format documented in EXPERIMENTS.md; compare snapshots
-   with bin/bench_diff.exe. *)
+   benches ran.  Format documented in EXPERIMENTS.md; [make bench-diff]
+   requires a fresh snapshot, host_ms stripped, to equal the committed
+   one. *)
 
 module Obs = Carlos_obs.Obs
 module Wire_cost = Carlos_obs.Cost
-module Bench_report = Carlos_report.Bench_report
 
 let output_file = ref "BENCH_PR10.json"
 
@@ -528,8 +528,6 @@ module Parallel_runner = struct
     end;
     Array.map (function Some r -> r | None -> assert false) results
 end
-
-let scaling_nodes = ref [ 4; 8; 16; 32 ]
 
 let json_runs = ref [] (* formatted row strings, newest first *)
 
@@ -659,10 +657,10 @@ let bench_json () =
 
 (* ------------------------------------------------------------------ *)
 (* Scaling sweep: grid and tsp at reduced scale on every backend across
-   [!scaling_nodes] (default 4/8/16/32, override with [-n LIST]).  Each
-   row lands in the snapshot's "scaling" array with the same shape as
-   the gate rows; per-(app, backend) growth exponents of every byte
-   component are fitted on log-log and written to "fits". *)
+   4, 8, 16 and 32 nodes.  Each row lands in the snapshot's "scaling"
+   array with the same shape as the gate rows; per-(app, backend) growth
+   exponents of every byte component are fitted on log-log and written
+   to "fits". *)
 
 let bench_scaling () =
   section "Scaling sweep: per-component wire bytes vs node count";
@@ -683,7 +681,7 @@ let bench_scaling () =
            List.concat_map
              (fun backend ->
                List.map (fun nodes -> (app, "lock", backend, nodes))
-                 !scaling_nodes)
+                 [ 4; 8; 16; 32 ])
              Backend.all_kinds)
          apps)
   in
@@ -695,6 +693,28 @@ let bench_scaling () =
         bname nodes
         (Option.value ~default:0.0 (List.assoc_opt "wire_bytes" metrics)))
     rows
+
+(* [fit_exponent points] is the least-squares slope of [log y] against
+   [log x] — the growth exponent b of the model [y = a * x^b] — over the
+   points with [x > 0] and [y > 0].  [None] when fewer than two distinct
+   [x] survive. *)
+let fit_exponent points =
+  let pts =
+    List.filter_map
+      (fun (x, y) ->
+        if x > 0.0 && y > 0.0 then Some (log x, log y) else None)
+      points
+  in
+  let xs = List.sort_uniq Stdlib.compare (List.map fst pts) in
+  if List.length xs < 2 then None
+  else
+    let n = float_of_int (List.length pts) in
+    let sx = List.fold_left (fun a (x, _) -> a +. x) 0.0 pts in
+    let sy = List.fold_left (fun a (_, y) -> a +. y) 0.0 pts in
+    let sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0.0 pts in
+    let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0.0 pts in
+    let denom = (n *. sxx) -. (sx *. sx) in
+    if denom = 0.0 then None else Some (((n *. sxy) -. (sx *. sy)) /. denom)
 
 (* Fit y = a * n^b per (app, backend, metric) over the sweep; rendered
    into the snapshot's "fits" array. *)
@@ -726,7 +746,7 @@ let fits_json () =
               Printf.sprintf
                 {|    { "app": %S, "backend": %S, "metric": %S, "exponent": %.4f }|}
                 app b metric e)
-            (Bench_report.fit_exponent points))
+            (fit_exponent points))
         fit_metrics)
     groups
 
@@ -779,8 +799,9 @@ let benches =
   ]
 
 let usage_error msg =
-  Format.fprintf ppf "%s@.usage: bench/main.exe [-j N] [-o FILE] [-n LIST] \
-                      [BENCH ...]@.  BENCH: %s@.  default: %s@."
+  Format.fprintf ppf
+    "%s@.usage: bench/main.exe [-j N] [-o FILE] [BENCH ...]@.  BENCH: %s@.  \
+     default: %s@."
     msg
     (String.concat " " (List.map (fun (name, _, _) -> name) benches))
     (String.concat " "
@@ -791,9 +812,8 @@ let usage_error msg =
   exit 2
 
 let () =
-  (* Pull "-o FILE" (snapshot destination), "-j N" (worker domains) and
-     "-n LIST" (scaling node counts, e.g. "-n 4,8,16,32") out of the
-     argument list before dispatching bench names. *)
+  (* Pull "-o FILE" (snapshot destination) and "-j N" (worker domains)
+     out of the argument list before dispatching bench names. *)
   let rec strip_flags = function
     | "-o" :: file :: rest ->
       output_file := file;
@@ -803,16 +823,7 @@ let () =
       | Some k when k >= 1 -> Parallel_runner.jobs := k
       | _ -> usage_error "-j requires a positive worker count");
       strip_flags rest
-    | "-n" :: list :: rest ->
-      (match
-         List.map int_of_string_opt (String.split_on_char ',' list)
-       with
-      | counts when List.for_all Option.is_some counts && counts <> [] ->
-        scaling_nodes := List.map Option.get counts
-      | _ -> usage_error "-n requires a comma-separated node-count list");
-      strip_flags rest
-    | [ ("-o" | "-n" | "-j") ] ->
-      usage_error "-o, -n and -j require an argument"
+    | [ ("-o" | "-j") ] -> usage_error "-o and -j require an argument"
     | arg :: rest -> arg :: strip_flags rest
     | [] -> []
   in

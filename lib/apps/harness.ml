@@ -122,7 +122,7 @@ let tsp ?(params = Tsp.default_params) () =
       })
     [
       ([ "lock" ], Tsp.Lock);
-      ([ "hybrid"; "hybrid-1" ], Tsp.Hybrid);
+      ([ "hybrid" ], Tsp.Hybrid);
       ([ "hybrid-all-release" ], Tsp.Hybrid_all_release);
     ]
 
@@ -185,6 +185,6 @@ let grid ?(params = Grid.default_params) () =
       })
       (* "lock" names the barrier variant so that one variant matrix covers
          every app: Grid's conservative mode is the plain barrier. *)
-    [ ([ "barrier"; "lock" ], Grid.Barrier); ([ "hybrid"; "hybrid-1" ], Grid.Hybrid) ]
+    [ ([ "barrier"; "lock" ], Grid.Barrier); ([ "hybrid" ], Grid.Hybrid) ]
 
 let apps = [ tsp (); qsort (); water (); grid () ]

@@ -50,7 +50,7 @@ type instance = {
   dist : int array array; (* scaled integer distances *)
   sorted_neighbors : int array array; (* per city, others by distance *)
   min_edge : int array; (* cheapest edge out of each city *)
-  nn_bound : int; (* nearest-neighbour tour length *)
+  nn_bound : int; (* 2-opt nearest-neighbour tour length, plus 1 *)
 }
 
 let make_instance p =
@@ -75,38 +75,9 @@ let make_instance p =
   let min_edge =
     Array.init p.cities (fun i -> dist.(i).(sorted_neighbors.(i).(0)))
   in
-  (* Nearest-neighbour tour for the initial bound. *)
-  let visited = Array.make p.cities false in
-  visited.(0) <- true;
-  let total = ref 0 and current = ref 0 in
-  for _ = 1 to p.cities - 1 do
-    let next =
-      Array.fold_left
-        (fun acc j ->
-          if visited.(j) then acc
-          else
-            match acc with
-            | None -> Some j
-            | Some b -> if dist.(!current).(j) < dist.(!current).(b) then Some j else acc)
-        None
-        (Array.init p.cities Fun.id)
-    in
-    match next with
-    | Some j ->
-      total := !total + dist.(!current).(j);
-      visited.(j) <- true;
-      current := j
-    | None ->
-      raise
-        (Node.Handler_error
-           (Printf.sprintf
-              "Tsp.make_instance: nearest-neighbour tour found no unvisited \
-               city among %d"
-              p.cities))
-  done;
-  total := !total + dist.(!current).(0);
-  (* Improve the initial tour with 2-opt so the search effort is dominated
-     by verification and stays stable across schedules. *)
+  (* Nearest-neighbour tour (lowest index on ties), improved with 2-opt
+     for the initial bound so the search effort is dominated by
+     verification and stays stable across schedules. *)
   let tour = Array.make p.cities 0 in
   let seen = Array.make p.cities false in
   seen.(0) <- true;
@@ -151,7 +122,7 @@ let make_instance p =
   done;
   (* +1 keeps a tour equal to the heuristic bound acceptable to the
      branch-and-bound (strict < pruning). *)
-  let bound = min !total !two_opt + 1 in
+  let bound = !two_opt + 1 in
   { cities = p.cities; dist; sorted_neighbors; min_edge; nn_bound = bound }
 
 (* ------------------------------------------------------------------ *)
@@ -441,20 +412,16 @@ let run sys variant p =
         match action with
         | `Work index ->
           let prefix = read_descriptor shm layout ~index in
-          let plen = ref 0 in
+          let len = ref 0 in
           for i = 0 to Array.length prefix - 2 do
-            plen := !plen + inst.dist.(prefix.(i)).(prefix.(i + 1))
+            len := !len + inst.dist.(prefix.(i)).(prefix.(i + 1))
           done;
-          if should_expand p inst ~depth:(Array.length prefix) ~len:!plen
+          if should_expand p inst ~depth:(Array.length prefix) ~len:!len
           then begin
             (* Expand one level, pruning against the current bound. *)
             let bound = Shm.read_i64 shm layout.bound_addr in
             let mask = Array.fold_left (fun m c -> m lor (1 lsl c)) 0 prefix in
             let last = prefix.(Array.length prefix - 1) in
-            let len = ref 0 in
-            for i = 0 to Array.length prefix - 2 do
-              len := !len + inst.dist.(prefix.(i)).(prefix.(i + 1))
-            done;
             let children = ref [] in
             Array.iter
               (fun next ->

@@ -52,8 +52,6 @@ module Hist : sig
 
   type t
 
-  val bucket_count : int
-
   val create : unit -> t
 
   val observe : t -> float -> unit

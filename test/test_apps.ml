@@ -229,7 +229,6 @@ let catalogue_names =
       [
         ("lock", "TSP/lock");
         ("hybrid", "TSP/hybrid");
-        ("hybrid-1", "TSP/hybrid");
         ("hybrid-all-release", "TSP/hybrid-all-release");
       ] );
     ( "qsort",
@@ -251,7 +250,6 @@ let catalogue_names =
         ("barrier", "Grid/barrier");
         ("lock", "Grid/barrier");
         ("hybrid", "Grid/hybrid");
-        ("hybrid-1", "Grid/hybrid");
       ] );
   ]
 
@@ -303,7 +301,7 @@ let test_catalogue_matches_direct () =
       o.report.System.messages;
     Alcotest.(check bool) (app.name ^ " ok") ok o.ok
   in
-  check (Harness.tsp ~params:tsp_params ()) "hybrid-1"
+  check (Harness.tsp ~params:tsp_params ()) "hybrid"
     (System.default_config ~nodes) (fun sys ->
       let r = Tsp.run sys Tsp.Hybrid tsp_params in
       (r.Tsp.report, r.Tsp.best = Tsp.solve_reference tsp_params));
