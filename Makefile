@@ -27,18 +27,23 @@ soak: build
 soak-check: build
 	@test/soak.sh 1..200 test/soak_expected.txt
 
-# Run every app under the online consistency auditor on every backend;
-# fails on any violation (CI runs this target).
-# Each backend enables its own invariant set in the auditor.
+# Run every variant of the app catalogue under the online consistency
+# auditor on every backend, so each work-queue mode (forwarding,
+# all-RELEASE, no forwarding) is audited; fails on any violation (CI runs
+# this target).  Each backend enables its own invariant set in the
+# auditor.
+AUDIT_RUNS = tsp:lock tsp:hybrid tsp:hybrid-all-release \
+	qsort:lock qsort:hybrid qsort:hybrid-2 qsort:hybrid-noforward \
+	water:lock water:hybrid water:hybrid-all-release grid:lock grid:hybrid
+
 audit: build
 	@for backend in lrc central seq; do \
-	  for app in tsp qsort water grid; do \
-	    for variant in lock hybrid; do \
-	      echo "=== $$app/$$variant n=4 --backend $$backend --audit ==="; \
-	      dune exec bin/carlos_run.exe -- \
-	        $$app --nodes 4 --variant $$variant \
-	        --backend $$backend --audit || exit 1; \
-	    done; \
+	  for run in $(AUDIT_RUNS); do \
+	    app=$${run%%:*}; variant=$${run#*:}; \
+	    echo "=== $$app/$$variant n=4 --backend $$backend --audit ==="; \
+	    dune exec bin/carlos_run.exe -- \
+	      $$app --nodes 4 --variant $$variant \
+	      --backend $$backend --audit || exit 1; \
 	  done; \
 	done
 

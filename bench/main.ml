@@ -472,9 +472,10 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable snapshot ([-o FILE], default BENCH_PR10.json):
-   per-app wall clock, message/wire totals and the per-component
-   wire-byte breakdown ({!Carlos_obs.Cost}) for the 4-node
+(* Machine-readable snapshot ([-o FILE], required with either bench):
+   per-app wall clock, message/wire totals, the per-component
+   wire-byte breakdown ({!Carlos_obs.Cost}) and its "waste" (piggybacked
+   intervals the receiver already covered) for the 4-node
    backend x app x variant matrix ([json]), plus a node-count sweep at
    reduced application scale with fitted per-component growth exponents
    ([scaling]).  Gate rows carry "config": "batched", the label of the
@@ -491,7 +492,7 @@ let micro () =
 module Obs = Carlos_obs.Obs
 module Wire_cost = Carlos_obs.Cost
 
-let output_file = ref "BENCH_PR10.json"
+let output_file = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Parallel runner: fans independent bench rows across domains ([-j N],
@@ -573,13 +574,17 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
          (fun (comp, v) -> Printf.sprintf "%S: %d" (Wire_cost.name comp) v)
          components)
   in
+  (* Of the piggybacked interval descriptions, those the receiver's clock
+     already covered, with their vc_entries and write_notices bytes. *)
+  let waste name = Obs.sum_counters obs ~layer:Obs.Dsm ("waste." ^ name) in
   let row =
     Printf.sprintf
-      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "ok": %b, "host_ms": %.3f }|}
+      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d }, "ok": %b, "host_ms": %.3f }|}
       app variant backend mode nodes report.System.wall report.System.messages
       report.System.message_bytes (c "medium.frames") (c "medium.bytes")
       (c "sw.acks") (c "sw.acks_coalesced") report.System.diff_requests
-      components_json ok host_ms
+      components_json (waste "intervals") (waste "vc_bytes")
+      (waste "wn_bytes") ok host_ms
   in
   let metrics =
     ("messages", float_of_int report.System.messages)
@@ -758,7 +763,8 @@ let write_snapshot () =
       | [] -> "[]"
       | _ -> "[\n" ^ String.concat ",\n" (List.rev rows) ^ "\n  ]"
     in
-    let oc = open_out !output_file in
+    let file = Option.get !output_file in
+    let oc = open_out file in
     Printf.fprintf oc
       "{\n\
       \  \"nodes\": 4,\n\
@@ -769,7 +775,7 @@ let write_snapshot () =
       (arr !json_runs) (arr !scaling_rows) (arr (fits_json ()));
     close_out oc;
     Format.fprintf ppf "wrote %s (%d gate rows, %d scaling rows)@."
-      !output_file (List.length !json_runs)
+      file (List.length !json_runs)
       (List.length !scaling_rows)
   end;
   if !failed <> [] then begin
@@ -816,7 +822,7 @@ let () =
      out of the argument list before dispatching bench names. *)
   let rec strip_flags = function
     | "-o" :: file :: rest ->
-      output_file := file;
+      output_file := Some file;
       strip_flags rest
     | "-j" :: n :: rest ->
       (match int_of_string_opt n with
@@ -838,6 +844,12 @@ let () =
           | None -> usage_error ("unknown bench " ^ name))
         names
   in
+  (* The snapshot goes only where asked: the committed baseline is
+     replaced by [make rebaseline], never by a bare bench run. *)
+  if
+    !output_file = None
+    && List.exists (fun (n, _, _) -> n = "json" || n = "scaling") selected
+  then usage_error "json and scaling write a snapshot: -o FILE is required";
   List.iter (fun (_, f, _) -> f ()) selected;
   write_snapshot ();
   Format.pp_print_flush ppf ()

@@ -54,6 +54,9 @@ type t = {
   page_applied : (int * int * int, int) Hashtbl.t;
   (* (trace_id, node) pairs where accepting is forbidden. *)
   relay : (int * int, unit) Hashtbl.t;
+  (* Per LRC RELEASE not yet accepted, by trace id: the interval ids its
+     last transmission carried, i.e. the copy a relay holds. *)
+  carried : (int, (int * int) list) Hashtbl.t;
   (* Central backend: the one home node seen, the version sequence per
      page at home (must advance by exactly one per applied flush), and
      the last version each node fetched per page (must be monotone). *)
@@ -87,6 +90,7 @@ let create ?obs ~nodes () =
     page_seen = Hashtbl.create 128;
     page_applied = Hashtbl.create 256;
     relay = Hashtbl.create 16;
+    carried = Hashtbl.create 64;
     central_home = None;
     central_version = Hashtbl.create 64;
     central_fetched = Hashtbl.create 128;
@@ -164,6 +168,7 @@ let on_send t ~trace_id ~src ~dst ~annotation ~vc ~required_vc ~nontransitive
         (Printf.sprintf "REQUEST piggybacks %s but the sender is at %s"
            (vc_str svc) (vc_str vc))
   | _ -> ());
+  if required_vc <> None then Hashtbl.replace t.carried trace_id intervals;
   match required_vc with
   | None -> ()
   | Some rvc when dst = src ->
@@ -227,6 +232,7 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
   in
   List.iter
     (fun a ->
+      Hashtbl.remove t.carried a.acc_trace_id;
       if Hashtbl.mem t.relay (a.acc_trace_id, node) then
         violate t ~check:"relay-consistent" ~node ~trace_id:a.acc_trace_id
           (Printf.sprintf
@@ -270,13 +276,47 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
   done;
   observe_vc t ~node ?trace_id:batch_tid ~at:"accept(after)" vc_after
 
-let on_forward t ~trace_id ~node ~vc =
+(* A RELEASE forwarded to another node carries exactly the stored copy's
+   intervals that the forwarder does not know [dst] to hold.  That is
+   not every interval up to the required clock: a stored copy tailored
+   for someone else can leave a gap, which the acceptor fetches from the
+   origin. *)
+let check_forward_tailoring t ~trace_id ~node ~dst ~carried ~intervals =
+  let known = t.knows.(node).(dst) in
+  let kept = Hashtbl.create 16 in
+  List.iter (fun ci -> Hashtbl.replace kept ci ()) intervals;
+  List.iter
+    (fun (c, i) ->
+      if i > Vc.get known c && not (Hashtbl.mem kept (c, i)) then
+        violate t ~check:"forward-tailoring" ~node ~trace_id
+          (Printf.sprintf
+             "forward to n%d drops interval %d.%d it is not known to hold \
+              (known %s)"
+             dst c i (vc_str known)))
+    carried;
+  List.iter
+    (fun (c, i) ->
+      if i <= Vc.get known c then
+        violate t ~check:"forward-tailoring" ~node ~trace_id
+          (Printf.sprintf
+             "forward to n%d keeps interval %d.%d it already covers (known \
+              %s)"
+             dst c i (vc_str known)))
+    intervals
+
+let on_forward t ~trace_id ~node ~dst ~vc ~intervals =
   (* Forwarding fulfils a relay obligation: the message moves on without
      this node becoming consistent.  Clearing the expectation also covers
      a manager that forwards an item to itself-as-dequeuer, which then
      legitimately accepts it in that role. *)
   Hashtbl.remove t.relay (trace_id, node);
-  observe_vc t ~node ~trace_id ~at:"forward" vc
+  observe_vc t ~node ~trace_id ~at:"forward" vc;
+  (* A local hop forwards the message as it is. *)
+  match Hashtbl.find_opt t.carried trace_id with
+  | Some carried when dst <> node ->
+    check_forward_tailoring t ~trace_id ~node ~dst ~carried ~intervals;
+    Hashtbl.replace t.carried trace_id intervals
+  | Some _ | None -> ()
 
 let on_store t ~trace_id ~node ~vc = observe_vc t ~node ~trace_id ~at:"store" vc
 

@@ -20,6 +20,12 @@
       intervals the receiver is not known to have — no gaps below
       [required_vc], nothing the receiver already covered (the precise
       tailoring a REQUEST's piggybacked timestamp enables, §4.3);
+    - {b forward-tailoring}: a RELEASE a relay forwards to another node
+      carries exactly the stored copy's intervals that the relay does
+      not know the destination to hold (from its REQUEST clock): none
+      dropped above that clock, none kept at or below it.  It need not
+      carry every interval up to [required_vc]: a copy tailored for the
+      relay can leave a gap, which the acceptor fetches from the origin;
     - {b release-nt-foreign-interval}: a non-transitive piggyback only
       carries intervals created by its sender;
     - {b request-vc-stale}: a REQUEST carries the sender's current clock;
@@ -105,8 +111,18 @@ val on_accept :
   t -> node:int -> vc_before:Vc.t -> vc_after:Vc.t -> accepted list -> unit
 
 (** A store or forward observes the node's clock [vc] (vc-monotonic);
-    a forward also fulfils the node's relay obligation for the message. *)
-val on_forward : t -> trace_id:int -> node:int -> vc:Vc.t -> unit
+    a forward also fulfils the node's relay obligation for the message.
+    [intervals] are the [(creator, index)] ids the forwarded copy to
+    [dst] carries, checked against the copy the node held, as recorded
+    at the message's previous transmission (forward-tailoring). *)
+val on_forward :
+  t ->
+  trace_id:int ->
+  node:int ->
+  dst:int ->
+  vc:Vc.t ->
+  intervals:(int * int) list ->
+  unit
 
 val on_store : t -> trace_id:int -> node:int -> vc:Vc.t -> unit
 

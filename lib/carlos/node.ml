@@ -198,6 +198,13 @@ let count_send t message size =
   | Annotation.Request -> Obs.inc t.ins.request_c
   | Annotation.None_ -> Obs.inc t.ins.none_c
 
+(* The (creator, index) ids of the intervals an LRC piggyback carries. *)
+let interval_ids (pb : Lrc.piggyback) =
+  List.map
+    (fun (i : Interval.t) ->
+      (i.Interval.id.Interval.creator, i.Interval.id.Interval.index))
+    pb.Lrc.intervals
+
 (* Auditor notification for the first transmission of a message.  Must run
    before any CPU charge: charges yield the fiber, and a nested handler
    could move the node's peer-knowledge mirror out from under the
@@ -208,12 +215,7 @@ let audit_send t ~dst message =
     let required_vc, nontransitive, intervals =
       match message.piggyback with
       | Some (Backend.Lrc_pb pb) ->
-        ( Some pb.Lrc.required_vc,
-          pb.Lrc.nontransitive,
-          List.map
-            (fun (i : Interval.t) ->
-              (i.Interval.id.Interval.creator, i.Interval.id.Interval.index))
-            pb.Lrc.intervals )
+        (Some pb.Lrc.required_vc, pb.Lrc.nontransitive, interval_ids pb)
       | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None ->
         (* Non-LRC piggybacks carry no clock; the LRC-specific send
            invariants self-gate on [required_vc = None]. *)
@@ -332,7 +334,16 @@ let accept_deliveries t deliveries vc_before =
         | Annotation.Request | Annotation.None_ -> None)
       deliveries
   in
-  if piggybacks <> [] then Backend.accept t.backend piggybacks;
+  (* A message this node sent itself and received by a local hop never
+     crossed the wire. *)
+  let local =
+    List.filter_map
+      (fun d ->
+        if d.src = t.id && d.message.origin = t.id then d.message.piggyback
+        else None)
+      deliveries
+  in
+  if piggybacks <> [] then Backend.accept t.backend ~local piggybacks;
   match (t.audit, vc_before) with
   | Some a, Some before ->
     Audit.on_accept a ~node:t.id ~vc_before:before
@@ -374,17 +385,35 @@ let accept_batch t deliveries =
 
 let accept d = accept_batch d.target [ d ]
 
+(* A RELEASE forwarded to another node travels as a copy trimmed to what
+   [dst] lacks, as its REQUEST clock told this node; the copy keeps the
+   origin, the required clock and the trace id.  A local hop never
+   touches the wire and forwards the message as it is.  The trim and the
+   audit see the same peer knowledge: nothing yields between them. *)
 let forward d ~dst =
   check_disposable d "forward";
   let t = d.target in
   d.disposition <- Forwarded;
   Obs.inc t.ins.forwarded_c;
+  let message =
+    match d.message.piggyback with
+    | Some pb when dst <> t.id ->
+      {
+        d.message with
+        piggyback = Some (Backend.trim_piggyback t.backend pb ~receiver:dst);
+      }
+    | Some _ | None -> d.message
+  in
   (match t.audit with
   | Some a ->
-    Audit.on_forward a ~trace_id:d.message.trace_id ~node:t.id
+    Audit.on_forward a ~trace_id:message.trace_id ~node:t.id ~dst
       ~vc:(Backend.vc t.backend)
+      ~intervals:
+        (match message.piggyback with
+        | Some (Backend.Lrc_pb pb) -> interval_ids pb
+        | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None -> [])
   | None -> ());
-  transmit t ~dst d.message
+  transmit t ~dst message
 
 let store d =
   (match d.disposition with

@@ -38,19 +38,27 @@ let make_piggyback t ~receiver ~nontransitive =
   | Seq_b b -> Seq_pb (Seq_backend.make_piggyback b ~receiver ~nontransitive)
 
 let wrong_model () =
-  invalid_arg "Backend.accept: piggyback from a different consistency model"
+  invalid_arg "Backend: piggyback from a different consistency model"
 
-let accept t pbs =
+let accept t ?(local = []) pbs =
   match t with
   | Lrc_b b ->
-    Lrc_backend.accept b
-      (List.map (function Lrc_pb pb -> pb | _ -> wrong_model ()) pbs)
+    let lrc = function Lrc_pb pb -> pb | _ -> wrong_model () in
+    Lrc_backend.accept b ~local:(List.map lrc local) (List.map lrc pbs)
   | Central_b b ->
     Central_backend.accept b
       (List.map (function Central_pb pb -> pb | _ -> wrong_model ()) pbs)
   | Seq_b b ->
     Seq_backend.accept b
       (List.map (function Seq_pb pb -> pb | _ -> wrong_model ()) pbs)
+
+let trim_piggyback t pb ~receiver =
+  match (t, pb) with
+  | Lrc_b b, Lrc_pb pb -> Lrc_pb (Lrc_backend.trim_piggyback b pb ~receiver)
+  | Central_b b, Central_pb pb ->
+    Central_pb (Central_backend.trim_piggyback b pb ~receiver)
+  | Seq_b b, Seq_pb pb -> Seq_pb (Seq_backend.trim_piggyback b pb ~receiver)
+  | _ -> wrong_model ()
 
 let piggyback_cost = function
   | Lrc_pb pb -> Lrc_backend.piggyback_cost pb

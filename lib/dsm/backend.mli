@@ -33,9 +33,13 @@ val vc : t -> Vc.t
 
 val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
 
-(** Raises [Invalid_argument] on a piggyback of a different model than
-    the backend. *)
-val accept : t -> piggyback list -> unit
+(** [local] as in {!Backend_intf.S.accept}.  Raises [Invalid_argument]
+    on a piggyback of a different model than the backend. *)
+val accept : t -> ?local:piggyback list -> piggyback list -> unit
+
+(** See {!Backend_intf.S.trim_piggyback}.  Raises [Invalid_argument] on
+    a piggyback of a different model than the backend. *)
+val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 

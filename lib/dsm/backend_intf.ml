@@ -82,8 +82,19 @@ module type S = sig
   (** {b Acquire hook / barrier participation.}  Perform the acquire side
       for a batch of accepted messages (several when a barrier manager
       accepts all stored arrivals at once).  On return the node is
-      consistent with every sender as the model defines it.  May block. *)
-  val accept : t -> piggyback list -> unit
+      consistent with every sender as the model defines it.  The members
+      of [local] (physically) never crossed the wire; a model that counts
+      wasted wire bytes leaves them out.  May block. *)
+  val accept : t -> ?local:piggyback list -> piggyback list -> unit
+
+  (** {b Forward hook.}  The copy of a stored piggyback that a relay
+      forwards to [receiver] (a work-queue manager handing an enqueue to
+      a dequeuer).  It may drop what the relay knows [receiver] holds,
+      from [receiver]'s REQUEST clock; it keeps the origin and the
+      clock the acceptor must reach.  The relay accepts nothing.
+      Models without tailoring return the piggyback unchanged.  May
+      block. *)
+  val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
   (** Wire bytes of the consistency information, split by cost-taxonomy
       component (see {!Carlos_obs.Cost}); the wire size is the sum of the

@@ -234,7 +234,9 @@ let invalidate_cached t =
     !n
   end
 
-let accept t pbs =
+let trim_piggyback _ pb ~receiver:_ = pb
+
+let accept t ?local:_ pbs =
   if pbs <> [] then begin
     (* A barrier manager reaches its own fall without sending a release:
        its writes flush here, before the wholesale invalidation below

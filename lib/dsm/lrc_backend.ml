@@ -69,7 +69,16 @@ let make_piggyback t ~receiver ~nontransitive =
       ~args:[ ("receiver", Obs.Int receiver) ]
     @@ fun () -> Lrc_gc.piggyback_for t ~receiver ~nontransitive
 
+let trim_piggyback = Lrc_gc.trim_for
+
 let diff_entries_bytes = Lrc_serve.diff_entries_bytes
+
+(* One carried interval's wire bytes: its VC (vc_entries), and its id and
+   write-notice list (write_notices). *)
+let interval_vc_bytes (i : Interval.t) = Vc.size_bytes i.Interval.vc
+
+let interval_wn_bytes (i : Interval.t) =
+  4 + (4 * List.length i.Interval.write_notices)
 
 (* The piggyback's wire bytes by taxonomy component: vector clocks (the
    required VC and each interval's VC) are vc_entries, interval ids +
@@ -78,16 +87,10 @@ let diff_entries_bytes = Lrc_serve.diff_entries_bytes
 let piggyback_cost pb =
   let vc_bytes =
     Vc.size_bytes pb.required_vc
-    + List.fold_left
-        (fun acc (i : Interval.t) -> acc + Vc.size_bytes i.Interval.vc)
-        0 pb.intervals
+    + List.fold_left (fun acc i -> acc + interval_vc_bytes i) 0 pb.intervals
   in
   let wn_bytes =
-    1
-    + List.fold_left
-        (fun acc (i : Interval.t) ->
-          acc + 4 + (4 * List.length i.Interval.write_notices))
-        0 pb.intervals
+    1 + List.fold_left (fun acc i -> acc + interval_wn_bytes i) 0 pb.intervals
   in
   [
     (Cost.Vc_entries, vc_bytes);
@@ -161,13 +164,27 @@ let apply_interval t ~attached interval =
     advance t ~creator ~index
   end
 
-let accept_piggybacks t piggybacks =
+(* Count the intervals of a piggyback that crossed the wire which this
+   node's clock already covers: bytes it did not need. *)
+let rec count_waste t = function
+  | [] -> ()
+  | (i : Interval.t) :: rest ->
+    let id = i.Interval.id in
+    if id.Interval.index <= Vc.get t.vc id.Interval.creator then begin
+      Obs.inc t.ins.waste_intervals_c;
+      Obs.add t.ins.waste_vc_bytes_c (interval_vc_bytes i);
+      Obs.add t.ins.waste_wn_bytes_c (interval_wn_bytes i)
+    end;
+    count_waste t rest
+
+let accept_piggybacks t ~local piggybacks =
   (* 1. Index any eagerly shipped diffs (update/hybrid strategies), log
      every interval description carried by the messages, and join the
      timestamps we must reach. *)
   let attached = Itbl.create 16 and target = Vc.copy t.vc in
   List.iter
     (fun pb ->
+      if not (List.memq pb local) then count_waste t pb.intervals;
       List.iter
         (fun (page, id, ds) -> Itbl.replace attached (diff_key t ~page id) ds)
         pb.attached_diffs;
@@ -212,12 +229,12 @@ let accept_piggybacks t piggybacks =
       if pb.origin <> t.me then note_peer_vc t ~peer:pb.origin pb.required_vc)
     piggybacks
 
-let accept t piggybacks =
-  if not (Obs.tracing t.obs) then accept_piggybacks t piggybacks
+let accept t ?(local = []) piggybacks =
+  if not (Obs.tracing t.obs) then accept_piggybacks t ~local piggybacks
   else
     Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
       ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
-    @@ fun () -> accept_piggybacks t piggybacks
+    @@ fun () -> accept_piggybacks t ~local piggybacks
 
 (* ------------------------------------------------------------------ *)
 (* Garbage collection support *)

@@ -154,8 +154,19 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
     union of non-transitive contributions is complete).  Missing interval
     descriptions are fetched from the piggyback origins; write notices are
     applied (invalidating pages); the vector clock advances to cover every
-    [required_vc].  May block. *)
-val accept : t -> piggyback list -> unit
+    [required_vc].  Each carried interval the clock already covered is
+    counted as waste (the [waste.*] counters of layer [Dsm], with the
+    bytes {!piggyback_cost} billed for it), except in the members of
+    [local] (default none), which never crossed the wire.  May block. *)
+val accept : t -> ?local:piggyback list -> piggyback list -> unit
+
+(** [trim_piggyback t pb ~receiver] is the copy of the stored [pb] this
+    node forwards to [receiver]: without the intervals that [receiver]'s
+    noted clock (from its REQUEST, see {!note_peer_vc}) covers, nor
+    their attached diffs.  It keeps [origin], [required_vc] and the
+    remaining intervals in order.  Charges [vc_piggyback] once, which
+    may block. *)
+val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
 (** Wire bytes of the consistency information by component (vector
     clocks / write notices / attached diffs); the wire size is their

@@ -74,6 +74,12 @@ type instruments = {
   diff_cache_hits_c : Obs.counter;
   diff_cache_misses_c : Obs.counter;
   diffs_merged_c : Obs.counter;
+  (* Waste, "of which" counts beside the wire-cost components: carried
+     intervals the receiver's clock already covered at accept, with the
+     bytes [piggyback_cost] billed for them. *)
+  waste_intervals_c : Obs.counter;
+  waste_vc_bytes_c : Obs.counter;
+  waste_wn_bytes_c : Obs.counter;
   diff_size_h : Obs.Hist.t;
 }
 
@@ -94,6 +100,9 @@ let make_instruments obs ~node =
     diff_cache_hits_c = dsm "diff_cache_hits";
     diff_cache_misses_c = dsm "diff_cache_misses";
     diffs_merged_c = dsm "diffs_merged";
+    waste_intervals_c = dsm "waste.intervals";
+    waste_vc_bytes_c = dsm "waste.vc_bytes";
+    waste_wn_bytes_c = dsm "waste.wn_bytes";
     diff_size_h = Obs.histogram obs ~node ~layer:Obs.Vm "diff.bytes";
   }
 

@@ -106,6 +106,25 @@ let piggyback_for t ~receiver ~nontransitive =
     attached_diffs = attachments_for t ~receiver intervals;
   }
 
+(* The copy of a stored piggyback that this node forwards to [receiver]:
+   the intervals [receiver]'s noted clock (from its REQUEST) covers are
+   dropped, with their attached diffs, which its accept would never
+   apply.  The origin and [required_vc] stay, so a gap the stored copy
+   already had is still fetched from the origin (§4.3).  The filter is
+   charged like stripping a REQUEST's clock. *)
+let trim_for t pb ~receiver =
+  t.charge t.costs.Cpu_cost.vc_piggyback;
+  let have = t.peer_vc.(receiver) in
+  let needed (id : Interval.id) =
+    id.Interval.index > Vc.get have id.Interval.creator
+  in
+  {
+    pb with
+    intervals =
+      List.filter (fun (i : Interval.t) -> needed i.Interval.id) pb.intervals;
+    attached_diffs = List.filter (fun (_, id, _) -> needed id) pb.attached_diffs;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Garbage collection *)
 

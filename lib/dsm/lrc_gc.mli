@@ -8,6 +8,8 @@
     - [piggyback_for] closes the open interval first ({!Lrc_close}),
       which yields; it reads the peer clocks and builds the piggyback
       after that, without yielding;
+    - [trim_for] charges its filter first, which yields; it reads the
+      receiver's noted clock and filters after that, without yielding;
     - [gc_keep] fetches and validates the pages this node keeps
       ({!Lrc_fetch}); each base is stored right after its page is
       valid, without a yield in between;
@@ -20,6 +22,9 @@ open Lrc_core
 (** The consistency information for a RELEASE ([nontransitive:false]) or
     RELEASE_NT to [receiver]; see {!Lrc_backend.make_piggyback}. *)
 val piggyback_for : t -> receiver:int -> nontransitive:bool -> piggyback
+
+(** See {!Lrc_backend.trim_piggyback}. *)
+val trim_for : t -> piggyback -> receiver:int -> piggyback
 
 (** See {!Lrc_backend.gc_keep}. *)
 val gc_keep : t -> Vc.t -> unit

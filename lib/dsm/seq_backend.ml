@@ -304,7 +304,9 @@ let make_piggyback t ~receiver:_ ~nontransitive:_ =
   t.hooks.on_release ~node:t.me ~upto:t.horizon;
   { origin = t.me; upto = t.horizon }
 
-let accept t pbs =
+let trim_piggyback _ pb ~receiver:_ = pb
+
+let accept t ?local:_ pbs =
   if pbs <> [] then begin
     (* A barrier manager reaches its own fall without sending a release:
        its writes enter the global order here. *)

@@ -91,7 +91,11 @@ val vc : t -> Vc.t
 
 val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
 
-val accept : t -> piggyback list -> unit
+(** Returns the piggyback unchanged: it carries no per-receiver
+    history. *)
+val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
+
+val accept : t -> ?local:piggyback list -> piggyback list -> unit
 
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
 

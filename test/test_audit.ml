@@ -265,6 +265,39 @@ let test_catches_early_seq_release () =
     [ "seq-release-horizon"; "seq-release-horizon" ]
     (List.map (fun v -> v.Audit.check) (Audit.violations a))
 
+(* The forward-tailoring rule, driven through the hooks.  Node 1's
+   RELEASE to the manager, node 0, carries intervals 1.1, 2.1 and 2.2,
+   and node 0 knows from a REQUEST that node 3 holds 2.1.  Of three
+   copies forwarded to node 3, the one that also drops 2.2 is
+   over-trimmed and the one that keeps 2.1 is under-trimmed; only the
+   copy carrying exactly 1.1 and 2.2 is clean. *)
+let test_catches_mistrimmed_forward () =
+  let nodes = 4 in
+  let a = Audit.create ~nodes () in
+  let clock entries =
+    let vc = Vc.zero ~nodes in
+    List.iter (fun (c, i) -> Vc.set vc c i) entries;
+    vc
+  in
+  let carried = [ (1, 1); (2, 1); (2, 2) ] in
+  let node1 = clock [ (1, 1); (2, 2) ] in
+  (Audit.lrc_hooks a).Lrc.on_peer_note ~node:0 ~peer:3
+    ~vc:(clock [ (2, 1) ]);
+  let forward ~trace_id intervals =
+    Audit.on_send a ~trace_id ~src:1 ~dst:0 ~annotation:Audit.Release
+      ~vc:node1 ~required_vc:(Some node1) ~nontransitive:false
+      ~intervals:carried ~sender_vc:None;
+    Audit.on_forward a ~trace_id ~node:0 ~dst:3 ~vc:(Vc.zero ~nodes)
+      ~intervals
+  in
+  forward ~trace_id:1 [ (1, 1) ];
+  forward ~trace_id:2 carried;
+  forward ~trace_id:3 [ (1, 1); (2, 2) ];
+  Alcotest.(check (list (pair string (option int))))
+    "over- and under-trimmed copies reported"
+    [ ("forward-tailoring", Some 1); ("forward-tailoring", Some 2) ]
+    (List.map (fun v -> (v.Audit.check, v.Audit.trace_id)) (Audit.violations a))
+
 let () =
   Props.run "audit"
     [
@@ -288,5 +321,7 @@ let () =
             test_catches_manager_accept;
           Alcotest.test_case "seq release before its stamp" `Quick
             test_catches_early_seq_release;
+          Alcotest.test_case "mistrimmed forward" `Quick
+            test_catches_mistrimmed_forward;
         ] );
     ]

@@ -488,6 +488,75 @@ let test_work_queue_manager_dequeues_locally () =
   in
   Alcotest.(check (option string)) "self-service" (Some "mine") !got
 
+(* A two-hop chain through the work queue, audited: node 1 writes slot A
+   and enqueues; node 2 dequeues, reads A, writes slot B and re-enqueues;
+   node 3 dequeues and must read both.  Node 3 already synchronized with
+   node 1 before it dequeues, so its REQUEST clock covers A's interval:
+   in Forwarding mode the manager's copy to node 3 (the second hop of
+   node 2's item) must bill fewer write-notice and clock bytes than node
+   2's enqueue (its first hop), which was tailored for the manager. *)
+let test_work_queue_forwarded_chain mode () =
+  let sys = System.create ~audit:true (test_config ()) in
+  let q = Work_queue.create sys ~manager:0 ~name:"chain" ~mode () in
+  let slot_a = System.alloc sys ~align:512 8 in
+  let slot_b = System.alloc sys ~align:512 8 in
+  let obs = System.obs sys in
+  let metadata () =
+    Carlos_obs.Cost.read obs Carlos_obs.Cost.Write_notices
+    + Carlos_obs.Cost.read obs Carlos_obs.Cost.Vc_entries
+  in
+  let module Ivar = Carlos_sim.Resource.Ivar in
+  let synced_with_1 = Ivar.create () and node1_done = Ivar.create () in
+  let b_enqueued = Ivar.create () in
+  let first_hop = ref 0 and second_hop = ref 0 in
+  let seen = ref (0, 0) in
+  let (_ : System.report) =
+    System.run sys (fun node ->
+        let shm = Node.shm node in
+        match Node.id node with
+        | 1 ->
+          Shm.write_i64 shm slot_a 11;
+          Work_queue.enqueue q node ~bytes:8 slot_a;
+          Node.send node ~dst:3 ~annotation:Annotation.Release
+            ~payload_bytes:8 ~handler:(fun _ d ->
+              Node.accept d;
+              Ivar.fill synced_with_1 ());
+          Ivar.fill node1_done ()
+        | 2 -> (
+          match Work_queue.dequeue q node with
+          | Some a ->
+            Shm.write_i64 shm slot_b (2 * Shm.read_i64 shm a);
+            Node.await node node1_done;
+            let before = metadata () in
+            Work_queue.enqueue q node ~bytes:8 slot_b;
+            first_hop := metadata () - before;
+            Ivar.fill b_enqueued ()
+          | None -> Alcotest.fail "node 2 got no item")
+        | 3 -> (
+          Node.await node synced_with_1;
+          Node.await node b_enqueued;
+          let before = metadata () in
+          (* The dequeue's REQUEST bills the node's clock. *)
+          let request_vc = Vc.size_bytes (Lrc.vc (Node.lrc node)) in
+          match Work_queue.dequeue q node with
+          | Some b ->
+            second_hop := metadata () - before - request_vc;
+            seen := (Shm.read_i64 shm slot_a, Shm.read_i64 shm b)
+          | None -> Alcotest.fail "node 3 got no item")
+        | _ -> ())
+  in
+  Alcotest.(check (pair int int)) "node 3 reads both writes" (11, 22) !seen;
+  (match System.auditor sys with
+  | Some a ->
+    Alcotest.(check int) "audit clean" 0 (Carlos_audit.Audit.violation_count a)
+  | None -> Alcotest.fail "no auditor");
+  if mode = Work_queue.Forwarding then
+    Alcotest.(check bool)
+      (Printf.sprintf "second hop bills fewer metadata bytes (%d < %d)"
+         !second_hop !first_hop)
+      true
+      (!second_hop < !first_hop)
+
 let test_condition_broadcast () =
   let sys = make ~nodes:4 () in
   let lock = Msg_lock.create sys ~manager:0 ~name:"bm" in
@@ -964,6 +1033,12 @@ let () =
             test_work_queue_blocking_dequeue;
           Alcotest.test_case "manager self-service" `Quick
             test_work_queue_manager_dequeues_locally;
+          Alcotest.test_case "forwarded chain, forwarding" `Quick
+            (test_work_queue_forwarded_chain Work_queue.Forwarding);
+          Alcotest.test_case "forwarded chain, all-release" `Quick
+            (test_work_queue_forwarded_chain Work_queue.All_release);
+          Alcotest.test_case "forwarded chain, no forwarding" `Quick
+            (test_work_queue_forwarded_chain Work_queue.No_forwarding);
           Props.to_alcotest prop_work_queue_random_pipelines;
         ] );
       ( "system",
