@@ -31,7 +31,9 @@ soak-check: build
 # auditor on every backend, so each work-queue mode (forwarding,
 # all-RELEASE, no forwarding) is audited; fails on any violation (CI runs
 # this target).  Each backend enables its own invariant set in the
-# auditor.
+# auditor.  The runs call the binary the build target made, not
+# [dune exec], so a concurrent build holding dune's lock cannot stall
+# them.
 AUDIT_RUNS = tsp:lock tsp:hybrid tsp:hybrid-all-release \
 	qsort:lock qsort:hybrid qsort:hybrid-2 qsort:hybrid-noforward \
 	water:lock water:hybrid water:hybrid-all-release grid:lock grid:hybrid
@@ -41,7 +43,7 @@ audit: build
 	  for run in $(AUDIT_RUNS); do \
 	    app=$${run%%:*}; variant=$${run#*:}; \
 	    echo "=== $$app/$$variant n=4 --backend $$backend --audit ==="; \
-	    dune exec bin/carlos_run.exe -- \
+	    _build/default/bin/carlos_run.exe \
 	      $$app --nodes 4 --variant $$variant \
 	      --backend $$backend --audit || exit 1; \
 	  done; \

@@ -475,7 +475,8 @@ let micro () =
 (* Machine-readable snapshot ([-o FILE], required with either bench):
    per-app wall clock, message/wire totals, the per-component
    wire-byte breakdown ({!Carlos_obs.Cost}) and its "waste" (piggybacked
-   intervals the receiver already covered) for the 4-node
+   intervals the receiver already covered, whole-page replies thrown
+   away) for the 4-node
    backend x app x variant matrix ([json]), plus a node-count sweep at
    reduced application scale with fitted per-component growth exponents
    ([scaling]).  Gate rows carry "config": "batched", the label of the
@@ -575,16 +576,18 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
          components)
   in
   (* Of the piggybacked interval descriptions, those the receiver's clock
-     already covered, with their vc_entries and write_notices bytes. *)
+     already covered, with their vc_entries and write_notices bytes; of
+     the whole-page replies, those the requester threw away, with their
+     bytes. *)
   let waste name = Obs.sum_counters obs ~layer:Obs.Dsm ("waste." ^ name) in
   let row =
     Printf.sprintf
-      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d }, "ok": %b, "host_ms": %.3f }|}
+      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d, "pages": %d, "page_bytes": %d }, "ok": %b, "host_ms": %.3f }|}
       app variant backend mode nodes report.System.wall report.System.messages
       report.System.message_bytes (c "medium.frames") (c "medium.bytes")
       (c "sw.acks") (c "sw.acks_coalesced") report.System.diff_requests
       components_json (waste "intervals") (waste "vc_bytes")
-      (waste "wn_bytes") ok host_ms
+      (waste "wn_bytes") (waste "pages") (waste "page_bytes") ok host_ms
   in
   let metrics =
     ("messages", float_of_int report.System.messages)

@@ -54,9 +54,6 @@ type t = {
   page_applied : (int * int * int, int) Hashtbl.t;
   (* (trace_id, node) pairs where accepting is forbidden. *)
   relay : (int * int, unit) Hashtbl.t;
-  (* Per LRC RELEASE not yet accepted, by trace id: the interval ids its
-     last transmission carried, i.e. the copy a relay holds. *)
-  carried : (int, (int * int) list) Hashtbl.t;
   (* Central backend: the one home node seen, the version sequence per
      page at home (must advance by exactly one per applied flush), and
      the last version each node fetched per page (must be monotone). *)
@@ -90,7 +87,6 @@ let create ?obs ~nodes () =
     page_seen = Hashtbl.create 128;
     page_applied = Hashtbl.create 256;
     relay = Hashtbl.create 16;
-    carried = Hashtbl.create 64;
     central_home = None;
     central_version = Hashtbl.create 64;
     central_fetched = Hashtbl.create 128;
@@ -158,6 +154,43 @@ let observe_vc t ~node ?trace_id ~at vc =
 (* ------------------------------------------------------------------ *)
 (* Message-layer hooks *)
 
+(* A piggyback that [node] sends or forwards to [dst] carries exactly the
+   intervals above what [node] knows [dst] to hold, up to [rvc]: no gap,
+   and nothing [dst] already holds.  A non-transitive one carries only
+   [origin]'s intervals; the rest is recovered by gap detection at the
+   acceptor. *)
+let check_tailoring t ~check ~node ~trace_id ~dst ~origin ~rvc ~nontransitive
+    ~intervals =
+  let included = Hashtbl.create 16 in
+  List.iter (fun ci -> Hashtbl.replace included ci ()) intervals;
+  let known = t.knows.(node).(dst) in
+  let creators =
+    if nontransitive then [ origin ] else List.init t.nodes Fun.id
+  in
+  List.iter
+    (fun c ->
+      for i = Vc.get known c + 1 to Vc.get rvc c do
+        if not (Hashtbl.mem included (c, i)) then
+          violate t ~check ~node ~trace_id
+            (Printf.sprintf
+               "piggyback to n%d omits interval %d.%d (receiver known at %s, \
+                required %s)"
+               dst c i (vc_str known) (vc_str rvc))
+      done)
+    creators;
+  List.iter
+    (fun (c, i) ->
+      if nontransitive && c <> origin then
+        violate t ~check:"release-nt-foreign-interval" ~node ~trace_id
+          (Printf.sprintf "RELEASE_NT to n%d carries interval %d.%d" dst c i)
+      else if i <= Vc.get known c then
+        violate t ~check ~node ~trace_id
+          (Printf.sprintf
+             "piggyback to n%d re-ships interval %d.%d the receiver already \
+              covers (known %s)"
+             dst c i (vc_str known)))
+    intervals
+
 let on_send t ~trace_id ~src ~dst ~annotation ~vc ~required_vc ~nontransitive
     ~intervals ~sender_vc =
   observe_vc t ~node:src ~trace_id ~at:"send" vc;
@@ -168,47 +201,15 @@ let on_send t ~trace_id ~src ~dst ~annotation ~vc ~required_vc ~nontransitive
         (Printf.sprintf "REQUEST piggybacks %s but the sender is at %s"
            (vc_str svc) (vc_str vc))
   | _ -> ());
-  if required_vc <> None then Hashtbl.replace t.carried trace_id intervals;
   match required_vc with
-  | None -> ()
-  | Some rvc when dst = src ->
+  | Some rvc when dst <> src ->
+    check_tailoring t ~check:"request-tailoring" ~node:src ~trace_id ~dst
+      ~origin:src ~rvc ~nontransitive ~intervals
+  | Some _ | None ->
     (* A locally addressed RELEASE (a manager enqueueing into its own
        queue) is tailored for the least-informed peer, not for [dst];
        exactness does not apply.  The clock rule still does. *)
-    ignore rvc
-  | Some rvc ->
-    let included = Hashtbl.create 16 in
-    List.iter (fun ci -> Hashtbl.replace included ci ()) intervals;
-    let known = t.knows.(src).(dst) in
-    let creators = if nontransitive then [ src ] else List.init t.nodes Fun.id in
-    (* No gap: everything between the receiver's known clock and
-       required_vc must travel (for RELEASE_NT, only own intervals — the
-       rest is recovered by gap detection at the acceptor). *)
-    List.iter
-      (fun c ->
-        for i = Vc.get known c + 1 to Vc.get rvc c do
-          if not (Hashtbl.mem included (c, i)) then
-            violate t ~check:"request-tailoring" ~node:src ~trace_id
-              (Printf.sprintf
-                 "piggyback to n%d omits interval %d.%d (receiver known at \
-                  %s, required %s)"
-                 dst c i (vc_str known) (vc_str rvc))
-        done)
-      creators;
-    (* No excess: nothing the receiver is already known to cover, and a
-       non-transitive piggyback only carries the sender's intervals. *)
-    List.iter
-      (fun (c, i) ->
-        if nontransitive && c <> src then
-          violate t ~check:"release-nt-foreign-interval" ~node:src ~trace_id
-            (Printf.sprintf "RELEASE_NT to n%d carries interval %d.%d" dst c i)
-        else if i <= Vc.get known c then
-          violate t ~check:"request-tailoring" ~node:src ~trace_id
-            (Printf.sprintf
-               "piggyback to n%d re-ships interval %d.%d the receiver \
-                already covers (known %s)"
-               dst c i (vc_str known)))
-      intervals
+    ()
 
 let on_accept t ~node ~vc_before ~vc_after accepted =
   (* [vc_before] is NOT a fresh observation: accepts nest (a charge inside
@@ -232,7 +233,6 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
   in
   List.iter
     (fun a ->
-      Hashtbl.remove t.carried a.acc_trace_id;
       if Hashtbl.mem t.relay (a.acc_trace_id, node) then
         violate t ~check:"relay-consistent" ~node ~trace_id:a.acc_trace_id
           (Printf.sprintf
@@ -276,35 +276,8 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
   done;
   observe_vc t ~node ?trace_id:batch_tid ~at:"accept(after)" vc_after
 
-(* A RELEASE forwarded to another node carries exactly the stored copy's
-   intervals that the forwarder does not know [dst] to hold.  That is
-   not every interval up to the required clock: a stored copy tailored
-   for someone else can leave a gap, which the acceptor fetches from the
-   origin. *)
-let check_forward_tailoring t ~trace_id ~node ~dst ~carried ~intervals =
-  let known = t.knows.(node).(dst) in
-  let kept = Hashtbl.create 16 in
-  List.iter (fun ci -> Hashtbl.replace kept ci ()) intervals;
-  List.iter
-    (fun (c, i) ->
-      if i > Vc.get known c && not (Hashtbl.mem kept (c, i)) then
-        violate t ~check:"forward-tailoring" ~node ~trace_id
-          (Printf.sprintf
-             "forward to n%d drops interval %d.%d it is not known to hold \
-              (known %s)"
-             dst c i (vc_str known)))
-    carried;
-  List.iter
-    (fun (c, i) ->
-      if i <= Vc.get known c then
-        violate t ~check:"forward-tailoring" ~node ~trace_id
-          (Printf.sprintf
-             "forward to n%d keeps interval %d.%d it already covers (known \
-              %s)"
-             dst c i (vc_str known)))
-    intervals
-
-let on_forward t ~trace_id ~node ~dst ~vc ~intervals =
+let on_forward t ~trace_id ~node ~dst ~vc ~origin ~required_vc ~nontransitive
+    ~intervals =
   (* Forwarding fulfils a relay obligation: the message moves on without
      this node becoming consistent.  Clearing the expectation also covers
      a manager that forwards an item to itself-as-dequeuer, which then
@@ -312,10 +285,10 @@ let on_forward t ~trace_id ~node ~dst ~vc ~intervals =
   Hashtbl.remove t.relay (trace_id, node);
   observe_vc t ~node ~trace_id ~at:"forward" vc;
   (* A local hop forwards the message as it is. *)
-  match Hashtbl.find_opt t.carried trace_id with
-  | Some carried when dst <> node ->
-    check_forward_tailoring t ~trace_id ~node ~dst ~carried ~intervals;
-    Hashtbl.replace t.carried trace_id intervals
+  match required_vc with
+  | Some rvc when dst <> node ->
+    check_tailoring t ~check:"forward-tailoring" ~node ~trace_id ~dst ~origin
+      ~rvc ~nontransitive ~intervals
   | Some _ | None -> ()
 
 let on_store t ~trace_id ~node ~vc = observe_vc t ~node ~trace_id ~at:"store" vc

@@ -17,17 +17,18 @@
       gap-detection path (fetching interval descriptions the
       non-transitive piggyback omitted) must still reach [required_vc];
     - {b request-tailoring}: a RELEASE piggyback carries {e exactly} the
-      intervals the receiver is not known to have — no gaps below
-      [required_vc], nothing the receiver already covered (the precise
-      tailoring a REQUEST's piggybacked timestamp enables, §4.3);
-    - {b forward-tailoring}: a RELEASE a relay forwards to another node
-      carries exactly the stored copy's intervals that the relay does
-      not know the destination to hold (from its REQUEST clock): none
-      dropped above that clock, none kept at or below it.  It need not
-      carry every interval up to [required_vc]: a copy tailored for the
-      relay can leave a gap, which the acceptor fetches from the origin;
+      intervals the receiver is not known to hold — no gaps below
+      [required_vc], nothing the receiver already holds (the precise
+      tailoring a REQUEST's piggybacked timestamp enables, §4.3).  What
+      a node knows another holds includes the required clock of each
+      enqueue it sent to that node as a work-queue relay;
+    - {b forward-tailoring}: the same rule for a RELEASE a relay
+      forwards to another node: the copy carries exactly the intervals
+      above what the relay knows the destination to hold (from its
+      REQUEST clock), up to [required_vc].  A relay logs what each
+      RELEASE it relays carries, so it holds that whole range;
     - {b release-nt-foreign-interval}: a non-transitive piggyback only
-      carries intervals created by its sender;
+      carries intervals created by its origin;
     - {b request-vc-stale}: a REQUEST carries the sender's current clock;
     - {b write-notice-lost}: every interval an accept newly covered had
       all its write notices processed at the accepting node;
@@ -112,15 +113,19 @@ val on_accept :
 
 (** A store or forward observes the node's clock [vc] (vc-monotonic);
     a forward also fulfils the node's relay obligation for the message.
-    [intervals] are the [(creator, index)] ids the forwarded copy to
-    [dst] carries, checked against the copy the node held, as recorded
-    at the message's previous transmission (forward-tailoring). *)
+    For an LRC RELEASE from [origin] forwarded to [dst] <> [node],
+    [required_vc] is [Some] of its required clock, and [intervals] are
+    the [(creator, index)] ids the forwarded copy carries
+    (forward-tailoring). *)
 val on_forward :
   t ->
   trace_id:int ->
   node:int ->
   dst:int ->
   vc:Vc.t ->
+  origin:int ->
+  required_vc:Vc.t option ->
+  nontransitive:bool ->
   intervals:(int * int) list ->
   unit
 

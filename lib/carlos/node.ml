@@ -198,12 +198,20 @@ let count_send t message size =
   | Annotation.Request -> Obs.inc t.ins.request_c
   | Annotation.None_ -> Obs.inc t.ins.none_c
 
-(* The (creator, index) ids of the intervals an LRC piggyback carries. *)
-let interval_ids (pb : Lrc.piggyback) =
-  List.map
-    (fun (i : Interval.t) ->
-      (i.Interval.id.Interval.creator, i.Interval.id.Interval.index))
-    pb.Lrc.intervals
+(* What the auditor reads from a message's LRC piggyback: its required
+   clock, whether it is non-transitive, and the (creator, index) ids of
+   the intervals it carries.  Non-LRC piggybacks carry no clock; the
+   LRC-specific invariants self-gate on [required_vc = None]. *)
+let audited_piggyback message =
+  match message.piggyback with
+  | Some (Backend.Lrc_pb pb) ->
+    ( Some pb.Lrc.required_vc,
+      pb.Lrc.nontransitive,
+      List.map
+        (fun (i : Interval.t) ->
+          (i.Interval.id.Interval.creator, i.Interval.id.Interval.index))
+        pb.Lrc.intervals )
+  | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None -> (None, false, [])
 
 (* Auditor notification for the first transmission of a message.  Must run
    before any CPU charge: charges yield the fiber, and a nested handler
@@ -212,15 +220,7 @@ let interval_ids (pb : Lrc.piggyback) =
 let audit_send t ~dst message =
   match t.audit with
   | Some a when message.hops = 0 ->
-    let required_vc, nontransitive, intervals =
-      match message.piggyback with
-      | Some (Backend.Lrc_pb pb) ->
-        (Some pb.Lrc.required_vc, pb.Lrc.nontransitive, interval_ids pb)
-      | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None ->
-        (* Non-LRC piggybacks carry no clock; the LRC-specific send
-           invariants self-gate on [required_vc = None]. *)
-        (None, false, [])
-    in
+    let required_vc, nontransitive, intervals = audited_piggyback message in
     Audit.on_send a ~trace_id:message.trace_id ~src:t.id ~dst
       ~annotation:(audit_annotation message.annotation)
       ~vc:(Backend.vc t.backend) ~required_vc ~nontransitive ~intervals
@@ -247,8 +247,21 @@ let trace_send t ~dst message ~duration =
       ~args:[ ("dst", Obs.Int dst) ]
   end
 
-let transmit t ~dst message =
+(* The receiver of a [relayed] RELEASE keeps what it carries (it logs
+   the intervals of a message it relays), so from now on it holds the
+   required clock, and this node's next RELEASE to it need not carry
+   them again.  Noted right after the audit saw the send and before
+   anything yields, so no other fiber's RELEASE to [dst] is tailored to
+   this note and enters the channel ahead of this message. *)
+let note_relayed t ~dst message =
+  match message.piggyback with
+  | Some (Backend.Lrc_pb pb) when dst <> t.id ->
+    Backend.note_peer_vc t.backend ~peer:dst pb.Lrc.required_vc
+  | Some _ | None -> ()
+
+let transmit ?(relayed = false) t ~dst message =
   audit_send t ~dst message;
+  if relayed then note_relayed t ~dst message;
   if dst = t.id then begin
     (* Local delivery: protocol hops that land on the sending node (a
        manager forwarding to itself, a manager dequeuing from its own
@@ -268,8 +281,8 @@ let transmit t ~dst message =
     t.transport_send ~dst ~wire_bytes:size message
   end
 
-let send_internal ?(cost = Wire_cost.App_payload) t ~dst ~lane ~annotation
-    ~payload_bytes ~handler =
+let send_internal ?(cost = Wire_cost.App_payload) ?relayed t ~dst ~lane
+    ~annotation ~payload_bytes ~handler =
   flush_compute t;
   let piggyback, sender_vc =
     match annotation with
@@ -295,11 +308,11 @@ let send_internal ?(cost = Wire_cost.App_payload) t ~dst ~lane ~annotation
     { origin = t.id; annotation; lane; payload_bytes; handler; piggyback;
       sender_vc; cost; trace_id = Obs.next_flow_id t.obs; hops = 0 }
   in
-  transmit t ~dst message
+  transmit ?relayed t ~dst message
 
-let send ?cost t ~dst ~annotation ~payload_bytes ~handler =
-  send_internal ?cost t ~dst ~lane:User_lane ~annotation ~payload_bytes
-    ~handler
+let send ?cost ?relayed t ~dst ~annotation ~payload_bytes ~handler =
+  send_internal ?cost ?relayed t ~dst ~lane:User_lane ~annotation
+    ~payload_bytes ~handler
 
 (* One-way system-lane control message: runs at the destination's
    interrupt level with no reply (the peer channel's [post], which the
@@ -385,16 +398,25 @@ let accept_batch t deliveries =
 
 let accept d = accept_batch d.target [ d ]
 
-(* A RELEASE forwarded to another node travels as a copy trimmed to what
-   [dst] lacks, as its REQUEST clock told this node; the copy keeps the
-   origin, the required clock and the trace id.  A local hop never
-   touches the wire and forwards the message as it is.  The trim and the
-   audit see the same peer knowledge: nothing yields between them. *)
+(* A relay keeps what a RELEASE carries as soon as it stores or forwards
+   it, without accepting it. *)
+let log_relayed t message =
+  match message.piggyback with
+  | Some pb -> Backend.log_relayed t.backend pb
+  | None -> ()
+
+(* A RELEASE forwarded to another node travels as a copy built from this
+   node's log to carry what [dst] lacks, as its REQUEST clock told this
+   node; the copy keeps the origin, the required clock and the trace id.
+   A local hop never touches the wire and forwards the message as it is.
+   The copy and the audit see the same peer knowledge: nothing yields
+   between them. *)
 let forward d ~dst =
   check_disposable d "forward";
   let t = d.target in
   d.disposition <- Forwarded;
   Obs.inc t.ins.forwarded_c;
+  log_relayed t d.message;
   let message =
     match d.message.piggyback with
     | Some pb when dst <> t.id ->
@@ -406,12 +428,10 @@ let forward d ~dst =
   in
   (match t.audit with
   | Some a ->
+    let required_vc, nontransitive, intervals = audited_piggyback message in
     Audit.on_forward a ~trace_id:message.trace_id ~node:t.id ~dst
-      ~vc:(Backend.vc t.backend)
-      ~intervals:
-        (match message.piggyback with
-        | Some (Backend.Lrc_pb pb) -> interval_ids pb
-        | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None -> [])
+      ~vc:(Backend.vc t.backend) ~origin:message.origin ~required_vc
+      ~nontransitive ~intervals
   | None -> ());
   transmit t ~dst message
 
@@ -423,6 +443,7 @@ let store d =
   let t = d.target in
   d.disposition <- Stored;
   Obs.inc t.ins.stored_c;
+  log_relayed t d.message;
   match t.audit with
   | Some a ->
     Audit.on_store a ~trace_id:d.message.trace_id ~node:t.id

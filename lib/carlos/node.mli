@@ -58,9 +58,17 @@ val breakdown : t -> Breakdown.t
 
     [?cost] classifies the payload bytes in the wire-byte taxonomy
     (default [App_payload]); headers, clocks and piggybacks are
-    attributed automatically — see {!Carlos_obs.Cost}. *)
+    attributed automatically — see {!Carlos_obs.Cost}.
+
+    [~relayed:true] says [dst] relays this RELEASE, storing or forwarding
+    it without accepting it, and so keeps what its piggyback carries
+    (a work-queue manager, {!Carlos_dsm.Backend.log_relayed}).  The
+    sender then knows [dst] holds the piggyback's required clock, and
+    its next RELEASE to [dst] does not carry the same history again.
+    Default [false]. *)
 val send :
   ?cost:Carlos_obs.Cost.component ->
+  ?relayed:bool ->
   t ->
   dst:int ->
   annotation:Annotation.t ->
@@ -76,10 +84,15 @@ val accept : delivery -> unit
     information (the barrier manager's union of RELEASE_NT arrivals). *)
 val accept_batch : t -> delivery list -> unit
 
+(** Send the message on to [dst] without accepting it.  The node keeps
+    what the message's piggyback carries ({!Carlos_dsm.Backend.log_relayed}),
+    and a copy to another node carries what [dst] lacks
+    ({!Carlos_dsm.Backend.trim_piggyback}). *)
 val forward : delivery -> dst:int -> unit
 
 (** Defer the disposition; the handler keeps the [delivery] value and must
-    eventually [accept] or [forward] it. *)
+    eventually [accept] or [forward] it.  The node keeps what the
+    message's piggyback carries, as {!forward} does. *)
 val store : delivery -> unit
 
 val delivery_src : delivery -> int

@@ -77,7 +77,10 @@ let enqueue t node ~bytes item =
      stored (or accepted in No_forwarding mode); when forwarded onward, it
      runs again at the dequeuer and completes the hand-off. *)
   let hop = ref `At_manager in
-  Node.send node ~dst:t.manager ~annotation:Annotation.Release
+  let relayed =
+    match t.mode with Forwarding | All_release -> true | No_forwarding -> false
+  in
+  Node.send node ~relayed ~dst:t.manager ~annotation:Annotation.Release
     ~payload_bytes:(8 + bytes)
     ~handler:(fun here d ->
       match !hop with

@@ -8,6 +8,13 @@
     memory-consistent with the node that created the item, and only with
     it.  Enqueues are completely asynchronous; dequeues block.
 
+    In the two forwarding modes ([Forwarding] and [All_release] below),
+    the manager keeps what each enqueue carries without becoming
+    consistent ({!Node.store}), and the enqueuer knows it does
+    ([Node.send ~relayed:true]), so a node's back-to-back enqueues carry
+    each of its intervals once; the forwarded copy carries what the
+    dequeuer lacks ({!Node.forward}).
+
     The two degraded modes measured in §5.2 are also provided:
     - [All_release]: dequeue requests are full [RELEASE] messages
       (the paper's Quicksort "Hybrid-2");

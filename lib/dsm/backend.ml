@@ -52,6 +52,13 @@ let accept t ?(local = []) pbs =
     Seq_backend.accept b
       (List.map (function Seq_pb pb -> pb | _ -> wrong_model ()) pbs)
 
+let log_relayed t pb =
+  match (t, pb) with
+  | Lrc_b b, Lrc_pb pb -> Lrc_backend.log_relayed b pb
+  | Central_b b, Central_pb pb -> Central_backend.log_relayed b pb
+  | Seq_b b, Seq_pb pb -> Seq_backend.log_relayed b pb
+  | _ -> wrong_model ()
+
 let trim_piggyback t pb ~receiver =
   match (t, pb) with
   | Lrc_b b, Lrc_pb pb -> Lrc_pb (Lrc_backend.trim_piggyback b pb ~receiver)

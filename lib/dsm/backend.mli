@@ -37,6 +37,10 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
     on a piggyback of a different model than the backend. *)
 val accept : t -> ?local:piggyback list -> piggyback list -> unit
 
+(** See {!Backend_intf.S.log_relayed}.  Raises [Invalid_argument] on a
+    piggyback of a different model than the backend. *)
+val log_relayed : t -> piggyback -> unit
+
 (** See {!Backend_intf.S.trim_piggyback}.  Raises [Invalid_argument] on
     a piggyback of a different model than the backend. *)
 val trim_piggyback : t -> piggyback -> receiver:int -> piggyback

@@ -17,6 +17,9 @@
       arrivals;
     - {b request}: {!S.request_vc} is the clock piggybacked on a REQUEST
       and {!S.note_peer_vc} records it at the receiver;
+    - {b relay}: {!S.log_relayed} keeps what a stored or forwarded
+      piggyback carries and {!S.trim_piggyback} builds the copy a relay
+      forwards;
     - {b report}: {!S.metadata_pressure} is sampled at safe points (and
       triggers the LRC-only metadata GC, which calls {!Lrc_backend}
       directly) and {!S.data_fetches} feeds the run report.
@@ -87,13 +90,20 @@ module type S = sig
       wasted wire bytes leaves them out.  May block. *)
   val accept : t -> ?local:piggyback list -> piggyback list -> unit
 
-  (** {b Forward hook.}  The copy of a stored piggyback that a relay
+  (** {b Relay hook.}  Keep the history a piggyback carries when the
+      node stores or forwards its message without accepting it (a
+      work-queue manager relaying an enqueue).  The node's clock does not
+      move: the relay stays out of the causal chain.  Models without
+      such history do nothing.  Does not block. *)
+  val log_relayed : t -> piggyback -> unit
+
+  (** {b Forward hook.}  The copy of a relayed piggyback that a relay
       forwards to [receiver] (a work-queue manager handing an enqueue to
-      a dequeuer).  It may drop what the relay knows [receiver] holds,
-      from [receiver]'s REQUEST clock; it keeps the origin and the
-      clock the acceptor must reach.  The relay accepts nothing.
-      Models without tailoring return the piggyback unchanged.  May
-      block. *)
+      a dequeuer).  It carries what [receiver] lacks, from what the
+      relay knows it holds ([receiver]'s REQUEST clock) and what the
+      relay kept ({!log_relayed}); it keeps the origin and the clock the
+      acceptor must reach.  The relay accepts nothing.  Models without
+      tailoring return the piggyback unchanged.  May block. *)
   val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
   (** Wire bytes of the consistency information, split by cost-taxonomy
@@ -106,8 +116,9 @@ module type S = sig
       stays small and the receive path skips the clock charge). *)
   val request_vc : t -> Vc.t option
 
-  (** Record knowledge about a peer gained outside accept (REQUEST
-      piggybacks, served fetches).  No-op for models without tailoring. *)
+  (** Record knowledge about what a peer holds, gained outside accept
+      (REQUEST piggybacks, served fetches, RELEASEs the peer relays).
+      No-op for models without tailoring. *)
   val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
   (** {1 Report} *)

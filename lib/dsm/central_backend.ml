@@ -234,6 +234,8 @@ let invalidate_cached t =
     !n
   end
 
+let log_relayed _ _ = ()
+
 let trim_piggyback _ pb ~receiver:_ = pb
 
 let accept t ?local:_ pbs =

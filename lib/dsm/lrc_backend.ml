@@ -71,6 +71,8 @@ let make_piggyback t ~receiver ~nontransitive =
 
 let trim_piggyback = Lrc_gc.trim_for
 
+let log_relayed t pb = List.iter (log_interval t) pb.intervals
+
 let diff_entries_bytes = Lrc_serve.diff_entries_bytes
 
 (* One carried interval's wire bytes: its VC (vc_entries), and its id and

@@ -136,8 +136,9 @@ val request_vc : t -> Vc.t option
 
 (** {1 Peer knowledge} *)
 
-(** Record that [peer] is known to have reached at least [vc] (from a
-    REQUEST piggyback or a served fetch), so future RELEASEs to it can be
+(** Record that [peer] is known to hold every interval at or below [vc]
+    (from a REQUEST piggyback, a served fetch, or the required clock of
+    a RELEASE it relays and logs), so future RELEASEs to it can be
     precisely tailored. *)
 val note_peer_vc : t -> peer:int -> Vc.t -> unit
 
@@ -160,12 +161,22 @@ val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
     [local] (default none), which never crossed the wire.  May block. *)
 val accept : t -> ?local:piggyback list -> piggyback list -> unit
 
-(** [trim_piggyback t pb ~receiver] is the copy of the stored [pb] this
-    node forwards to [receiver]: without the intervals that [receiver]'s
-    noted clock (from its REQUEST, see {!note_peer_vc}) covers, nor
-    their attached diffs.  It keeps [origin], [required_vc] and the
-    remaining intervals in order.  Charges [vc_piggyback] once, which
-    may block. *)
+(** [log_relayed t pb] logs the interval descriptions [pb] carries, as a
+    relay does when it stores or forwards a RELEASE without accepting
+    it.  The clock does not move, so the node stays out of the causal
+    chain; a peer that knows the relay holds [pb.required_vc] (see
+    {!note_peer_vc}) may tailor its next RELEASE to the relay to that.
+    Does not block. *)
+val log_relayed : t -> piggyback -> unit
+
+(** [trim_piggyback t pb ~receiver] is the copy of the relayed [pb] this
+    node forwards to [receiver], built from its own log: every interval
+    above [receiver]'s noted clock (see {!note_peer_vc}) up to
+    [pb.required_vc], in causal order, only [pb.origin]'s for a
+    non-transitive [pb], and the attached diffs of [pb] that the noted
+    clock does not cover.  It keeps [origin] and [required_vc].  Raises
+    [Protocol_violation] when the log lacks an interval of that range.
+    Charges [vc_piggyback] once, which may block. *)
 val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
 (** Wire bytes of the consistency information by component (vector

@@ -76,10 +76,13 @@ type instruments = {
   diffs_merged_c : Obs.counter;
   (* Waste, "of which" counts beside the wire-cost components: carried
      intervals the receiver's clock already covered at accept, with the
-     bytes [piggyback_cost] billed for them. *)
+     bytes [piggyback_cost] billed for them, and whole-page replies the
+     requester threw away, with their reply bytes. *)
   waste_intervals_c : Obs.counter;
   waste_vc_bytes_c : Obs.counter;
   waste_wn_bytes_c : Obs.counter;
+  waste_pages_c : Obs.counter;
+  waste_page_bytes_c : Obs.counter;
   diff_size_h : Obs.Hist.t;
 }
 
@@ -103,6 +106,8 @@ let make_instruments obs ~node =
     waste_intervals_c = dsm "waste.intervals";
     waste_vc_bytes_c = dsm "waste.vc_bytes";
     waste_wn_bytes_c = dsm "waste.wn_bytes";
+    waste_pages_c = dsm "waste.pages";
+    waste_page_bytes_c = dsm "waste.page_bytes";
     diff_size_h = Obs.histogram obs ~node ~layer:Obs.Vm "diff.bytes";
   }
 
@@ -134,8 +139,13 @@ type t = {
   (* The coverage of a page with no [page_vc] entry; shared, never
      mutated. *)
   zero_vc : Vc.t;
-  (* Conservative knowledge of each peer's vector timestamp, for tailoring
-     RELEASE piggybacks (a REQUEST piggybacks its sender's vc). *)
+  (* Conservative knowledge of what each peer holds: a clock every
+     interval at or below which is in the peer's log, for tailoring
+     RELEASE piggybacks.  It grows from the peer's own clock (a REQUEST
+     piggybacks it, an accepted RELEASE carries it), from the GC's
+     snapshot, and from the required clock of a RELEASE the peer relays,
+     whose intervals a relay logs on arrival ([Lrc_backend.log_relayed]).
+     The peer's own clock may be lower. *)
   peer_vc : Vc.t array;
   (* Diffs held locally (own creations and fetched copies).  With eager
      encoding at interval close, every write notice ever published has
@@ -236,11 +246,14 @@ let corrupt_clock t =
   if !victim >= 0 && Vc.get t.vc !victim > 0 then
     Vc.set t.vc !victim (Vc.get t.vc !victim - 1)
 
-(* Intervals the receiver (whose vc we conservatively know as [have]) is
-   missing, optionally restricted to locally created ones. *)
-let intervals_after t ~have ~own_only =
-  let creators = if own_only then fun c -> c = t.me else fun _ -> true in
-  match Interval.Log.causal_range t.log ~lo:have ~hi:t.vc ~creators with
+(* The logged intervals above [lo] and at or below [hi], in causal order,
+   optionally restricted to those created by [only].  Every one of them
+   must be in the log. *)
+let intervals_between t ~lo ~hi ~only =
+  let creators =
+    match only with Some me -> fun c -> c = me | None -> fun _ -> true
+  in
+  match Interval.Log.causal_range t.log ~lo ~hi ~creators with
   | a -> Array.to_list a
   | exception Interval.Log.Missing id ->
     raise

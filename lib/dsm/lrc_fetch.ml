@@ -51,13 +51,16 @@ let fetch_whole_page t page ids =
           not
             (Vc.dominates reply.covers (page_content_vc t page)
             && Vc.dominates reply.covers t.vc)
-        then
+        then begin
           (* Installing could lose content this node's copy (or its
              knowledge) already reflects; fall back to per-interval
              diffs.  Requiring the server to dominate the full vector
              clock is conservative but provably cannot clobber newer
-             bytes. *)
+             bytes.  The reply crossed the wire for nothing. *)
+          Obs.inc t.ins.waste_pages_c;
+          Obs.add t.ins.waste_page_bytes_c (Lrc_serve.page_reply_bytes t);
           ids
+        end
         else begin
           Lrc_close.restore_orphans t page (install t page reply);
           above reply.covers ids

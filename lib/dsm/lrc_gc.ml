@@ -88,15 +88,17 @@ let attachments_for t ~receiver intervals =
 
 let piggyback_for t ~receiver ~nontransitive =
   Lrc_close.close_interval t;
-  (* A node is always consistent with itself; a message to itself is
-     tailored so its forwarded copy usually carries enough, and a true gap
-     is still recovered through the fetch-from-origin path (§4.3). *)
+  (* A node is always consistent with itself.  A message to itself that
+     it relays later leaves as a copy built from its log ([trim_for]);
+     tailoring it for the least-informed peer keeps its attached diffs
+     for whichever peer that is. *)
   let intervals =
     if t.nodes = 1 then []
     else
-      intervals_after t
-        ~have:(tailored_for t t.peer_vc ~receiver)
-        ~own_only:nontransitive
+      intervals_between t
+        ~lo:(tailored_for t t.peer_vc ~receiver)
+        ~hi:t.vc
+        ~only:(if nontransitive then Some t.me else None)
   in
   {
     origin = t.me;
@@ -106,23 +108,27 @@ let piggyback_for t ~receiver ~nontransitive =
     attached_diffs = attachments_for t ~receiver intervals;
   }
 
-(* The copy of a stored piggyback that this node forwards to [receiver]:
-   the intervals [receiver]'s noted clock (from its REQUEST) covers are
-   dropped, with their attached diffs, which its accept would never
-   apply.  The origin and [required_vc] stay, so a gap the stored copy
-   already had is still fetched from the origin (§4.3).  The filter is
-   charged like stripping a REQUEST's clock. *)
+(* The copy of a relayed piggyback that this node forwards to
+   [receiver], built from this node's log: every interval above what
+   [receiver] holds (its noted clock) up to the required clock, only the
+   origin's for a RELEASE_NT.  The relay logged what the piggyback
+   carried when it arrived, and the sender tailored that to what the
+   relay held, so the range is in the log; a miss is a protocol
+   violation.  Attached diffs the receiver would never apply are
+   dropped.  The copy is charged like stripping a REQUEST's clock. *)
 let trim_for t pb ~receiver =
   t.charge t.costs.Cpu_cost.vc_piggyback;
   let have = t.peer_vc.(receiver) in
-  let needed (id : Interval.id) =
-    id.Interval.index > Vc.get have id.Interval.creator
-  in
   {
     pb with
     intervals =
-      List.filter (fun (i : Interval.t) -> needed i.Interval.id) pb.intervals;
-    attached_diffs = List.filter (fun (_, id, _) -> needed id) pb.attached_diffs;
+      intervals_between t ~lo:have ~hi:pb.required_vc
+        ~only:(if pb.nontransitive then Some pb.origin else None);
+    attached_diffs =
+      List.filter
+        (fun (_, (id : Interval.id), _) ->
+          id.Interval.index > Vc.get have id.Interval.creator)
+        pb.attached_diffs;
   }
 
 (* ------------------------------------------------------------------ *)

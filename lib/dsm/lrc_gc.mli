@@ -8,8 +8,9 @@
     - [piggyback_for] closes the open interval first ({!Lrc_close}),
       which yields; it reads the peer clocks and builds the piggyback
       after that, without yielding;
-    - [trim_for] charges its filter first, which yields; it reads the
-      receiver's noted clock and filters after that, without yielding;
+    - [trim_for] charges its copy first, which yields; it reads the
+      receiver's noted clock and the log and builds the copy after that,
+      without yielding;
     - [gc_keep] fetches and validates the pages this node keeps
       ({!Lrc_fetch}); each base is stored right after its page is
       valid, without a yield in between;

@@ -156,17 +156,17 @@ let fetch_intervals t ~dst ~have =
       (List.fold_left (fun acc i -> acc + Interval.size_bytes i) 8)
     (fun server ->
       note_peer_vc server ~peer:me have;
-      intervals_after server ~have ~own_only:false)
+      intervals_between server ~lo:have ~hi:server.vc ~only:None)
 
 (* A page or base request names the page; a whole page travels with the
    clock its content covers. *)
+let page_reply_bytes t =
+  8 + Page_table.page_size t.page_table + (Vc.entry_bytes * t.nodes)
+
 let request_page t ~dst serve =
   t.peer.rpc ~dst ~cost:Cost.Diff_payload ~reply_cost:Cost.Diff_payload
     ~request_bytes:12
-    ~reply_bytes:(function
-      | None -> 8
-      | Some _ ->
-        8 + Page_table.page_size t.page_table + (Vc.entry_bytes * t.nodes))
+    ~reply_bytes:(function None -> 8 | Some _ -> page_reply_bytes t)
     serve
 
 let fetch_page t ~dst ~page =

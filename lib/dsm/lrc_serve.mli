@@ -28,6 +28,10 @@ val fetch_intervals : t -> dst:int -> have:Vc.t -> Interval.t list
     clock it covers, or [None] when [dst]'s own copy is invalid. *)
 val fetch_page : t -> dst:int -> page:int -> page_reply option
 
+(** Wire bytes of a reply to {!fetch_page} or {!fetch_base} that carries
+    a page. *)
+val page_reply_bytes : t -> int
+
 (** [fetch_base t ~dst ~page]: the base copy the keeper [dst] holds. *)
 val fetch_base : t -> dst:int -> page:int -> page_reply
 

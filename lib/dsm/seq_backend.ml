@@ -304,6 +304,8 @@ let make_piggyback t ~receiver:_ ~nontransitive:_ =
   t.hooks.on_release ~node:t.me ~upto:t.horizon;
   { origin = t.me; upto = t.horizon }
 
+let log_relayed _ _ = ()
+
 let trim_piggyback _ pb ~receiver:_ = pb
 
 let accept t ?local:_ pbs =

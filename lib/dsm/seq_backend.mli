@@ -91,6 +91,9 @@ val vc : t -> Vc.t
 
 val make_piggyback : t -> receiver:int -> nontransitive:bool -> piggyback
 
+(** Does nothing: the piggyback carries no history to keep. *)
+val log_relayed : t -> piggyback -> unit
+
 (** Returns the piggyback unchanged: it carries no per-receiver
     history. *)
 val trim_piggyback : t -> piggyback -> receiver:int -> piggyback

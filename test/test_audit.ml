@@ -266,11 +266,13 @@ let test_catches_early_seq_release () =
     (List.map (fun v -> v.Audit.check) (Audit.violations a))
 
 (* The forward-tailoring rule, driven through the hooks.  Node 1's
-   RELEASE to the manager, node 0, carries intervals 1.1, 2.1 and 2.2,
-   and node 0 knows from a REQUEST that node 3 holds 2.1.  Of three
-   copies forwarded to node 3, the one that also drops 2.2 is
-   over-trimmed and the one that keeps 2.1 is under-trimmed; only the
-   copy carrying exactly 1.1 and 2.2 is clean. *)
+   RELEASE to the manager, node 0, requires intervals 1.1, 2.1 and 2.2,
+   and node 0 knows from a REQUEST that node 3 holds 2.1, so the exact
+   copy to node 3 carries 1.1 and 2.2.  Of three copies of a RELEASE
+   that carried all three intervals, the one that also drops 2.2 is
+   over-trimmed and the one that keeps 2.1 is under-trimmed.  The fourth
+   RELEASE is sent once node 1 knows node 0 holds 2.2, so it carries
+   only 1.1; forwarding that copy as it is still omits 2.2 for node 3. *)
 let test_catches_mistrimmed_forward () =
   let nodes = 4 in
   let a = Audit.create ~nodes () in
@@ -279,23 +281,31 @@ let test_catches_mistrimmed_forward () =
     List.iter (fun (c, i) -> Vc.set vc c i) entries;
     vc
   in
-  let carried = [ (1, 1); (2, 1); (2, 2) ] in
   let node1 = clock [ (1, 1); (2, 2) ] in
-  (Audit.lrc_hooks a).Lrc.on_peer_note ~node:0 ~peer:3
-    ~vc:(clock [ (2, 1) ]);
-  let forward ~trace_id intervals =
+  let note ~node ~peer entries =
+    (Audit.lrc_hooks a).Lrc.on_peer_note ~node ~peer ~vc:(clock entries)
+  in
+  note ~node:0 ~peer:3 [ (2, 1) ];
+  let forward ~trace_id ~carried intervals =
     Audit.on_send a ~trace_id ~src:1 ~dst:0 ~annotation:Audit.Release
       ~vc:node1 ~required_vc:(Some node1) ~nontransitive:false
       ~intervals:carried ~sender_vc:None;
     Audit.on_forward a ~trace_id ~node:0 ~dst:3 ~vc:(Vc.zero ~nodes)
-      ~intervals
+      ~origin:1 ~required_vc:(Some node1) ~nontransitive:false ~intervals
   in
-  forward ~trace_id:1 [ (1, 1) ];
-  forward ~trace_id:2 carried;
-  forward ~trace_id:3 [ (1, 1); (2, 2) ];
+  let carried = [ (1, 1); (2, 1); (2, 2) ] in
+  forward ~trace_id:1 ~carried [ (1, 1) ];
+  forward ~trace_id:2 ~carried carried;
+  forward ~trace_id:3 ~carried [ (1, 1); (2, 2) ];
+  note ~node:1 ~peer:0 [ (2, 2) ];
+  forward ~trace_id:4 ~carried:[ (1, 1) ] [ (1, 1) ];
   Alcotest.(check (list (pair string (option int))))
     "over- and under-trimmed copies reported"
-    [ ("forward-tailoring", Some 1); ("forward-tailoring", Some 2) ]
+    [
+      ("forward-tailoring", Some 1);
+      ("forward-tailoring", Some 2);
+      ("forward-tailoring", Some 4);
+    ]
     (List.map (fun v -> (v.Audit.check, v.Audit.trace_id)) (Audit.violations a))
 
 let () =

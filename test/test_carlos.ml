@@ -557,6 +557,66 @@ let test_work_queue_forwarded_chain mode () =
       true
       (!second_hop < !first_hop)
 
+(* Back-to-back enqueues through a relaying manager: node 1 writes a
+   slot and enqueues it into node 0's queue, three times, before node 2
+   dequeues the three items.  Node 0 logs what each enqueue carries, and
+   node 1 knows it does, so every enqueue carries only the interval it
+   just closed, one write notice each.  The audit holds every forwarded
+   copy to exactly what node 2 lacks, and node 0's log holds all of it:
+   no interval description is fetched. *)
+let test_work_queue_relayed_enqueues_ship_once () =
+  let sys = System.create ~audit:true (test_config ()) in
+  let q = Work_queue.create sys ~manager:0 ~name:"once" () in
+  let slots = Array.init 3 (fun _ -> System.alloc sys ~align:512 8) in
+  let obs = System.obs sys in
+  let notices () = Carlos_obs.Cost.read obs Carlos_obs.Cost.Write_notices in
+  let module Ivar = Carlos_sim.Resource.Ivar in
+  let enqueued = Ivar.create () in
+  let billed = ref [] and seen = ref [] in
+  let (_ : System.report) =
+    System.run sys (fun node ->
+        let shm = Node.shm node in
+        match Node.id node with
+        | 1 ->
+          Array.iteri
+            (fun k slot ->
+              Shm.write_i64 shm slot (100 + k);
+              let before = notices () in
+              Work_queue.enqueue q node ~bytes:8 slot;
+              billed := (notices () - before) :: !billed)
+            slots;
+          Ivar.fill enqueued ()
+        | 2 ->
+          Node.await node enqueued;
+          for _ = 1 to 3 do
+            match Work_queue.dequeue q node with
+            | Some slot -> seen := Shm.read_i64 shm slot :: !seen
+            | None -> Alcotest.fail "node 2 got no item"
+          done
+        | _ -> ())
+  in
+  Alcotest.(check (list int)) "node 2 reads every write" [ 100; 101; 102 ]
+    (List.rev !seen);
+  (* The non-transitive flag, then one interval's id and its one write
+     notice. *)
+  let one_interval = 1 + 4 + 4 in
+  Alcotest.(check (list int))
+    "each enqueue carries only its new interval"
+    [ one_interval; one_interval; one_interval ]
+    (List.rev !billed);
+  (match System.auditor sys with
+  | Some a ->
+    Alcotest.(check int) "every copy exact" 0
+      (Carlos_audit.Audit.violation_count a)
+  | None -> Alcotest.fail "no auditor");
+  let fetches =
+    List.fold_left
+      (fun acc node ->
+        acc + Counters.counter obs ~node ~layer:Obs.Dsm "interval_fetches")
+      0 [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check int) "no interval fetched" 0 fetches
+
 let test_condition_broadcast () =
   let sys = make ~nodes:4 () in
   let lock = Msg_lock.create sys ~manager:0 ~name:"bm" in
@@ -1039,6 +1099,8 @@ let () =
             (test_work_queue_forwarded_chain Work_queue.All_release);
           Alcotest.test_case "forwarded chain, no forwarding" `Quick
             (test_work_queue_forwarded_chain Work_queue.No_forwarding);
+          Alcotest.test_case "relayed enqueues ship each interval once"
+            `Quick test_work_queue_relayed_enqueues_ship_once;
           Props.to_alcotest prop_work_queue_random_pipelines;
         ] );
       ( "system",

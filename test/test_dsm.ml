@@ -186,6 +186,42 @@ let test_tailored_piggyback () =
   (* Without note_peer_vc the second release would have carried both. *)
   ()
 
+(* A relay builds the copy it forwards from its own log.  Node 1's second
+   RELEASE to node 0 carries only its new interval, because node 1 knows
+   node 0 logged the first.  Node 0 forwards it to node 2, which holds
+   nothing: before node 0 has logged the first RELEASE its log lacks
+   interval 1.1, which is a protocol violation, not a gap left for node 2
+   to fetch; after, the copy carries both intervals.  Logging never
+   moves node 0's clock. *)
+let test_relay_copies_from_its_log () =
+  let c = make_cluster 3 in
+  let a = slot c ~page:0 0 in
+  let to_relay () =
+    Lrc.make_piggyback c.lrcs.(1) ~receiver:0 ~nontransitive:false
+  in
+  Shm.write_i64 c.shms.(1) a 1;
+  let first = to_relay () in
+  Lrc.note_peer_vc c.lrcs.(1) ~peer:0 first.Lrc.required_vc;
+  Shm.write_i64 c.shms.(1) a 2;
+  let second = to_relay () in
+  let ids pb =
+    List.map
+      (fun (i : Interval.t) -> i.Interval.id.Interval.index)
+      pb.Lrc.intervals
+  in
+  Alcotest.(check (list int)) "second carries only its interval" [ 2 ]
+    (ids second);
+  Lrc.log_relayed c.lrcs.(0) second;
+  (match Lrc.trim_piggyback c.lrcs.(0) second ~receiver:2 with
+  | _ -> Alcotest.fail "a copy built over a log gap"
+  | exception Lrc.Protocol_violation _ -> ());
+  Lrc.log_relayed c.lrcs.(0) first;
+  let copy = Lrc.trim_piggyback c.lrcs.(0) second ~receiver:2 in
+  Alcotest.(check (list int)) "copy carries both" [ 1; 2 ] (ids copy);
+  Alcotest.(check int) "relay clock unmoved" 0 (Vc.get (Lrc.vc c.lrcs.(0)) 1);
+  Lrc.accept c.lrcs.(2) [ copy ];
+  Alcotest.(check int) "latest value" 2 (Shm.read_i64 c.shms.(2) a)
+
 let test_untold_peer_gets_full_history () =
   let c = make_cluster 3 in
   let a = slot c ~page:0 0 in
@@ -1372,6 +1408,7 @@ let () =
         [
           loopback "transitivity" test_transitivity;
           loopback "tailored piggyback" test_tailored_piggyback;
+          loopback "relay copies from its log" test_relay_copies_from_its_log;
           loopback "full history to new peer"
             test_untold_peer_gets_full_history;
           loopback "NT triggers interval fetch"
