@@ -108,7 +108,7 @@ let partition node shm layout p ~lo ~hi =
 let sort_leaf node shm layout p ~lo ~hi =
   let n = hi - lo + 1 in
   let buf = Array.init n (fun k -> read_elem shm layout (lo + k)) in
-  Array.sort compare buf;
+  Array.stable_sort Int.compare buf;
   Array.iteri (fun k v -> write_elem shm layout (lo + k) v) buf;
   let fn = float_of_int n in
   Node.compute node (p.compare_cost *. fn *. fn /. 2.0)

@@ -205,11 +205,19 @@ let on_send t ~trace_id ~src ~dst ~annotation ~vc ~required_vc ~nontransitive
   | Some rvc when dst <> src ->
     check_tailoring t ~check:"request-tailoring" ~node:src ~trace_id ~dst
       ~origin:src ~rvc ~nontransitive ~intervals
-  | Some _ | None ->
+  | Some _ -> (
     (* A locally addressed RELEASE (a manager enqueueing into its own
-       queue) is tailored for the least-informed peer, not for [dst];
-       exactness does not apply.  The clock rule still does. *)
-    ()
+       queue): the sender holds everything up to its own clock, and a
+       copy it forwards later is built from its log, so the exact
+       piggyback carries nothing. *)
+    match intervals with
+    | [] -> ()
+    | (c, i) :: _ ->
+      violate t ~check:"request-tailoring" ~node:src ~trace_id
+        (Printf.sprintf
+           "piggyback to itself carries %d intervals (first %d.%d)"
+           (List.length intervals) c i))
+  | None -> ()
 
 let on_accept t ~node ~vc_before ~vc_after accepted =
   (* [vc_before] is NOT a fresh observation: accepts nest (a charge inside

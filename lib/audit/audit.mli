@@ -21,7 +21,8 @@
       [required_vc], nothing the receiver already holds (the precise
       tailoring a REQUEST's piggybacked timestamp enables, §4.3).  What
       a node knows another holds includes the required clock of each
-      enqueue it sent to that node as a work-queue relay;
+      enqueue it sent to that node as a work-queue relay, and a RELEASE
+      a node addresses to itself carries no intervals;
     - {b forward-tailoring}: the same rule for a RELEASE a relay
       forwards to another node: the copy carries exactly the intervals
       above what the relay knows the destination to hold (from its

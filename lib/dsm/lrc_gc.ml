@@ -18,8 +18,8 @@ let min_over_peers t clocks =
 
 (* The entry of [clocks] a message to [receiver] is tailored for.  A
    locally addressed message (a manager enqueueing into its own work
-   queue) is often stored and forwarded later, so it is tailored for the
-   least-informed peer. *)
+   queue) may be forwarded to any peer later, so the diffs it attaches
+   are chosen for the least-informed one. *)
 let tailored_for t clocks ~receiver =
   if receiver = t.me then min_over_peers t clocks else clocks.(receiver)
 
@@ -88,24 +88,29 @@ let attachments_for t ~receiver intervals =
 
 let piggyback_for t ~receiver ~nontransitive =
   Lrc_close.close_interval t;
-  (* A node is always consistent with itself.  A message to itself that
-     it relays later leaves as a copy built from its log ([trim_for]);
-     tailoring it for the least-informed peer keeps its attached diffs
-     for whichever peer that is. *)
+  let only = if nontransitive then Some t.me else None in
+  (* A node is always consistent with itself, and a message to itself
+     that it relays later leaves as a copy built from its log
+     ([trim_for]), so it carries no intervals.  Under the update
+     strategies it still takes along the diffs of the intervals the
+     least-informed peer lacks, for whichever peer the copy goes to. *)
   let intervals =
-    if t.nodes = 1 then []
+    if t.nodes = 1 || receiver = t.me then []
+    else intervals_between t ~lo:t.peer_vc.(receiver) ~hi:t.vc ~only
+  in
+  let attached_diffs =
+    if receiver <> t.me then attachments_for t ~receiver intervals
+    else if t.strategy = Invalidate || t.nodes = 1 then []
     else
-      intervals_between t
-        ~lo:(tailored_for t t.peer_vc ~receiver)
-        ~hi:t.vc
-        ~only:(if nontransitive then Some t.me else None)
+      attachments_for t ~receiver
+        (intervals_between t ~lo:(min_over_peers t t.peer_vc) ~hi:t.vc ~only)
   in
   {
     origin = t.me;
     required_vc = Vc.copy t.vc;
     intervals;
     nontransitive;
-    attached_diffs = attachments_for t ~receiver intervals;
+    attached_diffs;
   }
 
 (* The copy of a relayed piggyback that this node forwards to

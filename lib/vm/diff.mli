@@ -6,7 +6,10 @@
     offset, a u16 [length - 1] and the run bytes.  A diff is two heap
     blocks however many runs it has, and its wire size is the buffer's
     length plus a header.  Two-byte descriptors limit a page to
-    {!max_page_size} (64 KiB) bytes.  Applying a diff overwrites exactly
+    {!max_page_size} (64 KiB) bytes.  Encoding compares a page with its
+    twin eight bytes at a time and emits the runs in one pass into a
+    scratch buffer of the calling domain's own, so domains may encode
+    at once.  Applying a diff overwrites exactly
     those ranges, so applying the same diff twice is idempotent and diffs
     from concurrent writers to disjoint ranges commute — the property the
     multiple-writer protocol relies on. *)
@@ -19,7 +22,8 @@ val max_page_size : int
 
 (** [create ~page ~twin ~current] encodes the differences of [current]
     relative to [twin].  Both must have equal length, at most
-    {!max_page_size}. *)
+    {!max_page_size}.  Once the domain's scratch buffer has grown to the
+    page's size, it allocates only the diff's record and buffer. *)
 val create : page:int -> twin:Bytes.t -> current:Bytes.t -> t
 
 (** Which coherent page this diff describes. *)
@@ -30,7 +34,8 @@ val run_count : t -> int
 
 val is_empty : t -> bool
 
-(** Overwrite the changed ranges of [target] with the diff's data. *)
+(** Overwrite the changed ranges of [target] with the diff's data.
+    Allocates nothing. *)
 val apply : t -> Bytes.t -> unit
 
 (** [merge ds] collapses several diffs of the same page into one whose

@@ -308,6 +308,26 @@ let test_catches_mistrimmed_forward () =
     ]
     (List.map (fun v -> (v.Audit.check, v.Audit.trace_id)) (Audit.violations a))
 
+(* A RELEASE a node addresses to itself must carry no intervals: the
+   node holds everything up to its own clock, and a copy it relays later
+   is built from its log.  Of two self-addressed RELEASEs, the one that
+   carries an interval is reported. *)
+let test_catches_self_release_intervals () =
+  let nodes = 2 in
+  let a = Audit.create ~nodes () in
+  let vc = Vc.zero ~nodes in
+  Vc.set vc 0 1;
+  let send ~trace_id intervals =
+    Audit.on_send a ~trace_id ~src:0 ~dst:0 ~annotation:Audit.Release ~vc
+      ~required_vc:(Some vc) ~nontransitive:false ~intervals ~sender_vc:None
+  in
+  send ~trace_id:1 [];
+  send ~trace_id:2 [ (0, 1) ];
+  Alcotest.(check (list (pair string (option int))))
+    "the carried interval reported"
+    [ ("request-tailoring", Some 2) ]
+    (List.map (fun v -> (v.Audit.check, v.Audit.trace_id)) (Audit.violations a))
+
 let () =
   Props.run "audit"
     [
@@ -333,5 +353,7 @@ let () =
             test_catches_early_seq_release;
           Alcotest.test_case "mistrimmed forward" `Quick
             test_catches_mistrimmed_forward;
+          Alcotest.test_case "self-addressed release with intervals" `Quick
+            test_catches_self_release_intervals;
         ] );
     ]

@@ -236,20 +236,37 @@ let every_fourth_equal_page () =
   done;
   (twin, current)
 
+(* Words [f] allocates, on the minor heap or straight on the major
+   heap (a block too big for the minor heap), counted exactly. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 let test_diff_create_allocation () =
-  (* A diff allocates a record and one buffer of run descriptors and
-     bytes; a heap block per run would cost several more words per
-     run. *)
+  (* Once its domain's scratch buffer exists, a diff allocates exactly
+     its record (a header and three fields) and one buffer of run
+     descriptors and bytes (a header and [n / 8 + 1] words for [n]
+     bytes), however many runs it holds; applying it allocates
+     nothing. *)
   let twin, current = every_fourth_equal_page () in
-  let before = Gc.allocated_bytes () in
-  let d = Diff.create ~page:0 ~twin ~current in
+  ignore (Diff.create ~page:0 ~twin ~current);
+  let d = ref (Diff.create ~page:0 ~twin ~current) in
   let words =
-    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+    allocated_words (fun () -> d := Diff.create ~page:0 ~twin ~current)
   in
-  Alcotest.(check int) "runs" 1024 (Diff.run_count d);
-  let bound = 2 * (1024 + (4096 / 8)) in
-  if words >= float_of_int bound then
-    Alcotest.failf "Diff.create allocated %.0f words (bound %d)" words bound
+  Alcotest.(check int) "runs" 1024 (Diff.run_count !d);
+  let buf_bytes = Diff.size_bytes !d - 8 in
+  Alcotest.(check int) "create allocates the record and buffer"
+    (4 + 2 + (buf_bytes / 8))
+    words;
+  let target = Bytes.copy twin in
+  Alcotest.(check int) "apply allocates nothing" 0
+    (allocated_words (fun () -> Diff.apply !d target))
 
 let test_diff_retained_words () =
   (* A diff retains its wire encoding plus a few words of headers: no
@@ -289,34 +306,83 @@ let test_diff_whole_page_runs () =
   check "merge" (Diff.merge [ d_all; d_last ]) (Ref_diff.merge [ r_all; r_last ])
     merged
 
-(* Which bytes of a page a writer changes: most of them, a few, or all
+let test_diff_word_tail_lengths () =
+  (* Every page length from 0 to 24 and the two largest, each with every
+     byte, alternate bytes or only the last byte changed: the word scan's
+     whole words, its byte-by-byte tail past the last whole word, and a
+     run that ends at the end of the page.  At 65,535 bytes, alternate
+     bytes fill the encoder's worst-case scratch bound exactly. *)
+  let lengths = List.init 25 Fun.id @ [ 65_535; 65_536 ] in
+  let changes =
+    [
+      ("every byte", fun _ _ -> true);
+      ("alternate bytes", fun _ i -> i mod 2 = 0);
+      ("last byte", fun len i -> i = len - 1);
+    ]
+  in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun (name, changed) ->
+          let twin = Bytes.make len 'a' in
+          let current =
+            Bytes.mapi (fun i c -> if changed len i then 'b' else c) twin
+          in
+          let d = Diff.create ~page:2 ~twin ~current in
+          let r = Ref_diff.create ~twin ~current in
+          if not (matches_reference ~page:2 d r) then
+            Alcotest.failf "%d bytes, %s: runs differ from the list codec" len
+              name;
+          if not (matches_reference ~page:2 (Diff.merge [ d; d ]) r) then
+            Alcotest.failf "%d bytes, %s: merge differs from the list codec"
+              len name;
+          let target = Bytes.copy twin in
+          Diff.apply d target;
+          if not (Bytes.equal target current) then
+            Alcotest.failf "%d bytes, %s: apply does not round trip" len name)
+        changes)
+    lengths
+
+(* Which bytes of a page a writer changes: most of them, a few, all
    but every fourth byte (the high byte of small int32 values, as in the
-   quicksort workload). *)
-type pattern = Dense | Sparse | Every_fourth_equal
+   quicksort workload), or, word by word, all of an aligned 8-byte word,
+   none of it or a random subset (so runs open and close at every offset
+   in a word and across word boundaries). *)
+type pattern = Dense | Sparse | Every_fourth_equal | Word_masks
 
 let pattern_name = function
   | Dense -> "dense"
   | Sparse -> "sparse"
   | Every_fourth_equal -> "every 4th byte equal"
+  | Word_masks -> "whole, empty or mixed words"
 
 (* [twin] with the bytes [pattern] selects changed: byte [i] changes when
-   its 0-99 roll is under the pattern's rate, by a nonzero xor mask. *)
+   its 0-99 roll is under the pattern's rate, by a nonzero xor mask.
+   Under [Word_masks] the roll of a word's first byte picks the word's
+   kind. *)
 let mutate pattern twin changes =
   let current = Bytes.copy twin in
-  List.iteri
+  let changes = Array.of_list changes in
+  Array.iteri
     (fun i (roll, mask) ->
       let change =
         match pattern with
         | Dense -> roll < 85
         | Sparse -> roll < 4
         | Every_fourth_equal -> i mod 4 <> 3 && roll < 95
+        | Word_masks -> (
+          match fst changes.(i land lnot 7) mod 3 with
+          | 0 -> true
+          | 1 -> false
+          | _ -> roll < 50)
       in
       if change then
         Bytes.set current i (Char.chr (Char.code (Bytes.get twin i) lxor mask)))
     changes;
   current
 
-let gen_pattern = QCheck.Gen.oneofl [ Dense; Sparse; Every_fourth_equal ]
+let gen_pattern =
+  QCheck.Gen.oneofl [ Dense; Sparse; Every_fourth_equal; Word_masks ]
 
 let gen_changes len =
   QCheck.Gen.(list_repeat len (pair (int_bound 99) (int_range 1 255)))
@@ -396,6 +462,31 @@ let prop_diff_merge =
       in
       Bytes.equal in_order at_once
       && matches_reference ~page:3 merged reference)
+
+let test_diff_domains_encode_at_once () =
+  (* Each domain encodes into a scratch buffer of its own: two domains
+     encoding pages of growing length at once both get exactly the list
+     codec's runs. *)
+  let encode_pages seed () =
+    let rand = Random.State.make [| seed |] in
+    List.for_all
+      (fun k ->
+        let twin = Bytes.init (16 * k) (fun _ ->
+              Char.chr (Random.State.int rand 256)) in
+        let changes =
+          QCheck.Gen.generate1 ~rand (gen_changes (Bytes.length twin))
+        in
+        let pattern = if k mod 2 = 0 then Dense else Word_masks in
+        let current = mutate pattern twin changes in
+        matches_reference ~page:k
+          (Diff.create ~page:k ~twin ~current)
+          (Ref_diff.create ~twin ~current))
+      (List.init 256 (fun k -> k + 1))
+  in
+  let other = Domain.spawn (encode_pages 1) in
+  let here = encode_pages 2 () in
+  Alcotest.(check bool) "spawned domain's diffs" true (Domain.join other);
+  Alcotest.(check bool) "main domain's diffs" true here
 
 (* ------------------------------------------------------------------ *)
 (* Page *)
@@ -891,6 +982,10 @@ let () =
             test_diff_retained_words;
           Alcotest.test_case "64 KiB page descriptor edges" `Quick
             test_diff_whole_page_runs;
+          Alcotest.test_case "page lengths around the word tail" `Quick
+            test_diff_word_tail_lengths;
+          Alcotest.test_case "two domains encode at once" `Quick
+            test_diff_domains_encode_at_once;
         ]
         @ qcheck
             [
