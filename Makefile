@@ -50,9 +50,12 @@ audit: build
 	done
 
 # The paper's Tables 1-3, Figure 2 and the ablations; exits non-zero when
-# any row's application-level check prints FAIL.
+# any row's application-level check prints FAIL.  Like every bench target
+# below, it runs the binary the build target made, so dune starts once.
+BENCH = _build/default/bench/main.exe
+
 paper-tables: build
-	dune exec bench/main.exe
+	$(BENCH)
 
 # The snapshot recipe: every gate and scaling row plus the fits, with the
 # wall-clock host_ms fields stripped, so what remains is deterministic.
@@ -61,7 +64,7 @@ paper-tables: build
 # in its row.  The committed BENCH_PR10.json is such a stripped snapshot.
 STRIP_HOST = sed -E 's/, "host_ms": [0-9.]+//'
 snapshot = raw=$$(mktemp) && \
-	dune exec bench/main.exe -- json scaling $(2) -o $$raw && \
+	$(BENCH) json scaling $(2) -o $$raw && \
 	$(STRIP_HOST) $$raw > $(1) && rm -f $$raw
 SNAPSHOT_DIFF = git --no-pager diff --no-index --word-diff=plain \
 	--word-diff-regex='[^ ,{}]+'

@@ -4,8 +4,10 @@
    descriptors sit in a byte buffer the GC does not scan.  [create]
    compares the page with its twin eight bytes at a time, encodes the
    runs in one pass into a per-domain scratch buffer, and copies the
-   encoding into an exactly-sized [buf]; [merge] feeds the same encoder.
-   Runs are maximal, non-empty and disjoint. *)
+   encoding into an exactly-sized [buf].  [merge] replays its diffs into
+   a per-domain page image and touched-byte mask and feeds them to the
+   same encoder, so it too allocates only its result.  Runs are maximal,
+   non-empty and disjoint. *)
 type t = { page : int; runs : int; buf : Bytes.t }
 
 let header_bytes = 8
@@ -119,10 +121,10 @@ let[@inline] byte_changed ~against_twin marks twin i =
    starts a tight skip over the equal words after it; any other word
    visits only its run edges, the bytes where being in a run flips.
    The tail past the last whole word goes byte by byte.  [start] is the
-   open run's first offset, or [-1].  Inlined into both callers, so
+   open run's first offset, or [-1].  Only the first [len] bytes of
+   [data], [marks] and [twin] are read.  Inlined into both callers, so
    [against_twin] is a constant in each. *)
-let[@inline] encode ~page ~against_twin ~marks ~twin data =
-  let len = Bytes.length data in
+let[@inline] encode ~page ~against_twin ~len ~marks ~twin data =
   let out = scratch len in
   let pos = ref 0 and runs = ref 0 and start = ref (-1) in
   let words_end = len land lnot 7 in
@@ -183,7 +185,7 @@ let create ~page ~twin ~current =
   if Bytes.length current <> len then
     invalid_arg "Diff.create: twin and current differ in length";
   if len > max_page_size then invalid_arg "Diff.create: page too large";
-  encode ~page ~against_twin:true ~marks:current ~twin current
+  encode ~page ~against_twin:true ~len ~marks:current ~twin current
 
 let page t = t.page
 
@@ -201,43 +203,73 @@ let apply t target =
     pos := !pos + run_descriptor_bytes + n
   done
 
-(* [f offset length] on each run, in offset order. *)
-let iter_runs f t =
-  let pos = ref 0 in
-  for _ = 1 to t.runs do
-    let n = run_length t.buf !pos in
-    f (run_offset t.buf !pos) n;
-    pos := !pos + run_descriptor_bytes + n
-  done
+(* Each domain replays merges into its own page image and touched-byte
+   mask, kept apart from the encoder's output scratch, which is written
+   while they are read.  Both grow, at the first merge that needs it, to
+   the smallest power of two at least 64 that covers the largest extent
+   seen, so never past [max_page_size].  Mask rule: every mask byte at
+   or past [marked] is zero.  A merge clears [0, marked) before its
+   replay and raises [marked] before it marks a byte, so an exception
+   part way through a merge cannot leak its marks into the next one.
+   The image is never cleared: the encoder reads it only where the mask
+   is set. *)
+type replay = {
+  mutable image : Bytes.t;
+  mutable mask : Bytes.t;
+  mutable marked : int;
+}
 
-(* One past the last byte the diff touches. *)
-let extent t =
-  let last = ref 0 in
-  iter_runs (fun offset n -> last := offset + n) t;
-  !last
+let replay_key =
+  Domain.DLS.new_key (fun () ->
+      { image = Bytes.empty; mask = Bytes.empty; marked = 0 })
+
+(* Grows [r] to cover [need] bytes, keeping the first [r.marked]. *)
+let grow r need =
+  let size = ref 64 in
+  while !size < need do
+    size := 2 * !size
+  done;
+  let image = Bytes.create !size and mask = Bytes.make !size '\000' in
+  Bytes.blit r.image 0 image 0 r.marked;
+  Bytes.blit r.mask 0 mask 0 r.marked;
+  r.image <- image;
+  r.mask <- mask
+
+(* Replays [ds] in order into [r], each run blitted into the image and
+   its range marked in the mask in one walk over the descriptors, so
+   later runs overwrite earlier ones exactly as sequential [apply]
+   would.  A top-level loop, not a closure, so it allocates nothing. *)
+let rec replay r page = function
+  | [] -> ()
+  | d :: rest ->
+    if d.page <> page then invalid_arg "Diff.merge: pages differ";
+    let buf = d.buf in
+    let pos = ref 0 in
+    for _ = 1 to d.runs do
+      let offset = run_offset buf !pos and n = run_length buf !pos in
+      let stop = offset + n in
+      if stop > r.marked then begin
+        if stop > Bytes.length r.mask then grow r stop;
+        r.marked <- stop
+      end;
+      Bytes.unsafe_blit buf (!pos + run_descriptor_bytes) r.image offset n;
+      Bytes.unsafe_fill r.mask offset n '\001';
+      pos := !pos + run_descriptor_bytes + n
+    done;
+    replay r page rest
 
 let merge = function
   | [] -> invalid_arg "Diff.merge: empty"
   | [ d ] -> d
   | first :: _ as ds ->
-    List.iter
-      (fun d ->
-        if d.page <> first.page then invalid_arg "Diff.merge: pages differ")
-      ds;
-    (* Replay the diffs in order into a scratch page covering the touched
-       extent, so later runs overwrite earlier ones exactly as sequential
-       [apply] would, and mark every touched byte; the encoder then
+    let r = Domain.DLS.get replay_key in
+    Bytes.unsafe_fill r.mask 0 r.marked '\000';
+    r.marked <- 0;
+    replay r first.page ds;
+    (* [marked] is now one past the last touched byte; the encoder
        re-extracts precisely the touched bytes as maximal runs. *)
-    let extent = List.fold_left (fun acc d -> max acc (extent d)) 0 ds in
-    let current = Bytes.make extent '\000' in
-    let touched = Bytes.make extent '\000' in
-    List.iter
-      (fun d ->
-        apply d current;
-        iter_runs (fun offset n -> Bytes.fill touched offset n '\001') d)
-      ds;
-    encode ~page:first.page ~against_twin:false ~marks:touched ~twin:touched
-      current
+    encode ~page:first.page ~against_twin:false ~len:r.marked ~marks:r.mask
+      ~twin:r.mask r.image
 
 let changed_bytes t = Bytes.length t.buf - (run_descriptor_bytes * t.runs)
 
@@ -245,7 +277,10 @@ let size_bytes t = header_bytes + Bytes.length t.buf
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>diff(page %d:" t.page;
-  iter_runs
-    (fun offset n -> Format.fprintf ppf " [%d..%d)" offset (offset + n))
-    t;
+  let pos = ref 0 in
+  for _ = 1 to t.runs do
+    let offset = run_offset t.buf !pos and n = run_length t.buf !pos in
+    Format.fprintf ppf " [%d..%d)" offset (offset + n);
+    pos := !pos + run_descriptor_bytes + n
+  done;
   Format.fprintf ppf ")@]"

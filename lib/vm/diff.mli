@@ -40,8 +40,11 @@ val apply : t -> Bytes.t -> unit
 
 (** [merge ds] collapses several diffs of the same page into one whose
     application is equivalent to applying [ds] in list order (later runs
-    win on overlap; adjacent runs coalesce).  Raises [Invalid_argument] on
-    an empty list or mixed pages. *)
+    win on overlap; adjacent runs coalesce).  It replays [ds] into a
+    page image and touched-byte mask of the calling domain's own, so
+    domains may merge at once; once they have grown to the merged
+    extent, it allocates only the result's record and buffer.  Raises
+    [Invalid_argument] on an empty list or mixed pages. *)
 val merge : t list -> t
 
 (** Wire size in bytes: a small header plus, per run, a 4-byte descriptor

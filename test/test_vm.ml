@@ -268,6 +268,29 @@ let test_diff_create_allocation () =
   Alcotest.(check int) "apply allocates nothing" 0
     (allocated_words (fun () -> Diff.apply !d target))
 
+let test_diff_merge_allocation () =
+  (* Once its domain's replay scratch has grown to the page, a merge
+     allocates exactly its result's record and buffer, as [create]
+     does.  The pieces are quicksort-like: writer [k] changes all but
+     every fourth byte of the [k]th quarter of the page. *)
+  let twin = Bytes.make 4096 '\000' in
+  let ds =
+    List.init 4 (fun k ->
+        let current = Bytes.copy twin in
+        for i = k * 1024 to ((k + 1) * 1024) - 1 do
+          if i mod 4 <> 3 then Bytes.set current i 'x'
+        done;
+        Diff.create ~page:0 ~twin ~current)
+  in
+  ignore (Diff.merge ds);
+  let m = ref (Diff.merge ds) in
+  let words = allocated_words (fun () -> m := Diff.merge ds) in
+  Alcotest.(check int) "runs" 1024 (Diff.run_count !m);
+  let buf_bytes = Diff.size_bytes !m - 8 in
+  Alcotest.(check int) "merge allocates the record and buffer"
+    (4 + 2 + (buf_bytes / 8))
+    words
+
 let test_diff_retained_words () =
   (* A diff retains its wire encoding plus a few words of headers: no
      descriptor word per run. *)
@@ -305,6 +328,57 @@ let test_diff_whole_page_runs () =
   Bytes.set merged (len - 1) 'c';
   check "merge" (Diff.merge [ d_all; d_last ]) (Ref_diff.merge [ r_all; r_last ])
     merged
+
+let test_diff_merge_sequence () =
+  (* One domain's merges in a row, each checked against the list codec
+     and against applying its pieces in order: a page changed end to
+     end, then one touched only in its first 16 bytes, then one touched
+     in a few bytes up to its end, so marks a merge left behind would
+     show as extra runs; pieces that are all empty; a 65,536-byte page
+     changed end to end; and a merge that fails part way on a piece of
+     another page, after which a sparse merge must still see only its
+     own runs. *)
+  let check name ~page twin currents =
+    let ds =
+      List.map (fun current -> Diff.create ~page ~twin ~current) currents
+    in
+    let merged = Diff.merge ds in
+    let reference =
+      Ref_diff.merge
+        (List.map (fun current -> Ref_diff.create ~twin ~current) currents)
+    in
+    if not (matches_reference ~page merged reference) then
+      Alcotest.failf "%s: merge differs from the list codec: %s" name
+        (Format.asprintf "%a" Diff.pp merged);
+    let in_order = Bytes.copy twin and at_once = Bytes.copy twin in
+    List.iter (fun d -> Diff.apply d in_order) ds;
+    Diff.apply merged at_once;
+    if not (Bytes.equal in_order at_once) then
+      Alcotest.failf "%s: merge differs from applying in order" name
+  in
+  let changed twin positions =
+    let current = Bytes.copy twin in
+    List.iter (fun i -> Bytes.set current i 'y') positions;
+    current
+  in
+  let page = Bytes.make 4096 'a' in
+  let whole = Bytes.make 4096 'b' in
+  let sparse_to_end = [ changed page [ 100 ]; changed page [ 2000; 4095 ] ] in
+  check "4,096 bytes end to end" ~page:4 page [ whole; changed page [ 7 ] ];
+  check "16 bytes" ~page:4 page
+    [ changed page [ 0; 1 ]; changed page [ 15 ]; changed page [ 3 ] ];
+  check "4,096 bytes, sparse to the end" ~page:4 page sparse_to_end;
+  check "all pieces empty" ~page:4 page [ page; page; page ];
+  check "4,096 bytes, sparse again" ~page:4 page sparse_to_end;
+  let big = Bytes.make 65_536 'a' in
+  check "65,536 bytes end to end" ~page:5 big
+    [ Bytes.make 65_536 'b'; changed big [ 0; 65_535 ] ];
+  let whole_other = Diff.create ~page:6 ~twin:page ~current:whole in
+  let stray = Diff.create ~page:7 ~twin:page ~current:(changed page [ 9 ]) in
+  Alcotest.check_raises "mixed pages, part way"
+    (Invalid_argument "Diff.merge: pages differ") (fun () ->
+      ignore (Diff.merge [ whole_other; whole_other; stray ]));
+  check "4,096 bytes, sparse after a failed merge" ~page:4 page sparse_to_end
 
 let test_diff_word_tail_lengths () =
   (* Every page length from 0 to 24 and the two largest, each with every
@@ -464,9 +538,10 @@ let prop_diff_merge =
       && matches_reference ~page:3 merged reference)
 
 let test_diff_domains_encode_at_once () =
-  (* Each domain encodes into a scratch buffer of its own: two domains
-     encoding pages of growing length at once both get exactly the list
-     codec's runs. *)
+  (* Each domain encodes into a scratch buffer of its own and merges
+     through a replay scratch of its own: two domains encoding pages of
+     growing length at once, and merging pieces of them, both get
+     exactly the list codec's runs. *)
   let encode_pages seed () =
     let rand = Random.State.make [| seed |] in
     List.for_all
@@ -478,9 +553,23 @@ let test_diff_domains_encode_at_once () =
         in
         let pattern = if k mod 2 = 0 then Dense else Word_masks in
         let current = mutate pattern twin changes in
+        let pieces =
+          List.map
+            (fun pattern -> mutate pattern twin changes)
+            [ Sparse; pattern; Every_fourth_equal ]
+        in
         matches_reference ~page:k
           (Diff.create ~page:k ~twin ~current)
-          (Ref_diff.create ~twin ~current))
+          (Ref_diff.create ~twin ~current)
+        && matches_reference ~page:k
+             (Diff.merge
+                (List.map
+                   (fun current -> Diff.create ~page:k ~twin ~current)
+                   pieces))
+             (Ref_diff.merge
+                (List.map
+                   (fun current -> Ref_diff.create ~twin ~current)
+                   pieces)))
       (List.init 256 (fun k -> k + 1))
   in
   let other = Domain.spawn (encode_pages 1) in
@@ -982,6 +1071,10 @@ let () =
             test_diff_retained_words;
           Alcotest.test_case "64 KiB page descriptor edges" `Quick
             test_diff_whole_page_runs;
+          Alcotest.test_case "merge allocates only its result" `Quick
+            test_diff_merge_allocation;
+          Alcotest.test_case "merges in a row share no marks" `Quick
+            test_diff_merge_sequence;
           Alcotest.test_case "page lengths around the word tail" `Quick
             test_diff_word_tail_lengths;
           Alcotest.test_case "two domains encode at once" `Quick
