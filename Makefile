@@ -31,20 +31,23 @@ soak-check: build
 # auditor on every backend, so each work-queue mode (forwarding,
 # all-RELEASE, no forwarding) is audited; fails on any violation (CI runs
 # this target).  Each backend enables its own invariant set in the
-# auditor.  The runs call the binary the build target made, not
-# [dune exec], so a concurrent build holding dune's lock cannot stall
-# them.
-AUDIT_RUNS = tsp:lock tsp:hybrid tsp:hybrid-all-release \
-	qsort:lock qsort:hybrid qsort:hybrid-2 qsort:hybrid-noforward \
-	water:lock water:hybrid water:hybrid-all-release grid:lock grid:hybrid
+# auditor.  Each run is app:variant:nodes.  The 32-node grid is the one
+# whose metadata GC discards hundreds of intervals per node.  The runs
+# call the binary the build target made, not [dune exec], so a
+# concurrent build holding dune's lock cannot stall them.
+AUDIT_RUNS = tsp:lock:4 tsp:hybrid:4 tsp:hybrid-all-release:4 \
+	qsort:lock:4 qsort:hybrid:4 qsort:hybrid-2:4 qsort:hybrid-noforward:4 \
+	water:lock:4 water:hybrid:4 water:hybrid-all-release:4 grid:lock:4 \
+	grid:hybrid:4 grid:barrier:32
 
 audit: build
 	@for backend in lrc central seq; do \
 	  for run in $(AUDIT_RUNS); do \
-	    app=$${run%%:*}; variant=$${run#*:}; \
-	    echo "=== $$app/$$variant n=4 --backend $$backend --audit ==="; \
+	    app=$${run%%:*}; rest=$${run#*:}; \
+	    variant=$${rest%:*}; nodes=$${rest##*:}; \
+	    echo "=== $$app/$$variant n=$$nodes --backend $$backend --audit ==="; \
 	    _build/default/bin/carlos_run.exe \
-	      $$app --nodes 4 --variant $$variant \
+	      $$app --nodes $$nodes --variant $$variant \
 	      --backend $$backend --audit || exit 1; \
 	  done; \
 	done

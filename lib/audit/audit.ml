@@ -358,6 +358,15 @@ let lrc_hooks t =
       (fun ~node ~page ~vc -> note_applied t ~node ~page vc);
     on_peer_note =
       (fun ~node ~peer ~vc -> Vc.join_in_place t.knows.(node).(peer) vc);
+    on_discard =
+      Some
+        (fun ~node ~snapshot ~creator ~index ~vc ->
+          if not (Vc.dominates snapshot vc) then
+            violate t ~check:"gc-discard-dominated" ~node
+              (Printf.sprintf
+                 "GC discarded interval %d.%d with clock %s above the \
+                  snapshot %s"
+                 creator index (vc_str vc) (vc_str snapshot)));
   }
 
 (* ------------------------------------------------------------------ *)

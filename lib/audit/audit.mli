@@ -36,6 +36,10 @@
     - {b page-causal-order}: writes (diffs / installs) are applied to
       each page in causal order — never an interval that some
       already-applied interval causally follows;
+    - {b gc-discard-dominated}: every interval the metadata GC discards
+      has a clock its snapshot dominates.  The discard drops each
+      creator's intervals at or below the snapshot's entry for it, which
+      is exact only while the coordinator's clock is causally closed;
     - {b relay-consistent}: a node declared a pure relay for a message
       (the work-queue manager, §2.2) accepted it — "never becomes
       consistent" violated.

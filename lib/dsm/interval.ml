@@ -143,31 +143,42 @@ module Log = struct
     if k < r.lo then r.lo <- k;
     r.slots.(k) <- i
 
-  let remove t ~creator ~index =
+  let remove_upto t ~creator ~index =
     let r = t.rows.(creator) in
-    let k = index - r.base in
-    if k >= 0 && k < Array.length r.slots && r.slots.(k) != vacant then begin
-      r.slots.(k) <- vacant;
-      r.count <- r.count - 1;
-      t.length <- t.length - 1;
-      let len = Array.length r.slots in
-      if r.count = 0 then begin
-        r.slots <- [||];
+    let len = Array.length r.slots in
+    let stop = min len (index - r.base + 1) in
+    for k = r.lo to stop - 1 do
+      if r.slots.(k) != vacant then begin
+        r.slots.(k) <- vacant;
+        r.count <- r.count - 1;
+        t.length <- t.length - 1
+      end
+    done;
+    if r.count = 0 then begin
+      r.slots <- [||];
+      r.lo <- 0
+    end
+    else if stop > r.lo then begin
+      r.lo <- stop;
+      while r.slots.(r.lo) == vacant do
+        r.lo <- r.lo + 1
+      done;
+      (* Release the vacated front once it is most of the array: the
+         copy costs no more than the prefix it drops. *)
+      if 2 * r.lo > len then begin
+        r.slots <- Array.sub r.slots r.lo (len - r.lo);
+        r.base <- r.base + r.lo;
         r.lo <- 0
       end
-      else if k = r.lo then begin
-        while r.slots.(r.lo) == vacant do
-          r.lo <- r.lo + 1
-        done;
-        (* Release the vacated front once it is most of the array: the
-           copy costs no more than the removals that emptied it. *)
-        if 2 * r.lo > len then begin
-          r.slots <- Array.sub r.slots r.lo (len - r.lo);
-          r.base <- r.base + r.lo;
-          r.lo <- 0
-        end
-      end
     end
+
+  let iter_range t ~creator ~lo ~hi f =
+    let r = t.rows.(creator) in
+    let stop = min (Array.length r.slots) (hi + 1 - r.base) in
+    for k = max r.lo (lo + 1 - r.base) to stop - 1 do
+      let i = Array.unsafe_get r.slots k in
+      if i != vacant then f i
+    done
 
   exception Missing of id
 
@@ -194,15 +205,4 @@ module Log = struct
       sort_in_place out;
       out
     end
-
-  let fold f t acc =
-    let acc = ref acc in
-    Array.iter
-      (fun r ->
-        for k = r.lo to Array.length r.slots - 1 do
-          let i = r.slots.(k) in
-          if i != vacant then acc := f i !acc
-        done)
-      t.rows;
-    !acc
 end

@@ -57,8 +57,15 @@ module Log : sig
   (** Add an interval under its id, replacing any interval with that id. *)
   val add : t -> interval -> unit
 
-  (** Remove the interval with that id, if present. *)
-  val remove : t -> creator:int -> index:int -> unit
+  (** [remove_upto t ~creator ~index] removes every interval of [creator]
+      at or below [index].  It reads no interval, and allocates only when
+      it releases the vacated front of the creator's array. *)
+  val remove_upto : t -> creator:int -> index:int -> unit
+
+  (** [iter_range t ~creator ~lo ~hi f] applies [f] to every logged
+      interval [(creator, k)] with [lo < k <= hi], by ascending [k]. *)
+  val iter_range :
+    t -> creator:int -> lo:int -> hi:int -> (interval -> unit) -> unit
 
   (** Number of intervals in the log. *)
   val length : t -> int
@@ -72,7 +79,4 @@ module Log : sig
       @raise Missing with the first absent id, by creator then index. *)
   val causal_range :
     t -> lo:Vc.t -> hi:Vc.t -> creators:(int -> bool) -> interval array
-
-  (** Fold over the log by ascending creator, then ascending index. *)
-  val fold : (interval -> 'a -> 'a) -> t -> 'a -> 'a
 end

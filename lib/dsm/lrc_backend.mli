@@ -109,6 +109,12 @@ type hooks = {
       (** [node] installed a whole-page copy of [page] covering [vc] *)
   on_peer_note : node:int -> peer:int -> vc:Vc.t -> unit;
       (** [node] learned that [peer] has reached at least [vc] *)
+  on_discard :
+    (node:int -> snapshot:Vc.t -> creator:int -> index:int -> vc:Vc.t -> unit)
+    option;
+      (** [Some f]: the GC's discard at [node] calls [f] with each interval
+          [(creator, index)] it drops, and its clock [vc].  [None] (the
+          default) skips the walk. *)
 }
 
 val no_hooks : hooks

@@ -45,6 +45,9 @@ type hooks = {
   on_page_interval : node:int -> page:int -> creator:int -> index:int -> unit;
   on_page_content : node:int -> page:int -> vc:Vc.t -> unit;
   on_peer_note : node:int -> peer:int -> vc:Vc.t -> unit;
+  on_discard :
+    (node:int -> snapshot:Vc.t -> creator:int -> index:int -> vc:Vc.t -> unit)
+    option;
 }
 
 let no_hooks =
@@ -54,6 +57,7 @@ let no_hooks =
     on_page_interval = (fun ~node:_ ~page:_ ~creator:_ ~index:_ -> ());
     on_page_content = (fun ~node:_ ~page:_ ~vc:_ -> ());
     on_peer_note = (fun ~node:_ ~peer:_ ~vc:_ -> ());
+    on_discard = None;
   }
 
 type fault = Skip_write_notice | Corrupt_vc_merge
@@ -261,17 +265,24 @@ let intervals_between t ~lo ~hi ~only =
          (Printf.sprintf "interval log gap at (%d,%d)" id.Interval.creator
             id.Interval.index))
 
-(* Forget every interval [snapshot] dominates and raise the floor to it. *)
+(* Forget every interval [snapshot] dominates and raise the floor to it.
+   The snapshot is a node's clock, which is causally closed: it reaches
+   [(c, k)] only once it covers that interval's whole clock.  So the
+   intervals it dominates are exactly those with [k <= snapshot.(c)], a
+   prefix of each creator's row, and dropping it reads no interval. *)
 let discard_log t snapshot =
-  Interval.Log.fold
-    (fun (i : Interval.t) acc ->
-      if Vc.dominates snapshot i.Interval.vc then i.Interval.id :: acc else acc)
-    t.log []
-  |> List.iter (fun (id : Interval.id) ->
-         Interval.Log.remove t.log ~creator:id.Interval.creator
-           ~index:id.Interval.index);
+  let audit = t.hooks.on_discard in
   for c = 0 to t.nodes - 1 do
-    Vc.set t.gc_floor c (Vc.get snapshot c)
+    let upto = Vc.get snapshot c in
+    (match audit with
+    | None -> ()
+    | Some f ->
+      Interval.Log.iter_range t.log ~creator:c ~lo:0 ~hi:upto
+        (fun (i : Interval.t) ->
+          f ~node:t.me ~snapshot ~creator:c ~index:i.Interval.id.Interval.index
+            ~vc:i.Interval.vc));
+    Interval.Log.remove_upto t.log ~creator:c ~index:upto;
+    Vc.set t.gc_floor c upto
   done
 
 (* ------------------------------------------------------------------ *)

@@ -142,28 +142,26 @@ let trim_for t pb ~receiver =
 (* The keeper election of the GC with snapshot [snapshot]: a page written
    by an interval of this epoch (at or below the snapshot and above the
    last one) goes to the creator of the causally latest such interval.
+   The snapshot is causally closed (see [discard_log]), so the epoch is
+   the index range [(gc_floor.(c), snapshot.(c)]] of each creator's row.
    Every node has logged exactly these intervals, so every node computes
-   the same table; a page nobody wrote keeps its keeper.  The floor test
+   the same table; a page nobody wrote keeps its keeper.  The floor
    matters: a stale piggyback can re-log an interval an earlier GC
    discarded.  Returns the pages this node now keeps, ascending. *)
 let elect_keepers t snapshot =
   let latest = Hashtbl.create 64 in
-  Interval.Log.fold
-    (fun (i : Interval.t) () ->
-      let id = i.Interval.id in
-      if
-        id.Interval.index > Vc.get t.gc_floor id.Interval.creator
-        && Vc.dominates snapshot i.Interval.vc
-      then
-        List.iter
-          (fun page ->
-            match Hashtbl.find_opt latest page with
-            | Some (best : Interval.t) when Interval.causal_compare best i > 0
-              ->
-              ()
-            | _ -> Hashtbl.replace latest page i)
-          i.Interval.write_notices)
-    t.log ();
+  let elect (i : Interval.t) =
+    List.iter
+      (fun page ->
+        match Hashtbl.find_opt latest page with
+        | Some (best : Interval.t) when Interval.causal_compare best i > 0 -> ()
+        | _ -> Hashtbl.replace latest page i)
+      i.Interval.write_notices
+  in
+  for c = 0 to t.nodes - 1 do
+    Interval.Log.iter_range t.log ~creator:c ~lo:(Vc.get t.gc_floor c)
+      ~hi:(Vc.get snapshot c) elect
+  done;
   Hashtbl.fold
     (fun page (i : Interval.t) mine ->
       let keeper = i.Interval.id.Interval.creator in

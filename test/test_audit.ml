@@ -222,6 +222,48 @@ let test_catches_corrupt_vc_merge () =
   Alcotest.(check bool) "violation carries a trace id" true
     (v.Audit.trace_id <> None)
 
+(* The GC discards each creator's intervals up to the snapshot's entry
+   for it, which is exact only while the coordinator's clock is causally
+   closed.  Node 2 writes after it has seen node 1's write, so interval
+   2.1's clock covers 1.1.  The barrier's manager, node 0, is the GC's
+   coordinator; armed after the barrier, it decrements node 1's entry
+   once it has accepted the GC's contributions, so the snapshot reaches
+   2.1 but not its clock.  A logged interval weighs 32 bytes of
+   pressure, so the threshold is first exceeded once the barrier has
+   logged both intervals everywhere: exactly one GC runs, after the
+   arming. *)
+let test_catches_gc_discard_above_snapshot () =
+  let sys =
+    System.create ~audit:true
+      { (test_config ~nodes:3 ()) with System.gc_threshold = Some 63 }
+  in
+  let x = System.alloc sys ~align:512 8 and y = System.alloc sys ~align:512 8 in
+  let lock = Msg_lock.create sys ~manager:1 ~name:"l" in
+  let barrier = Msg_barrier.create sys ~manager:0 ~name:"b" () in
+  let report =
+    System.run sys (fun node ->
+        let shm = Node.shm node in
+        (match Node.id node with
+        | 1 -> Msg_lock.with_lock lock node (fun () -> Shm.write_i64 shm x 1)
+        | 2 ->
+          Node.compute node 1e-3;
+          Msg_lock.with_lock lock node (fun () ->
+              Shm.write_i64 shm y (Shm.read_i64 shm x + 1))
+        | _ -> ());
+        Msg_barrier.wait barrier node;
+        if Node.id node = 0 then
+          Lrc.inject_fault (Node.lrc node) (Some Lrc.Corrupt_vc_merge))
+  in
+  Alcotest.(check int) "one gc" 1 report.System.gc_runs;
+  match find_violation sys "gc-discard-dominated" with
+  | None ->
+    Alcotest.failf "discard above the snapshot not reported:@.%a"
+      (fun ppf () -> Audit.pp_report ppf (auditor sys))
+      ()
+  | Some v ->
+    Alcotest.(check bool) "reports interval 2.1" true
+      (String.starts_with ~prefix:"GC discarded interval 2.1 " v.Audit.detail)
+
 let test_catches_manager_accept () =
   let sys = make ~nodes:3 () in
   let wq = Work_queue.create sys ~manager:0 ~name:"wq" () in
@@ -347,6 +389,8 @@ let () =
             test_catches_skipped_write_notice;
           Alcotest.test_case "corrupt vc merge" `Quick
             test_catches_corrupt_vc_merge;
+          Alcotest.test_case "gc discards above its snapshot" `Quick
+            test_catches_gc_discard_above_snapshot;
           Alcotest.test_case "manager becomes consistent" `Quick
             test_catches_manager_accept;
           Alcotest.test_case "seq release before its stamp" `Quick

@@ -448,6 +448,38 @@ let test_dropped_page_survives_later_gc () =
   Alcotest.(check int) "both pages refetched from a base" 2
     (dsm_counter c ~node:1 "page_fetches")
 
+let test_gc_floor_skips_relogged_interval () =
+  (* Nodes 1 and 2 both write page 1 before the first GC, whose election
+     makes node 2 its keeper (2.1 sorts after 1.1).  A RELEASE node 0
+     built for node 2 before that GC still carries 1.1, so accepting it
+     afterwards re-logs 1.1 at node 2, below its floor.  Nobody writes
+     page 1 before the second GC, so every node must keep node 2 as its
+     keeper: were node 2 to elect 1.1's creator from the re-logged
+     interval, it would discard the base that node 0's dropped copy is
+     refetched from. *)
+  let c = make_cluster 3 in
+  let a = slot c ~page:1 0 and b = slot c ~page:1 1 in
+  Shm.write_i64 c.shms.(1) a 11;
+  ignore (release c ~src:1 ~dst:0);
+  let stale = Lrc.make_piggyback c.lrcs.(0) ~receiver:2 ~nontransitive:false in
+  Shm.write_i64 c.shms.(2) b 22;
+  run_gc c;
+  Alcotest.(check int) "node 2 logs nothing after the gc" 0
+    (Lrc.metadata_pressure c.lrcs.(2));
+  Lrc.accept c.lrcs.(2) [ stale ];
+  Alcotest.(check int) "the stale release re-logs one interval" 32
+    (Lrc.metadata_pressure c.lrcs.(2));
+  Shm.write_i64 c.shms.(0) (slot c ~page:2 0) 33;
+  ignore (release c ~src:0 ~dst:1);
+  run_gc c;
+  Alcotest.(check int) "the second gc discards the re-logged interval" 0
+    (Lrc.metadata_pressure c.lrcs.(2));
+  Alcotest.(check (pair int int)) "node 0 reads page 1 from node 2's base"
+    (11, 22)
+    (Shm.read_i64 c.shms.(0) a, Shm.read_i64 c.shms.(0) b);
+  Alcotest.(check int) "one base fetched" 1
+    (dsm_counter c ~node:0 "page_fetches")
+
 let test_lock_handoff_chain () =
   let c = make_cluster 4 in
   let a = slot c ~page:0 0 in
@@ -1191,6 +1223,8 @@ let prop_causal_range_matches_oracle =
     (fun rows ->
       let nodes = Array.length rows in
       let log = Interval.Log.create ~nodes in
+      (* The model: every interval added and not removed. *)
+      let kept = ref [] in
       Array.iteri
         (fun creator r ->
           List.iteri
@@ -1200,12 +1234,11 @@ let prop_causal_range_matches_oracle =
               Array.iteri
                 (fun c v -> Vc.set vc c (if c = creator then index else v))
                 others;
-              Interval.Log.add log
-                (Interval.make ~creator ~index ~vc ~write_notices:[]))
+              let i = Interval.make ~creator ~index ~vc ~write_notices:[] in
+              Interval.Log.add log i;
+              if index > r.gc then kept := i :: !kept)
             r.others;
-          for index = 1 to r.gc do
-            Interval.Log.remove log ~creator ~index
-          done)
+          Interval.Log.remove_upto log ~creator ~index:r.gc)
         rows;
       let lo = Vc.zero ~nodes and hi = Vc.zero ~nodes in
       Array.iteri
@@ -1227,14 +1260,12 @@ let prop_causal_range_matches_oracle =
       match (Interval.Log.causal_range log ~lo ~hi ~creators, gap) with
       | got, None ->
         let expected =
-          Interval.Log.fold
-            (fun (i : Interval.t) acc ->
+          List.filter
+            (fun (i : Interval.t) ->
               let c = i.Interval.id.Interval.creator
               and k = i.Interval.id.Interval.index in
-              if creators c && Vc.get lo c < k && k <= Vc.get hi c then
-                i :: acc
-              else acc)
-            log []
+              creators c && Vc.get lo c < k && k <= Vc.get hi c)
+            !kept
           |> oracle_causal_sort
         in
         let got = Array.to_list got in
@@ -1251,13 +1282,13 @@ let prop_causal_range_matches_oracle =
 
 type log_op =
   | Add of int * int
-  | Remove of int * int
-  | Remove_upto of int * int (* indices 1..k in ascending order, as the GC *)
+  | Remove_upto of int * int (* every index of the creator up to k *)
+  | Iter_range of int * int * int (* the creator's indices in (lo, hi] *)
 
 let pp_log_op = function
   | Add (c, k) -> Printf.sprintf "add %d.%d" c k
-  | Remove (c, k) -> Printf.sprintf "remove %d.%d" c k
   | Remove_upto (c, k) -> Printf.sprintf "remove %d.1-%d" c k
+  | Iter_range (c, lo, hi) -> Printf.sprintf "iter %d.(%d-%d]" c lo hi
 
 let prop_log_matches_model =
   let nodes = 3 and max_index = 40 in
@@ -1265,11 +1296,13 @@ let prop_log_matches_model =
     QCheck.Gen.(
       int_range 0 (nodes - 1) >>= fun c ->
       int_range 1 max_index >>= fun k ->
+      int_range 0 (max_index + 1) >>= fun lo ->
+      int_range 0 (max_index + 1) >>= fun hi ->
       frequency
         [
           (5, return (Add (c, k)));
-          (2, return (Remove (c, k)));
-          (1, return (Remove_upto (c, k)));
+          (2, return (Remove_upto (c, k)));
+          (2, return (Iter_range (c, lo, hi)));
         ])
   in
   QCheck.Test.make ~name:"interval log matches a Hashtbl model" ~count:300
@@ -1279,56 +1312,57 @@ let prop_log_matches_model =
     (fun ops ->
       let log = Interval.Log.create ~nodes in
       let model = Hashtbl.create 64 in
-      let remove c k =
-        Interval.Log.remove log ~creator:c ~index:k;
-        Hashtbl.remove model (c, k)
-      in
       let agree () =
         Interval.Log.length log = Hashtbl.length model
-        && (let ok = ref true in
-            for c = 0 to nodes - 1 do
-              for k = 0 to max_index + 1 do
-                let found =
-                  match Interval.Log.find log ~creator:c ~index:k with
-                  | i -> Some i
-                  | exception Not_found -> None
-                in
-                let expected = Hashtbl.find_opt model (c, k) in
-                if
-                  Interval.Log.mem log ~creator:c ~index:k
-                  <> Option.is_some expected
-                  ||
-                  match (found, expected) with
-                  | Some a, Some b -> a != b
-                  | None, None -> false
-                  | _ -> true
-                then ok := false
-              done
-            done;
-            !ok)
         &&
-        let folded = List.rev (Interval.Log.fold List.cons log []) in
-        let sorted =
-          Hashtbl.fold (fun key i acc -> (key, i) :: acc) model []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map snd
-        in
-        List.length folded = List.length sorted
-        && List.for_all2 ( == ) folded sorted
+        let ok = ref true in
+        for c = 0 to nodes - 1 do
+          for k = 0 to max_index + 1 do
+            let found =
+              match Interval.Log.find log ~creator:c ~index:k with
+              | i -> Some i
+              | exception Not_found -> None
+            in
+            let expected = Hashtbl.find_opt model (c, k) in
+            if
+              Interval.Log.mem log ~creator:c ~index:k
+              <> Option.is_some expected
+              ||
+              match (found, expected) with
+              | Some a, Some b -> a != b
+              | None, None -> false
+              | _ -> true
+            then ok := false
+          done
+        done;
+        !ok
       in
       List.for_all
         (fun op ->
-          (match op with
+          match op with
           | Add (c, k) ->
             let i = interval ~nodes ~creator:c ~index:k in
             Interval.Log.add log i;
-            Hashtbl.replace model (c, k) i
-          | Remove (c, k) -> remove c k
+            Hashtbl.replace model (c, k) i;
+            agree ()
           | Remove_upto (c, k) ->
+            Interval.Log.remove_upto log ~creator:c ~index:k;
             for j = 1 to k do
-              remove c j
-            done);
-          agree ())
+              Hashtbl.remove model (c, j)
+            done;
+            agree ()
+          | Iter_range (c, lo, hi) ->
+            let visited = ref [] in
+            Interval.Log.iter_range log ~creator:c ~lo ~hi (fun i ->
+                visited := i :: !visited);
+            let expected =
+              List.filter_map
+                (fun k -> Hashtbl.find_opt model (c, k))
+                (List.init (max 0 (hi - lo)) (fun j -> lo + 1 + j))
+            in
+            let visited = List.rev !visited in
+            List.length visited = List.length expected
+            && List.for_all2 ( == ) visited expected)
         ops)
 
 (* Minor words allocated per call of [f], over [n] calls. *)
@@ -1364,6 +1398,22 @@ let test_metadata_allocation () =
   zero "Vc.dominates" (fun () ->
       ignore (Sys.opaque_identity (Vc.dominates a b)));
   zero "Vc.sum" (fun () -> ignore (Sys.opaque_identity (Vc.sum a)));
+  (* The GC's walks: a creator's index range, and dropping a row prefix
+     too short to release the array's front (re-added each time). *)
+  let visited = ref 0 in
+  let visit (_ : Interval.t) = incr visited in
+  zero "Log.iter_range" (fun () ->
+      Interval.Log.iter_range log ~creator:7 ~lo:3 ~hi:15 visit);
+  Alcotest.(check int) "iter_range visits (3, 15]" (12 * 10_000) !visited;
+  let prefix =
+    Array.init 10 (fun k -> Interval.Log.find log ~creator:7 ~index:(k + 1))
+  in
+  zero "Log.remove_upto without compaction" (fun () ->
+      Interval.Log.remove_upto log ~creator:7 ~index:10;
+      for k = 0 to 9 do
+        Interval.Log.add log prefix.(k)
+      done);
+  Alcotest.(check int) "prefix restored" (20 * nodes) (Interval.Log.length log);
   (* The causal ordering allocates only its result: an array of exactly
      the range's intervals (a header word plus one per interval), and in
      list form three words per interval more, plus [Array.to_list]'s
@@ -1429,6 +1479,8 @@ let () =
           loopback "metadata gc" test_metadata_gc;
           loopback "dropped page survives a later gc"
             test_dropped_page_survives_later_gc;
+          loopback "gc floor skips a re-logged interval"
+            test_gc_floor_skips_relogged_interval;
           loopback "determinism" test_determinism;
           loopback "serve excludes open writes"
             test_serve_page_excludes_open_writes;
