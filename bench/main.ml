@@ -1,9 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§5), plus the §5.4 annotation-cost study, the
    TreadMarks-vs-CarlOS comparison, the coherence-strategy, ATM and grid
-   ablations, the snapshot benches (gate matrix, scaling sweep) and a
-   Bechamel micro-suite measuring the real cost of each reproduced
-   workload on the host.
+   ablations and the snapshot benches (gate matrix, scaling sweep).
 
    Usage: bench/main.exe [-j N] [-o FILE] [BENCH ...]
    The bench names are listed in [benches] below (an unknown name prints
@@ -25,10 +23,7 @@ module Qsort = Carlos_apps.Qsort
 module Water = Carlos_apps.Water
 module Grid = Carlos_apps.Grid
 module Harness = Carlos_apps.Harness
-module Engine = Carlos_sim.Engine
-module Medium = Carlos_net.Medium
 module Lrc_backend = Carlos_dsm.Lrc_backend
-module Diff = Carlos_vm.Diff
 
 let ppf = Format.std_formatter
 
@@ -338,138 +333,6 @@ let grid () =
   Format.fprintf ppf
     "  neighbour notifications replace global barriers; under the update \
      strategy the boundary rows travel with the RELEASE (par.3)@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-suite: host cost of regenerating each table at reduced
-   scale (one Test.make per table/figure). *)
-
-let micro () =
-  section "Bechamel micro-suite (host time per reduced-scale experiment)";
-  let open Bechamel in
-  (* Hot-path probe cost: a disabled-profiler span must cost a branch,
-     not a syscall or an allocation — this pair of rows is the
-     regression micro-bench for the zero-cost-when-off guarantee. *)
-  let profile_spans enabled () =
-    let module Profile = Carlos_obs.Profile in
-    Profile.set_enabled enabled;
-    for _ = 1 to 1000 do
-      let t0 = Profile.start () in
-      Profile.stop Profile.Event t0
-    done;
-    Profile.set_enabled false;
-    Profile.reset ()
-  in
-  (* The engine's paths: a fiber's delay that runs inline because
-     nothing else is queued, the same delays suspending through the
-     effect handler because a second fiber's wake-up is always queued
-     ahead (two fibers in lockstep, 5,000 delays each), and frames that
-     queue for the wire and run as a callback chain. *)
-  let inline_delays () =
-    let eng = Engine.create () in
-    Engine.spawn eng (fun () ->
-        for _ = 1 to 10_000 do
-          Engine.delay 1e-6
-        done);
-    Engine.run eng
-  in
-  let queued_delays () =
-    let eng = Engine.create () in
-    for _ = 1 to 2 do
-      Engine.spawn eng (fun () ->
-          for _ = 1 to 5_000 do
-            Engine.delay 1e-6
-          done)
-    done;
-    Engine.run eng
-  in
-  let queued_frames () =
-    let eng = Engine.create () in
-    let medium =
-      Medium.create eng ~nodes:2 ~latency:1e-4 ~bandwidth:1_250_000.0
-    in
-    Medium.set_handler medium ~node:1 (fun ~src:_ ~size:_ () -> ());
-    Engine.spawn eng (fun () ->
-        for _ = 1 to 1000 do
-          Medium.send medium ~src:0 ~dst:1 ~size:100 ()
-        done);
-    Engine.run eng
-  in
-  (* The diff kernel on quicksort's worst page: a 4 KB page where every
-     fourth byte is unchanged (the high byte of small int32 values), so
-     [Diff.create] finds 1,024 three-byte runs and [Diff.apply] writes
-     them back. *)
-  let qsort_twin = Bytes.make 4096 '\000' in
-  let qsort_page = Bytes.copy qsort_twin in
-  for r = 0 to 1023 do
-    Bytes.fill qsort_page (4 * r) 3 'x'
-  done;
-  let qsort_target = Bytes.copy qsort_twin in
-  let diff_create_apply () =
-    Diff.apply (Diff.create ~page:0 ~twin:qsort_twin ~current:qsort_page)
-      qsort_target
-  in
-  (* Set-up cost: building grid-32's system (32 nodes, [Grid.config]),
-     whose simulated memory is materialized on first touch. *)
-  let grid32 = Grid.config ~nodes:32 Grid.default_params in
-  let create_grid32 () = ignore (System.create grid32) in
-  (* The entry is built once: TSP's reference search runs in the first
-     sample only. *)
-  let tiny name ~nodes app variant =
-    Test.make ~name
-      (Staged.stage (fun () -> ignore (exec ~nodes ~override:Fun.id app variant)))
-  in
-  let tests =
-    [
-      Test.make ~name:"engine-delay-x10k-inline" (Staged.stage inline_delays);
-      Test.make ~name:"engine-delay-x10k-queued" (Staged.stage queued_delays);
-      Test.make ~name:"medium-x1k-frames-queued" (Staged.stage queued_frames);
-      Test.make ~name:"diff-create-apply-qsort-page"
-        (Staged.stage diff_create_apply);
-      Test.make ~name:"system-create-grid32" (Staged.stage create_grid32);
-      Test.make ~name:"profile-span-x1000-disabled"
-        (Staged.stage (profile_spans false));
-      Test.make ~name:"profile-span-x1000-enabled"
-        (Staged.stage (profile_spans true));
-      tiny "table1-tsp" ~nodes:2
-        (Harness.tsp
-           ~params:{ Tsp.default_params with Tsp.cities = 10; prefix_depth = 2 }
-           ())
-        "hybrid";
-      tiny "table2-qsort" ~nodes:2
-        (Harness.qsort
-           ~params:{ Qsort.default_params with Qsort.elements = 16 * 1024 }
-           ())
-        "hybrid";
-      tiny "table3-water" ~nodes:2
-        (Harness.water
-           ~params:{ Water.default_params with Water.molecules = 64; steps = 1 }
-           ())
-        "hybrid";
-      tiny "fig2-breakdown" ~nodes:4
-        (Harness.water
-           ~params:{ Water.default_params with Water.molecules = 48; steps = 1 }
-           ())
-        "lock";
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            Format.fprintf ppf "  %-24s %10.3f ms/run@." name (est /. 1e6)
-          | Some _ | None ->
-            Format.fprintf ppf "  %-24s (no estimate)@." name)
-        analyzed)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable snapshot ([-o FILE], required with either bench):
@@ -802,7 +665,6 @@ let benches =
     ("strategies", strategies, true);
     ("atm", atm, true);
     ("grid", grid, true);
-    ("micro", micro, false);
     ("json", bench_json, false);
     ("scaling", bench_scaling, false);
   ]

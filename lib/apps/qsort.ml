@@ -102,14 +102,84 @@ let partition node shm layout p ~lo ~hi =
   Node.compute node (p.partition_cost *. float_of_int !scanned);
   !result
 
+(* The host-side leaf sort.  It runs on plain [int array]s with the
+   comparison inlined: insertion sort within runs of [sort_run] cells,
+   then bottom-up merges that go back and forth between the array and a
+   merge scratch.  The sort never suspends, so one scratch serves every
+   fiber of a domain (bench runs fan rows across domains); it grows to
+   the largest sort seen, so a warmed-up sort allocates nothing. *)
+let merge_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let sort_run = 16
+
+(* Insertion sort of [a.(lo .. hi - 1)]. *)
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Merge the sorted [src.(lo .. mid - 1)] and [src.(mid .. hi - 1)] into
+   [dst.(lo .. hi - 1)]; equal values keep their order. *)
+let merge_runs (src : int array) (dst : int array) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || src.(!i) <= src.(!j)) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+let sort_ints a n =
+  if n < 0 || n > Array.length a then invalid_arg "Qsort.sort_ints";
+  let scratch = Domain.DLS.get merge_key in
+  if Array.length !scratch < n then scratch := Array.make n 0;
+  let lo = ref 0 in
+  while !lo < n do
+    insertion_sort a !lo (min n (!lo + sort_run));
+    lo := !lo + sort_run
+  done;
+  let src = ref a and dst = ref !scratch and width = ref sort_run in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      merge_runs !src !dst !lo mid hi;
+      lo := hi
+    done;
+    let t = !src in
+    src := !dst;
+    dst := t;
+    width := 2 * !width
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
 (* Local sort of a leaf: the accesses go through shared memory (faulting
    pages in), the comparison work is charged at Bubblesort's quadratic
-   cost as in the paper's program. *)
-let sort_leaf node shm layout p ~lo ~hi =
+   cost as in the paper's program.  [leaf] is the node's own buffer:
+   reading and writing the leaf can fault and suspend the node, so the
+   buffer cannot be shared with other nodes. *)
+let sort_leaf node shm layout p leaf ~lo ~hi =
   let n = hi - lo + 1 in
-  let buf = Array.init n (fun k -> read_elem shm layout (lo + k)) in
-  Array.stable_sort Int.compare buf;
-  Array.iteri (fun k v -> write_elem shm layout (lo + k) v) buf;
+  if Array.length !leaf < n then leaf := Array.make n 0;
+  let buf = !leaf in
+  for k = 0 to n - 1 do
+    buf.(k) <- read_elem shm layout (lo + k)
+  done;
+  sort_ints buf n;
+  for k = 0 to n - 1 do
+    write_elem shm layout (lo + k) buf.(k)
+  done;
   let fn = float_of_int n in
   Node.compute node (p.compare_cost *. fn *. fn /. 2.0)
 
@@ -149,7 +219,7 @@ let run sys variant p =
   in
   (* Process one descriptor: peel subarrays down to leaves, pushing the
      smaller half back to the pool each time. *)
-  let process node push (lo0, hi0) =
+  let process node leaf push (lo0, hi0) =
     let shm = Node.shm node in
     let lo = ref lo0 and hi = ref hi0 in
     while !hi - !lo + 1 > p.threshold do
@@ -164,13 +234,14 @@ let run sys variant p =
         hi := j
       end
     done;
-    sort_leaf node shm layout p ~lo:!lo ~hi:!hi;
+    sort_leaf node shm layout p leaf ~lo:!lo ~hi:!hi;
     incr leaves;
     !hi - !lo + 1
   in
   let app node =
     let me = Node.id node in
     let shm = Node.shm node in
+    let leaf = ref [||] in
     (match variant with
     | Lock ->
       let pending_done = ref 0 in
@@ -213,7 +284,7 @@ let run sys variant p =
         in
         match action with
         | `Work d ->
-          pending_done := !pending_done + process node push d;
+          pending_done := !pending_done + process node leaf push d;
           consume ()
         | `Retry ->
           Node.compute node 1e-3;
@@ -231,7 +302,7 @@ let run sys variant p =
       let rec consume () =
         match Work_queue.dequeue queue node with
         | Some d ->
-          let n = process node push d in
+          let n = process node leaf push d in
           notify_sorted node n;
           consume ()
         | None -> ()

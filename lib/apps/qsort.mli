@@ -40,6 +40,12 @@ type result = {
 
 val run : Carlos.System.t -> variant -> params -> result
 
+(** [sort_ints a n] sorts [a.(0 .. n - 1)] ascending in place: the
+    host-side sort of each leaf.  Once its per-domain scratch has grown
+    to [n] it allocates nothing.  Raises [Invalid_argument] unless
+    [0 <= n <= Array.length a]. *)
+val sort_ints : int array -> int -> unit
+
 (** A system configuration sized for this application (coherent region
     large enough for the array). *)
 val config : ?nodes:int -> params -> Carlos.System.config

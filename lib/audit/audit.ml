@@ -24,7 +24,7 @@ type violation = {
 }
 
 type accepted = {
-  acc_trace_id : int;
+  acc_trace_id : int option;
   acc_annotation : annotation;
   acc_origin : int;
   acc_required_vc : Vc.t option;
@@ -228,26 +228,26 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
      keep monotonicity airtight. *)
   if not (Vc.dominates vc_after vc_before) then
     violate t ~check:"vc-monotonic" ~node
-      ?trace_id:
-        (match accepted with [] -> None | a :: _ -> Some a.acc_trace_id)
+      ?trace_id:(match accepted with [] -> None | a :: _ -> a.acc_trace_id)
       (Printf.sprintf "accept moved the clock from %s to %s"
          (vc_str vc_before) (vc_str vc_after));
   let batch_tid =
     (* Attribute batch-wide findings to the first synchronizing message. *)
     match List.find_opt (fun a -> a.acc_required_vc <> None) accepted with
-    | Some a -> Some a.acc_trace_id
-    | None -> (
-      match accepted with [] -> None | a :: _ -> Some a.acc_trace_id)
+    | Some a -> a.acc_trace_id
+    | None -> ( match accepted with [] -> None | a :: _ -> a.acc_trace_id)
   in
   List.iter
     (fun a ->
-      if Hashtbl.mem t.relay (a.acc_trace_id, node) then
-        violate t ~check:"relay-consistent" ~node ~trace_id:a.acc_trace_id
+      (match a.acc_trace_id with
+      | Some id when Hashtbl.mem t.relay (id, node) ->
+        violate t ~check:"relay-consistent" ~node ~trace_id:id
           (Printf.sprintf
              "declared relay accepted a %s from n%d (never-becomes-consistent \
               violated)"
              (annotation_name a.acc_annotation)
-             a.acc_origin);
+             a.acc_origin)
+      | _ -> ());
       match a.acc_required_vc with
       | None -> ()
       | Some rvc ->
@@ -257,7 +257,7 @@ let on_accept t ~node ~vc_before ~vc_after accepted =
               (match a.acc_annotation with
               | Release_nt -> "release-nt-required-vc"
               | _ -> "acquire-dominance")
-            ~node ~trace_id:a.acc_trace_id
+            ~node ?trace_id:a.acc_trace_id
             (Printf.sprintf
                "clock after accept %s does not dominate required %s (from n%d)"
                (vc_str vc_after) (vc_str rvc) a.acc_origin))

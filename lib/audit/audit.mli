@@ -105,9 +105,11 @@ val on_send :
   unit
 
 (** One message of a batch accept.  [vc_before]/[vc_after] bracket the
-    whole batch's consistency actions. *)
+    whole batch's consistency actions.  [acc_trace_id] is [None] for a
+    piggyback that no message of its own carried: the contributions the
+    metadata GC's coordinator collects and accepts as one union. *)
 type accepted = {
-  acc_trace_id : int;
+  acc_trace_id : int option;
   acc_annotation : annotation;
   acc_origin : int;
   acc_required_vc : Vc.t option;

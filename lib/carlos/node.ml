@@ -334,6 +334,22 @@ let check_disposable d op =
   | Accepted | Forwarded ->
     raise (Handler_error (op ^ ": message already disposed of"))
 
+(* The auditor's clock before an accept: [Some] exactly when one runs. *)
+let audit_vc t =
+  match t.audit with
+  | Some _ -> Some (Vc.copy (Backend.vc t.backend))
+  | None -> None
+
+(* Report an accept of [xs] to the auditor; [to_accepted] builds no
+   closure of its own, so an unaudited accept allocates nothing here. *)
+let audit_accept t vc_before to_accepted xs =
+  match (t.audit, vc_before) with
+  | Some a, Some before ->
+    Audit.on_accept a ~node:t.id ~vc_before:before
+      ~vc_after:(Vc.copy (Backend.vc t.backend))
+      (List.map to_accepted xs)
+  | _ -> ()
+
 let accept_deliveries t deliveries vc_before =
   let piggybacks =
     List.filter_map
@@ -357,32 +373,22 @@ let accept_deliveries t deliveries vc_before =
       deliveries
   in
   if piggybacks <> [] then Backend.accept t.backend ~local piggybacks;
-  match (t.audit, vc_before) with
-  | Some a, Some before ->
-    Audit.on_accept a ~node:t.id ~vc_before:before
-      ~vc_after:(Vc.copy (Backend.vc t.backend))
-      (List.map
-         (fun d ->
-           {
-             Audit.acc_trace_id = d.message.trace_id;
-             acc_annotation = audit_annotation d.message.annotation;
-             acc_origin = d.message.origin;
-             acc_required_vc =
-               (match d.message.piggyback with
-               | Some (Backend.Lrc_pb pb) -> Some pb.Lrc.required_vc
-               | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None ->
-                 None);
-           })
-         deliveries)
-  | _ -> ()
+  audit_accept t vc_before
+    (fun d ->
+      {
+        Audit.acc_trace_id = Some d.message.trace_id;
+        acc_annotation = audit_annotation d.message.annotation;
+        acc_origin = d.message.origin;
+        acc_required_vc =
+          (match d.message.piggyback with
+          | Some (Backend.Lrc_pb pb) -> Some pb.Lrc.required_vc
+          | Some (Backend.Central_pb _ | Backend.Seq_pb _) | None -> None);
+      })
+    deliveries
 
 (* Span closures are built only while tracing: this runs per message. *)
 let accept_batch t deliveries =
-  let vc_before =
-    match t.audit with
-    | Some _ -> Some (Vc.copy (Backend.vc t.backend))
-    | None -> None
-  in
+  let vc_before = audit_vc t in
   if not (Obs.tracing t.obs) then accept_deliveries t deliveries vc_before
   else
     Obs.span t.obs ~node:t.id ~layer:Obs.Carlos "accept" @@ fun () ->
@@ -397,6 +403,20 @@ let accept_batch t deliveries =
     accept_deliveries t deliveries vc_before
 
 let accept d = accept_batch d.target [ d ]
+
+let accept_collected t pbs =
+  let vc_before = audit_vc t in
+  Lrc.accept (lrc t) pbs;
+  audit_accept t vc_before
+    (fun (pb : Lrc.piggyback) ->
+      {
+        Audit.acc_trace_id = None;
+        acc_annotation =
+          (if pb.Lrc.nontransitive then Audit.Release_nt else Audit.Release);
+        acc_origin = pb.Lrc.origin;
+        acc_required_vc = Some pb.Lrc.required_vc;
+      })
+    pbs
 
 (* A relay keeps what a RELEASE carries as soon as it stores or forwards
    it, without accepting it. *)

@@ -84,6 +84,15 @@ val accept : delivery -> unit
     information (the barrier manager's union of RELEASE_NT arrivals). *)
 val accept_batch : t -> delivery list -> unit
 
+(** Accept LRC piggybacks that reached this node as RPC replies, not as
+    messages of their own: the metadata GC's coordinator accepts every
+    node's contribution as one union.  The auditor checks it like a batch
+    accept of RELEASE_NTs ({!Carlos_audit.Audit.on_accept}, with no trace
+    id).  It adds no CPU charge beyond the backend's own accept and takes
+    no flow id, so traces and timings match a bare
+    {!Carlos_dsm.Lrc_backend.accept}. *)
+val accept_collected : t -> Carlos_dsm.Lrc_backend.piggyback list -> unit
+
 (** Send the message on to [dst] without accepting it.  The node keeps
     what the message's piggyback carries ({!Carlos_dsm.Backend.log_relayed}),
     and a copy to another node carries what [dst] lacks

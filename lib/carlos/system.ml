@@ -164,7 +164,7 @@ let run_gc t =
               (Lrc.piggyback_cost pb)))
       peers
   in
-  Lrc.accept (Node.lrc coord) arrivals;
+  Node.accept_collected coord arrivals;
   let snapshot = Vc.copy (Lrc.vc (Node.lrc coord)) in
   (* One rendezvous step: every peer runs [action] when it accepts the
      coordinator's [annotation] message and acks; the coordinator runs it

@@ -27,16 +27,15 @@ let find t ~page id =
   | exception Not_found -> None
 
 let discard_upto t snapshot =
-  Itbl.fold
-    (fun key ds dead ->
+  Itbl.filter_map_inplace
+    (fun key ds ->
       let creator = key / t.pages mod t.nodes
       and index = key / (t.pages * t.nodes) in
-      if index > Vc.get snapshot creator then dead
+      if index > Vc.get snapshot creator then Some ds
       else begin
         List.iter (fun d -> t.bytes <- t.bytes - Diff.size_bytes d) ds;
-        key :: dead
+        None
       end)
-    t.diffs []
-  |> List.iter (Itbl.remove t.diffs)
+    t.diffs
 
 let bytes_stored t = t.bytes

@@ -393,6 +393,80 @@ let test_threads_yield () =
     (List.rev !order = [ `A1; `B; `A2 ])
 
 (* ------------------------------------------------------------------ *)
+(* Quicksort's host-side leaf sort *)
+
+(* Cell values that stress the comparisons: a narrow range (many
+   duplicates), negatives, the int32 extremes (the element type of the
+   shared array) and any int. *)
+let gen_cell =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-20) 20);
+        (1, oneofl [ Int32.(to_int min_int); Int32.(to_int max_int); 0 ]);
+        (2, int);
+      ])
+
+(* Sorting the first [n] cells matches the library's stable sort, and the
+   cells past [n] are left alone. *)
+let check_sort_ints a n =
+  let expected = Array.sub a 0 n in
+  Array.stable_sort compare expected;
+  let tail = Array.sub a n (Array.length a - n) in
+  Qsort.sort_ints a n;
+  Array.sub a 0 n = expected && Array.sub a n (Array.length a - n) = tail
+
+let test_sort_ints_edge_sizes () =
+  let rand = Random.State.make [| 7 |] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 20 do
+        let a = Array.init (n + 3) (fun _ -> gen_cell rand) in
+        if not (check_sort_ints a n) then
+          Alcotest.failf "sort_ints differs from Array.stable_sort at n = %d" n
+      done)
+    [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 1023; 1024; 1025 ]
+
+let prop_sort_ints =
+  let gen =
+    QCheck.Gen.(
+      int_bound 3000 >>= fun n ->
+      int_bound 4 >>= fun extra ->
+      array_size (return (n + extra)) gen_cell >|= fun a -> (a, n))
+  in
+  let print (a, n) = Printf.sprintf "n = %d of %d cells" n (Array.length a) in
+  QCheck.Test.make ~name:"qsort: sort_ints matches Array.stable_sort"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (a, n) -> check_sort_ints a n)
+
+let test_sort_ints_allocation () =
+  (* A warmed-up sort reuses its domain's merge scratch: 0 minor words,
+     and no array allocated straight in the major heap (a 1,024-cell
+     buffer is too large for the minor heap). *)
+  let rand = Random.State.make [| 1024 |] in
+  let src = Array.init 1024 (fun _ -> gen_cell rand) in
+  let a = Array.copy src in
+  Qsort.sort_ints a 1024;
+  let n = 100 in
+  let minor = ref 0.0 in
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    Array.blit src 0 a 0 1024;
+    let before = Gc.minor_words () in
+    Qsort.sort_ints a 1024;
+    minor := !minor +. (Gc.minor_words () -. before)
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let per_sort w = w /. float_of_int n in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  if per_sort !minor > 0.0 then
+    Alcotest.failf "sort_ints allocates %.2f minor words per sort"
+      (per_sort !minor);
+  if per_sort direct_major > 0.01 then
+    Alcotest.failf "sort_ints allocates %.2f major words per sort"
+      (per_sort direct_major)
+
+(* ------------------------------------------------------------------ *)
 
 let quick name f = Alcotest.test_case name `Quick f
 
@@ -426,7 +500,10 @@ let () =
           Alcotest.test_case "full scale, all cost tables" `Slow
             test_qsort_full_scale_all_costs;
           quick "hybrid-1 N=4 input 748 with gc" test_qsort_input_748_with_gc;
-        ] );
+          quick "leaf sort at edge sizes" test_sort_ints_edge_sizes;
+          quick "leaf sort allocation" test_sort_ints_allocation;
+        ]
+        @ Props.qcheck [ prop_sort_ints ] );
       ( "water",
         [
           quick "lock N=1" (test_water Water.Lock 1);

@@ -232,7 +232,7 @@ let test_catches_corrupt_vc_merge () =
    pressure, so the threshold is first exceeded once the barrier has
    logged both intervals everywhere: exactly one GC runs, after the
    arming. *)
-let test_catches_gc_discard_above_snapshot () =
+let run_gc_after_corrupt_merge () =
   let sys =
     System.create ~audit:true
       { (test_config ~nodes:3 ()) with System.gc_threshold = Some 63 }
@@ -255,6 +255,10 @@ let test_catches_gc_discard_above_snapshot () =
           Lrc.inject_fault (Node.lrc node) (Some Lrc.Corrupt_vc_merge))
   in
   Alcotest.(check int) "one gc" 1 report.System.gc_runs;
+  sys
+
+let test_catches_gc_discard_above_snapshot () =
+  let sys = run_gc_after_corrupt_merge () in
   match find_violation sys "gc-discard-dominated" with
   | None ->
     Alcotest.failf "discard above the snapshot not reported:@.%a"
@@ -263,6 +267,21 @@ let test_catches_gc_discard_above_snapshot () =
   | Some v ->
     Alcotest.(check bool) "reports interval 2.1" true
       (String.starts_with ~prefix:"GC discarded interval 2.1 " v.Audit.detail)
+
+(* The same corruption, seen where it happens: the GC's coordinator
+   accepts every node's contribution as one union, and the corrupted
+   merge leaves its clock below node 1's required clock.  That accept
+   has no message of its own, so the violation carries no trace id. *)
+let test_catches_corrupt_gc_accept () =
+  let sys = run_gc_after_corrupt_merge () in
+  let at_gc_accept (v : Audit.violation) =
+    v.Audit.check = "release-nt-required-vc"
+    && v.Audit.node = 0 && v.Audit.trace_id = None
+  in
+  if not (List.exists at_gc_accept (Audit.violations (auditor sys))) then
+    Alcotest.failf "corrupted GC accept not reported:@.%a"
+      (fun ppf () -> Audit.pp_report ppf (auditor sys))
+      ()
 
 let test_catches_manager_accept () =
   let sys = make ~nodes:3 () in
@@ -391,6 +410,8 @@ let () =
             test_catches_corrupt_vc_merge;
           Alcotest.test_case "gc discards above its snapshot" `Quick
             test_catches_gc_discard_above_snapshot;
+          Alcotest.test_case "corrupt gc union accept" `Quick
+            test_catches_corrupt_gc_accept;
           Alcotest.test_case "manager becomes consistent" `Quick
             test_catches_manager_accept;
           Alcotest.test_case "seq release before its stamp" `Quick

@@ -1439,6 +1439,54 @@ let test_metadata_allocation () =
   let sorted = range () in
   zero "Interval.sort_in_place" (fun () -> Interval.sort_in_place sorted)
 
+(* The GC's diff discard drops every piece at or below the snapshot in
+   its creator's entry, subtracts exactly their bytes, and leaves the
+   pieces above it in their apply order. *)
+let test_diff_store_discard_upto () =
+  let module Store = Carlos_dsm.Diff_store in
+  let nodes = 3 and pages = 4 in
+  let store = Store.create ~nodes ~pages in
+  let id creator index = { Interval.creator; index } in
+  let pieces = ref [] in
+  for creator = 0 to nodes - 1 do
+    for index = 1 to 3 do
+      for page = 0 to pages - 1 do
+        (* Two pieces on page 1, written at different offsets. *)
+        let count = if page = 1 then 2 else 1 in
+        for k = 1 to count do
+          let d = write_diff ~offset:(8 * k) ((100 * creator) + index) in
+          Store.add store ~page (id creator index) d;
+          pieces := (page, id creator index, d) :: !pieces
+        done
+      done
+    done
+  done;
+  let snapshot = Vc.zero ~nodes in
+  Vc.set snapshot 0 2;
+  Vc.set snapshot 2 3;
+  Store.discard_upto store snapshot;
+  let kept (_, (i : Interval.id), _) =
+    i.Interval.index > Vc.get snapshot i.Interval.creator
+  in
+  let survivors = List.filter kept (List.rev !pieces) in
+  Alcotest.(check int) "bytes of the survivors"
+    (List.fold_left (fun acc (_, _, d) -> acc + Diff.size_bytes d) 0 survivors)
+    (Store.bytes_stored store);
+  List.iter
+    (fun ((page, i, _) as piece) ->
+      let expected =
+        if kept piece then
+          Some
+            (List.filter_map
+               (fun (p, j, d) -> if p = page && j = i then Some d else None)
+               survivors)
+        else None
+      in
+      if Store.find store ~page i <> expected then
+        Alcotest.failf "page %d of interval %d.%d after the discard" page
+          i.Interval.creator i.Interval.index)
+    (List.rev !pieces)
+
 let qcheck = Props.qcheck
 
 let () =
@@ -1540,5 +1588,7 @@ let () =
       ( "lrc-metadata",
         Alcotest.test_case "lookups and sorts allocate nothing extra" `Quick
           test_metadata_allocation
+        :: Alcotest.test_case "diff store discards up to a snapshot" `Quick
+             test_diff_store_discard_upto
         :: qcheck [ prop_causal_range_matches_oracle; prop_log_matches_model ] );
     ]

@@ -515,6 +515,24 @@ let test_profile_disabled_records_nothing () =
       check_float (s.Profile.category ^ " seconds") 0.0 s.Profile.seconds)
     (Profile.snapshot ())
 
+let test_profile_disabled_probe_allocation () =
+  (* The zero-cost-when-off guarantee: a disabled start/stop probe pair
+     reads a flag and branches, so 1,000 pairs allocate no minor word. *)
+  Profile.reset ();
+  Profile.set_enabled false;
+  let probes () =
+    for _ = 1 to 1000 do
+      let t0 = Profile.start () in
+      Profile.stop Profile.Event t0
+    done
+  in
+  probes ();
+  let before = Gc.minor_words () in
+  probes ();
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then
+    Alcotest.failf "1,000 disabled probes allocate %.0f words" words
+
 let test_profile_enabled_records_run () =
   Profile.reset ();
   Profile.set_enabled true;
@@ -595,6 +613,8 @@ let () =
         [
           Alcotest.test_case "disabled run records zero samples" `Quick
             test_profile_disabled_records_nothing;
+          Alcotest.test_case "disabled probes allocate nothing" `Quick
+            test_profile_disabled_probe_allocation;
           Alcotest.test_case "enabled run records samples" `Quick
             test_profile_enabled_records_run;
         ] );
