@@ -15,6 +15,7 @@ module Audit = Carlos_audit.Audit
 module Causal = Carlos_audit.Causal
 module Harness = Carlos_apps.Harness
 module Profile = Carlos_obs.Profile
+module Engine = Carlos_sim.Engine
 
 open Cmdliner
 
@@ -118,7 +119,9 @@ let profile_arg =
      per-category table after the run.  With --metrics-json the profile is \
      appended as $(b,\"type\":\"profile\") lines; with --trace the aggregate \
      appears as slices on the host-profile pseudo-process.  Host times are \
-     nondeterministic and never enter the metrics registry proper."
+     nondeterministic and never enter the metrics registry proper.  The \
+     event queue's deterministic counts (events run, those taken from the \
+     at-now lane, timers cancelled, peak length) follow the table."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
@@ -176,7 +179,13 @@ let finish ~opts ~sys ~label ~ok report =
     end;
     if opts.profile then begin
       Format.printf "host profile:@.";
-      Profile.pp Format.std_formatter ()
+      Profile.pp Format.std_formatter ();
+      let eng = System.engine sys in
+      Format.printf
+        "event queue: %d events (%d from the at-now lane), %d timers \
+         cancelled, peak length %d@."
+        (Engine.events_executed eng) (Engine.events_from_lane eng)
+        (Engine.timers_cancelled eng) (Engine.peak_queue eng)
     end;
     if opts.causal then begin
       Format.printf "causal report:@.";

@@ -22,18 +22,19 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
       vc = Vc.zero ~nodes;
       log = Interval.Log.create ~nodes;
       gc_floor = Vc.zero ~nodes;
-      page_vc = Hashtbl.create 64;
+      page_vc = Itbl.create 64;
       zero_vc = Vc.zero ~nodes;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
       store = Diff_store.create ~nodes ~pages;
       dirty = [];
-      dirty_set = Hashtbl.create 64;
-      orphans = Hashtbl.create 16;
-      missing = Hashtbl.create 64;
-      accessed = Hashtbl.create 64;
-      dropped = Hashtbl.create 16;
+      dirty_set = Itbl.create 64;
+      orphans = Itbl.create 16;
+      missing = Itbl.create 64;
+      noticed = Itbl.create 64;
+      accessed = Itbl.create 64;
+      dropped = Itbl.create 16;
       serve_cache = Hashtbl.create 64;
-      bases = Hashtbl.create 16;
+      bases = Itbl.create 16;
       keeper = Array.make pages (-1);
       attach_floor = Array.init nodes (fun _ -> Vc.zero ~nodes);
       hooks = no_hooks;

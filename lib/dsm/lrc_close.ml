@@ -27,15 +27,15 @@ let flush_page t page =
   | Page.Read_write ->
     let diff = encode t page in
     let existing =
-      Option.value ~default:[] (Hashtbl.find_opt t.orphans page)
+      Option.value ~default:[] (Itbl.find_opt t.orphans page)
     in
-    Hashtbl.replace t.orphans page (diff :: existing);
+    Itbl.replace t.orphans page (diff :: existing);
     Writeback.charge_encode t.wb diff
 
 (* Still-unpublished local writes (orphans of the open interval) are
    newer than anything a served copy can hold; restore them onto [p]. *)
 let restore_orphans t page p =
-  match Hashtbl.find_opt t.orphans page with
+  match Itbl.find_opt t.orphans page with
   | Some ds -> List.iter (fun d -> Page.apply_diff p d) (List.rev ds)
   | None -> ()
 
@@ -43,8 +43,8 @@ let restore_orphans t page p =
    write-notice arrival could invalidate the page mid-fault. *)
 let write_fault t page =
   Obs.inc t.ins.twins_created_c;
-  if not (Hashtbl.mem t.dirty_set page) then begin
-    Hashtbl.replace t.dirty_set page ();
+  if not (Itbl.mem t.dirty_set page) then begin
+    Itbl.replace t.dirty_set page ();
     t.dirty <- page :: t.dirty
   end;
   Writeback.write_fault t.wb page
@@ -59,7 +59,7 @@ let publish_interval t =
     (* Take the dirty list before anything that can yield: writes made
        while this close encodes belong to the next interval. *)
     t.dirty <- [];
-    List.iter (fun page -> Hashtbl.remove t.dirty_set page) pages;
+    List.iter (fun page -> Itbl.remove t.dirty_set page) pages;
     (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
        clock.  Encoding charges CPU and yields the fiber, and a fetch_page
        request serviced at interrupt level during such a yield uses t.vc to
@@ -92,10 +92,10 @@ let publish_interval t =
     List.iter
       (fun page ->
         (* Diffs encoded mid-interval by write-notice arrivals... *)
-        (match Hashtbl.find_opt t.orphans page with
+        (match Itbl.find_opt t.orphans page with
         | Some ds ->
           List.iter (fun d -> Diff_store.add t.store ~page id d) (List.rev ds);
-          Hashtbl.remove t.orphans page
+          Itbl.remove t.orphans page
         | None -> ());
         (* ...and the final state of the page if it was still writable. *)
         (match List.assoc_opt page encoded with

@@ -139,7 +139,7 @@ type t = {
      writes are reflected in the local copy (own closes, applied diffs,
      whole-page installs).  A whole-page install is only sound when the
      server's copy covers at least this much. *)
-  page_vc : (int, Vc.t) Hashtbl.t;
+  page_vc : Vc.t Itbl.t;
   (* The coverage of a page with no [page_vc] entry; shared, never
      mutated. *)
   zero_vc : Vc.t;
@@ -157,24 +157,28 @@ type t = {
   store : Diff_store.t;
   (* Lrc_close: pages written in the current (open) interval. *)
   mutable dirty : int list;
-  dirty_set : (int, unit) Hashtbl.t;
+  dirty_set : unit Itbl.t;
   (* Diffs encoded mid-interval (a write notice arrived for a locally
      dirty page), newest first; they are published under the open
      interval's id once it closes. *)
-  orphans : (int, Diff.t list) Hashtbl.t;
+  orphans : Diff.t list Itbl.t;
   (* Lrc_fetch: for each invalid page, the interval ids whose diffs must
      be applied. *)
-  missing : (int, Interval.id list) Hashtbl.t;
+  missing : Interval.id list Itbl.t;
+  (* Per (page, creator), keyed [page * nodes + creator], the highest
+     index whose write notice [missing] recorded for the page while it
+     held a list: the O(1) duplicate check of [Lrc_fetch.invalidate]. *)
+  noticed : int ref Itbl.t;
   (* Pages with a live local demand — the history that picks which other
      missing pages may ride along in a fault's batch.  Membership decays:
      a write-notice invalidation removes the page, and only a fresh fault
      re-admits it, so prefetching follows demonstrated reuse.  Without the
      decay a page touched once ever (say, another node's grid block that
      node 0 initialised) would be prefetched on every later fault. *)
-  accessed : (int, unit) Hashtbl.t;
+  accessed : unit Itbl.t;
   (* Pages whose stale copy a GC dropped, each with the keeper to refetch
      a base from. *)
-  dropped : (int, int) Hashtbl.t;
+  dropped : int Itbl.t;
   (* Lrc_serve: creator-side cache of merged diff encodings, keyed by
      (page, creator, lo_index, hi_index).  The member set of a range is
      fully determined by the key (write notices are complete, and a
@@ -182,7 +186,7 @@ type t = {
      always denote the same merge. *)
   serve_cache : (int * int * int * int, Diff.t) Hashtbl.t;
   (* The base copies this node keeps, immutable once stored. *)
-  bases : (int, page_reply) Hashtbl.t;
+  bases : page_reply Itbl.t;
   (* Lrc_gc: per page, the node that keeps the page's base copy (-1
      before any GC elected one); the same table on every node. *)
   keeper : int array;
@@ -294,24 +298,24 @@ let discard_log t snapshot =
    writes to this page have NOT necessarily been applied here. *)
 let note_page_interval t page ~creator ~index =
   t.hooks.on_page_interval ~node:t.me ~page ~creator ~index;
-  match Hashtbl.find_opt t.page_vc page with
+  match Itbl.find_opt t.page_vc page with
   | None ->
     let vc = Vc.zero ~nodes:t.nodes in
     Vc.set vc creator index;
-    Hashtbl.replace t.page_vc page vc
+    Itbl.replace t.page_vc page vc
   | Some cur -> raise_to cur ~creator ~index
 
 (* A whole-page install genuinely carries per-creator coverage. *)
 let note_page_content t page vc =
   t.hooks.on_page_content ~node:t.me ~page ~vc;
-  match Hashtbl.find_opt t.page_vc page with
-  | None -> Hashtbl.replace t.page_vc page (Vc.copy vc)
+  match Itbl.find_opt t.page_vc page with
+  | None -> Itbl.replace t.page_vc page (Vc.copy vc)
   | Some cur -> Vc.join_in_place cur vc
 
-let forget_page_content t page = Hashtbl.remove t.page_vc page
+let forget_page_content t page = Itbl.remove t.page_vc page
 
 let page_content_vc t page =
-  match Hashtbl.find_opt t.page_vc page with
+  match Itbl.find_opt t.page_vc page with
   | Some vc -> vc
   | None -> t.zero_vc
 

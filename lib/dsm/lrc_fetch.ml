@@ -86,7 +86,7 @@ let causal_order t ids =
    trips are overlapped by issuing each request from its own forked fiber
    and joining on ivars. *)
 let fetch_missing t ~into:have targets =
-  let requests = Hashtbl.create 4 and asked = Itbl.create 16 in
+  let requests = Itbl.create 4 and asked = Itbl.create 16 in
   let creators = ref [] in
   List.iter
     (fun (page, runs) ->
@@ -99,16 +99,16 @@ let fetch_missing t ~into:have targets =
             List.iter
               (fun id -> Itbl.replace asked (diff_key t ~page id) creator)
               run;
-            match Hashtbl.find_opt requests creator with
+            match Itbl.find_opt requests creator with
             | None ->
-              Hashtbl.replace requests creator [ (page, run) ];
+              Itbl.replace requests creator [ (page, run) ];
               creators := creator :: !creators
             | Some cur ->
-              Hashtbl.replace requests creator ((page, run) :: cur)))
+              Itbl.replace requests creator ((page, run) :: cur)))
         runs)
     targets;
   let do_fetch creator =
-    let request = List.rev (Hashtbl.find requests creator) in
+    let request = List.rev (Itbl.find requests creator) in
     Obs.inc t.ins.diff_requests_c;
     let reply = Lrc_serve.fetch_diffs t ~dst:creator request in
     (* Bill each physical diff once per reply: a diff aliased under
@@ -244,23 +244,30 @@ let unhandled ids ~handled =
   | Some fresh -> fresh
   | None -> List.filter (fun id -> not (Interval.mem_id id handled)) ids
 
+(* The key of [page]'s [noticed] mark for the creator of [id]. *)
+let notice_key t page (id : Interval.id) =
+  (page * t.nodes) + id.Interval.creator
+
+(* Drop [page]'s missing list [ids], and with it the marks of their
+   creators (see [invalidate]). *)
+let forget_missing t page ids =
+  List.iter (fun id -> Itbl.remove t.noticed (notice_key t page id)) ids;
+  Itbl.remove t.missing page
+
 (* Remove exactly [handled] from the page's missing set; validate the page
    only if nothing new arrived while we were blocked. *)
 let finish_page t page ~handled =
-  let remaining =
-    match Hashtbl.find_opt t.missing page with
-    | None -> []
-    | Some ids -> unhandled ids ~handled
-  in
+  let ids = Option.value ~default:[] (Itbl.find_opt t.missing page) in
+  let remaining = unhandled ids ~handled in
   if remaining = [] then begin
-    Hashtbl.remove t.missing page;
+    forget_missing t page ids;
     let p = Page_table.page t.page_table page in
     if Page.state p = Page.Invalid then begin
       Page.validate p;
       t.charge t.costs.Cpu_cost.page_protect
     end
   end
-  else Hashtbl.replace t.missing page remaining
+  else Itbl.replace t.missing page remaining
 
 let fetch_and_apply t targets =
   let prepared =
@@ -322,7 +329,7 @@ let writes_above t page ~covers ~applied =
    close bumps before its diff is applied here. *)
 let refetch_dropped t page ~keeper =
   let base = Lrc_serve.fetch_base t ~dst:keeper ~page in
-  Hashtbl.remove t.dropped page;
+  Itbl.remove t.dropped page;
   forget_page_content t page;
   let p = install t page base in
   let applied = Itbl.create 8 in
@@ -341,7 +348,7 @@ let refetch_dropped t page ~keeper =
       (fun (id : Interval.id) ->
         id.Interval.index <= Vc.get base.covers id.Interval.creator
         || Itbl.mem applied (diff_key t ~page id))
-      (Option.value ~default:[] (Hashtbl.find_opt t.missing page))
+      (Option.value ~default:[] (Itbl.find_opt t.missing page))
   in
   finish_page t page ~handled
 
@@ -356,26 +363,26 @@ let rec validate_page t page =
     Ivar.read gate;
     validate_page_if_needed t page
   | None -> (
-    match Hashtbl.find_opt t.dropped page with
+    match Itbl.find_opt t.dropped page with
     | Some keeper ->
       Writeback.under_gates t.wb [ page ] (fun () ->
           refetch_dropped t page ~keeper);
       validate_page_if_needed t page
     | None -> (
-      match Hashtbl.find_opt t.missing page with
+      match Itbl.find_opt t.missing page with
       | None | Some [] ->
-        Hashtbl.remove t.missing page;
+        Itbl.remove t.missing page;
         let p = Page_table.page t.page_table page in
         if Page.state p = Page.Invalid then Page.validate p
       | Some ids ->
         let extra =
-          Hashtbl.fold
+          Itbl.fold
             (fun other other_ids acc ->
               if
                 other <> page && other_ids <> []
-                && Hashtbl.mem t.accessed other
+                && Itbl.mem t.accessed other
                 && (not (Writeback.fetching t.wb other))
-                && not (Hashtbl.mem t.dropped other)
+                && not (Itbl.mem t.dropped other)
               then (other, other_ids) :: acc
               else acc)
             t.missing []
@@ -388,7 +395,7 @@ and validate_page_if_needed t page =
   let p = Page_table.page t.page_table page in
   if Page.state p = Page.Invalid then validate_page t page
 
-let note_access t page = Hashtbl.replace t.accessed page ()
+let note_access t page = Itbl.replace t.accessed page ()
 
 let read_fault t page =
   note_access t page;
@@ -398,16 +405,36 @@ let read_fault t page =
 (* A write notice of interval [id] invalidates the local copy [p] of
    [page].  Record the missing id before the invalidation charge yields:
    a fault in that window must find it, or it would validate the page
-   with nothing to fetch. *)
+   with nothing to fetch.
+
+   A repeated notice (two accepts racing through the same interval) is
+   recorded once.  A creator's intervals are applied in index order, so
+   a fresh notice is always above the page's [noticed] mark for its
+   creator.  An id leaves [missing] only when the page's content covers
+   it, after which the caller filters its notice out, or when a GC drops
+   the page, whose rebuild applies every logged write above its base.  So
+   an id at or below the mark is one the list holds or no longer needs,
+   and a mark may go with the list that made it ([forget_missing]). *)
 let invalidate t page p (id : Interval.id) =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt t.missing page) in
-  if not (Interval.mem_id id cur) then
-    Hashtbl.replace t.missing page (id :: cur);
+  let key = notice_key t page id in
+  let fresh =
+    match Itbl.find t.noticed key with
+    | mark when id.Interval.index <= !mark -> false
+    | mark ->
+      mark := id.Interval.index;
+      true
+    | exception Not_found ->
+      Itbl.add t.noticed key (ref id.Interval.index);
+      true
+  in
+  if fresh then
+    Itbl.replace t.missing page
+      (id :: Option.value ~default:[] (Itbl.find_opt t.missing page));
   if Page.state p <> Page.Invalid then begin
     Page.invalidate p;
     (* Decay the prefetch history: the page must fault again to prove it
        is still wanted before riding along in batches. *)
-    Hashtbl.remove t.accessed page;
+    Itbl.remove t.accessed page;
     t.charge t.costs.Cpu_cost.page_protect
   end
 
@@ -417,9 +444,9 @@ let refresh t pages =
   let stale =
     List.filter_map
       (fun page ->
-        if Writeback.fetching t.wb page || Hashtbl.mem t.dropped page then None
+        if Writeback.fetching t.wb page || Itbl.mem t.dropped page then None
         else
-          match Hashtbl.find_opt t.missing page with
+          match Itbl.find_opt t.missing page with
           | None | Some [] -> None
           | Some ids -> Some (page, ids))
       pages
@@ -438,24 +465,24 @@ let rec drop_stale t snapshot ~keepers =
     drop_stale t snapshot ~keepers
   | None ->
     let stale =
-      Hashtbl.fold
+      Itbl.fold
         (fun page ids acc ->
           if
             List.exists
               (fun (id : Interval.id) ->
                 id.Interval.index <= Vc.get snapshot id.Interval.creator)
               ids
-          then page :: acc
+          then (page, ids) :: acc
           else acc)
         t.missing []
     in
     List.iter
-      (fun page ->
-        Hashtbl.remove t.missing page;
+      (fun (page, ids) ->
+        forget_missing t page ids;
         forget_page_content t page;
-        Hashtbl.replace t.dropped page keepers.(page))
+        Itbl.replace t.dropped page keepers.(page))
       stale;
-    Hashtbl.filter_map_inplace
+    Itbl.filter_map_inplace
       (fun page _ ->
         let keeper = keepers.(page) in
         if keeper < 0 || keeper = t.me then

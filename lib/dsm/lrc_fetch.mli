@@ -1,7 +1,8 @@
 (** The LRC fetch path: collect, fetch, apply and finish, the refetch of
     a page a GC dropped, and the invalidation that makes a page missing.
 
-    Owns each invalid page's missing interval ids, the pages with a live
+    Owns each invalid page's missing interval ids (with, per page and
+    creator, the highest index recorded), the pages with a live
     local demand (which may ride along in a fault's batch) and the pages
     a GC dropped, each with its keeper.
 
@@ -32,7 +33,8 @@ val read_fault : t -> int -> unit
 val note_access : t -> int -> unit
 
 (** [invalidate t page p id]: a write notice of interval [id] makes the
-    local copy [p] of [page] stale. *)
+    local copy [p] of [page] stale.  A repeated notice records [id] once;
+    the check is O(1). *)
 val invalidate : t -> int -> Carlos_vm.Page.t -> Interval.id -> unit
 
 (** [apply_diff t p d] applies [d] to [p], counting and charging for

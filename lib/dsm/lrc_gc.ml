@@ -149,20 +149,20 @@ let trim_for t pb ~receiver =
    matters: a stale piggyback can re-log an interval an earlier GC
    discarded.  Returns the pages this node now keeps, ascending. *)
 let elect_keepers t snapshot =
-  let latest = Hashtbl.create 64 in
+  let latest = Itbl.create 64 in
   let elect (i : Interval.t) =
     List.iter
       (fun page ->
-        match Hashtbl.find_opt latest page with
+        match Itbl.find_opt latest page with
         | Some (best : Interval.t) when Interval.causal_compare best i > 0 -> ()
-        | _ -> Hashtbl.replace latest page i)
+        | _ -> Itbl.replace latest page i)
       i.Interval.write_notices
   in
   for c = 0 to t.nodes - 1 do
     Interval.Log.iter_range t.log ~creator:c ~lo:(Vc.get t.gc_floor c)
       ~hi:(Vc.get snapshot c) elect
   done;
-  Hashtbl.fold
+  Itbl.fold
     (fun page (i : Interval.t) mine ->
       let keeper = i.Interval.id.Interval.creator in
       t.keeper.(page) <- keeper;

@@ -98,20 +98,20 @@ let serve_page t ~page =
 
 (* The base copy of [page] this node keeps (see [keep_base]). *)
 let serve_base t ~page =
-  match Hashtbl.find_opt t.bases page with
+  match Itbl.find_opt t.bases page with
   | Some base -> base
   | None ->
     raise (Protocol_violation (Printf.sprintf "no base copy of page %d" page))
 
 let keep_base t page =
-  Hashtbl.replace t.bases page
+  Itbl.replace t.bases page
     (clean_copy t page (Page_table.page t.page_table page))
 
 let discard t ~keeps =
   (* Merged encodings may cover just-discarded history; drop them all
      rather than tracking which ranges survive. *)
   Hashtbl.reset t.serve_cache;
-  Hashtbl.filter_map_inplace
+  Itbl.filter_map_inplace
     (fun page base -> if keeps page then Some base else None)
     t.bases
 

@@ -5,13 +5,14 @@ module Page_table = Carlos_vm.Page_table
 module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
+module Itbl = Diff_store.Itbl
 
 type t = {
   page_table : Page_table.t;
   costs : Cpu_cost.t;
   charge : float -> unit;
   (* Per-page fetch gates; see [under_gates]. *)
-  inflight : (int, unit Ivar.t) Hashtbl.t;
+  inflight : unit Ivar.t Itbl.t;
   (* Set while a flush runs; the first fiber to wait for it creates the
      [flushed] gate, filled when the flush ends. *)
   mutable flushing : bool;
@@ -23,7 +24,7 @@ let create ~page_table ~costs ~charge =
     page_table;
     costs;
     charge;
-    inflight = Hashtbl.create 8;
+    inflight = Itbl.create 8;
     flushing = false;
     flushed = None;
   }
@@ -112,14 +113,14 @@ let under_gates t pages f =
     List.map
       (fun page ->
         let gate = Ivar.create () in
-        Hashtbl.replace t.inflight page gate;
+        Itbl.replace t.inflight page gate;
         (page, gate))
       pages
   in
   let finish () =
     List.iter
       (fun (page, gate) ->
-        Hashtbl.remove t.inflight page;
+        Itbl.remove t.inflight page;
         Ivar.fill gate ())
       gates
   in
@@ -129,8 +130,8 @@ let under_gates t pages f =
      raise e);
   finish ()
 
-let fetch_gate t page = Hashtbl.find_opt t.inflight page
+let fetch_gate t page = Itbl.find_opt t.inflight page
 
-let fetching t page = Hashtbl.mem t.inflight page
+let fetching t page = Itbl.mem t.inflight page
 
-let any_fetch_gate t = Hashtbl.fold (fun _ gate _ -> Some gate) t.inflight None
+let any_fetch_gate t = Itbl.fold (fun _ gate _ -> Some gate) t.inflight None

@@ -1,6 +1,7 @@
 module Rng = Carlos_sim.Rng
 module Obs = Carlos_obs.Obs
 module Cost = Carlos_obs.Cost
+module Itbl = Hashtbl.Make (Int)
 
 (* 14 (Ethernet) + 20 (IP) + 8 (UDP). *)
 let header_bytes = 42
@@ -10,7 +11,7 @@ type 'a t = {
   loss : float;
   rng : Rng.t option;
   mutable sends_seen : int;
-  forced_drops : (int, unit) Hashtbl.t;
+  forced_drops : unit Itbl.t;
   sent_c : Obs.counter;
   dropped_c : Obs.counter;
   dropped_bytes_c : Obs.counter;
@@ -29,7 +30,7 @@ let create medium ?(loss = 0.0) ?rng () =
     loss;
     rng;
     sends_seen = 0;
-    forced_drops = Hashtbl.create 7;
+    forced_drops = Itbl.create 7;
     sent_c = Obs.counter obs ~node:g ~layer:Obs.Net "datagram.sent";
     dropped_c = Obs.counter obs ~node:g ~layer:Obs.Net "datagram.dropped";
     dropped_bytes_c =
@@ -56,7 +57,7 @@ let inject_drops t idxs =
   List.iter
     (fun i ->
       if i < 0 then invalid_arg "Datagram.inject_drops: negative index";
-      Hashtbl.replace t.forced_drops (t.sends_seen + i) ())
+      Itbl.replace t.forced_drops (t.sends_seen + i) ())
     idxs
 
 let dropped t =
@@ -64,8 +65,8 @@ let dropped t =
      unperturbed by tests that also inject targeted drops. *)
   let idx = t.sends_seen in
   t.sends_seen <- idx + 1;
-  if Hashtbl.mem t.forced_drops idx then begin
-    Hashtbl.remove t.forced_drops idx;
+  if Itbl.mem t.forced_drops idx then begin
+    Itbl.remove t.forced_drops idx;
     true
   end
   else

@@ -1,6 +1,7 @@
 module Engine = Carlos_sim.Engine
 module Obs = Carlos_obs.Obs
 module Cost = Carlos_obs.Cost
+module Itbl = Hashtbl.Make (Int)
 
 type 'a frame =
   | Data of { seq : int; payload_bytes : int; payload : 'a }
@@ -32,7 +33,7 @@ type 'a connection = {
   mutable next_seq : int;
   unacked : 'a sent Queue.t;
   pending : (int * 'a) Queue.t; (* payload_bytes, payload *)
-  mutable timer_epoch : int; (* invalidates stale retransmit timers *)
+  mutable rto_timer : Engine.timer; (* the scheduled retransmit watch *)
   mutable deadline : float; (* current retransmit deadline; may be pushed *)
   mutable inflight_bytes : int; (* payload + headers of every unacked frame *)
   mutable srtt : float; (* smoothed RTT; < 0.0 means no sample yet *)
@@ -42,13 +43,12 @@ type 'a connection = {
   mutable fast_done : int; (* highest seq already fast-retransmitted *)
   (* Receiver side (indexed the same way from the peer's perspective). *)
   mutable expected : int;
-  out_of_order : (int, int * 'a) Hashtbl.t;
+  out_of_order : (int * 'a) Itbl.t;
   (* Delayed-ack state: in-order frames delivered since the last
-     acknowledgement, and the epoch/armed pair that invalidates a stale
-     ack-delay timer once a cumulative ack goes out. *)
+     acknowledgement, and the ack-delay timer, cancelled once a
+     cumulative ack goes out. *)
   mutable ack_owed : int;
-  mutable ack_epoch : int;
-  mutable ack_armed : bool;
+  mutable ack_timer : Engine.timer;
 }
 
 type 'a handler = src:int -> size:int -> 'a -> unit
@@ -84,7 +84,7 @@ let make_connection () =
     next_seq = 0;
     unacked = Queue.create ();
     pending = Queue.create ();
-    timer_epoch = 0;
+    rto_timer = Engine.no_timer;
     deadline = 0.0;
     inflight_bytes = 0;
     srtt = -1.0;
@@ -93,10 +93,9 @@ let make_connection () =
     dup_acks = 0;
     fast_done = -1;
     expected = 0;
-    out_of_order = Hashtbl.create 8;
+    out_of_order = Itbl.create 8;
     ack_owed = 0;
-    ack_epoch = 0;
-    ack_armed = false;
+    ack_timer = Engine.no_timer;
   }
 
 let conn t ~src ~dst = t.connections.(src).(dst)
@@ -112,12 +111,11 @@ let send_ack t ~src ~dst ~cumulative =
     (Ack { cumulative })
 
 (* Send the cumulative ack for the src->node connection now, covering every
-   owed frame, and invalidate any pending ack-delay timer. *)
+   owed frame, and cancel any pending ack-delay timer. *)
 let flush_ack t c ~node ~src =
   if c.ack_owed > 1 then Obs.add t.acks_coalesced_c (c.ack_owed - 1);
   c.ack_owed <- 0;
-  c.ack_epoch <- c.ack_epoch + 1;
-  c.ack_armed <- false;
+  Engine.cancel t.engine c.ack_timer;
   send_ack t ~src:node ~dst:src ~cumulative:(c.expected - 1)
 
 (* Delayed cumulative acks: rather than one ack frame per data frame, ack
@@ -128,14 +126,11 @@ let flush_ack t c ~node ~src =
 let note_delivered t c ~node ~src ~frames =
   c.ack_owed <- c.ack_owed + frames;
   if t.ack_every <= 1 || c.ack_owed >= t.ack_every then flush_ack t c ~node ~src
-  else if not c.ack_armed then begin
-    c.ack_armed <- true;
-    let epoch = c.ack_epoch in
-    Engine.at t.engine
-      ~time:(Engine.now t.engine +. t.ack_delay)
-      (fun () ->
-        if c.ack_epoch = epoch && c.ack_owed > 0 then flush_ack t c ~node ~src)
-  end
+  else if not (Engine.pending t.engine c.ack_timer) then
+    c.ack_timer <-
+      Engine.timer t.engine
+        ~time:(Engine.now t.engine +. t.ack_delay)
+        (fun () -> flush_ack t c ~node ~src)
 
 (* The retransmission timeout for one arming of the timer, before backoff:
    Jacobson/Karels [srtt + 4 * rttvar] (clamped between the configured
@@ -181,7 +176,8 @@ let rtt_sample t c sample =
    serialization floor, and firing at the stale earlier deadline would
    retransmit a frame whose ack simply has not had wire time to come back.
    The watcher re-schedules itself at the extended deadline instead of
-   retransmitting.
+   retransmitting.  Re-arming or disarming cancels the scheduled watch, so
+   a superseded one never runs.
 
    Carrier sense: even an expired deadline is not acted on while the shared
    wire still has a backlog.  The estimator can only see this connection's
@@ -196,13 +192,14 @@ let rtt_sample t c sample =
    the receiver buffers out-of-order frames and acks cumulatively, so only
    the oldest frame can be the gap, and resending the whole window would
    multiply the damage of a timeout that was merely a congested wire. *)
-let rec watch t c ~src ~dst ~epoch =
-  Engine.at t.engine ~time:c.deadline (fun () ->
-      if c.timer_epoch = epoch && not (Queue.is_empty c.unacked) then begin
+let rec watch t c ~src ~dst =
+  c.rto_timer <-
+    Engine.timer t.engine ~time:c.deadline (fun () ->
+      if not (Queue.is_empty c.unacked) then begin
         let now = Engine.now t.engine in
         if c.deadline -. now > 1e-9 then
           (* Deadline was pushed out since this event was scheduled. *)
-          watch t c ~src ~dst ~epoch
+          watch t c ~src ~dst
         else if Datagram.backlog t.datagram > 0 then begin
           (* Carrier sense: the wire is still draining a backlog the ack
              may be stuck behind.  Defer past its drain time (plus the
@@ -217,7 +214,7 @@ let rec watch t c ~src ~dst ~epoch =
                  + Datagram.header_bytes)
                /. t.bandwidth)
             +. (2.0 *. t.latency) +. t.ack_delay;
-          watch t c ~src ~dst ~epoch
+          watch t c ~src ~dst
         end
         else begin
           (match Queue.peek_opt c.unacked with
@@ -235,16 +232,16 @@ let rec watch t c ~src ~dst ~epoch =
           | None -> ());
           c.backoff <- Float.min backoff_cap (2.0 *. c.backoff);
           c.deadline <- now +. (effective_rto t c *. c.backoff);
-          watch t c ~src ~dst ~epoch
+          watch t c ~src ~dst
         end
       end)
 
 let arm_timer t c ~src ~dst =
-  c.timer_epoch <- c.timer_epoch + 1;
+  Engine.cancel t.engine c.rto_timer;
   let timeout = effective_rto t c *. c.backoff in
   Obs.Hist.observe t.rto_armed_h timeout;
   c.deadline <- Engine.now t.engine +. timeout;
-  watch t c ~src ~dst ~epoch:c.timer_epoch
+  watch t c ~src ~dst
 
 (* Launching into an already-armed window grows the in-flight payload and
    with it the serialization floor; push the deadline out to match (the
@@ -254,7 +251,7 @@ let extend_timer t c =
     Float.max c.deadline
       (Engine.now t.engine +. (effective_rto t c *. c.backoff))
 
-let disarm_timer c = c.timer_epoch <- c.timer_epoch + 1
+let disarm_timer t c = Engine.cancel t.engine c.rto_timer
 
 (* Put one message on the wire, assigning its sequence number. *)
 let launch t ~src ~dst ~payload_bytes payload =
@@ -341,7 +338,7 @@ let handle_ack t ~src ~dst ~cumulative =
       let payload_bytes, payload = Queue.pop c.pending in
       launch t ~src ~dst ~payload_bytes payload
     done;
-    if Queue.is_empty c.unacked then disarm_timer c
+    if Queue.is_empty c.unacked then disarm_timer t c
     else arm_timer t c ~src ~dst
   end
   else if not (Queue.is_empty c.unacked) then begin
@@ -372,9 +369,9 @@ let handle_data t ~node ~src ~seq ~payload_bytes payload =
     (* Drain any buffered successors. *)
     let frames = ref 1 in
     let rec drain () =
-      match Hashtbl.find_opt c.out_of_order c.expected with
+      match Itbl.find_opt c.out_of_order c.expected with
       | Some (bytes, p) ->
-        Hashtbl.remove c.out_of_order c.expected;
+        Itbl.remove c.out_of_order c.expected;
         deliver t ~node ~src ~payload_bytes:bytes p;
         c.expected <- c.expected + 1;
         incr frames;
@@ -385,8 +382,8 @@ let handle_data t ~node ~src ~seq ~payload_bytes payload =
     note_delivered t c ~node ~src ~frames:!frames
   end
   else begin
-    if Hashtbl.mem c.out_of_order seq then Obs.inc t.spurious_c
-    else Hashtbl.replace c.out_of_order seq (payload_bytes, payload);
+    if Itbl.mem c.out_of_order seq then Obs.inc t.spurious_c
+    else Itbl.replace c.out_of_order seq (payload_bytes, payload);
     (* A gap means a frame was lost: ack immediately so go-back-N recovery
        is not further delayed. *)
     flush_ack t c ~node ~src

@@ -3,8 +3,8 @@ module Profile = Carlos_obs.Profile
 (* Queue payloads are a small variant instead of uniform [unit -> unit]
    thunks: resuming a parked fiber or starting a forked one schedules the
    continuation/body directly, so the steady state allocates no wrapper
-   closure per event.  [Ev_none] is the heap's dummy filler for vacated
-   slots — it never reaches [exec]. *)
+   closure per event.  [Ev_none] fills vacated heap slots and lane cells —
+   it never reaches [exec]. *)
 type event =
   | Ev_none
   | Ev_thunk of (unit -> unit)
@@ -14,8 +14,20 @@ type event =
 type t = {
   mutable clock : float;
   queue : event Heap.t;
+  (* The at-now lane: a FIFO ring of the events scheduled at [clock]
+     itself, each with the sequence number it drew.  Every entry is due
+     at [clock] (the clock only moves once the lane is empty), and they
+     drew their numbers in order, so the lane needs no sift.  [lane]'s
+     length is a power of two. *)
+  mutable lane : event array;
+  mutable lane_seqs : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   mutable next_seq : int;
   mutable executed : int;
+  mutable from_lane : int;
+  mutable cancelled : int;
+  mutable peak : int;
   mutable failure : exn option;
   (* Failures of fibers that died after [failure] was already recorded
      (newest first).  Surfaced by [run] as [Multiple_failures]. *)
@@ -47,8 +59,10 @@ type _ Effect.t +=
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let create () =
-  { clock = 0.0; queue = Heap.create ~dummy:Ev_none (); next_seq = 0;
-    executed = 0; failure = None; secondary = []; in_fiber = false;
+  { clock = 0.0; queue = Heap.create ~dummy:Ev_none ();
+    lane = Array.make 16 Ev_none; lane_seqs = Array.make 16 0; lane_head = 0;
+    lane_len = 0; next_seq = 0; executed = 0; from_lane = 0; cancelled = 0;
+    peak = 0; failure = None; secondary = []; in_fiber = false;
     profiling = false; delay_dt = [| 0.0 |] }
 
 let failures t =
@@ -60,22 +74,102 @@ let now t = t.clock
 
 let events_executed t = t.executed
 
-let schedule_ev t ~time ev =
+let events_from_lane t = t.from_lane
+
+let timers_cancelled t = t.cancelled
+
+let peak_queue t = t.peak
+
+let grow_lane t =
+  let cap = Array.length t.lane in
+  let lane = Array.make (2 * cap) Ev_none in
+  let seqs = Array.make (2 * cap) 0 in
+  for k = 0 to t.lane_len - 1 do
+    let i = (t.lane_head + k) land (cap - 1) in
+    lane.(k) <- t.lane.(i);
+    seqs.(k) <- t.lane_seqs.(i)
+  done;
+  t.lane <- lane;
+  t.lane_seqs <- seqs;
+  t.lane_head <- 0
+
+let lane_push t ~seq ev =
+  if t.lane_len = Array.length t.lane then grow_lane t;
+  let i = (t.lane_head + t.lane_len) land (Array.length t.lane - 1) in
+  Array.unsafe_set t.lane i ev;
+  Array.unsafe_set t.lane_seqs i seq;
+  t.lane_len <- t.lane_len + 1
+
+let lane_pop t =
+  let i = t.lane_head in
+  let ev = Array.unsafe_get t.lane i in
+  Array.unsafe_set t.lane i Ev_none;
+  t.lane_head <- (i + 1) land (Array.length t.lane - 1);
+  t.lane_len <- t.lane_len - 1;
+  t.from_lane <- t.from_lane + 1;
+  ev
+
+let note_length t =
+  let n = Heap.size t.queue + t.lane_len in
+  if n > t.peak then t.peak <- n
+
+(* A timer handle packs the sequence number the timer drew above its
+   heap slot: the slot finds the entry, the number tells it from a later
+   entry that reuses the slot.  [-1] ([no_timer]) is never live. *)
+type timer = int
+
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let no_timer = -1
+
+(* Queue [ev] at [time] under the next sequence number.  An event due now
+   joins the lane, unless it is a timer: only in the heap can a timer be
+   found again to cancel.  Returns the handle of a heap entry, or
+   [no_timer] for a lane entry. *)
+let push t ~time ~timer ev =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let h =
+    if time = t.clock && not timer then begin
+      lane_push t ~seq ev;
+      no_timer
+    end
+    else begin
+      let slot = Heap.add t.queue ~time ~seq ev in
+      if slot > slot_mask then failwith "Engine: too many queued events";
+      (seq lsl slot_bits) lor slot
+    end
+  in
+  note_length t;
+  h
+
+let schedule t ~time ~timer ev =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now %g" time t.clock);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   if t.profiling then begin
     let p0 = Profile.start () in
-    Heap.add t.queue ~time ~seq ev;
-    Profile.stop Profile.Heap_push p0
+    let h = push t ~time ~timer ev in
+    Profile.stop Profile.Heap_push p0;
+    h
   end
-  else Heap.add t.queue ~time ~seq ev
+  else push t ~time ~timer ev
 
-let schedule t ~time thunk = schedule_ev t ~time (Ev_thunk thunk)
+let schedule_ev t ~time ev = ignore (schedule t ~time ~timer:false ev : timer)
 
-let at t ~time f = schedule t ~time f
+let at t ~time f = schedule_ev t ~time (Ev_thunk f)
+
+let timer t ~time f = schedule t ~time ~timer:true (Ev_thunk f)
+
+let pending t h =
+  h >= 0 && Heap.live t.queue ~slot:(h land slot_mask) ~seq:(h lsr slot_bits)
+
+let cancel t h =
+  let slot = h land slot_mask and seq = h lsr slot_bits in
+  if h >= 0 && Heap.remove t.queue ~slot ~seq then
+    t.cancelled <- t.cancelled + 1
 
 (* Runs [f] as a fiber body under the effect handler that implements the
    blocking operations.  Continuations are always resumed via the event
@@ -144,6 +238,22 @@ and exec eng = function
 
 let spawn t f = schedule_ev t ~time:t.clock (Ev_fiber f)
 
+(* The next event in (time, seq) order, taken off the queue.  Every lane
+   entry is due now, so with the lane non-empty the heap root goes first
+   only if it is due now too and drew a lower sequence number.  With the
+   lane empty the root is next, and the clock moves to its time. *)
+let next_event t =
+  if t.lane_len > 0 then
+    if
+      Heap.min_time t.queue <= t.clock
+      && Heap.min_seq t.queue < Array.unsafe_get t.lane_seqs t.lane_head
+    then Heap.pop t.queue
+    else lane_pop t
+  else begin
+    t.clock <- Heap.min_time t.queue;
+    Heap.pop t.queue
+  end
+
 let run t =
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some t);
@@ -159,7 +269,7 @@ let run t =
      The first strictly-later timestamp (or an empty queue) stops the
      run.  [Heap.min_time] is [infinity] on an empty queue, so the
      comparison is allocation-free either way. *)
-  let overdue () = Heap.min_time t.queue <= t.clock in
+  let overdue () = t.lane_len > 0 || Heap.min_time t.queue <= t.clock in
   let rec loop () =
     match t.failure with
     | Some e when not (overdue ()) -> (
@@ -167,18 +277,16 @@ let run t =
       | [] -> raise e
       | rest -> raise (Multiple_failures (e :: List.rev rest)))
     | _ ->
-      if not (Heap.is_empty t.queue) then begin
-        let time = Heap.min_time t.queue in
+      if t.lane_len > 0 || not (Heap.is_empty t.queue) then begin
         let ev =
           if t.profiling then begin
             let p0 = Profile.start () in
-            let ev = Heap.pop t.queue in
+            let ev = next_event t in
             Profile.stop Profile.Heap_pop p0;
             ev
           end
-          else Heap.pop t.queue
+          else next_event t
         in
-        t.clock <- time;
         t.executed <- t.executed + 1;
         (* An event returns when its fiber suspends (the effect handler
            captures the continuation), so this span is the exact host
@@ -202,20 +310,23 @@ let run t =
     Printexc.raise_with_backtrace e bt
 
 (* A fiber whose wake-up would be the next event anyway runs on without
-   a round trip through the heap: the clock advances, the event counts as
+   a round trip through the queue: the clock advances, the event counts as
    executed, and the sequence number the resume would have taken is still
-   drawn, so every later event keeps its (time, seq) key.  Strictly
-   before [Heap.min_time]: an event already queued at the wake time has
-   a lower sequence number and runs first.  After a recorded failure the
-   loop stops at the next later instant instead of resuming the fiber, so
-   that case, callbacks and negative [dt] take the effect path. *)
+   drawn, so every later event keeps its (time, seq) key.  Only with the
+   at-now lane empty (its events are due now, before any wake-up) and
+   strictly before [Heap.min_time]: an event already queued at the wake
+   time has a lower sequence number and runs first.  After a recorded
+   failure the loop stops at the next later instant instead of resuming
+   the fiber, so that case, callbacks and negative [dt] take the effect
+   path. *)
 let delay dt =
   match Domain.DLS.get current_key with
   | None -> invalid_arg "Engine.delay: not inside a running engine"
   | Some eng ->
     let wake = eng.clock +. dt in
     let inline =
-      eng.in_fiber && dt >= 0.0 && wake < Heap.min_time eng.queue
+      eng.in_fiber && dt >= 0.0 && eng.lane_len = 0
+      && wake < Heap.min_time eng.queue
       && match eng.failure with None -> true | Some _ -> false
     in
     if inline then begin

@@ -21,8 +21,24 @@ val create : unit -> t
 (** Current virtual time, in seconds. *)
 val now : t -> float
 
-(** Number of events executed so far (diagnostic). *)
+(** {1 Queue counts}
+
+    Deterministic for a given program, and read without allocating. *)
+
+(** Events executed so far, inline delays included; a cancelled timer is
+    not one. *)
 val events_executed : t -> int
+
+(** Of those, the events taken from the at-now lane: the ones scheduled
+    at the then-current virtual time (other than timers), which skip the
+    heap. *)
+val events_from_lane : t -> int
+
+(** Timers cancelled before they fired. *)
+val timers_cancelled : t -> int
+
+(** The most events ever queued at once, heap and lane together. *)
+val peak_queue : t -> int
 
 (** [spawn t f] schedules fiber [f] to start at the current virtual time. *)
 val spawn : t -> (unit -> unit) -> unit
@@ -31,6 +47,31 @@ val spawn : t -> (unit -> unit) -> unit
     virtual time [time].  [time] must not be in the past.  A callback that
     raises stops {!run} at once with that exception. *)
 val at : t -> time:float -> (unit -> unit) -> unit
+
+(** {1 Cancellable timers} *)
+
+(** A handle on one timer.  It is an immediate value, so keeping it in a
+    mutable field costs no write barrier. *)
+type timer [@@immediate]
+
+(** A handle that is never {!pending}; cancelling it does nothing. *)
+val no_timer : timer
+
+(** [timer t ~time f] is {!at} that can be cancelled: it schedules callback
+    [f] at [time], drawing its sequence number now, and returns its
+    handle. *)
+val timer : t -> time:float -> (unit -> unit) -> timer
+
+(** [cancel t h] unschedules [h] in O(log n) if it has not fired yet: it
+    never runs, does not count in {!events_executed}, and its closure is
+    released at once.  Every other event keeps its (time, seq) key, since
+    the cancelled timer keeps the number it drew.  Cancelling a timer that
+    fired or was cancelled already does nothing. *)
+val cancel : t -> timer -> unit
+
+(** [pending t h]: [h] is scheduled and has neither fired nor been
+    cancelled. *)
+val pending : t -> timer -> bool
 
 (** Run until the event queue drains.  If exactly one fiber raised, that
     exception is re-raised here after the queue stops; if several fibers
@@ -47,10 +88,10 @@ val failures : t -> exn list
 
 (** Advance this fiber's virtual time by [dt] seconds (dt >= 0).
 
-    When the wake-up time lies strictly before every queued event, the
-    resume would be the next event, so the fiber carries on at once: the
-    clock advances and the event counts in {!events_executed}, with no
-    fiber switch.  The schedule is the same either way.  Raises when
+    When nothing is queued at the current time and the wake-up time lies
+    strictly before every queued event, the resume would be the next
+    event, so the fiber carries on at once: the clock advances and the
+    event counts in {!events_executed}, with no fiber switch.  The schedule is the same either way.  Raises when
     called from an {!at} callback. *)
 val delay : float -> unit
 

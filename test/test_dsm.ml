@@ -18,6 +18,7 @@ module Backend_intf = Carlos_dsm.Backend_intf
 module Diff = Carlos_vm.Diff
 module Cost = Carlos_obs.Cost
 module Engine = Carlos_sim.Engine
+module Resource = Carlos_sim.Resource
 module Obs = Carlos_obs.Obs
 
 (* One message a loopback peer carried: destination, cost class and
@@ -682,6 +683,34 @@ let test_fault_during_invalidation_sees_missing () =
       Lrc.accept c.lrcs.(1) [ pb ]);
   Engine.run engine;
   Alcotest.(check int) "the read in the window sees the write" 7 !seen
+
+let test_repeated_write_notice_recorded_once () =
+  (* Two accepts of one RELEASE race: the first yields to charge for the
+     write notice before its clock advances, so the second starts from
+     the same clock and applies the same interval's notice again.  Node 1
+     must record the missing id once, and fetch and apply its diff once. *)
+  let c = make_cluster ~charge:Engine.delay 2 in
+  let a = slot c ~page:0 0 in
+  let engine = Engine.create () in
+  let seen = ref (-1) in
+  Engine.spawn engine (fun () ->
+      Shm.write_i64 c.shms.(0) a 7;
+      let pb = Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false in
+      let second = Resource.Ivar.create () in
+      Engine.fork (fun () ->
+          Lrc.accept c.lrcs.(1) [ pb ];
+          Resource.Ivar.fill second ());
+      Lrc.accept c.lrcs.(1) [ pb ];
+      Resource.Ivar.read second;
+      seen := Shm.read_i64 c.shms.(1) a);
+  Engine.run engine;
+  Alcotest.(check int) "the notice was applied twice" 2
+    (dsm_counter c ~node:1 "write_notices_applied");
+  Alcotest.(check int) "one diff applied" 1
+    (dsm_counter c ~node:1 "diffs_applied");
+  Alcotest.(check int) "one diff request" 1
+    (dsm_counter c ~node:1 "diff_requests");
+  Alcotest.(check int) "the read sees the write" 7 !seen
 
 let test_many_interval_page_history_correct () =
   (* Long per-page histories exercise the whole-page fetch path; the final
@@ -1540,6 +1569,8 @@ let () =
             `Quick test_close_during_flush_publishes_orphan;
           Alcotest.test_case "fault during an invalidation sees it missing"
             `Quick test_fault_during_invalidation_sees_missing;
+          Alcotest.test_case "repeated write notice recorded once" `Quick
+            test_repeated_write_notice_recorded_once;
           loopback "long page history" test_many_interval_page_history_correct;
         ] );
       ( "lrc-strategies",

@@ -11,11 +11,14 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+(* Insert without keeping the slot. *)
+let add h ~time ~seq v = ignore (Heap.add h ~time ~seq v : int)
+
 let test_heap_order () =
   let h = Heap.create ~dummy:"" () in
-  Heap.add h ~time:3.0 ~seq:0 "c";
-  Heap.add h ~time:1.0 ~seq:1 "a";
-  Heap.add h ~time:2.0 ~seq:2 "b";
+  add h ~time:3.0 ~seq:0 "c";
+  add h ~time:1.0 ~seq:1 "a";
+  add h ~time:2.0 ~seq:2 "b";
   let popped = ref [] in
   while not (Heap.is_empty h) do
     popped := Heap.pop h :: !popped
@@ -25,8 +28,8 @@ let test_heap_order () =
 
 let test_heap_tie_break () =
   let h = Heap.create ~dummy:"" () in
-  Heap.add h ~time:1.0 ~seq:5 "later";
-  Heap.add h ~time:1.0 ~seq:2 "earlier";
+  add h ~time:1.0 ~seq:5 "later";
+  add h ~time:1.0 ~seq:2 "earlier";
   check_float "min time" 1.0 (Heap.min_time h);
   Alcotest.(check string) "lower seq first" "earlier" (Heap.pop h);
   Alcotest.(check int) "one left" 1 (Heap.size h)
@@ -36,7 +39,7 @@ let prop_heap_sorted =
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_nat))
     (fun pairs ->
       let h = Heap.create ~dummy:(-1) () in
-      List.iteri (fun i (time, _) -> Heap.add h ~time ~seq:i i) pairs;
+      List.iteri (fun i (time, _) -> add h ~time ~seq:i i) pairs;
       let rec drain last =
         if Heap.is_empty h then true
         else begin
@@ -56,7 +59,7 @@ let prop_heap_lexicographic =
     (fun times ->
       let h = Heap.create ~dummy:(-1) () in
       List.iteri
-        (fun i t -> Heap.add h ~time:(float_of_int t) ~seq:i i)
+        (fun i t -> add h ~time:(float_of_int t) ~seq:i i)
         times;
       let rec drain last_t last_s =
         if Heap.is_empty h then true
@@ -79,7 +82,7 @@ let test_heap_releases_popped_values () =
   for i = 0 to n - 1 do
     let v = ref i in
     Gc.finalise (fun _ -> incr collected) v;
-    Heap.add h ~time:(float_of_int i) ~seq:i v
+    add h ~time:(float_of_int i) ~seq:i v
   done;
   for _ = 1 to n do
     ignore (Heap.pop h)
@@ -88,6 +91,101 @@ let test_heap_releases_popped_values () =
   Gc.full_major ();
   Alcotest.(check int) "all popped values collected" n !collected;
   Alcotest.(check int) "heap empty" 0 (Heap.size h)
+
+let test_heap_remove_by_slot () =
+  let h = Heap.create ~dummy:"" () in
+  let slots =
+    List.init 6 (fun i ->
+        Heap.add h ~time:(float_of_int i) ~seq:i (string_of_int i))
+  in
+  let slot i = List.nth slots i in
+  Alcotest.(check bool) "live" true (Heap.live h ~slot:(slot 2) ~seq:2);
+  Alcotest.(check bool) "wrong seq is not live" false
+    (Heap.live h ~slot:(slot 2) ~seq:3);
+  Alcotest.(check bool) "remove" true (Heap.remove h ~slot:(slot 2) ~seq:2);
+  Alcotest.(check bool) "remove twice" false
+    (Heap.remove h ~slot:(slot 2) ~seq:2);
+  Alcotest.(check bool) "remove the root" true
+    (Heap.remove h ~slot:(slot 0) ~seq:0);
+  Alcotest.(check bool) "out-of-range slots are not live" false
+    (Heap.live h ~slot:(-1) ~seq:0 || Heap.live h ~slot:1000 ~seq:0);
+  (* The freed slot goes to the next entry; the old key does not match. *)
+  let reused = Heap.add h ~time:9.0 ~seq:9 "9" in
+  Alcotest.(check int) "the last freed slot is reused" (slot 0) reused;
+  Alcotest.(check bool) "reused slot, old key" false
+    (Heap.live h ~slot:reused ~seq:0);
+  let popped = ref [] in
+  while not (Heap.is_empty h) do
+    popped := Heap.pop h :: !popped
+  done;
+  Alcotest.(check (list string)) "the rest in order" [ "1"; "3"; "4"; "5"; "9" ]
+    (List.rev !popped)
+
+(* After removals by slot (each tried twice), the pops come out in
+   (time, seq) order, and exactly the entries not removed come out. *)
+let prop_heap_remove =
+  QCheck.Test.make ~name:"heap removal keeps (time, seq) order" ~count:200
+    QCheck.(list (pair (int_bound 3) (int_bound 4)))
+    (fun entries ->
+      let h = Heap.create ~dummy:(-1) () in
+      let slots =
+        Array.of_list
+          (List.mapi
+             (fun i (t, _) -> Heap.add h ~time:(float_of_int t) ~seq:i i)
+             entries)
+      in
+      (* Remove each entry whose action is 0, once or twice. *)
+      let removed =
+        List.concat
+          (List.mapi
+             (fun i (_, act) ->
+               if act = 0 then begin
+                 assert (Heap.remove h ~slot:slots.(i) ~seq:i);
+                 assert (not (Heap.remove h ~slot:slots.(i) ~seq:i));
+                 [ i ]
+               end
+               else [])
+             entries)
+      in
+      let rec drain last_t last_s acc =
+        if Heap.is_empty h then Some (List.rev acc)
+        else begin
+          let t = Heap.min_time h and s = Heap.min_seq h in
+          let v = Heap.pop h in
+          if v = s && (t > last_t || (t = last_t && s > last_s)) then
+            drain t s (v :: acc)
+          else None
+        end
+      in
+      let time = Array.of_list (List.map fst entries) in
+      let expected =
+        List.init (Array.length time) Fun.id
+        |> List.filter (fun i -> not (List.mem i removed))
+        |> List.stable_sort (fun a b -> compare time.(a) time.(b))
+      in
+      drain neg_infinity (-1) [] = Some expected)
+
+let test_heap_steady_state_allocation () =
+  (* Once the arrays have grown, adding, popping and removing entries is
+     plain array work: no minor word. *)
+  let h = Heap.create ~dummy:0 () in
+  (* Boxed once here, so passing a time allocates nothing either. *)
+  let times = Array.init 7 (fun i -> (float_of_int i, ())) in
+  let cycle () =
+    for i = 0 to 999 do
+      let time, () = times.(i mod 7) in
+      let slot = Heap.add h ~time ~seq:i i in
+      if i mod 3 = 0 then ignore (Heap.remove h ~slot ~seq:i : bool)
+    done;
+    while not (Heap.is_empty h) do
+      ignore (Heap.pop h : int)
+    done
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  cycle ();
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "1,000 pushes allocate %.0f words" words
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -418,6 +516,275 @@ let test_engine_queued_delay_allocation () =
   if w > 10.01 then Alcotest.failf "a suspending delay allocates %.2f words" w
 
 (* ------------------------------------------------------------------ *)
+(* Cancellable timers and the queue counts *)
+
+let test_timer_cancelled_never_runs () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let note name () = fired := (name, Engine.now eng) :: !fired in
+  let t1 = Engine.timer eng ~time:1.0 (note "cancelled") in
+  let t2 = Engine.timer eng ~time:2.0 (note "kept") in
+  Engine.at eng ~time:0.5 (fun () ->
+      Alcotest.(check bool) "pending before the cancel" true
+        (Engine.pending eng t1);
+      Engine.cancel eng t1;
+      Engine.cancel eng t1;
+      Alcotest.(check bool) "not pending after it" false
+        (Engine.pending eng t1));
+  Engine.at eng ~time:3.0 (fun () ->
+      Alcotest.(check bool) "a fired timer is not pending" false
+        (Engine.pending eng t2);
+      Engine.cancel eng t2;
+      Engine.cancel eng Engine.no_timer);
+  Engine.run eng;
+  Alcotest.(check (list (pair string (float 1e-9)))) "only the kept timer ran"
+    [ ("kept", 2.0) ] !fired;
+  Alcotest.(check int) "the cancelled timer is not an event" 3
+    (Engine.events_executed eng);
+  Alcotest.(check int) "one timer cancelled" 1 (Engine.timers_cancelled eng)
+
+(* Arms a timer whose closure holds a finalised cell, so the cell is
+   unreachable from the caller once it returns. *)
+let arm_watched eng collected =
+  let cell = ref 0 in
+  Gc.finalise (fun _ -> incr collected) cell;
+  Engine.timer eng ~time:1.0 (fun () -> incr cell)
+
+let test_timer_cancel_releases_closure () =
+  let eng = Engine.create () in
+  let collected = ref 0 in
+  let h = arm_watched eng collected in
+  Engine.cancel eng h;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "the cancelled closure was collected" 1 !collected;
+  Engine.run eng;
+  Alcotest.(check int) "nothing ran" 0 (Engine.events_executed eng)
+
+let test_engine_queue_counts () =
+  (* A fixed program: two fibers, two timers and a callback chain.  The
+     two fiber starts, the fork, the callback at time 0 and its at-now
+     successor come from the lane; the first timer cancels the second. *)
+  let eng = Engine.create () in
+  Engine.spawn eng (fun () ->
+      Engine.fork (fun () -> Engine.delay 1.0);
+      Engine.delay 0.5;
+      Engine.delay 2.0);
+  Engine.spawn eng (fun () -> Engine.delay 0.25);
+  let doomed = Engine.timer eng ~time:0.75 (fun () -> ()) in
+  ignore (Engine.timer eng ~time:0.25 (fun () -> Engine.cancel eng doomed));
+  Engine.at eng ~time:0.0 (fun () ->
+      Engine.at eng ~time:(Engine.now eng) (fun () -> ()));
+  Engine.run eng;
+  (* Events: 2 spawns, the fork, 4 delays, 1 timer, 2 callbacks. *)
+  Alcotest.(check int) "events executed" 10 (Engine.events_executed eng);
+  Alcotest.(check int) "from the at-now lane" 5 (Engine.events_from_lane eng);
+  Alcotest.(check int) "timers cancelled" 1 (Engine.timers_cancelled eng);
+  (* Five queued before the run; the first fiber forks and then delays
+     behind the queued lane. *)
+  Alcotest.(check int) "peak queue" 6 (Engine.peak_queue eng)
+
+let test_timer_in_the_past_rejected () =
+  let eng = Engine.create () in
+  Engine.at eng ~time:1.0 (fun () ->
+      Alcotest.check_raises "timer before now"
+        (Invalid_argument "Engine.schedule: time 0.5 is before now 1")
+        (fun () -> ignore (Engine.timer eng ~time:0.5 ignore)));
+  Engine.run eng
+
+(* A random queue program: numbered bodies, each a list of operations,
+   run either as a callback or as a fiber.  A body schedules only
+   higher-numbered bodies, so every program ends.  Timer and park cells
+   are shared by all bodies. *)
+type qop =
+  | Q_at of float * int (* callback body at now + dt *)
+  | Q_timer of float * int * int (* timer into cell, running a body *)
+  | Q_cancel of int (* cancel the timer in a cell *)
+  | Q_delay of float (* fibers only *)
+  | Q_fork of int (* a fiber forks, a callback spawns *)
+  | Q_park of int (* fibers only: suspend, leaving the resume in a cell *)
+  | Q_wake of int (* resume the fiber parked in a cell, if any *)
+
+let q_cells = 2
+
+type qlog = Q_cb of int | Q_fiber of int | Q_resumed of int * int
+
+(* The reference: one (time, seq)-sorted list, a sequence number drawn at
+   every scheduling (a delay's included, a cancelled timer's kept), and
+   a cancel that deletes by number.  Returns the log with times, the
+   events run and the timers cancelled. *)
+let run_queue_model bodies =
+  let queue = ref [] and seq = ref 0 and now = ref 0.0 in
+  let push time ev =
+    let key = (time, !seq) in
+    incr seq;
+    let rec ins = function
+      | (k, _) :: _ as l when compare key k < 0 -> (key, ev) :: l
+      | x :: rest -> x :: ins rest
+      | [] -> [ (key, ev) ]
+    in
+    queue := ins !queue;
+    snd key
+  in
+  let timers = Array.make q_cells (-1) and parked = Array.make q_cells None in
+  let log = ref [] and events = ref 0 and cancelled = ref 0 in
+  let common ~fiber = function
+    | Q_at (dt, b) -> ignore (push (!now +. dt) (`Cb b))
+    | Q_timer (dt, b, c) -> timers.(c) <- push (!now +. dt) (`Cb b)
+    | Q_cancel c ->
+      if List.exists (fun ((_, s), _) -> s = timers.(c)) !queue then begin
+        queue := List.filter (fun ((_, s), _) -> s <> timers.(c)) !queue;
+        incr cancelled
+      end
+    | Q_fork b -> ignore (push !now (`Fiber b))
+    | Q_wake c -> (
+      match parked.(c) with
+      | Some k ->
+        parked.(c) <- None;
+        ignore (push !now (`Resume k))
+      | None -> ())
+    | Q_delay _ | Q_park _ -> assert (not fiber)
+  in
+  let rec fiber b pc = function
+    | [] -> ()
+    | Q_delay dt :: rest -> ignore (push (!now +. dt) (`Resume (b, pc, rest)))
+    | Q_park c :: rest when parked.(c) = None ->
+      parked.(c) <- Some (b, pc, rest)
+    | Q_park _ :: rest -> fiber b (pc + 1) rest
+    | op :: rest ->
+      common ~fiber:true op;
+      fiber b (pc + 1) rest
+  in
+  let callback b =
+    List.iter
+      (function Q_delay _ | Q_park _ -> () | op -> common ~fiber:false op)
+      bodies.(b)
+  in
+  ignore (push 0.0 (`Fiber 0));
+  ignore (push 0.0 (`Cb 1));
+  let rec loop () =
+    match !queue with
+    | [] -> ()
+    | ((time, _), ev) :: rest ->
+      queue := rest;
+      now := time;
+      incr events;
+      (match ev with
+      | `Cb b ->
+        log := (Q_cb b, time) :: !log;
+        callback b
+      | `Fiber b ->
+        log := (Q_fiber b, time) :: !log;
+        fiber b 0 bodies.(b)
+      | `Resume (b, pc, rest) ->
+        log := (Q_resumed (b, pc), time) :: !log;
+        fiber b (pc + 1) rest);
+      loop ()
+  in
+  loop ();
+  (List.rev !log, !events, !cancelled)
+
+let run_queue_engine bodies =
+  let eng = Engine.create () in
+  let timers = Array.make q_cells Engine.no_timer in
+  let parked = Array.make q_cells None in
+  let log = ref [] in
+  let note entry = log := (entry, Engine.now eng) :: !log in
+  let rec common ~fiber = function
+    | Q_at (dt, b) ->
+      Engine.at eng ~time:(Engine.now eng +. dt) (fun () -> callback b)
+    | Q_timer (dt, b, c) ->
+      timers.(c) <-
+        Engine.timer eng ~time:(Engine.now eng +. dt) (fun () -> callback b)
+    | Q_cancel c -> Engine.cancel eng timers.(c)
+    | Q_fork b ->
+      if fiber then Engine.fork (fun () -> run_fiber b)
+      else Engine.spawn eng (fun () -> run_fiber b)
+    | Q_wake c -> (
+      match parked.(c) with
+      | Some resume ->
+        parked.(c) <- None;
+        resume ()
+      | None -> ())
+    | Q_delay _ | Q_park _ -> ()
+  and callback b =
+    note (Q_cb b);
+    List.iter (common ~fiber:false) bodies.(b)
+  and run_fiber b =
+    note (Q_fiber b);
+    List.iteri
+      (fun pc op ->
+        match op with
+        | Q_delay dt ->
+          Engine.delay dt;
+          note (Q_resumed (b, pc))
+        | Q_park c when parked.(c) = None ->
+          Engine.suspend (fun resume -> parked.(c) <- Some resume);
+          note (Q_resumed (b, pc))
+        | Q_park _ -> ()
+        | op -> common ~fiber:true op)
+      bodies.(b)
+  in
+  Engine.spawn eng (fun () -> run_fiber 0);
+  Engine.at eng ~time:0.0 (fun () -> callback 1);
+  Engine.run eng;
+  (List.rev !log, Engine.events_executed eng, Engine.timers_cancelled eng)
+
+let gen_queue_program =
+  let open QCheck.Gen in
+  let dt = map (fun i -> 0.25 *. float_of_int i) (int_bound 2) in
+  let cell = int_bound (q_cells - 1) in
+  let body ~bodies b =
+    let later =
+      if b + 1 < bodies then [ int_range (b + 1) (bodies - 1) ] else []
+    in
+    let sched =
+      List.concat_map
+        (fun target ->
+          [
+            (2, map2 (fun dt b -> Q_at (dt, b)) dt target);
+            (3, map3 (fun dt b c -> Q_timer (dt, b, c)) dt target cell);
+            (1, map (fun b -> Q_fork b) target);
+          ])
+        later
+    in
+    list_size (int_bound 4)
+      (frequency
+         (sched
+         @ [
+             (3, map (fun c -> Q_cancel c) cell);
+             (3, map (fun d -> Q_delay d) dt);
+             (1, map (fun c -> Q_park c) cell);
+             (2, map (fun c -> Q_wake c) cell);
+           ]))
+  in
+  int_range 2 6 >>= fun bodies ->
+  flatten_l (List.init bodies (body ~bodies)) >|= Array.of_list
+
+let print_queue_program bodies =
+  let op = function
+    | Q_at (dt, b) -> Printf.sprintf "at +%g b%d" dt b
+    | Q_timer (dt, b, c) -> Printf.sprintf "timer%d +%g b%d" c dt b
+    | Q_cancel c -> Printf.sprintf "cancel%d" c
+    | Q_delay dt -> Printf.sprintf "delay %g" dt
+    | Q_fork b -> Printf.sprintf "fork b%d" b
+    | Q_park c -> Printf.sprintf "park%d" c
+    | Q_wake c -> Printf.sprintf "wake%d" c
+  in
+  String.concat " | "
+    (Array.to_list
+       (Array.mapi
+          (fun b ops ->
+            Printf.sprintf "b%d: %s" b (String.concat "; " (List.map op ops)))
+          bodies))
+
+let prop_queue_matches_sorted_reference =
+  QCheck.Test.make
+    ~name:"queue runs programs in (time, seq) reference order" ~count:300
+    (QCheck.make ~print:print_queue_program gen_queue_program)
+    (fun bodies -> run_queue_engine bodies = run_queue_model bodies)
+
+(* ------------------------------------------------------------------ *)
 (* Resources *)
 
 let in_engine f =
@@ -571,8 +938,12 @@ let () =
           Alcotest.test_case "tie break by seq" `Quick test_heap_tie_break;
           Alcotest.test_case "popped values released to gc" `Quick
             test_heap_releases_popped_values;
+          Alcotest.test_case "remove by slot" `Quick test_heap_remove_by_slot;
+          Alcotest.test_case "steady-state push/pop allocates nothing" `Quick
+            test_heap_steady_state_allocation;
         ]
-        @ qcheck [ prop_heap_sorted; prop_heap_lexicographic ] );
+        @ qcheck [ prop_heap_sorted; prop_heap_lexicographic; prop_heap_remove ]
+      );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -609,6 +980,18 @@ let () =
             test_engine_queued_delay_allocation;
         ]
         @ qcheck [ prop_engine_matches_model ] );
+      ( "queue",
+        [
+          Alcotest.test_case "a cancelled timer never runs" `Quick
+            test_timer_cancelled_never_runs;
+          Alcotest.test_case "cancel releases the closure" `Quick
+            test_timer_cancel_releases_closure;
+          Alcotest.test_case "timer in the past rejected" `Quick
+            test_timer_in_the_past_rejected;
+          Alcotest.test_case "queue counts of a fixed program" `Quick
+            test_engine_queue_counts;
+        ]
+        @ qcheck [ prop_queue_matches_sorted_reference ] );
       ( "profile",
         [
           Alcotest.test_case "disabled run records zero samples" `Quick
