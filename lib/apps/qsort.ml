@@ -65,9 +65,9 @@ let make_layout sys p =
 
 let elem layout i = layout.array_base + (4 * i)
 
-let read_elem shm layout i = Shm.read_i32 shm (elem layout i)
+let[@inline] read_elem shm layout i = Shm.read_i32 shm (elem layout i)
 
-let write_elem shm layout i v = Shm.write_i32 shm (elem layout i) v
+let[@inline] write_elem shm layout i v = Shm.write_i32 shm (elem layout i) v
 
 (* Hoare partition with median-of-three pivot, element accesses through
    the coherent region. *)

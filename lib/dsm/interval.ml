@@ -113,7 +113,7 @@ module Log = struct
     let len = Array.length r.slots in
     if index < r.base then begin
       let top = r.base + len in
-      let slots = Array.make (max (2 * len) (top - index)) vacant in
+      let slots = Array.make (Int.max (2 * len) (top - index)) vacant in
       let base = top - Array.length slots in
       Array.blit r.slots 0 slots (r.base - base) len;
       r.lo <- r.lo + (r.base - base);
@@ -121,7 +121,7 @@ module Log = struct
       r.slots <- slots
     end
     else if index >= r.base + len then begin
-      let slots = Array.make (max (2 * len) (index - r.base + 1)) vacant in
+      let slots = Array.make (Int.max (2 * len) (index - r.base + 1)) vacant in
       Array.blit r.slots 0 slots 0 len;
       r.slots <- slots
     end
@@ -146,7 +146,7 @@ module Log = struct
   let remove_upto t ~creator ~index =
     let r = t.rows.(creator) in
     let len = Array.length r.slots in
-    let stop = min len (index - r.base + 1) in
+    let stop = Int.min len (index - r.base + 1) in
     for k = r.lo to stop - 1 do
       if r.slots.(k) != vacant then begin
         r.slots.(k) <- vacant;
@@ -174,8 +174,8 @@ module Log = struct
 
   let iter_range t ~creator ~lo ~hi f =
     let r = t.rows.(creator) in
-    let stop = min (Array.length r.slots) (hi + 1 - r.base) in
-    for k = max r.lo (lo + 1 - r.base) to stop - 1 do
+    let stop = Int.min (Array.length r.slots) (hi + 1 - r.base) in
+    for k = Int.max r.lo (lo + 1 - r.base) to stop - 1 do
       let i = Array.unsafe_get r.slots k in
       if i != vacant then f i
     done
@@ -186,7 +186,8 @@ module Log = struct
     let nodes = Array.length t.rows in
     let count = ref 0 in
     for c = 0 to nodes - 1 do
-      if creators c then count := !count + max 0 (Vc.get hi c - Vc.get lo c)
+      if creators c then
+        count := !count + Int.max 0 (Vc.get hi c - Vc.get lo c)
     done;
     if !count = 0 then [||]
     else begin

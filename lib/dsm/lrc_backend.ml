@@ -22,18 +22,17 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
       vc = Vc.zero ~nodes;
       log = Interval.Log.create ~nodes;
       gc_floor = Vc.zero ~nodes;
-      page_vc = Itbl.create 64;
+      page_vc = Array.make pages Vc.none;
       zero_vc = Vc.zero ~nodes;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
       store = Diff_store.create ~nodes ~pages;
+      flags = Bytes.make pages '\000';
       dirty = [];
-      dirty_set = Itbl.create 64;
-      orphans = Itbl.create 16;
-      missing = Itbl.create 64;
+      orphans = Array.make pages [];
+      missing = Array.make pages [];
       noticed = Itbl.create 64;
-      accessed = Itbl.create 64;
-      dropped = Itbl.create 16;
-      serve_cache = Hashtbl.create 64;
+      dropped = Array.make pages not_dropped;
+      serve_cache = Serve_cache.create 64;
       bases = Itbl.create 16;
       keeper = Array.make pages (-1);
       attach_floor = Array.init nodes (fun _ -> Vc.zero ~nodes);
@@ -54,6 +53,12 @@ let inject_fault t fault = t.fault <- fault
 let vc t = t.vc
 
 let request_vc t = Some (Vc.copy t.vc)
+
+let missing t page = t.missing.(page)
+
+let dropped t page =
+  let keeper = t.dropped.(page) in
+  if keeper = not_dropped then None else Some keeper
 
 let data_fetches t =
   Obs.value t.ins.diff_requests_c
@@ -113,56 +118,56 @@ let apply_interval t ~attached interval =
   if creator <> t.me then begin
     List.iter
       (fun page ->
-        if t.fault = Some Skip_write_notice then
+        match t.fault with
+        | Some Skip_write_notice ->
           (* Armed one-shot corruption: silently drop this write notice
              (no invalidation, no audit hook) — the page keeps serving
              stale bytes, which the auditor must detect. *)
           t.fault <- None
-        else begin
-        Obs.inc t.ins.write_notices_applied_c;
-        t.charge t.costs.Cpu_cost.write_notice_apply;
-        (* A whole-page install can leave the local copy ahead of the
-           vector clock; a write notice for an interval the content
-           already reflects must not re-invalidate the page (fetching its
-           old diff would clobber newer bytes). *)
-        (if
-          index > Vc.get (page_content_vc t page) creator
-        then begin
-          let p = Page_table.page t.page_table page in
-          let eager = Itbl.find_opt attached (diff_key t ~page id) in
-          let state = Page.state p in
-          (* [flush_page] yields while charging the encode, and the app
-             fiber can re-fault the page back to Read_write in that
-             window; keep flushing until it quiesces so the diffs land on
-             a twinless page (the interrupted write retries,
-             hardware-style), and so the page is never invalidated while
-             Read_write. *)
-          while Page.state p = Page.Read_write do
-            Lrc_close.flush_page t page
-          done;
-          match (eager, state) with
-          | Some ds, (Page.Read_only | Page.Read_write) ->
-            (* Update path: the data came with the message and the local
-               copy is current, so apply in place and stay valid. *)
-            List.iter
-              (fun d ->
-                Lrc_fetch.apply_diff t p d;
-                (* Cache the diff: this node can now serve it too. *)
-                Diff_store.add t.store ~page id d)
-              ds;
-            note_page_interval t page ~creator ~index
-          | eager, _ ->
-            (* Invalidation path (also taken when the local copy already
-               has gaps: an eagerly received diff cannot be applied onto
-               a stale base, so cache it for the later validation). *)
-            (match eager with
-            | Some ds ->
-              List.iter (fun d -> Diff_store.add t.store ~page id d) ds
-            | None -> ());
-            Lrc_fetch.invalidate t page p id
-        end);
-        t.hooks.on_write_notice ~node:t.me ~page ~creator ~index
-        end)
+        | None | Some Corrupt_vc_merge ->
+          Obs.inc t.ins.write_notices_applied_c;
+          t.charge t.costs.Cpu_cost.write_notice_apply;
+          (* A whole-page install can leave the local copy ahead of the
+             vector clock; a write notice for an interval the content
+             already reflects must not re-invalidate the page (fetching
+             its old diff would clobber newer bytes). *)
+          (if index > Vc.get (page_content_vc t page) creator then begin
+            let p = Page_table.page t.page_table page in
+            let eager = Itbl.find_opt attached (diff_key t ~page id) in
+            let state = Page.state p in
+            (* [flush_page] yields while charging the encode, and the
+               app fiber can re-fault the page back to Read_write in that
+               window; keep flushing until it quiesces so the diffs land
+               on a twinless page (the interrupted write retries,
+               hardware-style), and so the page is never invalidated
+               while Read_write. *)
+            while Page.state p = Page.Read_write do
+              Lrc_close.flush_page t page
+            done;
+            match (eager, state) with
+            | Some ds, (Page.Read_only | Page.Read_write) ->
+              (* Update path: the data came with the message and the
+                 local copy is current, so apply in place and stay
+                 valid. *)
+              List.iter
+                (fun d ->
+                  Lrc_fetch.apply_diff t p d;
+                  (* Cache the diff: this node can now serve it too. *)
+                  Diff_store.add t.store ~page id d)
+                ds;
+              note_page_interval t page ~creator ~index
+            | eager, _ ->
+              (* Invalidation path (also taken when the local copy
+                 already has gaps: an eagerly received diff cannot be
+                 applied onto a stale base, so cache it for the later
+                 validation). *)
+              (match eager with
+              | Some ds ->
+                List.iter (fun d -> Diff_store.add t.store ~page id d) ds
+              | None -> ());
+              Lrc_fetch.invalidate t page p id
+          end);
+          t.hooks.on_write_notice ~node:t.me ~page ~creator ~index)
       interval.Interval.write_notices;
     advance t ~creator ~index
   end

@@ -225,6 +225,21 @@ val gc_drop : t -> Vc.t -> unit
     {!gc_drop} has run on every node. *)
 val discard_before : t -> Vc.t -> unit
 
+(** {1 Per-page state} (read only) *)
+
+(** The clock the local copy of [page] covers: per creator, the highest
+    index whose writes it reflects (all zeros for a page with none).
+    Live value; do not mutate. *)
+val page_content_vc : t -> int -> Vc.t
+
+(** The ids of the intervals whose writes the local copy of [page]
+    lacks and must fetch, newest first; empty for most pages. *)
+val missing : t -> int -> Interval.id list
+
+(** [Some keeper] when a GC dropped the stale local copy of [page], to be
+    rebuilt from [keeper]'s base; [None] otherwise. *)
+val dropped : t -> int -> int option
+
 (** {1 Statistics} *)
 
 (** Blocking data round trips so far: diff, interval and page requests.

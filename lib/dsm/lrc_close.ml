@@ -26,28 +26,28 @@ let flush_page t page =
   | Page.Read_only | Page.Invalid -> ()
   | Page.Read_write ->
     let diff = encode t page in
-    let existing =
-      Option.value ~default:[] (Itbl.find_opt t.orphans page)
-    in
-    Itbl.replace t.orphans page (diff :: existing);
+    t.orphans.(page) <- diff :: t.orphans.(page);
     Writeback.charge_encode t.wb diff
 
 (* Still-unpublished local writes (orphans of the open interval) are
    newer than anything a served copy can hold; restore them onto [p]. *)
 let restore_orphans t page p =
-  match Itbl.find_opt t.orphans page with
-  | Some ds -> List.iter (fun d -> Page.apply_diff p d) (List.rev ds)
-  | None -> ()
+  List.iter (fun d -> Page.apply_diff p d) (List.rev t.orphans.(page))
 
 (* Mutate before charging: charging yields the fiber, and a concurrent
    write-notice arrival could invalidate the page mid-fault. *)
 let write_fault t page =
   Obs.inc t.ins.twins_created_c;
-  if not (Itbl.mem t.dirty_set page) then begin
-    Itbl.replace t.dirty_set page ();
+  if not (has_flag t page dirty_flag) then begin
+    set_flag t page dirty_flag;
     t.dirty <- page :: t.dirty
   end;
   Writeback.write_fault t.wb page
+
+(* The diff [encoded] holds for [page], if any. *)
+let rec encoded_diff page = function
+  | [] -> None
+  | (p, d) :: rest -> if p = page then Some d else encoded_diff page rest
 
 (* The body of [close_interval]: take the dirty pages, encode them and
    publish the new interval.  False when the open interval wrote
@@ -59,7 +59,7 @@ let publish_interval t =
     (* Take the dirty list before anything that can yield: writes made
        while this close encodes belong to the next interval. *)
     t.dirty <- [];
-    List.iter (fun page -> Itbl.remove t.dirty_set page) pages;
+    List.iter (fun page -> clear_flag t page dirty_flag) pages;
     (* Phase 1 — encode every dirty page's diff BEFORE ticking the vector
        clock.  Encoding charges CPU and yields the fiber, and a fetch_page
        request serviced at interrupt level during such a yield uses t.vc to
@@ -92,13 +92,13 @@ let publish_interval t =
     List.iter
       (fun page ->
         (* Diffs encoded mid-interval by write-notice arrivals... *)
-        (match Itbl.find_opt t.orphans page with
-        | Some ds ->
+        (match t.orphans.(page) with
+        | [] -> ()
+        | ds ->
           List.iter (fun d -> Diff_store.add t.store ~page id d) (List.rev ds);
-          Itbl.remove t.orphans page
-        | None -> ());
+          t.orphans.(page) <- []);
         (* ...and the final state of the page if it was still writable. *)
-        (match List.assoc_opt page encoded with
+        (match encoded_diff page encoded with
         | Some d -> Diff_store.add t.store ~page id d
         | None -> ());
         note_page_interval t page ~creator:t.me ~index)

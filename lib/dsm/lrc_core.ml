@@ -62,6 +62,19 @@ let no_hooks =
 
 type fault = Skip_write_notice | Corrupt_vc_merge
 
+(* A [serve_cache] key: a page, a creator and the lowest and highest
+   index of a run of its intervals. *)
+module Serve_key = struct
+  type t = { page : int; creator : int; lo : int; hi : int }
+
+  let equal a b =
+    a.page = b.page && a.creator = b.creator && a.lo = b.lo && a.hi = b.hi
+
+  let hash k = (((((k.page * 31) + k.creator) * 31) + k.lo) * 31) + k.hi
+end
+
+module Serve_cache = Hashtbl.Make (Serve_key)
+
 (* Registry handles for the protocol's accounting; readers look the
    counters up in the registry by key. *)
 type instruments = {
@@ -135,12 +148,16 @@ type t = {
   log : Interval.Log.t;
   (* The snapshot of the last GC: history at or below it is discarded. *)
   gc_floor : Vc.t;
-  (* Per page, the least upper bound of the interval timestamps whose
-     writes are reflected in the local copy (own closes, applied diffs,
-     whole-page installs).  A whole-page install is only sound when the
-     server's copy covers at least this much. *)
-  page_vc : Vc.t Itbl.t;
-  (* The coverage of a page with no [page_vc] entry; shared, never
+  (* Per-page state is indexed by page number: an array (or [Bytes])
+     with one entry per page of the table and a sentinel for a page with
+     nothing recorded, so the fault and write-notice paths neither hash
+     nor allocate an option.  [page_vc]: per page, the least upper bound
+     of the interval timestamps whose writes are reflected in the local
+     copy (own closes, applied diffs, whole-page installs).  A whole-page
+     install is only sound when the server's copy covers at least this
+     much. *)
+  page_vc : Vc.t array;
+  (* The coverage of a page whose [page_vc] is [Vc.none]; shared, never
      mutated. *)
   zero_vc : Vc.t;
   (* Conservative knowledge of what each peer holds: a clock every
@@ -155,36 +172,38 @@ type t = {
      encoding at interval close, every write notice ever published has
      its diff here at the creator. *)
   store : Diff_store.t;
+  (* Per page, the bits [accessed_flag] and [dirty_flag] below.  The
+     dirty flag marks the pages on the [dirty] list.  The accessed flag
+     marks the pages with a live local demand — the history that
+     picks which other missing pages may ride along in a fault's batch.
+     It decays: a write-notice invalidation clears it, and only a fresh
+     fault sets it again, so prefetching follows demonstrated reuse.
+     Without the decay a page touched once ever (say, another node's grid
+     block that node 0 initialised) would be prefetched on every later
+     fault. *)
+  flags : Bytes.t;
   (* Lrc_close: pages written in the current (open) interval. *)
   mutable dirty : int list;
-  dirty_set : unit Itbl.t;
-  (* Diffs encoded mid-interval (a write notice arrived for a locally
-     dirty page), newest first; they are published under the open
-     interval's id once it closes. *)
-  orphans : Diff.t list Itbl.t;
-  (* Lrc_fetch: for each invalid page, the interval ids whose diffs must
-     be applied. *)
-  missing : Interval.id list Itbl.t;
+  (* Per page, the diffs encoded mid-interval (a write notice arrived for
+     a locally dirty page), newest first; they are published under the
+     open interval's id once it closes. *)
+  orphans : Diff.t list array;
+  (* Lrc_fetch: per page, the interval ids whose diffs must be applied
+     before the page is valid; empty for most pages. *)
+  missing : Interval.id list array;
   (* Per (page, creator), keyed [page * nodes + creator], the highest
      index whose write notice [missing] recorded for the page while it
      held a list: the O(1) duplicate check of [Lrc_fetch.invalidate]. *)
   noticed : int ref Itbl.t;
-  (* Pages with a live local demand — the history that picks which other
-     missing pages may ride along in a fault's batch.  Membership decays:
-     a write-notice invalidation removes the page, and only a fresh fault
-     re-admits it, so prefetching follows demonstrated reuse.  Without the
-     decay a page touched once ever (say, another node's grid block that
-     node 0 initialised) would be prefetched on every later fault. *)
-  accessed : unit Itbl.t;
-  (* Pages whose stale copy a GC dropped, each with the keeper to refetch
-     a base from. *)
-  dropped : int Itbl.t;
+  (* Per page, the keeper to refetch a base from if a GC dropped the
+     page's stale copy, else [not_dropped]. *)
+  dropped : int array;
   (* Lrc_serve: creator-side cache of merged diff encodings, keyed by
      (page, creator, lo_index, hi_index).  The member set of a range is
      fully determined by the key (write notices are complete, and a
      fetcher's needed set per creator is upward-closed), so equal keys
      always denote the same merge. *)
-  serve_cache : (int * int * int * int, Diff.t) Hashtbl.t;
+  serve_cache : Diff.t Serve_cache.t;
   (* The base copies this node keeps, immutable once stored. *)
   bases : page_reply Itbl.t;
   (* Lrc_gc: per page, the node that keeps the page's base copy (-1
@@ -201,6 +220,25 @@ type t = {
 }
 
 let diff_key t ~page id = Diff_store.key t.store ~page id
+
+(* The [flags] bits. *)
+let accessed_flag = 1
+
+let dirty_flag = 2
+
+let has_flag t page flag = Char.code (Bytes.get t.flags page) land flag <> 0
+
+let set_flag t page flag =
+  Bytes.set t.flags page
+    (Char.unsafe_chr (Char.code (Bytes.get t.flags page) lor flag))
+
+let clear_flag t page flag =
+  Bytes.set t.flags page
+    (Char.unsafe_chr (Char.code (Bytes.get t.flags page) land lnot flag))
+
+(* The [dropped] entry of a page no GC dropped: no keeper is negative
+   but the [-1] of a page no GC has elected one for. *)
+let not_dropped = min_int
 
 let find_interval t (id : Interval.id) =
   try
@@ -236,7 +274,7 @@ let log_interval t (i : Interval.t) =
 
 (* Raise [vc] to cover interval (creator, index). *)
 let raise_to vc ~creator ~index =
-  Vc.set vc creator (max (Vc.get vc creator) index)
+  Vc.set vc creator (Int.max (Vc.get vc creator) index)
 
 let advance t ~creator ~index = raise_to t.vc ~creator ~index
 
@@ -298,26 +336,26 @@ let discard_log t snapshot =
    writes to this page have NOT necessarily been applied here. *)
 let note_page_interval t page ~creator ~index =
   t.hooks.on_page_interval ~node:t.me ~page ~creator ~index;
-  match Itbl.find_opt t.page_vc page with
-  | None ->
+  let cur = t.page_vc.(page) in
+  if cur == Vc.none then begin
     let vc = Vc.zero ~nodes:t.nodes in
     Vc.set vc creator index;
-    Itbl.replace t.page_vc page vc
-  | Some cur -> raise_to cur ~creator ~index
+    t.page_vc.(page) <- vc
+  end
+  else raise_to cur ~creator ~index
 
 (* A whole-page install genuinely carries per-creator coverage. *)
 let note_page_content t page vc =
   t.hooks.on_page_content ~node:t.me ~page ~vc;
-  match Itbl.find_opt t.page_vc page with
-  | None -> Itbl.replace t.page_vc page (Vc.copy vc)
-  | Some cur -> Vc.join_in_place cur vc
+  let cur = t.page_vc.(page) in
+  if cur == Vc.none then t.page_vc.(page) <- Vc.copy vc
+  else Vc.join_in_place cur vc
 
-let forget_page_content t page = Itbl.remove t.page_vc page
+let forget_page_content t page = t.page_vc.(page) <- Vc.none
 
 let page_content_vc t page =
-  match Itbl.find_opt t.page_vc page with
-  | Some vc -> vc
-  | None -> t.zero_vc
+  let vc = t.page_vc.(page) in
+  if vc == Vc.none then t.zero_vc else vc
 
 let note_peer_vc t ~peer vc =
   t.hooks.on_peer_note ~node:t.me ~peer ~vc;

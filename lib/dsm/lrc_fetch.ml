@@ -252,22 +252,21 @@ let notice_key t page (id : Interval.id) =
    creators (see [invalidate]). *)
 let forget_missing t page ids =
   List.iter (fun id -> Itbl.remove t.noticed (notice_key t page id)) ids;
-  Itbl.remove t.missing page
+  t.missing.(page) <- []
 
 (* Remove exactly [handled] from the page's missing set; validate the page
    only if nothing new arrived while we were blocked. *)
 let finish_page t page ~handled =
-  let ids = Option.value ~default:[] (Itbl.find_opt t.missing page) in
-  let remaining = unhandled ids ~handled in
-  if remaining = [] then begin
+  let ids = t.missing.(page) in
+  match unhandled ids ~handled with
+  | [] ->
     forget_missing t page ids;
     let p = Page_table.page t.page_table page in
     if Page.state p = Page.Invalid then begin
       Page.validate p;
       t.charge t.costs.Cpu_cost.page_protect
     end
-  end
-  else Itbl.replace t.missing page remaining
+  | remaining -> t.missing.(page) <- remaining
 
 let fetch_and_apply t targets =
   let prepared =
@@ -300,6 +299,12 @@ let fetch_batch t targets =
   Writeback.under_gates t.wb (List.map fst targets) (fun () ->
       fetch_and_apply t targets)
 
+(* Whether the write notices [pages] name [page]: [List.mem] without the
+   polymorphic compare. *)
+let rec names page = function
+  | [] -> false
+  | p :: rest -> p = page || names page rest
+
 (* The logged intervals that wrote [page] and that the page's content may
    lack: above [covers], at most the vector clock (an id above it belongs
    to an accept still in progress, whose write notice then leaves it
@@ -309,12 +314,12 @@ let fetch_batch t targets =
 let writes_above t page ~covers ~applied =
   let ids = ref [] in
   for creator = 0 to t.nodes - 1 do
-    let floor = max (Vc.get covers creator) (Vc.get t.gc_floor creator) in
+    let floor = Int.max (Vc.get covers creator) (Vc.get t.gc_floor creator) in
     for index = floor + 1 to Vc.get t.vc creator do
       let id = { Interval.creator; index } in
       if
         (not (Itbl.mem applied (diff_key t ~page id)))
-        && List.mem page (find_interval t id).Interval.write_notices
+        && names page (find_interval t id).Interval.write_notices
       then ids := id :: !ids
     done
   done;
@@ -329,7 +334,7 @@ let writes_above t page ~covers ~applied =
    close bumps before its diff is applied here. *)
 let refetch_dropped t page ~keeper =
   let base = Lrc_serve.fetch_base t ~dst:keeper ~page in
-  Itbl.remove t.dropped page;
+  t.dropped.(page) <- not_dropped;
   forget_page_content t page;
   let p = install t page base in
   let applied = Itbl.create 8 in
@@ -348,9 +353,27 @@ let refetch_dropped t page ~keeper =
       (fun (id : Interval.id) ->
         id.Interval.index <= Vc.get base.covers id.Interval.creator
         || Itbl.mem applied (diff_key t ~page id))
-      (Option.value ~default:[] (Itbl.find_opt t.missing page))
+      t.missing.(page)
   in
   finish_page t page ~handled
+
+(* The missing pages other than [page] that may ride along in its
+   fault's batch, each with its missing ids, in ascending page order:
+   the accessed pages that no fetch or refetch owns.  Few pages are
+   accessed, so the scan reads the flags first. *)
+let ride_along t page =
+  let extra = ref [] in
+  for other = Bytes.length t.flags - 1 downto 0 do
+    if has_flag t other accessed_flag && other <> page then
+      match t.missing.(other) with
+      | [] -> ()
+      | ids ->
+        if
+          (not (Writeback.fetching t.wb other))
+          && t.dropped.(other) = not_dropped
+        then extra := (other, ids) :: !extra
+  done;
+  !extra
 
 (* Bring one invalid page up to date.  Loops because new write notices can
    arrive while we block on the network.  The other missing pages this
@@ -363,39 +386,26 @@ let rec validate_page t page =
     Ivar.read gate;
     validate_page_if_needed t page
   | None -> (
-    match Itbl.find_opt t.dropped page with
-    | Some keeper ->
+    let keeper = t.dropped.(page) in
+    if keeper <> not_dropped then begin
       Writeback.under_gates t.wb [ page ] (fun () ->
           refetch_dropped t page ~keeper);
       validate_page_if_needed t page
-    | None -> (
-      match Itbl.find_opt t.missing page with
-      | None | Some [] ->
-        Itbl.remove t.missing page;
+    end
+    else
+      match t.missing.(page) with
+      | [] ->
         let p = Page_table.page t.page_table page in
         if Page.state p = Page.Invalid then Page.validate p
-      | Some ids ->
-        let extra =
-          Itbl.fold
-            (fun other other_ids acc ->
-              if
-                other <> page && other_ids <> []
-                && Itbl.mem t.accessed other
-                && (not (Writeback.fetching t.wb other))
-                && not (Itbl.mem t.dropped other)
-              then (other, other_ids) :: acc
-              else acc)
-            t.missing []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        in
-        fetch_batch t ((page, ids) :: extra);
-        validate_page_if_needed t page))
+      | ids ->
+        fetch_batch t ((page, ids) :: ride_along t page);
+        validate_page_if_needed t page)
 
 and validate_page_if_needed t page =
   let p = Page_table.page t.page_table page in
   if Page.state p = Page.Invalid then validate_page t page
 
-let note_access t page = Itbl.replace t.accessed page ()
+let note_access t page = set_flag t page accessed_flag
 
 let read_fault t page =
   note_access t page;
@@ -427,14 +437,12 @@ let invalidate t page p (id : Interval.id) =
       Itbl.add t.noticed key (ref id.Interval.index);
       true
   in
-  if fresh then
-    Itbl.replace t.missing page
-      (id :: Option.value ~default:[] (Itbl.find_opt t.missing page));
+  if fresh then t.missing.(page) <- id :: t.missing.(page);
   if Page.state p <> Page.Invalid then begin
     Page.invalidate p;
     (* Decay the prefetch history: the page must fault again to prove it
        is still wanted before riding along in batches. *)
-    Itbl.remove t.accessed page;
+    clear_flag t page accessed_flag;
     t.charge t.costs.Cpu_cost.page_protect
   end
 
@@ -444,11 +452,12 @@ let refresh t pages =
   let stale =
     List.filter_map
       (fun page ->
-        if Writeback.fetching t.wb page || Itbl.mem t.dropped page then None
+        if Writeback.fetching t.wb page || t.dropped.(page) <> not_dropped
+        then None
         else
-          match Itbl.find_opt t.missing page with
-          | None | Some [] -> None
-          | Some ids -> Some (page, ids))
+          match t.missing.(page) with
+          | [] -> None
+          | ids -> Some (page, ids))
       pages
   in
   if stale <> [] then fetch_batch t stale
@@ -464,30 +473,24 @@ let rec drop_stale t snapshot ~keepers =
     Ivar.read gate;
     drop_stale t snapshot ~keepers
   | None ->
-    let stale =
-      Itbl.fold
-        (fun page ids acc ->
-          if
-            List.exists
-              (fun (id : Interval.id) ->
-                id.Interval.index <= Vc.get snapshot id.Interval.creator)
-              ids
-          then (page, ids) :: acc
-          else acc)
-        t.missing []
-    in
-    List.iter
-      (fun (page, ids) ->
+    for page = 0 to Array.length t.missing - 1 do
+      let ids = t.missing.(page) in
+      if
+        List.exists
+          (fun (id : Interval.id) ->
+            id.Interval.index <= Vc.get snapshot id.Interval.creator)
+          ids
+      then begin
         forget_missing t page ids;
         forget_page_content t page;
-        Itbl.replace t.dropped page keepers.(page))
-      stale;
-    Itbl.filter_map_inplace
-      (fun page _ ->
+        t.dropped.(page) <- keepers.(page)
+      end;
+      if t.dropped.(page) <> not_dropped then begin
         let keeper = keepers.(page) in
         if keeper < 0 || keeper = t.me then
           raise
             (Protocol_violation
                (Printf.sprintf "dropped page %d has no other keeper" page));
-        Some keeper)
-      t.dropped
+        t.dropped.(page) <- keeper
+      end
+    done

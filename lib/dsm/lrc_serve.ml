@@ -42,17 +42,21 @@ let serve_diffs t request =
         let sorted =
           List.sort
             (fun (a : Interval.id) (b : Interval.id) ->
-              compare a.Interval.index b.Interval.index)
+              Int.compare a.Interval.index b.Interval.index)
             ids
         in
         let first = List.hd sorted in
         let last = List.nth sorted (List.length sorted - 1) in
         let key =
-          (page, first.Interval.creator, first.Interval.index,
-           last.Interval.index)
+          {
+            Serve_key.page;
+            creator = first.Interval.creator;
+            lo = first.Interval.index;
+            hi = last.Interval.index;
+          }
         in
         let merged =
-          match Hashtbl.find_opt t.serve_cache key with
+          match Serve_cache.find_opt t.serve_cache key with
           | Some d ->
             Obs.inc t.ins.diff_cache_hits_c;
             d
@@ -64,9 +68,9 @@ let serve_diffs t request =
             t.charge
               (t.costs.Cpu_cost.diff_data_per_byte
               *. float_of_int (Diff.changed_bytes d));
-            if Hashtbl.length t.serve_cache >= serve_cache_cap then
-              Hashtbl.reset t.serve_cache;
-            Hashtbl.replace t.serve_cache key d;
+            if Serve_cache.length t.serve_cache >= serve_cache_cap then
+              Serve_cache.reset t.serve_cache;
+            Serve_cache.replace t.serve_cache key d;
             d
         in
         (page, first, [ merged ])
@@ -110,7 +114,7 @@ let keep_base t page =
 let discard t ~keeps =
   (* Merged encodings may cover just-discarded history; drop them all
      rather than tracking which ranges survive. *)
-  Hashtbl.reset t.serve_cache;
+  Serve_cache.reset t.serve_cache;
   Itbl.filter_map_inplace
     (fun page base -> if keeps page then Some base else None)
     t.bases

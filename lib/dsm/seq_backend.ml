@@ -313,7 +313,7 @@ let accept t ?local:_ pbs =
     (* A barrier manager reaches its own fall without sending a release:
        its writes enter the global order here. *)
     flush_dirty t;
-    let upto = List.fold_left (fun acc pb -> max acc pb.upto) 0 pbs in
+    let upto = List.fold_left (fun acc pb -> Int.max acc pb.upto) 0 pbs in
     if upto > t.horizon then t.horizon <- upto;
     while t.applied_seq < upto do
       let gate = Ivar.create () in

@@ -1,3 +1,6 @@
+(* Every function that indexes a clock is annotated [t], so it compiles
+   for an [int array]: inferred as ['a array], an entry compare would be
+   a C call and a store a write barrier, behind a float-array check. *)
 type t = int array
 
 let zero ~nodes =
@@ -6,25 +9,28 @@ let zero ~nodes =
 
 let copy = Array.copy
 
-let get t i = t.(i)
+(* The empty array is one static atom, never in the minor heap. *)
+let none : t = [||]
 
-let set t i v = t.(i) <- v
+let get (t : t) i = t.(i)
 
-let tick t ~me =
+let set (t : t) i v = t.(i) <- v
+
+let tick (t : t) ~me =
   t.(me) <- t.(me) + 1;
   t.(me)
 
-let join a b =
+let join (a : t) (b : t) =
   if Array.length a <> Array.length b then invalid_arg "Vc.join: size";
-  Array.init (Array.length a) (fun i -> max a.(i) b.(i))
+  Array.init (Array.length a) (fun i -> Int.max a.(i) b.(i))
 
-let join_in_place a b =
+let join_in_place (a : t) (b : t) =
   if Array.length a <> Array.length b then invalid_arg "Vc.join_in_place: size";
   for i = 0 to Array.length a - 1 do
     if b.(i) > a.(i) then a.(i) <- b.(i)
   done
 
-let rec dominates_from a b i =
+let rec dominates_from (a : t) (b : t) i =
   i >= Array.length a || (a.(i) >= b.(i) && dominates_from a b (i + 1))
 
 let dominates a b =

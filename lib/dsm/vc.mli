@@ -10,6 +10,12 @@ val zero : nodes:int -> t
 
 val copy : t -> t
 
+(** The clock of no node: a sentinel that no {!zero} clock or copy of
+    one is, physically.  It is a static value, so a large array filled
+    with it is allocated without the runtime first emptying the minor
+    heap, as it does for an array filled with a young block. *)
+val none : t
+
 val get : t -> int -> int
 
 val set : t -> int -> int -> unit

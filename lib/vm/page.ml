@@ -49,8 +49,11 @@ let twin_release pool b =
   end
 
 (* Invariant: a [Read_write] page owns its data ([make_twin]
-   materializes it), so the writes {!Page_table.write_data} hands out
-   never reach a zero frame. *)
+   materializes it), so the writes {!Shm} makes to a writable page's
+   data never reach a zero frame.  Every frame a page holds is [size]
+   bytes long — the zero frame of its size, its own frame, and an
+   installed copy, whose length [install] checks — so {!Shm} may load
+   and store inside a page without a bounds check. *)
 type t = {
   mutable data : Bytes.t;
   mutable state : state;

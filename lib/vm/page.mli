@@ -34,7 +34,8 @@ val state : t -> state
 (** A read-only view of the page content: it may be the shared zero
     frame, which must never be written.  Write through {!patch} (or the
     other writers above) instead; the one exception is a [Read_write]
-    page, whose data is its own frame. *)
+    page, whose data is its own frame.  Whatever frame it is, its length
+    is the page's [size]. *)
 val data : t -> Bytes.t
 
 (** The page content as of the last interval boundary: the twin when the

@@ -30,6 +30,8 @@ let pages t = Array.length t.table
 
 let page_size t = t.page_size
 
+let frames t = t.table
+
 let page t i =
   if i < 0 || i >= Array.length t.table then
     invalid_arg (Printf.sprintf "Page_table.page: bad page %d" i);
@@ -80,30 +82,3 @@ let ensure_writable t i =
       attempt (n + 1)
   in
   attempt 0
-
-(* Fast-path accessors for {!Shm}: when the page is already accessible
-   (the overwhelmingly common case) return its backing bytes with one
-   state check and no allocation; otherwise fall into the full
-   fault-and-retry logic above.  [i] must be a valid page index — Shm
-   derives it from an address already validated against the coherent
-   segment bounds. *)
-
-let[@inline never] read_data_slow t i =
-  ensure_readable t i;
-  Page.data (page t i)
-
-let[@inline] read_data t i =
-  let p = Array.unsafe_get t.table i in
-  match Page.state p with
-  | Page.Read_only | Page.Read_write -> Page.data p
-  | Page.Invalid -> read_data_slow t i
-
-let[@inline never] write_data_slow t i =
-  ensure_writable t i;
-  Page.data (page t i)
-
-let[@inline] write_data t i =
-  let p = Array.unsafe_get t.table i in
-  match Page.state p with
-  | Page.Read_write -> Page.data p
-  | Page.Invalid | Page.Read_only -> write_data_slow t i

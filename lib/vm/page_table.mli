@@ -28,6 +28,10 @@ val page_size : t -> int
 
 val page : t -> int -> Page.t
 
+(** The table itself: page [i] is element [i].  {!Shm}'s typed accessors
+    read a page's state and data from it without a call.  Read only. *)
+val frames : t -> Page.t array
+
 (** Install the handler run when a fiber reads an [Invalid] page.  On
     return the page must be readable. *)
 val set_read_fault : t -> (int -> unit) -> unit
@@ -43,16 +47,6 @@ val ensure_readable : t -> int -> unit
     [Invalid] page first takes the read fault, then the write fault, as
     with a real protection trap). *)
 val ensure_writable : t -> int -> unit
-
-(** [read_data t i] is the backing bytes of page [i], faulting first if
-    the page is invalid.  Fast path for {!Shm}: one state check, no
-    allocation when the page is already readable.  [i] must be a valid
-    page index (unchecked). *)
-val read_data : t -> int -> Bytes.t
-
-(** [write_data t i] is the backing bytes of page [i], faulting first if
-    the page is not writable.  Same contract as {!read_data}. *)
-val write_data : t -> int -> Bytes.t
 
 (** {1 Statistics}
 

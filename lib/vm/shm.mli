@@ -9,7 +9,14 @@
     protocol hooks in.  An address outside the region raises
     [Invalid_argument] (a segmentation violation).  Multi-byte accessors
     require natural alignment so that no access straddles a page
-    boundary. *)
+    boundary.
+
+    The 32- and 64-bit and float accessors inline into their callers
+    (the default build compiles without [-opaque]): an aligned access
+    to a page whose state allows it is a few compares and one load or
+    store, allocates nothing and passes a float unboxed.  Every other
+    access takes an out-of-line path with the same checks, errors and
+    faults. *)
 
 type t
 
@@ -58,8 +65,9 @@ val write_i64 : t -> int -> int -> unit
 (** {1 Floats} (8-byte aligned IEEE doubles) *)
 
 (** [read_f64_into t addr dst i] stores the double at [addr] in
-    [dst.(i)].  A float returned across the module boundary would be
-    boxed, one allocation per read; this stores it unboxed. *)
+    [dst.(i)].  A float returned by a call that is not inlined is boxed,
+    one allocation per read, and this accessor's fault path is such a
+    call; storing into [dst] never boxes. *)
 val read_f64_into : t -> int -> float array -> int -> unit
 
 val write_f64 : t -> int -> float -> unit

@@ -1516,6 +1516,256 @@ let test_diff_store_discard_upto () =
           i.Interval.creator i.Interval.index)
     (List.rev !pieces)
 
+(* ------------------------------------------------------------------ *)
+(* LRC per-page state *)
+
+(* Which missing pages ride along in a fault's batch.  Node 0 writes the
+   pages of [written] (among 0..5) and pages 6 and 7 in one interval;
+   node 1 accepts it.  Before that, a GC dropped node 1's stale copy of
+   page 7.  Then fibers of node 1 fault on page 6 (its fetch stays in
+   flight), on page 7 and on the pages of [accessed], and each stops at
+   its fault trap or in its fetch.  Node 1 then faults on [first]: its
+   batch applies [first], then, in ascending order, exactly the other
+   accessed pages that miss an interval — not page 6, whose fetch owns
+   it, nor page 7, which must be rebuilt from its keeper. *)
+let ride_along_case ~written ~accessed ~first =
+  let trap = Cpu_cost.default.Cpu_cost.fault_trap in
+  (* Which charges stop the fiber that makes them for a second. *)
+  let stop = ref (fun _ -> false) in
+  let c =
+    make_cluster ~charge:(fun dt -> if !stop dt then Engine.delay 1.0) 2
+  in
+  let write page v = Shm.write_i64 c.shms.(0) (slot c ~page 0) v in
+  let read page = ignore (Shm.read_i64 c.shms.(1) (slot c ~page 0)) in
+  write 7 1;
+  ignore (release c ~src:0 ~dst:1);
+  run_gc c;
+  List.iter (fun page -> write page 2) (6 :: 7 :: written);
+  ignore (release c ~src:0 ~dst:1);
+  (* Page 6's fetch stops in the server's charge, holding its gate. *)
+  stop := (fun dt -> dt <> trap);
+  Engine.fork (fun () -> read 6);
+  Engine.delay 0.1;
+  stop := (fun dt -> dt = trap);
+  List.iter (fun page -> Engine.fork (fun () -> read page)) (7 :: accessed);
+  Engine.delay 0.1;
+  stop := (fun _ -> false);
+  let applied = ref [] in
+  Lrc.set_hooks c.lrcs.(1)
+    {
+      Lrc.no_hooks with
+      on_page_interval =
+        (fun ~node:_ ~page ~creator:_ ~index:_ ->
+          match !applied with
+          | last :: _ when last = page -> ()
+          | _ -> applied := page :: !applied);
+    };
+  read first;
+  Lrc.set_hooks c.lrcs.(1) Lrc.no_hooks;
+  let batch = List.rev !applied in
+  (* Every stopped fiber finishes, and every page reads node 0's value. *)
+  Engine.delay 2.0;
+  List.iter
+    (fun page ->
+      if Shm.read_i64 c.shms.(1) (slot c ~page 0) <> 2 then
+        QCheck.Test.fail_reportf "page %d: stale after the faults" page)
+    (6 :: 7 :: written);
+  batch
+
+let gen_ride_along =
+  QCheck.Gen.(
+    let pages =
+      map (List.filter (fun p -> p >= 0)) (list_repeat 6 (int_range (-1) 5))
+    in
+    pages >>= fun written ->
+    let written = List.sort_uniq Int.compare (0 :: written) in
+    pages >>= fun accessed ->
+    oneofl written >|= fun first ->
+    (written, List.sort_uniq Int.compare accessed, first))
+
+let prop_ride_along_batch =
+  QCheck.Test.make ~name:"lrc: a fault's batch is the accessed missing pages"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (w, a, f) ->
+         let l ps = String.concat "," (List.map string_of_int ps) in
+         Printf.sprintf "written [%s], accessed [%s], first %d" (l w) (l a) f)
+       gen_ride_along)
+    (fun (written, accessed, first) ->
+      let batch =
+        in_engine (fun () -> ride_along_case ~written ~accessed ~first)
+      in
+      let expected =
+        first
+        :: List.filter
+             (fun p -> p <> first && List.mem p written)
+             accessed
+      in
+      if batch <> expected then
+        QCheck.Test.fail_reportf "batch [%s], expected [%s]"
+          (String.concat "," (List.map string_of_int batch))
+          (String.concat "," (List.map string_of_int expected));
+      true)
+
+(* Node 1's per-page state through invalidations, validations, GC drops
+   and refetches, against a model kept in hash tables.  Node 0 is the
+   only writer: each [Write] is one interval of node 0 that writes the
+   listed pages, released to node 1.  A [Read] at node 1 validates the
+   page, from diffs, a whole-page copy (more than three missing
+   intervals) or, for a page a GC dropped, its keeper's base and the
+   logged intervals above it.  [Gc] runs a whole GC: every page node 1
+   misses is dropped, to be rebuilt from node 0's base. *)
+type page_op = Write of int list | Read of int | Gc
+
+let show_page_op = function
+  | Write ps ->
+    Printf.sprintf "write [%s]" (String.concat "," (List.map string_of_int ps))
+  | Read p -> Printf.sprintf "read %d" p
+  | Gc -> "gc"
+
+let model_pages = 4
+
+let gen_page_op =
+  QCheck.Gen.(
+    let page = int_bound (model_pages - 1) in
+    frequency
+      [
+        ( 4,
+          map
+            (fun ps -> Write (List.sort_uniq Int.compare ps))
+            (list_size (int_range 1 3) page) );
+        (3, map (fun p -> Read p) page);
+        (1, return Gc);
+      ])
+
+let prop_page_state_model =
+  QCheck.Test.make ~name:"lrc: per-page state matches a hash-table model"
+    ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_page_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_page_op))
+    (fun ops ->
+      in_engine @@ fun () ->
+      let c = make_cluster 2 in
+      let node1 = c.lrcs.(1) in
+      (* The model.  Node 0's interval count; per interval, the pages it
+         wrote; per page at node 1, the creator-0 component of its
+         coverage, its missing indices (newest first), whether a GC
+         dropped it and whether it has a live fault; per page, the
+         coverage of node 0's base; the pages written since the last GC
+         and the last GC's snapshot. *)
+      let k = ref 0 and gc_floor = ref 0 in
+      let wrote = Hashtbl.create 16 in
+      let covers = Hashtbl.create 8 and missing = Hashtbl.create 8 in
+      let dropped = Hashtbl.create 8 and accessed = Hashtbl.create 8 in
+      let base = Hashtbl.create 8 and epoch = Hashtbl.create 8 in
+      let coverage p = Option.value ~default:0 (Hashtbl.find_opt covers p) in
+      let missed p = Option.value ~default:[] (Hashtbl.find_opt missing p) in
+      let raise_cover p i = Hashtbl.replace covers p (Int.max (coverage p) i) in
+      (* A batch page: a whole-page copy of node 0's, which covers its
+         clock, when more than three intervals are needed, else their
+         diffs. *)
+      let validate p =
+        let needed = List.filter (fun i -> i > coverage p) (missed p) in
+        if List.length needed > 3 then raise_cover p !k
+        else List.iter (raise_cover p) needed;
+        Hashtbl.remove missing p
+      in
+      (* The base install, then every logged interval above it that wrote
+         the page. *)
+      let refetch p =
+        let b = Hashtbl.find base p in
+        Hashtbl.replace covers p b;
+        for i = Int.max b !gc_floor + 1 to !k do
+          if List.mem p (Hashtbl.find wrote i) then raise_cover p i
+        done;
+        Hashtbl.remove missing p;
+        Hashtbl.remove dropped p
+      in
+      let apply = function
+        | Write ps ->
+          incr k;
+          Hashtbl.replace wrote !k ps;
+          List.iter
+            (fun p ->
+              Shm.write_i64 c.shms.(0) (slot c ~page:p 0) !k;
+              Hashtbl.replace epoch p ())
+            ps;
+          ignore (release c ~src:0 ~dst:1);
+          List.iter
+            (fun p ->
+              if missed p = [] && not (Hashtbl.mem dropped p) then
+                Hashtbl.remove accessed p;
+              Hashtbl.replace missing p (!k :: missed p))
+            ps
+        | Read p ->
+          let value = Shm.read_i64 c.shms.(1) (slot c ~page:p 0) in
+          let last = ref 0 in
+          Hashtbl.iter
+            (fun i ps -> if List.mem p ps then last := Int.max !last i)
+            wrote;
+          if value <> !last then
+            QCheck.Test.fail_reportf "page %d reads %d, expected %d" p value
+              !last;
+          if Hashtbl.mem dropped p then begin
+            Hashtbl.replace accessed p ();
+            refetch p
+          end
+          else if missed p <> [] then begin
+            let riders =
+              List.filter
+                (fun q ->
+                  q <> p && missed q <> [] && Hashtbl.mem accessed q
+                  && not (Hashtbl.mem dropped q))
+                (List.init model_pages Fun.id)
+            in
+            Hashtbl.replace accessed p ();
+            List.iter validate (p :: riders)
+          end
+        | Gc ->
+          run_gc c;
+          Hashtbl.iter (fun p () -> Hashtbl.replace base p !k) epoch;
+          Hashtbl.reset epoch;
+          Hashtbl.iter
+            (fun p _ ->
+              Hashtbl.remove covers p;
+              Hashtbl.replace dropped p ())
+            missing;
+          Hashtbl.reset missing;
+          gc_floor := !k
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          for p = 0 to model_pages - 1 do
+            let vc = Lrc.page_content_vc node1 p in
+            if Vc.get vc 0 <> coverage p || Vc.get vc 1 <> 0 then
+              QCheck.Test.fail_reportf "after %s: page %d covers %s, model %d"
+                (show_page_op op) p
+                (Format.asprintf "%a" Vc.pp vc)
+                (coverage p);
+            let ids =
+              List.map
+                (fun (id : Interval.id) ->
+                  if id.Interval.creator <> 0 then
+                    QCheck.Test.fail_reportf "page %d misses a node-1 id" p;
+                  id.Interval.index)
+                (Lrc.missing node1 p)
+            in
+            if ids <> missed p then
+              QCheck.Test.fail_reportf
+                "after %s: page %d misses [%s], model [%s]"
+                (show_page_op op) p
+                (String.concat "," (List.map string_of_int ids))
+                (String.concat "," (List.map string_of_int (missed p)));
+            let want = if Hashtbl.mem dropped p then Some 0 else None in
+            if Lrc.dropped node1 p <> want then
+              QCheck.Test.fail_reportf "after %s: page %d dropped mark differs"
+                (show_page_op op) p
+          done)
+        ops;
+      true)
+
 let qcheck = Props.qcheck
 
 let () =
@@ -1622,4 +1872,6 @@ let () =
         :: Alcotest.test_case "diff store discards up to a snapshot" `Quick
              test_diff_store_discard_upto
         :: qcheck [ prop_causal_range_matches_oracle; prop_log_matches_model ] );
+      ( "lrc-page-state",
+        qcheck [ prop_ride_along_batch; prop_page_state_model ] );
     ]

@@ -734,6 +734,304 @@ let test_shm_u8 () =
   Shm.write_u8 shm addr 200;
   Alcotest.(check int) "u8" 200 (Shm.read_u8 shm addr)
 
+(* [write_f64], [read_i32] and [write_i32] on a mapped page allocate
+   nothing either.  The stored float is computed, so a call that boxed
+   its argument would show here: the accessors inline into this loop
+   (the default build compiles without [-opaque]). *)
+let test_shm_access_allocation () =
+  let shm = make_shm () in
+  let f = Shm.addr shm ~page:3 ~offset:8
+  and i = Shm.addr shm ~page:4 ~offset:4 in
+  Shm.write_f64 shm f 0.5;
+  Shm.write_i32 shm i 0;
+  let n = 10_000 in
+  let words name access =
+    let before = Gc.minor_words () in
+    for k = 1 to n do
+      access k
+    done;
+    let w = (Gc.minor_words () -. before) /. float_of_int n in
+    if w > 0.0 then Alcotest.failf "%s allocates %.2f words" name w
+  in
+  words "write_f64" (fun k -> Shm.write_f64 shm f (float_of_int k *. 0.5));
+  let sum = ref 0 in
+  words "read_i32" (fun _ -> sum := !sum + Shm.read_i32 shm i);
+  words "write_i32" (fun k -> Shm.write_i32 shm i (k - 5_000));
+  let dst = Array.make 1 0.0 in
+  Shm.read_f64_into shm f dst 0;
+  Alcotest.(check (float 0.0)) "last f64" (float_of_int n *. 0.5) dst.(0);
+  Alcotest.(check int) "last i32" (n - 5_000) (Shm.read_i32 shm i);
+  Alcotest.(check int) "reads saw the stored zero" 0 !sum
+
+(* Every frame a page can hold is [page_size] bytes long, which lets the
+   typed accessors load without a bounds check: the pool's zero frames
+   (one per size), the page's own frame once a write materializes it,
+   and an installed copy, whose size [install] checks. *)
+let test_page_frames_are_page_sized () =
+  let twin_pool = Page.create_twin_pool () in
+  let small = Page.create ~twin_pool ~size:32
+  and large = Page.create ~twin_pool ~size:64 in
+  let length p = Bytes.length (Page.data p) in
+  Alcotest.(check int) "zero frame, 32" 32 (length small);
+  Alcotest.(check int) "zero frame, 64" 64 (length large);
+  Page.make_twin large;
+  Alcotest.(check int) "own frame" 64 (length large);
+  let (_ : Diff.t) = Page.encode_diff large ~page_index:0 in
+  Page.patch small ~offset:4 (Bytes.of_string "ab");
+  Alcotest.(check int) "patched frame" 32 (length small);
+  Page.install small (Bytes.make 32 'x');
+  Alcotest.(check int) "installed frame" 32 (length small);
+  (match Page.install small (Bytes.make 64 'y') with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" "Page.install: size mismatch" msg
+  | () -> Alcotest.fail "install of a wrong-sized copy accepted");
+  Alcotest.(check string) "rejected install wrote nothing" (String.make 32 'x')
+    (Bytes.to_string (Page.data small))
+
+(* The typed accessors against a byte-array model of the region.  A
+   random mix of reads and writes of every width, at aligned, unaligned
+   and out-of-range addresses, with out-of-range values, on pages that
+   start in every state: each access must return the model's value or
+   raise its exception (message included), take the model's faults in
+   its order, and leave the model's bytes and page states. *)
+
+type access =
+  | Rd_u8 of int
+  | Wr_u8 of int * int
+  | Rd_i32 of int
+  | Wr_i32 of int * int
+  | Rd_i64 of int
+  | Wr_i64 of int * int
+  | Rd_f64 of int
+  | Wr_f64 of int * float
+
+let show_access =
+  let a addr = Printf.sprintf "base%+d" (addr - Shm.base) in
+  function
+  | Rd_u8 x -> "read_u8 " ^ a x
+  | Wr_u8 (x, v) -> Printf.sprintf "write_u8 %s %d" (a x) v
+  | Rd_i32 x -> "read_i32 " ^ a x
+  | Wr_i32 (x, v) -> Printf.sprintf "write_i32 %s %d" (a x) v
+  | Rd_i64 x -> "read_i64 " ^ a x
+  | Wr_i64 (x, v) -> Printf.sprintf "write_i64 %s %d" (a x) v
+  | Rd_f64 x -> "read_f64 " ^ a x
+  | Wr_f64 (x, v) -> Printf.sprintf "write_f64 %s %h" (a x) v
+
+let model_page_size = 64
+
+let model_pages = 4
+
+let model_size = model_page_size * model_pages
+
+type model_case = {
+  states : Page.state array;
+  fill : string; (* the region's bytes before the first access *)
+  accesses : access list;
+}
+
+let show_state = function
+  | Page.Invalid -> "I"
+  | Page.Read_only -> "R"
+  | Page.Read_write -> "W"
+
+let print_model_case c =
+  Printf.sprintf "states %s\n%s"
+    (String.concat "" (Array.to_list (Array.map show_state c.states)))
+    (String.concat "\n" (List.map show_access c.accesses))
+
+let gen_model_case =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (* Mostly inside the region, any alignment... *)
+        (6, map (fun o -> Shm.base + o) (int_bound (model_size - 1)));
+        (* ...word-aligned more often, and a little outside. *)
+        ( 6,
+          map (fun w -> Shm.base + (8 * w)) (int_bound ((model_size / 8) - 1))
+        );
+        (2, map (fun o -> Shm.base + model_size - 16 + o) (int_bound 31));
+        (2, map (fun o -> Shm.base - 16 + o) (int_bound 15));
+        (1, oneofl [ 0; -8; max_int - 7; min_int ]);
+      ]
+  in
+  let i32 =
+    frequency
+      [
+        (6, int_range (-1000) 1000);
+        (2, oneofl [ 0x7fff_ffff; -0x8000_0000; 0x8000_0000; -0x8000_0001 ]);
+        (1, oneofl [ max_int; min_int ]);
+      ]
+  in
+  let u8 = frequency [ (6, int_bound 255); (1, oneofl [ -1; 256 ]) ] in
+  let f64 =
+    frequency
+      [
+        (4, float_range (-1e6) 1e6);
+        (1, oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; 5e-324 ]);
+      ]
+  in
+  let access =
+    frequency
+      [
+        (2, map (fun a -> Rd_u8 a) addr);
+        (2, map2 (fun a v -> Wr_u8 (a, v)) addr u8);
+        (3, map (fun a -> Rd_i32 a) addr);
+        (3, map2 (fun a v -> Wr_i32 (a, v)) addr i32);
+        (2, map (fun a -> Rd_i64 a) addr);
+        (2, map2 (fun a v -> Wr_i64 (a, v)) addr int);
+        (2, map (fun a -> Rd_f64 a) addr);
+        (2, map2 (fun a v -> Wr_f64 (a, v)) addr f64);
+      ]
+  in
+  map3
+    (fun states fill accesses ->
+      { states = Array.of_list states; fill; accesses })
+    (list_repeat model_pages
+       (oneofl [ Page.Invalid; Page.Read_only; Page.Read_write ]))
+    (string_size ~gen:char (return model_size))
+    (list_size (int_range 1 40) access)
+
+(* The model's fault: the page table's read fault validates, its write
+   fault makes the twin, and each logs the page. *)
+type fault = Read_fault of int | Write_fault of int
+
+let prop_shm_matches_model =
+  QCheck.Test.make ~name:"shm: typed accessors match a byte-array model"
+    ~count:300
+    (QCheck.make ~print:print_model_case gen_model_case)
+    (fun c ->
+      let shm =
+        Shm.create ~page_size:model_page_size ~pages:model_pages ()
+      in
+      let pt = Shm.page_table shm in
+      let log = ref [] in
+      Page_table.set_read_fault pt (fun i ->
+          log := Read_fault i :: !log;
+          Page.validate (Page_table.page pt i));
+      Page_table.set_write_fault pt (fun i ->
+          log := Write_fault i :: !log;
+          Page.make_twin (Page_table.page pt i));
+      for i = 0 to model_pages - 1 do
+        Shm.patch_bytes shm (Shm.addr shm ~page:i ~offset:0)
+          (Bytes.of_string
+             (String.sub c.fill (i * model_page_size) model_page_size));
+        let p = Page_table.page pt i in
+        match c.states.(i) with
+        | Page.Read_only -> ()
+        | Page.Read_write -> Page.make_twin p
+        | Page.Invalid -> Page.invalidate p
+      done;
+      (* The model: the region's bytes, the page states and the fault
+         log, changed as the checked accessors change them. *)
+      let bytes = Bytes.of_string c.fill and states = Array.copy c.states in
+      let model_log = ref [] in
+      let fail msg = raise (Invalid_argument msg) in
+      let locate addr =
+        let off = addr - Shm.base in
+        if off < 0 || off >= model_size then
+          fail (Printf.sprintf "Shm: segmentation violation at 0x%x" addr);
+        off
+      in
+      let aligned addr width =
+        if addr land (width - 1) <> 0 then
+          fail
+            (Printf.sprintf "Shm: unaligned %d-byte access at 0x%x" width addr)
+      in
+      let readable off =
+        let i = off / model_page_size in
+        if states.(i) = Page.Invalid then begin
+          model_log := Read_fault i :: !model_log;
+          states.(i) <- Page.Read_only
+        end
+      in
+      let writable off =
+        readable off;
+        let i = off / model_page_size in
+        if states.(i) = Page.Read_only then begin
+          model_log := Write_fault i :: !model_log;
+          states.(i) <- Page.Read_write
+        end
+      in
+      let model = function
+        | Rd_u8 a ->
+          let off = locate a in
+          readable off;
+          Bytes.get_uint8 bytes off
+        | Wr_u8 (a, v) ->
+          if v < 0 || v > 0xff then fail "Shm.write_u8: out of range";
+          let off = locate a in
+          writable off;
+          Bytes.set_uint8 bytes off v;
+          0
+        | Rd_i32 a ->
+          aligned a 4;
+          let off = locate a in
+          readable off;
+          Int32.to_int (Bytes.get_int32_le bytes off)
+        | Wr_i32 (a, v) ->
+          aligned a 4;
+          if v < -0x8000_0000 || v > 0x7fff_ffff then
+            fail "Shm.write_i32: out of range";
+          let off = locate a in
+          writable off;
+          Bytes.set_int32_le bytes off (Int32.of_int v);
+          0
+        | Rd_i64 a | Rd_f64 a ->
+          aligned a 8;
+          let off = locate a in
+          readable off;
+          Int64.to_int (Bytes.get_int64_le bytes off)
+        | Wr_i64 (a, v) ->
+          aligned a 8;
+          let off = locate a in
+          writable off;
+          Bytes.set_int64_le bytes off (Int64.of_int v);
+          0
+        | Wr_f64 (a, v) ->
+          aligned a 8;
+          let off = locate a in
+          writable off;
+          Bytes.set_int64_le bytes off (Int64.bits_of_float v);
+          0
+      in
+      let dst = Array.make 2 0.0 in
+      let real = function
+        | Rd_u8 a -> Shm.read_u8 shm a
+        | Wr_u8 (a, v) -> Shm.write_u8 shm a v; 0
+        | Rd_i32 a -> Shm.read_i32 shm a
+        | Wr_i32 (a, v) -> Shm.write_i32 shm a v; 0
+        | Rd_i64 a -> Shm.read_i64 shm a
+        | Wr_i64 (a, v) -> Shm.write_i64 shm a v; 0
+        | Rd_f64 a ->
+          Shm.read_f64_into shm a dst 1;
+          Int64.to_int (Int64.bits_of_float dst.(1))
+        | Wr_f64 (a, v) -> Shm.write_f64 shm a v; 0
+      in
+      let outcome f x =
+        match f x with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      List.iter
+        (fun a ->
+          let want = outcome model a and got = outcome real a in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: %s, model %s" (show_access a)
+              (match got with Ok v -> string_of_int v | Error m -> m)
+              (match want with Ok v -> string_of_int v | Error m -> m);
+          if !log <> !model_log then
+            QCheck.Test.fail_reportf "%s: faults differ" (show_access a))
+        c.accesses;
+      for i = 0 to model_pages - 1 do
+        let p = Page_table.page pt i in
+        if Page.state p <> states.(i) then
+          QCheck.Test.fail_reportf "page %d: state differs" i;
+        if
+          Bytes.sub bytes (i * model_page_size) model_page_size
+          <> Page.data p
+        then QCheck.Test.fail_reportf "page %d: bytes differ" i
+      done;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Frames on first touch *)
 
@@ -1094,6 +1392,8 @@ let () =
             test_page_invalidate_requires_clean;
           Alcotest.test_case "install and validate" `Quick
             test_page_install_and_validate;
+          Alcotest.test_case "every frame is page-sized" `Quick
+            test_page_frames_are_page_sized;
         ] );
       ( "page-table",
         [
@@ -1116,7 +1416,10 @@ let () =
           Alcotest.test_case "u8" `Quick test_shm_u8;
           Alcotest.test_case "read_f64_into allocation" `Quick
             test_shm_read_f64_into_allocation;
-        ] );
+          Alcotest.test_case "write_f64 and i32 access allocation" `Quick
+            test_shm_access_allocation;
+        ]
+        @ qcheck [ prop_shm_matches_model ] );
       ( "frames",
         Alcotest.test_case "system create footprint" `Quick
           test_system_create_footprint
