@@ -8,6 +8,10 @@ let make ~creator ~index ~vc ~write_notices =
     invalid_arg "Interval.make: vc does not match index";
   { id = { creator; index }; vc; rank = Vc.sum vc; write_notices }
 
+let none =
+  { id = { creator = -1; index = 0 }; vc = Vc.none; rank = -1;
+    write_notices = [] }
+
 let size_bytes t = Vc.size_bytes t.vc + 4 + (4 * List.length t.write_notices)
 
 let same_id (a : id) (b : id) = a.creator = b.creator && a.index = b.index

@@ -18,6 +18,10 @@ type t = private {
 
 val make : creator:int -> index:int -> vc:Vc.t -> write_notices:int list -> t
 
+(** A placeholder that is no interval: it writes no page and sorts
+    below every interval ({!causal_compare}).  Compare with [==]. *)
+val none : t
+
 (** Wire size of an interval description: the vector timestamp plus a 4-byte
     id and 4 bytes per write notice. *)
 val size_bytes : t -> int

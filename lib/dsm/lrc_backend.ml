@@ -30,7 +30,7 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
       dirty = [];
       orphans = Array.make pages [];
       missing = Array.make pages [];
-      noticed = Itbl.create 64;
+      noticed = Array.make pages [||];
       dropped = Array.make pages not_dropped;
       serve_cache = Serve_cache.create 64;
       bases = Itbl.create 16;
@@ -59,6 +59,11 @@ let missing t page = t.missing.(page)
 let dropped t page =
   let keeper = t.dropped.(page) in
   if keeper = not_dropped then None else Some keeper
+
+let notice_mark t ~page ~creator =
+  match t.noticed.(page) with [||] -> 0 | row -> row.(creator)
+
+let keeper t page = t.keeper.(page)
 
 let data_fetches t =
   Obs.value t.ins.diff_requests_c
@@ -133,7 +138,11 @@ let apply_interval t ~attached interval =
              its old diff would clobber newer bytes). *)
           (if index > Vc.get (page_content_vc t page) creator then begin
             let p = Page_table.page t.page_table page in
-            let eager = Itbl.find_opt attached (diff_key t ~page id) in
+            let eager =
+              match attached with
+              | None -> None
+              | Some attached -> Itbl.find_opt attached (diff_key t ~page id)
+            in
             let state = Page.state p in
             (* [flush_page] yields while charging the encode, and the
                app fiber can re-fault the page back to Read_write in that
@@ -185,17 +194,34 @@ let rec count_waste t = function
     end;
     count_waste t rest
 
+let carries_diffs pb =
+  match pb.attached_diffs with [] -> false | _ :: _ -> true
+
+(* The diffs the piggybacks carry eagerly, by [diff_key]; [None] when none
+   carries any, as always under [Invalidate], so that [apply_interval]
+   looks nothing up. *)
+let index_attached t piggybacks =
+  if not (List.exists carries_diffs piggybacks) then None
+  else begin
+    let attached = Itbl.create 16 in
+    List.iter
+      (fun pb ->
+        List.iter
+          (fun (page, id, ds) ->
+            Itbl.replace attached (diff_key t ~page id) ds)
+          pb.attached_diffs)
+      piggybacks;
+    Some attached
+  end
+
 let accept_piggybacks t ~local piggybacks =
   (* 1. Index any eagerly shipped diffs (update/hybrid strategies), log
      every interval description carried by the messages, and join the
      timestamps we must reach. *)
-  let attached = Itbl.create 16 and target = Vc.copy t.vc in
+  let attached = index_attached t piggybacks and target = Vc.copy t.vc in
   List.iter
     (fun pb ->
       if not (List.memq pb local) then count_waste t pb.intervals;
-      List.iter
-        (fun (page, id, ds) -> Itbl.replace attached (diff_key t ~page id) ds)
-        pb.attached_diffs;
       List.iter (log_interval t) pb.intervals;
       Vc.join_in_place target pb.required_vc)
     piggybacks;
@@ -249,6 +275,8 @@ let accept t ?(local = []) piggybacks =
 
 let metadata_pressure t =
   Diff_store.bytes_stored t.store + (32 * Interval.Log.length t.log)
+
+let elect_keepers = Lrc_gc.elect_keepers
 
 let gc_keep = Lrc_gc.gc_keep
 

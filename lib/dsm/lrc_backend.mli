@@ -214,6 +214,11 @@ val metadata_pressure : t -> int
     as the page's immutable base copy.  Blocking. *)
 val gc_keep : t -> Vc.t -> unit
 
+(** [elect_keepers t snapshot] is {!gc_keep}'s election alone: it
+    records each elected keeper (see {!keeper}) and returns the pages
+    this node now keeps, ascending.  Does not block. *)
+val elect_keepers : t -> Vc.t -> int list
+
 (** [gc_drop t snapshot] drops every copy that still misses history at or
     below [snapshot], after waiting for the fetches in flight here.  A
     later fault on a dropped page installs the keeper's base (through
@@ -239,6 +244,16 @@ val missing : t -> int -> Interval.id list
 (** [Some keeper] when a GC dropped the stale local copy of [page], to be
     rebuilt from [keeper]'s base; [None] otherwise. *)
 val dropped : t -> int -> int option
+
+(** [notice_mark t ~page ~creator]: the highest index of [creator]'s
+    write notices for [page] recorded as missing since the mark was last
+    dropped, 0 for none.  A notice at or below it is not recorded again.
+    Dropping a missing list drops the marks of its ids' creators only. *)
+val notice_mark : t -> page:int -> creator:int -> int
+
+(** The node whose base copy of [page] the last GC elected, [-1] before
+    any GC elected one. *)
+val keeper : t -> int -> int
 
 (** {1 Statistics} *)
 

@@ -191,10 +191,12 @@ type t = {
   (* Lrc_fetch: per page, the interval ids whose diffs must be applied
      before the page is valid; empty for most pages. *)
   missing : Interval.id list array;
-  (* Per (page, creator), keyed [page * nodes + creator], the highest
-     index whose write notice [missing] recorded for the page while it
-     held a list: the O(1) duplicate check of [Lrc_fetch.invalidate]. *)
-  noticed : int ref Itbl.t;
+  (* Per page, a row indexed by creator: the highest index whose write
+     notice [missing] recorded for the page while it held a list, 0 for
+     none; the O(1) duplicate check of [Lrc_fetch.invalidate].  A page
+     gets its row ([nodes] ints) on its first write notice; until then
+     its entry is the empty array. *)
+  noticed : int array array;
   (* Per page, the keeper to refetch a base from if a GC dropped the
      page's stale copy, else [not_dropped]. *)
   dropped : int array;
@@ -235,6 +237,17 @@ let set_flag t page flag =
 let clear_flag t page flag =
   Bytes.set t.flags page
     (Char.unsafe_chr (Char.code (Bytes.get t.flags page) land lnot flag))
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* The flags of pages [8 * w .. 8 * w + 7], one byte each, in one load;
+   [w] must be below [Bytes.length flags / 8].  Masked with
+   [accessed_in_every_byte], it is non-zero exactly when one of the
+   eight is accessed, whatever the byte order. *)
+let flag_word t w = get64u t.flags (w * 8)
+
+let accessed_in_every_byte =
+  Int64.mul 0x0101010101010101L (Int64.of_int accessed_flag)
 
 (* The [dropped] entry of a page no GC dropped: no keeper is negative
    but the [-1] of a page no GC has elected one for. *)

@@ -244,14 +244,17 @@ let unhandled ids ~handled =
   | Some fresh -> fresh
   | None -> List.filter (fun id -> not (Interval.mem_id id handled)) ids
 
-(* The key of [page]'s [noticed] mark for the creator of [id]. *)
-let notice_key t page (id : Interval.id) =
-  (page * t.nodes) + id.Interval.creator
+let rec unmark row = function
+  | [] -> ()
+  | (id : Interval.id) :: rest ->
+    row.(id.Interval.creator) <- 0;
+    unmark row rest
 
 (* Drop [page]'s missing list [ids], and with it the marks of their
-   creators (see [invalidate]). *)
+   creators (see [invalidate]); other creators' marks stay.  An id is
+   only in a list once its page has a [noticed] row. *)
 let forget_missing t page ids =
-  List.iter (fun id -> Itbl.remove t.noticed (notice_key t page id)) ids;
+  unmark t.noticed.(page) ids;
   t.missing.(page) <- []
 
 (* Remove exactly [handled] from the page's missing set; validate the page
@@ -357,21 +360,37 @@ let refetch_dropped t page ~keeper =
   in
   finish_page t page ~handled
 
+(* [extra] with [other] in front if [other] may ride along in the batch
+   of a fault on [page]: an accessed missing page that no fetch or
+   refetch owns. *)
+let ride t ~page other extra =
+  if has_flag t other accessed_flag && other <> page then
+    match t.missing.(other) with
+    | [] -> extra
+    | ids ->
+      if
+        (not (Writeback.fetching t.wb other))
+        && t.dropped.(other) = not_dropped
+      then (other, ids) :: extra
+      else extra
+  else extra
+
 (* The missing pages other than [page] that may ride along in its
-   fault's batch, each with its missing ids, in ascending page order:
-   the accessed pages that no fetch or refetch owns.  Few pages are
-   accessed, so the scan reads the flags first. *)
+   fault's batch, each with its missing ids, in ascending page order.
+   Few pages are accessed, so the scan reads the flags eight pages to a
+   64-bit load and skips a word with no accessed bit; the pages past the
+   last whole word are read one by one. *)
 let ride_along t page =
   let extra = ref [] in
-  for other = Bytes.length t.flags - 1 downto 0 do
-    if has_flag t other accessed_flag && other <> page then
-      match t.missing.(other) with
-      | [] -> ()
-      | ids ->
-        if
-          (not (Writeback.fetching t.wb other))
-          && t.dropped.(other) = not_dropped
-        then extra := (other, ids) :: !extra
+  let words = Bytes.length t.flags / 8 in
+  for other = Bytes.length t.flags - 1 downto words * 8 do
+    extra := ride t ~page other !extra
+  done;
+  for w = words - 1 downto 0 do
+    if Int64.logand (flag_word t w) accessed_in_every_byte <> 0L then
+      for other = (w * 8) + 7 downto w * 8 do
+        extra := ride t ~page other !extra
+      done
   done;
   !extra
 
@@ -426,18 +445,19 @@ let read_fault t page =
    an id at or below the mark is one the list holds or no longer needs,
    and a mark may go with the list that made it ([forget_missing]). *)
 let invalidate t page p (id : Interval.id) =
-  let key = notice_key t page id in
-  let fresh =
-    match Itbl.find t.noticed key with
-    | mark when id.Interval.index <= !mark -> false
-    | mark ->
-      mark := id.Interval.index;
-      true
-    | exception Not_found ->
-      Itbl.add t.noticed key (ref id.Interval.index);
-      true
+  let row =
+    match t.noticed.(page) with
+    | [||] ->
+      let row = Array.make t.nodes 0 in
+      t.noticed.(page) <- row;
+      row
+    | row -> row
   in
-  if fresh then t.missing.(page) <- id :: t.missing.(page);
+  let creator = id.Interval.creator and index = id.Interval.index in
+  if index > row.(creator) then begin
+    row.(creator) <- index;
+    t.missing.(page) <- id :: t.missing.(page)
+  end;
   if Page.state p <> Page.Invalid then begin
     Page.invalidate p;
     (* Decay the prefetch history: the page must fault again to prove it

@@ -147,28 +147,35 @@ let trim_for t pb ~receiver =
    Every node has logged exactly these intervals, so every node computes
    the same table; a page nobody wrote keeps its keeper.  The floor
    matters: a stale piggyback can re-log an interval an earlier GC
-   discarded.  Returns the pages this node now keeps, ascending. *)
+   discarded.  Returns the pages this node now keeps, ascending.
+
+   Each page's winner so far sits at its index in [latest], with
+   [Interval.none] for a page no interval of the epoch wrote; one
+   descending scan then records the keepers and conses this node's
+   pages in ascending order. *)
+let rec elect latest (i : Interval.t) = function
+  | [] -> ()
+  | page :: rest ->
+    if Interval.causal_compare latest.(page) i <= 0 then latest.(page) <- i;
+    elect latest i rest
+
 let elect_keepers t snapshot =
-  let latest = Itbl.create 64 in
-  let elect (i : Interval.t) =
-    List.iter
-      (fun page ->
-        match Itbl.find_opt latest page with
-        | Some (best : Interval.t) when Interval.causal_compare best i > 0 -> ()
-        | _ -> Itbl.replace latest page i)
-      i.Interval.write_notices
-  in
+  let latest = Array.make (Page_table.pages t.page_table) Interval.none in
+  let visit (i : Interval.t) = elect latest i i.Interval.write_notices in
   for c = 0 to t.nodes - 1 do
     Interval.Log.iter_range t.log ~creator:c ~lo:(Vc.get t.gc_floor c)
-      ~hi:(Vc.get snapshot c) elect
+      ~hi:(Vc.get snapshot c) visit
   done;
-  Itbl.fold
-    (fun page (i : Interval.t) mine ->
+  let mine = ref [] in
+  for page = Array.length latest - 1 downto 0 do
+    let i = latest.(page) in
+    if i != Interval.none then begin
       let keeper = i.Interval.id.Interval.creator in
       t.keeper.(page) <- keeper;
-      if keeper = t.me then page :: mine else mine)
-    latest []
-  |> List.sort Int.compare
+      if keeper = t.me then mine := page :: !mine
+    end
+  done;
+  !mine
 
 (* The GC's keep step, once this node has reached [snapshot]: elect the
    keepers, then validate each page this node keeps and store its clean

@@ -27,6 +27,9 @@ val piggyback_for : t -> receiver:int -> nontransitive:bool -> piggyback
 (** See {!Lrc_backend.trim_piggyback}. *)
 val trim_for : t -> piggyback -> receiver:int -> piggyback
 
+(** See {!Lrc_backend.elect_keepers}. *)
+val elect_keepers : t -> Vc.t -> int list
+
 (** See {!Lrc_backend.gc_keep}. *)
 val gc_keep : t -> Vc.t -> unit
 

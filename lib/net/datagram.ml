@@ -65,7 +65,7 @@ let dropped t =
      unperturbed by tests that also inject targeted drops. *)
   let idx = t.sends_seen in
   t.sends_seen <- idx + 1;
-  if Itbl.mem t.forced_drops idx then begin
+  if Itbl.length t.forced_drops > 0 && Itbl.mem t.forced_drops idx then begin
     Itbl.remove t.forced_drops idx;
     true
   end

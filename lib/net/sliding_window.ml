@@ -366,17 +366,19 @@ let handle_data t ~node ~src ~seq ~payload_bytes payload =
   else if seq = c.expected then begin
     deliver t ~node ~src ~payload_bytes payload;
     c.expected <- c.expected + 1;
-    (* Drain any buffered successors. *)
+    (* Drain any buffered successors; most connections have none, and
+       an empty table is not hashed into. *)
     let frames = ref 1 in
     let rec drain () =
-      match Itbl.find_opt c.out_of_order c.expected with
-      | Some (bytes, p) ->
-        Itbl.remove c.out_of_order c.expected;
-        deliver t ~node ~src ~payload_bytes:bytes p;
-        c.expected <- c.expected + 1;
-        incr frames;
-        drain ()
-      | None -> ()
+      if Itbl.length c.out_of_order > 0 then
+        match Itbl.find_opt c.out_of_order c.expected with
+        | Some (bytes, p) ->
+          Itbl.remove c.out_of_order c.expected;
+          deliver t ~node ~src ~payload_bytes:bytes p;
+          c.expected <- c.expected + 1;
+          incr frames;
+          drain ()
+        | None -> ()
     in
     drain ();
     note_delivered t c ~node ~src ~frames:!frames

@@ -12,13 +12,27 @@ type t = {
 
 let no_handler _ = invalid_arg "Page_table: no fault handler installed"
 
+(* [Array.init f n] with [n] over the 256-word young limit allocates
+   its array straight in the major heap, filled with [f 0], and when that
+   first element is young the runtime empties the minor heap first.  A
+   table is built instead from young chunks of at most 256 pages, which
+   [Array.concat] copies into one major block through the write
+   barrier, with no collection. *)
+let young_chunk = 256
+
+let init_table pages f =
+  let n = young_chunk in
+  Array.concat
+    (List.init ((pages + n - 1) / n) (fun c ->
+         Array.init (Int.min n (pages - (c * n))) (fun i -> f ((c * n) + i))))
+
 let create ?obs ?node ?(twin_pool = Page.create_twin_pool ()) ~pages
     ~page_size () =
   if pages < 0 then invalid_arg "Page_table.create: pages";
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let node = match node with Some n -> n | None -> Obs.global_node in
   {
-    table = Array.init pages (fun _ -> Page.create ~twin_pool ~size:page_size);
+    table = init_table pages (fun _ -> Page.create ~twin_pool ~size:page_size);
     page_size;
     on_read_fault = no_handler;
     on_write_fault = no_handler;

@@ -755,6 +755,39 @@ let test_update_strategy_keeps_pages_valid () =
   Alcotest.(check int) "no diff request" 0
     (dsm_counter c ~node:1 "diff_requests")
 
+let test_update_accept_applies_attached_eagerly () =
+  (* A barrier-style accept of two RELEASEs under [Update]: the first
+     carries no interval and no diff, the second node 0's interval with
+     its diff attached.  The attachment must still be applied in place,
+     and cached so that node 1 can serve it. *)
+  let c = make_cluster ~strategy:Lrc.Update 3 in
+  let a = slot c ~page:0 0 in
+  Shm.write_i64 c.shms.(0) a 42;
+  let idle = Lrc.make_piggyback c.lrcs.(2) ~receiver:1 ~nontransitive:false in
+  let pb = Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false in
+  Alcotest.(check bool) "only the second carries a diff" true
+    (idle.Lrc.attached_diffs = [] && pb.Lrc.attached_diffs <> []);
+  Lrc.accept c.lrcs.(1) [ idle; pb ];
+  Alcotest.(check bool) "page stays valid" true
+    (page_state c ~node:1 ~page:0 <> Page.Invalid);
+  Alcotest.(check int) "the attached diff applied" 1
+    (dsm_counter c ~node:1 "diffs_applied");
+  Alcotest.(check int) "value" 42 (Shm.read_i64 c.shms.(1) a);
+  Alcotest.(check int) "no read fault" 0 (vm_counter c ~node:1 "read_faults");
+  (* Node 2 learns of the interval from node 1 alone, and node 1 ships
+     the diff it cached along with it. *)
+  let fwd = Lrc.make_piggyback c.lrcs.(1) ~receiver:2 ~nontransitive:false in
+  Alcotest.(check bool) "node 1 forwards the cached diff" true
+    (List.exists
+       (fun (page, (id : Interval.id), _) ->
+         page = 0 && id.Interval.creator = 0 && id.Interval.index = 1)
+       fwd.Lrc.attached_diffs);
+  Lrc.accept c.lrcs.(2) [ fwd ];
+  Alcotest.(check int) "node 2 reads the value" 42
+    (Shm.read_i64 c.shms.(2) a);
+  Alcotest.(check int) "node 2 needed no diff request" 0
+    (dsm_counter c ~node:2 "diff_requests")
+
 let test_invalidate_strategy_attaches_nothing () =
   let c = make_cluster 2 in
   let a = slot c ~page:0 0 in
@@ -1609,33 +1642,54 @@ let prop_ride_along_batch =
 
 (* Node 1's per-page state through invalidations, validations, GC drops
    and refetches, against a model kept in hash tables.  Node 0 is the
-   only writer: each [Write] is one interval of node 0 that writes the
-   listed pages, released to node 1.  A [Read] at node 1 validates the
-   page, from diffs, a whole-page copy (more than three missing
-   intervals) or, for a page a GC dropped, its keeper's base and the
-   logged intervals above it.  [Gc] runs a whole GC: every page node 1
-   misses is dropped, to be rebuilt from node 0's base. *)
-type page_op = Write of int list | Read of int | Gc
+   main writer: each [Write] is one interval of node 0 that writes slot 0
+   of the listed pages, released to node 1.  A [Race] is a [Write] whose
+   release node 1 accepts twice at once, so every notice arrives twice.
+   A [Read] at node 1 validates the page, from diffs, a whole-page copy
+   (more than three missing intervals) or, for a page a GC dropped, its
+   keeper's base and the logged intervals above it.  [Gc] runs a whole
+   GC: every page node 1 misses is dropped, to be rebuilt from node 0's
+   base.  A [Straddle] brings node 1's copy of the page up to date,
+   then has node 2, once it has acquired from node 0, write slot 1 of
+   the page and release to node 1; node 1 faults on the page, and while
+   its fetch of node 2's diff is in flight node 0 acquires from node 2,
+   writes slot 0 and releases to node 1.  The fetch keeps node 0's
+   fresh id missing and the page invalid, and the fault's second round
+   fetches it.  Node 1's notice marks are checked too: node 0's is the
+   newest id of the page's missing list, or none; node 2's, recorded at
+   each straddle, outlives every drop of a list that has no id of
+   node 2. *)
+type page_op =
+  | Write of int list
+  | Race of int list
+  | Read of int
+  | Gc
+  | Straddle of int
+
+let show_pages ps = String.concat "," (List.map string_of_int ps)
 
 let show_page_op = function
-  | Write ps ->
-    Printf.sprintf "write [%s]" (String.concat "," (List.map string_of_int ps))
+  | Write ps -> Printf.sprintf "write [%s]" (show_pages ps)
+  | Race ps -> Printf.sprintf "race [%s]" (show_pages ps)
   | Read p -> Printf.sprintf "read %d" p
   | Gc -> "gc"
+  | Straddle p -> Printf.sprintf "straddle %d" p
 
 let model_pages = 4
 
 let gen_page_op =
   QCheck.Gen.(
     let page = int_bound (model_pages - 1) in
+    let pages =
+      map (List.sort_uniq Int.compare) (list_size (int_range 1 3) page)
+    in
     frequency
       [
-        ( 4,
-          map
-            (fun ps -> Write (List.sort_uniq Int.compare ps))
-            (list_size (int_range 1 3) page) );
+        (4, map (fun ps -> Write ps) pages);
+        (1, map (fun ps -> Race ps) pages);
         (3, map (fun p -> Read p) page);
         (1, return Gc);
+        (1, map (fun p -> Straddle p) page);
       ])
 
 let prop_page_state_model =
@@ -1646,27 +1700,35 @@ let prop_page_state_model =
        QCheck.Gen.(list_size (int_range 1 30) gen_page_op))
     (fun ops ->
       in_engine @@ fun () ->
-      let c = make_cluster 2 in
+      (* Which charges stop the fiber that makes them for a second. *)
+      let stop = ref (fun _ -> false) in
+      let c =
+        make_cluster ~charge:(fun dt -> if !stop dt then Engine.delay 1.0) 3
+      in
       let node1 = c.lrcs.(1) in
-      (* The model.  Node 0's interval count; per interval, the pages it
-         wrote; per page at node 1, the creator-0 component of its
-         coverage, its missing indices (newest first), whether a GC
-         dropped it and whether it has a live fault; per page, the
-         coverage of node 0's base; the pages written since the last GC
-         and the last GC's snapshot. *)
-      let k = ref 0 and gc_floor = ref 0 in
+      (* The model.  Node 0's and node 2's interval counts; per node-0
+         interval, the pages it wrote; per page at node 1, the creator-0
+         component of its coverage, its missing indices (newest first),
+         whether a GC dropped it and whether it has a live fault; per
+         page, the coverage of node 0's base, node 2's last write to it
+         and node 1's mark for node 2; the pages written since the last
+         GC and the last GC's snapshot. *)
+      let k = ref 0 and j = ref 0 and gc_floor = ref 0 in
       let wrote = Hashtbl.create 16 in
       let covers = Hashtbl.create 8 and missing = Hashtbl.create 8 in
       let dropped = Hashtbl.create 8 and accessed = Hashtbl.create 8 in
       let base = Hashtbl.create 8 and epoch = Hashtbl.create 8 in
-      let coverage p = Option.value ~default:0 (Hashtbl.find_opt covers p) in
+      let last2 = Hashtbl.create 8 and mark2 = Hashtbl.create 8 in
+      let get tbl p = Option.value ~default:0 (Hashtbl.find_opt tbl p) in
       let missed p = Option.value ~default:[] (Hashtbl.find_opt missing p) in
-      let raise_cover p i = Hashtbl.replace covers p (Int.max (coverage p) i) in
+      let raise_cover p i =
+        Hashtbl.replace covers p (Int.max (get covers p) i)
+      in
       (* A batch page: a whole-page copy of node 0's, which covers its
          clock, when more than three intervals are needed, else their
          diffs. *)
       let validate p =
-        let needed = List.filter (fun i -> i > coverage p) (missed p) in
+        let needed = List.filter (fun i -> i > get covers p) (missed p) in
         if List.length needed > 3 then raise_cover p !k
         else List.iter (raise_cover p) needed;
         Hashtbl.remove missing p
@@ -1682,22 +1744,48 @@ let prop_page_state_model =
         Hashtbl.remove missing p;
         Hashtbl.remove dropped p
       in
-      let apply = function
+      (* Node 0's next interval: it writes slot 0 of [ps]. *)
+      let write0 ps =
+        incr k;
+        Hashtbl.replace wrote !k ps;
+        List.iter
+          (fun p ->
+            Shm.write_i64 c.shms.(0) (slot c ~page:p 0) !k;
+            Hashtbl.replace epoch p ())
+          ps
+      in
+      (* Node 1 learns of node 0's last interval. *)
+      let noticed ps =
+        List.iter
+          (fun p ->
+            if missed p = [] && not (Hashtbl.mem dropped p) then
+              Hashtbl.remove accessed p;
+            Hashtbl.replace missing p (!k :: missed p))
+          ps
+      in
+      let rec apply = function
         | Write ps ->
-          incr k;
-          Hashtbl.replace wrote !k ps;
-          List.iter
-            (fun p ->
-              Shm.write_i64 c.shms.(0) (slot c ~page:p 0) !k;
-              Hashtbl.replace epoch p ())
-            ps;
+          write0 ps;
           ignore (release c ~src:0 ~dst:1);
-          List.iter
-            (fun p ->
-              if missed p = [] && not (Hashtbl.mem dropped p) then
-                Hashtbl.remove accessed p;
-              Hashtbl.replace missing p (!k :: missed p))
-            ps
+          noticed ps
+        | Race ps ->
+          write0 ps;
+          let pb =
+            Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false
+          in
+          (* The first accept stops at its first notice's charge, before
+             its clock moves; the second applies every notice; then the
+             first applies them all again. *)
+          let first = Resource.Ivar.create () in
+          stop := ( = ) Cpu_cost.default.Cpu_cost.write_notice_apply;
+          Engine.fork (fun () ->
+              Lrc.accept node1 [ pb ];
+              Resource.Ivar.fill first ());
+          Engine.delay 0.1;
+          stop := (fun _ -> false);
+          Lrc.accept node1 [ pb ];
+          Resource.Ivar.read first;
+          noticed ps
         | Read p ->
           let value = Shm.read_i64 c.shms.(1) (slot c ~page:p 0) in
           let last = ref 0 in
@@ -1707,6 +1795,10 @@ let prop_page_state_model =
           if value <> !last then
             QCheck.Test.fail_reportf "page %d reads %d, expected %d" p value
               !last;
+          let value2 = Shm.read_i64 c.shms.(1) (slot c ~page:p 1) in
+          if value2 <> get last2 p then
+            QCheck.Test.fail_reportf "page %d slot 1 reads %d, expected %d" p
+              value2 (get last2 p);
           if Hashtbl.mem dropped p then begin
             Hashtbl.replace accessed p ();
             refetch p
@@ -1733,37 +1825,185 @@ let prop_page_state_model =
             missing;
           Hashtbl.reset missing;
           gc_floor := !k
+        | Straddle p ->
+          apply (Read p);
+          incr j;
+          ignore (release c ~src:0 ~dst:2);
+          Shm.write_i64 c.shms.(2) (slot c ~page:p 1) !j;
+          ignore (release c ~src:2 ~dst:1);
+          (* Node 1's fault stops in node 2's serving of its request. *)
+          stop := ( = ) Cpu_cost.default.Cpu_cost.diff_request_fixed;
+          Engine.fork (fun () ->
+              ignore (Shm.read_i64 c.shms.(1) (slot c ~page:p 0)));
+          Engine.delay 0.1;
+          stop := (fun _ -> false);
+          ignore (release c ~src:2 ~dst:0);
+          write0 [ p ];
+          ignore (release c ~src:0 ~dst:1);
+          Engine.delay 2.0;
+          Hashtbl.replace last2 p !j;
+          Hashtbl.replace mark2 p !j;
+          raise_cover p !k;
+          Hashtbl.remove missing p;
+          Hashtbl.replace accessed p ()
       in
       List.iter
         (fun op ->
           apply op;
           for p = 0 to model_pages - 1 do
             let vc = Lrc.page_content_vc node1 p in
-            if Vc.get vc 0 <> coverage p || Vc.get vc 1 <> 0 then
+            if Vc.get vc 0 <> get covers p || Vc.get vc 1 <> 0 then
               QCheck.Test.fail_reportf "after %s: page %d covers %s, model %d"
                 (show_page_op op) p
                 (Format.asprintf "%a" Vc.pp vc)
-                (coverage p);
+                (get covers p);
             let ids =
               List.map
                 (fun (id : Interval.id) ->
                   if id.Interval.creator <> 0 then
-                    QCheck.Test.fail_reportf "page %d misses a node-1 id" p;
+                    QCheck.Test.fail_reportf "page %d misses a node-%d id" p
+                      id.Interval.creator;
                   id.Interval.index)
                 (Lrc.missing node1 p)
             in
             if ids <> missed p then
               QCheck.Test.fail_reportf
                 "after %s: page %d misses [%s], model [%s]"
-                (show_page_op op) p
-                (String.concat "," (List.map string_of_int ids))
-                (String.concat "," (List.map string_of_int (missed p)));
+                (show_page_op op) p (show_pages ids) (show_pages (missed p));
             let want = if Hashtbl.mem dropped p then Some 0 else None in
             if Lrc.dropped node1 p <> want then
               QCheck.Test.fail_reportf "after %s: page %d dropped mark differs"
-                (show_page_op op) p
+                (show_page_op op) p;
+            let newest = match missed p with [] -> 0 | i :: _ -> i in
+            List.iter
+              (fun (creator, want) ->
+                let mark = Lrc.notice_mark node1 ~page:p ~creator in
+                if mark <> want then
+                  QCheck.Test.fail_reportf
+                    "after %s: page %d's mark for node %d is %d, model %d"
+                    (show_page_op op) p creator mark want)
+              [ (0, newest); (1, 0); (2, get mark2 p) ]
           done)
         ops;
+      true)
+
+(* The GC's keeper election against the table it replaced: per page, in
+   a [Hashtbl], the causally latest interval of the epoch that wrote it.
+   Four nodes run random epochs: each step, one node writes its own slot
+   of some pages and releases to another; each GC elects on every node,
+   whose table must equal the reference's, and whose kept pages must be
+   those of the epoch's winners that it created, then completes.
+   The reference reads the intervals the nodes closed, as their hooks
+   report them. *)
+type keeper_op = Step of int * int list * int | Keeper_gc
+
+let show_keeper_op = function
+  | Step (writer, ps, reader) ->
+    Printf.sprintf "%d writes [%s] -> %d" writer
+      (String.concat "," (List.map string_of_int ps))
+      reader
+  | Keeper_gc -> "gc"
+
+let gen_keeper_op ~nodes ~pages =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          int_bound (nodes - 1) >>= fun writer ->
+          list_size (int_range 0 3) (int_bound (pages - 1)) >>= fun ps ->
+          int_bound (nodes - 2) >|= fun r ->
+          let reader = (writer + 1 + r) mod nodes in
+          Step (writer, List.sort_uniq Int.compare ps, reader) );
+        (1, return Keeper_gc);
+      ])
+
+let prop_elect_keepers_reference =
+  let nodes = 4 and pages = 8 in
+  QCheck.Test.make ~name:"lrc: keeper election matches a Hashtbl reference"
+    ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_keeper_op ops))
+       QCheck.Gen.(list_size (int_range 1 25) (gen_keeper_op ~nodes ~pages)))
+    (fun ops ->
+      in_engine @@ fun () ->
+      let c = make_cluster nodes in
+      let closed = Hashtbl.create 32 in
+      let hooks =
+        {
+          Lrc.no_hooks with
+          on_interval_closed =
+            (fun ~creator ~index ~vc ~pages ->
+              Hashtbl.replace closed (creator, index)
+                (Interval.make ~creator ~index ~vc:(Vc.copy vc)
+                   ~write_notices:pages));
+        }
+      in
+      Array.iter (fun l -> Lrc.set_hooks l hooks) c.lrcs;
+      let table = Array.make pages (-1) and floor = Vc.zero ~nodes in
+      let gc () =
+        let arrivals =
+          List.init (nodes - 1) (fun i ->
+              Lrc.make_piggyback c.lrcs.(i + 1) ~receiver:0 ~nontransitive:true)
+        in
+        Lrc.accept c.lrcs.(0) arrivals;
+        let snapshot = Vc.copy (Lrc.vc c.lrcs.(0)) in
+        for i = 1 to nodes - 1 do
+          ignore (release c ~src:0 ~dst:i)
+        done;
+        let latest = Hashtbl.create 8 in
+        for creator = 0 to nodes - 1 do
+          for index = Vc.get floor creator + 1 to Vc.get snapshot creator do
+            let i = Hashtbl.find closed (creator, index) in
+            List.iter
+              (fun page ->
+                match Hashtbl.find_opt latest page with
+                | Some best when Interval.causal_compare best i > 0 -> ()
+                | _ -> Hashtbl.replace latest page i)
+              i.Interval.write_notices
+          done
+        done;
+        Hashtbl.iter
+          (fun page (i : Interval.t) ->
+            table.(page) <- i.Interval.id.Interval.creator)
+          latest;
+        Array.iteri
+          (fun me l ->
+            let mine = Lrc.elect_keepers l snapshot in
+            let want =
+              List.filter
+                (fun p ->
+                  match Hashtbl.find_opt latest p with
+                  | Some (i : Interval.t) -> i.Interval.id.Interval.creator = me
+                  | None -> false)
+                (List.init pages Fun.id)
+            in
+            if mine <> want then
+              QCheck.Test.fail_reportf "node %d keeps [%s], reference [%s]" me
+                (String.concat "," (List.map string_of_int mine))
+                (String.concat "," (List.map string_of_int want));
+            for p = 0 to pages - 1 do
+              if Lrc.keeper l p <> table.(p) then
+                QCheck.Test.fail_reportf
+                  "node %d: page %d's keeper is %d, reference %d" me p
+                  (Lrc.keeper l p) table.(p)
+            done)
+          c.lrcs;
+        Array.iter (fun l -> Lrc.gc_keep l snapshot) c.lrcs;
+        Array.iter (fun l -> Lrc.gc_drop l snapshot) c.lrcs;
+        Array.iter (fun l -> Lrc.discard_before l snapshot) c.lrcs;
+        Vc.join_in_place floor snapshot
+      in
+      List.iter
+        (function
+          | Step (writer, ps, reader) ->
+            List.iter
+              (fun page ->
+                Shm.write_i64 c.shms.(writer) (slot c ~page writer) 1)
+              ps;
+            ignore (release c ~src:writer ~dst:reader)
+          | Keeper_gc -> gc ())
+        ops;
+      gc ();
       true)
 
 let qcheck = Props.qcheck
@@ -1827,6 +2067,8 @@ let () =
         [
           loopback "update keeps pages valid"
             test_update_strategy_keeps_pages_valid;
+          loopback "update accept applies attached diffs"
+            test_update_accept_applies_attached_eagerly;
           loopback "invalidate attaches nothing"
             test_invalidate_strategy_attaches_nothing;
           loopback "hybrid attaches own only"
@@ -1873,5 +2115,10 @@ let () =
              test_diff_store_discard_upto
         :: qcheck [ prop_causal_range_matches_oracle; prop_log_matches_model ] );
       ( "lrc-page-state",
-        qcheck [ prop_ride_along_batch; prop_page_state_model ] );
+        qcheck
+          [
+            prop_ride_along_batch;
+            prop_page_state_model;
+            prop_elect_keepers_reference;
+          ] );
     ]

@@ -632,6 +632,38 @@ let test_sw_fast_retransmit () =
   Alcotest.(check int) "no other retransmissions" 1
     (sw_counter sw "sw.retransmits")
 
+let test_sw_gap_fill_drains_in_order () =
+  (* Lose data frames 1 and 4 of six: frames 2, 3, 5 and 6 wait in the
+     receiver's out-of-order buffer.  Each retransmission that fills a
+     gap delivers the buffered run behind it at once, in order, and
+     stops at the next gap. *)
+  let eng = Engine.create () in
+  let sw, dg = make_sw_dg ~rto:0.05 ~window:8 eng in
+  let got = ref [] in
+  Sliding_window.set_handler sw ~node:1 (fun ~src:_ ~size:_ v ->
+      got := (v, Engine.now eng) :: !got);
+  Engine.spawn eng (fun () ->
+      (* The sends reach the datagram service synchronously, so relative
+         indices 0 and 3 are data frames 1 and 4. *)
+      Datagram.inject_drops dg [ 0; 3 ];
+      for i = 1 to 6 do
+        Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 i
+      done);
+  Engine.run eng;
+  let got = List.rev !got in
+  Alcotest.(check (list int)) "all delivered in order"
+    (List.init 6 (fun i -> i + 1))
+    (List.map fst got);
+  let at v = List.assoc v got in
+  Alcotest.(check bool) "2 and 3 drain with 1" true
+    (at 2 = at 1 && at 3 = at 1);
+  Alcotest.(check bool) "the second gap holds 5 and 6 back" true
+    (at 4 > at 3);
+  Alcotest.(check bool) "5 and 6 drain with 4" true
+    (at 5 = at 4 && at 6 = at 4);
+  Alcotest.(check int) "each frame delivered once" 6
+    (sw_counter sw "sw.delivered")
+
 let test_sw_backoff_persists_across_retransmitted_acks () =
   (* Phase 1 loses the ack of frame 1 twice, so the only ack that ever
      arrives acknowledges a frame that was retransmitted — under Karn's
@@ -743,6 +775,8 @@ let () =
             test_sw_carrier_sense_defers_for_cross_traffic;
           Alcotest.test_case "dup-ack fast retransmit" `Quick
             test_sw_fast_retransmit;
+          Alcotest.test_case "a filled gap drains its successors in order"
+            `Quick test_sw_gap_fill_drains_in_order;
           Alcotest.test_case "backoff persists across retransmitted acks"
             `Quick test_sw_backoff_persists_across_retransmitted_acks;
           Alcotest.test_case "rtt estimator converges" `Quick

@@ -216,6 +216,83 @@ let test_rng_float_bounds () =
     if v < 0.0 || v >= 1.0 then Alcotest.fail "out of bounds"
   done
 
+(* The SplitMix64 sequence is part of every simulated number: app
+   inputs, loss draws and seeds all come from it.  Per seed: three
+   [bits], three [int _ 1_000_000], two [float], two [bits] of a child
+   [split] off after them, and one more [bits] of the parent. *)
+let rng_golden =
+  [
+    ( 0,
+      [ 4073552104164651883; 1990071630548588925; 121904254867886419 ],
+      [ 135611; 523686; 790522 ],
+      [ 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      [ 263702261118949405; 3026915673569965055 ],
+      4390466628494765097 );
+    ( 1,
+      [ 3457603482011350492; 1717361541646166673; 2021227762714211881 ],
+      [ 418251; 720878; 335897 ],
+      [ 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ],
+      [ 2018788608106143258; 633099031017978664 ],
+      4068567495939744465 );
+    ( 42,
+      [ 2749113066540076570; 739554815828047797; 767374426118319285 ],
+      [ 321091; 398889; 964528 ],
+      [ 0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ],
+      [ 2416486505231433345; 1647309511063721826 ],
+      1124334894917578461 );
+    ( -7,
+      [ 2947294188056790688; 630266396141297162; 3940839512467280529 ],
+      [ 287522; 482545; 779899 ],
+      [ 0x1.c41db5aae594p-4; 0x1.16ecaef0c7724p-2 ],
+      [ 2505882052119689752; 3455578159597793694 ],
+      4241217190085272631 );
+    ( 1_000_003,
+      [ 4051493159438739003; 2638757568539283329; 1686197507589589490 ],
+      [ 158778; 301926; 587957 ],
+      [ 0x1.5055c4de35b9ap-2; 0x1.c7b5357f415edp-1 ],
+      [ 629031548316538361; 1424931050353921614 ],
+      2078332220157622894 );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, bits, ints, floats, child, parent) ->
+      let r = Rng.create ~seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let bits' = List.init 3 (fun _ -> Rng.bits r) in
+      let ints' = List.init 3 (fun _ -> Rng.int r 1_000_000) in
+      let floats' = List.init 2 (fun _ -> Rng.float r) in
+      let c = Rng.split r in
+      let child' = List.init 2 (fun _ -> Rng.bits c) in
+      Alcotest.(check (list int)) (name "bits") bits bits';
+      Alcotest.(check (list int)) (name "int") ints ints';
+      Alcotest.(check (list (float 0.0))) (name "float") floats floats';
+      Alcotest.(check (list int)) (name "split child") child child';
+      Alcotest.(check int) (name "parent after split") parent (Rng.bits r))
+    rng_golden
+
+(* Once created, a generator draws without allocating: the 64-bit state
+   is read and written unboxed. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:3 in
+  let n = 10_000 in
+  let per_draw f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  List.iter
+    (fun (name, f) ->
+      let w = per_draw f in
+      if w > 0.01 then Alcotest.failf "%s allocates %.2f words per draw" name w)
+    [
+      ("bits", fun () -> ignore (Sys.opaque_identity (Rng.bits r)));
+      ("int", fun () -> ignore (Sys.opaque_identity (Rng.int r 97)));
+      ("flip", fun () -> ignore (Sys.opaque_identity (Rng.flip r ~p:0.5)));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -951,6 +1028,9 @@ let () =
             test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+          Alcotest.test_case "golden sequence" `Quick test_rng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "engine",
         [
