@@ -60,15 +60,12 @@ BENCH = _build/default/bench/main.exe
 paper-tables: build
 	$(BENCH)
 
-# The snapshot recipe: every gate and scaling row plus the fits, with the
-# wall-clock host_ms fields stripped, so what remains is deterministic.
-# $(call snapshot,FILE,ARGS) writes it to FILE.  SNAPSHOT_DIFF exits 1
-# when two stripped snapshots differ and prints each moved number inline
-# in its row.  The committed BENCH_PR10.json is such a stripped snapshot.
-STRIP_HOST = sed -E 's/, "host_ms": [0-9.]+//'
-snapshot = raw=$$(mktemp) && \
-	$(BENCH) json scaling $(2) -o $$raw && \
-	$(STRIP_HOST) $$raw > $(1) && rm -f $$raw
+# The snapshot recipe: every gate and scaling row plus the fits, all
+# simulated and so deterministic.  $(call snapshot,FILE,ARGS) writes it
+# to FILE.  SNAPSHOT_DIFF exits 1 when two snapshots differ and prints
+# each moved number inline in its row.  The committed BENCH_PR10.json is
+# such a snapshot.
+snapshot = $(BENCH) json scaling $(2) -o $(1)
 SNAPSHOT_DIFF = git --no-pager diff --no-index --word-diff=plain \
 	--word-diff-regex='[^ ,{}]+'
 
@@ -85,15 +82,13 @@ bench-parallel: build
 # and fit is gated at zero tolerance in both directions.  Exits non-zero
 # on a moved number, a lost row or a new one.
 bench-diff: build
-	@new=$$(mktemp) && base=$$(mktemp) && \
-	trap 'rm -f "$$new" "$$base"' EXIT && \
-	$(call snapshot,$$new) && $(STRIP_HOST) BENCH_PR10.json > $$base && \
-	$(SNAPSHOT_DIFF) $$base $$new
+	@new=$$(mktemp) && trap 'rm -f "$$new"' EXIT && \
+	$(call snapshot,$$new) && $(SNAPSHOT_DIFF) BENCH_PR10.json $$new
 	@echo "bench-diff: snapshot identical to BENCH_PR10.json"
 
 # Re-pin the committed baseline after a change that moves simulated
 # numbers: print every moved number, then replace BENCH_PR10.json with
-# the fresh stripped snapshot.  The diff is for review; it never stops
+# the fresh snapshot.  The diff is for review; it never stops
 # the replacement.
 rebaseline: build
 	@new=$$(mktemp) && trap 'rm -f "$$new"' EXIT && \

@@ -350,8 +350,7 @@ let grid () =
    run retransmits zero bytes.  Both snapshot benches
    accumulate into the same file, written once after all requested
    benches ran.  Format documented in EXPERIMENTS.md; [make bench-diff]
-   requires a fresh snapshot, host_ms stripped, to equal the committed
-   one. *)
+   requires a fresh snapshot to equal the committed one. *)
 
 module Obs = Carlos_obs.Obs
 module Wire_cost = Carlos_obs.Cost
@@ -411,14 +410,11 @@ type row_result = {
   rr_failures : string list; (* oldest first *)
 }
 
-(* Run one configuration and format its row.  [host_ms] is wall-clock
-   host time for the row; it is nondeterministic and must never be gated
-   on. *)
+(* Run one configuration and format its row.  Every field is simulated,
+   so the row is deterministic. *)
 let measure ~nodes ~app ~variant ~backend ~mode f =
-  let wall0 = Unix.gettimeofday () in
   let sys, (o : Harness.outcome) = f () in
   let report = o.report and ok = o.ok in
-  let host_ms = (Unix.gettimeofday () -. wall0) *. 1000.0 in
   let name = Printf.sprintf "%s/%s/%s/%s/n%d" app variant backend mode nodes in
   let failures = ref [] in
   if not ok then failures := [ name ];
@@ -445,18 +441,17 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
   let waste name = Obs.sum_counters obs ~layer:Obs.Dsm ("waste." ^ name) in
   let row =
     Printf.sprintf
-      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d, "pages": %d, "page_bytes": %d }, "ok": %b, "host_ms": %.3f }|}
+      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d, "pages": %d, "page_bytes": %d }, "ok": %b }|}
       app variant backend mode nodes report.System.wall report.System.messages
       report.System.message_bytes (c "medium.frames") (c "medium.bytes")
       (c "sw.acks") (c "sw.acks_coalesced") report.System.diff_requests
       components_json (waste "intervals") (waste "vc_bytes")
-      (waste "wn_bytes") (waste "pages") (waste "page_bytes") ok host_ms
+      (waste "wn_bytes") (waste "pages") (waste "page_bytes") ok
   in
   let metrics =
     ("messages", float_of_int report.System.messages)
     :: ("wire_bytes", float_of_int (c "medium.bytes"))
     :: ("wall_s", report.System.wall)
-    :: ("host_ms", host_ms)
     :: List.map
          (fun (comp, v) ->
            ("components." ^ Wire_cost.name comp, float_of_int v))

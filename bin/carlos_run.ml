@@ -33,9 +33,19 @@ type opts = {
   profile : bool;
 }
 
+(* A node count: an int of at least 1, rejected as a usage error
+   otherwise. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is below 1" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let nodes_arg =
-  let doc = "Number of workstations in the simulated cluster." in
-  Arg.(value & opt int 4 & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+  let doc = "Number of workstations in the simulated cluster (at least 1)." in
+  Arg.(value & opt positive_int 4 & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
 let variant_arg =
   let doc =

@@ -1,10 +1,10 @@
 (** The diffs one LRC node holds: its own creations and fetched copies,
     keyed by page and interval id.
 
-    One flush can cover several closed intervals, in which case the same
-    physical diff is stored (aliased) under each of their ids; an id maps
-    to a list because a page can be flushed repeatedly within one id's
-    window, and the pieces apply in the order they were stored.  The
+    Each interval's diffs are encoded for that interval alone, so no
+    physical diff is stored under two ids.  An id maps to a list because
+    a page can be flushed repeatedly within one id's window, and the
+    pieces apply in the order they were stored.  The
     store keeps each list newest-first, so adding is O(1) where appending
     was O(n), and hands it back in that apply order.  Nothing here
     yields. *)
@@ -33,6 +33,5 @@ val find : t -> page:int -> Interval.id -> Carlos_vm.Diff.t list option
     creator's component. *)
 val discard_upto : t -> Vc.t -> unit
 
-(** Wire bytes of every piece held, counting an aliased diff once per id
-    it is stored under. *)
+(** Wire bytes of every piece held. *)
 val bytes_stored : t -> int

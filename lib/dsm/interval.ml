@@ -14,12 +14,6 @@ let none =
 
 let size_bytes t = Vc.size_bytes t.vc + 4 + (4 * List.length t.write_notices)
 
-let same_id (a : id) (b : id) = a.creator = b.creator && a.index = b.index
-
-let rec mem_id id = function
-  | [] -> false
-  | x :: rest -> same_id x id || mem_id id rest
-
 let causal_compare a b =
   if a.rank <> b.rank then Int.compare a.rank b.rank
   else if a.id.creator <> b.id.creator then

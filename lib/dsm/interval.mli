@@ -26,10 +26,6 @@ val none : t
     id and 4 bytes per write notice. *)
 val size_bytes : t -> int
 
-(** [mem_id id ids] iff some element of [ids] has the same creator and
-    index as [id] (int equality, no structural compare). *)
-val mem_id : id -> id list -> bool
-
 (** The total order every causal ordering uses: a linear extension of
     causal order, ascending [rank], ties broken by creator then index. *)
 val causal_compare : t -> t -> int

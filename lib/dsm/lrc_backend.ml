@@ -84,8 +84,6 @@ let trim_piggyback = Lrc_gc.trim_for
 
 let log_relayed t pb = List.iter (log_interval t) pb.intervals
 
-let diff_entries_bytes = Lrc_serve.diff_entries_bytes
-
 (* One carried interval's wire bytes: its VC (vc_entries), and its id and
    write-notice list (write_notices). *)
 let interval_vc_bytes (i : Interval.t) = Vc.size_bytes i.Interval.vc
@@ -108,7 +106,7 @@ let piggyback_cost pb =
   [
     (Cost.Vc_entries, vc_bytes);
     (Cost.Write_notices, wn_bytes);
-    (Cost.Diff_payload, diff_entries_bytes pb.attached_diffs);
+    (Cost.Diff_payload, Lrc_serve.diff_entries_bytes pb.attached_diffs);
   ]
 
 (* Apply one interval's write notices, preserving local modifications by

@@ -57,11 +57,9 @@ type piggyback = {
          reply *)
 }
 
-(** Per requested id, the diff pieces to apply in list order.  One physical
-    diff may be aliased under several ids when a single flush covered
-    several intervals, and a server may answer a multi-id request entry
-    with one merged diff under the entry's lowest id and empty lists for
-    the rest. *)
+(** Per requested id, the diff pieces to apply in list order.  A server
+    answers a multi-id request entry with one merged diff under the
+    entry's first id and empty lists for the rest. *)
 type diff_reply = (int * Interval.id * Carlos_vm.Diff.t list) list
 
 (** [create ?obs ~nodes ~me ~page_table ~costs ~charge] — [charge dt] must
@@ -186,15 +184,9 @@ val log_relayed : t -> piggyback -> unit
 val trim_piggyback : t -> piggyback -> receiver:int -> piggyback
 
 (** Wire bytes of the consistency information by component (vector
-    clocks / write notices / attached diffs); the wire size is their
-    sum. *)
+    clocks / write notices / attached diffs, 8 per entry plus its
+    pieces); the wire size is their sum. *)
 val piggyback_cost : piggyback -> (Carlos_obs.Cost.component * int) list
-
-(** Wire bytes of diff entries, as attached to a piggyback or carried by
-    a {!diff_reply}: 8 per entry plus each physical diff once, each later
-    reference to an already-billed diff costing a 4-byte
-    back-reference. *)
-val diff_entries_bytes : diff_reply -> int
 
 (** {1 Garbage collection support (paper §5.2 footnote)} *)
 

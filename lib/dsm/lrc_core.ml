@@ -26,11 +26,13 @@ type piggyback = {
 
 (* A diff request: for each page, the interval ids whose modifications
    are needed.  Requests are addressed to the interval creator.  A fetcher
-   may list the same page in several entries; the ids of one entry must
-   be adjacent in the fetcher's causal apply order for that page (no
-   other interval it applies to the page, fetched or held locally, sorts
-   between them), which licenses the server to merge their diffs into one
-   diff under the entry's lowest id. *)
+   may list the same page in several entries.  Every entry is a non-empty
+   mergeable run ([mergeable_runs] in lrc_fetch.ml): ids of the addressed
+   creator in ascending index order (a creator's causal order), adjacent
+   in the fetcher's causal apply order for that page (no other interval
+   it applies to the page, fetched or held locally, sorts between them).
+   That licenses the server to merge a longer entry's diffs into one diff
+   under its first id, keyed by its first and last index. *)
 type diff_request = (int * Interval.id list) list
 
 type diff_reply = (int * Interval.id * Diff.t list) list

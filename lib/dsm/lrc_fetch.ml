@@ -24,47 +24,40 @@ let install t page { data; covers } =
   t.charge (t.costs.Cpu_cost.twin_per_byte *. float_of_int (Bytes.length data));
   p
 
-(* Try a whole-page fetch from the creator of the causally latest missing
-   interval; returns the ids still missing afterwards. *)
+(* Try a whole-page fetch from the creator of the causally latest of
+   [ids], at least four missing ids of other nodes; returns the ids still
+   missing afterwards. *)
 let fetch_whole_page t page ids =
-  let latest =
+  let target =
     List.fold_left
-      (fun acc id ->
+      (fun best id ->
         let i = find_interval t id in
-        match acc with
-        | None -> Some i
-        | Some best ->
-          if i.Interval.rank > best.Interval.rank then Some i
-          else acc)
-      None ids
+        if i.Interval.rank > best.Interval.rank then i else best)
+      (find_interval t (List.hd ids))
+      (List.tl ids)
   in
-  match latest with
+  let dst = target.Interval.id.Interval.creator in
+  match Lrc_serve.fetch_page t ~dst ~page with
   | None -> ids
-  | Some target -> (
-    let dst = target.Interval.id.Interval.creator in
-    if dst = t.me then ids
-    else
-      match Lrc_serve.fetch_page t ~dst ~page with
-      | None -> ids
-      | Some reply ->
-        if
-          not
-            (Vc.dominates reply.covers (page_content_vc t page)
-            && Vc.dominates reply.covers t.vc)
-        then begin
-          (* Installing could lose content this node's copy (or its
-             knowledge) already reflects; fall back to per-interval
-             diffs.  Requiring the server to dominate the full vector
-             clock is conservative but provably cannot clobber newer
-             bytes.  The reply crossed the wire for nothing. *)
-          Obs.inc t.ins.waste_pages_c;
-          Obs.add t.ins.waste_page_bytes_c (Lrc_serve.page_reply_bytes t);
-          ids
-        end
-        else begin
-          Lrc_close.restore_orphans t page (install t page reply);
-          above reply.covers ids
-        end)
+  | Some reply ->
+    if
+      not
+        (Vc.dominates reply.covers (page_content_vc t page)
+        && Vc.dominates reply.covers t.vc)
+    then begin
+      (* Installing could lose content this node's copy (or its
+         knowledge) already reflects; fall back to per-interval diffs.
+         Requiring the server to dominate the full vector clock is
+         conservative but provably cannot clobber newer bytes.  The reply
+         crossed the wire for nothing. *)
+      Obs.inc t.ins.waste_pages_c;
+      Obs.add t.ins.waste_page_bytes_c (Lrc_serve.page_reply_bytes t);
+      ids
+    end
+    else begin
+      Lrc_close.restore_orphans t page (install t page reply);
+      above reply.covers ids
+    end
 
 (* The total order in which a page's diffs are applied: causal (sum of
    vector-clock components), ties broken deterministically.  Each id is
@@ -111,19 +104,13 @@ let fetch_missing t ~into:have targets =
     let request = List.rev (Itbl.find requests creator) in
     Obs.inc t.ins.diff_requests_c;
     let reply = Lrc_serve.fetch_diffs t ~dst:creator request in
-    (* Bill each physical diff once per reply: a diff aliased under
-       several ids crosses the wire once. *)
-    let billed = ref [] in
     List.iter
       (fun (page, (id : Interval.id), ds) ->
         if Itbl.find_opt asked (diff_key t ~page id) <> Some creator then
           raise (Protocol_violation "diff reply for an unrequested id");
         List.iter
           (fun d ->
-            if not (List.memq d !billed) then begin
-              billed := d :: !billed;
-              Obs.add t.ins.diff_bytes_fetched_c (Diff.size_bytes d)
-            end;
+            Obs.add t.ins.diff_bytes_fetched_c (Diff.size_bytes d);
             Diff_store.add t.store ~page id d)
           ds;
         Itbl.replace have (diff_key t ~page id) ds)
@@ -210,39 +197,28 @@ let apply_diff t p d =
 let apply_diffs t page ids have =
   let ordered = causal_order t ids in
   let p = Page_table.page t.page_table page in
-  (* An aliased diff can be listed under several ids; apply each physical
-     diff once (applying again would be harmless but wasteful). *)
-  let applied = ref [] in
   List.iter
     (fun (id : Interval.id) ->
       match Itbl.find_opt have (diff_key t ~page id) with
       | None -> raise (Protocol_violation "no diff collected for missing id")
       | Some ds ->
-        List.iter
-          (fun d ->
-            if not (List.memq d !applied) then begin
-              applied := d :: !applied;
-              apply_diff t p d
-            end)
-          ds;
+        List.iter (apply_diff t p) ds;
         note_page_interval t page ~creator:id.Interval.creator
           ~index:id.Interval.index)
     ordered
 
-(* The ids of [ids] not in [handled].  Write notices that arrive during a
-   fetch are consed onto the missing list the fetch started from, and never
-   repeat an id already in it, so [handled] is normally a physical suffix
-   of [ids] and the answer is the prefix before it: linear, where
-   filtering is quadratic in the list length. *)
+(* The ids of [ids] not in [handled], the list a fetch started from.
+   Write notices that arrive during a fetch are consed onto that list,
+   and a page's fetch gate keeps every other change away from it, so
+   [handled] is a physical suffix of [ids] and the answer is the prefix
+   before it. *)
 let unhandled ids ~handled =
   let rec prefix acc = function
-    | rest when rest == handled -> Some (List.rev acc)
-    | [] -> None
+    | rest when rest == handled -> List.rev acc
+    | [] -> raise (Protocol_violation "missing list changed under its fetch")
     | id :: rest -> prefix (id :: acc) rest
   in
-  match prefix [] ids with
-  | Some fresh -> fresh
-  | None -> List.filter (fun id -> not (Interval.mem_id id handled)) ids
+  prefix [] ids
 
 let rec unmark row = function
   | [] -> ()
@@ -257,19 +233,22 @@ let forget_missing t page ids =
   unmark t.noticed.(page) ids;
   t.missing.(page) <- []
 
-(* Remove exactly [handled] from the page's missing set; validate the page
-   only if nothing new arrived while we were blocked. *)
-let finish_page t page ~handled =
-  let ids = t.missing.(page) in
-  match unhandled ids ~handled with
+(* Leave [remaining] as the page's missing list; validate the page only
+   if that is empty, i.e. nothing new arrived while we were blocked. *)
+let settle_page t page remaining =
+  match remaining with
   | [] ->
-    forget_missing t page ids;
+    forget_missing t page t.missing.(page);
     let p = Page_table.page t.page_table page in
     if Page.state p = Page.Invalid then begin
       Page.validate p;
       t.charge t.costs.Cpu_cost.page_protect
     end
-  | remaining -> t.missing.(page) <- remaining
+  | _ -> t.missing.(page) <- remaining
+
+(* Remove exactly [handled] from the page's missing set. *)
+let finish_page t page ~handled =
+  settle_page t page (unhandled t.missing.(page) ~handled)
 
 let fetch_and_apply t targets =
   let prepared =
@@ -351,14 +330,12 @@ let refetch_dropped t page ~keeper =
   in
   catch_up ();
   Lrc_close.restore_orphans t page p;
-  let handled =
-    List.filter
-      (fun (id : Interval.id) ->
-        id.Interval.index <= Vc.get base.covers id.Interval.creator
-        || Itbl.mem applied (diff_key t ~page id))
-      t.missing.(page)
-  in
-  finish_page t page ~handled
+  settle_page t page
+    (List.filter
+       (fun (id : Interval.id) ->
+         id.Interval.index > Vc.get base.covers id.Interval.creator
+         && not (Itbl.mem applied (diff_key t ~page id)))
+       t.missing.(page))
 
 (* [extra] with [other] in front if [other] may ride along in the batch
    of a fault on [page]: an accessed missing page that no fetch or

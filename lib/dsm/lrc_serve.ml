@@ -4,11 +4,13 @@ open Lrc_core
 
 let serve_cache_cap = 512
 
-(* Answer a diff request from the local store.  A request entry naming
-   several ids of one creator (a mergeable run, see [diff_request]) is
-   answered with a single merged diff under the run's lowest id and empty
-   lists for the rest; merged encodings are memoized in [serve_cache], so
-   repeat fetchers of the same range are served without re-merging. *)
+(* Answer a diff request from the local store.  A one-id entry is a
+   lookup.  A longer entry is a mergeable run (see [diff_request]): one
+   creator's ids in ascending index order, adjacent in the fetcher's
+   apply order, so it is answered with a single merged diff under the
+   run's first id and empty lists for the rest.  Merged encodings are
+   memoized in [serve_cache], so repeat fetchers of the same range are
+   served without re-merging. *)
 let serve_diffs t request =
   t.charge t.costs.Cpu_cost.diff_request_fixed;
   let lookup page (id : Interval.id) =
@@ -22,31 +24,11 @@ let serve_diffs t request =
   in
   List.concat_map
     (fun (page, ids) ->
-      let same_creator =
-        match ids with
-        | [] | [ _ ] -> false
-        | (first : Interval.id) :: rest ->
-          List.for_all
-            (fun (id : Interval.id) ->
-              id.Interval.creator = first.Interval.creator)
-            rest
-      in
-      if not same_creator then
-        List.map (fun (id : Interval.id) -> (page, id, lookup page id)) ids
-      else begin
-        (* One request entry is one mergeable run: the fetcher only groups
-           ids that are adjacent in its causal apply order, so collapsing
-           their diffs into one merged diff — returned under the run's
-           first id, with the rest answered empty — is equivalent to
-           shipping them separately. *)
-        let sorted =
-          List.sort
-            (fun (a : Interval.id) (b : Interval.id) ->
-              Int.compare a.Interval.index b.Interval.index)
-            ids
-        in
-        let first = List.hd sorted in
-        let last = List.nth sorted (List.length sorted - 1) in
+      match ids with
+      | [] -> []
+      | [ id ] -> [ (page, id, lookup page id) ]
+      | (first : Interval.id) :: rest ->
+        let last = List.fold_left (fun _ id -> id) first rest in
         let key =
           {
             Serve_key.page;
@@ -62,7 +44,7 @@ let serve_diffs t request =
             d
           | None ->
             Obs.inc t.ins.diff_cache_misses_c;
-            let pieces = List.concat_map (lookup page) sorted in
+            let pieces = List.concat_map (lookup page) ids in
             let d = Diff.merge pieces in
             Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
             t.charge
@@ -73,9 +55,7 @@ let serve_diffs t request =
             Serve_cache.replace t.serve_cache key d;
             d
         in
-        (page, first, [ merged ])
-        :: List.map (fun id -> (page, id, [])) (List.tl sorted)
-      end)
+        (page, first, [ merged ]) :: List.map (fun id -> (page, id, [])) rest)
     request
 
 (* Serve the content as of the last interval boundary.  A write-enabled
@@ -123,20 +103,17 @@ let discard t ~keeps =
 (* Requests: one peer RPC each, to the node that serves it *)
 
 (* Wire bytes of diff entries (an attachment list or a diff reply): 8
-   per entry plus its diffs, where a physical diff aliased under several
-   entries crosses the wire once and each later reference carries only a
-   4-byte back-reference.  Top-level recursion: no closure per message. *)
-let rec entries_bytes billed acc = function
+   per entry plus each of its pieces.  Top-level recursion: no closure
+   per message. *)
+let rec pieces_bytes acc = function
   | [] -> acc
-  | (_, _, ds) :: rest -> entry_diffs_bytes billed (acc + 8) rest ds
+  | d :: ds -> pieces_bytes (acc + Diff.size_bytes d) ds
 
-and entry_diffs_bytes billed acc rest = function
-  | [] -> entries_bytes billed acc rest
-  | d :: ds ->
-    if List.memq d billed then entry_diffs_bytes billed (acc + 4) rest ds
-    else entry_diffs_bytes (d :: billed) (acc + Diff.size_bytes d) rest ds
+let rec entries_bytes acc = function
+  | [] -> acc
+  | (_, _, ds) :: rest -> entries_bytes (pieces_bytes (acc + 8) ds) rest
 
-let diff_entries_bytes (entries : diff_reply) = entries_bytes [] 0 entries
+let diff_entries_bytes (entries : diff_reply) = entries_bytes 0 entries
 
 (* A diff request names, per entry, a page and its interval ids. *)
 let fetch_diffs t ~dst (request : diff_request) =

@@ -16,8 +16,8 @@ open Lrc_core
 (** {1 Requests} *)
 
 (** [fetch_diffs t ~dst request]: the diffs [request] names, from their
-    creator [dst].  A multi-id entry may come back as one merged diff
-    under its lowest id and empty lists for the rest. *)
+    creator [dst].  A multi-id entry comes back as one merged diff under
+    its first id and empty lists for the rest. *)
 val fetch_diffs : t -> dst:int -> diff_request -> diff_reply
 
 (** [fetch_intervals t ~dst ~have]: every interval description [dst]
@@ -35,9 +35,7 @@ val page_reply_bytes : t -> int
 (** [fetch_base t ~dst ~page]: the base copy the keeper [dst] holds. *)
 val fetch_base : t -> dst:int -> page:int -> page_reply
 
-(** Wire bytes of diff entries: 8 per entry plus each physical diff
-    once, each later reference to an already-billed diff costing a
-    4-byte back-reference. *)
+(** Wire bytes of diff entries: 8 per entry plus each of its pieces. *)
 val diff_entries_bytes : diff_reply -> int
 
 (** {1 Base copies} *)

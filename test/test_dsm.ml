@@ -879,26 +879,19 @@ let test_held_diff_splits_merge_run () =
     (List.length pb.Lrc.attached_diffs);
   Alcotest.(check int) "latest write wins" 3 (Shm.read_i64 c.shms.(2) x)
 
-let test_aliased_diff_billed_once () =
-  (* A physical diff listed under two ids crosses the wire once; the
-     second entry costs its 8-byte header plus a 4-byte back-reference.
-     Piggyback attachments and diff replies bill through the same rule. *)
+let test_attachment_billed_entry_plus_diff () =
+  (* An eagerly shipped diff is one entry of the piggyback: its 8-byte
+     header plus the diff. *)
   let c = make_cluster ~strategy:Lrc.Update 2 in
   Shm.write_i64 c.shms.(0) (slot c ~page:0 0) 7;
   let pb = Lrc.make_piggyback c.lrcs.(0) ~receiver:1 ~nontransitive:false in
-  let page, id, d =
+  let d =
     match pb.Lrc.attached_diffs with
-    | [ (page, id, [ d ]) ] -> (page, id, d)
+    | [ (_, _, [ d ]) ] -> d
     | _ -> Alcotest.fail "expected one attached diff"
   in
-  let alias = { id with Interval.index = id.Interval.index + 1 } in
-  let entries = [ (page, id, [ d ]); (page, alias, [ d ]) ] in
-  let expected = 8 + Carlos_vm.Diff.size_bytes d + 8 + 4 in
-  Alcotest.(check int) "piggyback diff_payload" expected
-    (List.assoc Carlos_obs.Cost.Diff_payload
-       (Lrc.piggyback_cost { pb with Lrc.attached_diffs = entries }));
-  Alcotest.(check int) "diff reply bytes" expected
-    (Lrc.diff_entries_bytes entries)
+  Alcotest.(check int) "piggyback diff_payload" (8 + Diff.size_bytes d)
+    (List.assoc Cost.Diff_payload (Lrc.piggyback_cost pb))
 
 (* ------------------------------------------------------------------ *)
 (* Batched fetching and the creator-side merged-diff cache *)
@@ -1152,6 +1145,27 @@ let test_lrc_wire_sizes () =
   Alcotest.(check int) "base content" 11 (Shm.read_i64 c.shms.(1) d);
   check_sent "base refetch" c.log
     [ rpc_sent ~dst:0 Cost.Diff_payload 12 Cost.Diff_payload page_reply ]
+
+let test_lrc_merged_run_wire_bytes () =
+  (* Node 1 fetches node 0's two intervals as one run: a request of one
+     entry with two ids, answered by the merged diff under the first id
+     and an empty entry for the second.  The reply is 8 + 8 per entry +
+     the diff bytes fetched. *)
+  let c, a, _ = coalescing_scenario () in
+  ignore (take_sent c.log);
+  ignore (Shm.read_i64 c.shms.(1) a);
+  let fetched = dsm_counter c ~node:1 "diff_bytes_fetched" in
+  Alcotest.(check int) "the merged diff crossed once"
+    (Diff.size_bytes
+       (Diff.merge [ write_diff ~offset:0 1; write_diff ~offset:8 2 ]))
+    fetched;
+  check_sent "one diff round trip" c.log
+    [
+      rpc_sent ~dst:0 Cost.Diff_payload
+        (8 + 4 + (8 * 2))
+        Cost.Diff_payload
+        (8 + (8 * 2) + fetched);
+    ]
 
 let test_lrc_interval_fetch_size () =
   let c = make_cluster 3 in
@@ -2078,7 +2092,8 @@ let () =
           loopback "lock chain under update" test_update_strategy_lock_chain;
           loopback "held diff splits a merge run"
             test_held_diff_splits_merge_run;
-          loopback "aliased diff billed once" test_aliased_diff_billed_once;
+          loopback "attachment billed entry plus diff"
+            test_attachment_billed_entry_plus_diff;
         ] );
       ( "batching",
         [
@@ -2102,6 +2117,7 @@ let () =
       ( "wire-sizes",
         [
           loopback "lrc diff, page and base fetches" test_lrc_wire_sizes;
+          loopback "lrc merged run" test_lrc_merged_run_wire_bytes;
           loopback "lrc interval fetch" test_lrc_interval_fetch_size;
           loopback "central read fault and flush" test_central_wire_sizes;
           loopback "seq flush and pushes" test_seq_wire_sizes;
