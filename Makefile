@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline perfbench-smoke clean
+.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline export-diff export-pin perfbench-smoke clean
 
 all: build
 
@@ -96,6 +96,17 @@ rebaseline: build
 	{ $(SNAPSHOT_DIFF) BENCH_PR10.json $$new || true; } && \
 	cp $$new BENCH_PR10.json && \
 	echo "rebaseline: BENCH_PR10.json replaced"
+
+# Export gate (CI runs this target): tsp/hybrid@4, qsort/lock@3,
+# water/hybrid@2 and grid/barrier@4 on every backend; each run's stdout
+# and --metrics-json lines, and its Chrome trace's digest and event counts
+# by name, must equal the copies in test/exports.  A change that moves an
+# export on purpose re-pins them with `make export-pin`.
+export-diff: build
+	@test/export.sh check
+
+export-pin: build
+	@test/export.sh pin
 
 # perfbench's own correctness check (CI runs this target): each workload
 # runs its 32 seed-0 inputs once, and the run's last line must report

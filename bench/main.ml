@@ -410,10 +410,29 @@ type row_result = {
   rr_failures : string list; (* oldest first *)
 }
 
-(* Run one configuration and format its row.  Every field is simulated,
-   so the row is deterministic. *)
+(* The words [f ()] allocates on this domain: minor-heap words exactly
+   ([Gc.minor_words] counts to the word), and words allocated straight
+   into the major heap ([Gc.counters]' major words less those promoted).
+   Promotion itself is left out: on OCaml 5 a minor collection stops
+   every domain, so under [-j] one row's promotions move with what the
+   rows beside it allocate.  The per-domain scratch buffers start empty,
+   so a row's count does not depend on the rows its domain ran before. *)
+let counting_words f =
+  Carlos_vm.Diff.reset_scratch ();
+  Qsort.reset_scratch ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0, major1 -. promoted1 -. (major0 -. promoted0))
+
+(* Run one configuration and format its row.  Every field is simulated
+   or an exact allocation count, so the row is deterministic. *)
 let measure ~nodes ~app ~variant ~backend ~mode f =
-  let sys, (o : Harness.outcome) = f () in
+  let (sys, (o : Harness.outcome)), alloc_minor, alloc_major =
+    counting_words f
+  in
   let report = o.report and ok = o.ok in
   let name = Printf.sprintf "%s/%s/%s/%s/n%d" app variant backend mode nodes in
   let failures = ref [] in
@@ -441,12 +460,13 @@ let measure ~nodes ~app ~variant ~backend ~mode f =
   let waste name = Obs.sum_counters obs ~layer:Obs.Dsm ("waste." ^ name) in
   let row =
     Printf.sprintf
-      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d, "pages": %d, "page_bytes": %d }, "ok": %b }|}
+      {|    { "app": %S, "variant": %S, "backend": %S, "config": %S, "nodes": %d, "wall_s": %.6f, "messages": %d, "bytes": %d, "frames": %d, "wire_bytes": %d, "acks": %d, "acks_coalesced": %d, "diff_requests": %d, "components": { %s }, "waste": { "intervals": %d, "vc_entries": %d, "write_notices": %d, "pages": %d, "page_bytes": %d }, "alloc_minor": %.0f, "alloc_major": %.0f, "ok": %b }|}
       app variant backend mode nodes report.System.wall report.System.messages
       report.System.message_bytes (c "medium.frames") (c "medium.bytes")
       (c "sw.acks") (c "sw.acks_coalesced") report.System.diff_requests
       components_json (waste "intervals") (waste "vc_bytes")
-      (waste "wn_bytes") (waste "pages") (waste "page_bytes") ok
+      (waste "wn_bytes") (waste "pages") (waste "page_bytes") alloc_minor
+      alloc_major ok
   in
   let metrics =
     ("messages", float_of_int report.System.messages)
@@ -467,6 +487,7 @@ let commit_row dest rr =
    fanned across domains, then append the rows to [dest] in submission
    order; returns each job with its row's metrics. *)
 let run_jobs ~dest ~mode jobs =
+  List.iter (fun ((app : Harness.app), _, _, _) -> app.prepare ()) jobs;
   let results =
     Parallel_runner.run
       (Array.of_list

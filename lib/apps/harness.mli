@@ -61,6 +61,10 @@ type app = {
   config : nodes:int -> Carlos.System.config;
       (** the configuration the application runs on *)
   variants : variant list;
+  prepare : unit -> unit;
+      (** does now the one-time work of the result check that the
+          entry's first run would do (TSP's reference tour), so that the
+          runs' allocation counts leave it out *)
 }
 
 (** ["Prefix/label"], e.g. ["QS/hybrid-1"]. *)

@@ -110,6 +110,8 @@ let partition node shm layout p ~lo ~hi =
    the largest sort seen, so a warmed-up sort allocates nothing. *)
 let merge_key = Domain.DLS.new_key (fun () -> ref [||])
 
+let reset_scratch () = Domain.DLS.set merge_key (ref [||])
+
 let sort_run = 16
 
 (* Insertion sort of [a.(lo .. hi - 1)]. *)

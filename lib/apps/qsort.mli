@@ -46,6 +46,9 @@ val run : Carlos.System.t -> variant -> params -> result
     [0 <= n <= Array.length a]. *)
 val sort_ints : int array -> int -> unit
 
+(** Empties the calling domain's sort scratch (see {!Carlos_vm.Diff.reset_scratch}). *)
+val reset_scratch : unit -> unit
+
 (** A system configuration sized for this application (coherent region
     large enough for the array). *)
 val config : ?nodes:int -> params -> Carlos.System.config

@@ -1,5 +1,6 @@
 module Ivar = Carlos_sim.Resource.Ivar
 module Obs = Carlos_obs.Obs
+module Profile = Carlos_obs.Profile
 
 type arrival = {
   client : int;
@@ -69,7 +70,9 @@ let note_arrival t manager_node arrival =
   t.arrivals <- arrival :: t.arrivals;
   if List.length t.arrivals = t.nodes then fall t manager_node
 
-let wait t node =
+let barrier_span = Profile.span Obs.Carlos "carlos.barrier"
+
+let wait_barrier t node =
   Node.flush_compute node;
   let me = Node.id node in
   Obs.event t.obs ~node:me ~layer:Obs.Carlos "barrier.arrive"
@@ -91,5 +94,10 @@ let wait t node =
         note_arrival t manager_node { client = me; gate; stored = Some d });
     Node.await node gate
   end
+
+let wait t node =
+  Profile.enter barrier_span;
+  wait_barrier t node;
+  Profile.leave barrier_span
 
 let episodes t = t.episodes

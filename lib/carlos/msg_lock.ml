@@ -1,5 +1,6 @@
 module Ivar = Carlos_sim.Resource.Ivar
 module Obs = Carlos_obs.Obs
+module Profile = Carlos_obs.Profile
 
 type status = Released | Acquiring | Holding
 
@@ -64,7 +65,9 @@ let grant t node ~requester =
       | None ->
         raise (Node.Handler_error (t.name ^ ": grant with nobody waiting")))
 
-let acquire t node =
+let lock_span = Profile.span Obs.Carlos "carlos.lock"
+
+let acquire_lock t node =
   let me = Node.id node in
   let st = t.per_node.(me) in
   (match st.status with
@@ -112,7 +115,12 @@ let acquire t node =
     ~args:[ ("name", Obs.Str t.name); ("wait", Obs.F wait) ];
   st.status <- Holding
 
-let release t node =
+let acquire t node =
+  Profile.enter lock_span;
+  acquire_lock t node;
+  Profile.leave lock_span
+
+let release_lock t node =
   let me = Node.id node in
   let st = t.per_node.(me) in
   (match st.status with
@@ -129,6 +137,11 @@ let release t node =
     st.next <- None;
     st.token <- false;
     grant t node ~requester:successor
+
+let release t node =
+  Profile.enter lock_span;
+  release_lock t node;
+  Profile.leave lock_span
 
 let with_lock t node f =
   acquire t node;

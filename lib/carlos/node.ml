@@ -12,6 +12,7 @@ module Interval = Carlos_dsm.Interval
 module Cpu_cost = Carlos_dsm.Cpu_cost
 module Wire_cost = Carlos_obs.Cost
 module Obs = Carlos_obs.Obs
+module Profile = Carlos_obs.Profile
 module Audit = Carlos_audit.Audit
 
 exception Handler_error of string
@@ -473,7 +474,10 @@ let store d =
 (* ------------------------------------------------------------------ *)
 (* Receiving *)
 
+let handler_span = Profile.span Obs.Carlos "carlos.handler"
+
 let handle t d =
+  Profile.enter handler_span;
   charge t Breakdown.Carlos t.costs.Cpu_cost.handler_dispatch;
   (match d.message.annotation with
   | Annotation.Request -> (
@@ -484,12 +488,13 @@ let handle t d =
     | None -> ())
   | Annotation.Release | Annotation.Release_nt | Annotation.None_ -> ());
   d.message.handler t d;
-  match d.disposition with
+  (match d.disposition with
   | Undecided ->
     raise
       (Handler_error
          "handler returned without accepting, forwarding or storing")
-  | Stored | Accepted | Forwarded -> ()
+  | Stored | Accepted | Forwarded -> ());
+  Profile.leave handler_span
 
 (* The span, its args and its closure are built only while tracing. *)
 let run_handler t d =

@@ -318,13 +318,17 @@ let create ?(audit = false) (cfg : config) =
     t.nodes;
   t
 
+let app_span = Carlos_obs.Profile.span Obs.App "app"
+
 let run t app =
   let start = Engine.now t.engine in
   let finished = Array.make t.cfg.nodes None in
   Array.iter
     (fun node ->
       Engine.spawn t.engine (fun () ->
+          Carlos_obs.Profile.enter app_span;
           app node;
+          Carlos_obs.Profile.leave app_span;
           Node.flush_compute node;
           finished.(Node.id node) <- Some (Engine.now t.engine)))
     t.nodes;

@@ -25,7 +25,7 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer
       page_vc = Array.make pages Vc.none;
       zero_vc = Vc.zero ~nodes;
       peer_vc = Array.init nodes (fun _ -> Vc.zero ~nodes);
-      store = Diff_store.create ~nodes ~pages;
+      store = Diff_store.create ~nodes;
       flags = Bytes.make pages '\000';
       dirty = [];
       orphans = Array.make pages [];
@@ -139,7 +139,7 @@ let apply_interval t ~attached interval =
             let eager =
               match attached with
               | None -> None
-              | Some attached -> Itbl.find_opt attached (diff_key t ~page id)
+              | Some attached -> Diff_store.find attached ~page id
             in
             let state = Page.state p in
             (* [flush_page] yields while charging the encode, and the
@@ -195,18 +195,18 @@ let rec count_waste t = function
 let carries_diffs pb =
   match pb.attached_diffs with [] -> false | _ :: _ -> true
 
-(* The diffs the piggybacks carry eagerly, by [diff_key]; [None] when none
-   carries any, as always under [Invalidate], so that [apply_interval]
-   looks nothing up. *)
+(* The diffs the piggybacks carry eagerly, in a store of their own (a
+   later piggyback's pieces for an id replace an earlier one's); [None]
+   when none carries any, as always under [Invalidate], so that
+   [apply_interval] looks nothing up. *)
 let index_attached t piggybacks =
   if not (List.exists carries_diffs piggybacks) then None
   else begin
-    let attached = Itbl.create 16 in
+    let attached = Diff_store.create ~nodes:t.nodes in
     List.iter
       (fun pb ->
         List.iter
-          (fun (page, id, ds) ->
-            Itbl.replace attached (diff_key t ~page id) ds)
+          (fun (page, id, ds) -> Diff_store.replace attached ~page id ds)
           pb.attached_diffs)
       piggybacks;
     Some attached
@@ -262,11 +262,13 @@ let accept_piggybacks t ~local piggybacks =
     piggybacks
 
 let accept t ?(local = []) piggybacks =
-  if not (Obs.tracing t.obs) then accept_piggybacks t ~local piggybacks
-  else
-    Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
-      ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
-    @@ fun () -> accept_piggybacks t ~local piggybacks
+  Profile.enter accept_span;
+  (if not (Obs.tracing t.obs) then accept_piggybacks t ~local piggybacks
+   else
+     Obs.span t.obs ~node:t.me ~layer:Obs.Dsm "lrc.accept"
+       ~args:[ ("piggybacks", Obs.Int (List.length piggybacks)) ]
+     @@ fun () -> accept_piggybacks t ~local piggybacks);
+  Profile.leave accept_span
 
 (* ------------------------------------------------------------------ *)
 (* Garbage collection support *)

@@ -120,5 +120,7 @@ let publish_interval t =
    ({!Writeback.exclusively}): the second waits until the first has
    published, then re-checks. *)
 let close_interval t =
+  Profile.enter close_span;
   if Writeback.exclusively t.wb publish_interval t then
-    t.charge t.costs.Cpu_cost.interval_create
+    t.charge t.costs.Cpu_cost.interval_create;
+  Profile.leave close_span

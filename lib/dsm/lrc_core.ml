@@ -10,7 +10,25 @@ module Ivar = Carlos_sim.Resource.Ivar
 module Engine = Carlos_sim.Engine
 module Obs = Carlos_obs.Obs
 module Cost = Carlos_obs.Cost
-module Itbl = Diff_store.Itbl
+module Profile = Carlos_obs.Profile
+module Itbl = Hashtbl.Make (Int)
+
+(* The engine's host-profiler spans (see Carlos_obs.Profile): protocol
+   entry points, and each hash-table call site (named tbl.TABLE@SITE). *)
+let accept_span = Profile.span Obs.Dsm "lrc.accept"
+
+let fetch_span = Profile.span Obs.Dsm "lrc.fetch"
+
+let serve_span = Profile.span Obs.Dsm "lrc.serve"
+
+let close_span = Profile.span Obs.Dsm "lrc.close"
+
+let gc_span = Profile.span Obs.Dsm "lrc.gc"
+
+let serve_cache_serve = Profile.span Obs.Dsm "tbl.serve_cache@serve"
+
+let bases_serve = Profile.span Obs.Dsm "tbl.bases@serve"
+
 
 exception Protocol_violation of string
 
@@ -222,8 +240,6 @@ type t = {
   mutable hooks : hooks;
   mutable fault : fault option;
 }
-
-let diff_key t ~page id = Diff_store.key t.store ~page id
 
 (* The [flags] bits. *)
 let accessed_flag = 1

@@ -72,14 +72,33 @@ let causal_order t ids =
     Interval.sort_in_place a;
     Array.fold_right (fun (i : Interval.t) acc -> i.Interval.id :: acc) a []
 
+(* Check a reply entry against the request it answers, [pending] being
+   the entries not yet matched, and return the entries after the match.
+   The server answers every requested id of an entry in request order, so
+   a reply entry must be one of them; a run's later ids come back with
+   no pieces. *)
+let rec match_request page (id : Interval.id) = function
+  | [] -> raise (Protocol_violation "diff reply for an unrequested id")
+  | (p, ids) :: rest ->
+    let rec within = function
+      | [] -> match_request page id rest
+      | (i : Interval.id) :: more ->
+        if p = page && i.Interval.index = id.Interval.index
+           && i.Interval.creator = id.Interval.creator
+        then match more with [] -> rest | _ :: _ -> (p, more) :: rest
+        else within more
+    in
+    within ids
+
 (* Fetch the diffs for [targets] (per page, its mergeable runs: same-
    creator ids whose diffs are not held locally, in causal order) into
-   [have]: one diff request per creator, spanning pages, with one request
-   entry per run.  Distinct creators answer independently, so their round
-   trips are overlapped by issuing each request from its own forked fiber
-   and joining on ivars. *)
-let fetch_missing t ~into:have targets =
-  let requests = Itbl.create 4 and asked = Itbl.create 16 in
+   the store: one diff request per creator, spanning pages, with one
+   request entry per run.  Distinct creators answer independently, so
+   their round trips are overlapped by issuing each request from its own
+   forked fiber and joining on ivars.  Returns the ids answered with no
+   pieces (a merged run's later ids), which apply as empty. *)
+let fetch_missing t targets =
+  let requests = Array.make t.nodes [] in
   let creators = ref [] in
   List.iter
     (fun (page, runs) ->
@@ -87,36 +106,37 @@ let fetch_missing t ~into:have targets =
         (fun run ->
           match run with
           | [] -> ()
-          | (id : Interval.id) :: _ -> (
+          | (id : Interval.id) :: _ ->
             let creator = id.Interval.creator in
-            List.iter
-              (fun id -> Itbl.replace asked (diff_key t ~page id) creator)
-              run;
-            match Itbl.find_opt requests creator with
-            | None ->
-              Itbl.replace requests creator [ (page, run) ];
-              creators := creator :: !creators
-            | Some cur ->
-              Itbl.replace requests creator ((page, run) :: cur)))
+            (match requests.(creator) with
+            | [] -> creators := creator :: !creators
+            | _ :: _ -> ());
+            requests.(creator) <- (page, run) :: requests.(creator))
         runs)
     targets;
+  let empties = ref [] in
   let do_fetch creator =
-    let request = List.rev (Itbl.find requests creator) in
+    let request = List.rev requests.(creator) in
     Obs.inc t.ins.diff_requests_c;
     let reply = Lrc_serve.fetch_diffs t ~dst:creator request in
-    List.iter
-      (fun (page, (id : Interval.id), ds) ->
-        if Itbl.find_opt asked (diff_key t ~page id) <> Some creator then
-          raise (Protocol_violation "diff reply for an unrequested id");
-        List.iter
-          (fun d ->
-            Obs.add t.ins.diff_bytes_fetched_c (Diff.size_bytes d);
-            Diff_store.add t.store ~page id d)
-          ds;
-        Itbl.replace have (diff_key t ~page id) ds)
-      reply
+    ignore
+      (List.fold_left
+         (fun pending (page, (id : Interval.id), ds) ->
+           let pending = match_request page id pending in
+           if id.Interval.creator <> creator then
+             raise (Protocol_violation "diff reply for an unrequested id");
+           (match ds with
+           | [] -> empties := (page, id) :: !empties
+           | _ :: _ ->
+             List.iter
+               (fun d ->
+                 Obs.add t.ins.diff_bytes_fetched_c (Diff.size_bytes d);
+                 Diff_store.add t.store ~page id d)
+               ds);
+           pending)
+         request reply)
   in
-  match List.rev !creators with
+  (match List.rev !creators with
   | [] -> ()
   | [ creator ] -> do_fetch creator
   | many ->
@@ -135,7 +155,8 @@ let fetch_missing t ~into:have targets =
     List.iter
       (fun slot ->
         match Ivar.read slot with Ok () -> () | Error e -> raise e)
-      slots
+      slots);
+  !empties
 
 (* Split a page's causally ordered ids into mergeable runs: maximal
    stretches of one creator's ids whose diffs are not held here.  The ids
@@ -160,33 +181,31 @@ let mergeable_runs ordered ~held =
   in
   group [] [] ordered
 
-(* Gather diffs for each page of [targets]: serve from the local store
-   where possible, fetch the rest from their creators (blocking). *)
+(* Gather diffs for each page of [targets]: held ones are in the local
+   store already, the rest are fetched into it from their creators
+   (blocking).  Returns the ids answered with no pieces. *)
 let collect_diffs t targets =
-  let have = Itbl.create 16 in
   let remote =
     List.filter_map
       (fun (page, ids) ->
         let missed = ref 0 in
         List.iter
           (fun (id : Interval.id) ->
-            match Diff_store.find t.store ~page id with
-            | Some ds -> Itbl.replace have (diff_key t ~page id) ds
-            | None ->
+            if not (Diff_store.mem t.store ~page id) then begin
               if id.Interval.creator = t.me then
                 raise (Protocol_violation "own diff missing from store");
-              incr missed)
+              incr missed
+            end)
           ids;
         if !missed = 0 then None
         else
           Some
             ( page,
               mergeable_runs (causal_order t ids) ~held:(fun id ->
-                  Itbl.mem have (diff_key t ~page id)) ))
+                  Diff_store.mem t.store ~page id) ))
       targets
   in
-  fetch_missing t ~into:have remote;
-  have
+  match remote with [] -> [] | _ :: _ -> fetch_missing t remote
 
 let apply_diff t p d =
   Page.apply_diff p d;
@@ -194,17 +213,27 @@ let apply_diff t p d =
   t.charge
     (t.costs.Cpu_cost.diff_data_per_byte *. float_of_int (Diff.changed_bytes d))
 
-let apply_diffs t page ids have =
+let rec answered_empty page (id : Interval.id) = function
+  | [] -> false
+  | (p, (i : Interval.id)) :: rest ->
+    (p = page && i.Interval.creator = id.Interval.creator
+    && i.Interval.index = id.Interval.index)
+    || answered_empty page id rest
+
+(* Apply [ids]' diffs to [page] in causal order: every id's pieces are
+   in the store, or it was answered with none ([empties]). *)
+let apply_diffs t page ids empties =
   let ordered = causal_order t ids in
   let p = Page_table.page t.page_table page in
   List.iter
     (fun (id : Interval.id) ->
-      match Itbl.find_opt have (diff_key t ~page id) with
-      | None -> raise (Protocol_violation "no diff collected for missing id")
-      | Some ds ->
-        List.iter (apply_diff t p) ds;
-        note_page_interval t page ~creator:id.Interval.creator
-          ~index:id.Interval.index)
+      (match Diff_store.find t.store ~page id with
+      | Some ds -> List.iter (apply_diff t p) ds
+      | None ->
+        if not (answered_empty page id empties) then
+          raise (Protocol_violation "no diff collected for missing id"));
+      note_page_interval t page ~creator:id.Interval.creator
+        ~index:id.Interval.index)
     ordered
 
 (* The ids of [ids] not in [handled], the list a fetch started from.
@@ -273,13 +302,15 @@ let fetch_and_apply t targets =
   (match work with
   | [] -> ()
   | _ ->
-    let have = collect_diffs t work in
-    List.iter (fun (page, ids) -> apply_diffs t page ids have) work);
+    let empties = collect_diffs t work in
+    List.iter (fun (page, ids) -> apply_diffs t page ids empties) work);
   List.iter (fun (page, ids) -> finish_page t page ~handled:ids) targets
 
 let fetch_batch t targets =
+  Profile.enter fetch_span;
   Writeback.under_gates t.wb (List.map fst targets) (fun () ->
-      fetch_and_apply t targets)
+      fetch_and_apply t targets);
+  Profile.leave fetch_span
 
 (* Whether the write notices [pages] name [page]: [List.mem] without the
    polymorphic compare. *)
@@ -287,23 +318,30 @@ let rec names page = function
   | [] -> false
   | p :: rest -> p = page || names page rest
 
+(* The floor below which nothing of [creator] is needed for a page whose
+   content covers [covers]: the coverage, or the last GC's snapshot, at
+   or below which everything is discarded (had it written the page, that
+   GC would have re-elected the keeper, whose base covers it). *)
+let needed_floor t ~covers creator =
+  Int.max (Vc.get covers creator) (Vc.get t.gc_floor creator)
+
 (* The logged intervals that wrote [page] and that the page's content may
-   lack: above [covers], at most the vector clock (an id above it belongs
-   to an accept still in progress, whose write notice then leaves it
-   missing), and not in [applied].  Nothing at or below the last GC's
-   snapshot is needed, and it is discarded: had it written the page, that
-   GC would have re-elected the keeper, whose base covers it. *)
-let writes_above t page ~covers ~applied =
+   lack: above the floor, at most the vector clock (an id above it
+   belongs to an accept still in progress, whose write notice then leaves
+   it missing), and above [scanned], the clock of the previous round,
+   whose ids have been applied already if they wrote the page.  Raises
+   [scanned] to the clock. *)
+let writes_above t page ~covers ~scanned =
   let ids = ref [] in
   for creator = 0 to t.nodes - 1 do
-    let floor = Int.max (Vc.get covers creator) (Vc.get t.gc_floor creator) in
-    for index = floor + 1 to Vc.get t.vc creator do
+    let top = Vc.get t.vc creator in
+    let from = Int.max (needed_floor t ~covers creator) scanned.(creator) in
+    for index = from + 1 to top do
       let id = { Interval.creator; index } in
-      if
-        (not (Itbl.mem applied (diff_key t ~page id)))
-        && names page (find_interval t id).Interval.write_notices
-      then ids := id :: !ids
-    done
+      if names page (find_interval t id).Interval.write_notices then
+        ids := id :: !ids
+    done;
+    if top > scanned.(creator) then scanned.(creator) <- top
   done;
   !ids
 
@@ -312,19 +350,21 @@ let writes_above t page ~covers ~applied =
    (this node's own included), then re-apply the open interval's orphans.
    The catch-up loops because fetching yields: new write notices can
    arrive, and a close can publish the orphans as an own interval.  It
-   tracks the ids it applied rather than the page's coverage, which that
-   close bumps before its diff is applied here. *)
+   tracks the clock up to which it applied rather than the page's
+   coverage, which that close bumps before its diff is applied here: an
+   id that wrote the page is applied exactly when it lies above the
+   floor and at most [scanned]. *)
 let refetch_dropped t page ~keeper =
   let base = Lrc_serve.fetch_base t ~dst:keeper ~page in
   t.dropped.(page) <- not_dropped;
   forget_page_content t page;
   let p = install t page base in
-  let applied = Itbl.create 8 in
+  let covers = base.covers in
+  let scanned = Array.make t.nodes 0 in
   let rec catch_up () =
-    match writes_above t page ~covers:base.covers ~applied with
+    match writes_above t page ~covers ~scanned with
     | [] -> ()
     | ids ->
-      List.iter (fun id -> Itbl.replace applied (diff_key t ~page id) ()) ids;
       apply_diffs t page ids (collect_diffs t [ (page, ids) ]);
       catch_up ()
   in
@@ -333,8 +373,9 @@ let refetch_dropped t page ~keeper =
   settle_page t page
     (List.filter
        (fun (id : Interval.id) ->
-         id.Interval.index > Vc.get base.covers id.Interval.creator
-         && not (Itbl.mem applied (diff_key t ~page id)))
+         let c = id.Interval.creator and index = id.Interval.index in
+         index > Vc.get covers c
+         && not (index > needed_floor t ~covers c && index <= scanned.(c)))
        t.missing.(page))
 
 (* [extra] with [other] in front if [other] may ride along in the batch
@@ -384,8 +425,10 @@ let rec validate_page t page =
   | None -> (
     let keeper = t.dropped.(page) in
     if keeper <> not_dropped then begin
+      Profile.enter fetch_span;
       Writeback.under_gates t.wb [ page ] (fun () ->
           refetch_dropped t page ~keeper);
+      Profile.leave fetch_span;
       validate_page_if_needed t page
     end
     else

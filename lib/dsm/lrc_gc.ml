@@ -183,17 +183,23 @@ let elect_keepers t snapshot =
    claim.  Checking validity and storing do not yield, so the base is a
    consistent copy. *)
 let gc_keep t snapshot =
+  Profile.enter gc_span;
   let kept = elect_keepers t snapshot in
   Lrc_fetch.refresh t kept;
   List.iter
     (fun page ->
       Lrc_fetch.validate_page_if_needed t page;
       Lrc_serve.keep_base t page)
-    kept
+    kept;
+  Profile.leave gc_span
 
-let gc_drop t snapshot = Lrc_fetch.drop_stale t snapshot ~keepers:t.keeper
+let gc_drop t snapshot =
+  Profile.enter gc_span;
+  Lrc_fetch.drop_stale t snapshot ~keepers:t.keeper;
+  Profile.leave gc_span
 
 let discard_before t snapshot =
+  Profile.enter gc_span;
   (* Discarding is only legal after a global rendezvous in which every node
      reached [snapshot]; record that knowledge so future piggybacks are
      never asked to cover discarded history. *)
@@ -203,4 +209,5 @@ let discard_before t snapshot =
   discard_log t snapshot;
   Diff_store.discard_upto t.store snapshot;
   (* A base stays until another node keeps its page. *)
-  Lrc_serve.discard t ~keeps:(fun page -> t.keeper.(page) = t.me)
+  Lrc_serve.discard t ~keeps:(fun page -> t.keeper.(page) = t.me);
+  Profile.leave gc_span

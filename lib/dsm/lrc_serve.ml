@@ -12,6 +12,7 @@ let serve_cache_cap = 512
    memoized in [serve_cache], so repeat fetchers of the same range are
    served without re-merging. *)
 let serve_diffs t request =
+  Profile.enter serve_span;
   t.charge t.costs.Cpu_cost.diff_request_fixed;
   let lookup page (id : Interval.id) =
     match Diff_store.find t.store ~page id with
@@ -22,41 +23,50 @@ let serve_diffs t request =
            (Printf.sprintf "diff (page %d, %d.%d) not available" page
               id.Interval.creator id.Interval.index))
   in
-  List.concat_map
-    (fun (page, ids) ->
-      match ids with
-      | [] -> []
-      | [ id ] -> [ (page, id, lookup page id) ]
-      | (first : Interval.id) :: rest ->
-        let last = List.fold_left (fun _ id -> id) first rest in
-        let key =
-          {
-            Serve_key.page;
-            creator = first.Interval.creator;
-            lo = first.Interval.index;
-            hi = last.Interval.index;
-          }
-        in
-        let merged =
-          match Serve_cache.find_opt t.serve_cache key with
-          | Some d ->
-            Obs.inc t.ins.diff_cache_hits_c;
-            d
-          | None ->
-            Obs.inc t.ins.diff_cache_misses_c;
-            let pieces = List.concat_map (lookup page) ids in
-            let d = Diff.merge pieces in
-            Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
-            t.charge
-              (t.costs.Cpu_cost.diff_data_per_byte
-              *. float_of_int (Diff.changed_bytes d));
-            if Serve_cache.length t.serve_cache >= serve_cache_cap then
-              Serve_cache.reset t.serve_cache;
-            Serve_cache.replace t.serve_cache key d;
-            d
-        in
-        (page, first, [ merged ]) :: List.map (fun id -> (page, id, [])) rest)
-    request
+  let reply =
+    List.concat_map
+      (fun (page, ids) ->
+        match ids with
+        | [] -> []
+        | [ id ] -> [ (page, id, lookup page id) ]
+        | (first : Interval.id) :: rest ->
+          let last = List.fold_left (fun _ id -> id) first rest in
+          let key =
+            {
+              Serve_key.page;
+              creator = first.Interval.creator;
+              lo = first.Interval.index;
+              hi = last.Interval.index;
+            }
+          in
+          Profile.enter serve_cache_serve;
+          let cached = Serve_cache.find_opt t.serve_cache key in
+          Profile.leave serve_cache_serve;
+          let merged =
+            match cached with
+            | Some d ->
+              Obs.inc t.ins.diff_cache_hits_c;
+              d
+            | None ->
+              Obs.inc t.ins.diff_cache_misses_c;
+              let pieces = List.concat_map (lookup page) ids in
+              let d = Diff.merge pieces in
+              Obs.add t.ins.diffs_merged_c (List.length pieces - 1);
+              t.charge
+                (t.costs.Cpu_cost.diff_data_per_byte
+                *. float_of_int (Diff.changed_bytes d));
+              Profile.enter serve_cache_serve;
+              if Serve_cache.length t.serve_cache >= serve_cache_cap then
+                Serve_cache.reset t.serve_cache;
+              Serve_cache.replace t.serve_cache key d;
+              Profile.leave serve_cache_serve;
+              d
+          in
+          (page, first, [ merged ]) :: List.map (fun id -> (page, id, [])) rest)
+      request
+  in
+  Profile.leave serve_span;
+  reply
 
 (* Serve the content as of the last interval boundary.  A write-enabled
    page's live data would leak unreleased mid-interval writes into the
@@ -75,14 +85,22 @@ let clean_copy t page p =
 (* The full page copy if the local copy is valid, with the timestamp it
    covers; [None] if the local copy is itself stale. *)
 let serve_page t ~page =
+  Profile.enter serve_span;
   let p = Page_table.page t.page_table page in
-  match Page.state p with
-  | Page.Invalid -> None
-  | Page.Read_only | Page.Read_write -> Some (clean_copy t page p)
+  let reply =
+    match Page.state p with
+    | Page.Invalid -> None
+    | Page.Read_only | Page.Read_write -> Some (clean_copy t page p)
+  in
+  Profile.leave serve_span;
+  reply
 
 (* The base copy of [page] this node keeps (see [keep_base]). *)
 let serve_base t ~page =
-  match Itbl.find_opt t.bases page with
+  Profile.enter bases_serve;
+  let base = Itbl.find_opt t.bases page in
+  Profile.leave bases_serve;
+  match base with
   | Some base -> base
   | None ->
     raise (Protocol_violation (Printf.sprintf "no base copy of page %d" page))

@@ -4,8 +4,9 @@ module Page = Carlos_vm.Page
 module Page_table = Carlos_vm.Page_table
 module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
+module Profile = Carlos_obs.Profile
 module Ivar = Carlos_sim.Resource.Ivar
-module Itbl = Diff_store.Itbl
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   page_table : Page_table.t;
@@ -130,8 +131,18 @@ let under_gates t pages f =
      raise e);
   finish ()
 
-let fetch_gate t page = Itbl.find_opt t.inflight page
+let inflight_span = Profile.span Obs.Dsm "tbl.writeback.inflight"
 
-let fetching t page = Itbl.mem t.inflight page
+let fetch_gate t page =
+  Profile.enter inflight_span;
+  let gate = Itbl.find_opt t.inflight page in
+  Profile.leave inflight_span;
+  gate
+
+let fetching t page =
+  Profile.enter inflight_span;
+  let b = Itbl.mem t.inflight page in
+  Profile.leave inflight_span;
+  b
 
 let any_fetch_gate t = Itbl.fold (fun _ gate _ -> Some gate) t.inflight None

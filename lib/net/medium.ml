@@ -1,9 +1,15 @@
 module Engine = Carlos_sim.Engine
 module Obs = Carlos_obs.Obs
+module Profile = Carlos_obs.Profile
 
 type 'a handler = src:int -> size:int -> 'a -> unit
 
-(* A frame accepted by [send] whose transmission has not finished. *)
+(* The steps of a frame's life (see [advance]). *)
+type step = Start | Transmit | Finish | Deliver
+
+(* A frame accepted by [send] whose delivery has not run.  It owns one
+   callback, built when it is sent, which every step schedules again with
+   [step] set to the step it runs. *)
 type 'a frame = {
   src : int;
   dst : int;
@@ -11,7 +17,11 @@ type 'a frame = {
   payload : 'a;
   (* Virtual time of [send]: the queueing delay is measured from here. *)
   sent_at : float;
+  mutable step : step;
+  mutable callback : Engine.callback;
 }
+
+let unbuilt = Engine.callback ignore
 
 type 'a t = {
   engine : Engine.t;
@@ -23,7 +33,9 @@ type 'a t = {
      event, and ownership passes straight to the next queued frame. *)
   mutable held : bool;
   waiting : 'a frame Queue.t;
-  mutable acquired_at : float;
+  (* When the frame on the wire took it: one unboxed cell, so writing it
+     allocates nothing. *)
+  acquired_at : float array;
   (* Bytes accepted by [send] whose serialization onto the wire has not
      finished yet (queued for the wire or mid-transmission).  This is
      the carrier-sense signal: while it is non-zero an ack may simply be
@@ -49,7 +61,7 @@ let create ?obs engine ~nodes ~latency ~bandwidth =
     bandwidth;
     held = false;
     waiting = Queue.create ();
-    acquired_at = 0.0;
+    acquired_at = [| 0.0 |];
     backlog_bytes = 0;
     handlers = Array.make nodes None;
     frames_c = Obs.counter obs ~node:g ~layer:Obs.Net "medium.frames";
@@ -81,30 +93,47 @@ let set_handler t ~node handler =
    at that instant, and [deliver] [latency] later.  Each step is its own
    event, the hand-off included, because the sequence numbers they draw
    break ties with other events at the same instant; test_net.ml checks
-   the chain event for event against a fiber-per-frame reference. *)
+   the chain event for event against a fiber-per-frame reference.  The
+   steps of one frame are never queued at once, so they share the
+   frame's one callback. *)
+let start_span = Profile.span Obs.Net "medium.start"
+
+let transmit_span = Profile.span Obs.Net "medium.transmit"
+
+let finish_span = Profile.span Obs.Net "medium.finish"
+
+let deliver_span = Profile.span Obs.Net "medium.deliver"
+
 let deliver t f =
-  match t.handlers.(f.dst) with
+  Profile.enter deliver_span;
+  (match t.handlers.(f.dst) with
   | None -> ()
-  | Some handler -> handler ~src:f.src ~size:f.size f.payload
+  | Some handler -> handler ~src:f.src ~size:f.size f.payload);
+  Profile.leave deliver_span
 
-let transmit_time t f = float_of_int f.size /. t.bandwidth
+let[@inline] transmit_time t f = float_of_int f.size /. t.bandwidth
 
-let rec transmit t f =
+let[@inline] schedule t f step ~time =
+  f.step <- step;
+  Engine.at_callback t.engine ~time f.callback
+
+let transmit t f =
+  Profile.enter transmit_span;
   let now = Engine.now t.engine in
-  t.acquired_at <- now;
-  Engine.at t.engine ~time:(now +. transmit_time t f) (fun () -> finish t f)
+  t.acquired_at.(0) <- now;
+  schedule t f Finish ~time:(now +. transmit_time t f);
+  Profile.leave transmit_span
 
-and finish t f =
+let finish t f =
+  Profile.enter finish_span;
   let now = Engine.now t.engine in
   (* [acquired_at] is still this frame's: the next frame takes the wire
      in an event of its own. *)
-  let waited = t.acquired_at -. f.sent_at in
-  Obs.add_gauge t.busy_g (now -. t.acquired_at);
+  let acquired_at = t.acquired_at.(0) in
+  let waited = acquired_at -. f.sent_at in
+  Obs.add_gauge t.busy_g (now -. acquired_at);
   if Queue.is_empty t.waiting then t.held <- false
-  else begin
-    let next = Queue.pop t.waiting in
-    Engine.at t.engine ~time:now (fun () -> transmit t next)
-  end;
+  else schedule t (Queue.pop t.waiting) Transmit ~time:now;
   t.backlog_bytes <- t.backlog_bytes - f.size;
   Obs.Hist.observe t.queue_delay waited;
   if Obs.tracing t.obs then begin
@@ -114,14 +143,24 @@ and finish t f =
       ~args:
         [ ("src", Obs.Int f.src); ("dst", Obs.Int f.dst); ("size", Obs.Int f.size) ]
   end;
-  Engine.at t.engine ~time:(now +. t.latency) (fun () -> deliver t f)
+  schedule t f Deliver ~time:(now +. t.latency);
+  Profile.leave finish_span
 
 let start t f =
+  Profile.enter start_span;
   if t.held then Queue.add f t.waiting
   else begin
     t.held <- true;
     transmit t f
-  end
+  end;
+  Profile.leave start_span
+
+let advance t f =
+  match f.step with
+  | Start -> start t f
+  | Transmit -> transmit t f
+  | Finish -> finish t f
+  | Deliver -> deliver t f
 
 let send t ~src ~dst ~size payload =
   check_node t src;
@@ -131,5 +170,9 @@ let send t ~src ~dst ~size payload =
   Obs.add t.bytes_c size;
   t.backlog_bytes <- t.backlog_bytes + size;
   let now = Engine.now t.engine in
-  let f = { src; dst; size; payload; sent_at = now } in
-  Engine.at t.engine ~time:now (fun () -> start t f)
+  let f =
+    { src; dst; size; payload; sent_at = now; step = Start;
+      callback = unbuilt }
+  in
+  f.callback <- Engine.callback (fun () -> advance t f);
+  Engine.at_callback t.engine ~time:now f.callback

@@ -19,7 +19,9 @@
       handler.
     Each step is one event, scheduled at the moment the fiber-per-frame
     medium this replaced scheduled its own, so every event keeps its
-    time and tie-break order.
+    time and tie-break order.  The steps of a frame are never queued at
+    once, so they share one {!Carlos_sim.Engine.callback}, built at
+    {!send}.
 
     The medium is polymorphic in the payload it carries; upper layers
     (datagram service, sliding-window protocol) choose their own frame

@@ -1,7 +1,21 @@
 module Engine = Carlos_sim.Engine
 module Obs = Carlos_obs.Obs
 module Cost = Carlos_obs.Cost
+module Profile = Carlos_obs.Profile
 module Itbl = Hashtbl.Make (Int)
+
+let send_span = Profile.span Obs.Net "sw.send"
+
+let data_span = Profile.span Obs.Net "sw.data"
+
+let ack_span = Profile.span Obs.Net "sw.ack"
+
+let rto_span = Profile.span Obs.Net "sw.rto_timer"
+
+let ack_timer_span = Profile.span Obs.Net "sw.ack_timer"
+
+(* The receiver's out-of-order buffer, the one table on the wire path. *)
+let out_of_order_span = Profile.span Obs.Net "tbl.sw.out_of_order"
 
 type 'a frame =
   | Data of { seq : int; payload_bytes : int; payload : 'a }
@@ -13,17 +27,31 @@ let dup_ack_threshold = 3
 
 let backoff_cap = 64.0
 
-(* One message on the wire, awaiting acknowledgement.  [sent_at] and
-   [retransmitted] feed the RTT estimator: per Karn's rule a frame that has
-   been retransmitted is ambiguous (the ack may be for either copy) and is
-   never sampled. *)
+(* One message on the wire, awaiting acknowledgement.  Its send time
+   (in the connection's [floats]) and [retransmitted] feed the RTT
+   estimator: per Karn's rule a frame that has been retransmitted is
+   ambiguous (the ack may be for either copy) and is never sampled. *)
 type 'a sent = {
   seq : int;
   payload_bytes : int;
   payload : 'a;
-  mutable sent_at : float;
   mutable retransmitted : bool;
 }
+
+(* A sending connection's floats, unboxed in one array so that writing
+   one is a plain store: the retransmit deadline (may be pushed out), the
+   smoothed RTT (< 0.0: no sample yet), its variance, the exponential
+   backoff multiplier (>= 1.0), then one send time per unacked frame, at
+   [sent_base + seq mod window]. *)
+let deadline = 0
+
+let srtt = 1
+
+let rttvar = 2
+
+let backoff = 3
+
+let sent_base = 4
 
 (* Per ordered (src, dst) pair.  Sequence numbers are assigned when a
    message first goes on the wire, so the [pending] queue (messages waiting
@@ -34,11 +62,9 @@ type 'a connection = {
   unacked : 'a sent Queue.t;
   pending : (int * 'a) Queue.t; (* payload_bytes, payload *)
   mutable rto_timer : Engine.timer; (* the scheduled retransmit watch *)
-  mutable deadline : float; (* current retransmit deadline; may be pushed *)
   mutable inflight_bytes : int; (* payload + headers of every unacked frame *)
-  mutable srtt : float; (* smoothed RTT; < 0.0 means no sample yet *)
-  mutable rttvar : float;
-  mutable backoff : float; (* exponential backoff multiplier, >= 1.0 *)
+  (* Made at the connection's first send, like the callbacks below. *)
+  mutable floats : float array;
   mutable dup_acks : int; (* consecutive non-advancing acks seen *)
   mutable fast_done : int; (* highest seq already fast-retransmitted *)
   (* Receiver side (indexed the same way from the peer's perspective). *)
@@ -49,9 +75,15 @@ type 'a connection = {
      cumulative ack goes out. *)
   mutable ack_owed : int;
   mutable ack_timer : Engine.timer;
+  (* The retransmit watch and the delayed-ack flush, each built once and
+     queued at most once at a time. *)
+  mutable watch_callback : Engine.callback;
+  mutable flush_callback : Engine.callback;
 }
 
 type 'a handler = src:int -> size:int -> 'a -> unit
+
+let unbuilt = Engine.callback ignore
 
 type 'a t = {
   engine : Engine.t;
@@ -85,17 +117,16 @@ let make_connection () =
     unacked = Queue.create ();
     pending = Queue.create ();
     rto_timer = Engine.no_timer;
-    deadline = 0.0;
     inflight_bytes = 0;
-    srtt = -1.0;
-    rttvar = 0.0;
-    backoff = 1.0;
+    floats = [||];
     dup_acks = 0;
     fast_done = -1;
     expected = 0;
     out_of_order = Itbl.create 8;
     ack_owed = 0;
     ack_timer = Engine.no_timer;
+    watch_callback = unbuilt;
+    flush_callback = unbuilt;
   }
 
 let conn t ~src ~dst = t.connections.(src).(dst)
@@ -126,11 +157,18 @@ let flush_ack t c ~node ~src =
 let note_delivered t c ~node ~src ~frames =
   c.ack_owed <- c.ack_owed + frames;
   if t.ack_every <= 1 || c.ack_owed >= t.ack_every then flush_ack t c ~node ~src
-  else if not (Engine.pending t.engine c.ack_timer) then
+  else if not (Engine.pending t.engine c.ack_timer) then begin
+    if c.flush_callback == unbuilt then
+      c.flush_callback <-
+        Engine.callback (fun () ->
+            Profile.enter ack_timer_span;
+            flush_ack t c ~node ~src;
+            Profile.leave ack_timer_span);
     c.ack_timer <-
-      Engine.timer t.engine
+      Engine.timer_callback t.engine
         ~time:(Engine.now t.engine +. t.ack_delay)
-        (fun () -> flush_ack t c ~node ~src)
+        c.flush_callback
+  end
 
 (* The retransmission timeout for one arming of the timer, before backoff:
    Jacobson/Karels [srtt + 4 * rttvar] (clamped between the configured
@@ -143,11 +181,14 @@ let note_delivered t c ~node ~src ~frames =
    other connections sharing the wire; without this floor a 2 MB diff at
    10 Mbit/s (1.6 s on the wire) times out over a dozen times under the
    default 0.1 s rto before its ack can possibly arrive. *)
-let effective_rto t c =
+let[@inline] effective_rto t c =
+  let srtt = c.floats.(srtt) in
   let adaptive =
-    if c.srtt < 0.0 then t.rto
+    if srtt < 0.0 then t.rto
     else
-      Float.min (Float.max (c.srtt +. (4.0 *. c.rttvar)) t.rto) (64.0 *. t.rto)
+      Float.min
+        (Float.max (srtt +. (4.0 *. c.floats.(rttvar))) t.rto)
+        (64.0 *. t.rto)
   in
   let wire_floor =
     (t.margin *. float_of_int c.inflight_bytes /. t.bandwidth)
@@ -157,17 +198,20 @@ let effective_rto t c =
 
 (* Jacobson/Karels estimator update from one (never-retransmitted, per
    Karn's rule) RTT sample. *)
-let rtt_sample t c sample =
+let[@inline] rtt_sample t c sample =
   Obs.inc t.rto_samples_c;
-  if c.srtt < 0.0 then begin
-    c.srtt <- sample;
-    c.rttvar <- sample /. 2.0
+  let f = c.floats in
+  if f.(srtt) < 0.0 then begin
+    f.(srtt) <- sample;
+    f.(rttvar) <- sample /. 2.0
   end
   else begin
-    let err = sample -. c.srtt in
-    c.srtt <- c.srtt +. (err /. 8.0);
-    c.rttvar <- c.rttvar +. ((Float.abs err -. c.rttvar) /. 4.0)
+    let err = sample -. f.(srtt) in
+    f.(srtt) <- f.(srtt) +. (err /. 8.0);
+    f.(rttvar) <- f.(rttvar) +. ((Float.abs err -. f.(rttvar)) /. 4.0)
   end
+
+let[@inline] sent_slot t seq = sent_base + (seq mod t.window)
 
 (* Retransmission timer, one per connection, guarding the oldest
    unacknowledged frame.  The live deadline is kept on the connection so
@@ -192,64 +236,70 @@ let rtt_sample t c sample =
    the receiver buffers out-of-order frames and acks cumulatively, so only
    the oldest frame can be the gap, and resending the whole window would
    multiply the damage of a timeout that was merely a congested wire. *)
-let rec watch t c ~src ~dst =
+let watch t c =
   c.rto_timer <-
-    Engine.timer t.engine ~time:c.deadline (fun () ->
-      if not (Queue.is_empty c.unacked) then begin
-        let now = Engine.now t.engine in
-        if c.deadline -. now > 1e-9 then
-          (* Deadline was pushed out since this event was scheduled. *)
-          watch t c ~src ~dst
-        else if Datagram.backlog t.datagram > 0 then begin
-          (* Carrier sense: the wire is still draining a backlog the ack
-             may be stuck behind.  Defer past its drain time (plus the
-             ack's own serialization and round-trip propagation) instead
-             of retransmitting into the queue; no backoff — nothing was
-             lost yet as far as we can tell. *)
-          Obs.inc t.rto_deferrals_c;
-          c.deadline <-
-            now
-            +. (float_of_int
-                  (Datagram.backlog t.datagram + ack_bytes
-                 + Datagram.header_bytes)
-               /. t.bandwidth)
-            +. (2.0 *. t.latency) +. t.ack_delay;
-          watch t c ~src ~dst
-        end
-        else begin
-          (match Queue.peek_opt c.unacked with
-          | Some f ->
-            Obs.inc t.retransmitted_c;
-            Obs.inc t.rto_timeouts_c;
-            f.retransmitted <- true;
-            f.sent_at <- now;
-            (* The original send already attributed this payload to its
-               protocol components; the resend is pure retransmission
-               cost. *)
-            Cost.add t.cost Cost.Retransmit f.payload_bytes;
-            transmit t ~src ~dst ~seq:f.seq ~payload_bytes:f.payload_bytes
-              f.payload
-          | None -> ());
-          c.backoff <- Float.min backoff_cap (2.0 *. c.backoff);
-          c.deadline <- now +. (effective_rto t c *. c.backoff);
-          watch t c ~src ~dst
-        end
-      end)
+    Engine.timer_callback t.engine ~time:c.floats.(deadline) c.watch_callback
 
-let arm_timer t c ~src ~dst =
+let watch_fired t c ~src ~dst () =
+  let f = c.floats in
+  Profile.enter rto_span;
+  if not (Queue.is_empty c.unacked) then begin
+    let now = Engine.now t.engine in
+    if f.(deadline) -. now > 1e-9 then
+      (* Deadline was pushed out since this event was scheduled. *)
+      watch t c
+    else if Datagram.backlog t.datagram > 0 then begin
+      (* Carrier sense: the wire is still draining a backlog the ack
+         may be stuck behind.  Defer past its drain time (plus the
+         ack's own serialization and round-trip propagation) instead
+         of retransmitting into the queue; no backoff — nothing was
+         lost yet as far as we can tell. *)
+      Obs.inc t.rto_deferrals_c;
+      f.(deadline) <-
+        now
+        +. (float_of_int
+              (Datagram.backlog t.datagram + ack_bytes
+             + Datagram.header_bytes)
+           /. t.bandwidth)
+        +. (2.0 *. t.latency) +. t.ack_delay;
+      watch t c
+    end
+    else begin
+      (match Queue.peek_opt c.unacked with
+      | Some s ->
+        Obs.inc t.retransmitted_c;
+        Obs.inc t.rto_timeouts_c;
+        s.retransmitted <- true;
+        f.(sent_slot t s.seq) <- now;
+        (* The original send already attributed this payload to its
+           protocol components; the resend is pure retransmission
+           cost. *)
+        Cost.add t.cost Cost.Retransmit s.payload_bytes;
+        transmit t ~src ~dst ~seq:s.seq ~payload_bytes:s.payload_bytes
+          s.payload
+      | None -> ());
+      f.(backoff) <- Float.min backoff_cap (2.0 *. f.(backoff));
+      f.(deadline) <- now +. (effective_rto t c *. f.(backoff));
+      watch t c
+    end
+  end;
+  Profile.leave rto_span
+
+let arm_timer t c =
   Engine.cancel t.engine c.rto_timer;
-  let timeout = effective_rto t c *. c.backoff in
+  let timeout = effective_rto t c *. c.floats.(backoff) in
   Obs.Hist.observe t.rto_armed_h timeout;
-  c.deadline <- Engine.now t.engine +. timeout;
-  watch t c ~src ~dst
+  c.floats.(deadline) <- Engine.now t.engine +. timeout;
+  watch t c
 
 (* Launching into an already-armed window grows the in-flight payload and
    with it the serialization floor; push the deadline out to match (the
    scheduled watcher re-schedules itself). *)
 let extend_timer t c =
-  c.deadline <-
-    Float.max c.deadline
-      (Engine.now t.engine +. (effective_rto t c *. c.backoff))
+  let f = c.floats in
+  f.(deadline) <-
+    Float.max f.(deadline)
+      (Engine.now t.engine +. (effective_rto t c *. f.(backoff)))
 
 let disarm_timer t c = Engine.cancel t.engine c.rto_timer
 
@@ -258,30 +308,34 @@ let launch t ~src ~dst ~payload_bytes payload =
   let c = conn t ~src ~dst in
   let seq = c.next_seq in
   c.next_seq <- seq + 1;
-  Queue.add
-    {
-      seq;
-      payload_bytes;
-      payload;
-      sent_at = Engine.now t.engine;
-      retransmitted = false;
-    }
-    c.unacked;
+  Queue.add { seq; payload_bytes; payload; retransmitted = false } c.unacked;
+  c.floats.(sent_slot t seq) <- Engine.now t.engine;
   c.inflight_bytes <- c.inflight_bytes + payload_bytes + Datagram.header_bytes;
   transmit t ~src ~dst ~seq ~payload_bytes payload
 
+(* A connection's sender state, made at its first send. *)
+let open_sender t c ~src ~dst =
+  let f = Array.make (sent_base + t.window) 0.0 in
+  f.(srtt) <- -1.0;
+  f.(backoff) <- 1.0;
+  c.floats <- f;
+  c.watch_callback <- Engine.callback (watch_fired t c ~src ~dst)
+
 let send t ~src ~dst ~payload_bytes payload =
+  Profile.enter send_span;
   Obs.inc t.sent_c;
   let c = conn t ~src ~dst in
+  if c.watch_callback == unbuilt then open_sender t c ~src ~dst;
   if Queue.length c.unacked < t.window && Queue.is_empty c.pending then begin
     let was_idle = Queue.is_empty c.unacked in
     launch t ~src ~dst ~payload_bytes payload;
     (* Backoff persists across a fresh arming until a never-retransmitted
        frame is acked, so a congested wire is not re-probed at full rate
        the moment it goes idle. *)
-    if was_idle then arm_timer t c ~src ~dst else extend_timer t c
+    if was_idle then arm_timer t c else extend_timer t c
   end
-  else Queue.add (payload_bytes, payload) c.pending
+  else Queue.add (payload_bytes, payload) c.pending;
+  Profile.leave send_span
 
 (* Fast retransmit: [dup_ack_threshold] consecutive non-advancing acks mean
    the receiver keeps seeing frames beyond a gap — the oldest unacked frame
@@ -290,39 +344,39 @@ let send t ~src ~dst ~payload_bytes payload =
    triggering a second resend. *)
 let fast_retransmit t c ~src ~dst =
   match Queue.peek_opt c.unacked with
-  | Some f when c.dup_acks >= dup_ack_threshold && f.seq > c.fast_done ->
+  | Some s when c.dup_acks >= dup_ack_threshold && s.seq > c.fast_done ->
     c.dup_acks <- 0;
-    c.fast_done <- f.seq;
-    f.retransmitted <- true;
-    f.sent_at <- Engine.now t.engine;
+    c.fast_done <- s.seq;
+    s.retransmitted <- true;
+    c.floats.(sent_slot t s.seq) <- Engine.now t.engine;
     Obs.inc t.retransmitted_c;
     Obs.inc t.fast_retransmits_c;
-    Cost.add t.cost Cost.Retransmit f.payload_bytes;
-    transmit t ~src ~dst ~seq:f.seq ~payload_bytes:f.payload_bytes f.payload;
-    arm_timer t c ~src ~dst
+    Cost.add t.cost Cost.Retransmit s.payload_bytes;
+    transmit t ~src ~dst ~seq:s.seq ~payload_bytes:s.payload_bytes s.payload;
+    arm_timer t c
   | _ -> ()
 
 (* Ack from [dst] for the connection src->dst (we are the sender, [src]). *)
 let handle_ack t ~src ~dst ~cumulative =
   let c = conn t ~src ~dst in
   let now = Engine.now t.engine in
+  (* A loop, not a local closure: the refs stay in registers. *)
   let advanced = ref false in
   let fresh_acked = ref false in
-  let rec drop () =
+  let dropping = ref true in
+  while !dropping do
     match Queue.peek_opt c.unacked with
-    | Some f when f.seq <= cumulative ->
+    | Some s when s.seq <= cumulative ->
       ignore (Queue.pop c.unacked);
       c.inflight_bytes <-
-        c.inflight_bytes - (f.payload_bytes + Datagram.header_bytes);
-      if not f.retransmitted then begin
+        c.inflight_bytes - (s.payload_bytes + Datagram.header_bytes);
+      if not s.retransmitted then begin
         fresh_acked := true;
-        rtt_sample t c (now -. f.sent_at)
+        rtt_sample t c (now -. c.floats.(sent_slot t s.seq))
       end;
-      advanced := true;
-      drop ()
-    | Some _ | None -> ()
-  in
-  drop ();
+      advanced := true
+    | Some _ | None -> dropping := false
+  done;
   if !advanced then begin
     c.dup_acks <- 0;
     (* Backoff survives window advancement while the only acked frames are
@@ -330,7 +384,7 @@ let handle_ack t ~src ~dst ~cumulative =
        that the congestion that forced the resend has cleared.  Only an
        acked frame that was never retransmitted is evidence the wire is
        keeping up. *)
-    if !fresh_acked then c.backoff <- 1.0;
+    if !fresh_acked then c.floats.(backoff) <- 1.0;
     (* Window opened: promote pending messages in FIFO order. *)
     while
       (not (Queue.is_empty c.pending)) && Queue.length c.unacked < t.window
@@ -338,8 +392,7 @@ let handle_ack t ~src ~dst ~cumulative =
       let payload_bytes, payload = Queue.pop c.pending in
       launch t ~src ~dst ~payload_bytes payload
     done;
-    if Queue.is_empty c.unacked then disarm_timer t c
-    else arm_timer t c ~src ~dst
+    if Queue.is_empty c.unacked then disarm_timer t c else arm_timer t c
   end
   else if not (Queue.is_empty c.unacked) then begin
     c.dup_acks <- c.dup_acks + 1;
@@ -369,23 +422,29 @@ let handle_data t ~node ~src ~seq ~payload_bytes payload =
     (* Drain any buffered successors; most connections have none, and
        an empty table is not hashed into. *)
     let frames = ref 1 in
-    let rec drain () =
-      if Itbl.length c.out_of_order > 0 then
-        match Itbl.find_opt c.out_of_order c.expected with
-        | Some (bytes, p) ->
-          Itbl.remove c.out_of_order c.expected;
-          deliver t ~node ~src ~payload_bytes:bytes p;
-          c.expected <- c.expected + 1;
-          incr frames;
-          drain ()
-        | None -> ()
-    in
-    drain ();
+    let draining = ref (Itbl.length c.out_of_order > 0) in
+    while !draining do
+      Profile.enter out_of_order_span;
+      let next = Itbl.find_opt c.out_of_order c.expected in
+      (match next with
+      | Some _ -> Itbl.remove c.out_of_order c.expected
+      | None -> ());
+      Profile.leave out_of_order_span;
+      match next with
+      | Some (bytes, p) ->
+        deliver t ~node ~src ~payload_bytes:bytes p;
+        c.expected <- c.expected + 1;
+        incr frames;
+        draining := Itbl.length c.out_of_order > 0
+      | None -> draining := false
+    done;
     note_delivered t c ~node ~src ~frames:!frames
   end
   else begin
+    Profile.enter out_of_order_span;
     if Itbl.mem c.out_of_order seq then Obs.inc t.spurious_c
     else Itbl.replace c.out_of_order seq (payload_bytes, payload);
+    Profile.leave out_of_order_span;
     (* A gap means a frame was lost: ack immediately so go-back-N recovery
        is not further delayed. *)
     flush_ack t c ~node ~src
@@ -394,10 +453,14 @@ let handle_data t ~node ~src ~seq ~payload_bytes payload =
 let on_datagram t node ~src ~size:_ frame =
   match frame with
   | Data { seq; payload_bytes; payload } ->
-    handle_data t ~node ~src ~seq ~payload_bytes payload
+    Profile.enter data_span;
+    handle_data t ~node ~src ~seq ~payload_bytes payload;
+    Profile.leave data_span
   | Ack { cumulative } ->
     (* We (node) are the sender of the node->src connection. *)
-    handle_ack t ~src:node ~dst:src ~cumulative
+    Profile.enter ack_span;
+    handle_ack t ~src:node ~dst:src ~cumulative;
+    Profile.leave ack_span
 
 let create ?(ack_every = 1) ?(ack_delay = 0.0) ?(rto_margin = 2.0) engine
     datagram ~window ~rto =

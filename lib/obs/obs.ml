@@ -40,38 +40,48 @@ let compare_key a b =
 module Hist = struct
   let bucket_count = 64
 
-  type t = {
-    mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-    buckets : int array;
-  }
+  (* [stats] holds the sum, min and max unboxed, so an observation
+     writes them without allocating. *)
+  type t = { mutable count : int; stats : float array; buckets : int array }
+
+  let sum_i = 0
+
+  let min_i = 1
+
+  let max_i = 2
 
   let create () =
     {
       count = 0;
-      sum = 0.0;
-      min = infinity;
-      max = neg_infinity;
+      stats = [| 0.0; infinity; neg_infinity |];
       buckets = Array.make bucket_count 0;
     }
 
   (* Power-of-two buckets: an observation v with v = m * 2^e (0.5 <= m < 1)
-     lands in bucket e + 40 (clamped), covering ~1e-12 .. ~1e7. *)
-  let bucket_of v =
+     lands in bucket e + 40 (clamped), covering ~1e-12 .. ~1e7.  [e] comes
+     from the exponent bits, as [Float.frexp] computes it but without its
+     tuple: a normal v with biased exponent E has e = E - 1022; a
+     subnormal one has e <= -1022, which clamps to bucket 0 as E = 0
+     does; infinity and NaN (E = 2047) have e = 0. *)
+  let[@inline] bucket_of v =
     if v <= 0.0 then 0
     else
-      let (_, e) = Float.frexp v in
+      let biased =
+        Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52)
+        land 0x7ff
+      in
+      let e = if biased = 0x7ff then 0 else biased - 1022 in
       Int.max 0 (Int.min (bucket_count - 1) (e + 40))
 
-  let observe h v =
+  (* Inlined, so the observed float is not boxed to be passed. *)
+  let[@inline] observe h v =
     h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.min then h.min <- v;
-    if v > h.max then h.max <- v;
+    let s = h.stats in
+    Array.unsafe_set s sum_i (Array.unsafe_get s sum_i +. v);
+    if v < Array.unsafe_get s min_i then Array.unsafe_set s min_i v;
+    if v > Array.unsafe_get s max_i then Array.unsafe_set s max_i v;
     let b = bucket_of v in
-    h.buckets.(b) <- h.buckets.(b) + 1
+    Array.unsafe_set h.buckets b (Array.unsafe_get h.buckets b + 1)
 
   type snap = {
     count : int;
@@ -84,9 +94,9 @@ module Hist = struct
   let snap (h : t) =
     {
       count = h.count;
-      sum = h.sum;
-      min = h.min;
-      max = h.max;
+      sum = h.stats.(sum_i);
+      min = h.stats.(min_i);
+      max = h.stats.(max_i);
       buckets = Array.copy h.buckets;
     }
 

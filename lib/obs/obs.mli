@@ -32,6 +32,9 @@
 
 type layer = Sim | Net | Vm | Dsm | Carlos | App
 
+(** ["sim"], ["net"], ... *)
+val layer_name : layer -> string
+
 (** Pseudo-node for cluster-wide instruments (the shared wire, the
     datagram service): no single node owns them. *)
 val global_node : int
@@ -54,7 +57,13 @@ module Hist : sig
 
   val create : unit -> t
 
+  (** Allocates nothing, the float argument included (it is inlined). *)
   val observe : t -> float -> unit
+
+  (** The bucket [observe] counts [v] in: [e + 40], clamped to
+      [\[0, 63\]], where [v = m * 2^e] with [0.5 <= m < 1] as
+      [Float.frexp] gives it; [0] for [v <= 0.]. *)
+  val bucket_of : float -> int
 
   (** Immutable summary.  [min]/[max] are [infinity]/[neg_infinity] when
       [count = 0]. *)

@@ -1,70 +1,130 @@
-(** Host-time (wall-clock) profiler for the engine hot path.
+(** Host-time and allocation profiler: a span stack tagged by layer.
 
-    Measures real seconds with [Unix.gettimeofday] around the simulator's
-    hottest operations — event execution, heap ops, fiber spawn/resume,
-    ivar wakeups, vm fault handling — the baseline the engine overhaul
-    (the flat event heap and callback-chained frames) was measured
-    against.
+    A span is a named probe point of one layer (sim, net, vm, dsm,
+    carlos, app), registered once with {!span}.  Code brackets the work
+    it names with [enter s] and [leave s]; the profiler keeps a stack of
+    open spans and, at every boundary, charges the wall-clock seconds
+    ([Unix.gettimeofday]) and the minor-heap words ([Gc.minor_words],
+    exact) since the previous boundary to the span on top.  So each span
+    gets its {e exclusive} self time and words, and, since every
+    boundary charges exactly one span, the layers' self numbers sum to
+    the [run] span's: the layer table accounts for all of [Engine.run].
+    Each span also keeps a count and its {e inclusive} seconds (enter to
+    leave), which {!snapshot} reports.
 
-    The profile is domain-local mutable state, disabled by default (one
-    branch per engine probe, one domain-local read and one branch per
-    other probe when off), so concurrent
-    simulations in separate domains never race on the accumulators.
-    Because wall-clock numbers are nondeterministic
-    they are never written into the {!Obs} metrics registry; drivers
-    export them as a separate [--profile] section ({!pp}, {!pp_jsonl})
-    and optionally as Chrome trace slices on the [host-profile]
-    pseudo-process ({!to_obs}).
+    Only work inside [Engine.run] is measured: outside a [run] span,
+    [enter] and [leave] do nothing.  A fiber that suspends with spans
+    open takes them along: the engine parks them ({!park}) before the
+    fiber suspends and puts them back ({!unpark}) when it resumes, so
+    the time other events run in between is charged to those events,
+    while a parked span's inclusive seconds still cover the suspension
+    (a [vm_fault] waiting for a fetch, say).  The profiler's own
+    allocation (parking, growing its stack) is charged to no span.
 
-    Categories nest: [Event] encloses the fiber work it runs, and
-    [Vm_fault] spans are {e inclusive} of virtual-time suspension (the
-    effect handler captures the timing frame inside the continuation), so
-    summing categories double-counts — compare each against [Run]. *)
+    The profile is off by default.  Off, a probe tests one global flag
+    and allocates nothing; the engine reads the flag once per
+    [Engine.run].  The accumulators are domain-local, so concurrent
+    simulations in separate domains never race on them.  Host numbers
+    are nondeterministic, so they never enter the {!Obs} registry:
+    drivers export them as a separate [--profile] section ({!pp},
+    {!pp_jsonl}) and optionally as Chrome trace slices on the
+    [host-profile] pseudo-process ({!to_obs}). *)
 
-type category =
-  | Run  (** one whole [Engine.run] *)
-  | Event  (** one scheduled thunk (encloses fiber work it triggers) *)
-  | Heap_push  (** [Engine.schedule] heap insertion *)
-  | Heap_pop  (** event-queue pop in the run loop *)
-  | Fiber_spawn  (** first slice of a new fiber *)
-  | Fiber_resume  (** continuation resume after Delay/Suspend *)
-  | Ivar_wakeup  (** waking all waiters of a filled ivar *)
-  | Vm_fault  (** fault handler, inclusive of suspension *)
+type span
 
-val all : category list
+(** [span layer name] registers a probe point.  Call it once per call
+    site, at module initialisation. *)
+val span : Obs.layer -> string -> span
 
-val name : category -> string
+val name : span -> string
 
-(** The engine reads the flag once per [Engine.run], so a toggle takes
-    effect at the next [Engine.run]; the resource and vm probes read it on
-    every call. *)
+(** {1 The engine's probes} *)
+
+val run : span (** one whole [Engine.run] *)
+
+val event : span (** one queued event *)
+
+val heap_push : span (** queue insertion *)
+
+val heap_pop : span (** taking the next event off the queue *)
+
+val fiber_spawn : span (** count only: the first slice of a new fiber *)
+
+val fiber_resume : span (** a continuation resumed after Delay/Suspend *)
+
+val ivar_wakeup : span (** waking the waiters of a filled ivar *)
+
+val vm_fault : span (** a page fault, inclusive of its suspensions *)
+
+(** {1 Probes} *)
+
+(** Takes effect for probes at once and for the engine's at the next
+    [Engine.run]; it affects every domain, each profiling its own runs. *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-(** Zero all counts and times. *)
+(** Zero this domain's counts, times and words. *)
 val reset : unit -> unit
 
-(** [start ()] returns a wall-clock timestamp when enabled, [0.] when
-    disabled.  Pair with {!stop}. *)
-val start : unit -> float
+val enter : span -> unit
 
-(** [stop cat t0] adds one observation of [now - t0] seconds to [cat]
-    (no-op when disabled). *)
-val stop : category -> float -> unit
+(** [leave s] closes [s], which must be the span on top; otherwise (an
+    enter outside [run], say) it does nothing. *)
+val leave : span -> unit
 
-(** Count-only probe (no timing). *)
-val tick : category -> unit
+(** Count one occurrence of [s] without timing it. *)
+val tick : span -> unit
+
+(** {1 Fibers} *)
+
+(** The number of open spans (0 when off). *)
+val depth : unit -> int
+
+(** [cut d] closes every span above depth [d], as a finished fiber
+    slice leaves the engine with the spans it never closed. *)
+val cut : int -> unit
+
+type parked
+
+(** [park d] takes the spans above depth [d] off the stack, to be put
+    back by {!unpark}. *)
+val park : int -> parked
+
+val unpark : parked -> unit
+
+(** {1 Readout} *)
 
 type sample = { category : string; count : int; seconds : float }
 
+(** Every span's count and inclusive seconds, in registration order. *)
 val snapshot : unit -> sample list
 
-(** Human-readable table (only categories with nonzero counts). *)
+type stat = {
+  span_name : string;
+  span_layer : Obs.layer;
+  calls : int;
+  incl_s : float;
+  incl_words : float;
+  self_s : float;
+  self_words : float;
+}
+
+(** Every span's inclusive and exclusive seconds and minor words, in
+    registration order. *)
+val stats : unit -> stat list
+
+(** Per layer, the sums of its spans' exclusive seconds and words, in
+    layer order. *)
+val layers : unit -> (Obs.layer * float * float) list
+
+(** The layer table (exclusive host seconds and minor words per layer,
+    with [run] for comparison), then each span with a nonzero count. *)
 val pp : Format.formatter -> unit -> unit
 
-(** One JSON line per category with ["type":"profile"], appended to
-    [--metrics-json] output after the deterministic metrics lines. *)
+(** One JSON line with ["type":"profile"] per span and per layer,
+    appended to [--metrics-json] output after the deterministic metrics
+    lines. *)
 val pp_jsonl : Format.formatter -> unit -> unit
 
 (** Mirror the aggregate profile into [obs]'s trace buffer as Complete

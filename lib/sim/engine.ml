@@ -11,12 +11,29 @@ type event =
   | Ev_fiber of (unit -> unit)
   | Ev_resume of (unit, unit) Effect.Deep.continuation
 
+(* A prebuilt [Ev_thunk]: scheduling it again allocates nothing. *)
+type callback = event
+
+(* The engine's floats live unboxed in [floats], so writing one is a
+   plain store where a float field of this mixed record would box:
+   - the virtual clock;
+   - the [~time] of the event being scheduled: [at] and [timer] are
+     inlined into their callers and store it here, so it reaches the
+     queue without being boxed;
+   - the [dt] of the [Delay] being performed, stored by [delay] and read
+     at once by the fiber's handler. *)
+let clock_i = 0
+
+let time_i = 1
+
+let dt_i = 2
+
 type t = {
-  mutable clock : float;
+  floats : float array;
   queue : event Heap.t;
-  (* The at-now lane: a FIFO ring of the events scheduled at [clock]
+  (* The at-now lane: a FIFO ring of the events scheduled at the clock
      itself, each with the sequence number it drew.  Every entry is due
-     at [clock] (the clock only moves once the lane is empty), and they
+     at the clock (the clock only moves once the lane is empty), and they
      drew their numbers in order, so the lane needs no sift.  [lane]'s
      length is a power of two. *)
   mutable lane : event array;
@@ -36,21 +53,28 @@ type t = {
      [Ev_resume]) rather than an [Ev_thunk] callback. *)
   mutable in_fiber : bool;
   (* [Profile.enabled ()] as read when [run] started: the engine's probes
-     test this field instead of reading the domain-local profiler flag. *)
+     test this field. *)
   mutable profiling : bool;
-  (* The [dt] of the [Delay] being performed: [delay] stores it and the
-     fiber's handler reads it at once.  A one-cell float array holds it
-     unboxed, so the effect carries no payload to allocate. *)
-  delay_dt : float array;
+  (* While profiling, the profiler's stack depth at the start of the
+     running fiber slice: the spans above it are the fiber's own, parked
+     when it suspends. *)
+  mutable slice_base : int;
+  (* The payloads of the [Fork] and [Suspend] being performed, stored by
+     [fork] and [suspend] and taken at once by the handler, so that no
+     effect carries a payload and every fiber shares one handler. *)
+  mutable fork_body : unit -> unit;
+  mutable register : (unit -> unit) -> unit;
+  (* The effect handler of every fiber of this engine, built once. *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
 }
 
 exception Multiple_failures of exn list
 
 type _ Effect.t +=
   | Delay : unit Effect.t
-  | Time : float Effect.t
-  | Fork : (unit -> unit) -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Time : unit Effect.t
+  | Fork : unit Effect.t
+  | Suspend : unit Effect.t
 
 (* The engine currently executing; used only to give fiber-level operations
    ([delay], [time], ...) an implicit engine argument.  Domain-local so
@@ -58,19 +82,16 @@ type _ Effect.t +=
    parallel bench harness) without seeing each other's engine. *)
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let create () =
-  { clock = 0.0; queue = Heap.create ~dummy:Ev_none ();
-    lane = Array.make 16 Ev_none; lane_seqs = Array.make 16 0; lane_head = 0;
-    lane_len = 0; next_seq = 0; executed = 0; from_lane = 0; cancelled = 0;
-    peak = 0; failure = None; secondary = []; in_fiber = false;
-    profiling = false; delay_dt = [| 0.0 |] }
+let[@inline] clock t = Array.unsafe_get t.floats clock_i
+
+let[@inline] set_clock t time = Array.unsafe_set t.floats clock_i time
 
 let failures t =
   match t.failure with
   | None -> []
   | Some e -> e :: List.rev t.secondary
 
-let now t = t.clock
+let[@inline] now t = clock t
 
 let events_executed t = t.executed
 
@@ -127,12 +148,13 @@ let no_timer = -1
 (* Queue [ev] at [time] under the next sequence number.  An event due now
    joins the lane, unless it is a timer: only in the heap can a timer be
    found again to cancel.  Returns the handle of a heap entry, or
-   [no_timer] for a lane entry. *)
-let push t ~time ~timer ev =
+   [no_timer] for a lane entry.  Inlined into [schedule], so [time]
+   reaches the heap's unboxed key array without being boxed. *)
+let[@inline] push t ~time ~timer ev =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let h =
-    if time = t.clock && not timer then begin
+    if time = clock t && not timer then begin
       lane_push t ~seq ev;
       no_timer
     end
@@ -145,23 +167,40 @@ let push t ~time ~timer ev =
   note_length t;
   h
 
-let schedule t ~time ~timer ev =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: time %g is before now %g" time t.clock);
+(* Reads the time itself: passing it would box [schedule]'s [time]. *)
+let[@inline never] in_the_past t =
+  invalid_arg
+    (Printf.sprintf "Engine.schedule: time %g is before now %g"
+       t.floats.(time_i) (clock t))
+
+(* Schedule [ev] at the time stored in [floats.(time_i)]. *)
+let schedule t ~timer ev =
+  let time = Array.unsafe_get t.floats time_i in
+  if time < clock t then in_the_past t;
   if t.profiling then begin
-    let p0 = Profile.start () in
+    Profile.enter Profile.heap_push;
     let h = push t ~time ~timer ev in
-    Profile.stop Profile.Heap_push p0;
+    Profile.leave Profile.heap_push;
     h
   end
   else push t ~time ~timer ev
 
-let schedule_ev t ~time ev = ignore (schedule t ~time ~timer:false ev : timer)
+let[@inline] schedule_at t ~time ~timer ev =
+  Array.unsafe_set t.floats time_i time;
+  schedule t ~timer ev
 
-let at t ~time f = schedule_ev t ~time (Ev_thunk f)
+let[@inline] schedule_ev t ~time ev =
+  ignore (schedule_at t ~time ~timer:false ev : timer)
 
-let timer t ~time f = schedule t ~time ~timer:true (Ev_thunk f)
+let callback f = Ev_thunk f
+
+let[@inline] at_callback t ~time cb = schedule_ev t ~time cb
+
+let[@inline] timer_callback t ~time cb = schedule_at t ~time ~timer:true cb
+
+let[@inline] at t ~time f = schedule_ev t ~time (Ev_thunk f)
+
+let[@inline] timer t ~time f = schedule_at t ~time ~timer:true (Ev_thunk f)
 
 let pending t h =
   h >= 0 && Heap.live t.queue ~slot:(h land slot_mask) ~seq:(h lsr slot_bits)
@@ -171,72 +210,108 @@ let cancel t h =
   if h >= 0 && Heap.remove t.queue ~slot ~seq then
     t.cancelled <- t.cancelled + 1
 
-(* Runs [f] as a fiber body under the effect handler that implements the
-   blocking operations.  Continuations are always resumed via the event
-   queue so that fibers only ever run from the engine loop. *)
-let rec start_fiber eng f =
+let no_body () = ()
+
+let no_register (_ : unit -> unit) = ()
+
+(* The effect handler that implements the blocking operations, shared by
+   every fiber of [eng]: each effect's payload waits in [eng], so the
+   handler allocates nothing per effect but the work it schedules.
+   Continuations are always resumed via the event queue so that fibers
+   only ever run from the engine loop. *)
+let make_handler eng =
   let open Effect.Deep in
-  if eng.profiling then Profile.tick Profile.Fiber_spawn;
-  (* Built once per fiber, so a suspending [delay] allocates no handler. *)
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        let dt = eng.delay_dt.(0) in
+        let dt = eng.floats.(dt_i) in
         if dt < 0.0 then
           discontinue k (Invalid_argument "Engine.delay: negative")
-        else schedule_ev eng ~time:(eng.clock +. dt) (Ev_resume k))
+        else schedule_ev eng ~time:(clock eng +. dt) (Ev_resume k))
   in
-  match_with f ()
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          match eng.failure with
-          | None -> eng.failure <- Some e
-          | Some _ -> eng.secondary <- e :: eng.secondary);
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Delay -> on_delay
-          | Time -> Some (fun k -> continue k eng.clock)
-          | Fork g ->
-            Some
-              (fun k ->
-                schedule_ev eng ~time:eng.clock (Ev_fiber g);
-                continue k ())
-          | Suspend register ->
-            Some
-              (fun k ->
-                let resumed = ref false in
-                let resume () =
-                  if !resumed then
-                    invalid_arg "Engine.suspend: resume invoked twice";
-                  resumed := true;
-                  schedule_ev eng ~time:eng.clock (Ev_resume k)
-                in
-                register resume)
-          | _ -> None);
-    }
+  let on_time = Some (fun (k : (unit, unit) continuation) -> continue k ()) in
+  let on_fork =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let body = eng.fork_body in
+        eng.fork_body <- no_body;
+        schedule_ev eng ~time:(clock eng) (Ev_fiber body);
+        continue k ())
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let register = eng.register in
+        eng.register <- no_register;
+        let resumed = ref false in
+        let resume () =
+          if !resumed then invalid_arg "Engine.suspend: resume invoked twice";
+          resumed := true;
+          schedule_ev eng ~time:(clock eng) (Ev_resume k)
+        in
+        register resume)
+  in
+  {
+    retc = (fun () -> ());
+    exnc =
+      (fun e ->
+        match eng.failure with
+        | None -> eng.failure <- Some e
+        | Some _ -> eng.secondary <- e :: eng.secondary);
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+        match eff with
+        | Delay -> on_delay
+        | Time -> on_time
+        | Fork -> on_fork
+        | Suspend -> on_suspend
+        | _ -> None);
+  }
 
-and exec eng = function
+let create () =
+  let t =
+    { floats = Array.make 3 0.0; queue = Heap.create ~dummy:Ev_none ();
+      lane = Array.make 16 Ev_none; lane_seqs = Array.make 16 0;
+      lane_head = 0; lane_len = 0; next_seq = 0; executed = 0; from_lane = 0;
+      cancelled = 0; peak = 0; failure = None; secondary = [];
+      in_fiber = false; profiling = false; slice_base = 0;
+      fork_body = no_body; register = no_register;
+      handler = Effect.Deep.{ retc = ignore; exnc = raise; effc = (fun _ -> None) } }
+  in
+  t.handler <- make_handler t;
+  t
+
+let start_fiber eng f =
+  if eng.profiling then Profile.tick Profile.fiber_spawn;
+  Effect.Deep.match_with f () eng.handler
+
+let exec eng = function
   | Ev_none -> ()
   | Ev_thunk f ->
     eng.in_fiber <- false;
     f ()
   | Ev_fiber f ->
     eng.in_fiber <- true;
-    start_fiber eng f
+    if eng.profiling then begin
+      let d = Profile.depth () in
+      eng.slice_base <- d;
+      start_fiber eng f;
+      Profile.cut d
+    end
+    else start_fiber eng f
   | Ev_resume k ->
     eng.in_fiber <- true;
     if eng.profiling then begin
-      let p0 = Profile.start () in
+      Profile.enter Profile.fiber_resume;
+      let d = Profile.depth () in
+      eng.slice_base <- d;
       Effect.Deep.continue k ();
-      Profile.stop Profile.Fiber_resume p0
+      Profile.cut d;
+      Profile.leave Profile.fiber_resume
     end
     else Effect.Deep.continue k ()
 
-let spawn t f = schedule_ev t ~time:t.clock (Ev_fiber f)
+let spawn t f = schedule_ev t ~time:(clock t) (Ev_fiber f)
 
 (* The next event in (time, seq) order, taken off the queue.  Every lane
    entry is due now, so with the lane non-empty the heap root goes first
@@ -245,23 +320,24 @@ let spawn t f = schedule_ev t ~time:t.clock (Ev_fiber f)
 let next_event t =
   if t.lane_len > 0 then
     if
-      Heap.min_time t.queue <= t.clock
+      Heap.min_time t.queue <= clock t
       && Heap.min_seq t.queue < Array.unsafe_get t.lane_seqs t.lane_head
     then Heap.pop t.queue
     else lane_pop t
   else begin
-    t.clock <- Heap.min_time t.queue;
+    set_clock t (Heap.min_time t.queue);
     Heap.pop t.queue
   end
 
 let run t =
+  t.profiling <- Profile.enabled ();
+  let d0 = Profile.depth () in
+  if t.profiling then Profile.enter Profile.run;
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some t);
-  t.profiling <- Profile.enabled ();
-  let run0 = Profile.start () in
   let finish () =
-    if t.profiling then Profile.stop Profile.Run run0;
-    Domain.DLS.set current_key saved
+    Domain.DLS.set current_key saved;
+    if t.profiling then Profile.cut d0
   in
   (* After a failure, keep draining events already due at the current
      virtual instant: fibers that failed simultaneously get to record
@@ -269,7 +345,7 @@ let run t =
      The first strictly-later timestamp (or an empty queue) stops the
      run.  [Heap.min_time] is [infinity] on an empty queue, so the
      comparison is allocation-free either way. *)
-  let overdue () = t.lane_len > 0 || Heap.min_time t.queue <= t.clock in
+  let overdue () = t.lane_len > 0 || Heap.min_time t.queue <= clock t in
   let rec loop () =
     match t.failure with
     | Some e when not (overdue ()) -> (
@@ -280,9 +356,9 @@ let run t =
       if t.lane_len > 0 || not (Heap.is_empty t.queue) then begin
         let ev =
           if t.profiling then begin
-            let p0 = Profile.start () in
+            Profile.enter Profile.heap_pop;
             let ev = next_event t in
-            Profile.stop Profile.Heap_pop p0;
+            Profile.leave Profile.heap_pop;
             ev
           end
           else next_event t
@@ -292,9 +368,9 @@ let run t =
            captures the continuation), so this span is the exact host
            time of one event — no virtual-time inclusion. *)
         if t.profiling then begin
-          let e0 = Profile.start () in
+          Profile.enter Profile.event;
           exec t ev;
-          Profile.stop Profile.Event e0
+          Profile.leave Profile.event
         end
         else exec t ev;
         loop ()
@@ -309,6 +385,20 @@ let run t =
     finish ();
     Printexc.raise_with_backtrace e bt
 
+(* The engine of the calling fiber, for the operations below.  Outside
+   any engine the effect they perform is unhandled, as inside a
+   callback. *)
+let current () = Domain.DLS.get current_key
+
+(* A fiber that suspends takes its open profiler spans along. *)
+let[@inline never] perform_profiled eng eff =
+  let parked = Profile.park eng.slice_base in
+  Effect.perform eff;
+  Profile.unpark parked
+
+let[@inline] perform_in eng eff =
+  if eng.profiling then perform_profiled eng eff else Effect.perform eff
+
 (* A fiber whose wake-up would be the next event anyway runs on without
    a round trip through the queue: the clock advances, the event counts as
    executed, and the sequence number the resume would have taken is still
@@ -320,10 +410,10 @@ let run t =
    the fiber, so that case, callbacks and negative [dt] take the effect
    path. *)
 let delay dt =
-  match Domain.DLS.get current_key with
+  match current () with
   | None -> invalid_arg "Engine.delay: not inside a running engine"
   | Some eng ->
-    let wake = eng.clock +. dt in
+    let wake = clock eng +. dt in
     let inline =
       eng.in_fiber && dt >= 0.0 && eng.lane_len = 0
       && wake < Heap.min_time eng.queue
@@ -331,16 +421,31 @@ let delay dt =
     in
     if inline then begin
       eng.next_seq <- eng.next_seq + 1;
-      eng.clock <- wake;
+      set_clock eng wake;
       eng.executed <- eng.executed + 1
     end
     else begin
-      eng.delay_dt.(0) <- dt;
-      Effect.perform Delay
+      eng.floats.(dt_i) <- dt;
+      perform_in eng Delay
     end
 
-let time () = Effect.perform Time
+let time () =
+  match current () with
+  | None -> Effect.perform Time; 0.0
+  | Some eng ->
+    Effect.perform Time;
+    clock eng
 
-let fork f = Effect.perform (Fork f)
+let fork f =
+  match current () with
+  | None -> Effect.perform Fork
+  | Some eng ->
+    eng.fork_body <- f;
+    Effect.perform Fork
 
-let suspend register = Effect.perform (Suspend register)
+let suspend register =
+  match current () with
+  | None -> Effect.perform Suspend
+  | Some eng ->
+    eng.register <- register;
+    perform_in eng Suspend

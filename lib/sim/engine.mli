@@ -18,7 +18,8 @@ exception Multiple_failures of exn list
 
 val create : unit -> t
 
-(** Current virtual time, in seconds. *)
+(** Current virtual time, in seconds.  Inlined: reading it allocates
+    nothing. *)
 val now : t -> float
 
 (** {1 Queue counts}
@@ -45,8 +46,23 @@ val spawn : t -> (unit -> unit) -> unit
 
 (** [at t ~time f] runs callback [f] (not a fiber; it must not block) at
     virtual time [time].  [time] must not be in the past.  A callback that
-    raises stops {!run} at once with that exception. *)
+    raises stops {!run} at once with that exception.  [at] and {!timer}
+    are inlined into the caller, so [time] reaches the queue unboxed; the
+    only allocation is the queued event wrapping [f]. *)
 val at : t -> time:float -> (unit -> unit) -> unit
+
+(** {1 Prebuilt callbacks} *)
+
+(** A callback's queued event, built once: a step a frame or timer takes
+    again and again schedules the same one, and scheduling it allocates
+    nothing. *)
+type callback
+
+val callback : (unit -> unit) -> callback
+
+(** {!at} for a prebuilt callback.  One callback may be queued at most
+    once at a time. *)
+val at_callback : t -> time:float -> callback -> unit
 
 (** {1 Cancellable timers} *)
 
@@ -61,6 +77,9 @@ val no_timer : timer
     [f] at [time], drawing its sequence number now, and returns its
     handle. *)
 val timer : t -> time:float -> (unit -> unit) -> timer
+
+(** {!timer} for a prebuilt callback (see {!at_callback}). *)
+val timer_callback : t -> time:float -> callback -> timer
 
 (** [cancel t h] unschedules [h] in O(log n) if it has not fired yet: it
     never runs, does not count in {!events_executed}, and its closure is

@@ -40,9 +40,9 @@ let create ~dummy () =
   { times = [||]; seqs = [||]; slots = [||]; pos = [||]; values = [||];
     free = [||]; len = 0; dummy }
 
-let size h = h.len
+let[@inline] size h = h.len
 
-let is_empty h = h.len = 0
+let[@inline] is_empty h = h.len = 0
 
 let grow h =
   let cap = Array.length h.times in
@@ -127,7 +127,9 @@ let sift_down h i0 =
   Array.unsafe_set slots !i slot;
   Array.unsafe_set pos slot !i
 
-let add h ~time ~seq value =
+(* Inlined, so that [time] reaches [times] unboxed: a float argument of
+   a call is boxed. *)
+let[@inline] add h ~time ~seq value =
   if h.len = Array.length h.times then grow h;
   let i = h.len in
   let slot = Array.unsafe_get h.free (Array.length h.times - i - 1) in
@@ -139,9 +141,13 @@ let add h ~time ~seq value =
   sift_up h i;
   slot
 
-let min_time h = if h.len = 0 then infinity else Array.unsafe_get h.times 0
+(* Inlined readers: [min_time] would box its result.  Its [infinity] is
+   a literal: [Stdlib.infinity] is a boxed global, and a branch yielding
+   it would box the other branch's float too. *)
+let[@inline] min_time h =
+  if h.len = 0 then 0x1p1024 else Array.unsafe_get h.times 0
 
-let min_seq h = if h.len = 0 then max_int else Array.unsafe_get h.seqs 0
+let[@inline] min_seq h = if h.len = 0 then max_int else Array.unsafe_get h.seqs 0
 
 (* Take the entry at position [i] out: release its slot, move the last
    entry into the hole and sift it to its place.  Returns the payload. *)
@@ -176,7 +182,7 @@ let pop h =
   if h.len = 0 then invalid_arg "Heap.pop: empty";
   take h 0
 
-let live h ~slot ~seq =
+let[@inline] live h ~slot ~seq =
   slot >= 0
   && slot < Array.length h.pos
   &&

@@ -10,12 +10,9 @@ module Ivar = struct
     | Full _ -> invalid_arg "Ivar.fill: already filled"
     | Empty waiters ->
       t.state <- Full v;
-      if Carlos_obs.Profile.enabled () then begin
-        let p0 = Carlos_obs.Profile.start () in
-        Queue.iter (fun resume -> resume ()) waiters;
-        Carlos_obs.Profile.stop Carlos_obs.Profile.Ivar_wakeup p0
-      end
-      else Queue.iter (fun resume -> resume ()) waiters
+      Carlos_obs.Profile.(enter ivar_wakeup);
+      Queue.iter (fun resume -> resume ()) waiters;
+      Carlos_obs.Profile.(leave ivar_wakeup)
 
   let is_filled t = match t.state with Full _ -> true | Empty _ -> false
 

@@ -180,12 +180,23 @@ let[@inline] encode ~page ~against_twin ~len ~marks ~twin data =
   if !runs = 0 then { page; runs = 0; buf = Bytes.empty }
   else { page; runs = !runs; buf = Bytes.sub out 0 !pos }
 
+module Profile = Carlos_obs.Profile
+
+let create_span = Profile.span Carlos_obs.Obs.Vm "diff.create"
+
+let apply_span = Profile.span Carlos_obs.Obs.Vm "diff.apply"
+
+let merge_span = Profile.span Carlos_obs.Obs.Vm "diff.merge"
+
 let create ~page ~twin ~current =
   let len = Bytes.length twin in
   if Bytes.length current <> len then
     invalid_arg "Diff.create: twin and current differ in length";
   if len > max_page_size then invalid_arg "Diff.create: page too large";
-  encode ~page ~against_twin:true ~len ~marks:current ~twin current
+  Profile.enter create_span;
+  let d = encode ~page ~against_twin:true ~len ~marks:current ~twin current in
+  Profile.leave create_span;
+  d
 
 let page t = t.page
 
@@ -194,6 +205,7 @@ let run_count t = t.runs
 let is_empty t = t.runs = 0
 
 let apply t target =
+  Profile.enter apply_span;
   let len = Bytes.length target and buf = t.buf in
   let pos = ref 0 in
   for _ = 1 to t.runs do
@@ -201,7 +213,8 @@ let apply t target =
     if offset + n > len then invalid_arg "Diff.apply: run out of bounds";
     Bytes.unsafe_blit buf (!pos + run_descriptor_bytes) target offset n;
     pos := !pos + run_descriptor_bytes + n
-  done
+  done;
+  Profile.leave apply_span
 
 (* Each domain replays merges into its own page image and touched-byte
    mask, kept apart from the encoder's output scratch, which is written
@@ -258,18 +271,28 @@ let rec replay r page = function
     done;
     replay r page rest
 
+let reset_scratch () =
+  Domain.DLS.set scratch_key Bytes.empty;
+  Domain.DLS.set replay_key
+    { image = Bytes.empty; mask = Bytes.empty; marked = 0 }
+
 let merge = function
   | [] -> invalid_arg "Diff.merge: empty"
   | [ d ] -> d
   | first :: _ as ds ->
+    Profile.enter merge_span;
     let r = Domain.DLS.get replay_key in
     Bytes.unsafe_fill r.mask 0 r.marked '\000';
     r.marked <- 0;
     replay r first.page ds;
     (* [marked] is now one past the last touched byte; the encoder
        re-extracts precisely the touched bytes as maximal runs. *)
-    encode ~page:first.page ~against_twin:false ~len:r.marked ~marks:r.mask
-      ~twin:r.mask r.image
+    let d =
+      encode ~page:first.page ~against_twin:false ~len:r.marked ~marks:r.mask
+        ~twin:r.mask r.image
+    in
+    Profile.leave merge_span;
+    d
 
 let changed_bytes t = Bytes.length t.buf - (run_descriptor_bytes * t.runs)
 

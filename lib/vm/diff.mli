@@ -47,6 +47,11 @@ val apply : t -> Bytes.t -> unit
     [Invalid_argument] on an empty list or mixed pages. *)
 val merge : t list -> t
 
+(** Empties the calling domain's encode and merge scratch, so the next
+    [create] and [merge] grow it afresh: an allocation count taken from
+    here on does not depend on what the domain encoded before. *)
+val reset_scratch : unit -> unit
+
 (** Wire size in bytes: a small header plus, per run, a 4-byte descriptor
     and the run data.  Constant time. *)
 val size_bytes : t -> int

@@ -70,11 +70,11 @@ let ensure_readable t i =
       if n >= max_fault_retries then
         invalid_arg "Page_table: read fault handler left page invalid";
       Obs.inc t.read_faults_c;
-      (* Inclusive span: the handler may suspend, so this wall-clock
-         extent also covers other fibers run meanwhile (see Profile). *)
-      let p0 = Profile.start () in
+      (* The handler may suspend: the span's inclusive seconds cover
+         the suspension, its self time does not (see Profile). *)
+      Profile.enter Profile.vm_fault;
       t.on_read_fault i;
-      Profile.stop Profile.Vm_fault p0;
+      Profile.leave Profile.vm_fault;
       attempt (n + 1)
   in
   attempt 0
@@ -90,9 +90,9 @@ let ensure_writable t i =
       attempt (n + 1)
     | Page.Read_only ->
       Obs.inc t.write_faults_c;
-      let p0 = Profile.start () in
+      Profile.enter Profile.vm_fault;
       t.on_write_fault i;
-      Profile.stop Profile.Vm_fault p0;
+      Profile.leave Profile.vm_fault;
       attempt (n + 1)
   in
   attempt 0

@@ -1521,7 +1521,7 @@ let test_metadata_allocation () =
 let test_diff_store_discard_upto () =
   let module Store = Carlos_dsm.Diff_store in
   let nodes = 3 and pages = 4 in
-  let store = Store.create ~nodes ~pages in
+  let store = Store.create ~nodes in
   let id creator index = { Interval.creator; index } in
   let pieces = ref [] in
   for creator = 0 to nodes - 1 do

@@ -372,6 +372,39 @@ let test_metrics_jsonl_shape () =
 
 let qcheck = Props.qcheck
 
+(* [observe] allocates nothing: its sum, min and max are stored
+   unboxed, the bucket comes from the exponent bits, and the float
+   argument is not boxed to be passed. *)
+let test_hist_observe_allocation () =
+  let h = Obs.Hist.create () in
+  let x = ref 0.001 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Obs.Hist.observe h !x;
+    x := !x *. 1.01
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "1,000 observations allocate %.0f words" words
+
+(* The bucket from the exponent bits is [Float.frexp]'s. *)
+let frexp_bucket v =
+  if v <= 0.0 then 0
+  else
+    let _, e = Float.frexp v in
+    Int.max 0 (Int.min 63 (e + 40))
+
+let prop_hist_bucket_matches_frexp =
+  let edge =
+    [ 0.0; -0.0; -1.0; Float.min_float; Float.min_float /. 2.0;
+      4.9e-324; Float.max_float; Float.infinity; Float.neg_infinity;
+      Float.nan; 1.0; 0.5; 1e-12; 1e7; 2.0 ** -41.0; 2.0 ** 23.0 ]
+  in
+  QCheck.Test.make ~name:"histogram bucket matches frexp" ~count:1000
+    QCheck.(
+      oneof
+        [ float; oneofl edge; map (fun b -> Int64.float_of_bits b) int64 ])
+    (fun v -> Obs.Hist.bucket_of v = frexp_bucket v)
+
 let () =
   Props.run "obs"
     [
@@ -389,8 +422,11 @@ let () =
         :: Alcotest.test_case "percentile" `Quick test_hist_percentile
         :: Alcotest.test_case "percentile degenerate" `Quick
              test_hist_percentile_degenerate
+        :: Alcotest.test_case "observe allocates nothing" `Quick
+             test_hist_observe_allocation
         :: qcheck
              [
+               prop_hist_bucket_matches_frexp;
                prop_hist_merge_commutative;
                prop_hist_merge_associative;
                prop_hist_merge_identity;

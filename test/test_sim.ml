@@ -592,6 +592,45 @@ let test_engine_queued_delay_allocation () =
   let w = queued_delay_words 10_000 in
   if w > 10.01 then Alcotest.failf "a suspending delay allocates %.2f words" w
 
+(* A prebuilt callback that reschedules itself [n] times allocates
+   nothing: its event is reused, the time reaches the heap unboxed and
+   the clock is written in place.  Reading [Engine.now] and the heap root
+   allocates nothing either. *)
+let test_engine_prebuilt_callback_allocation () =
+  let eng = Engine.create () in
+  let n = 10_000 in
+  let left = ref n in
+  let cb = ref (Engine.callback ignore) in
+  cb :=
+    Engine.callback (fun () ->
+        decr left;
+        if !left > 0 then
+          Engine.at_callback eng ~time:(Engine.now eng +. 0.5) !cb);
+  let run () =
+    left := n;
+    Engine.at_callback eng ~time:(Engine.now eng +. 1.0) !cb;
+    Engine.run eng
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  (* [Engine.run] builds its loop's closures once per run. *)
+  if words > 30.0 then
+    Alcotest.failf "%d prebuilt callbacks allocate %.0f words" n words;
+  let h = Heap.create ~dummy:"" () in
+  add h ~time:2.0 ~seq:0 "a";
+  let sink = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    sink := !sink +. Engine.now eng +. Heap.min_time h
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then
+    Alcotest.failf "reading the clock and the heap root allocates %.0f words"
+      words;
+  ignore (Sys.opaque_identity !sink)
+
 (* ------------------------------------------------------------------ *)
 (* Cancellable timers and the queue counts *)
 
@@ -966,8 +1005,8 @@ let test_profile_disabled_probe_allocation () =
   Profile.set_enabled false;
   let probes () =
     for _ = 1 to 1000 do
-      let t0 = Profile.start () in
-      Profile.stop Profile.Event t0
+      Profile.enter Profile.event;
+      Profile.leave Profile.event
     done
   in
   probes ();
@@ -990,18 +1029,81 @@ let test_profile_enabled_records_run () =
       Resource.Ivar.fill iv ());
   Engine.run eng;
   Profile.set_enabled false;
-  let count cat =
+  let count span =
     let s =
       List.find
-        (fun s -> s.Profile.category = Profile.name cat)
+        (fun s -> s.Profile.category = Profile.name span)
         (Profile.snapshot ())
     in
     s.Profile.count
   in
-  Alcotest.(check int) "one run" 1 (count Profile.Run);
-  Alcotest.(check bool) "events recorded" true (count Profile.Event > 0);
+  Alcotest.(check int) "one run" 1 (count Profile.run);
+  Alcotest.(check bool) "events recorded" true (count Profile.event > 0);
   Alcotest.(check bool) "resumes recorded" true
-    (count Profile.Fiber_resume > 0);
+    (count Profile.fiber_resume > 0);
+  Profile.reset ()
+
+(* Two spans of other layers, one of them open across a suspension. *)
+let net_span = Profile.span Carlos_obs.Obs.Net "test.net"
+
+let app_span = Profile.span Carlos_obs.Obs.App "test.app"
+
+(* A program whose fibers allocate, enter spans and suspend inside them:
+   one parks on an ivar inside [app_span], the other delays inside
+   [net_span] and fills the ivar. *)
+let span_program () =
+  let eng = Engine.create () in
+  let iv = Resource.Ivar.create () in
+  let sink = ref [] in
+  Engine.spawn eng (fun () ->
+      Profile.enter app_span;
+      sink := List.init 50 Fun.id :: !sink;
+      ignore (Resource.Ivar.read iv);
+      sink := List.init 30 Fun.id :: !sink;
+      Profile.leave app_span);
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 3 do
+        Profile.enter net_span;
+        sink := List.init 20 Fun.id :: !sink;
+        Engine.delay 1.0;
+        Profile.leave net_span
+      done;
+      Resource.Ivar.fill iv ());
+  eng
+
+let test_profile_layers_sum_to_run () =
+  (* The same program, off and then on: the words the profiled run
+     charges to its spans are the words the run allocates unprofiled,
+     and the layers' exclusive numbers sum to [run]'s inclusive ones. *)
+  Profile.reset ();
+  Profile.set_enabled false;
+  Engine.run (span_program ());
+  let eng = span_program () in
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let off_words = Gc.minor_words () -. w0 in
+  Profile.set_enabled true;
+  Engine.run (span_program ());
+  Profile.set_enabled false;
+  let run =
+    List.find
+      (fun s -> s.Profile.span_name = Profile.name Profile.run)
+      (Profile.stats ())
+  in
+  let layers = Profile.layers () in
+  let secs = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 layers in
+  let words = List.fold_left (fun a (_, _, w) -> a +. w) 0.0 layers in
+  check_float "run words = unprofiled words" off_words run.Profile.incl_words;
+  check_float "layer words sum to run" run.Profile.incl_words words;
+  Alcotest.(check (float 1e-6)) "layer seconds sum to run" run.Profile.incl_s
+    secs;
+  let layer_words l =
+    List.fold_left (fun a (l', _, w) -> if l' = l then a +. w else a) 0.0 layers
+  in
+  Alcotest.(check bool) "app words charged" true
+    (layer_words Carlos_obs.Obs.App >= 80.0 *. 3.0);
+  Alcotest.(check bool) "net words charged" true
+    (layer_words Carlos_obs.Obs.Net >= 60.0 *. 3.0);
   Profile.reset ()
 
 let qcheck = Props.qcheck
@@ -1058,6 +1160,8 @@ let () =
             test_engine_inline_delay_allocation;
           Alcotest.test_case "queued delay allocation" `Quick
             test_engine_queued_delay_allocation;
+          Alcotest.test_case "prebuilt callback allocation" `Quick
+            test_engine_prebuilt_callback_allocation;
         ]
         @ qcheck [ prop_engine_matches_model ] );
       ( "queue",
@@ -1080,6 +1184,8 @@ let () =
             test_profile_disabled_probe_allocation;
           Alcotest.test_case "enabled run records samples" `Quick
             test_profile_enabled_records_run;
+          Alcotest.test_case "layers sum to run" `Quick
+            test_profile_layers_sum_to_run;
         ] );
       ( "resource",
         [
