@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline export-diff export-pin perfbench-smoke clean
+.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline rebaseline-alloc export-diff export-pin perfbench-smoke clean
 
 all: build
 
@@ -96,6 +96,27 @@ rebaseline: build
 	{ $(SNAPSHOT_DIFF) BENCH_PR10.json $$new || true; } && \
 	cp $$new BENCH_PR10.json && \
 	echo "rebaseline: BENCH_PR10.json replaced"
+
+# Re-pin the baseline after a change that moves allocation only: the
+# fresh snapshot replaces BENCH_PR10.json only if, with every row's
+# alloc_minor and alloc_major fields stripped, it equals the committed
+# file byte for byte; the moved allocation numbers are printed.  If any
+# other number moved, it prints those moves and exits 1, writing nothing.
+STRIP_ALLOC = sed -E 's/"alloc_(minor|major)": [0-9]+, //g'
+
+rebaseline-alloc: build
+	@new=$$(mktemp) && old_s=$$(mktemp) && new_s=$$(mktemp) && \
+	trap 'rm -f "$$new" "$$old_s" "$$new_s"' EXIT && \
+	$(call snapshot,$$new) && \
+	$(STRIP_ALLOC) BENCH_PR10.json > $$old_s && $(STRIP_ALLOC) $$new > $$new_s && \
+	if ! cmp -s $$old_s $$new_s; then \
+	  $(SNAPSHOT_DIFF) $$old_s $$new_s; \
+	  echo "rebaseline-alloc: numbers other than alloc_* moved; BENCH_PR10.json left as it is"; \
+	  exit 1; \
+	fi && \
+	{ $(SNAPSHOT_DIFF) BENCH_PR10.json $$new || true; } && \
+	cp $$new BENCH_PR10.json && \
+	echo "rebaseline-alloc: only alloc_* moved; BENCH_PR10.json replaced"
 
 # Export gate (CI runs this target): tsp/hybrid@4, qsort/lock@3,
 # water/hybrid@2 and grid/barrier@4 on every backend; each run's stdout

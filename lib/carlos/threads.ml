@@ -30,7 +30,10 @@ let yield t =
   (* Charge any accumulated computation so the interleaving reflects the
      work done, then reschedule at the current instant. *)
   Node.flush_compute t.node;
-  Engine.suspend (fun resume -> Engine.at (Node.engine t.node) ~time:(Node.time t.node) resume)
+  let q = Engine.waiters () in
+  Engine.at (Node.engine t.node) ~time:(Node.time t.node) (fun () ->
+      Engine.wake_one q);
+  Engine.wait q
 
 let join_all t =
   if t.live > 0 then begin

@@ -8,9 +8,10 @@
 
     The store keeps one row per creator, indexed by interval index as
     {!Interval.Log} keeps its intervals; an index's slot holds the pieces
-    of each page it has any for.  So the GC's discard drops a prefix of
-    each row and never walks the diffs above the snapshot.  Nothing here
-    yields. *)
+    of each page it has any for in an open-addressed table by page, so a
+    lookup does not walk every page of a large interval.  The GC's
+    discard drops a prefix of each row and never walks the diffs above
+    the snapshot.  Nothing here yields. *)
 
 type t
 

@@ -44,11 +44,6 @@ let write_fault t page =
   end;
   Writeback.write_fault t.wb page
 
-(* The diff [encoded] holds for [page], if any. *)
-let rec encoded_diff page = function
-  | [] -> None
-  | (p, d) :: rest -> if p = page then Some d else encoded_diff page rest
-
 (* The body of [close_interval]: take the dirty pages, encode them and
    publish the new interval.  False when the open interval wrote
    nothing. *)
@@ -89,6 +84,9 @@ let publish_interval t =
     Obs.inc t.ins.intervals_created_c;
     Obs.add t.ins.write_notices_sent_c (List.length pages);
     let id = { Interval.creator = t.me; index } in
+    (* [encoded] lists its pages in the order of [pages], so one walk
+       down it finds each page's diff. *)
+    let encoded = ref encoded in
     List.iter
       (fun page ->
         (* Diffs encoded mid-interval by write-notice arrivals... *)
@@ -98,11 +96,15 @@ let publish_interval t =
           List.iter (fun d -> Diff_store.add t.store ~page id d) (List.rev ds);
           t.orphans.(page) <- []);
         (* ...and the final state of the page if it was still writable. *)
-        (match encoded_diff page encoded with
-        | Some d -> Diff_store.add t.store ~page id d
-        | None -> ());
+        (match !encoded with
+        | (p, d) :: rest when p = page ->
+          encoded := rest;
+          Diff_store.add t.store ~page id d
+        | _ -> ());
         note_page_interval t page ~creator:t.me ~index)
       pages;
+    (* A diff left over here would never be served. *)
+    assert (match !encoded with [] -> true | _ :: _ -> false);
     true
 
 (* Close the open interval, if it wrote anything: assign the next index,

@@ -14,6 +14,16 @@ type event =
 (* A prebuilt [Ev_thunk]: scheduling it again allocates nothing. *)
 type callback = event
 
+(* The fibers parked on one resource, oldest first, each as the
+   [Ev_resume] that wakes it.  The oldest waits in [first] ([Ev_none]
+   when nobody does); later ones queue in [overflow], which starts as the
+   shared empty [no_overflow] and gets a queue of its own only when a
+   second fiber parks, so a resource with one waiter at a time allocates
+   no queue cell.  [first] is empty only when [overflow] is. *)
+type waiters = { mutable first : event; mutable overflow : event Queue.t }
+
+let no_overflow : event Queue.t = Queue.create ()
+
 (* The engine's floats live unboxed in [floats], so writing one is a
    plain store where a float field of this mixed record would box:
    - the virtual clock;
@@ -59,11 +69,11 @@ type t = {
      running fiber slice: the spans above it are the fiber's own, parked
      when it suspends. *)
   mutable slice_base : int;
-  (* The payloads of the [Fork] and [Suspend] being performed, stored by
-     [fork] and [suspend] and taken at once by the handler, so that no
+  (* The payloads of the [Fork] and [Wait] being performed, stored by
+     [fork] and [wait] and taken at once by the handler, so that no
      effect carries a payload and every fiber shares one handler. *)
   mutable fork_body : unit -> unit;
-  mutable register : (unit -> unit) -> unit;
+  mutable waiting : waiters;
   (* The effect handler of every fiber of this engine, built once. *)
   mutable handler : (unit, unit) Effect.Deep.handler;
 }
@@ -74,7 +84,7 @@ type _ Effect.t +=
   | Delay : unit Effect.t
   | Time : unit Effect.t
   | Fork : unit Effect.t
-  | Suspend : unit Effect.t
+  | Wait : unit Effect.t
 
 (* The engine currently executing; used only to give fiber-level operations
    ([delay], [time], ...) an implicit engine argument.  Domain-local so
@@ -212,7 +222,18 @@ let cancel t h =
 
 let no_body () = ()
 
-let no_register (_ : unit -> unit) = ()
+let waiters () = { first = Ev_none; overflow = no_overflow }
+
+let no_waiters = waiters ()
+
+let has_waiters q = match q.first with Ev_none -> false | _ -> true
+
+let park q ev =
+  match q.first with
+  | Ev_none -> q.first <- ev
+  | _ ->
+    if q.overflow == no_overflow then q.overflow <- Queue.create ();
+    Queue.add ev q.overflow
 
 (* The effect handler that implements the blocking operations, shared by
    every fiber of [eng]: each effect's payload waits in [eng], so the
@@ -238,18 +259,14 @@ let make_handler eng =
         schedule_ev eng ~time:(clock eng) (Ev_fiber body);
         continue k ())
   in
-  let on_suspend =
+  (* The resume event is built here, young, and only the waiter queue
+     holds it. *)
+  let on_wait =
     Some
       (fun (k : (unit, unit) continuation) ->
-        let register = eng.register in
-        eng.register <- no_register;
-        let resumed = ref false in
-        let resume () =
-          if !resumed then invalid_arg "Engine.suspend: resume invoked twice";
-          resumed := true;
-          schedule_ev eng ~time:(clock eng) (Ev_resume k)
-        in
-        register resume)
+        let q = eng.waiting in
+        eng.waiting <- no_waiters;
+        park q (Ev_resume k))
   in
   {
     retc = (fun () -> ());
@@ -264,7 +281,7 @@ let make_handler eng =
         | Delay -> on_delay
         | Time -> on_time
         | Fork -> on_fork
-        | Suspend -> on_suspend
+        | Wait -> on_wait
         | _ -> None);
   }
 
@@ -275,7 +292,7 @@ let create () =
       lane_head = 0; lane_len = 0; next_seq = 0; executed = 0; from_lane = 0;
       cancelled = 0; peak = 0; failure = None; secondary = [];
       in_fiber = false; profiling = false; slice_base = 0;
-      fork_body = no_body; register = no_register;
+      fork_body = no_body; waiting = no_waiters;
       handler = Effect.Deep.{ retc = ignore; exnc = raise; effc = (fun _ -> None) } }
   in
   t.handler <- make_handler t;
@@ -443,9 +460,22 @@ let fork f =
     eng.fork_body <- f;
     Effect.perform Fork
 
-let suspend register =
+let wait q =
   match current () with
-  | None -> Effect.perform Suspend
+  | None -> Effect.perform Wait
   | Some eng ->
-    eng.register <- register;
-    perform_in eng Suspend
+    eng.waiting <- q;
+    perform_in eng Wait
+
+(* The oldest waiter's resume is queued at now, drawing its sequence
+   number here, as the wake-up's own event would. *)
+let wake_one q =
+  match current () with
+  | None -> invalid_arg "Engine.wake_one: not inside a running engine"
+  | Some eng -> (
+    match q.first with
+    | Ev_none -> invalid_arg "Engine.wake_one: no fiber waits"
+    | ev ->
+      q.first <-
+        (if Queue.is_empty q.overflow then Ev_none else Queue.pop q.overflow);
+      schedule_ev eng ~time:(clock eng) ev)

@@ -120,8 +120,29 @@ val time : unit -> float
 (** Start a sibling fiber from inside a fiber. *)
 val fork : (unit -> unit) -> unit
 
-(** [suspend register] parks the calling fiber.  [register] receives a
-    [resume] thunk that, when invoked (from any other fiber or callback),
-    reschedules the parked fiber at the then-current virtual time.  Invoking
-    [resume] more than once is an error. *)
-val suspend : ((unit -> unit) -> unit) -> unit
+(** {1 Waiting}
+
+    A fiber blocks by parking on a waiter queue, and another fiber or a
+    callback wakes it.  A parked fiber is held as the event that resumes
+    it, so parking allocates only that event (and, behind a waiter
+    already parked, one queue cell). *)
+
+(** The fibers parked on one resource, oldest first. *)
+type waiters
+
+(** An empty queue.  It allocates no overflow queue until a second fiber
+    parks on it. *)
+val waiters : unit -> waiters
+
+(** [wait q] parks the calling fiber on [q] until {!wake_one} picks it.
+    Outside a fiber (in a callback, or with no engine running) the effect
+    it performs is unhandled. *)
+val wait : waiters -> unit
+
+(** Whether any fiber is parked on the queue. *)
+val has_waiters : waiters -> bool
+
+(** [wake_one q] takes the oldest fiber parked on [q] and reschedules it
+    at the current virtual time, drawing its sequence number now.  Raises
+    [Invalid_argument] if nobody waits, or outside a running engine. *)
+val wake_one : waiters -> unit

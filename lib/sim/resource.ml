@@ -1,46 +1,45 @@
 module Ivar = struct
-  type 'a state = Empty of (unit -> unit) Queue.t | Full of 'a
+  type 'a state = Empty | Full of 'a
 
-  type 'a t = { mutable state : 'a state }
+  type 'a t = { mutable state : 'a state; readers : Engine.waiters }
 
-  let create () = { state = Empty (Queue.create ()) }
+  let create () = { state = Empty; readers = Engine.waiters () }
 
   let fill t v =
     match t.state with
     | Full _ -> invalid_arg "Ivar.fill: already filled"
-    | Empty waiters ->
+    | Empty ->
       t.state <- Full v;
       Carlos_obs.Profile.(enter ivar_wakeup);
-      Queue.iter (fun resume -> resume ()) waiters;
+      while Engine.has_waiters t.readers do
+        Engine.wake_one t.readers
+      done;
       Carlos_obs.Profile.(leave ivar_wakeup)
 
-  let is_filled t = match t.state with Full _ -> true | Empty _ -> false
+  let is_filled t = match t.state with Full _ -> true | Empty -> false
 
   let read t =
     match t.state with
     | Full v -> v
-    | Empty waiters ->
-      Engine.suspend (fun resume -> Queue.add resume waiters);
-      (match t.state with
+    | Empty -> (
+      Engine.wait t.readers;
+      match t.state with
       | Full v -> v
-      | Empty _ -> assert false)
+      | Empty -> assert false)
 end
 
 module Mailbox = struct
-  type 'a t = {
-    messages : 'a Queue.t;
-    receivers : (unit -> unit) Queue.t;
-  }
+  type 'a t = { messages : 'a Queue.t; receivers : Engine.waiters }
 
-  let create () = { messages = Queue.create (); receivers = Queue.create () }
+  let create () = { messages = Queue.create (); receivers = Engine.waiters () }
 
   let send t v =
     Queue.add v t.messages;
-    if not (Queue.is_empty t.receivers) then (Queue.pop t.receivers) ()
+    if Engine.has_waiters t.receivers then Engine.wake_one t.receivers
 
   let rec recv t =
     if Queue.is_empty t.messages then begin
-      Engine.suspend (fun resume -> Queue.add resume t.receivers);
+      Engine.wait t.receivers;
       (* A competing receiver woken at the same instant may have consumed
          the message; loop until we actually get one. *)
       recv t
@@ -49,19 +48,18 @@ module Mailbox = struct
 end
 
 module Semaphore = struct
-  type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
+  type t = { mutable count : int; waiters : Engine.waiters }
 
   let create count =
     if count < 0 then invalid_arg "Semaphore.create: negative";
-    { count; waiters = Queue.create () }
+    { count; waiters = Engine.waiters () }
 
   let wait t =
-    if t.count > 0 then t.count <- t.count - 1
-    else Engine.suspend (fun resume -> Queue.add resume t.waiters)
+    if t.count > 0 then t.count <- t.count - 1 else Engine.wait t.waiters
 
   let signal t =
-    if Queue.is_empty t.waiters then t.count <- t.count + 1
-    else (Queue.pop t.waiters) ()
+    if Engine.has_waiters t.waiters then Engine.wake_one t.waiters
+    else t.count <- t.count + 1
 
   let value t = t.count
 end

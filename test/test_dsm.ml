@@ -1517,26 +1517,50 @@ let test_metadata_allocation () =
 
 (* The GC's diff discard drops every piece at or below the snapshot in
    its creator's entry, subtracts exactly their bytes, and leaves the
-   pieces above it in their apply order. *)
+   pieces above it in their apply order.  Interval 1.2 writes more than
+   64 pages, in no page order and most of them 64 pages apart, so its
+   table grows several times and its probes collide and wrap. *)
 let test_diff_store_discard_upto () =
   let module Store = Carlos_dsm.Diff_store in
-  let nodes = 3 and pages = 4 in
+  let nodes = 3 and big = 80 in
+  let pages_of creator index =
+    if creator = 1 && index = 2 then
+      List.init big (fun k -> (64 * ((37 * k) mod big)) + (k land 1))
+    else [ 0; 1; 2; 3 ]
+  in
   let store = Store.create ~nodes in
   let id creator index = { Interval.creator; index } in
   let pieces = ref [] in
+  let check_pieces what =
+    List.iter
+      (fun (page, i, _) ->
+        let expected =
+          List.filter_map
+            (fun (p, j, d) -> if p = page && j = i then Some d else None)
+            (List.rev !pieces)
+        in
+        if Store.find store ~page i <> Some expected then
+          Alcotest.failf "page %d of interval %d.%d %s" page i.Interval.creator
+            i.Interval.index what)
+      !pieces
+  in
   for creator = 0 to nodes - 1 do
     for index = 1 to 3 do
-      for page = 0 to pages - 1 do
-        (* Two pieces on page 1, written at different offsets. *)
-        let count = if page = 1 then 2 else 1 in
-        for k = 1 to count do
-          let d = write_diff ~offset:(8 * k) ((100 * creator) + index) in
-          Store.add store ~page (id creator index) d;
-          pieces := (page, id creator index, d) :: !pieces
-        done
-      done
+      List.iter
+        (fun page ->
+          (* Two pieces on odd pages, written at different offsets. *)
+          let count = if page land 1 = 1 then 2 else 1 in
+          for k = 1 to count do
+            let d = write_diff ~offset:(8 * k) ((100 * creator) + index) in
+            Store.add store ~page (id creator index) d;
+            pieces := (page, id creator index, d) :: !pieces
+          done)
+        (pages_of creator index)
     done
   done;
+  check_pieces "as stored";
+  Alcotest.(check bool) "a page the big interval did not write" false
+    (Store.mem store ~page:2 (id 1 2));
   let snapshot = Vc.zero ~nodes in
   Vc.set snapshot 0 2;
   Vc.set snapshot 2 3;
@@ -1544,24 +1568,28 @@ let test_diff_store_discard_upto () =
   let kept (_, (i : Interval.id), _) =
     i.Interval.index > Vc.get snapshot i.Interval.creator
   in
-  let survivors = List.filter kept (List.rev !pieces) in
+  let all = !pieces in
+  pieces := List.filter kept all;
   Alcotest.(check int) "bytes of the survivors"
-    (List.fold_left (fun acc (_, _, d) -> acc + Diff.size_bytes d) 0 survivors)
+    (List.fold_left (fun acc (_, _, d) -> acc + Diff.size_bytes d) 0 !pieces)
     (Store.bytes_stored store);
+  check_pieces "after the discard";
   List.iter
     (fun ((page, i, _) as piece) ->
-      let expected =
-        if kept piece then
-          Some
-            (List.filter_map
-               (fun (p, j, d) -> if p = page && j = i then Some d else None)
-               survivors)
-        else None
-      in
-      if Store.find store ~page i <> expected then
-        Alcotest.failf "page %d of interval %d.%d after the discard" page
+      if (not (kept piece)) && Store.mem store ~page i then
+        Alcotest.failf "page %d of interval %d.%d survived the discard" page
           i.Interval.creator i.Interval.index)
-    (List.rev !pieces)
+    all;
+  (* Then the big interval goes too. *)
+  Vc.set snapshot 1 2;
+  Store.discard_upto store snapshot;
+  pieces := List.filter kept all;
+  Alcotest.(check int) "bytes after the big interval's discard"
+    (List.fold_left (fun acc (_, _, d) -> acc + Diff.size_bytes d) 0 !pieces)
+    (Store.bytes_stored store);
+  check_pieces "after the big interval's discard";
+  Alcotest.(check bool) "the big interval's pages are gone" false
+    (Store.mem store ~page:0 (id 1 2))
 
 (* ------------------------------------------------------------------ *)
 (* LRC per-page state *)

@@ -151,7 +151,7 @@ let test_medium_fifo_reports_wait () =
 module Fiber_medium = struct
   type wire = {
     mutable held : bool;
-    waiters : (unit -> unit) Queue.t;
+    waiters : Engine.waiters;
     mutable busy : float;
     mutable acquired_at : float;
   }
@@ -162,7 +162,7 @@ module Fiber_medium = struct
       w.acquired_at <- Engine.time ()
     end
     else begin
-      Engine.suspend (fun resume -> Queue.add resume w.waiters);
+      Engine.wait w.waiters;
       (* Ownership was handed to us by [release]. *)
       w.acquired_at <- Engine.time ()
     end
@@ -170,8 +170,8 @@ module Fiber_medium = struct
   let release w =
     w.busy <- w.busy +. (Engine.time () -. w.acquired_at);
     w.acquired_at <- Engine.time ();
-    if Queue.is_empty w.waiters then w.held <- false
-    else (Queue.pop w.waiters) ()
+    if Engine.has_waiters w.waiters then Engine.wake_one w.waiters
+    else w.held <- false
 
   let use w dt =
     let requested = Engine.time () in
@@ -197,7 +197,7 @@ module Fiber_medium = struct
       latency;
       bandwidth;
       wire =
-        { held = false; waiters = Queue.create (); busy = 0.0;
+        { held = false; waiters = Engine.waiters (); busy = 0.0;
           acquired_at = 0.0 };
       backlog = 0;
       handlers = Array.make nodes None;
