@@ -1,4 +1,4 @@
-.PHONY: all build test fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline rebaseline-alloc export-diff export-pin perfbench-smoke clean
+.PHONY: all build test test-dev fmt check soak soak-check audit paper-tables bench-diff bench-parallel rebaseline rebaseline-alloc export-diff export-pin perfbench-smoke clean
 
 all: build
 
@@ -7,6 +7,14 @@ build:
 
 test:
 	dune runtest --force
+
+# Tier-1 under the dev profile (-opaque, so no cross-module inlining;
+# the allocation bounds that rely on inlining read the profile from
+# test/build_profile.ml).  It builds in a directory of its own, so the
+# release binaries in _build/default, which the other targets run, are
+# left alone.
+test-dev:
+	dune runtest --force --profile dev --build-dir _build_dev
 
 # Formatting gate: dune files must be dune-fmt clean (see dune-project;
 # OCaml sources are not yet under ocamlformat).

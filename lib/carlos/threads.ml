@@ -31,8 +31,8 @@ let yield t =
      work done, then reschedule at the current instant. *)
   Node.flush_compute t.node;
   let q = Engine.waiters () in
-  Engine.at (Node.engine t.node) ~time:(Node.time t.node) (fun () ->
-      Engine.wake_one q);
+  Engine.at (Node.engine t.node) ~time:(Node.time t.node)
+    (Engine.callback (fun () -> Engine.wake_one q));
   Engine.wait q
 
 let join_all t =

@@ -30,86 +30,44 @@ let probe cells page =
   let mask = Array.length cells - 1 in
   probe_from cells mask page (((page * 0x1E3779B97F4A7C15) lsr 29) land mask)
 
-(* One creator's intervals, laid out as [Interval.Log]'s rows: index [k]
-   lives in [slots.(k - base)] ([empty_slot] when it has no pieces), and
-   every slot below offset [lo] is empty, so discarding a prefix
-   releases the front without scanning it again. *)
-type row = {
-  mutable base : int;
-  mutable lo : int;
-  mutable slots : slot array;
-  mutable count : int; (* non-empty slots *)
-}
+(* One row per creator, [empty_slot] in the slots of indices without
+   pieces. *)
+module Row = Interval.Row (struct
+  type t = slot
 
-type t = { rows : row array; mutable bytes : int }
+  let empty = empty_slot
+end)
+
+type t = { rows : Row.t array; mutable bytes : int }
 
 let create ~nodes =
-  {
-    rows = Array.init nodes (fun _ -> { base = 0; lo = 0; slots = [||]; count = 0 });
-    bytes = 0;
-  }
-
-let slot_of r index =
-  let k = index - r.base in
-  if k < 0 || k >= Array.length r.slots then empty_slot
-  else Array.unsafe_get r.slots k
+  { rows = Array.init nodes (fun _ -> Row.create ()); bytes = 0 }
 
 let entry_of page slot =
   let cells = slot.cells in
   Array.unsafe_get cells (probe cells page)
 
-let find t ~page (id : Interval.id) =
-  let e =
-    entry_of page (slot_of t.rows.(id.Interval.creator) id.Interval.index)
-  in
+let lookup t ~page (id : Interval.id) =
+  entry_of page (Row.get t.rows.(id.Interval.creator) id.Interval.index)
+
+let find t ~page id =
+  let e = lookup t ~page id in
   if e == no_entry then None else Some (List.rev e.pieces)
 
-let mem t ~page (id : Interval.id) =
-  entry_of page (slot_of t.rows.(id.Interval.creator) id.Interval.index)
-  != no_entry
-
-(* Make room for [index] in row [r], doubling on overflow. *)
-let reserve r index =
-  let len = Array.length r.slots in
-  if r.count = 0 then begin
-    r.slots <- Array.make 8 empty_slot;
-    r.base <- index;
-    r.lo <- 0
-  end
-  else if index < r.base then begin
-    let top = r.base + len in
-    let slots = Array.make (Int.max (2 * len) (top - index)) empty_slot in
-    let base = top - Array.length slots in
-    Array.blit r.slots 0 slots (r.base - base) len;
-    r.lo <- r.lo + (r.base - base);
-    r.base <- base;
-    r.slots <- slots
-  end
-  else if index >= r.base + len then begin
-    let slots =
-      Array.make (Int.max (2 * len) (index - r.base + 1)) empty_slot
-    in
-    Array.blit r.slots 0 slots 0 len;
-    r.slots <- slots
-  end
+let mem t ~page id = lookup t ~page id != no_entry
 
 (* The entry of [page] under [id], made if there is none. *)
 let entry t ~page (id : Interval.id) =
-  let r = t.rows.(id.Interval.creator) in
-  let index = id.Interval.index in
-  let found = entry_of page (slot_of r index) in
+  let r = t.rows.(id.Interval.creator) and index = id.Interval.index in
+  let slot = Row.get r index in
+  let found = entry_of page slot in
   if found != no_entry then found
   else begin
-    reserve r index;
-    let k = index - r.base in
-    let slot = r.slots.(k) in
-    if k < r.lo then r.lo <- k;
     let slot =
-      if slot.used > 0 then slot
+      if slot != empty_slot then slot
       else begin
-        r.count <- r.count + 1;
         let fresh = { used = 0; cells = Array.make 2 no_entry } in
-        r.slots.(k) <- fresh;
+        Row.set r index fresh;
         fresh
       end
     in
@@ -137,45 +95,13 @@ let add t ~page id diff =
   e.pieces <- diff :: e.pieces;
   t.bytes <- t.bytes + Diff.size_bytes diff
 
-let replace t ~page id ds =
-  let e = entry t ~page id in
-  t.bytes <- t.bytes - pieces_bytes 0 e.pieces + pieces_bytes 0 ds;
-  e.pieces <- List.rev ds
-
 let slot_bytes slot =
   Array.fold_left (fun acc e -> pieces_bytes acc e.pieces) 0 slot.cells
 
-(* Empty the slots of [r] up to [index]. *)
-let discard_row t r index =
-  let len = Array.length r.slots in
-  let stop = Int.min len (index - r.base + 1) in
-  for k = r.lo to stop - 1 do
-    let slot = r.slots.(k) in
-    if slot.used > 0 then begin
-      t.bytes <- t.bytes - slot_bytes slot;
-      r.slots.(k) <- empty_slot;
-      r.count <- r.count - 1
-    end
-  done;
-  if r.count = 0 then begin
-    r.slots <- [||];
-    r.lo <- 0
-  end
-  else if stop > r.lo then begin
-    r.lo <- stop;
-    while r.slots.(r.lo).used = 0 do
-      r.lo <- r.lo + 1
-    done;
-    (* Release the vacated front once it is most of the array: the copy
-       costs no more than the prefix it drops. *)
-    if 2 * r.lo > len then begin
-      r.slots <- Array.sub r.slots r.lo (len - r.lo);
-      r.base <- r.base + r.lo;
-      r.lo <- 0
-    end
-  end
-
-let discard_upto t snapshot =
-  Array.iteri (fun c r -> discard_row t r (Vc.get snapshot c)) t.rows
+let discard_upto t ~creator ~index =
+  t.bytes <-
+    Row.drop_upto t.rows.(creator) index
+      (fun bytes slot -> bytes - slot_bytes slot)
+      t.bytes
 
 let bytes_stored t = t.bytes

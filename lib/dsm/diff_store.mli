@@ -6,12 +6,13 @@
     pieces under an id because a page can be flushed repeatedly within
     one id's window, and the pieces apply in the order they were stored.
 
-    The store keeps one row per creator, indexed by interval index as
-    {!Interval.Log} keeps its intervals; an index's slot holds the pieces
-    of each page it has any for in an open-addressed table by page, so a
-    lookup does not walk every page of a large interval.  The GC's
-    discard drops a prefix of each row and never walks the diffs above
-    the snapshot.  Nothing here yields. *)
+    The store is one {!Interval.Row} per creator, the layout of the
+    interval log: an index's slot holds the pieces of each page it has
+    any for, in an open-addressed table by page, so a lookup does not
+    walk every page of a large interval.  The GC drops a creator's
+    prefix of the log and of the store in one pass
+    ({!discard_upto}), never walking the diffs above the snapshot.
+    Nothing here yields. *)
 
 type t
 
@@ -21,19 +22,15 @@ val create : nodes:int -> t
 (** Store one more piece under [(page, id)]. *)
 val add : t -> page:int -> Interval.id -> Carlos_vm.Diff.t -> unit
 
-(** Set the pieces under [(page, id)] to [ds], in the order they
-    apply. *)
-val replace : t -> page:int -> Interval.id -> Carlos_vm.Diff.t list -> unit
-
 (** The pieces stored under [(page, id)], in the order they apply. *)
 val find : t -> page:int -> Interval.id -> Carlos_vm.Diff.t list option
 
 (** Whether any piece is stored under [(page, id)]; allocates nothing. *)
 val mem : t -> page:int -> Interval.id -> bool
 
-(** Drop every piece whose interval is at or below [snapshot] in its
-    creator's component. *)
-val discard_upto : t -> Vc.t -> unit
+(** [discard_upto t ~creator ~index] drops every piece of [creator]'s
+    intervals at or below [index]. *)
+val discard_upto : t -> creator:int -> index:int -> unit
 
 (** Wire bytes of every piece held. *)
 val bytes_stored : t -> int

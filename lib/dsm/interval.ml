@@ -58,60 +58,43 @@ let pp ppf t =
   Format.fprintf ppf "@[interval %a %a wn=[%s]@]" pp_id t.id Vc.pp t.vc
     (String.concat ";" (List.map string_of_int t.write_notices))
 
-module Log = struct
-  type interval = t
+module Row (E : sig
+  type t
 
-  (* One creator's intervals.  Index [k] lives in [slots.(k - base)], or
-     the slot holds [vacant].  Every slot below offset [lo] is vacant, so
-     removing a prefix (the metadata GC) can release the front of the
-     array without scanning it again. *)
-  type row = {
+  val empty : t
+end) =
+struct
+  (* Index [k] lives in [slots.(k - base)], or the slot holds [E.empty].
+     Every slot below offset [lo] is empty, so dropping a prefix can
+     release the front of the array without scanning it again.  A row
+     with nothing in it holds no array. *)
+  type t = {
     mutable base : int;
     mutable lo : int;
-    mutable slots : interval array;
+    mutable slots : E.t array;
     mutable count : int;
   }
 
-  type nonrec t = { rows : row array; mutable length : int }
+  let create () = { base = 0; lo = 0; slots = [||]; count = 0 }
 
-  (* Compared by physical equality only; never returned. *)
-  let vacant =
-    {
-      id = { creator = -1; index = 0 };
-      vc = Vc.zero ~nodes:1;
-      rank = 0;
-      write_notices = [];
-    }
+  let count r = r.count
 
-  let create ~nodes =
-    {
-      rows =
-        Array.init nodes (fun _ ->
-            { base = 0; lo = 0; slots = [||]; count = 0 });
-      length = 0;
-    }
-
-  let length t = t.length
-
-  let find t ~creator ~index =
-    let r = t.rows.(creator) in
+  let get r index =
     let k = index - r.base in
-    if k < 0 || k >= Array.length r.slots then raise Not_found;
-    let i = Array.unsafe_get r.slots k in
-    if i == vacant then raise Not_found;
-    i
+    if k < 0 || k >= Array.length r.slots then E.empty
+    else Array.unsafe_get r.slots k
 
-  let mem t ~creator ~index =
-    match find t ~creator ~index with
-    | _ -> true
-    | exception Not_found -> false
-
-  (* Make room for [index] in a non-empty row, doubling on overflow. *)
+  (* Make room for [index], doubling on overflow at either end. *)
   let reserve r index =
     let len = Array.length r.slots in
-    if index < r.base then begin
+    if r.count = 0 then begin
+      r.slots <- Array.make 8 E.empty;
+      r.base <- index;
+      r.lo <- 0
+    end
+    else if index < r.base then begin
       let top = r.base + len in
-      let slots = Array.make (Int.max (2 * len) (top - index)) vacant in
+      let slots = Array.make (Int.max (2 * len) (top - index)) E.empty in
       let base = top - Array.length slots in
       Array.blit r.slots 0 slots (r.base - base) len;
       r.lo <- r.lo + (r.base - base);
@@ -119,37 +102,28 @@ module Log = struct
       r.slots <- slots
     end
     else if index >= r.base + len then begin
-      let slots = Array.make (Int.max (2 * len) (index - r.base + 1)) vacant in
+      let slots = Array.make (Int.max (2 * len) (index - r.base + 1)) E.empty in
       Array.blit r.slots 0 slots 0 len;
       r.slots <- slots
     end
 
-  let add t (i : interval) =
-    let r = t.rows.(i.id.creator) in
-    let index = i.id.index in
-    if r.count = 0 then begin
-      r.slots <- Array.make 8 vacant;
-      r.base <- index;
-      r.lo <- 0
-    end
-    else reserve r index;
+  let set r index x =
+    reserve r index;
     let k = index - r.base in
-    if r.slots.(k) == vacant then begin
-      r.count <- r.count + 1;
-      t.length <- t.length + 1
-    end;
+    if r.slots.(k) == E.empty then r.count <- r.count + 1;
     if k < r.lo then r.lo <- k;
-    r.slots.(k) <- i
+    r.slots.(k) <- x
 
-  let remove_upto t ~creator ~index =
-    let r = t.rows.(creator) in
+  let drop_upto r index f acc =
     let len = Array.length r.slots in
     let stop = Int.min len (index - r.base + 1) in
+    let acc = ref acc in
     for k = r.lo to stop - 1 do
-      if r.slots.(k) != vacant then begin
-        r.slots.(k) <- vacant;
-        r.count <- r.count - 1;
-        t.length <- t.length - 1
+      let x = r.slots.(k) in
+      if x != E.empty then begin
+        acc := f !acc x;
+        r.slots.(k) <- E.empty;
+        r.count <- r.count - 1
       end
     done;
     if r.count = 0 then begin
@@ -158,7 +132,7 @@ module Log = struct
     end
     else if stop > r.lo then begin
       r.lo <- stop;
-      while r.slots.(r.lo) == vacant do
+      while r.slots.(r.lo) == E.empty do
         r.lo <- r.lo + 1
       done;
       (* Release the vacated front once it is most of the array: the
@@ -168,15 +142,52 @@ module Log = struct
         r.base <- r.base + r.lo;
         r.lo <- 0
       end
-    end
+    end;
+    !acc
 
-  let iter_range t ~creator ~lo ~hi f =
-    let r = t.rows.(creator) in
+  let iter_range r ~lo ~hi f =
     let stop = Int.min (Array.length r.slots) (hi + 1 - r.base) in
     for k = Int.max r.lo (lo + 1 - r.base) to stop - 1 do
-      let i = Array.unsafe_get r.slots k in
-      if i != vacant then f i
+      let x = Array.unsafe_get r.slots k in
+      if x != E.empty then f x
     done
+end
+
+module Log = struct
+  type interval = t
+
+  module Row = Row (struct
+    type t = interval
+
+    let empty = none
+  end)
+
+  type nonrec t = { rows : Row.t array; mutable length : int }
+
+  let create ~nodes =
+    { rows = Array.init nodes (fun _ -> Row.create ()); length = 0 }
+
+  let length t = t.length
+
+  let find t ~creator ~index =
+    let i = Row.get t.rows.(creator) index in
+    if i == none then raise Not_found;
+    i
+
+  let mem t ~creator ~index = Row.get t.rows.(creator) index != none
+
+  let add t (i : interval) =
+    let r = t.rows.(i.id.creator) in
+    let before = Row.count r in
+    Row.set r i.id.index i;
+    t.length <- t.length + Row.count r - before
+
+  let remove_upto t ~creator ~index =
+    t.length <-
+      Row.drop_upto t.rows.(creator) index (fun n _ -> n - 1) t.length
+
+  let iter_range t ~creator ~lo ~hi f =
+    Row.iter_range t.rows.(creator) ~lo ~hi f
 
   exception Missing of id
 
@@ -189,7 +200,7 @@ module Log = struct
     done;
     if !count = 0 then [||]
     else begin
-      let out = Array.make !count vacant in
+      let out = Array.make !count none in
       let next = ref 0 in
       for c = 0 to nodes - 1 do
         if creators c then

@@ -37,10 +37,43 @@ val sort_in_place : t array -> unit
 
 val pp : Format.formatter -> t -> unit
 
-(** Interval descriptions known to one node, indexed by id.  Interval
-    indices are contiguous per creator, so each creator keeps a dense
-    array indexed by interval index: lookups are two array reads and
-    allocate nothing. *)
+(** One creator's entries by interval index: the layout of every piece of
+    per-interval state an LRC node keeps, its intervals ({!Log}) and their
+    diffs ({!Diff_store}), which the metadata GC drops together.  Indices
+    are contiguous per creator, so a row is a dense array over the indices
+    it holds: a lookup is two array reads and allocates nothing.  A slot
+    with no entry holds [E.empty], compared with [==]. *)
+module Row (E : sig
+  type t
+
+  val empty : t
+end) : sig
+  type t
+
+  val create : unit -> t
+
+  (** Number of non-empty slots. *)
+  val count : t -> int
+
+  (** The entry at an index, or [E.empty]. *)
+  val get : t -> int -> E.t
+
+  (** [set r index x] stores [x] (not [E.empty]) at [index], growing the
+      array by doubling at either end. *)
+  val set : t -> int -> E.t -> unit
+
+  (** [drop_upto r index f acc] empties every slot at or below [index],
+      folding [f] over the entries it removes, from [acc].  It allocates
+      only when it releases the vacated front of the array. *)
+  val drop_upto : t -> int -> ('a -> E.t -> 'a) -> 'a -> 'a
+
+  (** [iter_range r ~lo ~hi f] applies [f] to every entry at an index [k]
+      with [lo < k <= hi], by ascending [k]. *)
+  val iter_range : t -> lo:int -> hi:int -> (E.t -> unit) -> unit
+end
+
+(** Interval descriptions known to one node, indexed by id: a {!Row} per
+    creator, with {!none} in its empty slots. *)
 module Log : sig
   type interval := t
 

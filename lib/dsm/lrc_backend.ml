@@ -109,12 +109,36 @@ let piggyback_cost pb =
     (Cost.Diff_payload, Lrc_serve.diff_entries_bytes pb.attached_diffs);
   ]
 
+(* The pieces a list of piggybacks carries eagerly (update/hybrid
+   strategies) for [(page, id)], or [found] if none does: the last
+   piggyback to carry any wins.  No piggyback carries an empty list. *)
+let rec attached_in ~page (id : Interval.id) found = function
+  | [] -> found
+  | (p, (i : Interval.id), ds) :: rest ->
+    attached_in ~page id
+      (if
+         p = page && i.Interval.index = id.Interval.index
+         && i.Interval.creator = id.Interval.creator
+       then ds
+       else found)
+      rest
+
+let rec attached_pieces ~page id found = function
+  | [] -> found
+  | pb :: rest ->
+    attached_pieces ~page id (attached_in ~page id found pb.attached_diffs) rest
+
+let carries_diffs pb =
+  match pb.attached_diffs with [] -> false | _ :: _ -> true
+
 (* Apply one interval's write notices, preserving local modifications by
    flushing dirty pages to diffs first (the multiple-writer protocol).
    Under the invalidation strategy the named pages become invalid; under
    the update/hybrid strategies a page whose diff travelled with the
    message and whose local copy is current stays valid ("pages to which a
-   'complete' set of diffs can be applied remain valid", §4.3). *)
+   'complete' set of diffs can be applied remain valid", §4.3).
+   [attached] is the accepted piggybacks if any of them carries diffs,
+   else [[]], so that under [Invalidate] nothing is looked up. *)
 let apply_interval t ~attached interval =
   let id = interval.Interval.id in
   let creator = id.Interval.creator and index = id.Interval.index in
@@ -136,11 +160,7 @@ let apply_interval t ~attached interval =
              its old diff would clobber newer bytes). *)
           (if index > Vc.get (page_content_vc t page) creator then begin
             let p = Page_table.page t.page_table page in
-            let eager =
-              match attached with
-              | None -> None
-              | Some attached -> Diff_store.find attached ~page id
-            in
+            let eager = attached_pieces ~page id [] attached in
             let state = Page.state p in
             (* [flush_page] yields while charging the encode, and the
                app fiber can re-fault the page back to Read_write in that
@@ -152,7 +172,7 @@ let apply_interval t ~attached interval =
               Lrc_close.flush_page t page
             done;
             match (eager, state) with
-            | Some ds, (Page.Read_only | Page.Read_write) ->
+            | (_ :: _ as ds), (Page.Read_only | Page.Read_write) ->
               (* Update path: the data came with the message and the
                  local copy is current, so apply in place and stay
                  valid. *)
@@ -169,9 +189,9 @@ let apply_interval t ~attached interval =
                  applied onto a stale base, so cache it for the later
                  validation). *)
               (match eager with
-              | Some ds ->
-                List.iter (fun d -> Diff_store.add t.store ~page id d) ds
-              | None -> ());
+              | [] -> ()
+              | ds ->
+                List.iter (fun d -> Diff_store.add t.store ~page id d) ds);
               Lrc_fetch.invalidate t page p id
           end);
           t.hooks.on_write_notice ~node:t.me ~page ~creator ~index)
@@ -192,31 +212,12 @@ let rec count_waste t = function
     end;
     count_waste t rest
 
-let carries_diffs pb =
-  match pb.attached_diffs with [] -> false | _ :: _ -> true
-
-(* The diffs the piggybacks carry eagerly, in a store of their own (a
-   later piggyback's pieces for an id replace an earlier one's); [None]
-   when none carries any, as always under [Invalidate], so that
-   [apply_interval] looks nothing up. *)
-let index_attached t piggybacks =
-  if not (List.exists carries_diffs piggybacks) then None
-  else begin
-    let attached = Diff_store.create ~nodes:t.nodes in
-    List.iter
-      (fun pb ->
-        List.iter
-          (fun (page, id, ds) -> Diff_store.replace attached ~page id ds)
-          pb.attached_diffs)
-      piggybacks;
-    Some attached
-  end
-
 let accept_piggybacks t ~local piggybacks =
-  (* 1. Index any eagerly shipped diffs (update/hybrid strategies), log
-     every interval description carried by the messages, and join the
-     timestamps we must reach. *)
-  let attached = index_attached t piggybacks and target = Vc.copy t.vc in
+  (* 1. Log every interval description carried by the messages, and join
+     the timestamps we must reach. *)
+  let attached =
+    if List.exists carries_diffs piggybacks then piggybacks else []
+  and target = Vc.copy t.vc in
   List.iter
     (fun pb ->
       if not (List.memq pb local) then count_waste t pb.intervals;

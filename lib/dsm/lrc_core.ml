@@ -338,11 +338,12 @@ let intervals_between t ~lo ~hi ~only =
          (Printf.sprintf "interval log gap at (%d,%d)" id.Interval.creator
             id.Interval.index))
 
-(* Forget every interval [snapshot] dominates and raise the floor to it.
-   The snapshot is a node's clock, which is causally closed: it reaches
-   [(c, k)] only once it covers that interval's whole clock.  So the
-   intervals it dominates are exactly those with [k <= snapshot.(c)], a
-   prefix of each creator's row, and dropping it reads no interval. *)
+(* Forget every interval [snapshot] dominates, with its diffs, and raise
+   the floor to it.  The snapshot is a node's clock, which is causally
+   closed: it reaches [(c, k)] only once it covers that interval's whole
+   clock.  So the intervals it dominates are exactly those with
+   [k <= snapshot.(c)], a prefix of each creator's rows in the log and
+   the store, and dropping it reads no interval. *)
 let discard_log t snapshot =
   let audit = t.hooks.on_discard in
   for c = 0 to t.nodes - 1 do
@@ -355,6 +356,7 @@ let discard_log t snapshot =
           f ~node:t.me ~snapshot ~creator:c ~index:i.Interval.id.Interval.index
             ~vc:i.Interval.vc));
     Interval.Log.remove_upto t.log ~creator:c ~index:upto;
+    Diff_store.discard_upto t.store ~creator:c ~index:upto;
     Vc.set t.gc_floor c upto
   done
 

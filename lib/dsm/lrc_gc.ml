@@ -207,7 +207,6 @@ let discard_before t snapshot =
     note_peer_vc t ~peer snapshot
   done;
   discard_log t snapshot;
-  Diff_store.discard_upto t.store snapshot;
   (* A base stays until another node keeps its page. *)
   Lrc_serve.discard t ~keeps:(fun page -> t.keeper.(page) = t.me);
   Profile.leave gc_span

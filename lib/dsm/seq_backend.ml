@@ -8,6 +8,7 @@ module Page_table = Carlos_vm.Page_table
 module Diff = Carlos_vm.Diff
 module Obs = Carlos_obs.Obs
 module Ivar = Carlos_sim.Resource.Ivar
+module Semaphore = Carlos_sim.Resource.Semaphore
 module Cost = Carlos_obs.Cost
 
 (* The node that stamps every write batch. *)
@@ -56,13 +57,12 @@ type t = {
   (* Write faults, the flush and its gate.  A page holds unsequenced
      writes exactly while it is [Read_write]. *)
   wb : Writeback.t;
-  (* Sequencer only: last stamp assigned, plus a cooperative mutex so
-     stamp order equals per-destination push order even when the
+  (* Sequencer only: last stamp assigned, plus a mutex (a semaphore of
+     one) so stamp order equals per-destination push order even when the
      dispatcher fiber and local application fibers interleave at charge
      points. *)
   mutable next_seq : int;
-  mutable seq_busy : bool;
-  seq_queue : unit Ivar.t Queue.t;
+  seq_mutex : Semaphore.t;
   (* Every node: highest stamp applied locally, the causal horizon
      carried on outgoing releases, and acquirers parked until the
      applied stamp reaches their needed horizon. *)
@@ -87,8 +87,7 @@ let create ?obs ~nodes ~me ~page_table ~costs ~charge ~peer () =
       zero_vc = Vc.zero ~nodes;
       wb = Writeback.create ~page_table ~costs ~charge;
       next_seq = 0;
-      seq_busy = false;
-      seq_queue = Queue.create ();
+      seq_mutex = Semaphore.create 1;
       applied_seq = 0;
       horizon = 0;
       acq_waiters = [];
@@ -130,24 +129,6 @@ let metadata_pressure _ = 0
 (* origin + upto horizon: the sequencer's ordering metadata, on the same
    vc_entries axis as LRC's vector clocks. *)
 let piggyback_cost (_ : piggyback) = [ (Cost.Vc_entries, 12) ]
-
-(* ------------------------------------------------------------------ *)
-(* Sequencer mutex *)
-
-let rec lock_sequencer t =
-  if t.seq_busy then begin
-    let gate = Ivar.create () in
-    Queue.push gate t.seq_queue;
-    Ivar.read gate;
-    lock_sequencer t
-  end
-  else t.seq_busy <- true
-
-let unlock_sequencer t =
-  t.seq_busy <- false;
-  match Queue.take_opt t.seq_queue with
-  | Some gate -> Ivar.fill gate ()
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Acquire parking *)
@@ -219,7 +200,7 @@ let serve_sequence t ~origin diffs =
     raise (Protocol_violation "seq: serve_sequence on a non-sequencer node");
   if diffs = [] then 0
   else begin
-    lock_sequencer t;
+    Semaphore.wait t.seq_mutex;
     let changed = ref 0 in
     let last = ref 0 in
     let entries =
@@ -253,7 +234,7 @@ let serve_sequence t ~origin diffs =
     t.charge
       ((t.costs.Cpu_cost.diff_data_per_byte *. float_of_int !changed)
       +. t.costs.Cpu_cost.diff_request_fixed);
-    unlock_sequencer t;
+    Semaphore.signal t.seq_mutex;
     !last
   end
 

@@ -115,7 +115,7 @@ let[@inline] transmit_time t f = float_of_int f.size /. t.bandwidth
 
 let[@inline] schedule t f step ~time =
   f.step <- step;
-  Engine.at_callback t.engine ~time f.callback
+  Engine.at t.engine ~time f.callback
 
 let transmit t f =
   Profile.enter transmit_span;
@@ -175,4 +175,4 @@ let send t ~src ~dst ~size payload =
       callback = unbuilt }
   in
   f.callback <- Engine.callback (fun () -> advance t f);
-  Engine.at_callback t.engine ~time:now f.callback
+  Engine.at t.engine ~time:now f.callback

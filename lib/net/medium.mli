@@ -7,7 +7,8 @@
     occupies the wire for [size / bandwidth] seconds and is then
     delivered after a fixed propagation-plus-interrupt [latency].
 
-    A frame is a chain of {!Carlos_sim.Engine.at} callbacks, not a fiber:
+    A frame is not a fiber but a chain of callbacks, each step scheduled
+    with {!Carlos_sim.Engine.at}:
     - {e start}, scheduled by {!send} at the current time, takes the wire
       if it is idle and otherwise queues the frame;
     - {e finish}, [size / bandwidth] after the frame took the wire,

@@ -165,7 +165,7 @@ let note_delivered t c ~node ~src ~frames =
             flush_ack t c ~node ~src;
             Profile.leave ack_timer_span);
     c.ack_timer <-
-      Engine.timer_callback t.engine
+      Engine.timer t.engine
         ~time:(Engine.now t.engine +. t.ack_delay)
         c.flush_callback
   end
@@ -238,7 +238,7 @@ let[@inline] sent_slot t seq = sent_base + (seq mod t.window)
    multiply the damage of a timeout that was merely a congested wire. *)
 let watch t c =
   c.rto_timer <-
-    Engine.timer_callback t.engine ~time:c.floats.(deadline) c.watch_callback
+    Engine.timer t.engine ~time:c.floats.(deadline) c.watch_callback
 
 let watch_fired t c ~src ~dst () =
   let f = c.floats in

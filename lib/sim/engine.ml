@@ -204,13 +204,9 @@ let[@inline] schedule_ev t ~time ev =
 
 let callback f = Ev_thunk f
 
-let[@inline] at_callback t ~time cb = schedule_ev t ~time cb
+let[@inline] at t ~time cb = schedule_ev t ~time cb
 
-let[@inline] timer_callback t ~time cb = schedule_at t ~time ~timer:true cb
-
-let[@inline] at t ~time f = schedule_ev t ~time (Ev_thunk f)
-
-let[@inline] timer t ~time f = schedule_at t ~time ~timer:true (Ev_thunk f)
+let[@inline] timer t ~time cb = schedule_at t ~time ~timer:true cb
 
 let pending t h =
   h >= 0 && Heap.live t.queue ~slot:(h land slot_mask) ~seq:(h lsr slot_bits)

@@ -44,27 +44,21 @@ val peak_queue : t -> int
 (** [spawn t f] schedules fiber [f] to start at the current virtual time. *)
 val spawn : t -> (unit -> unit) -> unit
 
-(** [at t ~time f] runs callback [f] (not a fiber; it must not block) at
-    virtual time [time].  [time] must not be in the past.  A callback that
-    raises stops {!run} at once with that exception.  [at] and {!timer}
-    are inlined into the caller, so [time] reaches the queue unboxed; the
-    only allocation is the queued event wrapping [f]. *)
-val at : t -> time:float -> (unit -> unit) -> unit
+(** {1 Scheduling callbacks} *)
 
-(** {1 Prebuilt callbacks} *)
-
-(** A callback's queued event, built once: a step a frame or timer takes
-    again and again schedules the same one, and scheduling it allocates
-    nothing. *)
+(** A callback (not a fiber; it must not block) as the event that runs
+    it, built once: a step a frame or timer takes again and again
+    schedules the same one, and scheduling it allocates nothing. *)
 type callback
 
 val callback : (unit -> unit) -> callback
 
-(** {!at} for a prebuilt callback.  One callback may be queued at most
-    once at a time. *)
-val at_callback : t -> time:float -> callback -> unit
-
-(** {1 Cancellable timers} *)
+(** [at t ~time cb] runs [cb] at virtual time [time].  [time] must not be
+    in the past.  A callback that raises stops {!run} at once with that
+    exception.  One callback may be queued at most once at a time.  [at]
+    and {!timer} are inlined into the caller, so [time] reaches the queue
+    unboxed. *)
+val at : t -> time:float -> callback -> unit
 
 (** A handle on one timer.  It is an immediate value, so keeping it in a
     mutable field costs no write barrier. *)
@@ -73,17 +67,14 @@ type timer [@@immediate]
 (** A handle that is never {!pending}; cancelling it does nothing. *)
 val no_timer : timer
 
-(** [timer t ~time f] is {!at} that can be cancelled: it schedules callback
-    [f] at [time], drawing its sequence number now, and returns its
+(** [timer t ~time cb] is {!at} that can be cancelled: it schedules [cb]
+    at [time], drawing its sequence number now, and returns its
     handle. *)
-val timer : t -> time:float -> (unit -> unit) -> timer
-
-(** {!timer} for a prebuilt callback (see {!at_callback}). *)
-val timer_callback : t -> time:float -> callback -> timer
+val timer : t -> time:float -> callback -> timer
 
 (** [cancel t h] unschedules [h] in O(log n) if it has not fired yet: it
-    never runs, does not count in {!events_executed}, and its closure is
-    released at once.  Every other event keeps its (time, seq) key, since
+    never runs, does not count in {!events_executed}, and the queue lets go
+    of its callback at once.  Every other event keeps its (time, seq) key, since
     the cancelled timer keeps the number it drew.  Cancelling a timer that
     fired or was cancelled already does nothing. *)
 val cancel : t -> timer -> unit

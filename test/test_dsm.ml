@@ -1441,6 +1441,92 @@ let prop_log_matches_model =
             && List.for_all2 ( == ) visited expected)
         ops)
 
+type store_op =
+  | Store_add of int * int * int * int (* creator, index, page, piece *)
+  | Store_discard of int * int (* every index of the creator up to k *)
+
+let pp_store_op = function
+  | Store_add (c, k, page, d) -> Printf.sprintf "add %d.%d p%d d%d" c k page d
+  | Store_discard (c, k) -> Printf.sprintf "discard %d.1-%d" c k
+
+(* Pieces of distinct sizes: piece [d] changes [d + 1] words, each its
+   own run. *)
+let store_pieces =
+  Array.init 4 (fun d ->
+      let twin = Bytes.make page_size '\000' in
+      let current = Bytes.copy twin in
+      for w = 0 to d do
+        Bytes.set_int64_le current (16 * w) (Int64.of_int (w + 1))
+      done;
+      Diff.create ~page:0 ~twin ~current)
+
+let prop_diff_store_matches_model =
+  let module Store = Carlos_dsm.Diff_store in
+  let nodes = 3 and max_index = 24 and pages = 3 in
+  (* Indices in scrambled order, so adds land below a row's base and
+     below its lowest live slot; discards often enough to release a
+     row's front and to empty it. *)
+  let gen_op =
+    QCheck.Gen.(
+      int_range 0 (nodes - 1) >>= fun c ->
+      int_range 1 max_index >>= fun k ->
+      int_range 0 (pages - 1) >>= fun page ->
+      int_bound (Array.length store_pieces - 1) >>= fun d ->
+      frequency
+        [
+          (5, return (Store_add (c, k, page, d)));
+          (2, return (Store_discard (c, k)));
+        ])
+  in
+  QCheck.Test.make ~name:"diff store matches a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+       QCheck.Gen.(list_size (int_range 0 150) gen_op))
+    (fun ops ->
+      let store = Store.create ~nodes in
+      (* The model: (creator, index, page) to its pieces, newest first. *)
+      let model = Hashtbl.create 64 in
+      let agree () =
+        let bytes = ref 0 and ok = ref true in
+        for c = 0 to nodes - 1 do
+          for k = 0 to max_index + 1 do
+            for page = 0 to pages - 1 do
+              let id = { Interval.creator = c; index = k } in
+              let expected =
+                Option.map List.rev (Hashtbl.find_opt model (c, k, page))
+              in
+              Option.iter
+                (List.iter (fun d -> bytes := !bytes + Diff.size_bytes d))
+                expected;
+              if
+                Store.find store ~page id <> expected
+                || Store.mem store ~page id <> Option.is_some expected
+              then ok := false
+            done
+          done
+        done;
+        !ok && Store.bytes_stored store = !bytes
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Store_add (c, k, page, d) ->
+            let piece = store_pieces.(d) in
+            Store.add store ~page { Interval.creator = c; index = k } piece;
+            let pieces =
+              Option.value ~default:[] (Hashtbl.find_opt model (c, k, page))
+            in
+            Hashtbl.replace model (c, k, page) (piece :: pieces)
+          | Store_discard (c, k) ->
+            Store.discard_upto store ~creator:c ~index:k;
+            for j = 1 to k do
+              for page = 0 to pages - 1 do
+                Hashtbl.remove model (c, j, page)
+              done
+            done);
+          agree ())
+        ops)
+
 (* Minor words allocated per call of [f], over [n] calls. *)
 let words_per_call n f =
   let before = Gc.minor_words () in
@@ -1529,6 +1615,11 @@ let test_diff_store_discard_upto () =
     else [ 0; 1; 2; 3 ]
   in
   let store = Store.create ~nodes in
+  let discard snapshot =
+    for creator = 0 to nodes - 1 do
+      Store.discard_upto store ~creator ~index:(Vc.get snapshot creator)
+    done
+  in
   let id creator index = { Interval.creator; index } in
   let pieces = ref [] in
   let check_pieces what =
@@ -1564,7 +1655,7 @@ let test_diff_store_discard_upto () =
   let snapshot = Vc.zero ~nodes in
   Vc.set snapshot 0 2;
   Vc.set snapshot 2 3;
-  Store.discard_upto store snapshot;
+  discard snapshot;
   let kept (_, (i : Interval.id), _) =
     i.Interval.index > Vc.get snapshot i.Interval.creator
   in
@@ -1582,7 +1673,7 @@ let test_diff_store_discard_upto () =
     all;
   (* Then the big interval goes too. *)
   Vc.set snapshot 1 2;
-  Store.discard_upto store snapshot;
+  discard snapshot;
   pieces := List.filter kept all;
   Alcotest.(check int) "bytes after the big interval's discard"
     (List.fold_left (fun acc (_, _, d) -> acc + Diff.size_bytes d) 0 !pieces)
@@ -2157,7 +2248,12 @@ let () =
           test_metadata_allocation
         :: Alcotest.test_case "diff store discards up to a snapshot" `Quick
              test_diff_store_discard_upto
-        :: qcheck [ prop_causal_range_matches_oracle; prop_log_matches_model ] );
+        :: qcheck
+             [
+               prop_causal_range_matches_oracle;
+               prop_log_matches_model;
+               prop_diff_store_matches_model;
+             ] );
       ( "lrc-page-state",
         qcheck
           [

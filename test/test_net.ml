@@ -307,9 +307,12 @@ let test_medium_queued_frame_allocation () =
   let before = Gc.minor_words () in
   Engine.run eng;
   let w = (Gc.minor_words () -. before) /. float_of_int frames in
-  (* Measured: 20.0 words (62.0 with a closure and an event per step,
-     155 for the fiber-per-frame medium). *)
-  if w > 20.5 then Alcotest.failf "a queued frame allocates %.2f words" w
+  (* Measured: 20.0 words in the release profile (62.0 with a closure and
+     an event per step, 155 for the fiber-per-frame medium).  Without
+     cross-module inlining (the dev profile) the times handed to the
+     engine are boxed, and it measures 44.02. *)
+  let bound = if Build_profile.name = "release" then 20.5 else 44.03 in
+  if w > bound then Alcotest.failf "a queued frame allocates %.2f words" w
 
 (* ------------------------------------------------------------------ *)
 (* Datagram *)
@@ -685,8 +688,9 @@ let test_sw_backoff_persists_across_retransmitted_acks () =
          4 = second copy, 5 = its re-ack (delivered). *)
       Datagram.inject_drops dg [ 1; 3 ];
       Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:100 ());
-  Engine.at eng ~time:1.0 (fun () ->
-      Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:25_000 ());
+  Engine.at eng ~time:1.0
+    (Engine.callback (fun () ->
+         Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:25_000 ()));
   Engine.run eng;
   Alcotest.(check int) "both delivered" 2 (sw_counter sw "sw.delivered");
   Alcotest.(check int) "phase-1 recovery only" 2
@@ -705,7 +709,8 @@ let test_sw_rtt_estimator_converges () =
   for i = 0 to 19 do
     Engine.at eng
       ~time:(0.01 *. float_of_int i)
-      (fun () -> Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:200 ())
+      (Engine.callback (fun () ->
+           Sliding_window.send sw ~src:0 ~dst:1 ~payload_bytes:200 ()))
   done;
   Engine.run eng;
   Alcotest.(check int) "all delivered" 20

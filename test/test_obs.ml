@@ -372,9 +372,10 @@ let test_metrics_jsonl_shape () =
 
 let qcheck = Props.qcheck
 
-(* [observe] allocates nothing: its sum, min and max are stored
-   unboxed, the bucket comes from the exponent bits, and the float
-   argument is not boxed to be passed. *)
+(* [observe] allocates nothing in the release profile: its sum, min and
+   max are stored unboxed, the bucket comes from the exponent bits, and
+   the float argument is not boxed to be passed.  Without cross-module
+   inlining (the dev profile) the argument is boxed, 2 words a call. *)
 let test_hist_observe_allocation () =
   let h = Obs.Hist.create () in
   let x = ref 0.001 in
@@ -384,7 +385,9 @@ let test_hist_observe_allocation () =
     x := !x *. 1.01
   done;
   let words = Gc.minor_words () -. before in
-  if words > 0.0 then Alcotest.failf "1,000 observations allocate %.0f words" words
+  let bound = if Build_profile.name = "release" then 0.0 else 2000.0 in
+  if words > bound then
+    Alcotest.failf "1,000 observations allocate %.0f words" words
 
 (* The bucket from the exponent bits is [Float.frexp]'s. *)
 let frexp_bucket v =
